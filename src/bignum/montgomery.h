@@ -121,12 +121,6 @@ class Montgomery {
   static constexpr std::size_t kMaxCachedBases = 8;
 
  private:
-  // x86-64 ADX/BMI2 paths (mulx + dual adcx/adox carry chains), selected at
-  // runtime by sqr_into / mul_into when the CPU supports them. Bit-identical
-  // to the portable kernels. Defined only on x86-64 GNU toolchains.
-  void sqr_into_adx(Limb* out, const Limb* a, Limb* t) const;
-  void mul_into_adx(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
-
   std::size_t k_;      // limb count of modulus
   LimbVec n_;          // modulus limbs, length k_
   BigInt n_big_;
@@ -134,6 +128,9 @@ class Montgomery {
   LimbVec r2_;         // R^2 mod N (R = 2^{64 k_}), length k_
   LimbVec one_mont_;   // R mod N
   LimbVec one_plain_;  // the k-limb constant 1 (from_mont multiplies by it)
+  // A fixed-width MULX/ADX kernel serves k_ on this host
+  // (bignum/mont_kernels.h); otherwise the portable kernels run.
+  bool fixed_width_ = false;
 
   // Small per-context comb cache keyed by base value (linear scan; there
   // are only ever a handful of long-lived bases per modulus). Hits bump the

@@ -16,6 +16,7 @@
 //   * Buffers grow monotonically and are only reclaimed at thread exit.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -72,7 +73,7 @@ class ScratchArena {
   /// For destination-passing kernels that overwrite the whole span (pow
   /// tables, multiexp partials) — skips the memset take_zeroed pays.
   [[nodiscard]] Lease take(std::size_t words) {
-    std::vector<std::uint64_t> buf = pop();
+    std::vector<std::uint64_t> buf = pop(words);
     const bool hit = buf.size() >= words;
     stats_.record(hit);
     if (!hit) buf.resize(words);
@@ -86,8 +87,16 @@ class ScratchArena {
   void reset_stats() { stats_.reset(); }
 
  private:
-  std::vector<std::uint64_t> pop() {
+  // The most recently returned buffer that holds `words`, else the most
+  // recent one (take() grows it). Looking past a too-small top buffer keeps
+  // a warm arena from growing again just because nested leases came back
+  // in a different order than this take() expects.
+  std::vector<std::uint64_t> pop(std::size_t words) {
     if (free_.empty()) return {};
+    const auto fit =
+        std::find_if(free_.rbegin(), free_.rend(),
+                     [words](const auto& b) { return b.size() >= words; });
+    if (fit != free_.rend()) std::swap(*fit, free_.back());
     std::vector<std::uint64_t> buf = std::move(free_.back());
     free_.pop_back();
     return buf;

@@ -279,13 +279,38 @@ bool UserClient::audit_edges_batch(
   const bn::BigInt g_s = tpa.batch_begin(batch_id, edge_channels.size());
   const std::vector<bn::BigInt> keys =
       draw_challenge_keys(params_, edge_channels.size(), rng_);
-  for (std::size_t j = 0; j < edge_channels.size(); ++j) {
-    EdgeClient(*edge_channels[j]).batch_challenge(batch_id, keys[j], g_s);
-  }
 
-  // Union retrieval + aggregated repacking.
+  // Each edge computes its proof before replying and submits it to the TPA
+  // itself, so the J challenges run concurrently and overlap the union
+  // retrieval. Everything is joined before the first failure surfaces, the
+  // same way audit_edge joins its challenge thread.
+  std::vector<std::exception_ptr> edge_errors(edge_channels.size());
+  std::vector<std::jthread> challenges;
+  challenges.reserve(edge_channels.size());
+  for (std::size_t j = 0; j < edge_channels.size(); ++j) {
+    challenges.emplace_back([&, j] {
+      try {
+        EdgeClient(*edge_channels[j]).batch_challenge(batch_id, keys[j], g_s);
+      } catch (...) {
+        edge_errors[j] = std::current_exception();
+      }
+    });
+  }
   const std::vector<std::size_t> u = union_of_sets(edge_sets);
-  const std::vector<bn::BigInt> tags = retrieve_tags(u);
+  std::vector<bn::BigInt> tags;
+  std::exception_ptr tags_error;
+  try {
+    tags = retrieve_tags(u);
+  } catch (...) {
+    tags_error = std::current_exception();
+  }
+  for (std::jthread& challenge : challenges) challenge.join();
+  for (const std::exception_ptr& error : edge_errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+  if (tags_error != nullptr) std::rethrow_exception(tags_error);
+
+  // Aggregated repacking over the union.
   const std::vector<bn::BigInt> repacked =
       batch_repack(keys_.pk.pk, params_, u, tags, edge_sets, keys);
   return tpa.batch_finish(batch_id, repacked);

@@ -153,7 +153,8 @@ TEST(MultiExpTest, MontSqrMatchesMontMul) {
               mont.mont_mul(mont.one_mont(), mont.one_mont()));
   }
   // Odd limb count (k = 3): keeps the portable squaring kernel covered on
-  // CPUs where even-k moduli dispatch to the ADX path.
+  // CPUs where the 4-, 8- and 16-limb moduli dispatch to the fixed-width
+  // ADX kernels.
   const BigInt n3 = (BigInt(1) << 190) + BigInt(111);
   const Montgomery mont3(n3);
   ASSERT_EQ(mont3.limb_count(), 3u);

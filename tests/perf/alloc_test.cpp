@@ -13,10 +13,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
+#include <latch>
+#include <mutex>
 #include <new>
 #include <vector>
 
 #include "bignum/random.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ice/protocol.h"
 #include "ice/tag.h"
@@ -78,10 +82,35 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace ice {
 namespace {
 
-/// Runs `f` warm-up times, then counts heap allocations across `iters` more
-/// runs. The count is read before any gtest machinery can allocate.
+/// Runs `f` once on every worker of the shared pool. Each task holds its
+/// worker at the latch until every worker has a task, so no worker can take
+/// two; the runs then take turns (f writes shared outputs), and on a worker
+/// f's own fan-out runs inline. Every worker's thread-local caches thus
+/// reach their working size here, not when the worker first claims a chunk
+/// of a pooled run inside the counted window.
+template <typename F>
+void warm_every_worker(F& f) {
+  ThreadPool& pool = shared_pool();
+  std::latch all_started(static_cast<std::ptrdiff_t>(pool.size()));
+  std::mutex one_at_a_time;
+  std::vector<std::future<void>> done;
+  done.reserve(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    done.push_back(pool.submit([&] {
+      all_started.arrive_and_wait();
+      const std::lock_guard lock(one_at_a_time);
+      f();
+    }));
+  }
+  for (auto& d : done) d.get();
+}
+
+/// Warms every pool worker, runs `f` warm-up times, then counts heap
+/// allocations across `iters` more runs. The count is read before any gtest
+/// machinery can allocate.
 template <typename F>
 std::uint64_t steady_state_allocs(F&& f, int warm = 8, int iters = 4) {
+  warm_every_worker(f);
   for (int i = 0; i < warm; ++i) f();
   g_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
