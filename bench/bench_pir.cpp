@@ -16,8 +16,21 @@
 // allocations per call, per-bit unpack — checked against respond_one for
 // correctness before timing. Naive/matrix kept their pre-PR structure, so
 // their baseline is simply respond_one with the portable kernel forced.
+//
+// A second arm measures two threads responding at once on one shared
+// pooled server (n = 10^5, m = 10), the way both TPA replicas of one
+// process answer a retrieval together. Each repetition starts both
+// responds together; the medians of the faster and the slower respond of
+// each pair land next to a lone pooled respond's and a serial one's, so an
+// uneven split of the shared thread pool between concurrent broadcasts
+// shows as a slow/fast ratio far above 1 (the slower respond then runs at
+// about serial speed).
+#include <barrier>
+#include <thread>
+
 #include "support.h"
 
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "pir/client.h"
 #include "pir/server.h"
@@ -144,6 +157,53 @@ Cell measure(const pir::PirServer& server, const pir::TagDatabase& db,
   return cell;
 }
 
+struct ConcurrentCell {
+  double serial_ms;  // parallelism 1: one thread, no pool
+  double lone_ms;    // the pooled server answering alone
+  double fast_ms;  // median of the faster respond of each concurrent pair
+  double slow_ms;  // median of the slower one
+};
+
+double median_ms(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Serial and lone pooled responds vs two threads responding at once with
+// different queries on ONE pooled server (parallelism 0: one chunk per
+// hardware thread).
+ConcurrentCell measure_concurrent(const pir::PirServer& serial,
+                                  const pir::PirServer& server,
+                                  const pir::PirQuery (&queries)[2],
+                                  int reps) {
+  ConcurrentCell cell{};
+  cell.serial_ms =
+      1e3 * time_median(reps, [&] { (void)serial.respond(queries[0]); });
+  cell.lone_ms =
+      1e3 * time_median(reps, [&] { (void)server.respond(queries[0]); });
+  std::vector<double> ms[2];
+  std::barrier start(2);
+  const auto lane = [&](std::size_t t) {
+    for (int r = 0; r < reps; ++r) {
+      start.arrive_and_wait();
+      Stopwatch sw;
+      (void)server.respond(queries[t]);
+      ms[t].push_back(sw.millis());
+    }
+  };
+  std::thread other(lane, 1);
+  lane(0);
+  other.join();
+  std::vector<double> fast, slow;
+  for (int r = 0; r < reps; ++r) {
+    fast.push_back(std::min(ms[0][r], ms[1][r]));
+    slow.push_back(std::max(ms[0][r], ms[1][r]));
+  }
+  cell.fast_ms = median_ms(fast);
+  cell.slow_ms = median_ms(slow);
+  return cell;
+}
+
 const char* strategy_label(pir::EvalStrategy s) {
   switch (s) {
     case pir::EvalStrategy::kNaive: return "naive";
@@ -228,5 +288,44 @@ int main(int argc, char** argv) {
   std::printf("\nTakeaway: one database sweep with m-way accumulation "
               "replaces m sweeps;\nthe SIMD XOR kernels stack on top for "
               "the bitsliced strategy.\n");
+
+  const std::size_t cn = smoke ? 200 : 100000;
+  const std::size_t cm = 10;
+  const int creps = smoke ? 3 : 25;
+  print_header("Two concurrent bitsliced responds on one shared server");
+  std::printf("%-7s %-4s %-8s %10s %10s %10s %10s %10s\n", "n", "m",
+              "threads", "serial(ms)", "lone(ms)", "fast(ms)", "slow(ms)",
+              "slow/fast");
+  {
+    pir::TagDatabase db(tag_bits);
+    for (const auto& t : synthetic_tags(cn, tag_bits, 7 + cn)) db.add(t);
+    const pir::Embedding emb(cn);
+    const pir::PirServer serial(db, emb, pir::EvalStrategy::kBitsliced,
+                                /*parallelism=*/1);
+    const pir::PirServer server(db, emb, pir::EvalStrategy::kBitsliced,
+                                /*parallelism=*/0);
+    const pir::PirQuery queries[2] = {
+        make_query(emb, cn, tag_bits, cm, 13 * cn),
+        make_query(emb, cn, tag_bits, cm, 13 * cn + 1)};
+    const ConcurrentCell cell =
+        measure_concurrent(serial, server, queries, creps);
+    const std::size_t threads = resolve_parallelism(0);
+    std::printf("%-7zu %-4zu %-8zu %10.3f %10.3f %10.3f %10.3f %9.2fx\n",
+                cn, cm, threads, cell.serial_ms, cell.lone_ms, cell.fast_ms,
+                cell.slow_ms, cell.slow_ms / cell.fast_ms);
+    if (!smoke) {
+      std::ostringstream body;
+      body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << cn
+           << ", \"m\": " << cm << ", \"threads\": " << threads
+           << ", \"reps\": " << creps << ", \"serial_ms\": " << cell.serial_ms
+           << ", \"lone_ms\": " << cell.lone_ms
+           << ", \"concurrent_fast_ms\": " << cell.fast_ms
+           << ", \"concurrent_slow_ms\": " << cell.slow_ms
+           << ", \"slow_over_fast\": " << cell.slow_ms / cell.fast_ms << "}";
+      std::ostringstream section;
+      section << "pir_concurrent_bitsliced_n" << cn << "_m" << cm;
+      emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
+    }
+  }
   return 0;
 }

@@ -16,7 +16,6 @@
 //   * Buffers grow monotonically and are only reclaimed at thread exit.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -87,16 +86,23 @@ class ScratchArena {
   void reset_stats() { stats_.reset(); }
 
  private:
-  // The most recently returned buffer that holds `words`, else the most
-  // recent one (take() grows it). Looking past a too-small top buffer keeps
-  // a warm arena from growing again just because nested leases came back
-  // in a different order than this take() expects.
+  // The smallest free buffer that holds `words`, else the largest one
+  // (take() grows it). Best fit makes the choice independent of the order
+  // in which nested leases came back: a small lease never takes the one
+  // buffer a later large lease needs, so a warm arena does not grow again
+  // just because its leases arrive in another order.
   std::vector<std::uint64_t> pop(std::size_t words) {
     if (free_.empty()) return {};
-    const auto fit =
-        std::find_if(free_.rbegin(), free_.rend(),
-                     [words](const auto& b) { return b.size() >= words; });
-    if (fit != free_.rend()) std::swap(*fit, free_.back());
+    auto best_fit = free_.end();
+    auto largest = free_.begin();
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->size() >= words &&
+          (best_fit == free_.end() || it->size() < best_fit->size())) {
+        best_fit = it;
+      }
+      if (it->size() > largest->size()) largest = it;
+    }
+    std::swap(best_fit != free_.end() ? *best_fit : *largest, free_.back());
     std::vector<std::uint64_t> buf = std::move(free_.back());
     free_.pop_back();
     return buf;

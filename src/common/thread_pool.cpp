@@ -49,6 +49,15 @@ std::size_t ThreadPool::drain_job(ChunkJob* job) {
   return executed;
 }
 
+ThreadPool::ChunkJob* ThreadPool::claimable_job() const {
+  for (ChunkJob* job = jobs_; job != nullptr; job = job->later) {
+    if (job->next.load(std::memory_order_relaxed) < job->num_chunks) {
+      return job;
+    }
+  }
+  return nullptr;
+}
+
 void ThreadPool::run_chunks_erased(std::size_t num_chunks,
                                    void (*invoke)(void*, std::size_t),
                                    void* ctx) {
@@ -62,26 +71,22 @@ void ThreadPool::run_chunks_erased(std::size_t num_chunks,
     if (stopping_) {
       throw std::logic_error("ThreadPool::run_chunks after shutdown");
     }
-    if (job_ != nullptr) {
-      // Another broadcast is in flight; one job slot keeps the protocol
-      // allocation-free. Mark this region inline-only and run it below,
-      // off the lock — still correct, just not overlapped.
-      job.num_chunks = 0;
-    } else {
-      job_ = &job;
-    }
-  }
-  if (job.num_chunks == 0) {
-    for (std::size_t c = 0; c < num_chunks; ++c) invoke(ctx, c);
-    return;
+    // Append: jobs_ is oldest-first, and workers serve the oldest job that
+    // still has unclaimed chunks.
+    ChunkJob** tail = &jobs_;
+    while (*tail != nullptr) tail = &(*tail)->later;
+    *tail = &job;
   }
   cv_.notify_all();
   const std::size_t mine = drain_job(&job);
   std::unique_lock lock(mu_);
-  job_ = nullptr;  // no new workers may enter the job
+  // Unlink: every chunk is claimed, so no new worker may enter the job.
+  ChunkJob** link = &jobs_;
+  while (*link != &job) link = &(*link)->later;
+  *link = job.later;
   job.done += mine;
   // The job lives on this stack frame: wait until every worker that entered
-  // has exited (they update `done`/`workers` under mu_ as they leave).
+  // has left (they update `done`/`workers` under mu_ as they leave).
   job_cv_.wait(lock, [&job] {
     return job.done == job.num_chunks && job.workers == 0;
   });
@@ -94,17 +99,16 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock lock(mu_);
-      // A broadcast job is interesting only while it has unclaimed chunks;
-      // otherwise a woken worker would spin on the exhausted counter until
-      // the poster clears the slot.
-      const auto job_has_work = [this] {
-        return job_ != nullptr &&
-               job_->next.load(std::memory_order_relaxed) < job_->num_chunks;
-      };
+      // Serve the oldest broadcast with unclaimed chunks, else a queued
+      // task. An exhausted job stays linked until its poster unlinks it, so
+      // it is skipped rather than entered: a worker would only spin on its
+      // counter.
+      ChunkJob* job = nullptr;
       cv_.wait(lock, [&] {
-        return stopping_ || !queue_.empty() || job_has_work();
+        job = claimable_job();
+        return job != nullptr || stopping_ || !queue_.empty();
       });
-      if (ChunkJob* job = job_; job != nullptr && job_has_work()) {
+      if (job != nullptr) {
         ++job->workers;
         lock.unlock();
         const std::size_t executed = drain_job(job);
@@ -114,12 +118,7 @@ void ThreadPool::worker_loop() {
         job_cv_.notify_all();
         continue;  // re-check queue / next job
       }
-      // `job_has_work()` reads the lock-free chunk counter, which other
-      // workers advance without holding mu_: the wait predicate can pass and
-      // the re-check above fail. That raced wake must loop back into wait —
-      // only a stopping_ pool may retire the thread.
-      if (stopping_ && queue_.empty()) return;
-      if (queue_.empty()) continue;
+      if (queue_.empty()) return;  // stopping_, nothing left to run
       task = std::move(queue_.front());
       queue_.pop_front();
     }

@@ -69,12 +69,13 @@ class ThreadPool {
   }
 
   /// Runs fn(chunk) for every chunk in [0, num_chunks) across the pool
-  /// WITHOUT allocating: the job descriptor lives on the caller's stack,
-  /// workers claim chunk indices from an atomic counter, and the caller
-  /// participates until every chunk is done. Blocks until completion and
-  /// rethrows the first chunk exception. If another broadcast is already in
-  /// flight (the pool has one job slot), the chunks run inline on the
-  /// caller — still correct, just not overlapped.
+  /// WITHOUT allocating: the job descriptor lives on the caller's stack and
+  /// is linked into an intrusive FIFO of in-flight broadcasts, workers claim
+  /// chunk indices from the oldest job that still has unclaimed chunks, and
+  /// the caller drains its own job until every chunk is claimed. Concurrent
+  /// callers (two TPA replicas responding at once) therefore all get
+  /// workers. Blocks until completion and rethrows the first exception of
+  /// this job's chunks.
   template <typename F>
   void run_chunks(std::size_t num_chunks, F&& fn) {
     using Fn = std::remove_reference_t<F>;
@@ -95,8 +96,8 @@ class ThreadPool {
  private:
   /// One chunk-broadcast job. Lives on the posting thread's stack for the
   /// duration of run_chunks; workers only touch it between incrementing
-  /// `entered` and `exited` (both under mu_), and the poster does not
-  /// return until every enterer has exited.
+  /// and decrementing `workers` (both under mu_), and the poster does not
+  /// return until every enterer has left.
   struct ChunkJob {
     void (*invoke)(void* ctx, std::size_t chunk);
     void* ctx;
@@ -105,6 +106,7 @@ class ThreadPool {
     std::size_t done = 0;              // executed chunks (guarded by mu_)
     std::size_t workers = 0;           // workers inside the job (mu_)
     std::exception_ptr error;          // first failure (guarded by mu_)
+    ChunkJob* later = nullptr;         // next-younger job in jobs_ (mu_)
   };
 
   void run_chunks_erased(std::size_t num_chunks,
@@ -112,13 +114,16 @@ class ThreadPool {
   /// Claims and executes chunks of `job` until none remain; returns the
   /// number executed and records the first exception in job->error.
   std::size_t drain_job(ChunkJob* job);
+  /// The oldest linked job with unclaimed chunks, or nullptr. Caller holds
+  /// mu_.
+  ChunkJob* claimable_job() const;
   void worker_loop();
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable job_cv_;  // poster waits for job completion
   std::deque<std::function<void()>> queue_;
-  ChunkJob* job_ = nullptr;  // active broadcast, if any (guarded by mu_)
+  ChunkJob* jobs_ = nullptr;  // in-flight broadcasts, oldest first (mu_)
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

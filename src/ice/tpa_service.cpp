@@ -128,10 +128,12 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   }
   const auto [pk, params] = config_snapshot();
   (void)pk;
-  // Build and preprocess the replacement store with no lock held (this is
-  // the expensive part), then swap it in.
+  // Build the replacement store with no lock held (this is the expensive
+  // part), then swap it in. Only the matrix strategy reads the K bitplane
+  // index lists, so only it pays their build here; the bitsliced and naive
+  // sweeps stream the rows, and plane() still builds lazily if asked.
   auto store = std::make_unique<TagStore>(params, std::move(tags), strategy_);
-  store->preprocess();
+  if (strategy_ == pir::EvalStrategy::kMatrix) store->preprocess();
   std::unique_lock lock(store_mu_);
   store_ = std::move(store);
 }
@@ -139,7 +141,7 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
 void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
   const pir::PirQuery query = read_pir_query(r);
   // Concurrent queries share the store under the shared lock; respond() is
-  // const and safe after preprocess().
+  // const, and the lazy plane build is internally locked.
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");

@@ -118,11 +118,10 @@ EpochMergeStats TagDatabase::close_epoch() {
       std::lock_guard planes_lock(planes_mu_);
       build_planes_locked();
       out.planes_rebuilt = true;
-      ++stats_.plane_rebuilds;
-    } else {
-      ++stats_.rebuilds_avoided;
     }
   }
+  // A close with no plane cache merged its rows without a rebuild, too.
+  ++(out.planes_rebuilt ? stats_.plane_rebuilds : stats_.rebuilds_avoided);
 
   staged_index_.clear();
   staged_rows_.clear();

@@ -108,6 +108,7 @@ struct EpochStats {
   std::uint64_t rows_merged = 0;      // cumulative across closes
   std::uint64_t plane_rebuilds = 0;   // threshold-triggered full rebuilds
   std::uint64_t rebuilds_avoided = 0; // closes that merged without one
+                                      // (including with no plane cache)
   std::uint64_t staged_rows = 0;      // currently staged for the next epoch
   std::uint64_t dirty_rows = 0;       // current plane-overlay size
 };

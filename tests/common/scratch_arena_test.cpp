@@ -34,6 +34,28 @@ TEST(ScratchArenaTest, GrowingRequestIsAMiss) {
   EXPECT_EQ(arena.stats().hits, 1u);
 }
 
+TEST(ScratchArenaTest, SmallLeaseLeavesTheLargeBufferFree) {
+  // Warm with a large and a small buffer, returned large-last. A small
+  // request must then take the small buffer, so a large request nested
+  // inside it still finds the large one: no miss in any order.
+  ScratchArena arena;
+  {
+    auto large = arena.take(1024);
+    auto small = arena.take(16);
+  }
+  EXPECT_EQ(arena.stats().misses, 2u);
+  {
+    auto small = arena.take(16);
+    auto large = arena.take(1024);
+  }
+  {
+    auto large = arena.take(1024);
+    auto small = arena.take(16);
+  }
+  EXPECT_EQ(arena.stats().misses, 2u);
+  EXPECT_EQ(arena.stats().hits, 4u);
+}
+
 TEST(ScratchArenaTest, NestedLeasesAreIndependent) {
   ScratchArena arena;
   auto outer = arena.take(32);

@@ -8,12 +8,36 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
 
 namespace ice {
 namespace {
+
+// Blocks each arriving thread until `parties` threads have arrived or 10 s
+// pass; returns whether the full meeting happened. A chunk that can only
+// meet chunks running on other threads fails instead of hanging when its
+// job is serialized onto one thread.
+class Rendezvous {
+ public:
+  explicit Rendezvous(std::size_t parties) : parties_(parties) {}
+
+  bool arrive_and_wait() {
+    std::unique_lock lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return arrived_ >= parties_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t parties_;
+  std::size_t arrived_ = 0;
+};
 
 TEST(ThreadPoolTest, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
@@ -124,6 +148,80 @@ TEST(ThreadPoolTest, WorkersSurviveRacedBroadcastWakeups) {
     }));
   }
   for (auto& f : futs) EXPECT_TRUE(f.get());
+}
+
+TEST(ThreadPoolTest, ConcurrentBroadcastsBothUseWorkers) {
+  // Two non-pool threads post two-chunk broadcasts at once, and all four
+  // chunks (each job's pair included) must be running at the same time to
+  // meet. That needs both posters AND pool workers inside both jobs: a job
+  // left to run on its caller alone cannot meet and times out.
+  ThreadPool pool(4);
+  Rendezvous meet(4);
+  std::atomic<int> met{0};
+  const auto post = [&] {
+    pool.run_chunks(2, [&](std::size_t) {
+      if (meet.arrive_and_wait()) met.fetch_add(1);
+    });
+  };
+  std::thread a(post);
+  std::thread b(post);
+  a.join();
+  b.join();
+  EXPECT_EQ(met.load(), 4);
+}
+
+TEST(ThreadPoolTest, ChunkExceptionReachesOnlyItsPoster) {
+  // Both jobs are in flight together (their four chunks meet first); only
+  // the first job's chunks throw, and only its poster sees the error.
+  ThreadPool pool(4);
+  Rendezvous meet(4);
+  std::atomic<int> met{0};
+  const auto post = [&](bool fail) {
+    try {
+      pool.run_chunks(2, [&, fail](std::size_t) {
+        if (meet.arrive_and_wait()) met.fetch_add(1);
+        if (fail) throw std::runtime_error("chunk");
+      });
+      return false;
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+  };
+  bool threw_a = false;
+  bool threw_b = true;
+  std::thread a([&] { threw_a = post(true); });
+  std::thread b([&] { threw_b = post(false); });
+  a.join();
+  b.join();
+  EXPECT_EQ(met.load(), 4);
+  EXPECT_TRUE(threw_a);
+  EXPECT_FALSE(threw_b);
+}
+
+TEST(ThreadPoolTest, ConcurrentPostersStressRunsEveryChunkOnce) {
+  // 8 posters x 1000 tiny broadcasts of 1-5 chunks against 4 workers: the
+  // job FIFO churns through links, unlinks and claim races, and every
+  // chunk of every broadcast must run exactly once.
+  constexpr std::size_t kPosters = 8;
+  constexpr std::size_t kRounds = 1000;
+  constexpr std::size_t kMaxChunks = 5;
+  ThreadPool pool(4);
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> posters;
+  for (std::size_t p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&, p] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const std::size_t chunks = 1 + (p + r) % kMaxChunks;
+        std::atomic<int> hits[kMaxChunks] = {};
+        pool.run_chunks(chunks, [&](std::size_t c) { hits[c].fetch_add(1); });
+        for (std::size_t c = 0; c < kMaxChunks; ++c) {
+          if (hits[c].load() != (c < chunks ? 1 : 0)) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : posters) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 TEST(ThreadPoolTest, OnPoolThreadFlagTracksWorkerContext) {

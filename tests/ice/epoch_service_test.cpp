@@ -214,6 +214,53 @@ TEST_F(EpochServiceTest, EpochStatsSurfaceCountsPinsAndMerges) {
   EXPECT_EQ(stats.db.rebuilds_avoided + stats.db.plane_rebuilds, 1u);
 }
 
+// store_tags builds the K bitplane lists only for the matrix strategy, the
+// one that reads them. After a store, one staged update and a close, a
+// bitsliced replica has no plane overlay (it never built planes) while a
+// kMatrix replica carries the merged row as its one-row overlay; both count
+// the close as merged without a rebuild and answer one shard query alike.
+TEST_F(EpochServiceTest, StoreTagsBuildsPlanesOnlyForMatrixStrategy) {
+  const auto tags = make_tags(24, 11);
+  const bn::BigInt fresh = make_tags(1, 12)[0];
+  TpaService bitsliced(pir::EvalStrategy::kBitsliced);
+  TpaService matrix(pir::EvalStrategy::kMatrix);
+  net::InMemoryChannel bitsliced_ch(bitsliced);
+  net::InMemoryChannel matrix_ch(matrix);
+  const TpaClient clients[] = {TpaClient(bitsliced_ch),
+                               TpaClient(matrix_ch)};
+  for (const TpaClient& tpa : clients) {
+    tpa.set_key(keys_.pk, params_);
+    tpa.store_tags(tags);
+    EXPECT_EQ(tpa.update_tag(5, fresh), 0u);
+    ASSERT_TRUE(tpa.close_epoch(/*force=*/true).closed);
+  }
+
+  const auto b = bitsliced.epoch_stats().db;
+  const auto m = matrix.epoch_stats().db;
+  EXPECT_EQ(b.dirty_rows, 0u);  // no planes built, so no overlay
+  EXPECT_EQ(m.dirty_rows, 1u);  // the merged row overlays the planes
+  EXPECT_EQ(b.rebuilds_avoided, 1u);
+  EXPECT_EQ(m.rebuilds_avoided, 1u);
+  EXPECT_EQ(b.plane_rebuilds + m.plane_rebuilds, 0u);
+
+  const ShardPlanner planner(clients[0].shard_map(),
+                             keys_.pk.modulus_bits());
+  const ShardPlan plan = planner.plan(std::vector<std::size_t>{5, 7, 23},
+                                      rng_);
+  const pir::ShardedPirResponse rb = clients[0].shard_query(plan.queries[0]);
+  const pir::ShardedPirResponse rm = clients[1].shard_query(plan.queries[0]);
+  ASSERT_EQ(rb.shards.size(), rm.shards.size());
+  for (std::size_t s = 0; s < rb.shards.size(); ++s) {
+    const auto& eb = rb.shards[s].response.entries;
+    const auto& em = rm.shards[s].response.entries;
+    ASSERT_EQ(eb.size(), em.size());
+    for (std::size_t e = 0; e < eb.size(); ++e) {
+      EXPECT_EQ(eb[e].values, em[e].values) << "entry " << e;
+      EXPECT_EQ(eb[e].gradients, em[e].gradients) << "entry " << e;
+    }
+  }
+}
+
 // A staged update must survive append() splitting / rebuilding its shard:
 // the sharded server snapshots the delta before the drain and re-stages it
 // into the rebuilt shard(s), routed by local index.

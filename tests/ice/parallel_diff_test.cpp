@@ -9,12 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "bignum/random.h"
 #include "common/rng.h"
 #include "ice/batch.h"
 #include "ice/protocol.h"
 #include "ice/tag.h"
 #include "ice/tag_store.h"
 #include "pir/client.h"
+#include "pir/server.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -163,6 +165,59 @@ TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
       }
     }
   }
+}
+
+TEST_F(ParallelDiffTest, ConcurrentBitslicedRespondsMatchSerial) {
+  // Two threads respond with different queries on ONE shared pooled server,
+  // so their row sweeps run as concurrent broadcasts in the shared pool;
+  // every response must equal the serial (parallelism = 1) respond of the
+  // same query bit for bit.
+  constexpr std::size_t kRows = 3000;
+  constexpr std::size_t kTagBits = 256;
+  constexpr std::size_t kIterations = 100;
+  pir::TagDatabase db(kTagBits);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    db.add(bn::random_bits(rng_, kTagBits));
+  }
+  const pir::Embedding emb(kRows);
+  const pir::PirClient client(emb, kTagBits);
+  const pir::PirServer serial(db, emb, pir::EvalStrategy::kBitsliced, 1);
+  const pir::PirServer shared(db, emb, pir::EvalStrategy::kBitsliced, 0);
+
+  struct Lane {
+    std::vector<pir::PirQuery> queries;
+    std::vector<pir::PirResponse> expected;
+    std::size_t mismatches = 0;
+  };
+  Lane lanes[2];
+  for (Lane& lane : lanes) {
+    for (std::size_t it = 0; it < kIterations; ++it) {
+      std::vector<std::size_t> wanted;
+      for (std::size_t l = 0; l < 1 + it % 5; ++l) {
+        wanted.push_back(gen_.below(kRows));
+      }
+      lane.queries.push_back(client.encode(wanted, rng_).queries[it % 2]);
+      lane.expected.push_back(serial.respond(lane.queries.back()));
+    }
+  }
+  const auto run = [&shared](Lane& lane) {
+    pir::PirResponse got;
+    for (std::size_t it = 0; it < lane.queries.size(); ++it) {
+      shared.respond_into(lane.queries[it], got);
+      const auto& want = lane.expected[it].entries;
+      bool same = got.entries.size() == want.size();
+      for (std::size_t e = 0; same && e < want.size(); ++e) {
+        same = got.entries[e].values == want[e].values &&
+               got.entries[e].gradients == want[e].gradients;
+      }
+      if (!same) ++lane.mismatches;
+    }
+  };
+  std::thread other([&] { run(lanes[1]); });
+  run(lanes[0]);
+  other.join();
+  EXPECT_EQ(lanes[0].mismatches, 0u);
+  EXPECT_EQ(lanes[1].mismatches, 0u);
 }
 
 TEST_F(ParallelDiffTest, BatchRepackAndVerifyBitExactAtEveryThreadCount) {

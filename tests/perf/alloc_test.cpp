@@ -82,14 +82,17 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace ice {
 namespace {
 
-/// Runs `f` once on every worker of the shared pool. Each task holds its
+/// Runs `f` once on every worker of the shared pool, then once on the
+/// calling thread with every worker held busy. Each worker task holds its
 /// worker at the latch until every worker has a task, so no worker can take
 /// two; the runs then take turns (f writes shared outputs), and on a worker
-/// f's own fan-out runs inline. Every worker's thread-local caches thus
-/// reach their working size here, not when the worker first claims a chunk
-/// of a pooled run inside the counted window.
+/// f's own fan-out runs inline. The caller, which otherwise runs only the
+/// chunks the workers leave it (and under load may meet one it never ran),
+/// then claims every chunk of f's fan-out itself. Every thread's
+/// thread-local caches thus reach their working size here, not when it
+/// first runs some chunk inside the counted window.
 template <typename F>
-void warm_every_worker(F& f) {
+void warm_every_thread(F& f) {
   ThreadPool& pool = shared_pool();
   std::latch all_started(static_cast<std::ptrdiff_t>(pool.size()));
   std::mutex one_at_a_time;
@@ -103,14 +106,35 @@ void warm_every_worker(F& f) {
     }));
   }
   for (auto& d : done) d.get();
+
+  std::latch all_held(static_cast<std::ptrdiff_t>(pool.size()));
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> held;
+  held.reserve(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    held.push_back(pool.submit([&all_held, released] {
+      all_held.count_down();
+      released.wait();
+    }));
+  }
+  all_held.wait();
+  try {
+    f();
+  } catch (...) {
+    release.set_value();  // never leave the workers held
+    throw;
+  }
+  release.set_value();
+  for (auto& h : held) h.get();
 }
 
-/// Warms every pool worker, runs `f` warm-up times, then counts heap
-/// allocations across `iters` more runs. The count is read before any gtest
-/// machinery can allocate.
+/// Warms every thread that runs f's chunks, runs `f` warm-up times, then
+/// counts heap allocations across `iters` more runs. The count is read
+/// before any gtest machinery can allocate.
 template <typename F>
 std::uint64_t steady_state_allocs(F&& f, int warm = 8, int iters = 4) {
-  warm_every_worker(f);
+  warm_every_thread(f);
   for (int i = 0; i < warm; ++i) f();
   g_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);

@@ -24,6 +24,13 @@
 # ConcurrentRekeyNeverLeavesStaleBundles), the pool-served vs cold-path
 # service differential (OfflineServiceTest.*), and the fleet simulation's
 # scheduler loop over pooled challenges (FleetSimTest.*, smoke_bench_fleet).
+# The thread pool's FIFO of concurrent broadcast jobs is gated by its own
+# targets: posters from several threads sharing the workers
+# (ThreadPoolTest.ConcurrentBroadcastsBothUseWorkers,
+# ChunkExceptionReachesOnlyItsPoster,
+# ConcurrentPostersStressRunsEveryChunkOnce) and two bitsliced responds
+# racing on one pooled PIR server
+# (ParallelDiffTest.ConcurrentBitslicedRespondsMatchSerial).
 # ASan/UBSan covers the big-integer and PIR kernels, including the
 # multiexp/fixed_base differential tests in bignum_test (MultiExpTest.*,
 # FixedBaseTest.*) that pin the engine to Montgomery::pow.
