@@ -1,11 +1,11 @@
-// Ablation — PIR server evaluation strategies at scale.
+// Ablation — PIR server evaluators at scale.
 //
-// Extends Fig. 2 beyond the paper's n <= 200 to show where each evaluation
-// strategy pays off: naive O(n K) recomputation, the paper's matrix
-// representation (zero-coefficient skipping + per-query monomial reuse),
-// and our bitsliced transposition (word-parallel accumulation over the K
-// bitplanes). Also reports the TPASetup preprocessing cost each strategy
-// requires.
+// Extends Fig. 2 beyond the paper's n <= 200 to show where each evaluator
+// pays off on a single query point: naive O(n K) recomputation, the
+// paper's matrix representation (zero-coefficient skipping + per-query
+// monomial reuse), and the bitsliced fused engine the TPA serves with
+// (word-parallel accumulation over the K bitplanes), here answering a
+// one-point query. All three must agree on the point before it is timed.
 #include "support.h"
 
 #include "pir/server.h"
@@ -17,20 +17,11 @@ using namespace ice::bench;
 
 constexpr std::size_t kTagBits = 1024;
 
-double respond_ms(const pir::TagDatabase& db, const pir::Embedding& emb,
-                  pir::EvalStrategy strategy, std::uint64_t seed, int reps) {
-  const pir::PirServer server(db, emb, strategy);
-  SplitMix64 gen(seed);
-  gf::GF4Vector q(emb.gamma());
-  for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
-  return 1e3 * time_median(reps, [&] { (void)server.respond_one(q); });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = smoke_mode(argc, argv);
-  print_header("Ablation — PIR evaluation strategy scaling (K = 1024)");
+  print_header("Ablation — PIR evaluator scaling (K = 1024)");
   std::printf("%-8s %12s %12s %14s %14s %12s\n", "n", "naive(ms)",
               "matrix(ms)", "bitsliced(ms)", "mtx speedup", "bits speedup");
   const std::vector<std::size_t> sweep =
@@ -45,12 +36,21 @@ int main(int argc, char** argv) {
     }
     const pir::Embedding emb(n);
     db.build_planes();
+    const pir::PirServer server(db, emb);
+    SplitMix64 qgen(n);
+    pir::PirQuery query;
+    query.points.emplace_back(emb.gamma());
+    for (auto& v : query.points[0]) {
+      v = gf::GF4(static_cast<std::uint8_t>(qgen.below(4)));
+    }
+    require_evaluators_agree(server, query);
+    const gf::GF4Vector& q = query.points[0];
     const double t_naive =
-        respond_ms(db, emb, pir::EvalStrategy::kNaive, n, 1);
+        1e3 * time_median(1, [&] { (void)server.respond_naive(q); });
     const double t_matrix =
-        respond_ms(db, emb, pir::EvalStrategy::kMatrix, n, 3);
+        1e3 * time_median(3, [&] { (void)server.respond_matrix(q); });
     const double t_bits =
-        respond_ms(db, emb, pir::EvalStrategy::kBitsliced, n, 3);
+        1e3 * time_median(3, [&] { (void)server.respond(query); });
     std::printf("%-8zu %12.1f %12.2f %14.3f %13.0fx %11.0fx\n", n, t_naive,
                 t_matrix, t_bits, t_naive / t_matrix, t_naive / t_bits);
   }

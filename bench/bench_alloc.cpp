@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   pir::Embedding emb(n);
   pir::TagDatabase db(1024);
   for (std::size_t i = 0; i < n; ++i) db.add(stags[i]);
-  const pir::PirServer server(db, emb, pir::EvalStrategy::kBitsliced, 1);
+  const pir::PirServer server(db, emb, 1);
   SplitMix64 g2(5);
   bn::Rng64Adapter rng2(g2);
   const pir::PirClient client(emb, 1024);

@@ -5,12 +5,17 @@
 // |S_j| = 1..10 at fixed n; Fig. 2b sweeps n at fixed |S_j|.
 // Expected shape: matrix representation is far cheaper than the naive
 // micro benchmark; time grows with both |S_j| and n.
+//
+// The naive and matrix columns loop the per-point evaluators over the
+// |S_j| query points, as the paper's Alg. 1 does; the bitsliced column is
+// the fused engine the TPA serves every query with. All three answer the
+// same encoded query, and they must agree bit for bit before any timing.
 #include "support.h"
 
 #include <thread>
 
-#include "ice/tag_store.h"
 #include "pir/client.h"
+#include "pir/server.h"
 
 namespace {
 
@@ -19,21 +24,39 @@ using namespace ice::bench;
 
 constexpr std::size_t kTagBits = 1024;  // |N| in the paper
 
-struct Replica {
-  proto::TagStore store;
-  pir::PirClient client;
+struct Times {
+  double naive_s;
+  double matrix_s;
+  double bits_s;
 };
 
-double tag_response_seconds(const proto::TagStore& store,
-                            const pir::Embedding& emb, std::size_t s_j,
-                            std::uint64_t seed, int reps) {
+/// Times one |S_j|-point tag response per evaluator over `tags`, after
+/// the TPASetup plane build and the correctness gate.
+Times tag_response(const std::vector<bn::BigInt>& tags, std::size_t s_j,
+                   std::size_t parallelism, std::uint64_t seed, int reps) {
+  pir::TagDatabase db(kTagBits);
+  for (const auto& t : tags) db.add(t);
+  const pir::Embedding emb(tags.size());
+  const pir::PirServer server(db, emb, parallelism);
+  (void)db.build_planes();
+
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
   const pir::PirClient client(emb, kTagBits);
   std::vector<std::size_t> wanted;
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(emb.n()));
-  const auto enc = client.encode(wanted, rng);
-  return time_median(reps, [&] { (void)store.respond(enc.queries[0]); });
+  const pir::PirQuery query = client.encode(wanted, rng).queries[0];
+  require_evaluators_agree(server, query);
+
+  Times t{};
+  t.naive_s = time_median(reps, [&] {
+    for (const auto& q : query.points) (void)server.respond_naive(q);
+  });
+  t.matrix_s = time_median(reps, [&] {
+    for (const auto& q : query.points) (void)server.respond_matrix(q);
+  });
+  t.bits_s = time_median(reps, [&] { (void)server.respond(query); });
+  return t;
 }
 
 void run_sweep(const char* label, std::size_t n,
@@ -44,32 +67,20 @@ void run_sweep(const char* label, std::size_t n,
   for (std::size_t v : sizes) {
     const std::size_t cur_n = sweep_n ? v : n;
     const std::size_t s_j = sweep_n ? 5 : v;
-    proto::ProtocolParams params;
-    params.modulus_bits = kTagBits;
     const auto tags = synthetic_tags(cur_n, kTagBits, 7 + v);
-    proto::TagStore naive(params, tags, pir::EvalStrategy::kNaive);
-    proto::TagStore matrix(params, tags, pir::EvalStrategy::kMatrix);
-    proto::TagStore bits(params, tags, pir::EvalStrategy::kBitsliced);
-    const pir::Embedding emb(cur_n);
-    const double t_naive =
-        tag_response_seconds(naive, emb, s_j, 11 + v, 1);
-    const double t_matrix =
-        tag_response_seconds(matrix, emb, s_j, 11 + v, 3);
-    const double t_bits = tag_response_seconds(bits, emb, s_j, 11 + v, 3);
+    const Times t = tag_response(tags, s_j, /*parallelism=*/0, 11 + v, 3);
     std::printf("%-8zu %-8s %14.2f %14.2f %14.3f %8.1fx\n", v, "",
-                t_naive * 1e3, t_matrix * 1e3, t_bits * 1e3,
-                t_naive / t_matrix);
+                t.naive_s * 1e3, t.matrix_s * 1e3, t.bits_s * 1e3,
+                t.naive_s / t.matrix_s);
   }
 }
 
-// Thread sweep: one tag response (n = 150, |S_j| = 5) per strategy at
-// parallelism 1/2/4/hw. All K bitplane polynomials shard across the pool
-// (bitplane slices for naive/matrix, tag-row shards for bitsliced), so
-// every strategy scales with cores — and returns bit-identical responses
+// Thread sweep: one tag response (n = 150, |S_j| = 5) per evaluator at
+// parallelism 1/2/4/hw. The references shard the K bitplanes across the
+// pool and the fused engine shards tag rows, so every evaluator scales
+// with cores — and returns bit-identical responses
 // (tests/ice/parallel_diff_test.cpp).
 void run_thread_sweep() {
-  using namespace ice;
-  using namespace ice::bench;
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::vector<std::size_t> threads{1, 2, 4};
@@ -78,7 +89,6 @@ void run_thread_sweep() {
   constexpr std::size_t kN = 150;
   constexpr std::size_t kSj = 5;
   const auto tags = synthetic_tags(kN, kTagBits, 77);
-  const pir::Embedding emb(kN);
 
   std::printf("\nThread sweep (n = %zu, |S_j| = %zu, hardware threads: "
               "%zu)\n", kN, kSj, hw);
@@ -86,15 +96,10 @@ void run_thread_sweep() {
               "matrix (ms)", "bitsliced(ms)");
   std::vector<double> naive_s, matrix_s, bits_s;
   for (std::size_t t : threads) {
-    proto::ProtocolParams params;
-    params.modulus_bits = kTagBits;
-    params.parallelism = t;
-    proto::TagStore naive(params, tags, pir::EvalStrategy::kNaive);
-    proto::TagStore matrix(params, tags, pir::EvalStrategy::kMatrix);
-    proto::TagStore bits(params, tags, pir::EvalStrategy::kBitsliced);
-    naive_s.push_back(tag_response_seconds(naive, emb, kSj, 31, 1));
-    matrix_s.push_back(tag_response_seconds(matrix, emb, kSj, 31, 3));
-    bits_s.push_back(tag_response_seconds(bits, emb, kSj, 31, 3));
+    const Times times = tag_response(tags, kSj, t, 31, 3);
+    naive_s.push_back(times.naive_s);
+    matrix_s.push_back(times.matrix_s);
+    bits_s.push_back(times.bits_s);
     std::printf("%-8zu %14.2f %14.2f %14.3f\n", t, naive_s.back() * 1e3,
                 matrix_s.back() * 1e3, bits_s.back() * 1e3);
   }
@@ -119,7 +124,7 @@ int main(int argc, char** argv) {
       "Fig. 2 — TPA tag response time, with vs without matrix repr.");
   std::printf("(K = %zu tag bits; 'naive' recomputes every monomial per "
               "bitplane,\n 'matrix' is the paper's representation, "
-              "'bitsliced' is our word-parallel ablation)\n",
+              "'bitsliced' is the fused engine the TPA serves with)\n",
               std::size_t{kTagBits});
 
   if (smoke) {

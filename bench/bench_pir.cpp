@@ -1,21 +1,18 @@
-// Fused multi-query PIR evaluation engine vs the pre-PR per-point loop.
+// Fused multi-query bitsliced PIR engine vs a per-point loop.
 //
-// For each strategy and (n, m) cell this measures
-//   loop      — m separate per-point sweeps in the pre-PR evaluation
-//               structure (see below),
+// For each (n, m) cell this measures
+//   loop      — m separate per-point sweeps in the pre-fusion bitsliced
+//               evaluation structure (see below),
 //   fused     — one respond() pass at the best SIMD tier this CPU has,
 //   fused/u64 — the same fused pass with the portable kernel forced,
 // and reports speedup plus the tag bytes each variant streams through the
 // accumulators (the loop sweeps the database m times, the fused engine
 // once). Results land in BENCH_pir.json for EXPERIMENTS.md.
 //
-// The loop baseline must represent the PRE-PR code, and this PR also sped
-// up respond_one itself (spread-table unpack, coordinate-major gradients),
-// so for the bitsliced strategy the baseline is a transcription of the old
-// inner loop — scalar XOR lambda, branchy per-component skips, fresh plane
-// allocations per call, per-bit unpack — checked against respond_one for
-// correctness before timing. Naive/matrix kept their pre-PR structure, so
-// their baseline is simply respond_one with the portable kernel forced.
+// The loop baseline is a transcription of the per-point bitsliced inner
+// loop the fused engine replaced — scalar XOR lambda, branchy
+// per-component skips, fresh plane allocations per call, per-bit unpack —
+// checked against the fused engine's one-point answer before timing.
 //
 // A second arm measures two threads responding at once on one shared
 // pooled server (n = 10^5, m = 10), the way both TPA replicas of one
@@ -46,8 +43,9 @@ struct Cell {
   double fused_portable_ms;
 };
 
-// Pre-PR bitsliced evaluation, transcribed from the seed (plane-major
-// gradients: out.gradients[pi][j] = dF_pi/dx_j, the old wire layout).
+// Per-point bitsliced evaluation as it was before the fused engine
+// (plane-major gradients: out.gradients[pi][j] = dF_pi/dx_j, the old wire
+// layout).
 struct BaselineResult {
   gf::GF4Vector values;
   std::vector<gf::GF4Vector> gradients;
@@ -107,7 +105,9 @@ BaselineResult baseline_bitsliced(const pir::TagDatabase& db,
 void check_baseline(const pir::PirServer& server, const pir::TagDatabase& db,
                     const pir::Embedding& emb, const gf::GF4Vector& q) {
   const BaselineResult base = baseline_bitsliced(db, emb, q);
-  const pir::PirSingleResponse ref = server.respond_one(q);
+  pir::PirQuery one;
+  one.points.push_back(q);
+  const pir::PirSingleResponse ref = server.respond(one).entries.at(0);
   bool ok = base.values == ref.values;
   for (std::size_t pi = 0; ok && pi < base.values.size(); ++pi) {
     for (std::size_t j = 0; j < emb.gamma(); ++j) {
@@ -115,7 +115,7 @@ void check_baseline(const pir::PirServer& server, const pir::TagDatabase& db,
     }
   }
   if (!ok) {
-    std::fprintf(stderr, "FATAL: pre-PR baseline disagrees with engine\n");
+    std::fprintf(stderr, "FATAL: per-point baseline disagrees with engine\n");
     std::exit(1);
   }
 }
@@ -132,23 +132,15 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
 }
 
 Cell measure(const pir::PirServer& server, const pir::TagDatabase& db,
-             const pir::Embedding& emb, pir::EvalStrategy strategy,
-             const pir::PirQuery& query, int reps) {
+             const pir::Embedding& emb, const pir::PirQuery& query,
+             int reps) {
   Cell cell{};
   const simd::XorTier best = simd::best_supported_tier();
   simd::set_active_tier(simd::XorTier::kPortable);
-  if (strategy == pir::EvalStrategy::kBitsliced) {
-    check_baseline(server, db, emb, query.points.front());
-    cell.loop_ms = 1e3 * time_median(reps, [&] {
-      for (const auto& q : query.points) {
-        (void)baseline_bitsliced(db, emb, q);
-      }
-    });
-  } else {
-    cell.loop_ms = 1e3 * time_median(reps, [&] {
-      for (const auto& q : query.points) (void)server.respond_one(q);
-    });
-  }
+  check_baseline(server, db, emb, query.points.front());
+  cell.loop_ms = 1e3 * time_median(reps, [&] {
+    for (const auto& q : query.points) (void)baseline_bitsliced(db, emb, q);
+  });
   cell.fused_portable_ms =
       1e3 * time_median(reps, [&] { (void)server.respond(query); });
   simd::set_active_tier(best);
@@ -204,15 +196,6 @@ ConcurrentCell measure_concurrent(const pir::PirServer& serial,
   return cell;
 }
 
-const char* strategy_label(pir::EvalStrategy s) {
-  switch (s) {
-    case pir::EvalStrategy::kNaive: return "naive";
-    case pir::EvalStrategy::kMatrix: return "matrix";
-    case pir::EvalStrategy::kBitsliced: return "bitsliced";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,69 +208,50 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{1, 4}
             : std::vector<std::size_t>{1, 4, 16, 64};
 
-  print_header("Fused multi-query PIR evaluation (K = tag bits)");
+  print_header("Fused multi-query bitsliced PIR evaluation (K = tag bits)");
   std::printf("XOR kernel: %s (best supported tier)\n",
               simd::tier_name(simd::best_supported_tier()));
-  std::printf("%-10s %-7s %-4s %12s %12s %14s %9s %9s %12s\n", "strategy",
-              "n", "m", "loop(ms)", "fused(ms)", "fused/u64(ms)", "speedup",
-              "simd x", "swept(MB)");
+  std::printf("%-7s %-4s %12s %12s %14s %9s %9s %12s\n", "n", "m",
+              "loop(ms)", "fused(ms)", "fused/u64(ms)", "speedup", "simd x",
+              "swept(MB)");
 
   for (std::size_t n : sizes) {
     pir::TagDatabase db(tag_bits);
     for (const auto& t : synthetic_tags(n, tag_bits, 7 + n)) db.add(t);
     const pir::Embedding emb(n);
-    db.build_planes();
     const double row_mb =
         static_cast<double>(n * db.words_per_tag() * 8) / (1024.0 * 1024.0);
+    const pir::PirServer server(db, emb, /*parallelism=*/1);
 
-    for (pir::EvalStrategy s :
-         {pir::EvalStrategy::kBitsliced, pir::EvalStrategy::kMatrix,
-          pir::EvalStrategy::kNaive}) {
-      for (std::size_t m : batch) {
-        // The naive strategy recomputes every monomial per bitplane; at
-        // n = 10^4 x K = 1024 a single point costs minutes, so cap it to
-        // the small database and modest batches.
-        if (!smoke && s == pir::EvalStrategy::kNaive &&
-            (n > 1000 || m > 16)) {
-          std::printf("%-10s %-7zu %-4zu %12s (skipped: naive too slow at "
-                      "this size)\n",
-                      strategy_label(s), n, m, "-");
-          continue;
-        }
-        const pir::PirServer server(db, emb, s, /*parallelism=*/1);
-        const pir::PirQuery query =
-            make_query(emb, n, tag_bits, m, 11 * n + m);
-        const int reps =
-            smoke ? 1 : (s == pir::EvalStrategy::kNaive ? 1 : 5);
-        const Cell cell = measure(server, db, emb, s, query, reps);
-        const double speedup = cell.loop_ms / cell.fused_ms;
-        const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
-        std::printf("%-10s %-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
-                    "%6.1f->%4.1f\n",
-                    strategy_label(s), n, m, cell.loop_ms, cell.fused_ms,
-                    cell.fused_portable_ms, speedup, simd_gain,
-                    static_cast<double>(m) * row_mb, row_mb);
-        if (!smoke) {
-          std::ostringstream body;
-          body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
-               << ", \"m\": " << m << ", \"loop_ms\": " << cell.loop_ms
-               << ", \"fused_ms\": " << cell.fused_ms
-               << ", \"fused_portable_ms\": " << cell.fused_portable_ms
-               << ", \"speedup\": " << speedup
-               << ", \"portable_over_simd\": " << simd_gain
-               << ", \"swept_mb_loop\": " << static_cast<double>(m) * row_mb
-               << ", \"swept_mb_fused\": " << row_mb << ", \"kernel\": \""
-               << simd::tier_name(simd::best_supported_tier()) << "\"}";
-          std::ostringstream section;
-          section << "pir_" << strategy_label(s) << "_n" << n << "_m" << m;
-          emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
-        }
+    for (std::size_t m : batch) {
+      const pir::PirQuery query = make_query(emb, n, tag_bits, m, 11 * n + m);
+      const Cell cell = measure(server, db, emb, query, smoke ? 1 : 5);
+      const double speedup = cell.loop_ms / cell.fused_ms;
+      const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
+      std::printf("%-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
+                  "%6.1f->%4.1f\n",
+                  n, m, cell.loop_ms, cell.fused_ms, cell.fused_portable_ms,
+                  speedup, simd_gain, static_cast<double>(m) * row_mb,
+                  row_mb);
+      if (!smoke) {
+        std::ostringstream body;
+        body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
+             << ", \"m\": " << m << ", \"loop_ms\": " << cell.loop_ms
+             << ", \"fused_ms\": " << cell.fused_ms
+             << ", \"fused_portable_ms\": " << cell.fused_portable_ms
+             << ", \"speedup\": " << speedup
+             << ", \"portable_over_simd\": " << simd_gain
+             << ", \"swept_mb_loop\": " << static_cast<double>(m) * row_mb
+             << ", \"swept_mb_fused\": " << row_mb << ", \"kernel\": \""
+             << simd::tier_name(simd::best_supported_tier()) << "\"}";
+        std::ostringstream section;
+        section << "pir_bitsliced_n" << n << "_m" << m;
+        emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
       }
     }
   }
   std::printf("\nTakeaway: one database sweep with m-way accumulation "
-              "replaces m sweeps;\nthe SIMD XOR kernels stack on top for "
-              "the bitsliced strategy.\n");
+              "replaces m sweeps;\nthe SIMD XOR kernels stack on top.\n");
 
   const std::size_t cn = smoke ? 200 : 100000;
   const std::size_t cm = 10;
@@ -300,10 +264,8 @@ int main(int argc, char** argv) {
     pir::TagDatabase db(tag_bits);
     for (const auto& t : synthetic_tags(cn, tag_bits, 7 + cn)) db.add(t);
     const pir::Embedding emb(cn);
-    const pir::PirServer serial(db, emb, pir::EvalStrategy::kBitsliced,
-                                /*parallelism=*/1);
-    const pir::PirServer server(db, emb, pir::EvalStrategy::kBitsliced,
-                                /*parallelism=*/0);
+    const pir::PirServer serial(db, emb, /*parallelism=*/1);
+    const pir::PirServer server(db, emb, /*parallelism=*/0);
     const pir::PirQuery queries[2] = {
         make_query(emb, cn, tag_bits, cm, 13 * cn),
         make_query(emb, cn, tag_bits, cm, 13 * cn + 1)};

@@ -97,9 +97,10 @@ void BM_CoefficientPrf(benchmark::State& state) {
 BENCHMARK(BM_CoefficientPrf)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_PirRespond(benchmark::State& state) {
-  // range(0): n, range(1): strategy (0 naive, 1 matrix, 2 bitsliced).
+  // range(0): n, range(1): evaluator (0 naive, 1 matrix, 2 fused bitsliced
+  // answering a one-point query).
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto strategy = static_cast<pir::EvalStrategy>(state.range(1));
+  const auto evaluator = state.range(1);
   constexpr std::size_t kTagBits = 1024;
   pir::TagDatabase db(kTagBits);
   SplitMix64 gen(4);
@@ -108,12 +109,21 @@ void BM_PirRespond(benchmark::State& state) {
     db.add(bn::random_bits(rng, kTagBits));
   }
   const pir::Embedding emb(n);
-  const pir::PirServer server(db, emb, strategy);
-  gf::GF4Vector q(emb.gamma());
-  for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
+  const pir::PirServer server(db, emb);
+  pir::PirQuery query;
+  query.points.emplace_back(emb.gamma());
+  for (auto& v : query.points[0]) {
+    v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
+  }
   db.build_planes();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.respond_one(q));
+    if (evaluator == 0) {
+      benchmark::DoNotOptimize(server.respond_naive(query.points[0]));
+    } else if (evaluator == 1) {
+      benchmark::DoNotOptimize(server.respond_matrix(query.points[0]));
+    } else {
+      benchmark::DoNotOptimize(server.respond(query));
+    }
   }
 }
 BENCHMARK(BM_PirRespond)

@@ -38,7 +38,6 @@ Cell measure(std::span<const bn::BigInt> tags, std::size_t tag_bits,
   Cell cell{};
   Stopwatch build;
   const pir::ShardedTagServer server(tag_bits, tags, budget,
-                                     pir::EvalStrategy::kBitsliced,
                                      /*parallelism=*/1);
   server.preprocess();
   cell.build_s = build.seconds();

@@ -1,32 +1,21 @@
 // Epoch engine under an update storm: audit latency with writes in flight,
-// and epoch-close merge cost vs the full-rebuild baseline.
+// and epoch-close merge cost vs a full plane rebuild.
 //
 // Two arms (both land in BENCH_updates.json):
 //
 //   merge  — a TagDatabase with warm planes takes U staged updates; one
 //            close_epoch() merges them (memcpy of dirty rows + sorted
-//            overlay union), timed against the legacy path: U
-//            update_in_place() writes followed by the full build_planes()
-//            the next query would pay. At n = 10^6 the merge must be
-//            orders of magnitude below the rebuild.
+//            overlay union), next to the cold build_planes() a rebuild
+//            would pay. At n = 10^6 the merge must be orders of magnitude
+//            below the build.
 //
 //   storm  — a sharded server answers timed audit rounds (plan -> 2x
-//            respond_sharded -> merge_decode, as bench_shards) in three
-//            regimes: idle database; epoch storm (writer threads staging
+//            respond_sharded -> merge_decode, as bench_shards) on an idle
+//            database and under an epoch storm (writer threads staging
 //            Zipf updates through the delta plane, never merged during
-//            timing); legacy storm (the same writers, paced identically,
-//            calling update_in_place, which takes the shard content lock
-//            exclusively and invalidates its planes). Snapshot isolation
-//            should keep the epoch-storm column within a small constant
-//            of idle with every decode valid. The legacy column fails on
-//            two axes: the matrix strategy re-pays a plane rebuild after
-//            every invalidation, and — for both strategies — in-place
-//            writes landing between the two replica sweeps mutate the
-//            very rows the sweeps XOR over, tearing the decode into
-//            non-boolean bits (torn_rounds counts those; its latency
-//            column is not comparable since torn rounds never finish
-//            decoding). The epoch arm reads a frozen base, so a tear
-//            there is fatal.
+//            timing). Snapshot isolation should keep the storm column
+//            within a small constant of idle with every decode valid; the
+//            rounds read a frozen base, so a torn decode is fatal.
 #include "support.h"
 
 #include <atomic>
@@ -46,7 +35,6 @@ using namespace ice::bench;
 struct MergeCell {
   double cold_build_s;   // full build_planes() on the fresh database
   double merge_ms;       // close_epoch() with U rows staged
-  double legacy_ms;      // U update_in_place + the forced full rebuild
   std::size_t rows_merged;
   bool planes_rebuilt;   // overlay crossed the threshold (should be false)
 };
@@ -72,60 +60,37 @@ MergeCell measure_merge(std::span<const bn::BigInt> tags,
   cell.merge_ms = 1e3 * sw.seconds();
   cell.rows_merged = merged.rows_merged;
   cell.planes_rebuilt = merged.planes_rebuilt;
-
-  // Legacy baseline: the same writes through the pre-epoch path, plus the
-  // full plane rebuild the next query would be forced into.
-  Stopwatch legacy;
-  for (std::size_t u = 0; u < updates; ++u) {
-    db.update_in_place(targets[u], fresh[u % fresh.size()]);
-  }
-  (void)db.build_planes();
-  cell.legacy_ms = 1e3 * legacy.seconds();
   return cell;
 }
 
 struct StormCell {
   double idle_ms;    // audit round, quiesced database
   double epoch_ms;   // audit round with staged-update storm in flight
-  double legacy_ms;  // audit round with update_in_place storm in flight
-  std::size_t staged;       // rows staged by the epoch storm while timed
-  std::size_t torn_rounds;  // legacy rounds whose XOR decode tore mid-audit
+  std::size_t staged;  // rows staged by the epoch storm while timed
 };
 
 /// One full audit round against `server` (acting as both PIR replicas).
-/// With `torn` set (legacy arm only), a mid-audit in-place write landing
-/// between the two replica sweeps tears the XOR decode into non-boolean
-/// bits; that tear IS the legacy result, so it is counted, not fatal. The
-/// idle and epoch arms pass nullptr: there any decode failure is a
-/// correctness bug and the exception propagates.
+/// Any decode failure is a correctness bug: the exception propagates.
 double time_round(const pir::ShardedTagServer& server,
                   const proto::ShardPlanner& planner,
                   const std::vector<std::size_t>& wanted, bn::Rng64& rng,
-                  int reps, std::size_t* torn = nullptr) {
+                  int reps) {
   return 1e3 * time_median(reps, [&] {
     const proto::ShardPlan plan = planner.plan(wanted, rng);
     pir::ShardedPirResponse r0, r1;
     server.respond_sharded(plan.queries[0], r0);
     server.respond_sharded(plan.queries[1], r1);
-    try {
-      (void)planner.merge_decode(plan, r0, r1);
-    } catch (const ProtocolError&) {
-      if (!torn) throw;
-      ++*torn;
-    }
+    (void)planner.merge_decode(plan, r0, r1);
   });
 }
 
 StormCell measure_storm(std::span<const bn::BigInt> tags,
                         std::span<const bn::BigInt> fresh,
                         std::size_t tag_bits, std::size_t shards,
-                        pir::EvalStrategy strategy, std::size_t m, int reps,
-                        std::uint64_t seed) {
+                        std::size_t m, int reps, std::uint64_t seed) {
   const std::size_t n = tags.size();
   const std::size_t budget = (n + shards - 1) / shards;
-  pir::ShardedTagServer server(tag_bits, tags, budget, strategy,
-                               /*parallelism=*/1);
-  server.preprocess();
+  pir::ShardedTagServer server(tag_bits, tags, budget, /*parallelism=*/1);
 
   const proto::ShardPlanner planner(server.map_snapshot(), tag_bits);
   SplitMix64 gen(seed);
@@ -148,39 +113,27 @@ StormCell measure_storm(std::span<const bn::BigInt> tags,
   cell.idle_ms = time_round(server, planner, wanted, rng, reps);
 
   // Storm harness: writer threads push Zipf-popular rows until stopped,
-  // PACED to a fixed offered load (~10k updates/s per writer) so the two
-  // arms face the same storm and the audit thread isn't measuring CPU
-  // starvation against a spin loop. The interesting costs are structural:
-  // the legacy arm's plane invalidation (every subsequent sweep rebuilds)
-  // and its torn decodes, vs the epoch arm's untouched frozen base.
+  // PACED to a fixed offered load (~10k updates/s per writer) so the audit
+  // thread measures the staging path, not CPU starvation against a spin
+  // loop.
   constexpr auto kWriterPause = std::chrono::microseconds(100);
-  const auto storm = [&](bool in_place) {
-    std::atomic<bool> stop{false};
-    const auto writer = [&](std::uint64_t wseed) {
-      SplitMix64 wgen(wseed);
-      mec::ZipfWorkload zipf(n, 1.0);
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::size_t idx = zipf.next(wgen);
-        const bn::BigInt& t = fresh[i++ % fresh.size()];
-        if (in_place) {
-          server.update_in_place(idx, t);
-        } else {
-          server.update(idx, t);
-        }
-        std::this_thread::sleep_for(kWriterPause);
-      }
-    };
-    std::thread w0(writer, seed ^ 0xaaaa);
-    std::thread w1(writer, seed ^ 0xbbbb);
-    const double ms = time_round(server, planner, wanted, rng, reps);
-    stop.store(true, std::memory_order_relaxed);
-    w0.join();
-    w1.join();
-    return ms;
+  std::atomic<bool> stop{false};
+  const auto writer = [&](std::uint64_t wseed) {
+    SplitMix64 wgen(wseed);
+    mec::ZipfWorkload zipf(n, 1.0);
+    std::size_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      server.update(zipf.next(wgen), fresh[i++ % fresh.size()]);
+      std::this_thread::sleep_for(kWriterPause);
+    }
   };
+  std::thread w0(writer, seed ^ 0xaaaa);
+  std::thread w1(writer, seed ^ 0xbbbb);
+  cell.epoch_ms = time_round(server, planner, wanted, rng, reps);
+  stop.store(true, std::memory_order_relaxed);
+  w0.join();
+  w1.join();
 
-  cell.epoch_ms = storm(/*in_place=*/false);
   // Snapshot isolation gate: mid-storm audits decoded the epoch-t tags
   // (checked inside merge_decode against the plan's expectations); the
   // staged rows are still invisible here.
@@ -191,39 +144,7 @@ StormCell measure_storm(std::span<const bn::BigInt> tags,
       std::exit(1);
     }
   }
-  // Merge the storm's delta so the legacy arm starts from a closed epoch,
-  // and re-plan (the close bumped the map epoch).
-  (void)server.close_epoch();
-  const proto::ShardPlanner planner2(server.map_snapshot(), tag_bits);
-  {
-    std::atomic<bool> stop{false};
-    const auto writer = [&](std::uint64_t wseed) {
-      SplitMix64 wgen(wseed);
-      mec::ZipfWorkload zipf(n, 1.0);
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        server.update_in_place(zipf.next(wgen), fresh[i++ % fresh.size()]);
-        std::this_thread::sleep_for(kWriterPause);
-      }
-    };
-    std::thread w0(writer, seed ^ 0xcccc);
-    std::thread w1(writer, seed ^ 0xdddd);
-    cell.legacy_ms =
-        time_round(server, planner2, wanted, rng, reps, &cell.torn_rounds);
-    stop.store(true, std::memory_order_relaxed);
-    w0.join();
-    w1.join();
-  }
   return cell;
-}
-
-const char* strategy_name(pir::EvalStrategy s) {
-  switch (s) {
-    case pir::EvalStrategy::kNaive: return "naive";
-    case pir::EvalStrategy::kMatrix: return "matrix";
-    case pir::EvalStrategy::kBitsliced: return "bitsliced";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -240,8 +161,8 @@ int main(int argc, char** argv) {
         smoke ? std::vector<std::size_t>{2000}
               : std::vector<std::size_t>{100000, 1000000};
     const std::size_t updates = smoke ? 50 : 1000;
-    std::printf("%-9s %-8s %12s %11s %12s %9s\n", "n", "updates",
-                "cold_build(s)", "merge(ms)", "legacy(ms)", "ratio");
+    std::printf("%-9s %-8s %12s %11s %9s\n", "n", "updates",
+                "cold_build(s)", "merge(ms)", "ratio");
     for (std::size_t n : sizes) {
       const std::vector<bn::BigInt> tags = synthetic_tags(n, tag_bits, 29 + n);
       const std::vector<bn::BigInt> fresh =
@@ -252,17 +173,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FATAL: merge cell did not stay incremental\n");
         return 1;
       }
-      const double ratio = cell.legacy_ms / cell.merge_ms;
-      std::printf("%-9zu %-8zu %12.2f %11.3f %12.2f %8.1fx\n", n, updates,
-                  cell.cold_build_s, cell.merge_ms, cell.legacy_ms, ratio);
+      const double ratio = 1e3 * cell.cold_build_s / cell.merge_ms;
+      std::printf("%-9zu %-8zu %12.2f %11.3f %8.1fx\n", n, updates,
+                  cell.cold_build_s, cell.merge_ms, ratio);
       if (!smoke) {
         std::ostringstream body;
         body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
              << ", \"updates\": " << updates
              << ", \"cold_build_s\": " << cell.cold_build_s
              << ", \"merge_ms\": " << cell.merge_ms
-             << ", \"legacy_rebuild_ms\": " << cell.legacy_ms
-             << ", \"speedup\": " << ratio << "}";
+             << ", \"build_over_merge\": " << ratio << "}";
         std::ostringstream section;
         section << "updates_merge_n" << n;
         emit_parallel_json(section.str(), body.str(), "BENCH_updates.json");
@@ -270,7 +190,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Arm 2 — audit latency: idle vs epoch storm vs legacy storm.
+  // Arm 2 — audit latency: idle vs epoch storm.
   {
     const std::size_t n = smoke ? 240 : 100000;
     const std::size_t shards = smoke ? 2 : 8;
@@ -278,41 +198,30 @@ int main(int argc, char** argv) {
     const int reps = smoke ? 1 : 5;
     const std::vector<bn::BigInt> tags = synthetic_tags(n, tag_bits, 37);
     const std::vector<bn::BigInt> fresh = synthetic_tags(256, tag_bits, 43);
-    std::printf("\n%-10s %-7s %10s %11s %12s %10s %8s %6s\n", "strategy",
-                "shards", "idle(ms)", "epoch(ms)", "legacy(ms)", "staged",
-                "vs_idle", "torn");
-    for (const pir::EvalStrategy strategy :
-         {pir::EvalStrategy::kMatrix, pir::EvalStrategy::kBitsliced}) {
-      const StormCell cell = measure_storm(tags, fresh, tag_bits, shards,
-                                           strategy, m, reps, 53);
-      const double vs_idle = cell.epoch_ms / cell.idle_ms;
-      std::printf("%-10s %-7zu %10.2f %11.2f %12.2f %10zu %7.2fx %3zu/%d\n",
-                  strategy_name(strategy), shards, cell.idle_ms,
-                  cell.epoch_ms, cell.legacy_ms, cell.staged, vs_idle,
-                  cell.torn_rounds, reps);
-      if (!smoke) {
-        std::ostringstream body;
-        body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
-             << ", \"shards\": " << shards << ", \"m\": " << m
-             << ", \"strategy\": \"" << strategy_name(strategy) << "\""
-             << ", \"idle_ms\": " << cell.idle_ms
-             << ", \"epoch_storm_ms\": " << cell.epoch_ms
-             << ", \"legacy_storm_ms\": " << cell.legacy_ms
-             << ", \"rows_staged\": " << cell.staged
-             << ", \"legacy_torn_rounds\": " << cell.torn_rounds
-             << ", \"rounds\": " << reps
-             << ", \"epoch_vs_idle\": " << vs_idle << "}";
-        std::ostringstream section;
-        section << "updates_audit_" << strategy_name(strategy);
-        emit_parallel_json(section.str(), body.str(), "BENCH_updates.json");
-      }
+    std::printf("\n%-7s %10s %11s %10s %8s\n", "shards", "idle(ms)",
+                "epoch(ms)", "staged", "vs_idle");
+    const StormCell cell =
+        measure_storm(tags, fresh, tag_bits, shards, m, reps, 53);
+    const double vs_idle = cell.epoch_ms / cell.idle_ms;
+    std::printf("%-7zu %10.2f %11.2f %10zu %7.2fx\n", shards, cell.idle_ms,
+                cell.epoch_ms, cell.staged, vs_idle);
+    if (!smoke) {
+      std::ostringstream body;
+      body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
+           << ", \"shards\": " << shards << ", \"m\": " << m
+           << ", \"idle_ms\": " << cell.idle_ms
+           << ", \"epoch_storm_ms\": " << cell.epoch_ms
+           << ", \"rows_staged\": " << cell.staged
+           << ", \"rounds\": " << reps
+           << ", \"epoch_vs_idle\": " << vs_idle << "}";
+      emit_parallel_json("updates_audit_bitsliced", body.str(),
+                         "BENCH_updates.json");
     }
   }
 
   std::printf("\nTakeaway: staged updates ride the delta plane, so audits "
               "under a write storm stay\nnear idle latency with every decode "
-              "valid, while the in-place path tears its XOR\ndecode "
-              "(torn_rounds) and re-pays plane rebuilds; an epoch close is "
-              "a memcpy-sized\nmerge, not a K-plane rebuild.\n");
+              "valid; an epoch close is a memcpy-sized\nmerge, not a "
+              "K-plane rebuild.\n");
   return 0;
 }

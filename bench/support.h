@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
 #include "net/channel.h"
+#include "pir/server.h"
 
 namespace ice::bench {
 
@@ -109,6 +111,29 @@ double time_median(int repetitions, F&& f) {
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+/// Correctness gate for the PIR evaluator benches: the per-point naive and
+/// matrix references and the fused engine must agree on every point of
+/// `query` before anything is timed, or the columns would time different
+/// computations. Exits non-zero on a mismatch.
+inline void require_evaluators_agree(const pir::PirServer& server,
+                                     const pir::PirQuery& query) {
+  const pir::PirResponse fused = server.respond(query);
+  bool ok = fused.entries.size() == query.points.size();
+  for (std::size_t l = 0; ok && l < query.points.size(); ++l) {
+    const pir::PirSingleResponse naive = server.respond_naive(query.points[l]);
+    const pir::PirSingleResponse matrix =
+        server.respond_matrix(query.points[l]);
+    ok = matrix.values == naive.values &&
+         matrix.gradients == naive.gradients &&
+         fused.entries[l].values == naive.values &&
+         fused.entries[l].gradients == naive.gradients;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "FATAL: PIR evaluators disagree on the query\n");
+    std::exit(1);
+  }
 }
 
 /// A fully wired in-memory deployment (CSP + 2 TPAs + J edges + user) used

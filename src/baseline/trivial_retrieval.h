@@ -6,7 +6,7 @@
 // 2. Per-edge sequential auditing: run ICE-basic once per edge instead of
 //    ICE-batch — the denominator of the ratio curves in Figs. 7 and 8.
 // (3. The PIR evaluation without the matrix representation — Fig. 2's micro
-//    benchmark — is pir::EvalStrategy::kNaive in the PIR module itself.)
+//    benchmark — is pir::PirServer::respond_naive in the PIR module itself.)
 #pragma once
 
 #include <cstddef>

@@ -68,6 +68,7 @@ void CspService::on_set_key(net::Reader& r, net::Writer&) {
   pk.g = r.bigint();
   const auto coeff_bits = static_cast<std::size_t>(r.varint());
   const auto key_bits = static_cast<std::size_t>(r.varint());
+  r.expect_done();  // before the key is installed
   if (!plausible_public_key(pk)) {
     throw ServiceError(Status::kInvalidArgument, "implausible public key");
   }

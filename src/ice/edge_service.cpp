@@ -81,6 +81,7 @@ void EdgeService::on_read(net::Reader& r, net::Writer& w) {
 void EdgeService::on_write(net::Reader& r, net::Writer&) {
   const auto index = static_cast<std::size_t>(r.varint());
   Bytes data = r.bytes();
+  r.expect_done();  // a malformed write must not dirty the cache
   {
     std::lock_guard lock(cache_mu_);
     if (cache_.contains(index)) {
@@ -101,6 +102,7 @@ void EdgeService::on_index_query(net::Reader&, net::Writer& w) {
 void EdgeService::on_share_blind(net::Reader& r, net::Writer&) {
   const std::uint64_t session = r.u64();
   bn::BigInt s_tilde = r.bigint();
+  r.expect_done();  // before the session id is taken
   if (s_tilde.is_zero()) {
     throw ServiceError(Status::kInvalidArgument, "zero blinding");
   }

@@ -34,41 +34,46 @@ ChallengePool::ChallengePool(const OfflineConfig& config)
 
 std::uint64_t ChallengePool::rekey(const PublicKey& pk,
                                    const ProtocolParams& params) {
-  // Order matters: bump the generation FIRST so a producer that snapshotted
-  // the old spec gets its subsequent offers refused, then drop the bundles
-  // it already delivered, then publish the new spec.
-  const std::uint64_t gen =
-      generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // The generation moves in the same spec_mu_ hold that swaps the spec, so
+  // mint_spec() never pairs the new generation with the old key: a producer
+  // that snapshotted the old spec gets its offers refused. Then drop the
+  // bundles it already delivered.
+  std::uint64_t gen = 0;
+  {
+    std::lock_guard lock(spec_mu_);
+    gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    spec_.emplace(pk, params);
+  }
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
     shard->bundles.clear();
   }
-  std::lock_guard lock(spec_mu_);
-  spec_.emplace(pk, params);
   return gen;
 }
 
 void ChallengePool::invalidate() {
-  generation_.fetch_add(1, std::memory_order_acq_rel);
+  {
+    std::lock_guard lock(spec_mu_);
+    generation_.fetch_add(1, std::memory_order_acq_rel);
+    spec_.reset();
+  }
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
     shard->bundles.clear();
   }
-  std::lock_guard lock(spec_mu_);
-  spec_.reset();
 }
 
 std::optional<ChallengePool::MintSpec> ChallengePool::mint_spec() const {
-  // Generation read before the spec: a producer minting against this spec
-  // under a generation that has since moved is caught by offer().
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  // Spec and generation read in one spec_mu_ hold (see rekey); a producer
+  // minting against this spec under a generation that has since moved is
+  // caught by offer().
   std::lock_guard lock(spec_mu_);
   if (!spec_) return std::nullopt;
   MintSpec spec;
   spec.pk = spec_->first;
   spec.params = spec_->second;
   spec.coeff_count = coeff_count_;
-  spec.generation = gen;
+  spec.generation = generation_.load(std::memory_order_acquire);
   return spec;
 }
 

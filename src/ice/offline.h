@@ -16,9 +16,10 @@
 // fallback on pool miss (tests/ice/offline_test.cpp pins both).
 //
 // Invalidation: every bundle carries the pool generation it was minted
-// under; rekey() bumps the generation BEFORE dropping stored bundles, so
-// a worker mid-mint against the old key offers a stale bundle that the
-// pool refuses — a challenge under a rotated key can never be consumed.
+// under; rekey() bumps the generation, in the same lock hold that swaps
+// the mint spec, BEFORE dropping stored bundles, so a worker mid-mint
+// against the old key offers a stale bundle that the pool refuses — a
+// challenge under a rotated key can never be consumed.
 #pragma once
 
 #include <condition_variable>

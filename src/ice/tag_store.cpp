@@ -14,9 +14,9 @@ std::vector<bn::BigInt> checked(std::vector<bn::BigInt> tags) {
 }  // namespace
 
 TagStore::TagStore(const ProtocolParams& params,
-                   std::vector<bn::BigInt> tags, pir::EvalStrategy strategy)
+                   std::vector<bn::BigInt> tags)
     : server_(params.tag_bits(), checked(std::move(tags)),
-              params.shard_budget, strategy, params.parallelism) {}
+              params.shard_budget, params.parallelism) {}
 
 SnapshotPin TagStore::pin() const {
   pins_taken_.fetch_add(1, std::memory_order_relaxed);

@@ -5,19 +5,20 @@
 // private tag queries. Both TPAs hold identical replicas (the 2-server PIR
 // non-collusion assumption).
 //
-// Since PR 7 the store is range-sharded (pir/sharded_server.h): with
+// The store is range-sharded (pir/sharded_server.h): with
 // `params.shard_budget` > 0 the tag space is partitioned into contiguous
 // shards, each an independent TPASetup instance, and queries fan out to the
-// shards they touch. `shard_budget` = 0 keeps the paper's monolithic layout;
-// the legacy single-shard surface (`embedding()`, `respond()`) remains for
-// that case and throws on a sharded store.
+// shards they touch. `shard_budget` = 0 keeps the paper's monolithic layout
+// as a one-shard map; either way `respond_sharded` is the one query
+// surface, answered by the fused bitsliced engine (pir/server.h).
 //
-// Since PR 9 the store runs the epoch engine (DESIGN.md §15): `update()`
-// stages into the next epoch, `close_epoch()` merges, and audit sessions
-// take a SnapshotPin for their whole lifetime. A pin is advisory — the
-// hard snapshot guarantee comes from the sharded server's structure lock —
-// but it lets a non-forced close refuse while audits are in flight instead
-// of failing them, and it feeds the pins_active counter.
+// The store runs the epoch engine (DESIGN.md §15): `update()` stages into
+// the next epoch, `close_epoch()` merges, and audit sessions take a
+// SnapshotPin for their whole lifetime. Staging is the only way to change
+// a tag. A pin is advisory — the hard snapshot guarantee comes from the
+// sharded server's structure lock — but it lets a non-forced close refuse
+// while audits are in flight instead of failing them, and it feeds the
+// pins_active counter.
 #pragma once
 
 #include <atomic>
@@ -50,9 +51,9 @@ struct StoreEpochStats {
 class TagStore {
  public:
   /// Takes ownership of the tag set; K comes from `params.tag_bits()`,
-  /// the shard partition from `params.shard_budget`.
-  TagStore(const ProtocolParams& params, std::vector<bn::BigInt> tags,
-           pir::EvalStrategy strategy = pir::EvalStrategy::kBitsliced);
+  /// the shard partition from `params.shard_budget`, the evaluation budget
+  /// from `params.parallelism`.
+  TagStore(const ProtocolParams& params, std::vector<bn::BigInt> tags);
 
   [[nodiscard]] std::size_t n() const { return server_.n(); }
   [[nodiscard]] std::size_t tag_bits() const { return server_.tag_bits(); }
@@ -62,16 +63,6 @@ class TagStore {
   [[nodiscard]] std::uint64_t epoch() const { return server_.epoch(); }
   [[nodiscard]] pir::ShardMap shard_map() const {
     return server_.map_snapshot();
-  }
-
-  /// Legacy monolithic surface; valid only while num_shards() == 1
-  /// (throws ParamError otherwise, which the RPC layer surfaces as
-  /// kInvalidArgument — sharded deployments use the sharded methods).
-  [[nodiscard]] const pir::Embedding& embedding() const {
-    return server_.single_embedding();
-  }
-  [[nodiscard]] pir::PirResponse respond(const pir::PirQuery& query) const {
-    return server_.respond_single(query);
   }
 
   /// Plain (non-private) tag read; used by trusted-path tests and by the
@@ -85,12 +76,6 @@ class TagStore {
   /// and stays invisible until close_epoch().
   void update(std::size_t index, const bn::BigInt& tag) {
     server_.update(index, tag);
-  }
-
-  /// Legacy direct-write baseline (bench_updates A/B arm): exclusive
-  /// content lock + full plane invalidation on the owning shard.
-  void update_in_place(std::size_t index, const bn::BigInt& tag) {
-    server_.update_in_place(index, tag);
   }
 
   /// Pins the current epoch snapshot for the lifetime of the returned
@@ -130,7 +115,9 @@ class TagStore {
   }
 
   /// Forces the TPASetup preprocessing and reports its duration in seconds
-  /// (paper Tab. III row "TPASetup"; summed across shards).
+  /// (paper Tab. III row "TPASetup"; summed across shards). The serving
+  /// engine streams the rows and never reads the planes; they back only
+  /// the per-point matrix reference.
   double preprocess() { return server_.preprocess(); }
 
  private:

@@ -11,10 +11,9 @@ namespace ice::proto {
 using net::ServiceError;
 using net::Status;
 
-TpaService::TpaService(pir::EvalStrategy strategy, std::size_t parallelism,
-                       std::size_t shard_budget, const OfflineConfig& offline)
-    : strategy_(strategy),
-      dispatch_("TpaService"),
+TpaService::TpaService(std::size_t parallelism, std::size_t shard_budget,
+                       const OfflineConfig& offline)
+    : dispatch_("TpaService"),
       sessions_(session_table_config()),
       batches_(session_table_config()),
       offline_cfg_(offline),
@@ -30,7 +29,6 @@ TpaService::TpaService(pir::EvalStrategy strategy, std::size_t parallelism,
   };
   dispatch_.on(kTpaSetKey, "set_key", bind(&TpaService::on_set_key));
   dispatch_.on(kTpaStoreTags, "store_tags", bind(&TpaService::on_store_tags));
-  dispatch_.on(kTpaTagQuery, "tag_query", bind(&TpaService::on_tag_query));
   dispatch_.on(kTpaStartAudit, "start_audit",
                bind(&TpaService::on_start_audit));
   dispatch_.on(kTpaSubmitRepacked, "submit_repacked",
@@ -89,6 +87,7 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
   pk.g = r.bigint();
   const auto coeff_bits = static_cast<std::size_t>(r.varint());
   const auto key_bits = static_cast<std::size_t>(r.varint());
+  r.expect_done();  // before the store wipe below, not after it
   if (!plausible_public_key(pk)) {
     throw ServiceError(Status::kInvalidArgument, "implausible public key");
   }
@@ -123,30 +122,18 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
 
 void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   std::vector<bn::BigInt> tags = read_bigint_list(r);
+  r.expect_done();
   if (tags.empty()) {
     throw ServiceError(Status::kInvalidArgument, "no tags");
   }
   const auto [pk, params] = config_snapshot();
   (void)pk;
   // Build the replacement store with no lock held (this is the expensive
-  // part), then swap it in. Only the matrix strategy reads the K bitplane
-  // index lists, so only it pays their build here; the bitsliced and naive
-  // sweeps stream the rows, and plane() still builds lazily if asked.
-  auto store = std::make_unique<TagStore>(params, std::move(tags), strategy_);
-  if (strategy_ == pir::EvalStrategy::kMatrix) store->preprocess();
+  // part), then swap it in. The fused engine streams the rows, so no
+  // bitplane lists are built here.
+  auto store = std::make_unique<TagStore>(params, std::move(tags));
   std::unique_lock lock(store_mu_);
   store_ = std::move(store);
-}
-
-void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
-  const pir::PirQuery query = read_pir_query(r);
-  // Concurrent queries share the store under the shared lock; respond() is
-  // const, and the lazy plane build is internally locked.
-  std::shared_lock lock(store_mu_);
-  if (store_ == nullptr) {
-    throw ServiceError(Status::kFailedPrecondition, "no tags stored");
-  }
-  write_pir_response(w, store_->respond(query));
 }
 
 void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
@@ -275,6 +262,7 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
   // when submitting its proof.
   const std::uint64_t id = r.u64();
   const auto num_edges = static_cast<std::size_t>(r.varint());
+  r.expect_done();  // before the batch id is taken
   if (num_edges == 0) {
     throw ServiceError(Status::kInvalidArgument, "empty batch");
   }
@@ -466,14 +454,6 @@ void TpaClient::store_tags(const std::vector<bn::BigInt>& tags) const {
   write_bigint_list(w, tags);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaStoreTags, std::move(w));
   unwrap(raw);
-}
-
-pir::PirResponse TpaClient::tag_query(const pir::PirQuery& query) const {
-  net::Writer w;
-  write_pir_query(w, query);
-  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaTagQuery, std::move(w));
-  net::Reader r = unwrap(raw);
-  return read_pir_response(r);
 }
 
 void TpaClient::start_audit(std::uint32_t edge_id,

@@ -40,22 +40,20 @@ namespace ice::proto {
 
 class TpaService final : public net::RpcHandler {
  public:
-  /// `strategy` selects the PIR evaluation path (benchmarks sweep it);
   /// `parallelism` is the worker-task budget for PIR evaluation and proof
   /// verification; `shard_budget` is the per-shard row cap for the tag
-  /// store (0 = monolithic; ProtocolParams::shard_budget). All three are
-  /// local deployment knobs, independent of the protocol parameters
-  /// received via kTpaSetKey — but both TPAs of a pair must agree on
-  /// `shard_budget` (the shard-map epoch check catches drift).
+  /// store (0 = monolithic; ProtocolParams::shard_budget). Both are local
+  /// deployment knobs, independent of the protocol parameters received via
+  /// kTpaSetKey — but both TPAs of a pair must agree on `shard_budget` (the
+  /// shard-map epoch check catches drift).
   /// `offline` opts the verifier into the online/offline audit split
   /// (ice/offline.h): a background worker precomputes challenge bundles
   /// during idle cycles and start_audit / batch_begin consume them. Off by
   /// default — with it off, the RNG draw order and every wire byte are
   /// exactly the pre-PR-8 cold path.
-  explicit TpaService(
-      pir::EvalStrategy strategy = pir::EvalStrategy::kBitsliced,
-      std::size_t parallelism = 0, std::size_t shard_budget = 0,
-      const OfflineConfig& offline = {});
+  explicit TpaService(std::size_t parallelism = 0,
+                      std::size_t shard_budget = 0,
+                      const OfflineConfig& offline = {});
 
   Bytes handle(std::uint16_t method, BytesView request) override;
 
@@ -88,7 +86,6 @@ class TpaService final : public net::RpcHandler {
  private:
   void on_set_key(net::Reader& r, net::Writer& w);
   void on_store_tags(net::Reader& r, net::Writer& w);
-  void on_tag_query(net::Reader& r, net::Writer& w);
   void on_start_audit(net::Reader& r, net::Writer& w);
   void on_submit_repacked(net::Reader& r, net::Writer& w);
   void on_batch_begin(net::Reader& r, net::Writer& w);
@@ -105,7 +102,6 @@ class TpaService final : public net::RpcHandler {
   /// ServiceError(kFailedPrecondition) before set_key.
   [[nodiscard]] std::pair<PublicKey, ProtocolParams> config_snapshot() const;
 
-  const pir::EvalStrategy strategy_;
   net::Dispatcher dispatch_;
 
   // Key/edge configuration: written by set_key/register_edge, read
@@ -115,8 +111,8 @@ class TpaService final : public net::RpcHandler {
   std::optional<PublicKey> pk_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
-  // Tag store: replaced wholesale by store_tags (built and preprocessed
-  // OUTSIDE the lock, then swapped in), queried shared by tag_query.
+  // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
+  // then swapped in), queried shared by shard_query.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 
@@ -142,7 +138,6 @@ class TpaClient {
 
   void set_key(const PublicKey& pk, const ProtocolParams& params) const;
   void store_tags(const std::vector<bn::BigInt>& tags) const;
-  [[nodiscard]] pir::PirResponse tag_query(const pir::PirQuery& query) const;
   /// Starts an ICE-basic audit of `edge_id` under the user-chosen session
   /// nonce (the edge holds the blinding s~ under the same id). The TPA
   /// challenges the edge synchronously and parks the proof. A nonce that

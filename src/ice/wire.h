@@ -42,7 +42,7 @@ enum Method : std::uint16_t {
   // TPA service
   kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits) -> ()
   kTpaStoreTags = 301,      // ([tag]...) -> ()
-  kTpaTagQuery = 302,       // (gamma, [point]...) -> PIR response
+                            // 302 is retired: kTpaShardQuery asks for tags
   kTpaStartAudit = 303,     // (edge_id, session_id) -> ()
   kTpaSubmitRepacked = 304, // (session_id, [tag]...) -> (verdict)
   kTpaBatchBegin = 305,     // (batch_id, num_edges) -> (g_s)

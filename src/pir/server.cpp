@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cstring>
 #include <type_traits>
 
 #include "common/error.h"
@@ -71,18 +69,6 @@ constexpr std::array<std::uint8_t, 64> make_coeff_lut() {
 }
 constexpr std::array<std::uint8_t, 64> kCoeffLut = make_coeff_lut();
 
-// Reshapes one response entry to (k planes, gamma gradients) and zeroes the
-// planes WITHOUT discarding capacity: resize + assign reuse the existing
-// buffers, unlike gradients.assign(gamma, GF4Vector(k)) which re-copies a
-// fresh k-element temporary into every slot. A warm entry costs no heap
-// traffic to reshape.
-void reshape_zeroed(PirSingleResponse& entry, std::size_t k,
-                    std::size_t gamma) {
-  entry.values.assign(k, GF4::zero());
-  entry.gradients.resize(gamma);
-  for (auto& g : entry.gradients) g.assign(k, GF4::zero());
-}
-
 // Expands k elements of a lo/hi bit-plane pair into GF(4) bytes
 // (lo | hi << 1 per element) through the dispatched spread kernel. GF4 is
 // one trivially-copyable byte whose representation IS the 2-bit element
@@ -96,13 +82,16 @@ void unpack_pair(const simd::XorKernels& kern, const std::uint64_t* lo,
 }  // namespace
 
 PirServer::PirServer(const TagDatabase& db, const Embedding& embedding,
-                     EvalStrategy strategy, std::size_t parallelism)
-    : db_(&db),
-      embedding_(&embedding),
-      strategy_(strategy),
-      parallelism_(parallelism) {
+                     std::size_t parallelism)
+    : db_(&db), embedding_(&embedding), parallelism_(parallelism) {
   if (db.size() > embedding.n()) {
     throw ParamError("PirServer: database larger than embedding domain");
+  }
+}
+
+void PirServer::check_point(const GF4Vector& q) const {
+  if (q.size() != embedding_->gamma()) {
+    throw ParamError("PirServer: query point has wrong dimension");
   }
 }
 
@@ -112,48 +101,13 @@ PirResponse PirServer::respond(const PirQuery& query) const {
   return out;
 }
 
-void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
-  for (const auto& q : query.points) {
-    if (q.size() != embedding_->gamma()) {
-      throw ParamError("PirServer: query point has wrong dimension");
-    }
-  }
-  if (query.points.empty()) {
-    out.entries.clear();
-    return;
-  }
-  switch (strategy_) {
-    case EvalStrategy::kNaive:
-      return eval_naive_batch(query.points, out);
-    case EvalStrategy::kMatrix:
-      return eval_matrix_batch(query.points, out);
-    case EvalStrategy::kBitsliced:
-      return eval_bitsliced_batch(query.points, out);
-  }
-  throw ParamError("PirServer: unknown strategy");
-}
-
-PirSingleResponse PirServer::respond_one(const GF4Vector& q) const {
-  if (q.size() != embedding_->gamma()) {
-    throw ParamError("PirServer: query point has wrong dimension");
-  }
-  switch (strategy_) {
-    case EvalStrategy::kNaive:
-      return eval_naive(q);
-    case EvalStrategy::kMatrix:
-      return eval_matrix(q);
-    case EvalStrategy::kBitsliced:
-      return eval_bitsliced(q);
-  }
-  throw ParamError("PirServer: unknown strategy");
-}
-
 // ------------------------------------------------------------------------
-// Reference per-point paths (pre-batch structure, kept as the pinning
-// standard for the fused engine's differential tests).
+// Per-point reference evaluators (the pinning standard for the fused
+// engine's differential tests, and the two Fig. 2 arms).
 // ------------------------------------------------------------------------
 
-PirSingleResponse PirServer::eval_naive(const GF4Vector& q) const {
+PirSingleResponse PirServer::respond_naive(const GF4Vector& q) const {
+  check_point(q);
   const std::size_t n = db_->size();
   const std::size_t k = db_->tag_bits();
   const std::size_t gamma = embedding_->gamma();
@@ -186,7 +140,8 @@ PirSingleResponse PirServer::eval_naive(const GF4Vector& q) const {
   return out;
 }
 
-PirSingleResponse PirServer::eval_matrix(const GF4Vector& q) const {
+PirSingleResponse PirServer::respond_matrix(const GF4Vector& q) const {
+  check_point(q);
   const std::size_t n = db_->size();
   const std::size_t k = db_->tag_bits();
   const std::size_t gamma = embedding_->gamma();
@@ -229,178 +184,18 @@ PirSingleResponse PirServer::eval_matrix(const GF4Vector& q) const {
   return out;
 }
 
-PirSingleResponse PirServer::eval_bitsliced(const GF4Vector& q) const {
-  const std::size_t n = db_->size();
-  const std::size_t k = db_->tag_bits();
-  const std::size_t gamma = embedding_->gamma();
-  const std::size_t w = db_->words_per_tag();
-
-  // Two bit planes (GF(4) components over basis {1, x}) for the value and
-  // for each of the gamma gradient coordinates. Tag rows shard across the
-  // pool, each shard XOR-accumulating into its own slice of one scratch
-  // lease (layout per shard: v_lo, v_hi, g_lo, g_hi); XOR is exact and
-  // commutative, so folding the shards in ascending order reproduces the
-  // serial planes bit for bit.
-  const std::size_t stride = 2 * w + 2 * gamma * w;
-  const std::size_t num_shards =
-      chunk_count(n, resolve_parallelism(parallelism_));
-  auto lease = ScratchArena::local().take_zeroed(
-      std::max<std::size_t>(num_shards, 1) * stride);
-  std::uint64_t* const acc = lease.data();
-  const simd::XorKernels& kern = simd::active_kernels();
-
-  parallel_chunks(n, parallelism_, [&](std::size_t shard, std::size_t begin,
-                                       std::size_t end) {
-    std::uint64_t* const v_lo = acc + shard * stride;
-    std::uint64_t* const v_hi = v_lo + w;
-    std::uint64_t* const g_lo = v_hi + w;
-    std::uint64_t* const g_hi = g_lo + gamma * w;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Embedding::Triple t = embedding_->triple(i);
-      const MonomialEval e = eval_monomial(q, t);
-      const std::uint64_t* row = db_->row(i);
-      if (e.mono.value() & 1) kern.xor_row(v_lo, row, w);
-      if (e.mono.value() & 2) kern.xor_row(v_hi, row, w);
-      for (int d = 0; d < 3; ++d) {
-        const GF4 dv = e.deriv[static_cast<std::size_t>(d)];
-        if (dv.is_zero()) continue;
-        const std::size_t pos = t[static_cast<std::size_t>(d)];
-        if (dv.value() & 1) kern.xor_row(g_lo + pos * w, row, w);
-        if (dv.value() & 2) kern.xor_row(g_hi + pos * w, row, w);
-      }
-    }
-  });
-
-  for (std::size_t s = 1; s < num_shards; ++s) {
-    kern.xor_row(acc, acc + s * stride, stride);
-  }
-  const std::uint64_t* const v_lo = acc;
-  const std::uint64_t* const v_hi = v_lo + w;
-  const std::uint64_t* const g_lo = v_hi + w;
-  const std::uint64_t* const g_hi = g_lo + gamma * w;
-
-  // Coordinate-major output matches the accumulator layout, so every
-  // vector unpacks from one contiguous plane pair.
-  PirSingleResponse out;
-  out.values.assign(k, GF4::zero());
-  out.gradients.assign(gamma, GF4Vector(k));
-  unpack_pair(kern, v_lo, v_hi, k, out.values.data());
-  for (std::size_t j = 0; j < gamma; ++j) {
-    unpack_pair(kern, g_lo + j * w, g_hi + j * w, k, out.gradients[j].data());
-  }
-  return out;
-}
-
 // ------------------------------------------------------------------------
-// Fused batch engine: one pass over the tag database for the whole query.
+// Fused bitsliced engine: one pass over the tag database for the whole
+// query.
 // ------------------------------------------------------------------------
 
-void PirServer::eval_naive_batch(const std::vector<GF4Vector>& qs,
-                                 PirResponse& out) const {
-  const std::size_t n = db_->size();
-  const std::size_t k = db_->tag_bits();
-  const std::size_t gamma = embedding_->gamma();
-  const std::size_t w = db_->words_per_tag();
-  const std::size_t m = qs.size();
-  const Embedding::Triple* const triples = embedding_->triples().data();
-  const std::uint64_t* const rows = db_->rows_data();
-
-  out.entries.resize(m);
-  for (auto& entry : out.entries) reshape_zeroed(entry, k, gamma);
-  // Naive still multiplies every monomial by its 0/1 coefficient, but the
-  // batch sweep hoists the per-point monomial evaluations out of the plane
-  // loop: per plane-chunk, each row is visited once and its m evaluations
-  // are applied to every bitplane of the chunk (m-way accumulation into
-  // disjoint output slots; GF(4) addition is XOR, so accumulation order
-  // cannot change the result vs the respond_one loop).
-  parallel_chunks(k, parallelism_, [&](std::size_t, std::size_t plane_begin,
-                                       std::size_t plane_end) {
-    std::vector<MonomialEval> row_evals(m);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Embedding::Triple t = triples[i];
-      for (std::size_t p = 0; p < m; ++p) {
-        row_evals[p] = eval_monomial(qs[p], t);
-      }
-      const std::uint64_t* const rw = rows + i * w;
-      for (std::size_t p = 0; p < m; ++p) {
-        const MonomialEval& e = row_evals[p];
-        PirSingleResponse& entry = out.entries[p];
-        for (std::size_t pi = plane_begin; pi < plane_end; ++pi) {
-          const GF4 coeff(
-              static_cast<std::uint8_t>((rw[pi / 64] >> (pi % 64)) & 1u));
-          entry.values[pi] += coeff * e.mono;
-          for (int d = 0; d < 3; ++d) {
-            entry.gradients[t[static_cast<std::size_t>(d)]][pi] +=
-                coeff * e.deriv[static_cast<std::size_t>(d)];
-          }
-        }
-      }
-    }
-  });
-}
-
-void PirServer::eval_matrix_batch(const std::vector<GF4Vector>& qs,
-                                  PirResponse& out) const {
-  const std::size_t n = db_->size();
-  const std::size_t k = db_->tag_bits();
-  const std::size_t gamma = embedding_->gamma();
-  const std::size_t m = qs.size();
-  const Embedding::Triple* const triples = embedding_->triples().data();
-
-  // Stage 1 — the monomial/derivative table for ALL m points in one pass
-  // over the triples (point-major: point p's table is evals[p*n .. p*n+n)).
-  // Reused across every bitplane, exactly like the single-point path, but
-  // the triples are now also shared across points.
-  static thread_local std::vector<MonomialEval> evals;
-  evals.resize(m * n);
-  MonomialEval* const ev = evals.data();
-  parallel_chunks(n, parallelism_,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      const Embedding::Triple t = triples[i];
-                      for (std::size_t p = 0; p < m; ++p) {
-                        ev[p * n + i] = eval_monomial(qs[p], t);
-                      }
-                    }
-                  });
-
-  out.entries.resize(m);
-  parallel_chunks(m, parallelism_,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t p = begin; p < end; ++p) {
-                      reshape_zeroed(out.entries[p], k, gamma);
-                    }
-                  });
-
-  // Stage 2 — one sweep over the per-plane index lists with m-way
-  // accumulation: each plane's list is resident in cache while all m points
-  // consume it, so the matrix representation streams from memory once per
-  // batch instead of once per point.
-  parallel_chunks(k, parallelism_, [&](std::size_t, std::size_t plane_begin,
-                                       std::size_t plane_end) {
-    for (std::size_t pi = plane_begin; pi < plane_end; ++pi) {
-      const PlaneView plane = db_->plane(pi);
-      for (std::size_t p = 0; p < m; ++p) {
-        const MonomialEval* const pev = ev + p * n;
-        GF4 value;
-        PirSingleResponse& entry = out.entries[p];
-        // only nonzero coefficients; the view applies the epoch overlay
-        plane.for_each([&](std::uint32_t i) {
-          const MonomialEval& e = pev[i];
-          const Embedding::Triple& t = triples[i];
-          value += e.mono;
-          entry.gradients[t[0]][pi] += e.deriv[0];
-          entry.gradients[t[1]][pi] += e.deriv[1];
-          entry.gradients[t[2]][pi] += e.deriv[2];
-        });
-        entry.values[pi] = value;
-      }
-    }
-  });
-}
-
-void PirServer::eval_bitsliced_batch(const std::vector<GF4Vector>& qs,
-                                     PirResponse& out) const {
+void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
+  for (const auto& q : query.points) check_point(q);
+  const std::vector<GF4Vector>& qs = query.points;
+  if (qs.empty()) {
+    out.entries.clear();
+    return;
+  }
   const std::size_t n = db_->size();
   const std::size_t k = db_->tag_bits();
   const std::size_t gamma = embedding_->gamma();
@@ -443,10 +238,10 @@ void PirServer::eval_bitsliced_batch(const std::vector<GF4Vector>& qs,
   // of per-entry accumulator read-modify-write round-trips.
   //
   // Skipped zero components are exactly the XORs the branchless masked
-  // form would have turned into no-ops, and XOR is exact and commutative,
-  // so together with the respond_one-matching shard boundaries the fold
-  // below reproduces the per-point responses bit for bit; the point tiling
-  // and section ordering only reorder independent XOR terms.
+  // form would have turned into no-ops, and GF(4) addition is XOR, exact
+  // and commutative, so the row shards, point tiling and section ordering
+  // only reorder independent terms: the fold below reproduces the
+  // per-point reference responses bit for bit.
   constexpr std::size_t kSecCap = kRowBlock + 8;
   parallel_chunks(n, parallelism_, [&](std::size_t shard, std::size_t begin,
                                        std::size_t end) {

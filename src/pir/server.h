@@ -1,19 +1,23 @@
 // TPA-side PIR evaluation (paper Alg. 1, "Auditor tau: tag response").
 //
 // For each queried point q the server evaluates all K bitplane polynomials
-// F_pi(q) and their gradients. Three interchangeable strategies implement
-// the same math:
+// F_pi(q) and their gradients. One engine answers queries, and two
+// per-point reference evaluators implement the same math:
 //
-//   kNaive     — term-by-term evaluation multiplying every monomial by its
-//                0/1 coefficient; this is the paper's Fig. 2 "micro
-//                benchmark without the matrix representation".
-//   kMatrix    — the paper's matrix representation M_pi: zero coefficients
-//                are skipped via per-bitplane index lists and the monomial /
-//                derivative values are computed once per query, then reused
-//                across all K bitplanes.
-//   kBitsliced — our ablation: the kMatrix recurrence transposed so that one
-//                tag row (K bits, packed in 64-bit words) is XOR-accumulated
-//                word-parallel into two GF(4) component bitplanes.
+//   respond        — the serving engine: the matrix recurrence transposed
+//                    so that one tag row (K bits, packed in 64-bit words)
+//                    is XOR-accumulated word-parallel into two GF(4)
+//                    component bitplanes, fused across all m points of a
+//                    query in one cache-blocked pass over the database.
+//   respond_naive  — term-by-term evaluation multiplying every monomial by
+//                    its 0/1 coefficient; the paper's Fig. 2 "micro
+//                    benchmark without the matrix representation", and the
+//                    reference the differential tests pin `respond` to.
+//   respond_matrix — the paper's matrix representation M_pi: zero
+//                    coefficients are skipped via per-bitplane index lists
+//                    and the monomial / derivative values are computed once
+//                    per query, then reused across all K bitplanes (Fig. 2,
+//                    Tab. III).
 #pragma once
 
 #include <cstdint>
@@ -25,29 +29,21 @@
 
 namespace ice::pir {
 
-enum class EvalStrategy { kNaive, kMatrix, kBitsliced };
-
 class PirServer {
  public:
   /// Non-owning views of the database and embedding; both must outlive the
   /// server and agree on n. `parallelism` is the worker-shard budget for
   /// each evaluation (ProtocolParams::parallelism convention: 0 = hardware
-  /// concurrency, 1 = the exact single-threaded legacy path); every
-  /// strategy returns bit-identical responses at every setting.
+  /// concurrency, 1 = single-threaded); every evaluator returns
+  /// bit-identical responses at every setting.
   PirServer(const TagDatabase& db, const Embedding& embedding,
-            EvalStrategy strategy = EvalStrategy::kBitsliced,
             std::size_t parallelism = 1);
-
-  /// Evaluates all bitplanes and gradients at one query point. This is the
-  /// reference path: the fused batch engine below is pinned bit-identical
-  /// to a respond_one loop by the differential tests.
-  [[nodiscard]] PirSingleResponse respond_one(const gf::GF4Vector& q) const;
 
   /// Evaluates a whole query batch in ONE pass over the tag database: for
   /// each row the per-point monomial evaluations are computed once and
   /// scatter-accumulated into per-point planes (m-way accumulation instead
-  /// of m full sweeps). Bit-identical to looping respond_one over the
-  /// points, at every strategy and parallelism setting.
+  /// of m full sweeps). Bit-identical to looping respond_naive over the
+  /// points, at every parallelism setting and SIMD tier.
   [[nodiscard]] PirResponse respond(const PirQuery& query) const;
 
   /// In-place respond(): reshapes `out` without discarding its entry and
@@ -55,24 +51,17 @@ class PirServer {
   /// the previous call) makes the steady-state batch sweep allocation-free.
   void respond_into(const PirQuery& query, PirResponse& out) const;
 
-  [[nodiscard]] EvalStrategy strategy() const { return strategy_; }
-
- private:
-  [[nodiscard]] PirSingleResponse eval_naive(const gf::GF4Vector& q) const;
-  [[nodiscard]] PirSingleResponse eval_matrix(const gf::GF4Vector& q) const;
-  [[nodiscard]] PirSingleResponse eval_bitsliced(
+  /// Per-point references (see the file comment). Both read the epoch-t
+  /// snapshot; respond_matrix goes through the plane overlay.
+  [[nodiscard]] PirSingleResponse respond_naive(const gf::GF4Vector& q) const;
+  [[nodiscard]] PirSingleResponse respond_matrix(
       const gf::GF4Vector& q) const;
 
-  void eval_naive_batch(const std::vector<gf::GF4Vector>& qs,
-                        PirResponse& out) const;
-  void eval_matrix_batch(const std::vector<gf::GF4Vector>& qs,
-                         PirResponse& out) const;
-  void eval_bitsliced_batch(const std::vector<gf::GF4Vector>& qs,
-                            PirResponse& out) const;
+ private:
+  void check_point(const gf::GF4Vector& q) const;
 
   const TagDatabase* db_;
   const Embedding* embedding_;
-  EvalStrategy strategy_;
   std::size_t parallelism_;
 };
 

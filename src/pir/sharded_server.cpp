@@ -10,16 +10,14 @@ namespace ice::pir {
 ShardedTagServer::ShardedTagServer(std::size_t tag_bits,
                                    std::span<const bn::BigInt> tags,
                                    std::size_t max_shard_n,
-                                   EvalStrategy strategy,
                                    std::size_t parallelism)
     : tag_bits_(tag_bits),
-      strategy_(strategy),
       parallelism_(parallelism),
       map_(tags.size(), max_shard_n) {
   shards_.reserve(map_.num_shards());
   for (const ShardRange& r : map_.ranges()) {
     shards_.push_back(std::make_unique<Shard>(
-        tag_bits_, tags.subspan(r.begin, r.size()), strategy_, parallelism_));
+        tag_bits_, tags.subspan(r.begin, r.size()), parallelism_));
   }
 }
 
@@ -54,28 +52,15 @@ std::size_t ShardedTagServer::shard_gamma(std::size_t shard) const {
 bn::BigInt ShardedTagServer::tag(std::size_t index) const {
   std::shared_lock structure(structure_mu_);
   const std::size_t s = map_.shard_of(index);
-  const Shard& shard = *shards_[s];
-  std::shared_lock content(shard.mu);
-  return shard.db.tag(index - map_.range(s).begin);
+  return shards_[s]->db.tag(index - map_.range(s).begin);
 }
 
 void ShardedTagServer::update(std::size_t index, const bn::BigInt& tag) {
+  // Shared: staging is internally synchronized and never touches base
+  // rows, so updates ride alongside queries of the same shard.
   std::shared_lock structure(structure_mu_);
   const std::size_t s = map_.shard_of(index);
-  Shard& shard = *shards_[s];
-  // Shared content lock: staging is internally synchronized and never
-  // touches base rows, so updates ride alongside queries of this shard.
-  std::shared_lock content(shard.mu);
-  shard.db.update(index - map_.range(s).begin, tag);
-}
-
-void ShardedTagServer::update_in_place(std::size_t index,
-                                       const bn::BigInt& tag) {
-  std::shared_lock structure(structure_mu_);
-  const std::size_t s = map_.shard_of(index);
-  Shard& shard = *shards_[s];
-  std::unique_lock content(shard.mu);
-  shard.db.update_in_place(index - map_.range(s).begin, tag);
+  shards_[s]->db.update(index - map_.range(s).begin, tag);
 }
 
 EpochCloseResult ShardedTagServer::close_epoch() {
@@ -131,8 +116,7 @@ std::vector<bn::BigInt> ShardedTagServer::drain_shard(std::size_t s) const {
 
 void ShardedTagServer::rebuild_shard(std::size_t s,
                                      std::span<const bn::BigInt> tags) {
-  shards_[s] =
-      std::make_unique<Shard>(tag_bits_, tags, strategy_, parallelism_);
+  shards_[s] = std::make_unique<Shard>(tag_bits_, tags, parallelism_);
 }
 
 std::size_t ShardedTagServer::append(const bn::BigInt& tag) {
@@ -156,7 +140,7 @@ std::size_t ShardedTagServer::append(const bn::BigInt& tag) {
         tag_bits_,
         std::span<const bn::BigInt>(tail).subspan(hi.begin - tail_begin,
                                                   hi.size()),
-        strategy_, parallelism_));
+        parallelism_));
     for (const auto& [local, t] : staged) {
       if (local < lo.size()) {
         shards_[last]->db.update(local, t);
@@ -190,7 +174,7 @@ std::size_t ShardedTagServer::split(std::size_t s) {
       std::make_unique<Shard>(
           tag_bits_,
           std::span<const bn::BigInt>(tags).subspan(lo.size(), hi.size()),
-          strategy_, parallelism_));
+          parallelism_));
   // Re-stage pending updates into whichever half owns them now.
   for (const auto& [local, t] : staged) {
     if (local < lo.size()) {
@@ -235,41 +219,18 @@ void ShardedTagServer::respond_sharded(const ShardedPirQuery& query,
       [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const ShardQuery& sq = query.shards[i];
-          const Shard& shard = *shards_[sq.shard];
-          std::shared_lock content(shard.mu);
           out.shards[i].shard = sq.shard;
-          shard.server.respond_into(sq.query, out.shards[i].response);
+          shards_[sq.shard]->server.respond_into(sq.query,
+                                                 out.shards[i].response);
         }
       });
 }
 
-const Embedding& ShardedTagServer::single_embedding() const {
-  std::shared_lock lock(structure_mu_);
-  if (shards_.size() != 1) {
-    throw ParamError(
-        "single_embedding: monolithic surface requires exactly one shard");
-  }
-  return shards_[0]->embedding;
-}
-
-PirResponse ShardedTagServer::respond_single(const PirQuery& query) const {
-  std::shared_lock structure(structure_mu_);
-  if (shards_.size() != 1) {
-    throw ParamError(
-        "respond_single: monolithic surface requires exactly one shard");
-  }
-  const Shard& shard = *shards_[0];
-  std::shared_lock content(shard.mu);
-  return shard.server.respond(query);
-}
-
 double ShardedTagServer::preprocess() const {
-  std::shared_lock structure(structure_mu_);
+  // Exclusive: a plane build swaps the arrays plane() readers iterate.
+  std::unique_lock structure(structure_mu_);
   double total = 0.0;
-  for (const auto& shard : shards_) {
-    std::shared_lock content(shard->mu);
-    total += shard->db.build_planes();
-  }
+  for (const auto& shard : shards_) total += shard->db.build_planes();
   return total;
 }
 

@@ -12,19 +12,17 @@
 // shard(s) a query touches but, within a shard, the weight-3 perturbation
 // hides the index exactly as in the monolithic layout.
 //
-// Locking (two levels, both reader-writer) + epochs (DESIGN.md §15):
-//   * `structure_mu_` guards the shard vector and the ShardMap. Queries,
-//     tag reads and staged updates take it shared; `append`/`split`/
-//     `close_epoch` take it exclusive (they mutate base state and bump the
-//     map epoch). A fan-out therefore runs against one structural AND
-//     content snapshot: neither a split nor an epoch close can land
-//     mid-audit, and a query planned before either fails the epoch check
-//     with the typed StaleShardMapError below.
-//   * Each shard's `mu` guards its CONTENT for paths that edit base rows
-//     directly. Queries take it shared; `update` now STAGES into the
-//     TagDatabase delta plane and also takes it only shared — an update
-//     storm no longer excludes audits of the same shard. Only the legacy
-//     `update_in_place` baseline still takes it exclusive.
+// Locking (one reader-writer level) + epochs (DESIGN.md §13, §15):
+// `structure_mu_` guards the shard vector, the ShardMap and every shard's
+// base rows. Queries, tag reads and staged updates take it shared;
+// `append`/`split`/`close_epoch` take it exclusive (they are the only paths
+// that edit base rows or the map, and they bump the map epoch). A fan-out
+// therefore runs against one structural AND content snapshot: neither a
+// split nor an epoch close can land mid-audit, and a query planned before
+// either fails the epoch check with the typed StaleShardMapError below.
+// `update` STAGES into the TagDatabase delta plane, which is internally
+// synchronized, so an update storm rides alongside audits of the same
+// shard.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +62,10 @@ class ShardedTagServer {
  public:
   /// Builds the initial partition of `tags` with per-shard budget
   /// `max_shard_n` (0 = one monolithic shard, the paper's layout).
-  /// `strategy`/`parallelism` are forwarded to every per-shard PirServer;
-  /// parallelism also bounds the cross-shard fan-out of respond_sharded.
+  /// `parallelism` is forwarded to every per-shard PirServer and also
+  /// bounds the cross-shard fan-out of respond_sharded.
   ShardedTagServer(std::size_t tag_bits, std::span<const bn::BigInt> tags,
-                   std::size_t max_shard_n,
-                   EvalStrategy strategy = EvalStrategy::kBitsliced,
-                   std::size_t parallelism = 1);
+                   std::size_t max_shard_n, std::size_t parallelism = 1);
 
   [[nodiscard]] std::size_t tag_bits() const { return tag_bits_; }
   [[nodiscard]] std::size_t n() const;
@@ -84,15 +80,10 @@ class ShardedTagServer {
   [[nodiscard]] bn::BigInt tag(std::size_t index) const;
 
   /// Stages a replacement for the tag at global `index` into the next
-  /// epoch (TagDatabase::update). Takes only SHARED locks: concurrent
-  /// queries of the same shard proceed, and the new tag stays invisible to
-  /// every read until close_epoch() merges it.
+  /// epoch (TagDatabase::update). Takes the structure lock only shared:
+  /// concurrent queries of the same shard proceed, and the new tag stays
+  /// invisible to every read until close_epoch() merges it.
   void update(std::size_t index, const bn::BigInt& tag);
-
-  /// Legacy pre-epoch baseline: writes the row directly under the owning
-  /// shard's exclusive content lock and drops its plane cache. Kept for
-  /// the bench_updates A/B arm.
-  void update_in_place(std::size_t index, const bn::BigInt& tag);
 
   /// Merges every shard's staged rows into its base state under the
   /// exclusive structure lock, and bumps the map epoch iff any row merged
@@ -119,15 +110,9 @@ class ShardedTagServer {
   /// slots, so the merge is deterministic at every thread count). Throws
   /// StaleShardMapError when query.epoch no longer matches, ParamError on
   /// malformed shard lists (unknown, duplicate or unsorted shard ids).
+  /// With one shard this is the paper's monolithic tag response.
   void respond_sharded(const ShardedPirQuery& query,
                        ShardedPirResponse& out) const;
-
-  /// Monolithic compatibility surface for the single-shard layout (the
-  /// bench/test baseline and the pre-sharding wire methods). Both throw
-  /// ParamError when num_shards() != 1. The embedding reference stays
-  /// valid until the next structural mutation.
-  [[nodiscard]] const Embedding& single_embedding() const;
-  [[nodiscard]] PirResponse respond_single(const PirQuery& query) const;
 
   /// Forces TPASetup preprocessing (plane builds) on every shard; returns
   /// the summed build time in seconds.
@@ -135,16 +120,15 @@ class ShardedTagServer {
 
  private:
   struct Shard {
-    mutable std::shared_mutex mu;  // content lock (update vs. query)
     TagDatabase db;
     Embedding embedding;
     PirServer server;
 
     Shard(std::size_t tag_bits, std::span<const bn::BigInt> tags,
-          EvalStrategy strategy, std::size_t parallelism)
+          std::size_t parallelism)
         : db(tag_bits),
           embedding(tags.empty() ? 1 : tags.size()),
-          server(db, embedding, strategy, parallelism) {
+          server(db, embedding, parallelism) {
       for (const auto& t : tags) db.add(t);
     }
   };
@@ -156,12 +140,11 @@ class ShardedTagServer {
   [[nodiscard]] std::vector<bn::BigInt> drain_shard(std::size_t s) const;
 
   std::size_t tag_bits_;
-  EvalStrategy strategy_;
   std::size_t parallelism_;
 
   mutable std::shared_mutex structure_mu_;  // guards shards_ + map_
   // unique_ptr slots: PirServer keeps non-owning pointers into its Shard,
-  // and Shard carries a mutex, so shard objects must never move.
+  // so shard objects must never move.
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardMap map_;
 };

@@ -77,18 +77,6 @@ void TagDatabase::update(std::size_t index, const bn::BigInt& tag) {
   for (std::size_t w = 0; w < limbs.size(); ++w) dst[w] = limbs[w];
 }
 
-void TagDatabase::update_in_place(std::size_t index, const bn::BigInt& tag) {
-  if (index >= n_) throw ParamError("TagDatabase::update: bad index");
-  if (tag.is_negative() || tag.bit_length() > tag_bits_) {
-    throw ParamError("TagDatabase::update: tag out of range for K bits");
-  }
-  std::uint64_t* dst = rows_.data() + index * words_per_tag_;
-  for (std::size_t w = 0; w < words_per_tag_; ++w) dst[w] = 0;
-  const auto& limbs = tag.limbs();
-  for (std::size_t w = 0; w < limbs.size(); ++w) dst[w] = limbs[w];
-  planes_built_.store(false, std::memory_order_release);
-}
-
 EpochMergeStats TagDatabase::close_epoch() {
   std::lock_guard delta_lock(delta_mu_);
   EpochMergeStats out;
@@ -178,10 +166,6 @@ double TagDatabase::build_planes() const {
   std::lock_guard lock(planes_mu_);
   build_planes_locked();
   return sw.seconds();
-}
-
-void TagDatabase::invalidate_planes() const {
-  planes_built_.store(false, std::memory_order_release);
 }
 
 void TagDatabase::build_planes_locked() const {

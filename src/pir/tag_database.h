@@ -19,9 +19,9 @@
 //   * `close_epoch()` copies the dirty rows into the base and merges the
 //     changed indexes into a sorted overlay consumed by PlaneView — one
 //     O(U·w) memcpy pass instead of a full K-plane rebuild. The CALLER must
-//     serialize close_epoch (and add/update_in_place, which edit the base
-//     directly) against readers; pir::ShardedTagServer does so with its
-//     structure lock.
+//     serialize close_epoch (and add, which edits the base directly)
+//     against readers; pir::ShardedTagServer does so with its structure
+//     lock.
 //
 // Plane maintenance replaces the old all-planes invalidation flag: a close
 // leaves the built plane lists untouched and instead records which rows
@@ -50,7 +50,7 @@ class TagDatabase;
 /// sorted base index list built by the last full plane build, minus entries
 /// superseded by rows merged since, plus merged rows whose bit is now set.
 /// A cheap value type; valid until the next mutation of the base state
-/// (close_epoch / add / update_in_place / build_planes).
+/// (close_epoch / add / build_planes).
 class PlaneView {
  public:
   PlaneView(std::span<const std::uint32_t> base,
@@ -132,11 +132,6 @@ class TagDatabase {
   /// its pending row.
   void update(std::size_t index, const bn::BigInt& tag);
 
-  /// Legacy pre-epoch baseline: writes the row directly and drops the whole
-  /// plane cache, exactly the old update path. Caller must serialize
-  /// against readers. Kept for the bench_updates A/B arm.
-  void update_in_place(std::size_t index, const bn::BigInt& tag);
-
   /// Merges every staged row into the base state and advances the epoch.
   /// Caller must serialize against readers. No-op (closed=false) when
   /// nothing is staged.
@@ -162,8 +157,7 @@ class TagDatabase {
   /// Tag `i` reconstructed as an integer (epoch-t snapshot).
   [[nodiscard]] bn::BigInt tag(std::size_t i) const;
 
-  /// Row of 64-bit words (little-endian bit order) for tag `i`. Inline: the
-  /// per-row eval paths call this n times per query point.
+  /// Row of 64-bit words (little-endian bit order) for tag `i`.
   [[nodiscard]] const std::uint64_t* row(std::size_t i) const {
     return rows_.data() + i * words_per_tag_;
   }
@@ -176,18 +170,14 @@ class TagDatabase {
 
   /// The paper's matrix representation for bitplane `pi` at the current
   /// epoch. Built lazily on first use ("pre-processing once the tags are
-  /// generated"); safe to call from concurrent readers (the parallel PIR
-  /// evaluation shards bitplanes across pool workers).
+  /// generated"); safe to call from concurrent readers (respond_matrix
+  /// shards bitplanes across pool workers).
   [[nodiscard]] PlaneView plane(std::size_t pi) const;
 
   /// Forces (re)construction of all bitplane lists; returns build time in
   /// seconds. Exposed so benchmarks can measure TPASetup preprocessing.
   /// Caller must serialize against readers (it swaps the plane arrays).
   double build_planes() const;
-
-  /// Drops the plane cache so the next plane() pays a cold build. Bench
-  /// hook (the measured legacy-invalidation arm); caller serializes.
-  void invalidate_planes() const;
 
  private:
   friend class PlaneView;

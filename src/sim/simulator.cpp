@@ -31,10 +31,8 @@ struct World {
         csp(mec::BlockStore::synthetic(config.n_blocks, config.block_bytes,
                                        seed),
             config.parallelism),
-        tpa0(pir::EvalStrategy::kBitsliced, config.parallelism,
-             config.shard_budget),
-        tpa1(pir::EvalStrategy::kBitsliced, config.parallelism,
-             config.shard_budget),
+        tpa0(config.parallelism, config.shard_budget),
+        tpa1(config.parallelism, config.shard_budget),
         edge_csp(csp),
         user_csp(csp),
         edge(0, params, keys.pk,
@@ -197,9 +195,8 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
       mec::BlockStore::synthetic(config.n_blocks, config.block_bytes, seed),
       config.parallelism);
   net::InMemoryChannel csp_chan(csp);  // shared by every edge (synchronous)
-  TpaService tpa0(pir::EvalStrategy::kBitsliced, config.parallelism,
-                  /*shard_budget=*/0, offline);
-  TpaService tpa1(pir::EvalStrategy::kBitsliced, config.parallelism);
+  TpaService tpa0(config.parallelism, /*shard_budget=*/0, offline);
+  TpaService tpa1(config.parallelism);
   net::InMemoryChannel user_tpa0(tpa0);
   net::InMemoryChannel user_tpa1(tpa1);
 

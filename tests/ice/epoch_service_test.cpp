@@ -214,20 +214,18 @@ TEST_F(EpochServiceTest, EpochStatsSurfaceCountsPinsAndMerges) {
   EXPECT_EQ(stats.db.rebuilds_avoided + stats.db.plane_rebuilds, 1u);
 }
 
-// store_tags builds the K bitplane lists only for the matrix strategy, the
-// one that reads them. After a store, one staged update and a close, a
-// bitsliced replica has no plane overlay (it never built planes) while a
-// kMatrix replica carries the merged row as its one-row overlay; both count
-// the close as merged without a rebuild and answer one shard query alike.
-TEST_F(EpochServiceTest, StoreTagsBuildsPlanesOnlyForMatrixStrategy) {
+// store_tags builds no bitplane lists: the fused engine streams the rows.
+// After a store, one staged update and a close, the replica has no plane
+// overlay, counts the close as merged without a rebuild, and a shard query
+// decodes the merged tag.
+TEST_F(EpochServiceTest, StoreTagsBuildsNoPlanes) {
   const auto tags = make_tags(24, 11);
   const bn::BigInt fresh = make_tags(1, 12)[0];
-  TpaService bitsliced(pir::EvalStrategy::kBitsliced);
-  TpaService matrix(pir::EvalStrategy::kMatrix);
-  net::InMemoryChannel bitsliced_ch(bitsliced);
-  net::InMemoryChannel matrix_ch(matrix);
-  const TpaClient clients[] = {TpaClient(bitsliced_ch),
-                               TpaClient(matrix_ch)};
+  TpaService tpa0;
+  TpaService tpa1;
+  net::InMemoryChannel ch0(tpa0);
+  net::InMemoryChannel ch1(tpa1);
+  const TpaClient clients[] = {TpaClient(ch0), TpaClient(ch1)};
   for (const TpaClient& tpa : clients) {
     tpa.set_key(keys_.pk, params_);
     tpa.store_tags(tags);
@@ -235,30 +233,19 @@ TEST_F(EpochServiceTest, StoreTagsBuildsPlanesOnlyForMatrixStrategy) {
     ASSERT_TRUE(tpa.close_epoch(/*force=*/true).closed);
   }
 
-  const auto b = bitsliced.epoch_stats().db;
-  const auto m = matrix.epoch_stats().db;
-  EXPECT_EQ(b.dirty_rows, 0u);  // no planes built, so no overlay
-  EXPECT_EQ(m.dirty_rows, 1u);  // the merged row overlays the planes
-  EXPECT_EQ(b.rebuilds_avoided, 1u);
-  EXPECT_EQ(m.rebuilds_avoided, 1u);
-  EXPECT_EQ(b.plane_rebuilds + m.plane_rebuilds, 0u);
+  const auto stats = tpa0.epoch_stats().db;
+  EXPECT_EQ(stats.dirty_rows, 0u);  // no planes built, so no overlay
+  EXPECT_EQ(stats.rebuilds_avoided, 1u);
+  EXPECT_EQ(stats.plane_rebuilds, 0u);
 
   const ShardPlanner planner(clients[0].shard_map(),
                              keys_.pk.modulus_bits());
   const ShardPlan plan = planner.plan(std::vector<std::size_t>{5, 7, 23},
                                       rng_);
-  const pir::ShardedPirResponse rb = clients[0].shard_query(plan.queries[0]);
-  const pir::ShardedPirResponse rm = clients[1].shard_query(plan.queries[0]);
-  ASSERT_EQ(rb.shards.size(), rm.shards.size());
-  for (std::size_t s = 0; s < rb.shards.size(); ++s) {
-    const auto& eb = rb.shards[s].response.entries;
-    const auto& em = rm.shards[s].response.entries;
-    ASSERT_EQ(eb.size(), em.size());
-    for (std::size_t e = 0; e < eb.size(); ++e) {
-      EXPECT_EQ(eb[e].values, em[e].values) << "entry " << e;
-      EXPECT_EQ(eb[e].gradients, em[e].gradients) << "entry " << e;
-    }
-  }
+  const pir::ShardedPirResponse r0 = clients[0].shard_query(plan.queries[0]);
+  const pir::ShardedPirResponse r1 = clients[1].shard_query(plan.queries[1]);
+  EXPECT_EQ(planner.merge_decode(plan, r0, r1),
+            (std::vector<bn::BigInt>{fresh, tags[7], tags[23]}));
 }
 
 // A staged update must survive append() splitting / rebuilding its shard:
@@ -300,9 +287,9 @@ TEST_F(EpochServiceTest, StagedUpdateSurvivesShardRebuilds) {
 
 // The acceptance differential: snapshot-isolated retrieval rounds with
 // updates landing MID-AUDIT (between plan and respond) must be bit-exact
-// with the quiesced pre-storm state, across shard counts x strategies x
-// thread budgets, all from one seed; after the close the same round
-// decodes the merged state.
+// with the quiesced pre-storm state, across shard counts x thread budgets,
+// all from one seed; after the close the same round decodes the merged
+// state.
 TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossLayoutsMidUpdate) {
   constexpr std::size_t kN = 96;
   const auto tags = make_tags(kN, 6);
@@ -310,51 +297,43 @@ TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossLayoutsMidUpdate) {
   const std::vector<std::size_t> wanted = {0, 95, 13, 13, 47, 62, 31, 1};
 
   const std::size_t budgets[] = {0, 48, 14};  // 1, 2, 7 shards
-  const pir::EvalStrategy strategies[] = {pir::EvalStrategy::kNaive,
-                                          pir::EvalStrategy::kMatrix,
-                                          pir::EvalStrategy::kBitsliced};
   const std::size_t thread_budgets[] = {1, 2, 0};
 
   for (const std::size_t budget : budgets) {
-    for (const auto strategy : strategies) {
-      for (const std::size_t threads : thread_budgets) {
-        ProtocolParams p = params_;
-        p.shard_budget = budget;
-        p.parallelism = threads;
-        TagStore tpa0(p, tags, strategy);
-        TagStore tpa1(p, tags, strategy);
-        const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
-        SplitMix64 gen(0x5eed);  // same seed for every configuration
-        bn::Rng64Adapter<SplitMix64> rng(gen);
-        ShardPlan plan = planner.plan(wanted, rng);
+    for (const std::size_t threads : thread_budgets) {
+      ProtocolParams p = params_;
+      p.shard_budget = budget;
+      p.parallelism = threads;
+      TagStore tpa0(p, tags);
+      TagStore tpa1(p, tags);
+      const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
+      SplitMix64 gen(0x5eed);  // same seed for every configuration
+      bn::Rng64Adapter<SplitMix64> rng(gen);
+      ShardPlan plan = planner.plan(wanted, rng);
 
-        // The storm lands mid-audit: after the challenge is planned,
-        // before either replica evaluates.
-        for (std::size_t u = 0; u < fresh.size(); ++u) {
-          tpa0.update((u * 17) % kN, fresh[u]);
-          tpa1.update((u * 17) % kN, fresh[u]);
-        }
+      // The storm lands mid-audit: after the challenge is planned,
+      // before either replica evaluates.
+      for (std::size_t u = 0; u < fresh.size(); ++u) {
+        tpa0.update((u * 17) % kN, fresh[u]);
+        tpa1.update((u * 17) % kN, fresh[u]);
+      }
 
-        pir::ShardedPirResponse r0, r1;
-        tpa0.respond_sharded(plan.queries[0], r0);
-        tpa1.respond_sharded(plan.queries[1], r1);
-        const auto got = planner.merge_decode(plan, r0, r1);
-        ASSERT_EQ(got.size(), wanted.size());
-        for (std::size_t l = 0; l < wanted.size(); ++l) {
-          EXPECT_EQ(got[l], tags[wanted[l]])
-              << "budget=" << budget << " strategy="
-              << static_cast<int>(strategy) << " threads=" << threads
-              << " l=" << l;
-        }
+      pir::ShardedPirResponse r0, r1;
+      tpa0.respond_sharded(plan.queries[0], r0);
+      tpa1.respond_sharded(plan.queries[1], r1);
+      const auto got = planner.merge_decode(plan, r0, r1);
+      ASSERT_EQ(got.size(), wanted.size());
+      for (std::size_t l = 0; l < wanted.size(); ++l) {
+        EXPECT_EQ(got[l], tags[wanted[l]])
+            << "budget=" << budget << " threads=" << threads << " l=" << l;
+      }
 
-        // Close both replicas and re-run: the merged state decodes.
-        ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
-        ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
-        const auto after =
-            retrieve_tags_direct(tpa0, tpa1, wanted, rng);
-        for (std::size_t l = 0; l < wanted.size(); ++l) {
-          EXPECT_EQ(after[l], tpa0.tag(wanted[l]));
-        }
+      // Close both replicas and re-run: the merged state decodes.
+      ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
+      ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
+      const auto after = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
+      for (std::size_t l = 0; l < wanted.size(); ++l) {
+        EXPECT_EQ(after[l], tpa0.tag(wanted[l]));
       }
     }
   }

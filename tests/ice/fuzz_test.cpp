@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
+#include "ice/shard_audit.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
 #include "ice/wire.h"
@@ -23,6 +24,11 @@ Bytes random_bytes(SplitMix64& rng, std::size_t max_len) {
   Bytes out(rng.below(max_len + 1));
   for (auto& b : out) b = static_cast<std::uint8_t>(rng());
   return out;
+}
+
+net::Status status_of(const Bytes& response) {
+  net::Reader r(response);
+  return static_cast<net::Status>(r.u16());
 }
 
 /// Response must parse as ok or error envelope; content errors are fine.
@@ -43,8 +49,18 @@ constexpr std::uint16_t kAllMethods[] = {
     kCspChallenge,   kEdgeRead,          kEdgeWrite,      kEdgeIndexQuery,
     kEdgeShareBlind, kEdgeChallenge,     kEdgeBatchChallenge,
     kEdgeFlush,      kEdgeSubsetProof,   kTpaSetKey,      kTpaStoreTags,
-    kTpaTagQuery,    kTpaStartAudit,     kTpaSubmitRepacked,
-    kTpaBatchBegin,  kTpaSubmitProof,    kTpaBatchFinish, 9999};
+    kTpaStartAudit,  kTpaSubmitRepacked, kTpaBatchBegin,  kTpaSubmitProof,
+    kTpaBatchFinish, kTpaUpdateTag,      kTpaShardMap,    kTpaShardQuery,
+    kTpaSplitShard,  kTpaAppendTag,      kTpaCloseEpoch,  9999};
+
+/// TPA methods whose accepted request changes what an honest round reads:
+/// the key (300), the tag table (301, or 308 merged by a 313) and the
+/// shard map (311, 312).
+bool changes_tpa_state(std::uint16_t method) {
+  return method == kTpaSetKey || method == kTpaStoreTags ||
+         method == kTpaUpdateTag || method == kTpaSplitShard ||
+         method == kTpaAppendTag;
+}
 
 class FuzzWorld {
  public:
@@ -62,11 +78,10 @@ class FuzzWorld {
         user_tpa1_(tpa1_),
         user_(params_, keys_, user_tpa0_, user_tpa1_) {
     tpa0_.register_edge(0, tpa_edge_);
-    std::vector<Bytes> blocks;
     for (std::size_t i = 0; i < 16; ++i) {
-      blocks.push_back(csp_.store().block(i));
+      blocks_.push_back(csp_.store().block(i));
     }
-    user_.setup_file(blocks);
+    user_.setup_file(blocks_);
     edge_.pre_download({1, 2, 3});
   }
 
@@ -82,6 +97,7 @@ class FuzzWorld {
   net::InMemoryChannel user_tpa0_;
   net::InMemoryChannel user_tpa1_;
   UserClient user_;
+  std::vector<Bytes> blocks_;
 };
 
 TEST(FuzzTest, RandomGarbageNeverCrashesAnyService) {
@@ -134,6 +150,19 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
     audit.u64(1234);
     probes.push_back({&w.tpa0_, kTpaStartAudit, audit.take()});
   }
+  {
+    // A real sharded query (310, the only tag query), planned against the
+    // TPA's own shard map.
+    const ShardPlanner planner(TpaClient(w.user_tpa0_).shard_map(),
+                               w.keys_.pk.modulus_bits());
+    SplitMix64 gen(0xf055);
+    bn::Rng64Adapter<SplitMix64> plan_rng(gen);
+    const ShardPlan plan =
+        planner.plan(std::vector<std::size_t>{1, 2, 3}, plan_rng);
+    net::Writer query;
+    write_sharded_query(query, plan.queries[0]);
+    probes.push_back({&w.tpa0_, kTpaShardQuery, query.take()});
+  }
   for (auto& probe : probes) {
     for (int trial = 0; trial < 200; ++trial) {
       Bytes mutated = probe.valid;
@@ -154,15 +183,127 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
 TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
   FuzzWorld w;
   SplitMix64 rng(0xf066);
+  std::size_t landed = 0;
   for (std::uint16_t method : kAllMethods) {
     for (int trial = 0; trial < 10; ++trial) {
       (void)w.csp_.handle(method, random_bytes(rng, 40));
       (void)w.edge_.handle(method, random_bytes(rng, 40));
-      (void)w.tpa0_.handle(method, random_bytes(rng, 40));
+      const Bytes reply = w.tpa0_.handle(method, random_bytes(rng, 40));
+      if (changes_tpa_state(method) && status_of(reply) == net::Status::kOk) {
+        ++landed;
+      }
     }
   }
+  // Random bytes that parse as a real request are served as one: an
+  // update_tag plus a close_epoch replaces a tag, a split or an append
+  // moves tpa0's shard map away from tpa1's. That is correct behaviour, so
+  // when one landed the honest round re-uploads the file first; every
+  // other fuzz effect must leave the round passing as it is.
+  if (landed > 0) (void)w.user_.setup_file(w.blocks_);
   // A full honest round still succeeds.
-  EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0));
+  EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0))
+      << landed << " fuzzed TPA state changes were accepted";
+}
+
+// 302 was the monolithic tag query; it is retired, and a TPA answers it
+// like any id it never registered.
+TEST(FuzzTest, RetiredTagQueryMethodIsUnknown) {
+  FuzzWorld w;
+  net::Writer body;
+  body.varint(1);
+  EXPECT_EQ(status_of(w.tpa0_.handle(302, body.take())),
+            net::Status::kUnknownMethod);
+  EXPECT_EQ(status_of(w.tpa0_.handle(302, {})), net::Status::kUnknownMethod);
+}
+
+// Every state-changing handler rejects trailing bytes BEFORE it acts: a
+// valid request plus one extra byte answers kMalformed, and a follow-up
+// call sees the service exactly as it was.
+TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
+  struct Case {
+    const char* name;
+    net::RpcHandler& (*service)(FuzzWorld&);
+    std::uint16_t method;
+    Bytes (*request)(const FuzzWorld&);
+    void (*unchanged)(FuzzWorld&);
+  };
+  const auto tpa = [](FuzzWorld& w) -> net::RpcHandler& { return w.tpa0_; };
+  const auto edge = [](FuzzWorld& w) -> net::RpcHandler& { return w.edge_; };
+  const auto csp = [](FuzzWorld& w) -> net::RpcHandler& { return w.csp_; };
+  const auto set_key = [](const FuzzWorld& w) {
+    net::Writer r;
+    r.bigint(w.keys_.pk.n);
+    r.bigint(w.keys_.pk.g);
+    r.varint(w.params_.coeff_bits);
+    r.varint(w.params_.challenge_key_bits);
+    return r.take();
+  };
+  const Case cases[] = {
+      {"tpa set_key", tpa, kTpaSetKey, set_key,
+       [](FuzzWorld& w) { EXPECT_TRUE(w.tpa0_.has_tags()); }},
+      {"tpa store_tags", tpa, kTpaStoreTags,
+       [](const FuzzWorld&) {
+         net::Writer r;
+         write_bigint_list(r, {bn::BigInt(1), bn::BigInt(2)});
+         return r.take();
+       },
+       [](FuzzWorld& w) {
+         EXPECT_EQ(TpaClient(w.user_tpa0_).shard_map().n(), 16u);
+       }},
+      {"tpa batch_begin", tpa, kTpaBatchBegin,
+       [](const FuzzWorld&) {
+         net::Writer r;
+         r.u64(4242);
+         r.varint(1);
+         return r.take();
+       },
+       [](FuzzWorld& w) {
+         EXPECT_NO_THROW((void)TpaClient(w.user_tpa0_).batch_begin(4242, 1));
+       }},
+      {"edge write", edge, kEdgeWrite,
+       [](const FuzzWorld&) {
+         net::Writer r;
+         r.varint(2);
+         r.bytes(Bytes(64, 0xee));
+         return r.take();
+       },
+       [](FuzzWorld& w) {
+         EXPECT_EQ(EdgeClient(w.tpa_edge_).read(2), w.blocks_[2]);
+       }},
+      {"edge share_blind", edge, kEdgeShareBlind,
+       [](const FuzzWorld&) {
+         net::Writer r;
+         r.u64(777);
+         r.bigint(bn::BigInt(12345));
+         return r.take();
+       },
+       [](FuzzWorld& w) {
+         EXPECT_NO_THROW(
+             EdgeClient(w.tpa_edge_).share_blinding(777, bn::BigInt(12345)));
+       }},
+      {"csp set_key", csp, kCspSetKey, set_key,
+       [](FuzzWorld& w) {
+         // The key never landed, so a sampled challenge still finds none.
+         net::Writer r;
+         r.bigint(bn::BigInt(3));
+         r.bigint(bn::BigInt(4));
+         write_index_list(r, {0});
+         EXPECT_EQ(status_of(w.csp_.handle(kCspChallenge, r.take())),
+                   net::Status::kFailedPrecondition);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FuzzWorld w;
+    Bytes request = c.request(w);
+    request.push_back(0x00);
+    const Bytes reply = c.service(w).handle(c.method, request);
+    ASSERT_EQ(status_of(reply), net::Status::kMalformed);
+    net::Reader r(reply);
+    (void)r.u16();
+    EXPECT_NE(r.str().find("trailing bytes"), std::string::npos);
+    c.unchanged(w);
+  }
 }
 
 TEST(FuzzTest, HostileRepackedTagsRejectedNotCrashing) {

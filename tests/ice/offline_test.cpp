@@ -5,6 +5,7 @@
 // rekey races (exercised under TSan via the sanitizer presets).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -193,6 +194,35 @@ TEST(ChallengePoolTest, RekeyInvalidatesStoredAndInFlightBundles) {
 
 // --- OfflineWorker lifecycle and races ----------------------------------
 
+// A rekey moves the generation and the mint spec together: a producer
+// reading the spec mid-rekey must never see the new generation with the
+// old key, or it would mint an old-key bundle the pool accepts as current.
+TEST(ChallengePoolTest, MintSpecNeverPairsNewGenerationWithOldKey) {
+  const KeyPair keys_a = ice::testing::test_keypair_256();
+  const KeyPair keys_b = ice::testing::test_keypair_256(0, 1);
+  ASSERT_NE(keys_a.pk.n, keys_b.pk.n);
+  const ProtocolParams params = small_params();
+  ChallengePool pool(OfflineConfig{});
+  pool.rekey(keys_a.pk, params);  // odd generations key a, even ones key b
+  std::atomic<bool> done{false};
+  std::thread rekeyer([&] {
+    for (int i = 0; !done.load(); ++i) {
+      pool.rekey(i % 2 == 0 ? keys_b.pk : keys_a.pk, params);
+    }
+  });
+  // Keep reading until the two threads have overlapped for 100000 rekeys.
+  std::size_t mismatched = 0;
+  while (pool.generation() < 100000) {
+    const auto spec = pool.mint_spec();
+    if (spec && (spec->pk.n == keys_a.pk.n) != (spec->generation % 2 == 1)) {
+      ++mismatched;
+    }
+  }
+  done.store(true);
+  rekeyer.join();
+  EXPECT_EQ(mismatched, 0u);
+}
+
 TEST(OfflineWorkerTest, FillsPoolAndStops) {
   const KeyPair keys = ice::testing::test_keypair_256();
   const ProtocolParams params = small_params();
@@ -291,13 +321,13 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
 /// split configurable at the verifier.
 class OfflineDeployment {
  public:
-  OfflineDeployment(const OfflineConfig& offline, pir::EvalStrategy strategy,
-                    std::size_t parallelism, std::size_t shard_budget,
+  OfflineDeployment(const OfflineConfig& offline, std::size_t parallelism,
+                    std::size_t shard_budget,
                     std::size_t n_blocks = 16, std::size_t block_bytes = 64)
       : params_(ice::testing::test_params(block_bytes)),
         csp_(mec::BlockStore::synthetic(n_blocks, block_bytes, 99)),
-        tpa0_(strategy, parallelism, shard_budget, offline),
-        tpa1_(strategy, parallelism, shard_budget),
+        tpa0_(parallelism, shard_budget, offline),
+        tpa1_(parallelism, shard_budget),
         tpa0_channel_(tpa0_),
         tpa1_channel_(tpa1_),
         edge_csp_(csp_),
@@ -350,50 +380,44 @@ OfflineConfig enabled_config(std::size_t capacity = 8,
 }
 
 /// The tentpole differential: pool-served audits return the same verdicts
-/// as the cold path across PIR strategies x shard layouts x thread
-/// budgets, for honest and corrupted edges alike.
+/// as the cold path across shard layouts x thread budgets, for honest and
+/// corrupted edges alike.
 TEST(OfflineServiceTest, OnlineMatchesColdAcrossConfigurations) {
-  const pir::EvalStrategy strategies[] = {pir::EvalStrategy::kNaive,
-                                          pir::EvalStrategy::kBitsliced};
   const std::size_t shard_budgets[] = {0, 7};
   const std::size_t parallelisms[] = {1, 0};
-  for (const auto strategy : strategies) {
-    for (const auto shard_budget : shard_budgets) {
-      for (const auto parallelism : parallelisms) {
-        OfflineDeployment online(enabled_config(), strategy, parallelism,
-                                 shard_budget);
-        OfflineDeployment cold(OfflineConfig{}, strategy, parallelism,
-                               shard_budget);
-        online.edge_.pre_download({1, 3, 4, 8});
-        cold.edge_.pre_download({1, 3, 4, 8});
-        online.wait_for_pool_depth(1);
+  for (const auto shard_budget : shard_budgets) {
+    for (const auto parallelism : parallelisms) {
+      OfflineDeployment online(enabled_config(), parallelism, shard_budget);
+      OfflineDeployment cold(OfflineConfig{}, parallelism, shard_budget);
+      online.edge_.pre_download({1, 3, 4, 8});
+      cold.edge_.pre_download({1, 3, 4, 8});
+      online.wait_for_pool_depth(1);
 
-        EXPECT_TRUE(online.user_.audit_edge(online.edge_channel_, 0));
-        EXPECT_TRUE(cold.user_.audit_edge(cold.edge_channel_, 0));
+      EXPECT_TRUE(online.user_.audit_edge(online.edge_channel_, 0));
+      EXPECT_TRUE(cold.user_.audit_edge(cold.edge_channel_, 0));
 
-        SplitMix64 rng(13);
-        mec::corrupt_random_blocks(online.edge_.cache_for_corruption(), 1,
-                                   mec::CorruptionKind::kBitFlip, rng);
-        SplitMix64 rng2(13);
-        mec::corrupt_random_blocks(cold.edge_.cache_for_corruption(), 1,
-                                   mec::CorruptionKind::kBitFlip, rng2);
-        online.wait_for_pool_depth(1);
-        EXPECT_FALSE(online.user_.audit_edge(online.edge_channel_, 0));
-        EXPECT_FALSE(cold.user_.audit_edge(cold.edge_channel_, 0));
+      SplitMix64 rng(13);
+      mec::corrupt_random_blocks(online.edge_.cache_for_corruption(), 1,
+                                 mec::CorruptionKind::kBitFlip, rng);
+      SplitMix64 rng2(13);
+      mec::corrupt_random_blocks(cold.edge_.cache_for_corruption(), 1,
+                                 mec::CorruptionKind::kBitFlip, rng2);
+      online.wait_for_pool_depth(1);
+      EXPECT_FALSE(online.user_.audit_edge(online.edge_channel_, 0));
+      EXPECT_FALSE(cold.user_.audit_edge(cold.edge_channel_, 0));
 
-        const OfflineStats stats = online.tpa0_.offline_stats();
-        EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
-        EXPECT_EQ(cold.tpa0_.offline_stats().hits +
-                      cold.tpa0_.offline_stats().misses,
-                  0u)
-            << "cold service touched the pool";
-      }
+      const OfflineStats stats = online.tpa0_.offline_stats();
+      EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
+      EXPECT_EQ(cold.tpa0_.offline_stats().hits +
+                    cold.tpa0_.offline_stats().misses,
+                0u)
+          << "cold service touched the pool";
     }
   }
 }
 
 TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
-  OfflineDeployment d(enabled_config(), pir::EvalStrategy::kBitsliced, 1, 0);
+  OfflineDeployment d(enabled_config(), 1, 0);
   d.edge_.pre_download({2, 5, 9});
   // Drain the pool and cut off the refill source: every subsequent audit
   // is a deterministic pool miss served by the cold fallback.
@@ -409,8 +433,7 @@ TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
 TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
   // coeff_count below |S_j|: the session's precomputed prefix is too short,
   // so verification re-expands online — and must still pass.
-  OfflineDeployment d(enabled_config(8, 2), pir::EvalStrategy::kBitsliced, 1,
-                      0);
+  OfflineDeployment d(enabled_config(8, 2), 1, 0);
   d.edge_.pre_download({0, 1, 2, 3, 6});
   d.wait_for_pool_depth(1);
   EXPECT_TRUE(d.user_.audit_edge(d.edge_channel_, 0));
@@ -418,7 +441,7 @@ TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
 }
 
 TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
-  OfflineDeployment d(enabled_config(), pir::EvalStrategy::kBitsliced, 1, 0);
+  OfflineDeployment d(enabled_config(), 1, 0);
   d.edge_.pre_download({1, 2, 7});
   d.wait_for_pool_depth(1);
   const std::uint64_t gen_before = d.tpa0_.challenge_pool().generation();
@@ -457,7 +480,7 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
 }
 
 TEST(OfflineServiceTest, BatchBeginServedFromPool) {
-  OfflineDeployment d(enabled_config(), pir::EvalStrategy::kBitsliced, 1, 0);
+  OfflineDeployment d(enabled_config(), 1, 0);
   d.edge_.pre_download({1, 4, 6});
   d.wait_for_pool_depth(1);
   std::vector<net::RpcChannel*> edges{&d.edge_channel_};

@@ -14,7 +14,6 @@
 #include "ice/batch.h"
 #include "ice/protocol.h"
 #include "ice/tag.h"
-#include "ice/tag_store.h"
 #include "pir/client.h"
 #include "pir/server.h"
 #include "support/ice_fixtures.h"
@@ -133,36 +132,39 @@ TEST_F(ParallelDiffTest, VerifySameVerdictAtEveryThreadCount) {
   }
 }
 
+// The fused engine and both per-point references return the serial bits
+// at every thread count.
 TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
   constexpr std::size_t kTags = 60;
   const auto blocks = ice::testing::make_blocks(kTags, 64, 60);
   const auto tags = tagger_.tag_all(blocks);
+  pir::TagDatabase db(keys_.pk.modulus_bits());
+  for (const auto& t : tags) db.add(t);
   const pir::Embedding emb(kTags);
   const pir::PirClient client(emb, keys_.pk.modulus_bits());
   // One fixed encoded query reused against every server configuration.
   SplitMix64 qgen(0x61);
   bn::Rng64Adapter<SplitMix64> qrng(qgen);
   const auto enc = client.encode(std::vector<std::size_t>{3, 17, 42}, qrng);
-  for (pir::EvalStrategy strategy :
-       {pir::EvalStrategy::kNaive, pir::EvalStrategy::kMatrix,
-        pir::EvalStrategy::kBitsliced}) {
-    ProtocolParams serial_params = params_;
-    serial_params.modulus_bits = keys_.pk.modulus_bits();
-    serial_params.parallelism = 1;
-    TagStore reference(serial_params, tags, strategy);
-    const pir::PirResponse serial = reference.respond(enc.queries[0]);
-    for (std::size_t t : tested_thread_counts()) {
-      ProtocolParams p = serial_params;
-      p.parallelism = t;
-      TagStore store(p, tags, strategy);
-      const pir::PirResponse parallel = store.respond(enc.queries[0]);
-      ASSERT_EQ(parallel.entries.size(), serial.entries.size());
-      for (std::size_t e = 0; e < serial.entries.size(); ++e) {
-        EXPECT_EQ(parallel.entries[e].values, serial.entries[e].values)
-            << "strategy=" << static_cast<int>(strategy) << " threads=" << t;
-        EXPECT_EQ(parallel.entries[e].gradients, serial.entries[e].gradients)
-            << "strategy=" << static_cast<int>(strategy) << " threads=" << t;
-      }
+  const pir::PirQuery& query = enc.queries[0];
+  // Fused answer, then naive and matrix per point, as one entry list.
+  const auto all_entries = [&](const pir::PirServer& server) {
+    std::vector<pir::PirSingleResponse> out = server.respond(query).entries;
+    for (const auto& q : query.points) out.push_back(server.respond_naive(q));
+    for (const auto& q : query.points) {
+      out.push_back(server.respond_matrix(q));
+    }
+    return out;
+  };
+  const auto serial = all_entries(pir::PirServer(db, emb, 1));
+  for (std::size_t t : tested_thread_counts()) {
+    const auto parallel = all_entries(pir::PirServer(db, emb, t));
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t e = 0; e < serial.size(); ++e) {
+      EXPECT_EQ(parallel[e].values, serial[e].values)
+          << "entry=" << e << " threads=" << t;
+      EXPECT_EQ(parallel[e].gradients, serial[e].gradients)
+          << "entry=" << e << " threads=" << t;
     }
   }
 }
@@ -181,8 +183,8 @@ TEST_F(ParallelDiffTest, ConcurrentBitslicedRespondsMatchSerial) {
   }
   const pir::Embedding emb(kRows);
   const pir::PirClient client(emb, kTagBits);
-  const pir::PirServer serial(db, emb, pir::EvalStrategy::kBitsliced, 1);
-  const pir::PirServer shared(db, emb, pir::EvalStrategy::kBitsliced, 0);
+  const pir::PirServer serial(db, emb, 1);
+  const pir::PirServer shared(db, emb, 0);
 
   struct Lane {
     std::vector<pir::PirQuery> queries;

@@ -36,8 +36,8 @@ class StressWorld {
         keys_(ice::testing::test_keypair_256()),
         csp_(mec::BlockStore::synthetic(kBlocks, kBlockBytes, 5),
              parallelism),
-        tpa0_(pir::EvalStrategy::kBitsliced, parallelism),
-        tpa1_(pir::EvalStrategy::kBitsliced, parallelism),
+        tpa0_(parallelism),
+        tpa1_(parallelism),
         edge0_csp_(csp_),
         edge1_csp_(csp_),
         edge0_tpa_(tpa0_),

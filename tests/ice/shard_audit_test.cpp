@@ -36,10 +36,10 @@ class ShardAuditTest : public ::testing::Test {
   TagGenerator tagger_;
 };
 
-// The satellite differential: shard counts {1, 2, 7, 32} x every
-// EvalStrategy x serial/bounded/hardware thread budgets, all driven by the
-// SAME seed and challenge. Every configuration must return byte-identical
-// tag lists (and they must be the exact stored tags).
+// The sharded-vs-unsharded differential: shard counts {1, 2, 7, 32} x
+// serial/bounded/hardware thread budgets, all driven by the SAME seed and
+// challenge. Every configuration must return byte-identical tag lists (and
+// they must be the exact stored tags).
 TEST_F(ShardAuditTest, ShardedEqualsUnshardedBitForBit) {
   constexpr std::size_t kN = 96;
   const auto tags = make_tags(kN, 1);
@@ -48,36 +48,30 @@ TEST_F(ShardAuditTest, ShardedEqualsUnshardedBitForBit) {
   // budget -> shard count: 0 -> 1, 48 -> 2, 14 -> 7, 3 -> 32.
   const std::size_t budgets[] = {0, 48, 14, 3};
   const std::size_t expected_shards[] = {1, 2, 7, 32};
-  const pir::EvalStrategy strategies[] = {pir::EvalStrategy::kNaive,
-                                          pir::EvalStrategy::kMatrix,
-                                          pir::EvalStrategy::kBitsliced};
   const std::size_t thread_budgets[] = {1, 2, 0};
 
-  std::vector<bn::BigInt> baseline;  // 1-shard kBitsliced serial result
+  std::vector<bn::BigInt> baseline;  // 1-shard serial result
   for (std::size_t b = 0; b < std::size(budgets); ++b) {
-    for (const auto strategy : strategies) {
-      for (const std::size_t threads : thread_budgets) {
-        ProtocolParams p = params_;
-        p.shard_budget = budgets[b];
-        p.parallelism = threads;
-        const TagStore tpa0(p, tags, strategy);
-        const TagStore tpa1(p, tags, strategy);
-        ASSERT_EQ(tpa0.num_shards(), expected_shards[b]);
-        SplitMix64 gen(0xd1ff);  // same seed for every configuration
-        bn::Rng64Adapter<SplitMix64> rng(gen);
-        const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
-        ASSERT_EQ(got.size(), wanted.size());
-        for (std::size_t l = 0; l < wanted.size(); ++l) {
-          EXPECT_EQ(got[l], tags[wanted[l]])
-              << "budget=" << budgets[b] << " strategy="
-              << static_cast<int>(strategy) << " threads=" << threads
-              << " l=" << l;
-        }
-        if (baseline.empty()) {
-          baseline = got;
-        } else {
-          EXPECT_EQ(got, baseline);
-        }
+    for (const std::size_t threads : thread_budgets) {
+      ProtocolParams p = params_;
+      p.shard_budget = budgets[b];
+      p.parallelism = threads;
+      const TagStore tpa0(p, tags);
+      const TagStore tpa1(p, tags);
+      ASSERT_EQ(tpa0.num_shards(), expected_shards[b]);
+      SplitMix64 gen(0xd1ff);  // same seed for every configuration
+      bn::Rng64Adapter<SplitMix64> rng(gen);
+      const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
+      ASSERT_EQ(got.size(), wanted.size());
+      for (std::size_t l = 0; l < wanted.size(); ++l) {
+        EXPECT_EQ(got[l], tags[wanted[l]])
+            << "budget=" << budgets[b] << " threads=" << threads
+            << " l=" << l;
+      }
+      if (baseline.empty()) {
+        baseline = got;
+      } else {
+        EXPECT_EQ(got, baseline);
       }
     }
   }
@@ -191,8 +185,8 @@ class ShardServiceTest : public ShardAuditTest {
   static constexpr std::size_t kBudget = 16;
 
   ShardServiceTest()
-      : tpa0_(pir::EvalStrategy::kBitsliced, /*parallelism=*/0, kBudget),
-        tpa1_(pir::EvalStrategy::kBitsliced, /*parallelism=*/0, kBudget),
+      : tpa0_(/*parallelism=*/0, kBudget),
+        tpa1_(/*parallelism=*/0, kBudget),
         ch0_(tpa0_),
         ch1_(tpa1_) {
     params_.shard_budget = kBudget;

@@ -130,18 +130,5 @@ TEST_F(TagStoreTest, MismatchedReplicasRejected) {
   EXPECT_THROW(retrieve_tags_direct(tpa0, tpa1, {{0}}, rng_), ParamError);
 }
 
-TEST_F(TagStoreTest, AllStrategiesServeRetrieval) {
-  const auto blocks = ice::testing::make_blocks(15, 64, 9);
-  const auto tags = tagger_.tag_all(blocks);
-  for (auto strategy : {pir::EvalStrategy::kNaive, pir::EvalStrategy::kMatrix,
-                        pir::EvalStrategy::kBitsliced}) {
-    TagStore tpa0(params_, tags, strategy);
-    TagStore tpa1(params_, tags, strategy);
-    const auto got = retrieve_tags_direct(tpa0, tpa1, {{4, 11}}, rng_);
-    EXPECT_EQ(got[0], tags[4]);
-    EXPECT_EQ(got[1], tags[11]);
-  }
-}
-
 }  // namespace
 }  // namespace ice::proto

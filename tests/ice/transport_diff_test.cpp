@@ -87,7 +87,7 @@ std::vector<WireCase> scripted_corpus() {
       kCspSetKey,   kCspChallenge, 150, kEdgeRead, kEdgeWrite,
       kEdgeIndexQuery, kEdgeShareBlind, kEdgeChallenge, kEdgeBatchChallenge,
       kEdgeFlush,   kEdgeSubsetProof, 250, kTpaSetKey, kTpaStoreTags,
-      kTpaTagQuery, kTpaStartAudit, kTpaSubmitRepacked, kTpaSubmitProof,
+      kTpaShardQuery, kTpaStartAudit, kTpaSubmitRepacked, kTpaSubmitProof,
       kTpaBatchFinish, kTpaUpdateTag, 320,
   };
   std::vector<WireCase> corpus;

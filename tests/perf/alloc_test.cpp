@@ -201,8 +201,7 @@ TEST_P(AllocTest, FusedPirRespondIsAllocationFree) {
     db.add(bn::random_bits(rng_, tag_bits));
   }
   const pir::Embedding emb(n);
-  const pir::PirServer server(db, emb, pir::EvalStrategy::kBitsliced,
-                              GetParam());
+  const pir::PirServer server(db, emb, GetParam());
   const pir::PirClient client(emb, tag_bits);
 
   std::vector<std::size_t> wanted;

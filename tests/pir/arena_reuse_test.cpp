@@ -26,7 +26,7 @@ TEST(ArenaReuseTest, FusedRespondSteadyStateHasZeroArenaMisses) {
   const Embedding emb(n);
   // parallelism = 1 keeps every scratch request on this thread's arena, so
   // the counters below observe the whole iteration.
-  const PirServer server(db, emb, EvalStrategy::kBitsliced, 1);
+  const PirServer server(db, emb, 1);
   const PirClient client(emb, tag_bits);
 
   std::vector<std::size_t> wanted;

@@ -105,7 +105,7 @@ TEST(ClientCodecTest, WordParallelDecodeMatchesScalarReference) {
       db.add(stored.back());
     }
     const Embedding emb(n);
-    const PirServer server(db, emb, EvalStrategy::kBitsliced);
+    const PirServer server(db, emb);
     const PirClient client(emb, tag_bits);
 
     std::vector<std::size_t> wanted = {0, n / 2, n - 1, 0};

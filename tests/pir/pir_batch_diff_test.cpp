@@ -1,8 +1,13 @@
-// Differential tests for the fused multi-query evaluation engine: for every
-// strategy, parallelism setting and batch size, PirServer::respond must be
-// bit-identical to looping the reference respond_one over the points — on
-// both servers' query distributions (tau = 0 queries phi + z, tau = 1
-// queries phi + x*z) and under every SIMD tier this CPU supports.
+// Differential tests for the fused multi-query evaluation engine: at every
+// parallelism setting and batch size, PirServer::respond must be
+// bit-identical to looping a per-point reference over the points — on both
+// servers' query distributions (tau = 0 queries phi + z, tau = 1 queries
+// phi + x*z) and under every SIMD tier this CPU supports. The first part of
+// each case name says what the fused answer is pinned to:
+//   Naive     — respond_naive, the term-by-term reference;
+//   Matrix    — respond_matrix, the paper's matrix representation;
+//   Bitsliced — the fused engine's own answer to each point asked alone,
+//               so batching and point tiling cannot move any point's bits.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,19 +22,53 @@
 namespace ice::pir {
 namespace {
 
+enum class Reference { kNaive, kMatrix, kBitsliced };
+
 struct Case {
-  EvalStrategy strategy;
+  Reference reference;
   std::size_t parallelism;
   std::size_t m;
 };
 
-std::string strategy_name(EvalStrategy s) {
-  switch (s) {
-    case EvalStrategy::kNaive: return "Naive";
-    case EvalStrategy::kMatrix: return "Matrix";
-    case EvalStrategy::kBitsliced: return "Bitsliced";
+std::string reference_name(Reference r) {
+  switch (r) {
+    case Reference::kNaive: return "Naive";
+    case Reference::kMatrix: return "Matrix";
+    case Reference::kBitsliced: return "Bitsliced";
   }
   return "?";
+}
+
+PirSingleResponse reference_response(const PirServer& server, Reference r,
+                                     const gf::GF4Vector& q) {
+  switch (r) {
+    case Reference::kNaive: return server.respond_naive(q);
+    case Reference::kMatrix: return server.respond_matrix(q);
+    case Reference::kBitsliced: break;
+  }
+  PirQuery one;
+  one.points.push_back(q);
+  return server.respond(one).entries.at(0);
+}
+
+/// Restores the dispatched XOR tier when a test leaves, even on a failed
+/// ASSERT.
+class TierGuard {
+ public:
+  TierGuard() : original_(simd::active_kernels().tier) {}
+  ~TierGuard() { simd::set_active_tier(original_); }
+
+ private:
+  simd::XorTier original_;
+};
+
+std::vector<simd::XorTier> supported_tiers() {
+  std::vector<simd::XorTier> tiers;
+  for (simd::XorTier tier : {simd::XorTier::kPortable, simd::XorTier::kAvx2,
+                             simd::XorTier::kAvx512}) {
+    if (simd::tier_supported(tier)) tiers.push_back(tier);
+  }
+  return tiers;
 }
 
 class PirBatchDiffTest : public ::testing::TestWithParam<Case> {
@@ -39,7 +78,7 @@ class PirBatchDiffTest : public ::testing::TestWithParam<Case> {
 };
 
 TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
-  const auto [strategy, parallelism, m] = GetParam();
+  const auto [reference, parallelism, m] = GetParam();
   SplitMix64 gen(0xba7c + m * 31 + parallelism);
   bn::Rng64Adapter rng(gen);
   TagDatabase db(kTagBits);
@@ -47,7 +86,7 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
     db.add(bn::random_bits(rng, 1 + gen.below(kTagBits)));
   }
   const Embedding emb(kN);
-  const PirServer server(db, emb, strategy, parallelism);
+  const PirServer server(db, emb, parallelism);
   const PirClient client(emb, kTagBits);
 
   // Realistic query distributions: what each of the two TPAs actually sees
@@ -56,29 +95,37 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
   for (std::size_t l = 0; l < m; ++l) wanted.push_back(gen.below(kN));
   const auto enc = client.encode(wanted, rng);
 
+  const TierGuard guard;
   for (std::size_t tau = 0; tau < PirClient::kNumServers; ++tau) {
     const PirQuery& query = enc.queries[tau];
-    const PirResponse fused = server.respond(query);
-    ASSERT_EQ(fused.entries.size(), m) << "tau=" << tau;
-    for (std::size_t l = 0; l < m; ++l) {
-      const PirSingleResponse ref = server.respond_one(query.points[l]);
-      EXPECT_EQ(fused.entries[l].values, ref.values)
-          << "tau=" << tau << " point " << l;
-      EXPECT_EQ(fused.entries[l].gradients, ref.gradients)
-          << "tau=" << tau << " point " << l;
+    simd::set_active_tier(simd::XorTier::kPortable);
+    std::vector<PirSingleResponse> refs;
+    for (const auto& q : query.points) {
+      refs.push_back(reference_response(server, reference, q));
+    }
+    for (simd::XorTier tier : supported_tiers()) {
+      simd::set_active_tier(tier);
+      const PirResponse fused = server.respond(query);
+      ASSERT_EQ(fused.entries.size(), m) << "tau=" << tau;
+      for (std::size_t l = 0; l < m; ++l) {
+        EXPECT_EQ(fused.entries[l].values, refs[l].values)
+            << simd::tier_name(tier) << " tau=" << tau << " point " << l;
+        EXPECT_EQ(fused.entries[l].gradients, refs[l].gradients)
+            << simd::tier_name(tier) << " tau=" << tau << " point " << l;
+      }
     }
   }
 }
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
-  for (EvalStrategy s : {EvalStrategy::kNaive, EvalStrategy::kMatrix,
-                         EvalStrategy::kBitsliced}) {
+  for (Reference r :
+       {Reference::kNaive, Reference::kMatrix, Reference::kBitsliced}) {
     for (std::size_t parallelism : {std::size_t{1}, std::size_t{0},
                                     std::size_t{4}}) {
       for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{17},
                             std::size_t{64}}) {
-        cases.push_back({s, parallelism, m});
+        cases.push_back({r, parallelism, m});
       }
     }
   }
@@ -88,7 +135,7 @@ std::vector<Case> all_cases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PirBatchDiffTest, ::testing::ValuesIn(all_cases()),
     [](const auto& info) {
-      return strategy_name(info.param.strategy) + "p" +
+      return reference_name(info.param.reference) + "p" +
              std::to_string(info.param.parallelism) + "m" +
              std::to_string(info.param.m);
     });
@@ -102,7 +149,7 @@ TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
   TagDatabase db(k);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, k));
   const Embedding emb(n);
-  const PirServer server(db, emb, EvalStrategy::kBitsliced);
+  const PirServer server(db, emb);
   const PirClient client(emb, k);
   std::vector<std::size_t> wanted = {3, 77, 3, 119, 0};
   const auto enc = client.encode(wanted, rng);
@@ -138,14 +185,13 @@ TEST(PirBatchTest, AnyWrongDimensionPointRejected) {
   TagDatabase db(32);
   db.add(bn::BigInt(5));
   const Embedding emb(1);
-  for (EvalStrategy s : {EvalStrategy::kNaive, EvalStrategy::kMatrix,
-                         EvalStrategy::kBitsliced}) {
-    const PirServer server(db, emb, s);
-    PirQuery query;
-    query.points.emplace_back(emb.gamma());
-    query.points.emplace_back(emb.gamma() + 1);  // second point malformed
-    EXPECT_THROW(server.respond(query), ParamError);
-  }
+  const PirServer server(db, emb);
+  PirQuery query;
+  query.points.emplace_back(emb.gamma());
+  query.points.emplace_back(emb.gamma() + 1);  // second point malformed
+  EXPECT_THROW(server.respond(query), ParamError);
+  EXPECT_THROW(server.respond_naive(query.points[1]), ParamError);
+  EXPECT_THROW(server.respond_matrix(query.points[1]), ParamError);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // End-to-end PIR tests: encode -> two servers respond -> decode recovers
-// exactly the requested tags, across strategies, database sizes and tag
-// widths; plus the query-privacy distribution property (Theorem 8).
+// exactly the requested tags, through each evaluator (the fused engine and
+// both per-point references), across database sizes and tag widths; plus
+// the query-privacy distribution property (Theorem 8).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,19 +16,34 @@
 namespace ice::pir {
 namespace {
 
+/// Which evaluator answers: the per-point references looped over the
+/// query, or the fused engine.
+enum class Evaluator { kNaive, kMatrix, kBitsliced };
+
 struct Params {
   std::size_t n;
   std::size_t tag_bits;
-  EvalStrategy strategy;
+  Evaluator evaluator;
 };
 
-std::string strategy_name(EvalStrategy s) {
-  switch (s) {
-    case EvalStrategy::kNaive: return "Naive";
-    case EvalStrategy::kMatrix: return "Matrix";
-    case EvalStrategy::kBitsliced: return "Bitsliced";
+std::string evaluator_name(Evaluator e) {
+  switch (e) {
+    case Evaluator::kNaive: return "Naive";
+    case Evaluator::kMatrix: return "Matrix";
+    case Evaluator::kBitsliced: return "Bitsliced";
   }
   return "?";
+}
+
+PirResponse answer(const PirServer& server, Evaluator e,
+                   const PirQuery& query) {
+  if (e == Evaluator::kBitsliced) return server.respond(query);
+  PirResponse out;
+  for (const auto& q : query.points) {
+    out.entries.push_back(e == Evaluator::kNaive ? server.respond_naive(q)
+                                                 : server.respond_matrix(q));
+  }
+  return out;
 }
 
 class PirRoundTripTest : public ::testing::TestWithParam<Params> {
@@ -38,7 +54,7 @@ class PirRoundTripTest : public ::testing::TestWithParam<Params> {
 };
 
 TEST_P(PirRoundTripTest, RecoversRequestedTags) {
-  const auto [n, tag_bits, strategy] = GetParam();
+  const auto [n, tag_bits, evaluator] = GetParam();
   TagDatabase db(tag_bits);
   std::vector<bn::BigInt> truth;
   for (std::size_t i = 0; i < n; ++i) {
@@ -46,16 +62,16 @@ TEST_P(PirRoundTripTest, RecoversRequestedTags) {
     db.add(truth.back());
   }
   const Embedding emb(n);
-  const PirServer s0(db, emb, strategy);
-  const PirServer s1(db, emb, strategy);
+  const PirServer s0(db, emb);
+  const PirServer s1(db, emb);
   const PirClient client(emb, tag_bits);
 
   // Query a batch of random indexes (with repeats allowed).
   std::vector<std::size_t> wanted;
   for (int i = 0; i < 5; ++i) wanted.push_back(gen_.below(n));
   auto enc = client.encode(wanted, rng_);
-  const PirResponse r0 = s0.respond(enc.queries[0]);
-  const PirResponse r1 = s1.respond(enc.queries[1]);
+  const PirResponse r0 = answer(s0, evaluator, enc.queries[0]);
+  const PirResponse r1 = answer(s1, evaluator, enc.queries[1]);
   const auto tags = client.decode(enc.secrets, r0, r1);
   ASSERT_EQ(tags.size(), wanted.size());
   for (std::size_t l = 0; l < wanted.size(); ++l) {
@@ -65,24 +81,26 @@ TEST_P(PirRoundTripTest, RecoversRequestedTags) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PirRoundTripTest,
-    ::testing::Values(Params{1, 64, EvalStrategy::kBitsliced},
-                      Params{10, 64, EvalStrategy::kNaive},
-                      Params{10, 64, EvalStrategy::kMatrix},
-                      Params{10, 64, EvalStrategy::kBitsliced},
-                      Params{100, 128, EvalStrategy::kNaive},
-                      Params{100, 128, EvalStrategy::kMatrix},
-                      Params{100, 128, EvalStrategy::kBitsliced},
-                      Params{200, 256, EvalStrategy::kMatrix},
-                      Params{200, 256, EvalStrategy::kBitsliced},
-                      Params{500, 1024, EvalStrategy::kBitsliced},
-                      Params{64, 1, EvalStrategy::kBitsliced},
-                      Params{65, 65, EvalStrategy::kMatrix}),
+    ::testing::Values(Params{1, 64, Evaluator::kBitsliced},
+                      Params{10, 64, Evaluator::kNaive},
+                      Params{10, 64, Evaluator::kMatrix},
+                      Params{10, 64, Evaluator::kBitsliced},
+                      Params{100, 128, Evaluator::kNaive},
+                      Params{100, 128, Evaluator::kMatrix},
+                      Params{100, 128, Evaluator::kBitsliced},
+                      Params{200, 256, Evaluator::kMatrix},
+                      Params{200, 256, Evaluator::kBitsliced},
+                      Params{500, 1024, Evaluator::kBitsliced},
+                      Params{64, 1, Evaluator::kBitsliced},
+                      Params{65, 65, Evaluator::kMatrix}),
     [](const auto& info) {
       return "n" + std::to_string(info.param.n) + "k" +
              std::to_string(info.param.tag_bits) +
-             strategy_name(info.param.strategy);
+             evaluator_name(info.param.evaluator);
     });
 
+// Random (not client-encoded) points: the two references and the fused
+// engine's one-point answer agree on every value and gradient.
 TEST(PirStrategiesTest, AllStrategiesAgreeOnResponses) {
   SplitMix64 gen(515);
   bn::Rng64Adapter rng(gen);
@@ -90,15 +108,16 @@ TEST(PirStrategiesTest, AllStrategiesAgreeOnResponses) {
   TagDatabase db(k);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, k));
   const Embedding emb(n);
-  const PirServer naive(db, emb, EvalStrategy::kNaive);
-  const PirServer matrix(db, emb, EvalStrategy::kMatrix);
-  const PirServer bitsliced(db, emb, EvalStrategy::kBitsliced);
+  const PirServer server(db, emb);
   for (int trial = 0; trial < 5; ++trial) {
-    gf::GF4Vector q(emb.gamma());
-    for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
-    const auto a = naive.respond_one(q);
-    const auto b = matrix.respond_one(q);
-    const auto c = bitsliced.respond_one(q);
+    PirQuery query;
+    query.points.emplace_back(emb.gamma());
+    for (auto& v : query.points[0]) {
+      v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
+    }
+    const auto a = server.respond_naive(query.points[0]);
+    const auto b = server.respond_matrix(query.points[0]);
+    const auto c = server.respond(query).entries.at(0);
     EXPECT_EQ(a.values, b.values);
     EXPECT_EQ(a.values, c.values);
     EXPECT_EQ(a.gradients, b.gradients);
@@ -111,7 +130,9 @@ TEST(PirClientTest, WrongDimensionQueryRejected) {
   db.add(bn::BigInt(7));
   const Embedding emb(1);
   const PirServer server(db, emb);
-  EXPECT_THROW(server.respond_one(gf::GF4Vector(emb.gamma() + 1)),
+  EXPECT_THROW(server.respond_naive(gf::GF4Vector(emb.gamma() + 1)),
+               ParamError);
+  EXPECT_THROW(server.respond_matrix(gf::GF4Vector(emb.gamma() + 1)),
                ParamError);
 }
 

@@ -202,19 +202,6 @@ TEST(TagDatabaseTest, AddExtendsWarmPlanesInPlace) {
   EXPECT_EQ(db.epoch_stats().dirty_rows, 0u);
 }
 
-// The pre-epoch baseline still works: a direct write drops the whole plane
-// cache and the next plane() pays a cold rebuild of the new state.
-TEST(TagDatabaseTest, UpdateInPlaceInvalidatesPlanes) {
-  TagDatabase db(8);
-  db.add(bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).size(), 1u);
-  db.update_in_place(0, bn::BigInt(0b10));
-  EXPECT_EQ(db.tag(0), bn::BigInt(0b10));  // immediate, no epoch
-  EXPECT_TRUE(db.plane(0).empty());
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(db.epoch(), 0u);
-}
-
 TEST(TagDatabaseTest, RowWordsMatchLimbs) {
   TagDatabase db(128);
   const bn::BigInt tag = bn::BigInt::from_hex("0123456789abcdefdeadbeefcafebabe");
@@ -230,9 +217,10 @@ TEST(TagDatabaseTest, BuildPlanesReturnsTime) {
   EXPECT_GE(db.build_planes(), 0.0);
 }
 
-// End-to-end epoch semantics through the kMatrix eval path: a retrieval
-// between update() and close_epoch() still decodes the OLD tag (snapshot
-// isolation), and the retrieval after the close sees the replacement.
+// End-to-end epoch semantics through the matrix evaluator (respond_matrix,
+// which reads the plane overlay): a retrieval between update() and
+// close_epoch() still decodes the OLD tag (snapshot isolation), and the
+// retrieval after the close sees the replacement.
 TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   SplitMix64 gen(0xa11d);
   bn::Rng64Adapter rng(gen);
@@ -240,15 +228,20 @@ TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   TagDatabase db(tag_bits);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
   const Embedding emb(n);
-  const PirServer server(db, emb, EvalStrategy::kMatrix);
+  const PirServer server(db, emb);
   const PirClient client(emb, tag_bits);
 
   const std::size_t target = 23;
+  const auto matrix_response = [&](const PirQuery& query) {
+    PirResponse out;
+    out.entries.push_back(server.respond_matrix(query.points.at(0)));
+    return out;
+  };
   const auto retrieve = [&](std::size_t idx) {
     std::vector<std::size_t> wanted = {idx};
     const auto enc = client.encode(wanted, rng);
-    return client.decode(enc.secrets, server.respond(enc.queries[0]),
-                         server.respond(enc.queries[1]))[0];
+    return client.decode(enc.secrets, matrix_response(enc.queries[0]),
+                         matrix_response(enc.queries[1]))[0];
   };
 
   // Force the lazy plane build with a pre-update retrieval.
@@ -262,6 +255,51 @@ TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   EXPECT_EQ(retrieve(target), replacement);
   // Neighbours are untouched.
   EXPECT_EQ(retrieve(target - 1), db.tag(target - 1));
+}
+
+// The matrix reference reads the plane overlay after a close; the naive
+// reference reads the rows. Both must agree point for point before the
+// update, while it is staged, and after the close has merged it into the
+// overlay (and after a later close that reaches the full-rebuild
+// threshold).
+TEST(TagDatabaseTest, MatrixMatchesNaiveAcrossPlaneOverlay) {
+  SplitMix64 gen(0x0e1a);
+  bn::Rng64Adapter rng(gen);
+  const std::size_t n = 120, tag_bits = 80;
+  TagDatabase db(tag_bits);
+  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
+  const Embedding emb(n);
+  const PirServer server(db, emb);
+  const PirClient client(emb, tag_bits);
+  std::vector<std::size_t> wanted;
+  for (std::size_t l = 0; l < 6; ++l) wanted.push_back(gen.below(n));
+  const auto enc = client.encode(wanted, rng);
+
+  const auto expect_agree = [&](const char* phase) {
+    for (const PirQuery& query : enc.queries) {
+      for (const auto& q : query.points) {
+        const PirSingleResponse naive = server.respond_naive(q);
+        const PirSingleResponse matrix = server.respond_matrix(q);
+        EXPECT_EQ(matrix.values, naive.values) << phase;
+        EXPECT_EQ(matrix.gradients, naive.gradients) << phase;
+      }
+    }
+  };
+  expect_agree("warm planes");  // builds the planes
+  for (std::size_t l = 0; l < wanted.size(); ++l) {
+    db.update(wanted[l], bn::random_bits(rng, tag_bits));
+  }
+  expect_agree("staged");
+  const EpochMergeStats merged = db.close_epoch();
+  ASSERT_TRUE(merged.closed);
+  ASSERT_FALSE(merged.planes_rebuilt);
+  ASSERT_GT(db.epoch_stats().dirty_rows, 0u);
+  expect_agree("overlay");
+  for (std::size_t i = 0; i < n; ++i) {
+    db.update(i, bn::random_bits(rng, tag_bits));
+  }
+  ASSERT_TRUE(db.close_epoch().planes_rebuilt);
+  expect_agree("rebuilt");
 }
 
 }  // namespace

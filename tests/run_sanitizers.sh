@@ -8,8 +8,9 @@
 # basic+batch stress over shared services (SessionStressTest at parallelism
 # 1/4/hardware, SessionCollisionTest.RacingStartAuditsOneWinner), the
 # cross-service smoke under both channel families (stress_bench_sessions),
-# and the sharded audit fan-out: per-shard content locks vs. the structural
-# epoch protocol (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
+# and the sharded audit fan-out: staged updates racing fan-out retrievals
+# under the one structure lock, with closes, splits and appends taking it
+# exclusively (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
 # ShardServiceTest.ConcurrentUpdatesAndShardedRetrievals) plus the
 # cross-shard differential suite in shard_audit_test and smoke_bench_shards.
 # The PR 9 epoch engine adds the snapshot-isolation storm targets: staged
@@ -17,11 +18,13 @@
 # (UpdateEpochTest.StormAuditsMatchQuiescedReferenceBitExact pins mid-storm
 # verdicts bit-exact to the quiesced reference), the mid-audit differential
 # across layouts (EpochServiceTest.*), the update-storm sim scenario
-# (UpdateStormTest.*) and the two-arm storm bench (smoke_bench_updates).
+# (UpdateStormTest.*) and the merge + epoch-storm bench (smoke_bench_updates).
 # The online/offline split adds its own TSan targets: the OfflineWorker's
 # refill task racing try_acquire/rekey on the sharded ChallengePool
 # (OfflineWorkerTest.StopDuringRefillDoesNotRace,
-# ConcurrentRekeyNeverLeavesStaleBundles), the pool-served vs cold-path
+# ConcurrentRekeyNeverLeavesStaleBundles,
+# ChallengePoolTest.MintSpecNeverPairsNewGenerationWithOldKey), the
+# pool-served vs cold-path
 # service differential (OfflineServiceTest.*), and the fleet simulation's
 # scheduler loop over pooled challenges (FleetSimTest.*, smoke_bench_fleet).
 # The thread pool's FIFO of concurrent broadcast jobs is gated by its own
