@@ -1,18 +1,14 @@
-// Fused multi-query bitsliced PIR engine vs a per-point loop.
+// The fused PIR engine's respond cost per (n, m) and SIMD tier.
 //
-// For each (n, m) cell this measures
-//   loop      — m separate per-point sweeps in the pre-fusion bitsliced
-//               evaluation structure (see below),
-//   fused     — one respond() pass at the best SIMD tier this CPU has,
-//   fused/u64 — the same fused pass with the portable kernel forced,
-// and reports speedup plus the tag bytes each variant streams through the
-// accumulators (the loop sweeps the database m times, the fused engine
-// once). Results land in BENCH_pir.json for EXPERIMENTS.md.
-//
-// The loop baseline is a transcription of the per-point bitsliced inner
-// loop the fused engine replaced — scalar XOR lambda, branchy
-// per-component skips, fresh plane allocations per call, per-bit unpack —
-// checked against the fused engine's one-point answer before timing.
+// For each (n, m) cell and each XOR kernel tier this CPU supports, this
+// times one single-threaded respond() and reports it as nanoseconds per
+// row·point (respond time / (n · m)): the run-factored sweep does a
+// constant amount of work per row and point, so the figure is comparable
+// across sizes and tiers. Before timing, every tier must return the
+// portable tier's exact answer, and the portable answer to the first point
+// must equal the term-by-term respond_naive reference at the smallest n.
+// Results land in BENCH_pir.json; the portable/AVX2/AVX-512 ratios are
+// what decides whether a middle tier earns its code.
 //
 // A second arm measures two threads responding at once on one shared
 // pooled server (n = 10^5, m = 10), the way both TPA replicas of one
@@ -37,89 +33,6 @@ namespace {
 using namespace ice;
 using namespace ice::bench;
 
-struct Cell {
-  double loop_ms;
-  double fused_ms;
-  double fused_portable_ms;
-};
-
-// Per-point bitsliced evaluation as it was before the fused engine
-// (plane-major gradients: out.gradients[pi][j] = dF_pi/dx_j, the old wire
-// layout).
-struct BaselineResult {
-  gf::GF4Vector values;
-  std::vector<gf::GF4Vector> gradients;
-};
-
-BaselineResult baseline_bitsliced(const pir::TagDatabase& db,
-                                  const pir::Embedding& emb,
-                                  const gf::GF4Vector& q) {
-  const std::size_t n = db.size();
-  const std::size_t k = db.tag_bits();
-  const std::size_t gamma = emb.gamma();
-  const std::size_t w = db.words_per_tag();
-  auto xor_row = [w](std::uint64_t* dst, const std::uint64_t* src) {
-    for (std::size_t j = 0; j < w; ++j) dst[j] ^= src[j];
-  };
-  std::vector<std::uint64_t> v_lo(w, 0), v_hi(w, 0);
-  std::vector<std::uint64_t> g_lo(gamma * w, 0), g_hi(gamma * w, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const pir::Embedding::Triple t = emb.triple(i);
-    const gf::GF4 qa = q[t[0]], qb = q[t[1]], qc = q[t[2]];
-    const gf::GF4 deriv[3] = {qb * qc, qa * qc, qa * qb};
-    const gf::GF4 mono = qa * deriv[0];
-    const std::uint64_t* row = db.row(i);
-    if (mono.value() & 1) xor_row(v_lo.data(), row);
-    if (mono.value() & 2) xor_row(v_hi.data(), row);
-    for (int d = 0; d < 3; ++d) {
-      const gf::GF4 dv = deriv[d];
-      if (dv.is_zero()) continue;
-      const std::size_t pos = t[static_cast<std::size_t>(d)];
-      if (dv.value() & 1) xor_row(g_lo.data() + pos * w, row);
-      if (dv.value() & 2) xor_row(g_hi.data() + pos * w, row);
-    }
-  }
-  BaselineResult out;
-  out.values.assign(k, gf::GF4::zero());
-  out.gradients.assign(k, gf::GF4Vector(gamma));
-  for (std::size_t pi = 0; pi < k; ++pi) {
-    const std::size_t word = pi / 64;
-    const std::size_t bit = pi % 64;
-    const auto lo = static_cast<std::uint8_t>((v_lo[word] >> bit) & 1u);
-    const auto hi = static_cast<std::uint8_t>((v_hi[word] >> bit) & 1u);
-    out.values[pi] = gf::GF4(static_cast<std::uint8_t>(lo | (hi << 1)));
-    gf::GF4Vector& grad = out.gradients[pi];
-    for (std::size_t j = 0; j < gamma; ++j) {
-      const auto glo =
-          static_cast<std::uint8_t>((g_lo[j * w + word] >> bit) & 1u);
-      const auto ghi =
-          static_cast<std::uint8_t>((g_hi[j * w + word] >> bit) & 1u);
-      grad[j] = gf::GF4(static_cast<std::uint8_t>(glo | (ghi << 1)));
-    }
-  }
-  return out;
-}
-
-// The transcription must compute the same response as today's engine
-// (modulo the gradient transpose) or the comparison is meaningless.
-void check_baseline(const pir::PirServer& server, const pir::TagDatabase& db,
-                    const pir::Embedding& emb, const gf::GF4Vector& q) {
-  const BaselineResult base = baseline_bitsliced(db, emb, q);
-  pir::PirQuery one;
-  one.points.push_back(q);
-  const pir::PirSingleResponse ref = server.respond(one).entries.at(0);
-  bool ok = base.values == ref.values;
-  for (std::size_t pi = 0; ok && pi < base.values.size(); ++pi) {
-    for (std::size_t j = 0; j < emb.gamma(); ++j) {
-      if (base.gradients[pi][j] != ref.gradients[j][pi]) ok = false;
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr, "FATAL: per-point baseline disagrees with engine\n");
-    std::exit(1);
-  }
-}
-
 pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
                          std::size_t tag_bits, std::size_t m,
                          std::uint64_t seed) {
@@ -131,22 +44,50 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
   return client.encode(wanted, rng).queries[0];
 }
 
-Cell measure(const pir::PirServer& server, const pir::TagDatabase& db,
-             const pir::Embedding& emb, const pir::PirQuery& query,
-             int reps) {
-  Cell cell{};
-  const simd::XorTier best = simd::best_supported_tier();
+bool same_response(const pir::PirResponse& x, const pir::PirResponse& y) {
+  if (x.entries.size() != y.entries.size()) return false;
+  for (std::size_t l = 0; l < x.entries.size(); ++l) {
+    if (x.entries[l].values != y.entries[l].values ||
+        x.entries[l].gradients != y.entries[l].gradients) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<simd::XorTier> supported_tiers() {
+  std::vector<simd::XorTier> tiers;
+  for (simd::XorTier t : {simd::XorTier::kPortable, simd::XorTier::kAvx2,
+                          simd::XorTier::kAvx512}) {
+    if (simd::tier_supported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+// Exits non-zero unless every tier answers `query` exactly as the portable
+// tier does and, when `check_naive`, the portable answer to the first
+// point equals respond_naive's.
+void require_tiers_agree(const pir::PirServer& server,
+                         const pir::PirQuery& query, bool check_naive) {
   simd::set_active_tier(simd::XorTier::kPortable);
-  check_baseline(server, db, emb, query.points.front());
-  cell.loop_ms = 1e3 * time_median(reps, [&] {
-    for (const auto& q : query.points) (void)baseline_bitsliced(db, emb, q);
-  });
-  cell.fused_portable_ms =
-      1e3 * time_median(reps, [&] { (void)server.respond(query); });
-  simd::set_active_tier(best);
-  cell.fused_ms =
-      1e3 * time_median(reps, [&] { (void)server.respond(query); });
-  return cell;
+  const pir::PirResponse reference = server.respond(query);
+  bool ok = true;
+  if (check_naive) {
+    const pir::PirSingleResponse naive =
+        server.respond_naive(query.points.front());
+    ok = naive.values == reference.entries.front().values &&
+         naive.gradients == reference.entries.front().gradients;
+  }
+  for (simd::XorTier tier : supported_tiers()) {
+    simd::set_active_tier(tier);
+    ok = ok && same_response(server.respond(query), reference);
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "FATAL: PIR respond disagrees with the portable tier or "
+                 "respond_naive\n");
+    std::exit(1);
+  }
 }
 
 struct ConcurrentCell {
@@ -203,55 +144,55 @@ int main(int argc, char** argv) {
   const std::size_t tag_bits = smoke ? 64 : 1024;
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{60}
-            : std::vector<std::size_t>{1000, 10000};
+            : std::vector<std::size_t>{100000, 1000000};
   const std::vector<std::size_t> batch =
       smoke ? std::vector<std::size_t>{1, 4}
-            : std::vector<std::size_t>{1, 4, 16, 64};
+            : std::vector<std::size_t>{10, 40};
+  const int reps = smoke ? 1 : 5;
 
-  print_header("Fused multi-query bitsliced PIR evaluation (K = tag bits)");
-  std::printf("XOR kernel: %s (best supported tier)\n",
+  print_header("Fused PIR respond per tier, one thread (K = tag bits)");
+  std::printf("best supported tier: %s\n",
               simd::tier_name(simd::best_supported_tier()));
-  std::printf("%-7s %-4s %12s %12s %14s %9s %9s %12s\n", "n", "m",
-              "loop(ms)", "fused(ms)", "fused/u64(ms)", "speedup", "simd x",
-              "swept(MB)");
+  std::printf("%-8s %-4s %-9s %12s %16s %12s\n", "n", "m", "tier",
+              "respond(ms)", "ns/row·point", "vs portable");
 
+  const simd::XorTier best = simd::best_supported_tier();
   for (std::size_t n : sizes) {
     pir::TagDatabase db(tag_bits);
     for (const auto& t : synthetic_tags(n, tag_bits, 7 + n)) db.add(t);
     const pir::Embedding emb(n);
-    const double row_mb =
-        static_cast<double>(n * db.words_per_tag() * 8) / (1024.0 * 1024.0);
     const pir::PirServer server(db, emb, /*parallelism=*/1);
 
     for (std::size_t m : batch) {
       const pir::PirQuery query = make_query(emb, n, tag_bits, m, 11 * n + m);
-      const Cell cell = measure(server, db, emb, query, smoke ? 1 : 5);
-      const double speedup = cell.loop_ms / cell.fused_ms;
-      const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
-      std::printf("%-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
-                  "%6.1f->%4.1f\n",
-                  n, m, cell.loop_ms, cell.fused_ms, cell.fused_portable_ms,
-                  speedup, simd_gain, static_cast<double>(m) * row_mb,
-                  row_mb);
-      if (!smoke) {
-        std::ostringstream body;
-        body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
-             << ", \"m\": " << m << ", \"loop_ms\": " << cell.loop_ms
-             << ", \"fused_ms\": " << cell.fused_ms
-             << ", \"fused_portable_ms\": " << cell.fused_portable_ms
-             << ", \"speedup\": " << speedup
-             << ", \"portable_over_simd\": " << simd_gain
-             << ", \"swept_mb_loop\": " << static_cast<double>(m) * row_mb
-             << ", \"swept_mb_fused\": " << row_mb << ", \"kernel\": \""
-             << simd::tier_name(simd::best_supported_tier()) << "\"}";
-        std::ostringstream section;
-        section << "pir_bitsliced_n" << n << "_m" << m;
-        emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
+      require_tiers_agree(server, query, n == sizes.front());
+      double portable_ms = 0;
+      for (simd::XorTier tier : supported_tiers()) {
+        simd::set_active_tier(tier);
+        const double ms =
+            1e3 * time_median(reps, [&] { (void)server.respond(query); });
+        if (tier == simd::XorTier::kPortable) portable_ms = ms;
+        const double ns_per =
+            ms * 1e6 / static_cast<double>(n * m);
+        std::printf("%-8zu %-4zu %-9s %12.3f %16.3f %11.2fx\n", n, m,
+                    simd::tier_name(tier), ms, ns_per, portable_ms / ms);
+        if (!smoke) {
+          std::ostringstream body;
+          body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
+               << ", \"m\": " << m << ", \"tier\": \""
+               << simd::tier_name(tier) << "\", \"reps\": " << reps
+               << ", \"respond_ms\": " << ms
+               << ", \"ns_per_row_point\": " << ns_per
+               << ", \"portable_over_tier\": " << portable_ms / ms << "}";
+          std::ostringstream section;
+          section << "pir_respond_n" << n << "_m" << m << "_"
+                  << simd::tier_name(tier);
+          emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
+        }
       }
     }
   }
-  std::printf("\nTakeaway: one database sweep with m-way accumulation "
-              "replaces m sweeps;\nthe SIMD XOR kernels stack on top.\n");
+  simd::set_active_tier(best);
 
   const std::size_t cn = smoke ? 200 : 100000;
   const std::size_t cm = 10;

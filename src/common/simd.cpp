@@ -35,85 +35,70 @@ void xor_row_portable(std::uint64_t* dst, const std::uint64_t* src,
   for (; j < w; ++j) dst[j] ^= src[j];
 }
 
-void xor_row2_portable(std::uint64_t* lo, std::uint64_t* hi,
-                       const std::uint64_t* src, std::size_t w,
-                       std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  std::size_t j = 0;
-  for (; j + 2 <= w; j += 2) {
-    const std::uint64_t s0 = src[j], s1 = src[j + 1];
-    lo[j] ^= s0 & ml;
-    lo[j + 1] ^= s1 & ml;
-    hi[j] ^= s0 & mh;
-    hi[j + 1] ^= s1 & mh;
-  }
-  if (j < w) {
-    lo[j] ^= src[j] & ml;
-    hi[j] ^= src[j] & mh;
+// GF(4) products of 2-bit elements (gf::GF4's table: x^2 = x + 1).
+constexpr std::uint8_t kGf4Mul[4][4] = {
+    {0, 0, 0, 0}, {0, 1, 2, 3}, {0, 2, 3, 1}, {0, 3, 1, 2}};
+
+// All-ones when bit `bit` of the 2-bit element e is set, else zero.
+constexpr std::uint64_t bit_mask(unsigned e, unsigned bit) {
+  return 0 - static_cast<std::uint64_t>((e >> bit) & 1u);
+}
+
+// Words per block of the portable run kernel: U (2 x 16 words, one K =
+// 1024 row per plane) lives in a stack block the word loops vectorize over.
+constexpr std::size_t kRunWords = 16;
+
+// dst pair ([lo | hi], w apart) += c * (ul + uh x) over bw words. With
+// x (lo + hi x) = hi + (lo + hi) x the product is
+//   c = 1: (ul, uh),  c = 2: (uh, ul ^ uh),  c = 3: (ul ^ uh, ul).
+void add_scaled_portable(std::uint64_t* dst, std::size_t w,
+                         const std::uint64_t* ul, const std::uint64_t* uh,
+                         std::size_t bw, unsigned c) {
+  if (c == 0) return;
+  const std::uint64_t m0 = bit_mask(c, 0), m1 = bit_mask(c, 1);
+  for (std::size_t j = 0; j < bw; ++j) {
+    dst[j] ^= (ul[j] & m0) ^ (uh[j] & m1);
+    dst[w + j] ^= (uh[j] & m0) ^ ((ul[j] ^ uh[j]) & m1);
   }
 }
 
-void xor_scatter_portable(std::uint64_t* acc, const std::uint64_t* rows,
-                          std::size_t w, const std::uint64_t* entries,
-                          std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path, run-detecting: the run extent is scanned first so
-    // the fold loop has a known trip count (which keeps the local
-    // accumulator in registers), then a run of entries sharing a
-    // destination XORs together before the single writeback — the
-    // destination's load/store round-trip is paid once per run instead of
-    // once per entry, dodging the store-forward chain that dominates plain
-    // read-modify-write scatter. Singleton runs skip the local accumulator
-    // entirely. Arbitrary entry orderings remain correct (worst case every
-    // run has length one and this is the plain scatter).
-    std::size_t e = 0;
-    while (e < count) {
-      const std::uint32_t d = static_cast<std::uint32_t>(entries[e]);
-      std::size_t f = e + 1;
-      while (f < count && static_cast<std::uint32_t>(entries[f]) == d) ++f;
-      std::uint64_t* const dst = acc + d;
-      if (f == e + 1) {
-        const std::uint64_t* const src = rows + (entries[e] >> 32);
-        for (std::size_t j = 0; j < 16; ++j) dst[j] ^= src[j];
-      } else {
-        std::uint64_t a[16];
-        for (std::size_t j = 0; j < 16; ++j) a[j] = dst[j];
-        for (std::size_t x = e; x < f; ++x) {
-          const std::uint64_t* const src = rows + (entries[x] >> 32);
-          for (std::size_t j = 0; j < 16; ++j) a[j] ^= src[j];
-        }
-        for (std::size_t j = 0; j < 16; ++j) dst[j] = a[j];
-      }
-      e = f;
+// Words [j0, j0 + bw) of xor_run, bw <= kRunWords.
+void run_words_portable(std::uint64_t* acc, const std::uint64_t* rows,
+                        std::size_t w, const std::uint8_t* q, std::uint32_t a,
+                        std::uint32_t b, std::uint32_t c0, std::size_t len,
+                        std::size_t j0, std::size_t bw) {
+  const unsigned qa = q[a], qb = q[b], s = kGf4Mul[qa][qb];
+  const std::size_t pair = 2 * w;
+  std::uint64_t ul[kRunWords] = {}, uh[kRunWords] = {};
+  const std::uint64_t* t = rows + j0;
+  std::uint64_t* dc = acc + pair * (1 + c0) + j0;
+  for (std::size_t r = 0; r < len; ++r, t += w, dc += pair) {
+    const unsigned qc = q[c0 + r];
+    const std::uint64_t ml = bit_mask(qc, 0), mh = bit_mask(qc, 1);
+    for (std::size_t j = 0; j < bw; ++j) {
+      ul[j] ^= t[j] & ml;
+      uh[j] ^= t[j] & mh;
     }
-    return;
+    if (s & 1u) {
+      for (std::size_t j = 0; j < bw; ++j) dc[j] ^= t[j];
+    }
+    if (s & 2u) {
+      for (std::size_t j = 0; j < bw; ++j) dc[w + j] ^= t[j];
+    }
   }
-  for (std::size_t e = 0; e < count; ++e) {
-    std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-    const std::uint64_t* const src = rows + (entries[e] >> 32);
-    for (std::size_t j = 0; j < w; ++j) dst[j] ^= src[j];
-  }
+  add_scaled_portable(acc + j0, w, ul, uh, bw, s);
+  add_scaled_portable(acc + pair * (1 + a) + j0, w, ul, uh, bw, qb);
+  add_scaled_portable(acc + pair * (1 + b) + j0, w, ul, uh, bw, qa);
 }
 
-void xor_scatter_single_portable(std::uint64_t* acc,
-                                 const std::uint64_t* rows, std::size_t w,
-                                 const std::uint64_t* entries,
-                                 std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path: a fixed trip count lets the compiler fully
-    // unroll/vectorize the row XOR with the baseline ISA.
-    for (std::size_t e = 0; e < count; ++e) {
-      std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-      const std::uint64_t* const src = rows + (entries[e] >> 32);
-      for (std::size_t j = 0; j < 16; ++j) dst[j] ^= src[j];
-    }
-    return;
-  }
-  for (std::size_t e = 0; e < count; ++e) {
-    std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-    const std::uint64_t* const src = rows + (entries[e] >> 32);
-    for (std::size_t j = 0; j < w; ++j) dst[j] ^= src[j];
+void xor_run_portable(std::uint64_t* acc, const std::uint64_t* rows,
+                      std::size_t w, const std::uint8_t* q, std::uint32_t a,
+                      std::uint32_t b, std::uint32_t c0, std::size_t len) {
+  // Every term of the run carries q_a or q_b.
+  if ((q[a] | q[b]) == 0) return;
+  for (std::size_t j0 = 0; j0 < w; j0 += kRunWords) {
+    run_words_portable(acc, rows, w, q, a, b, c0, len, j0,
+                       std::min(kRunWords, w - j0));
   }
 }
 
@@ -173,120 +158,74 @@ __attribute__((target("avx2"))) void xor_row_avx2(std::uint64_t* dst,
   for (; j < w; ++j) dst[j] ^= src[j];
 }
 
-__attribute__((target("avx2"))) void xor_row2_avx2(std::uint64_t* lo,
-                                                   std::uint64_t* hi,
-                                                   const std::uint64_t* src,
-                                                   std::size_t w,
-                                                   std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  const __m256i vml = _mm256_set1_epi64x(static_cast<long long>(ml));
-  const __m256i vmh = _mm256_set1_epi64x(static_cast<long long>(mh));
-  std::size_t j = 0;
-  for (; j + 4 <= w; j += 4) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + j));
-    const __m256i l =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo + j),
-                        _mm256_xor_si256(l, _mm256_and_si256(s, vml)));
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi + j),
-                        _mm256_xor_si256(h, _mm256_and_si256(s, vmh)));
-  }
-  for (; j < w; ++j) {
-    lo[j] ^= src[j] & ml;
-    hi[j] ^= src[j] & mh;
-  }
+// dst pair += c * (u_lo, u_hi) for one 4-word lane (see
+// add_scaled_portable for the GF(4) product).
+__attribute__((target("avx2"))) void add_scaled_avx2(std::uint64_t* dst,
+                                                     std::size_t w,
+                                                     __m256i ul, __m256i uh,
+                                                     unsigned c) {
+  const __m256i m0 =
+      _mm256_set1_epi64x(static_cast<long long>(bit_mask(c, 0)));
+  const __m256i m1 =
+      _mm256_set1_epi64x(static_cast<long long>(bit_mask(c, 1)));
+  const __m256i lo = _mm256_xor_si256(_mm256_and_si256(ul, m0),
+                                      _mm256_and_si256(uh, m1));
+  const __m256i hi = _mm256_xor_si256(
+      _mm256_and_si256(uh, m0),
+      _mm256_and_si256(_mm256_xor_si256(ul, uh), m1));
+  __m256i* const l = reinterpret_cast<__m256i*>(dst);
+  __m256i* const h = reinterpret_cast<__m256i*>(dst + w);
+  _mm256_storeu_si256(l, _mm256_xor_si256(_mm256_loadu_si256(l), lo));
+  _mm256_storeu_si256(h, _mm256_xor_si256(_mm256_loadu_si256(h), hi));
 }
 
-__attribute__((target("avx2"))) void xor_scatter_avx2(
+__attribute__((target("avx2"))) void xor_run_avx2(
     std::uint64_t* acc, const std::uint64_t* rows, std::size_t w,
-    const std::uint64_t* entries, std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path, run-detecting (see the portable kernel for the
-    // run rationale): a run holds the destination in four ymm accumulators
-    // across all of its row XORs.
-    std::size_t e = 0;
-    while (e < count) {
-      const std::uint32_t d = static_cast<std::uint32_t>(entries[e]);
-      std::size_t f = e + 1;
-      while (f < count && static_cast<std::uint32_t>(entries[f]) == d) ++f;
-      std::uint64_t* const dst = acc + d;
-      if (f == e + 1) {
-        const std::uint64_t* const src = rows + (entries[e] >> 32);
-        for (int j = 0; j < 4; ++j) {
-          const __m256i s = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(src + 4 * j));
-          __m256i* const dj = reinterpret_cast<__m256i*>(dst + 4 * j);
-          _mm256_storeu_si256(dj,
-                              _mm256_xor_si256(_mm256_loadu_si256(dj), s));
-        }
-      } else {
-        __m256i a0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst));
-        __m256i a1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + 4));
-        __m256i a2 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + 8));
-        __m256i a3 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + 12));
-        for (std::size_t x = e; x < f; ++x) {
-          const std::uint64_t* const src = rows + (entries[x] >> 32);
-          a0 = _mm256_xor_si256(
-              a0, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)));
-          a1 = _mm256_xor_si256(
-              a1,
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 4)));
-          a2 = _mm256_xor_si256(
-              a2,
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 8)));
-          a3 = _mm256_xor_si256(
-              a3, _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(src + 12)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), a0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 4), a1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 8), a2);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 12), a3);
-      }
-      e = f;
-    }
-    return;
-  }
-  for (std::size_t e = 0; e < count; ++e) {
-    std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-    const std::uint64_t* const src = rows + (entries[e] >> 32);
-    std::size_t j = 0;
-    for (; j + 4 <= w; j += 4) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + j));
-      __m256i* const d = reinterpret_cast<__m256i*>(dst + j);
-      _mm256_storeu_si256(d, _mm256_xor_si256(_mm256_loadu_si256(d), s));
-    }
-    for (; j < w; ++j) dst[j] ^= src[j];
-  }
-}
-
-__attribute__((target("avx2"))) void xor_scatter_single_avx2(
-    std::uint64_t* acc, const std::uint64_t* rows, std::size_t w,
-    const std::uint64_t* entries, std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path: one entry is four ymm load/xor/store triples.
-    for (std::size_t e = 0; e < count; ++e) {
-      std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-      const std::uint64_t* const src = rows + (entries[e] >> 32);
-      for (int j = 0; j < 4; ++j) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(src + 4 * j));
-        __m256i* const d = reinterpret_cast<__m256i*>(dst + 4 * j);
-        _mm256_storeu_si256(d, _mm256_xor_si256(_mm256_loadu_si256(d), s));
+    const std::uint8_t* q, std::uint32_t a, std::uint32_t b,
+    std::uint32_t c0, std::size_t len) {
+  const unsigned qa = q[a], qb = q[b];
+  if ((qa | qb) == 0) return;
+  const unsigned s = kGf4Mul[qa][qb];
+  const std::size_t pair = 2 * w;
+  std::size_t j0 = 0;
+  // Eight words (two ymm per plane) per block; the tail goes portable.
+  for (; j0 + 8 <= w; j0 += 8) {
+    __m256i ul0 = _mm256_setzero_si256(), ul1 = _mm256_setzero_si256();
+    __m256i uh0 = _mm256_setzero_si256(), uh1 = _mm256_setzero_si256();
+    const std::uint64_t* t = rows + j0;
+    std::uint64_t* dc = acc + pair * (1 + c0) + j0;
+    for (std::size_t r = 0; r < len; ++r, t += w, dc += pair) {
+      const __m256i t0 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t));
+      const __m256i t1 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + 4));
+      const unsigned qc = q[c0 + r];
+      const __m256i ml =
+          _mm256_set1_epi64x(static_cast<long long>(bit_mask(qc, 0)));
+      const __m256i mh =
+          _mm256_set1_epi64x(static_cast<long long>(bit_mask(qc, 1)));
+      ul0 = _mm256_xor_si256(ul0, _mm256_and_si256(t0, ml));
+      ul1 = _mm256_xor_si256(ul1, _mm256_and_si256(t1, ml));
+      uh0 = _mm256_xor_si256(uh0, _mm256_and_si256(t0, mh));
+      uh1 = _mm256_xor_si256(uh1, _mm256_and_si256(t1, mh));
+      for (unsigned plane = 0; plane < 2; ++plane) {
+        if (((s >> plane) & 1u) == 0) continue;
+        __m256i* const d0 = reinterpret_cast<__m256i*>(dc + plane * w);
+        __m256i* const d1 = reinterpret_cast<__m256i*>(dc + plane * w + 4);
+        _mm256_storeu_si256(d0, _mm256_xor_si256(_mm256_loadu_si256(d0), t0));
+        _mm256_storeu_si256(d1, _mm256_xor_si256(_mm256_loadu_si256(d1), t1));
       }
     }
-    return;
+    const std::uint32_t slots[3] = {0, 1 + a, 1 + b};
+    const unsigned coeffs[3] = {s, qb, qa};
+    for (int f = 0; f < 3; ++f) {
+      if (coeffs[f] == 0) continue;
+      std::uint64_t* const dst = acc + pair * slots[f] + j0;
+      add_scaled_avx2(dst, w, ul0, uh0, coeffs[f]);
+      add_scaled_avx2(dst + 4, w, ul1, uh1, coeffs[f]);
+    }
   }
-  xor_scatter_avx2(acc, rows, w, entries, count);
+  if (j0 < w) run_words_portable(acc, rows, w, q, a, b, c0, len, j0, w - j0);
 }
 
 __attribute__((target("avx2"))) void spread_pair_avx2(
@@ -349,106 +288,83 @@ __attribute__((target("avx512f"))) void xor_row_avx512(
   }
 }
 
-__attribute__((target("avx512f"))) void xor_row2_avx512(
-    std::uint64_t* lo, std::uint64_t* hi, const std::uint64_t* src,
-    std::size_t w, std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  const __m512i vml = _mm512_set1_epi64(static_cast<long long>(ml));
-  const __m512i vmh = _mm512_set1_epi64(static_cast<long long>(mh));
-  std::size_t j = 0;
-  for (; j + 8 <= w; j += 8) {
-    const __m512i s = _mm512_loadu_si512(src + j);
-    const __m512i l = _mm512_loadu_si512(lo + j);
-    _mm512_storeu_si512(lo + j,
-                        _mm512_xor_si512(l, _mm512_and_si512(s, vml)));
-    const __m512i h = _mm512_loadu_si512(hi + j);
-    _mm512_storeu_si512(hi + j,
-                        _mm512_xor_si512(h, _mm512_and_si512(s, vmh)));
-  }
-  if (j < w) {
-    const __mmask8 k = static_cast<__mmask8>((1u << (w - j)) - 1u);
-    const __m512i s = _mm512_maskz_loadu_epi64(k, src + j);
-    const __m512i l = _mm512_maskz_loadu_epi64(k, lo + j);
-    _mm512_mask_storeu_epi64(lo + j, k,
-                             _mm512_xor_si512(l, _mm512_and_si512(s, vml)));
-    const __m512i h = _mm512_maskz_loadu_epi64(k, hi + j);
-    _mm512_mask_storeu_epi64(hi + j, k,
-                             _mm512_xor_si512(h, _mm512_and_si512(s, vmh)));
-  }
+// Lane mask of the first min(n, 8) words of a zmm.
+constexpr __mmask8 word_lanes(std::size_t n) {
+  return n >= 8 ? __mmask8{0xFF} : static_cast<__mmask8>((1u << n) - 1u);
 }
 
-__attribute__((target("avx512f"))) void xor_scatter_avx512(
-    std::uint64_t* acc, const std::uint64_t* rows, std::size_t w,
-    const std::uint64_t* entries, std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path, run-detecting (see the portable kernel for the
-    // run rationale): a run holds the destination in two zmm accumulators
-    // across all of its row XORs.
-    std::size_t e = 0;
-    while (e < count) {
-      const std::uint32_t d = static_cast<std::uint32_t>(entries[e]);
-      std::size_t f = e + 1;
-      while (f < count && static_cast<std::uint32_t>(entries[f]) == d) ++f;
-      std::uint64_t* const dst = acc + d;
-      if (f == e + 1) {
-        const std::uint64_t* const src = rows + (entries[e] >> 32);
-        _mm512_storeu_si512(dst,
-                            _mm512_xor_si512(_mm512_loadu_si512(dst),
-                                             _mm512_loadu_si512(src)));
-        _mm512_storeu_si512(dst + 8,
-                            _mm512_xor_si512(_mm512_loadu_si512(dst + 8),
-                                             _mm512_loadu_si512(src + 8)));
-      } else {
-        __m512i a0 = _mm512_loadu_si512(dst);
-        __m512i a1 = _mm512_loadu_si512(dst + 8);
-        for (std::size_t x = e; x < f; ++x) {
-          const std::uint64_t* const src = rows + (entries[x] >> 32);
-          a0 = _mm512_xor_si512(a0, _mm512_loadu_si512(src));
-          a1 = _mm512_xor_si512(a1, _mm512_loadu_si512(src + 8));
-        }
-        _mm512_storeu_si512(dst, a0);
-        _mm512_storeu_si512(dst + 8, a1);
-      }
-      e = f;
-    }
-    return;
-  }
-  for (std::size_t e = 0; e < count; ++e) {
-    std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-    const std::uint64_t* const src = rows + (entries[e] >> 32);
-    std::size_t j = 0;
-    for (; j + 8 <= w; j += 8) {
-      const __m512i s = _mm512_loadu_si512(src + j);
-      const __m512i d = _mm512_loadu_si512(dst + j);
-      _mm512_storeu_si512(dst + j, _mm512_xor_si512(d, s));
-    }
-    if (j < w) {
-      const __mmask8 k = static_cast<__mmask8>((1u << (w - j)) - 1u);
-      const __m512i s = _mm512_maskz_loadu_epi64(k, src + j);
-      const __m512i d = _mm512_maskz_loadu_epi64(k, dst + j);
-      _mm512_mask_storeu_epi64(dst + j, k, _mm512_xor_si512(d, s));
-    }
-  }
+// All-lanes mask when bit `bit` of the 2-bit element e is set, else none.
+constexpr __mmask8 bit_lanes(unsigned e, unsigned bit) {
+  return static_cast<__mmask8>(0u - ((e >> bit) & 1u));
 }
 
-__attribute__((target("avx512f"))) void xor_scatter_single_avx512(
+// dst[0..16) ^= (t0 | t1) on the lanes k0 | k1 select.
+__attribute__((target("avx512f"))) inline void xor_lanes(
+    std::uint64_t* dst, __mmask8 k0, __mmask8 k1, __m512i t0, __m512i t1) {
+  _mm512_mask_storeu_epi64(
+      dst, k0, _mm512_xor_si512(_mm512_maskz_loadu_epi64(k0, dst), t0));
+  _mm512_mask_storeu_epi64(
+      dst + 8, k1,
+      _mm512_xor_si512(_mm512_maskz_loadu_epi64(k1, dst + 8), t1));
+}
+
+// dst pair += c * (ul + uh x) over one 16-word block (see
+// add_scaled_portable for the GF(4) product).
+__attribute__((target("avx512f"))) inline void add_scaled_avx512(
+    std::uint64_t* dst, std::size_t w, __mmask8 k0, __mmask8 k1,
+    __m512i ul0, __m512i ul1, __m512i uh0, __m512i uh1, unsigned c) {
+  if (c == 0) return;
+  const __mmask8 m0 = bit_lanes(c, 0), m1 = bit_lanes(c, 1);
+  xor_lanes(dst, k0, k1,
+            _mm512_xor_si512(_mm512_maskz_mov_epi64(m0, ul0),
+                             _mm512_maskz_mov_epi64(m1, uh0)),
+            _mm512_xor_si512(_mm512_maskz_mov_epi64(m0, ul1),
+                             _mm512_maskz_mov_epi64(m1, uh1)));
+  xor_lanes(dst + w, k0, k1,
+            _mm512_xor_si512(
+                _mm512_maskz_mov_epi64(m0, uh0),
+                _mm512_maskz_mov_epi64(m1, _mm512_xor_si512(ul0, uh0))),
+            _mm512_xor_si512(
+                _mm512_maskz_mov_epi64(m0, uh1),
+                _mm512_maskz_mov_epi64(m1, _mm512_xor_si512(ul1, uh1))));
+}
+
+// Sixteen words (two zmm per plane) per block; a narrower tail block is
+// lane-masked, so any w runs through the one loop.
+__attribute__((target("avx512f"))) void xor_run_avx512(
     std::uint64_t* acc, const std::uint64_t* rows, std::size_t w,
-    const std::uint64_t* entries, std::size_t count) {
-  if (w == 16) {
-    // K = 1024 fast path: one entry is two zmm load/xor/store triples.
-    for (std::size_t e = 0; e < count; ++e) {
-      std::uint64_t* const dst = acc + static_cast<std::uint32_t>(entries[e]);
-      const std::uint64_t* const src = rows + (entries[e] >> 32);
-      _mm512_storeu_si512(dst, _mm512_xor_si512(_mm512_loadu_si512(dst),
-                                                _mm512_loadu_si512(src)));
-      _mm512_storeu_si512(
-          dst + 8, _mm512_xor_si512(_mm512_loadu_si512(dst + 8),
-                                    _mm512_loadu_si512(src + 8)));
+    const std::uint8_t* q, std::uint32_t a, std::uint32_t b,
+    std::uint32_t c0, std::size_t len) {
+  const unsigned qa = q[a], qb = q[b];
+  if ((qa | qb) == 0) return;
+  const unsigned s = kGf4Mul[qa][qb];
+  const std::size_t pair = 2 * w;
+  for (std::size_t j0 = 0; j0 < w; j0 += 16) {
+    const std::size_t bw = std::min<std::size_t>(16, w - j0);
+    const __mmask8 k0 = word_lanes(bw);
+    const __mmask8 k1 = word_lanes(bw > 8 ? bw - 8 : 0);
+    __m512i ul0 = _mm512_setzero_si512(), ul1 = _mm512_setzero_si512();
+    __m512i uh0 = _mm512_setzero_si512(), uh1 = _mm512_setzero_si512();
+    const std::uint64_t* t = rows + j0;
+    std::uint64_t* dc = acc + pair * (1 + c0) + j0;
+    for (std::size_t r = 0; r < len; ++r, t += w, dc += pair) {
+      const __m512i t0 = _mm512_maskz_loadu_epi64(k0, t);
+      const __m512i t1 = _mm512_maskz_loadu_epi64(k1, t + 8);
+      const unsigned qc = q[c0 + r];
+      const __mmask8 ml = bit_lanes(qc, 0), mh = bit_lanes(qc, 1);
+      ul0 = _mm512_mask_xor_epi64(ul0, ml, ul0, t0);
+      ul1 = _mm512_mask_xor_epi64(ul1, ml, ul1, t1);
+      uh0 = _mm512_mask_xor_epi64(uh0, mh, uh0, t0);
+      uh1 = _mm512_mask_xor_epi64(uh1, mh, uh1, t1);
+      if (s & 1u) xor_lanes(dc, k0, k1, t0, t1);
+      if (s & 2u) xor_lanes(dc + w, k0, k1, t0, t1);
     }
-    return;
+    add_scaled_avx512(acc + j0, w, k0, k1, ul0, ul1, uh0, uh1, s);
+    add_scaled_avx512(acc + pair * (1 + a) + j0, w, k0, k1, ul0, ul1, uh0,
+                      uh1, qb);
+    add_scaled_avx512(acc + pair * (1 + b) + j0, w, k0, k1, ul0, ul1, uh0,
+                      uh1, qa);
   }
-  xor_scatter_avx512(acc, rows, w, entries, count);
 }
 
 // AVX-512BW: a plane word IS a byte mask — one masked broadcast per plane
@@ -481,20 +397,15 @@ __attribute__((target("avx512f,avx512bw"))) void spread_pair_avx512(
 #endif  // ICE_SIMD_X86
 
 constexpr XorKernels kPortableKernels = {
-    xor_row_portable,         xor_row2_portable,
-    xor_scatter_portable,     xor_scatter_single_portable,
-    spread_pair_portable,     XorTier::kPortable,
-    "portable"};
+    xor_row_portable, xor_run_portable, spread_pair_portable,
+    XorTier::kPortable, "portable"};
 #if defined(ICE_SIMD_X86)
-constexpr XorKernels kAvx2Kernels = {
-    xor_row_avx2,         xor_row2_avx2,  xor_scatter_avx2,
-    xor_scatter_single_avx2, spread_pair_avx2, XorTier::kAvx2,
-    "avx2"};
-constexpr XorKernels kAvx512Kernels = {
-    xor_row_avx512,           xor_row2_avx512,
-    xor_scatter_avx512,       xor_scatter_single_avx512,
-    spread_pair_avx512,       XorTier::kAvx512,
-    "avx512"};
+constexpr XorKernels kAvx2Kernels = {xor_row_avx2, xor_run_avx2,
+                                     spread_pair_avx2, XorTier::kAvx2,
+                                     "avx2"};
+constexpr XorKernels kAvx512Kernels = {xor_row_avx512, xor_run_avx512,
+                                       spread_pair_avx512, XorTier::kAvx512,
+                                       "avx512"};
 #endif
 
 XorTier probe_best_tier() {

@@ -1,16 +1,17 @@
-// Runtime-dispatched SIMD XOR row kernels for the PIR evaluation engine.
+// Runtime-dispatched SIMD kernels for the PIR evaluation engine.
 //
-// The Woodruff–Yekhanin servers are pure XOR/scatter workloads: every hot
-// loop XORs a K-bit tag row (packed in 64-bit words) into an accumulator
-// plane. These kernels provide that operation in three tiers — portable
-// u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at startup (the
-// same pattern as the bignum ADX squaring dispatch) and selectable at
-// runtime so benches can compare tiers and tests can pin every tier to the
-// portable reference.
+// The Woodruff–Yekhanin servers are pure XOR workloads over K-bit tag rows
+// packed in 64-bit words: the fused sweep XORs rows into GF(4) component
+// bitplanes, folds per-shard accumulators and expands the planes into
+// response bytes. These kernels provide those operations in three tiers —
+// portable u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at
+// startup (the same pattern as the bignum ADX squaring dispatch) and
+// selectable at runtime so benches can compare tiers and tests can pin
+// every tier to the portable reference.
 //
-// All kernels are branch-free in the GF(4) coefficient: xor_row2 turns the
-// 2-bit coefficient into all-ones/all-zero word masks instead of branching,
-// so the per-row scatter of the fused batch sweep never mispredicts.
+// The GF(4) coefficients of the sweep become all-ones/all-zero word masks
+// (or AVX-512 lane masks) instead of branches, so a random query point
+// never costs a misprediction per row.
 #pragma once
 
 #include <cstddef>
@@ -26,40 +27,22 @@ struct XorKernels {
   /// dst[0..w) ^= src[0..w).
   void (*xor_row)(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t w);
-  /// Branchless two-plane scatter for one GF(4) coefficient c in [0, 3]:
-  ///   lo[0..w) ^= src & (-(c & 1)),  hi[0..w) ^= src & (-((c >> 1) & 1)).
-  /// XORing an all-zero mask is a no-op, so the result is bit-identical to
-  /// the branchy "skip zero coefficients" formulation.
-  void (*xor_row2)(std::uint64_t* lo, std::uint64_t* hi,
-                   const std::uint64_t* src, std::size_t w, std::uint8_t c);
-  /// Sparse XOR scatter stream — the hot kernel of the fused batch sweep.
-  /// Each entry packs two word offsets, dst | (src << 32), and requests
-  ///   acc[dst .. dst + w) ^= rows[src .. src + w).
-  /// The caller emits entries only for nonzero GF(4) coefficient
-  /// components (an omitted entry is exactly the zero-mask no-op of
-  /// xor_row2, so skipping is bit-identical to the branchless form), which
-  /// cuts the XOR work to the nonzero fraction on every tier. Entries with
-  /// equal dst may repeat; XOR is commutative and exact, so entry order
-  /// never changes the result. Implementations detect RUNS of consecutive
-  /// entries sharing a dst and fold them in registers before one writeback,
-  /// so callers that can group same-destination entries (the fused sweep's
-  /// component-major sections) skip most of the accumulator's per-entry
-  /// load/store round-trips; any ordering remains correct, all-singleton
-  /// streams simply degrade to the plain scatter. One indirect call per
-  /// (point, block, section).
-  void (*xor_scatter)(std::uint64_t* acc, const std::uint64_t* rows,
-                      std::size_t w, const std::uint64_t* entries,
-                      std::size_t count);
-  /// Same contract as xor_scatter, tuned for streams where same-dst runs
-  /// are rare (every entry pays the accumulator round-trip anyway, so the
-  /// run scan is pure overhead): plain per-entry read-xor-write, no run
-  /// detection. The two are interchangeable for correctness; callers pick
-  /// by the stream shape they emit (the fused sweep uses this one for the
-  /// third-derivative sections, whose destinations almost never repeat
-  /// consecutively).
-  void (*xor_scatter_single)(std::uint64_t* acc, const std::uint64_t* rows,
-                             std::size_t w, const std::uint64_t* entries,
-                             std::size_t count);
+  /// One run of the run-factored weight-3 sweep for one query point q
+  /// (gamma GF(4) element bytes, each in [0, 3]). rows[0..len*w) are the
+  /// tag rows T_c of the embedding rows {a, b, c} for c = c0 .. c0+len-1 —
+  /// one (a, b) run, which the lexicographic embedding stores
+  /// consecutively. `acc` is the point's accumulator: the value pair at
+  /// word 0 and gradient j's pair at word 2w(1 + j), each pair [lo | hi]
+  /// of w words (the two GF(4) component planes). With s = q_a q_b and
+  /// U = sum_c q_c T_c the kernel adds
+  ///   grad_c += s T_c  (each c),  value += s U,
+  ///   grad_a += q_b U,            grad_b += q_a U,
+  /// which is exactly the run's share of F(q) = sum T_abc q_a q_b q_c and
+  /// of its partials. Requires a < b < c0 and c0 + len <= gamma; the
+  /// destination pairs are distinct, so the order of the adds is free.
+  void (*xor_run)(std::uint64_t* acc, const std::uint64_t* rows,
+                  std::size_t w, const std::uint8_t* q, std::uint32_t a,
+                  std::uint32_t b, std::uint32_t c0, std::size_t len);
   /// Expands k bit-plane pairs into one 2-bit element byte each:
   ///   out[i] = ((lo[i / 64] >> (i % 64)) & 1) |
   ///            (((hi[i / 64] >> (i % 64)) & 1) << 1)   for i in [0, k).

@@ -57,6 +57,15 @@ void CspService::on_write_back(net::Reader& r, net::Writer&) {
   }
   r.expect_done();
   std::unique_lock lock(mu_);
+  // Validate every entry before applying any: a bad entry must not leave
+  // the entries before it applied, nor drop the ones after it (the edge
+  // cleared their dirty flags when it flushed the batch).
+  for (const auto& [index, data] : blocks) {
+    if (index >= store_.size() || data.size() != store_.block_size()) {
+      throw ServiceError(Status::kInvalidArgument,
+                         "write-back entry has a bad index or block size");
+    }
+  }
   for (auto& [index, data] : blocks) {
     store_.update_block(index, std::move(data));
   }

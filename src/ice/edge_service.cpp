@@ -78,19 +78,39 @@ void EdgeService::on_read(net::Reader& r, net::Writer& w) {
   w.bytes(fetch_and_admit(index));
 }
 
+namespace {
+
+// A write replaces a whole block: a different length would change what the
+// edge proves and would fail the CSP's write-back after the dirty flag was
+// already cleared.
+void require_block_size(std::size_t block_size, const Bytes& data) {
+  if (data.size() != block_size) {
+    throw ServiceError(Status::kInvalidArgument,
+                       "write size differs from the block it replaces");
+  }
+}
+
+}  // namespace
+
 void EdgeService::on_write(net::Reader& r, net::Writer&) {
   const auto index = static_cast<std::size_t>(r.varint());
   Bytes data = r.bytes();
   r.expect_done();  // a malformed write must not dirty the cache
   {
     std::lock_guard lock(cache_mu_);
-    if (cache_.contains(index)) {
+    if (const auto size = cache_.block_size(index)) {
+      require_block_size(*size, data);
       cache_.write(index, std::move(data));
       return;
     }
   }
-  (void)fetch_and_admit(index);  // write-allocate
+  // Write-allocate. The CSP round trip runs with no lock held, and the
+  // fetched block is admitted only once the write is known to fit it, so a
+  // rejected write leaves the cache as it was.
+  Bytes block = CspClient(*csp_).fetch(index);
+  require_block_size(block.size(), data);
   std::lock_guard lock(cache_mu_);
+  if (!cache_.contains(index)) cache_.admit(index, std::move(block));
   cache_.write(index, std::move(data));
 }
 

@@ -6,22 +6,46 @@
 
 namespace ice::proto {
 
-void write_gf4_vector(net::Writer& w, const gf::GF4Vector& v) {
-  // The packed scratch is thread-local: steady-state response encoding
-  // reuses one byte buffer instead of allocating per vector.
-  static thread_local Bytes packed;
-  pir::pack_gf4_into(v, packed);
-  w.varint(v.size());
-  w.bytes(packed);
+namespace {
+
+// A length-prefixed packed GF(4) string as it sits in the frame: the
+// element count, then the packed bytes (pir::pack_gf4's layout).
+struct PackedGf4 {
+  std::size_t count;
+  BytesView data;
+};
+
+// Writes the count and the length prefix, and returns the zeroed bytes the
+// caller packs the elements into (valid until the next write).
+std::uint8_t* begin_gf4_string(net::Writer& w, std::size_t count) {
+  const std::size_t nbytes = (count + 3) / 4;
+  w.varint(count);
+  w.varint(nbytes);
+  return w.grow(nbytes);
 }
 
-gf::GF4Vector read_gf4_vector(net::Reader& r) {
+PackedGf4 read_gf4_string(net::Reader& r) {
   const std::uint64_t count = r.varint();
   if (count > (std::uint64_t{1} << 24)) {
     throw CodecError("read_gf4_vector: implausible length");
   }
+  const BytesView data = r.bytes_view();
+  if (data.size() < (count + 3) / 4) {
+    throw CodecError("unpack_gf4: buffer too short");
+  }
+  return {static_cast<std::size_t>(count), data};
+}
+
+}  // namespace
+
+void write_gf4_vector(net::Writer& w, const gf::GF4Vector& v) {
+  pir::pack_gf4_at(v, begin_gf4_string(w, v.size()), 0);
+}
+
+gf::GF4Vector read_gf4_vector(net::Reader& r) {
   // Unpack straight from the frame view — no intermediate copy.
-  return pir::unpack_gf4(r.bytes_view(), static_cast<std::size_t>(count));
+  const PackedGf4 packed = read_gf4_string(r);
+  return pir::unpack_gf4(packed.data, packed.count);
 }
 
 void write_pir_query(net::Writer& w, const pir::PirQuery& q) {
@@ -47,23 +71,23 @@ void write_pir_response(net::Writer& w, const pir::PirResponse& resp) {
   w.varint(resp.entries.size());
   for (const auto& e : resp.entries) {
     write_gf4_vector(w, e.values);
-    // Gradients are gamma coordinate vectors of uniform length K; flatten
-    // them into one packed GF(4) string to avoid per-vector length
-    // overhead (this is the dominant share of the TPA->User bytes in
-    // Tab. I).
+    // Gradients are gamma coordinate vectors of uniform length K, sent as
+    // ONE packed GF(4) string to avoid per-vector length overhead (this is
+    // the dominant share of the TPA->User bytes in Tab. I). Each vector is
+    // packed straight into its slice of that string.
     const std::size_t inner =
         e.gradients.empty() ? 0 : e.gradients.front().size();
-    w.varint(inner);
-    static thread_local gf::GF4Vector flat;
-    flat.clear();
-    flat.reserve(e.gradients.size() * inner);
     for (const auto& g : e.gradients) {
       if (g.size() != inner) {
         throw CodecError("write_pir_response: ragged gradients");
       }
-      flat.insert(flat.end(), g.begin(), g.end());
     }
-    write_gf4_vector(w, flat);
+    w.varint(inner);
+    std::uint8_t* const packed =
+        begin_gf4_string(w, e.gradients.size() * inner);
+    for (std::size_t row = 0; row < e.gradients.size(); ++row) {
+      pir::pack_gf4_at(e.gradients[row], packed, row * inner);
+    }
   }
 }
 
@@ -82,16 +106,15 @@ pir::PirResponse read_pir_response(net::Reader& r) {
     if (inner > (std::uint64_t{1} << 16)) {
       throw CodecError("read_pir_response: implausible gradient length");
     }
-    const gf::GF4Vector flat = read_gf4_vector(r);
-    if (inner != 0 && flat.size() % inner != 0) {
+    const PackedGf4 flat = read_gf4_string(r);
+    if (inner != 0 && flat.count % inner != 0) {
       throw CodecError("read_pir_response: gradient size mismatch");
     }
-    const std::size_t rows = inner == 0 ? 0 : flat.size() / inner;
-    e.gradients.reserve(rows);
+    const std::size_t rows = inner == 0 ? 0 : flat.count / inner;
+    e.gradients.resize(rows);
     for (std::size_t row = 0; row < rows; ++row) {
-      e.gradients.emplace_back(
-          flat.begin() + static_cast<std::ptrdiff_t>(row * inner),
-          flat.begin() + static_cast<std::ptrdiff_t>((row + 1) * inner));
+      e.gradients[row].resize(static_cast<std::size_t>(inner));
+      pir::unpack_gf4_at(flat.data.data(), row * inner, e.gradients[row]);
     }
     resp.entries.push_back(std::move(e));
   }

@@ -114,6 +114,12 @@ bool EdgeCache::contains(std::size_t index) const {
   return entries_.contains(index);
 }
 
+std::optional<std::size_t> EdgeCache::block_size(std::size_t index) const {
+  const auto it = entries_.find(index);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second.data.size();
+}
+
 void EdgeCache::mark_clean(std::size_t index) {
   auto it = entries_.find(index);
   if (it == entries_.end()) {

@@ -42,6 +42,9 @@ class EdgeCache {
   std::vector<std::pair<std::size_t, Bytes>> flush();
 
   [[nodiscard]] bool contains(std::size_t index) const;
+  /// Byte length of a cached block, nullopt when it is not cached. Counts
+  /// no hit or miss and leaves the eviction order alone.
+  [[nodiscard]] std::optional<std::size_t> block_size(std::size_t index) const;
   [[nodiscard]] bool dirty(std::size_t index) const;
   /// Clears one block's dirty flag without a write-back — for recovery
   /// paths that restored the block to the cloud's version (the update is

@@ -41,6 +41,12 @@ void Writer::str(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
+std::uint8_t* Writer::grow(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
 void Writer::bigint(const bn::BigInt& v) {
   // Direct limb -> big-endian encode with ONE reserve: no abs() copy, no
   // temporary byte string. Wire format is unchanged (sign byte + varint

@@ -36,6 +36,10 @@ class Writer {
   void bytes(BytesView data);
   void str(std::string_view s);
   void bigint(const bn::BigInt& v);
+  /// Appends n zero bytes and returns them for the caller to fill in
+  /// place; the pointer is valid until the next write. Encoders that
+  /// produce a field directly (packed GF(4) strings) skip a scratch copy.
+  std::uint8_t* grow(std::size_t n);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   /// Moves the accumulated buffer out; the writer is empty afterwards.

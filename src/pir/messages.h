@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -87,13 +88,24 @@ std::size_t wire_bits(const PirResponse& r);
 std::size_t wire_bits(const ShardedPirQuery& q);
 std::size_t wire_bits(const ShardedPirResponse& r);
 
+/// Packed GF(4) strings hold 4 elements per byte: element i sits at bits
+/// 2(i % 4) .. 2(i % 4) + 1 of byte i / 4.
+///
 /// Packs a GF(4) vector, 4 elements per byte.
 Bytes pack_gf4(const gf::GF4Vector& v);
-/// Destination-passing pack: overwrites `out`, reusing its capacity.
-void pack_gf4_into(const gf::GF4Vector& v, Bytes& out);
-/// Unpacks `count` GF(4) elements.
+/// Unpacks `count` GF(4) elements; throws CodecError if `data` is short.
 gf::GF4Vector unpack_gf4(BytesView data, std::size_t count);
-/// Destination-passing unpack: overwrites `out`, reusing its capacity.
-void unpack_gf4_into(BytesView data, std::size_t count, gf::GF4Vector& out);
+
+/// Writes v as elements pos .. pos + |v| - 1 of the packed string at `out`,
+/// 32 elements per 64-bit word. Elements sharing a byte with neighbours
+/// outside that range are ORed in, so such a shared byte must start zero;
+/// concatenating vectors that way lets the response encoder pack each
+/// gradient straight into the frame.
+void pack_gf4_at(std::span<const gf::GF4> v, std::uint8_t* out,
+                 std::size_t pos);
+/// Reads elements pos .. pos + |out| - 1 of the packed string at `data`
+/// into `out`, 32 elements per 64-bit word. The caller bounds-checks.
+void unpack_gf4_at(const std::uint8_t* data, std::size_t pos,
+                   std::span<gf::GF4> out);
 
 }  // namespace ice::pir

@@ -8,7 +8,10 @@
 //                    so that one tag row (K bits, packed in 64-bit words)
 //                    is XOR-accumulated word-parallel into two GF(4)
 //                    component bitplanes, fused across all m points of a
-//                    query in one cache-blocked pass over the database.
+//                    query in one pass over the database. Rows sharing
+//                    (a, b) are consecutive in the embedding, so the cubic
+//                    is evaluated once per such run: q_a q_b times
+//                    U = sum_c q_c T_abc (DESIGN.md §9).
 //   respond_naive  — term-by-term evaluation multiplying every monomial by
 //                    its 0/1 coefficient; the paper's Fig. 2 "micro
 //                    benchmark without the matrix representation", and the
@@ -39,11 +42,11 @@ class PirServer {
   PirServer(const TagDatabase& db, const Embedding& embedding,
             std::size_t parallelism = 1);
 
-  /// Evaluates a whole query batch in ONE pass over the tag database: for
-  /// each row the per-point monomial evaluations are computed once and
-  /// scatter-accumulated into per-point planes (m-way accumulation instead
-  /// of m full sweeps). Bit-identical to looping respond_naive over the
-  /// points, at every parallelism setting and SIMD tier.
+  /// Evaluates a whole query batch in ONE pass over the tag database: each
+  /// run of rows sharing (a, b) is folded into every point's planes while
+  /// it is in cache (m-way accumulation instead of m full sweeps).
+  /// Bit-identical to looping respond_naive over the points, at every
+  /// parallelism setting and SIMD tier.
   [[nodiscard]] PirResponse respond(const PirQuery& query) const;
 
   /// In-place respond(): reshapes `out` without discarding its entry and

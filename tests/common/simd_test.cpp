@@ -1,4 +1,4 @@
-// The runtime-dispatched XOR kernels: every supported tier must agree with
+// The runtime-dispatched PIR kernels: every supported tier must agree with
 // a plain scalar reference on every width (vector body + tails), and the
 // tier override must round-trip.
 #include "common/simd.h"
@@ -44,120 +44,79 @@ TEST(SimdTest, XorRowMatchesScalarReferenceAtEveryWidthAndTier) {
   }
 }
 
-TEST(SimdTest, XorRow2MatchesBranchyReferenceForEveryCoefficient) {
-  SplitMix64 rng(0x52);
+// GF(4) product of 2-bit elements, written out from x^2 = x + 1 rather
+// than read from a table: (a0 + a1 x)(b0 + b1 x) =
+// (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) x.
+unsigned gf4_mul(unsigned x, unsigned y) {
+  const unsigned x0 = x & 1, x1 = x >> 1, y0 = y & 1, y1 = y >> 1;
+  return ((x0 & y0) ^ (x1 & y1)) | (((x0 & y1) ^ (x1 & y0) ^ (x1 & y1)) << 1);
+}
+
+// Term-by-term reference for one run: every row {a, b, c} adds its 0/1 tag
+// row times q_a q_b q_c to the value and times the product of the other two
+// coordinates to each of its three partials, one component plane at a time.
+void run_reference(std::vector<std::uint64_t>& acc,
+                   const std::vector<std::uint64_t>& rows, std::size_t w,
+                   const std::vector<std::uint8_t>& q, std::uint32_t a,
+                   std::uint32_t b, std::uint32_t c0, std::size_t len) {
+  const auto add = [&](std::size_t slot, unsigned coeff, std::size_t r) {
+    std::uint64_t* const lo = acc.data() + 2 * w * slot;
+    for (std::size_t j = 0; j < w; ++j) {
+      if (coeff & 1) lo[j] ^= rows[r * w + j];
+      if (coeff & 2) lo[w + j] ^= rows[r * w + j];
+    }
+  };
+  for (std::size_t r = 0; r < len; ++r) {
+    const std::size_t c = c0 + r;
+    add(0, gf4_mul(gf4_mul(q[a], q[b]), q[c]), r);
+    add(1 + a, gf4_mul(q[b], q[c]), r);
+    add(1 + b, gf4_mul(q[a], q[c]), r);
+    add(1 + c, gf4_mul(q[a], q[b]), r);
+  }
+}
+
+// One random run {a, b, c0 .. c0+len-1} at q_a = qa, q_b = qb through every
+// tier, against run_reference.
+void check_run(SplitMix64& rng, std::size_t w, std::size_t gamma,
+               unsigned qa, unsigned qb, std::uint32_t a, std::uint32_t b,
+               std::size_t len) {
+  const std::uint32_t c0 = b + 1;
+  std::vector<std::uint8_t> q(gamma);
+  for (auto& x : q) x = static_cast<std::uint8_t>(rng() & 3);
+  q[a] = static_cast<std::uint8_t>(qa);
+  q[b] = static_cast<std::uint8_t>(qb);
+  const auto rows = random_words(rng, len * w);
+  const auto init = random_words(rng, 2 * w * (1 + gamma));
+  auto expected = init;
+  run_reference(expected, rows, w, q, a, b, c0, len);
   for (XorTier tier : supported_tiers()) {
-    const XorKernels& k = kernels_for(tier);
-    for (std::size_t w : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{4}, std::size_t{7}, std::size_t{8},
-                          std::size_t{16}, std::size_t{21}}) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        const auto src = random_words(rng, w);
-        auto lo = random_words(rng, w);
-        auto hi = random_words(rng, w);
-        auto exp_lo = lo;
-        auto exp_hi = hi;
-        for (std::size_t j = 0; j < w; ++j) {
-          if (c & 1) exp_lo[j] ^= src[j];
-          if (c & 2) exp_hi[j] ^= src[j];
+    auto acc = init;
+    kernels_for(tier).xor_run(acc.data(), rows.data(), w, q.data(), a, b, c0,
+                              len);
+    EXPECT_EQ(acc, expected) << tier_name(tier) << " w=" << w << " qa=" << qa
+                             << " qb=" << qb << " a=" << a << " len=" << len;
+  }
+}
+
+TEST(SimdTest, XorRunMatchesTermByTermReferenceAtEveryTier) {
+  SplitMix64 rng(0x5a);
+  constexpr std::size_t kGamma = 20;
+  // w = 16 and 9 are K = 1024 and 520; the others hit the AVX2 tail, a
+  // block and a half, and more than one AVX-512 block. Every (q_a, q_b)
+  // pair occurs, so q_a q_b takes each value 0..3 and the both-zero skip
+  // and the one-zero cases all run; so does every length a run can have
+  // (1..gamma-2, at (a, b) = (0, 1)), and a run that starts further in
+  // with a gap between a and b.
+  for (std::size_t w : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                        std::size_t{9}, std::size_t{16}, std::size_t{21},
+                        std::size_t{33}}) {
+    for (unsigned qa = 0; qa < 4; ++qa) {
+      for (unsigned qb = 0; qb < 4; ++qb) {
+        for (std::size_t len = 1; len + 2 <= kGamma; ++len) {
+          check_run(rng, w, kGamma, qa, qb, 0, 1, len);
+          if (7 + len <= kGamma) check_run(rng, w, kGamma, qa, qb, 3, 6, len);
         }
-        k.xor_row2(lo.data(), hi.data(), src.data(), w, c);
-        EXPECT_EQ(lo, exp_lo) << tier_name(tier) << " w=" << w
-                              << " c=" << int{c};
-        EXPECT_EQ(hi, exp_hi) << tier_name(tier) << " w=" << w
-                              << " c=" << int{c};
       }
-    }
-  }
-}
-
-TEST(SimdTest, XorScatterMatchesXorRowCompositionAtEveryTier) {
-  SplitMix64 rng(0x53);
-  // w=16 hits the K=1024 fast paths; the others exercise the generic entry
-  // loop, including sub-vector tails.
-  for (std::size_t w : {std::size_t{1}, std::size_t{5}, std::size_t{8},
-                        std::size_t{16}, std::size_t{19}}) {
-    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{9},
-                              std::size_t{257}}) {
-      const std::size_t nrows = 11;
-      const std::size_t nslots = 13;
-      const auto rows = random_words(rng, nrows * w);
-      const auto init = random_words(rng, nslots * w);
-      // Entries pack dst | (src << 32); destinations repeat freely — XOR is
-      // commutative, so order must not matter.
-      std::vector<std::uint64_t> entries(count);
-      for (auto& e : entries) {
-        const std::uint64_t dst = (rng() % nslots) * w;
-        const std::uint64_t src = (rng() % nrows) * w;
-        e = dst | (src << 32);
-      }
-      // Reference: the documented composition of per-entry xor_row calls,
-      // built with the portable kernels.
-      const XorKernels& ref = kernels_for(XorTier::kPortable);
-      auto expected = init;
-      for (const std::uint64_t e : entries) {
-        ref.xor_row(expected.data() + static_cast<std::uint32_t>(e),
-                    rows.data() + (e >> 32), w);
-      }
-      // xor_scatter and xor_scatter_single share one contract; both must
-      // match the composition on every tier.
-      for (XorTier tier : supported_tiers()) {
-        const XorKernels& k = kernels_for(tier);
-        auto acc = init;
-        k.xor_scatter(acc.data(), rows.data(), w, entries.data(),
-                      entries.size());
-        EXPECT_EQ(acc, expected)
-            << tier_name(tier) << " w=" << w << " count=" << count;
-        auto acc1 = init;
-        k.xor_scatter_single(acc1.data(), rows.data(), w, entries.data(),
-                             entries.size());
-        EXPECT_EQ(acc1, expected)
-            << "single " << tier_name(tier) << " w=" << w
-            << " count=" << count;
-      }
-    }
-  }
-}
-
-TEST(SimdTest, XorScatterRunHeavyStreamsMatchPlainCompositionAtEveryTier) {
-  SplitMix64 rng(0x67);
-  // Destination-sorted streams are what the fused sweep's component-major
-  // sections emit: long same-dst runs (including one run spanning the whole
-  // stream) must fold to exactly the per-entry composition.
-  const std::size_t w = 16;  // the run-detecting fast path
-  const std::size_t nrows = 29;
-  const std::size_t nslots = 5;
-  for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                            std::size_t{64}, std::size_t{193}}) {
-    const auto rows = random_words(rng, nrows * w);
-    const auto init = random_words(rng, nslots * w);
-    std::vector<std::uint64_t> entries(count);
-    for (std::size_t e = 0; e < count; ++e) {
-      // count/nslots consecutive entries per slot => runs of length >= 2
-      // for the larger counts, a single all-stream run when count <= the
-      // per-slot quota.
-      const std::uint64_t dst =
-          std::min(nslots - 1, e * nslots / count) * w;
-      const std::uint64_t src = (rng() % nrows) * w;
-      entries[e] = dst | (src << 32);
-    }
-    const XorKernels& ref = kernels_for(XorTier::kPortable);
-    auto expected = init;
-    for (const std::uint64_t e : entries) {
-      ref.xor_row(expected.data() + static_cast<std::uint32_t>(e),
-                  rows.data() + (e >> 32), w);
-    }
-    for (XorTier tier : supported_tiers()) {
-      const XorKernels& k = kernels_for(tier);
-      auto acc = init;
-      k.xor_scatter(acc.data(), rows.data(), w, entries.data(),
-                    entries.size());
-      EXPECT_EQ(acc, expected) << tier_name(tier) << " count=" << count;
-      auto acc1 = init;
-      k.xor_scatter_single(acc1.data(), rows.data(), w, entries.data(),
-                           entries.size());
-      EXPECT_EQ(acc1, expected)
-          << "single " << tier_name(tier) << " count=" << count;
     }
   }
 }

@@ -181,28 +181,79 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
 }
 
 TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
-  FuzzWorld w;
-  SplitMix64 rng(0xf066);
-  std::size_t landed = 0;
-  for (std::uint16_t method : kAllMethods) {
-    for (int trial = 0; trial < 10; ++trial) {
-      (void)w.csp_.handle(method, random_bytes(rng, 40));
-      (void)w.edge_.handle(method, random_bytes(rng, 40));
-      const Bytes reply = w.tpa0_.handle(method, random_bytes(rng, 40));
-      if (changes_tpa_state(method) && status_of(reply) == net::Status::kOk) {
-        ++landed;
+  // 36 and 108 are seeds whose 40-byte payloads to kEdgeWrite parse as
+  // writes of a short block; those must be refused like any other size
+  // mismatch.
+  for (const std::uint64_t seed : {std::uint64_t{0xf066}, std::uint64_t{36},
+                                   std::uint64_t{108}}) {
+    SCOPED_TRACE(seed);
+    FuzzWorld w;
+    SplitMix64 rng(seed);
+    std::size_t landed = 0;
+    std::size_t edge_writes = 0;
+    for (std::uint16_t method : kAllMethods) {
+      for (int trial = 0; trial < 10; ++trial) {
+        (void)w.csp_.handle(method, random_bytes(rng, 40));
+        const Bytes edge_reply = w.edge_.handle(method, random_bytes(rng, 40));
+        if (method == kEdgeWrite && status_of(edge_reply) == net::Status::kOk) {
+          ++edge_writes;
+        }
+        const Bytes reply = w.tpa0_.handle(method, random_bytes(rng, 40));
+        if (changes_tpa_state(method) &&
+            status_of(reply) == net::Status::kOk) {
+          ++landed;
+        }
       }
     }
+    // 40 random bytes cannot carry a whole 64-byte block.
+    EXPECT_EQ(edge_writes, 0u);
+    // Random bytes that parse as a real request are served as one: an
+    // update_tag plus a close_epoch replaces a tag, a split or an append
+    // moves tpa0's shard map away from tpa1's. That is correct behaviour,
+    // so when one landed the honest round re-uploads the file first; every
+    // other fuzz effect must leave the round passing as it is.
+    if (landed > 0) (void)w.user_.setup_file(w.blocks_);
+    // A full honest round still succeeds.
+    EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0))
+        << landed << " fuzzed TPA state changes were accepted";
   }
-  // Random bytes that parse as a real request are served as one: an
-  // update_tag plus a close_epoch replaces a tag, a split or an append
-  // moves tpa0's shard map away from tpa1's. That is correct behaviour, so
-  // when one landed the honest round re-uploads the file first; every
-  // other fuzz effect must leave the round passing as it is.
-  if (landed > 0) (void)w.user_.setup_file(w.blocks_);
-  // A full honest round still succeeds.
-  EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0))
-      << landed << " fuzzed TPA state changes were accepted";
+}
+
+// A write must replace a whole block: a short one is refused whether the
+// block is cached or would be fetched, and the edge keeps its blocks, its
+// cached set and its (empty) dirty set.
+TEST(FuzzTest, WrongSizeEdgeWriteLeavesEdgeUnchanged) {
+  FuzzWorld w;
+  for (const std::size_t index : {std::size_t{2}, std::size_t{9}}) {
+    SCOPED_TRACE(index);
+    net::Writer r;
+    r.varint(index);
+    r.bytes(Bytes(40, 0xee));
+    EXPECT_EQ(status_of(w.edge_.handle(kEdgeWrite, r.take())),
+              net::Status::kInvalidArgument);
+    EXPECT_EQ(EdgeClient(w.tpa_edge_).index_query(),
+              (std::vector<std::size_t>{1, 2, 3}));
+    EXPECT_EQ(EdgeClient(w.tpa_edge_).flush(), 0u);
+    EXPECT_EQ(EdgeClient(w.tpa_edge_).read(2), w.blocks_[2]);
+  }
+}
+
+// The CSP checks a whole write-back batch before it applies any entry.
+TEST(FuzzTest, WriteBackWithBadLastEntryAppliesNothing) {
+  FuzzWorld w;
+  net::Writer r;
+  r.varint(3);
+  r.varint(0);
+  r.bytes(Bytes(64, 0xaa));
+  r.varint(1);
+  r.bytes(Bytes(64, 0xbb));
+  r.varint(2);
+  r.bytes(Bytes(40, 0xcc));  // short
+  EXPECT_EQ(status_of(w.csp_.handle(kCspWriteBack, r.take())),
+            net::Status::kInvalidArgument);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(w.csp_.store().block(i), w.blocks_[i]) << "block " << i;
+  }
 }
 
 // 302 was the monolithic tag query; it is retired, and a TPA answers it

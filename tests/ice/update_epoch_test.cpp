@@ -195,6 +195,7 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> mismatch{false};
+  std::atomic<int> updaters_staged{0};
   const auto updater = [&](std::size_t parity, std::uint64_t seed) {
     SplitMix64 gen(seed);
     std::size_t k = 0;
@@ -203,10 +204,17 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
       const bn::BigInt& t = fresh[(parity + 2 * k++) % fresh.size()];
       tpa0.update(index, t);
       tpa1.update(index, t);
+      if (k == 1) updaters_staged.fetch_add(1, std::memory_order_release);
     }
   };
   std::thread w0(updater, 0, 0xd00d);
   std::thread w1(updater, 1, 0xfeed);
+  // The audits start once both updaters have staged a row: otherwise a
+  // busy host can finish every audit before an updater first runs, and
+  // the close below then has nothing to merge.
+  while (updaters_staged.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
 
   const auto auditor = [&](std::uint64_t seed) {
     SplitMix64 gen(seed);

@@ -116,6 +116,52 @@ TEST(WireTest, PirResponseRoundTrip) {
   }
 }
 
+TEST(WireTest, PirResponseBytesMatchFlatScalarEncoding) {
+  // K = 13 is not a multiple of 4, so gradient rows share packed bytes.
+  // The frame must be byte-identical to the encoding that copied the
+  // gradients into one flat vector and packed it an element at a time.
+  SplitMix64 rng(29);
+  pir::PirResponse resp;
+  for (int e = 0; e < 2; ++e) {
+    pir::PirSingleResponse entry;
+    entry.values = random_vec(rng, 13);
+    for (int g = 0; g < 7; ++g) entry.gradients.push_back(random_vec(rng, 13));
+    resp.entries.push_back(std::move(entry));
+  }
+  const auto scalar_pack = [](const gf::GF4Vector& v) {
+    Bytes out((v.size() + 3) / 4, 0);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out[i / 4] |= static_cast<std::uint8_t>(v[i].value() << (2 * (i % 4)));
+    }
+    return out;
+  };
+  net::Writer expected;
+  expected.varint(resp.entries.size());
+  for (const auto& e : resp.entries) {
+    expected.varint(e.values.size());
+    expected.bytes(scalar_pack(e.values));
+    expected.varint(13);
+    gf::GF4Vector flat;
+    for (const auto& g : e.gradients) {
+      flat.insert(flat.end(), g.begin(), g.end());
+    }
+    expected.varint(flat.size());
+    expected.bytes(scalar_pack(flat));
+  }
+  net::Writer w;
+  write_pir_response(w, resp);
+  const Bytes buf = w.take();
+  EXPECT_EQ(buf, expected.take());
+  net::Reader r(buf);
+  const pir::PirResponse back = read_pir_response(r);
+  ASSERT_EQ(back.entries.size(), resp.entries.size());
+  for (std::size_t e = 0; e < back.entries.size(); ++e) {
+    EXPECT_EQ(back.entries[e].values, resp.entries[e].values);
+    EXPECT_EQ(back.entries[e].gradients, resp.entries[e].gradients);
+  }
+  EXPECT_TRUE(r.done());
+}
+
 TEST(WireTest, PirResponseRaggedGradientsRejectedOnWrite) {
   pir::PirResponse resp;
   pir::PirSingleResponse entry;

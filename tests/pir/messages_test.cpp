@@ -20,6 +20,70 @@ TEST(PirMessagesTest, PackUnpackRoundTrip) {
   }
 }
 
+// The element-at-a-time loops the word-parallel codec replaced: the
+// packed layout they define is the wire format.
+Bytes scalar_pack(const gf::GF4Vector& v) {
+  Bytes out((v.size() + 3) / 4, 0);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i / 4] |= static_cast<std::uint8_t>(v[i].value() << (2 * (i % 4)));
+  }
+  return out;
+}
+
+gf::GF4Vector scalar_unpack(BytesView data, std::size_t count) {
+  gf::GF4Vector out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = gf::GF4(static_cast<std::uint8_t>(data[i / 4] >> (2 * (i % 4))));
+  }
+  return out;
+}
+
+gf::GF4Vector random_gf4(SplitMix64& gen, std::size_t len) {
+  gf::GF4Vector v(len);
+  for (auto& e : v) e = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
+  return v;
+}
+
+TEST(PirMessagesTest, WordParallelCodecMatchesScalarLoopsAtEveryLength) {
+  SplitMix64 gen(0x9f4);
+  for (std::size_t len = 0; len <= 260; ++len) {
+    const gf::GF4Vector v = random_gf4(gen, len);
+    const Bytes expected = scalar_pack(v);
+    EXPECT_EQ(pack_gf4(v), expected) << "len=" << len;
+    // Random bytes, including nonzero bits past the last element.
+    Bytes packed(expected.size());
+    for (auto& b : packed) b = static_cast<std::uint8_t>(gen());
+    EXPECT_EQ(unpack_gf4(packed, len), scalar_unpack(packed, len))
+        << "len=" << len;
+  }
+}
+
+TEST(PirMessagesTest, PackAtConcatenatesAcrossUnalignedBoundaries) {
+  // Vectors of a length that is not a multiple of 4 packed back to back
+  // (the response encoder's gradient rows) equal one packed concatenation,
+  // and unpack_gf4_at reads each back from its element offset.
+  SplitMix64 gen(0x9f5);
+  for (std::size_t len : {std::size_t{1}, std::size_t{13}, std::size_t{37},
+                          std::size_t{66}, std::size_t{130}}) {
+    std::vector<gf::GF4Vector> rows;
+    gf::GF4Vector flat;
+    for (int r = 0; r < 7; ++r) {
+      rows.push_back(random_gf4(gen, len));
+      flat.insert(flat.end(), rows.back().begin(), rows.back().end());
+    }
+    Bytes packed((flat.size() + 3) / 4, 0);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      pack_gf4_at(rows[r], packed.data(), r * len);
+    }
+    EXPECT_EQ(packed, scalar_pack(flat)) << "len=" << len;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      gf::GF4Vector back(len);
+      unpack_gf4_at(packed.data(), r * len, back);
+      EXPECT_EQ(back, rows[r]) << "len=" << len << " row=" << r;
+    }
+  }
+}
+
 TEST(PirMessagesTest, UnpackShortBufferThrows) {
   EXPECT_THROW(unpack_gf4(Bytes{0x00}, 5), CodecError);
   EXPECT_NO_THROW(unpack_gf4(Bytes{0x00}, 4));

@@ -36,7 +36,17 @@
 # (ParallelDiffTest.ConcurrentBitslicedRespondsMatchSerial).
 # ASan/UBSan covers the big-integer and PIR kernels, including the
 # multiexp/fixed_base differential tests in bignum_test (MultiExpTest.*,
-# FixedBaseTest.*) that pin the engine to Montgomery::pow.
+# FixedBaseTest.*) that pin the engine to Montgomery::pow. The run-factored
+# PIR sweep is gated there by the run kernel against its term-by-term
+# reference at every tier
+# (SimdTest.XorRunMatchesTermByTermReferenceAtEveryTier), the
+# production-width engine grid pinned to respond_naive
+# (ProductionWidth/PirWidthDiffTest.*: K = 1024 and 520, full and partial
+# last runs, n = 1, row shards cutting runs at parallelism 1-7) and the
+# word-parallel GF(4) codec (PirMessagesTest.*,
+# WireTest.PirResponseBytesMatchFlatScalarEncoding); under TSan the same
+# sweep races through ParallelDiffTest, ShardServiceTest, UpdateEpochTest
+# and EpochServiceTest.
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite
