@@ -1,17 +1,17 @@
 // Fig. 5 — Computation cost on the end-user devices.
 //
 // Two user-side phases are timed: the tag query (PIR encode + decode, the
-// paper's "tag query" cost, through the one-shard plan of the paper's
-// monolithic layout) and the verification work (drawing s~ and repacking
-// the |S_j| tags). Fig. 5a sweeps |S_j|; Fig. 5b sweeps n.
+// paper's "tag query" cost) and the verification work (drawing s~ and
+// repacking the |S_j| tags). Fig. 5a sweeps |S_j|; Fig. 5b sweeps n.
 // Expected shape: grows with |S_j|, nearly flat in n. The Raspberry Pi
 // column is modeled from the laptop measurement with the paper's own
 // laptop/Pi ratio (Tab. III), since we have no Pi hardware.
 #include "support.h"
 
 #include "ice/protocol.h"
-#include "ice/shard_audit.h"
 #include "ice/tag_store.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 
 namespace {
 
@@ -33,19 +33,20 @@ UserCost measure(std::size_t n, std::size_t s_j, std::uint64_t seed) {
   const auto tags = synthetic_tags(n, kTagBits, seed);
   const proto::TagStore tpa0(params, tags);
   const proto::TagStore tpa1(params, tags);
-  const proto::ShardPlanner planner(tpa0.shard_map(), kTagBits);
+  const pir::Embedding embedding(n);
+  const pir::PirClient client(embedding, kTagBits);
   std::vector<std::size_t> wanted;
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(n));
 
   UserCost cost{};
-  // Tag query: plan (encode), then merge-decode pre-computed responses.
-  const proto::ShardPlan plan = planner.plan(wanted, rng);
-  pir::ShardedPirResponse r0, r1;
-  tpa0.respond_sharded(plan.queries[0], r0);
-  tpa1.respond_sharded(plan.queries[1], r1);
+  // Tag query: encode, then decode pre-computed responses.
+  const pir::PirClient::EncodedQuery enc = client.encode(wanted, rng);
+  pir::PirResponse r0, r1;
+  tpa0.respond(tpa0.epoch(), enc.queries[0], r0);
+  tpa1.respond(tpa1.epoch(), enc.queries[1], r1);
   cost.query_ms = 1e3 * time_median(3, [&] {
-    (void)planner.plan(wanted, rng);
-    (void)planner.merge_decode(plan, r0, r1);
+    (void)client.encode(wanted, rng);
+    (void)client.decode(enc.secrets, r0, r1);
   });
 
   // Verification work on the user: s~ and T~_k = T_k^{s~}.

@@ -9,22 +9,23 @@
 //            would pay. At n = 10^6 the merge must be orders of magnitude
 //            below the build.
 //
-//   storm  — a sharded server answers timed audit rounds (plan -> 2x
-//            respond_sharded -> merge_decode, as bench_shards) on an idle
-//            database and under an epoch storm (writer threads staging
-//            Zipf updates through the delta plane, never merged during
-//            timing). Snapshot isolation should keep the storm column
-//            within a small constant of idle with every decode valid; the
-//            rounds read a frozen base, so a torn decode is fatal.
+//   storm  — a TagStore answers timed audit rounds (encode -> 2x respond
+//            -> decode) on an idle database and under an epoch storm
+//            (writer threads staging Zipf updates through the delta plane,
+//            never merged during timing). Snapshot isolation should keep
+//            the storm column within a small constant of idle with every
+//            decode valid; the rounds read a frozen base, so a torn decode
+//            is fatal.
 #include "support.h"
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
-#include "ice/shard_audit.h"
+#include "ice/tag_store.h"
 #include "mec/workload.h"
-#include "pir/sharded_server.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 #include "pir/tag_database.h"
 
 namespace {
@@ -69,30 +70,33 @@ struct StormCell {
   std::size_t staged;  // rows staged by the epoch storm while timed
 };
 
-/// One full audit round against `server` (acting as both PIR replicas).
+/// One full audit round against `store` (acting as both PIR replicas).
 /// Any decode failure is a correctness bug: the exception propagates.
-double time_round(const pir::ShardedTagServer& server,
-                  const proto::ShardPlanner& planner,
+double time_round(const proto::TagStore& store, const pir::PirClient& client,
                   const std::vector<std::size_t>& wanted, bn::Rng64& rng,
                   int reps) {
+  const std::uint64_t epoch = store.epoch();  // nothing closes while timed
   return 1e3 * time_median(reps, [&] {
-    const proto::ShardPlan plan = planner.plan(wanted, rng);
-    pir::ShardedPirResponse r0, r1;
-    server.respond_sharded(plan.queries[0], r0);
-    server.respond_sharded(plan.queries[1], r1);
-    (void)planner.merge_decode(plan, r0, r1);
+    const pir::PirClient::EncodedQuery enc = client.encode(wanted, rng);
+    pir::PirResponse r0, r1;
+    store.respond(epoch, enc.queries[0], r0);
+    store.respond(epoch, enc.queries[1], r1);
+    (void)client.decode(enc.secrets, r0, r1);
   });
 }
 
 StormCell measure_storm(std::span<const bn::BigInt> tags,
                         std::span<const bn::BigInt> fresh,
-                        std::size_t tag_bits, std::size_t shards,
-                        std::size_t m, int reps, std::uint64_t seed) {
+                        std::size_t tag_bits, std::size_t m, int reps,
+                        std::uint64_t seed) {
   const std::size_t n = tags.size();
-  const std::size_t budget = (n + shards - 1) / shards;
-  pir::ShardedTagServer server(tag_bits, tags, budget, /*parallelism=*/1);
+  proto::ProtocolParams params;
+  params.modulus_bits = tag_bits;
+  params.parallelism = 1;
+  proto::TagStore store(params, tags);
 
-  const proto::ShardPlanner planner(server.map_snapshot(), tag_bits);
+  const pir::Embedding embedding(n);
+  const pir::PirClient client(embedding, tag_bits);
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
   std::vector<std::size_t> wanted(m);
@@ -100,17 +104,17 @@ StormCell measure_storm(std::span<const bn::BigInt> tags,
 
   // Correctness gate before any timing: the decode must be bit-exact.
   {
-    const auto got = proto::retrieve_tags_sharded(server, server, wanted, rng);
+    const auto got = proto::retrieve_tags_direct(store, store, wanted, rng);
     for (std::size_t i = 0; i < m; ++i) {
-      if (got[i] != server.tag(wanted[i])) {
-        std::fprintf(stderr, "FATAL: sharded decode wrong at point %zu\n", i);
+      if (got[i] != store.tag(wanted[i])) {
+        std::fprintf(stderr, "FATAL: decode wrong at point %zu\n", i);
         std::exit(1);
       }
     }
   }
 
   StormCell cell{};
-  cell.idle_ms = time_round(server, planner, wanted, rng, reps);
+  cell.idle_ms = time_round(store, client, wanted, rng, reps);
 
   // Storm harness: writer threads push Zipf-popular rows until stopped,
   // PACED to a fixed offered load (~10k updates/s per writer) so the audit
@@ -123,23 +127,23 @@ StormCell measure_storm(std::span<const bn::BigInt> tags,
     mec::ZipfWorkload zipf(n, 1.0);
     std::size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      server.update(zipf.next(wgen), fresh[i++ % fresh.size()]);
+      store.update(zipf.next(wgen), fresh[i++ % fresh.size()]);
       std::this_thread::sleep_for(kWriterPause);
     }
   };
   std::thread w0(writer, seed ^ 0xaaaa);
   std::thread w1(writer, seed ^ 0xbbbb);
-  cell.epoch_ms = time_round(server, planner, wanted, rng, reps);
+  cell.epoch_ms = time_round(store, client, wanted, rng, reps);
   stop.store(true, std::memory_order_relaxed);
   w0.join();
   w1.join();
 
   // Snapshot isolation gate: mid-storm audits decoded the epoch-t tags
-  // (checked inside merge_decode against the plan's expectations); the
-  // staged rows are still invisible here.
-  cell.staged = server.staged_updates();
+  // (a torn read throws inside decode); the staged rows are still
+  // invisible here.
+  cell.staged = store.staged_updates();
   for (std::size_t i = 0; i < m; ++i) {
-    if (server.tag(wanted[i]) != tags[wanted[i]]) {
+    if (store.tag(wanted[i]) != tags[wanted[i]]) {
       std::fprintf(stderr, "FATAL: staged update leaked into the snapshot\n");
       std::exit(1);
     }
@@ -193,22 +197,20 @@ int main(int argc, char** argv) {
   // Arm 2 — audit latency: idle vs epoch storm.
   {
     const std::size_t n = smoke ? 240 : 100000;
-    const std::size_t shards = smoke ? 2 : 8;
     const std::size_t m = smoke ? 6 : 64;
     const int reps = smoke ? 1 : 5;
     const std::vector<bn::BigInt> tags = synthetic_tags(n, tag_bits, 37);
     const std::vector<bn::BigInt> fresh = synthetic_tags(256, tag_bits, 43);
-    std::printf("\n%-7s %10s %11s %10s %8s\n", "shards", "idle(ms)",
+    std::printf("\n%-9s %-4s %10s %11s %10s %8s\n", "n", "m", "idle(ms)",
                 "epoch(ms)", "staged", "vs_idle");
-    const StormCell cell =
-        measure_storm(tags, fresh, tag_bits, shards, m, reps, 53);
+    const StormCell cell = measure_storm(tags, fresh, tag_bits, m, reps, 53);
     const double vs_idle = cell.epoch_ms / cell.idle_ms;
-    std::printf("%-7zu %10.2f %11.2f %10zu %7.2fx\n", shards, cell.idle_ms,
-                cell.epoch_ms, cell.staged, vs_idle);
+    std::printf("%-9zu %-4zu %10.2f %11.2f %10zu %7.2fx\n", n, m,
+                cell.idle_ms, cell.epoch_ms, cell.staged, vs_idle);
     if (!smoke) {
       std::ostringstream body;
       body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
-           << ", \"shards\": " << shards << ", \"m\": " << m
+           << ", \"m\": " << m
            << ", \"idle_ms\": " << cell.idle_ms
            << ", \"epoch_storm_ms\": " << cell.epoch_ms
            << ", \"rows_staged\": " << cell.staged

@@ -26,15 +26,6 @@ struct ProtocolParams {
   /// A local deployment knob: it is never serialized onto the wire and
   /// never changes a protocol result bit (see tests/ice/parallel_diff_*).
   std::size_t parallelism = 0;
-  /// Per-shard row budget for the TPA tag database: the tag space is
-  /// partitioned into ceil(n / shard_budget) contiguous range shards, each
-  /// with its own embedding and PIR evaluation state, and a tag query fans
-  /// out only to the shards its indexes touch (pir/shard_map.h). 0 keeps
-  /// the paper's monolithic single-shard layout. A deployment knob like
-  /// `parallelism` — both TPAs of a pair must be configured identically
-  /// (the shard-map epoch check turns drift into typed errors) — and it
-  /// never changes a decoded tag bit (tests/ice/shard_audit_test.cpp).
-  std::size_t shard_budget = 0;
 
   /// Parameters matching the paper's experimental setup.
   static constexpr ProtocolParams paper() { return ProtocolParams{}; }

@@ -1,22 +1,54 @@
 #include "ice/tag_store.h"
 
-#include "common/error.h"
-#include "ice/shard_audit.h"
+#include <mutex>
+#include <string>
+
+#include "pir/client.h"
 
 namespace ice::proto {
 namespace {
 
-std::vector<bn::BigInt> checked(std::vector<bn::BigInt> tags) {
+std::size_t checked_size(std::span<const bn::BigInt> tags) {
   if (tags.empty()) throw ParamError("TagStore: empty tag set");
-  return tags;
+  return tags.size();
 }
 
 }  // namespace
 
 TagStore::TagStore(const ProtocolParams& params,
-                   std::vector<bn::BigInt> tags)
-    : server_(params.tag_bits(), checked(std::move(tags)),
-              params.shard_budget, params.parallelism) {}
+                   std::span<const bn::BigInt> tags)
+    : db_(params.tag_bits()),
+      embedding_(checked_size(tags)),
+      server_(db_, embedding_, params.parallelism) {
+  for (const auto& t : tags) db_.add(t);
+}
+
+std::size_t TagStore::n() const {
+  std::shared_lock lock(mu_);
+  return db_.size();
+}
+
+std::uint64_t TagStore::epoch() const {
+  std::shared_lock lock(mu_);
+  return epoch_;
+}
+
+TagInfo TagStore::info() const {
+  std::shared_lock lock(mu_);
+  return {db_.size(), epoch_};
+}
+
+bn::BigInt TagStore::tag(std::size_t index) const {
+  std::shared_lock lock(mu_);
+  return db_.tag(index);
+}
+
+void TagStore::update(std::size_t index, const bn::BigInt& tag) {
+  // Shared: staging is internally synchronized and never touches base
+  // rows, so updates ride alongside queries.
+  std::shared_lock lock(mu_);
+  db_.update(index, tag);
+}
 
 SnapshotPin TagStore::pin() const {
   pins_taken_.fetch_add(1, std::memory_order_relaxed);
@@ -28,23 +60,60 @@ SnapshotPin TagStore::pin() const {
                      });
 }
 
-pir::EpochCloseResult TagStore::close_epoch(bool force) {
+pir::EpochMergeStats TagStore::close_epoch(bool force) {
   if (!force && pins_active() > 0) {
     closes_skipped_.fetch_add(1, std::memory_order_relaxed);
-    pir::EpochCloseResult out;
-    out.epoch = server_.epoch();
+    pir::EpochMergeStats out;
+    out.epoch = epoch();
     return out;  // closed = false: audits in flight, caller retries later
   }
-  return server_.close_epoch();
+  std::unique_lock lock(mu_);
+  pir::EpochMergeStats out = db_.close_epoch();
+  // Content changed: plans minted before the close would decode the new
+  // tags against pre-close expectations, so the epoch must move. An empty
+  // close leaves planners valid.
+  if (out.closed) ++epoch_;
+  out.epoch = epoch_;
+  return out;
 }
 
 StoreEpochStats TagStore::epoch_stats() const {
   StoreEpochStats out;
-  out.db = server_.epoch_stats();
+  {
+    std::shared_lock lock(mu_);
+    out.db = db_.epoch_stats();
+  }
   out.pins_taken = pins_taken_.load(std::memory_order_relaxed);
   out.pins_active = pins_active();
   out.closes_skipped = closes_skipped_.load(std::memory_order_relaxed);
   return out;
+}
+
+std::size_t TagStore::append(const bn::BigInt& tag) {
+  std::unique_lock lock(mu_);
+  // Build the grown embedding first: if it throws, nothing has changed.
+  pir::Embedding grown(db_.size() + 1);
+  const std::size_t index = db_.add(tag);
+  embedding_ = std::move(grown);
+  ++epoch_;
+  return index;
+}
+
+void TagStore::respond(std::uint64_t epoch, const pir::PirQuery& query,
+                       pir::PirResponse& out) const {
+  std::shared_lock lock(mu_);
+  if (epoch != epoch_) {
+    throw StaleEpochError("TagStore::respond: query planned at epoch " +
+                          std::to_string(epoch) + ", store is at epoch " +
+                          std::to_string(epoch_));
+  }
+  server_.respond_into(query, out);
+}
+
+double TagStore::preprocess() {
+  // Exclusive: a plane build swaps the arrays plane() readers iterate.
+  std::unique_lock lock(mu_);
+  return db_.build_planes();
 }
 
 std::vector<bn::BigInt> retrieve_tags_direct(
@@ -54,14 +123,16 @@ std::vector<bn::BigInt> retrieve_tags_direct(
       tpa0.epoch() != tpa1.epoch()) {
     throw ParamError("retrieve_tags_direct: TPA replicas disagree");
   }
-  const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
-  ShardPlan plan = planner.plan(indices, rng);
-  if (plan.secrets.empty()) return {};
-  pir::ShardedPirResponse r0;
-  pir::ShardedPirResponse r1;
-  tpa0.respond_sharded(plan.queries[0], r0);
-  tpa1.respond_sharded(plan.queries[1], r1);
-  return planner.merge_decode(plan, r0, r1);
+  if (indices.empty()) return {};
+  const TagInfo info = tpa0.info();
+  const pir::Embedding embedding(info.n);
+  const pir::PirClient client(embedding, tpa0.tag_bits());
+  const pir::PirClient::EncodedQuery enc = client.encode(indices, rng);
+  pir::PirResponse r0;
+  pir::PirResponse r1;
+  tpa0.respond(info.epoch, enc.queries[0], r0);
+  tpa1.respond(info.epoch, enc.queries[1], r1);
+  return client.decode(enc.secrets, r0, r1);
 }
 
 }  // namespace ice::proto

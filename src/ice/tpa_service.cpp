@@ -11,15 +11,13 @@ namespace ice::proto {
 using net::ServiceError;
 using net::Status;
 
-TpaService::TpaService(std::size_t parallelism, std::size_t shard_budget,
-                       const OfflineConfig& offline)
+TpaService::TpaService(std::size_t parallelism, const OfflineConfig& offline)
     : dispatch_("TpaService"),
       sessions_(session_table_config()),
       batches_(session_table_config()),
       offline_cfg_(offline),
       pool_(offline) {
   params_.parallelism = parallelism;
-  params_.shard_budget = shard_budget;
   if (offline_cfg_.enabled) {
     offline_worker_ = std::make_unique<OfflineWorker>(pool_, rng_);
   }
@@ -41,11 +39,8 @@ TpaService::TpaService(std::size_t parallelism, std::size_t shard_budget,
                bind(&TpaService::on_batch_finish));
   dispatch_.on(kTpaUpdateTag, "update_tag",
                bind(&TpaService::on_update_tag));
-  dispatch_.on(kTpaShardMap, "shard_map", bind(&TpaService::on_shard_map));
-  dispatch_.on(kTpaShardQuery, "shard_query",
-               bind(&TpaService::on_shard_query));
-  dispatch_.on(kTpaSplitShard, "split_shard",
-               bind(&TpaService::on_split_shard));
+  dispatch_.on(kTpaTagInfo, "tag_info", bind(&TpaService::on_tag_info));
+  dispatch_.on(kTpaShardQuery, "tag_query", bind(&TpaService::on_tag_query));
   dispatch_.on(kTpaAppendTag, "append_tag",
                bind(&TpaService::on_append_tag));
   dispatch_.on(kTpaCloseEpoch, "close_epoch",
@@ -131,7 +126,7 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   // Build the replacement store with no lock held (this is the expensive
   // part), then swap it in. The fused engine streams the rows, so no
   // bitplane lists are built here.
-  auto store = std::make_unique<TagStore>(params, std::move(tags));
+  auto store = std::make_unique<TagStore>(params, tags);
   std::unique_lock lock(store_mu_);
   store_ = std::move(store);
 }
@@ -371,43 +366,28 @@ void TpaService::on_update_tag(net::Reader& r, net::Writer& w) {
   w.u64(store_->epoch());  // the epoch the update was staged under
 }
 
-void TpaService::on_shard_map(net::Reader& r, net::Writer& w) {
+void TpaService::on_tag_info(net::Reader& r, net::Writer& w) {
   r.expect_done();
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
   }
-  write_shard_map(w, store_->shard_map());
+  write_tag_info(w, store_->info());
 }
 
-void TpaService::on_shard_query(net::Reader& r, net::Writer& w) {
-  const pir::ShardedPirQuery query = read_sharded_query(r);
+void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
+  const TagQuery query = read_sharded_query(r);
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
   }
-  // A stale query epoch throws pir::StaleShardMapError (a ProtocolError),
-  // which the dispatcher maps to kFailedPrecondition for the client's
-  // refresh-and-retry path.
-  pir::ShardedPirResponse out;
-  store_->respond_sharded(query, out);
-  write_sharded_response(w, out);
-}
-
-void TpaService::on_split_shard(net::Reader& r, net::Writer& w) {
-  const auto shard = static_cast<std::size_t>(r.varint());
-  r.expect_done();
-  std::shared_lock lock(store_mu_);
-  if (store_ == nullptr) {
-    throw ServiceError(Status::kFailedPrecondition, "no tags stored");
-  }
-  // Explicit typed refusal before the store throws ParamError deeper down:
-  // a hostile shard id is a caller bug, not a service precondition.
-  if (shard >= store_->num_shards()) {
-    throw ServiceError(Status::kInvalidArgument, "shard id out of range");
-  }
-  store_->split(shard);  // takes the store's structure lock exclusively
-  w.u64(store_->epoch());
+  // A stale query epoch throws StaleEpochError (a ProtocolError), which
+  // the dispatcher maps to kFailedPrecondition for the client's
+  // refresh-and-retry path; a point of the wrong length throws ParamError
+  // (kInvalidArgument).
+  pir::PirResponse out;
+  store_->respond(query.epoch, query.query, out);
+  write_pir_response(w, out);
 }
 
 void TpaService::on_append_tag(net::Reader& r, net::Writer& w) {
@@ -432,7 +412,7 @@ void TpaService::on_close_epoch(net::Reader& r, net::Writer& w) {
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
   }
-  const pir::EpochCloseResult result = store_->close_epoch(force);
+  const pir::EpochMergeStats result = store_->close_epoch(force);
   w.u8(result.closed ? 1 : 0);
   w.u64(result.epoch);
   w.varint(result.rows_merged);
@@ -507,28 +487,19 @@ TpaClient::CloseEpochReply TpaClient::close_epoch(bool force) const {
   return reply;
 }
 
-pir::ShardMap TpaClient::shard_map() const {
+TagInfo TpaClient::tag_info() const {
   net::Writer w;
-  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaShardMap, std::move(w));
+  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaTagInfo, std::move(w));
   net::Reader r = unwrap(raw);
-  return read_shard_map(r);
+  return read_tag_info(r);
 }
 
-pir::ShardedPirResponse TpaClient::shard_query(
-    const pir::ShardedPirQuery& query) const {
+pir::PirResponse TpaClient::tag_query(const TagQuery& query) const {
   net::Writer w;
   write_sharded_query(w, query);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaShardQuery, std::move(w));
   net::Reader r = unwrap(raw);
-  return read_sharded_response(r);
-}
-
-std::uint64_t TpaClient::split_shard(std::size_t shard) const {
-  net::Writer w;
-  w.varint(shard);
-  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaSplitShard, std::move(w));
-  net::Reader r = unwrap(raw);
-  return r.u64();
+  return read_pir_response(r);
 }
 
 std::pair<std::size_t, std::uint64_t> TpaClient::append_tag(

@@ -32,6 +32,7 @@
 #include "ice/protocol.h"
 #include "ice/session.h"
 #include "ice/tag_store.h"
+#include "ice/wire.h"
 #include "net/dispatch.h"
 #include "net/rpc.h"
 #include "net/serde.h"
@@ -41,18 +42,14 @@ namespace ice::proto {
 class TpaService final : public net::RpcHandler {
  public:
   /// `parallelism` is the worker-task budget for PIR evaluation and proof
-  /// verification; `shard_budget` is the per-shard row cap for the tag
-  /// store (0 = monolithic; ProtocolParams::shard_budget). Both are local
-  /// deployment knobs, independent of the protocol parameters received via
-  /// kTpaSetKey — but both TPAs of a pair must agree on `shard_budget` (the
-  /// shard-map epoch check catches drift).
+  /// verification: a local deployment knob, independent of the protocol
+  /// parameters received via kTpaSetKey.
   /// `offline` opts the verifier into the online/offline audit split
   /// (ice/offline.h): a background worker precomputes challenge bundles
   /// during idle cycles and start_audit / batch_begin consume them. Off by
   /// default — with it off, the RNG draw order and every wire byte are
   /// exactly the pre-PR-8 cold path.
   explicit TpaService(std::size_t parallelism = 0,
-                      std::size_t shard_budget = 0,
                       const OfflineConfig& offline = {});
 
   Bytes handle(std::uint16_t method, BytesView request) override;
@@ -65,8 +62,8 @@ class TpaService final : public net::RpcHandler {
   [[nodiscard]] bool has_tags() const;
 
   /// Epoch-engine observability (DESIGN.md §15): merge/rebuild counters
-  /// aggregated across shards plus snapshot-pin gauges. All zero before
-  /// tags are stored. Thread-safe.
+  /// plus snapshot-pin gauges. All zero before tags are stored.
+  /// Thread-safe.
   [[nodiscard]] StoreEpochStats epoch_stats() const;
 
   /// Tamper-evident record of every verdict this TPA issued. Read it only
@@ -92,9 +89,8 @@ class TpaService final : public net::RpcHandler {
   void on_submit_proof(net::Reader& r, net::Writer& w);
   void on_batch_finish(net::Reader& r, net::Writer& w);
   void on_update_tag(net::Reader& r, net::Writer& w);
-  void on_shard_map(net::Reader& r, net::Writer& w);
-  void on_shard_query(net::Reader& r, net::Writer& w);
-  void on_split_shard(net::Reader& r, net::Writer& w);
+  void on_tag_info(net::Reader& r, net::Writer& w);
+  void on_tag_query(net::Reader& r, net::Writer& w);
   void on_append_tag(net::Reader& r, net::Writer& w);
   void on_close_epoch(net::Reader& r, net::Writer& w);
 
@@ -112,7 +108,7 @@ class TpaService final : public net::RpcHandler {
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
   // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
-  // then swapped in), queried shared by shard_query.
+  // then swapped in), queried shared by tag_query.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 
@@ -169,15 +165,12 @@ class TpaClient {
   /// the TPA refuses (closed=false) while audit sessions hold snapshot
   /// pins; the verifier-driven UserClient path forces.
   [[nodiscard]] CloseEpochReply close_epoch(bool force) const;
-  /// Current shard map (epoch + per-shard sizes); the user builds its
-  /// ShardPlanner from this.
-  [[nodiscard]] pir::ShardMap shard_map() const;
-  /// Cross-shard fan-out tag query. A stale plan epoch surfaces as
-  /// RemoteError kFailedPrecondition — refresh the map and re-plan.
-  [[nodiscard]] pir::ShardedPirResponse shard_query(
-      const pir::ShardedPirQuery& query) const;
-  /// Operator rebalance: splits shard `s`; returns the new epoch.
-  std::uint64_t split_shard(std::size_t shard) const;
+  /// The store's row count and content epoch; the user plans its tag
+  /// queries against this epoch.
+  [[nodiscard]] TagInfo tag_info() const;
+  /// One private tag query over all n rows. A stale epoch surfaces as
+  /// RemoteError kFailedPrecondition — refresh the epoch and re-plan.
+  [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query) const;
   /// Appends the tag of a newly outsourced block; returns its global
   /// index and the new epoch.
   [[nodiscard]] std::pair<std::size_t, std::uint64_t> append_tag(

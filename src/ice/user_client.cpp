@@ -1,6 +1,7 @@
 #include "ice/user_client.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
 #include "common/error.h"
@@ -24,7 +25,7 @@ double UserClient::setup_file(const std::vector<Bytes>& blocks) {
       tagger_.tag_all(blocks, params_.parallelism);
   const double taggen_seconds = sw.seconds();
   n_ = blocks.size();
-  invalidate_planner();  // fresh store, fresh shard map
+  invalidate_codec();  // fresh store, fresh epoch
   for (net::RpcChannel* ch : {tpa0_, tpa1_}) {
     const TpaClient tpa(*ch);
     tpa.set_key(keys_.pk.pk, params_);
@@ -38,53 +39,64 @@ double UserClient::setup_file(const std::vector<Bytes>& blocks) {
 void UserClient::attach_file(std::size_t n_blocks) {
   if (n_blocks == 0) throw ParamError("attach_file: no blocks");
   n_ = n_blocks;
-  invalidate_planner();
+  invalidate_codec();
   std::lock_guard lock(blocks_mu_);
   updated_blocks_.clear();
 }
 
-std::shared_ptr<const ShardPlanner> UserClient::planner() {
-  std::lock_guard lock(planner_mu_);
-  if (planner_ == nullptr) {
+std::shared_ptr<const UserClient::QueryCodec> UserClient::codec() {
+  std::lock_guard lock(codec_mu_);
+  if (codec_ == nullptr) {
+    const TagInfo info = TpaClient(*tpa0_).tag_info();
+    // The user plans against the file it owns. A TPA reporting another row
+    // count is faulty or hostile, and must not decide how much the device
+    // allocates for the embedding.
+    if (info.n != n_) {
+      throw ProtocolError("retrieve_tags: tpa0 reports " +
+                          std::to_string(info.n) + " rows, the file has " +
+                          std::to_string(n_));
+    }
     // K is the ACTUAL modulus width: N built from two b/2-bit primes can
     // be one bit short of the nominal params_.modulus_bits.
-    planner_ = std::make_shared<const ShardPlanner>(
-        TpaClient(*tpa0_).shard_map(), keys_.pk.pk.modulus_bits());
+    codec_ = std::make_shared<const QueryCodec>(info.epoch, n_,
+                                                keys_.pk.pk.modulus_bits());
   }
-  return planner_;
+  return codec_;
 }
 
-void UserClient::invalidate_planner() {
-  std::lock_guard lock(planner_mu_);
-  planner_.reset();
+void UserClient::invalidate_codec() {
+  std::lock_guard lock(codec_mu_);
+  codec_.reset();
 }
 
 std::vector<bn::BigInt> UserClient::retrieve_tags(
     const std::vector<std::size_t>& indices) {
   if (n_ == 0) throw ProtocolError("retrieve_tags: no file");
   if (indices.empty()) return {};
-  // One retry: a structural change at the TPAs (append/split) between our
-  // planning and their evaluation is rejected remotely with
-  // kFailedPrecondition; refresh the shard map and re-plan once.
+  // One retry: an append or a close at the TPAs between our planning and
+  // their evaluation is rejected remotely with kFailedPrecondition;
+  // refresh the epoch and re-plan once.
   for (int attempt = 0;; ++attempt) {
-    const std::shared_ptr<const ShardPlanner> plan_for = planner();
-    ShardPlan plan = plan_for->plan(indices, rng_);
+    const std::shared_ptr<const QueryCodec> plan_for = codec();
+    pir::PirClient::EncodedQuery enc = plan_for->client.encode(indices, rng_);
+    const TagQuery q0{plan_for->epoch, std::move(enc.queries[0])};
+    const TagQuery q1{plan_for->epoch, std::move(enc.queries[1])};
     // The two PIR servers are independent (that independence is the
     // privacy guarantee), so their round trips overlap instead of paying
     // the WAN latency twice per retrieval.
-    pir::ShardedPirResponse r1;
+    pir::PirResponse r1;
     std::exception_ptr r1_error;
     std::thread second([&] {
       try {
-        r1 = TpaClient(*tpa1_).shard_query(plan.queries[1]);
+        r1 = TpaClient(*tpa1_).tag_query(q1);
       } catch (...) {
         r1_error = std::current_exception();
       }
     });
-    pir::ShardedPirResponse r0;
+    pir::PirResponse r0;
     std::exception_ptr r0_error;
     try {
-      r0 = TpaClient(*tpa0_).shard_query(plan.queries[0]);
+      r0 = TpaClient(*tpa0_).tag_query(q0);
     } catch (...) {
       r0_error = std::current_exception();
     }
@@ -97,7 +109,7 @@ std::vector<bn::BigInt> UserClient::retrieve_tags(
           std::rethrow_exception(error);
         } catch (const net::RemoteError& e) {
           if (e.status() == net::Status::kFailedPrecondition) {
-            invalidate_planner();
+            invalidate_codec();
             continue;
           }
           throw;
@@ -105,7 +117,7 @@ std::vector<bn::BigInt> UserClient::retrieve_tags(
       }
       std::rethrow_exception(error);
     }
-    return plan_for->merge_decode(plan, r0, r1);
+    return plan_for->client.decode(enc.secrets, r0, r1);
   }
 }
 
@@ -118,7 +130,7 @@ std::size_t UserClient::append_block(BytesView content) {
     throw ProtocolError("append_block: TPA replicas disagree");
   }
   n_ = index0 + 1;
-  invalidate_planner();  // the tail shard changed (and may have split)
+  invalidate_codec();  // n and the epoch moved
   return index0;
 }
 
@@ -152,9 +164,9 @@ bool UserClient::close_epochs() {
     throw ProtocolError("close_epochs: TPA replicas disagree");
   }
   if (r0.closed) {
-    // The map epoch moved; drop the planner now instead of paying a
-    // stale-plan round trip on the next retrieval.
-    invalidate_planner();
+    // The epoch moved; drop the codec now instead of paying a stale-query
+    // round trip on the next retrieval.
+    invalidate_codec();
   }
   return r0.closed;
 }

@@ -27,10 +27,10 @@
 #include "ice/keys.h"
 #include "ice/localize.h"
 #include "ice/params.h"
-#include "ice/shard_audit.h"
 #include "ice/tag.h"
 #include "ice/tpa_service.h"
 #include "pir/client.h"
+#include "pir/embedding.h"
 
 namespace ice::proto {
 
@@ -80,8 +80,8 @@ class UserClient {
   /// Closes the epoch at BOTH TPAs in lockstep (forced: the client-side
   /// epoch gate, not TPA pins, protects this client's own audits — the
   /// call excludes them by taking the gate exclusively). Returns true when
-  /// staged rows merged; the cached planner is dropped in that case (the
-  /// map epoch moved).
+  /// staged rows merged; the cached query codec is dropped in that case
+  /// (the content epoch moved).
   bool close_epochs();
 
   /// Data dynamics, synchronous path: once an update has been written back
@@ -98,17 +98,18 @@ class UserClient {
     return updated_blocks_;
   }
 
-  /// Privately retrieves tags for `indices` from the two TPAs, fanning the
-  /// query out to the shards the indexes touch (ice/shard_audit.h). The
-  /// shard-map snapshot is fetched lazily and cached; when a structural
-  /// change at the TPAs lands between planning and evaluation, the stale
-  /// plan is rejected remotely (kFailedPrecondition) and the client
-  /// refreshes its map and retries once.
+  /// Privately retrieves tags for `indices` from the two TPAs: each gets
+  /// one |indices|-point query over all n rows. The content epoch is
+  /// fetched lazily from tpa0 and cached; when an append or a close at the
+  /// TPAs lands between planning and evaluation, the stale query is
+  /// rejected remotely (kFailedPrecondition) and the client refreshes its
+  /// epoch and retries once. Throws ProtocolError, before any query is
+  /// sent, when tpa0 reports a row count other than file_blocks().
   [[nodiscard]] std::vector<bn::BigInt> retrieve_tags(
       const std::vector<std::size_t>& indices);
 
-  /// Data dynamics: tags a NEW block and appends it at both TPAs (the tail
-  /// shard may split). Returns the block's global index.
+  /// Data dynamics: tags a NEW block and appends it at both TPAs. Returns
+  /// the block's index.
   std::size_t append_block(BytesView content);
 
   /// After a failed audit: pinpoints which of the edge's cached blocks are
@@ -131,13 +132,23 @@ class UserClient {
   TagGenerator tagger_;
   net::RpcChannel* tpa0_;
   net::RpcChannel* tpa1_;
-  /// Cached shard planner (per-shard embeddings + PIR clients), built from
-  /// tpa0's shard map on first use and dropped on any event that can
-  /// change the map (setup, attach, append, remote stale-plan rejection).
-  /// shared_ptr so an in-flight retrieval keeps its snapshot while a
-  /// concurrent refresh swaps the cache.
-  [[nodiscard]] std::shared_ptr<const ShardPlanner> planner();
-  void invalidate_planner();
+  /// The PIR state a retrieval encodes and decodes with: the content epoch
+  /// tpa0 reported, the embedding over the file's own n rows, and the
+  /// client that points at it (so the struct never moves).
+  struct QueryCodec {
+    QueryCodec(std::uint64_t epoch, std::size_t n, std::size_t tag_bits)
+        : epoch(epoch), embedding(n), client(embedding, tag_bits) {}
+
+    std::uint64_t epoch;
+    pir::Embedding embedding;
+    pir::PirClient client;
+  };
+  /// Cached query codec, built on first use and dropped on any event that
+  /// can move the epoch or n (setup, attach, append, close, remote
+  /// stale-epoch rejection). shared_ptr so an in-flight retrieval keeps
+  /// its codec while a concurrent refresh swaps the cache.
+  [[nodiscard]] std::shared_ptr<const QueryCodec> codec();
+  void invalidate_codec();
 
   std::size_t n_ = 0;
   /// Epoch gate (DESIGN.md §15): audit flows hold it shared for their full
@@ -146,8 +157,8 @@ class UserClient {
   /// force past the TPA-side advisory pins. Only top-level entry points
   /// lock it (shared_mutex is not recursive).
   mutable std::shared_mutex epoch_gate_;
-  mutable std::mutex planner_mu_;
-  std::shared_ptr<const ShardPlanner> planner_;
+  mutable std::mutex codec_mu_;
+  std::shared_ptr<const QueryCodec> codec_;
   crypto::SharedCsprng rng_;
   mutable std::mutex blocks_mu_;
   std::vector<std::pair<std::size_t, Bytes>> updated_blocks_;

@@ -121,83 +121,28 @@ pir::PirResponse read_pir_response(net::Reader& r) {
   return resp;
 }
 
-void write_shard_map(net::Writer& w, const pir::ShardMap& map) {
-  w.u64(map.epoch());
-  w.varint(map.num_shards());
-  for (const pir::ShardRange& range : map.ranges()) {
-    w.varint(range.size());
-  }
+void write_tag_info(net::Writer& w, const TagInfo& info) {
+  w.varint(info.n);
+  w.u64(info.epoch);
 }
 
-pir::ShardMap read_shard_map(net::Reader& r) {
-  const std::uint64_t epoch = r.u64();
-  const std::uint64_t count = r.varint();
-  if (count == 0 || count > (std::uint64_t{1} << 16)) {
-    throw CodecError("read_shard_map: implausible shard count");
-  }
-  std::vector<std::size_t> sizes;
-  sizes.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t size = r.varint();
-    if (size > (std::uint64_t{1} << 40)) {
-      throw CodecError("read_shard_map: implausible shard size");
-    }
-    sizes.push_back(static_cast<std::size_t>(size));
-  }
-  return pir::ShardMap::from_sizes(sizes, epoch);
+TagInfo read_tag_info(net::Reader& r) {
+  TagInfo info;
+  info.n = r.varint();
+  info.epoch = r.u64();
+  return info;
 }
 
-void write_sharded_query(net::Writer& w, const pir::ShardedPirQuery& q) {
+void write_sharded_query(net::Writer& w, const TagQuery& q) {
   w.u64(q.epoch);
-  w.varint(q.shards.size());
-  for (const pir::ShardQuery& s : q.shards) {
-    w.u32(s.shard);
-    write_pir_query(w, s.query);
-  }
+  write_pir_query(w, q.query);
 }
 
-pir::ShardedPirQuery read_sharded_query(net::Reader& r) {
-  pir::ShardedPirQuery q;
+TagQuery read_sharded_query(net::Reader& r) {
+  TagQuery q;
   q.epoch = r.u64();
-  const std::uint64_t count = r.varint();
-  if (count > (std::uint64_t{1} << 16)) {
-    throw CodecError("read_sharded_query: implausible shard count");
-  }
-  q.shards.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, r.remaining())));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    pir::ShardQuery s;
-    s.shard = r.u32();
-    s.query = read_pir_query(r);
-    q.shards.push_back(std::move(s));
-  }
+  q.query = read_pir_query(r);
   return q;
-}
-
-void write_sharded_response(net::Writer& w,
-                            const pir::ShardedPirResponse& resp) {
-  w.varint(resp.shards.size());
-  for (const pir::ShardResponse& s : resp.shards) {
-    w.u32(s.shard);
-    write_pir_response(w, s.response);
-  }
-}
-
-pir::ShardedPirResponse read_sharded_response(net::Reader& r) {
-  pir::ShardedPirResponse resp;
-  const std::uint64_t count = r.varint();
-  if (count > (std::uint64_t{1} << 16)) {
-    throw CodecError("read_sharded_response: implausible shard count");
-  }
-  resp.shards.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, r.remaining())));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    pir::ShardResponse s;
-    s.shard = r.u32();
-    s.response = read_pir_response(r);
-    resp.shards.push_back(std::move(s));
-  }
-  return resp;
 }
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v) {

@@ -13,10 +13,10 @@
 #include "bignum/bigint.h"
 #include "common/bytes.h"
 #include "ice/protocol.h"
+#include "ice/tag_store.h"
 #include "net/dispatch.h"
 #include "net/serde.h"
 #include "pir/messages.h"
-#include "pir/shard_map.h"
 
 namespace ice::proto {
 
@@ -50,10 +50,10 @@ enum Method : std::uint16_t {
   kTpaBatchFinish = 307,    // (batch_id, [tag]...) -> (verdict)
   kTpaUpdateTag = 308,      // (index, tag) -> (epoch); stages into
                             // the next epoch (data dynamics)
-  kTpaShardMap = 309,       // () -> (epoch, [shard size]...)
-  kTpaShardQuery = 310,     // ShardedPirQuery -> ShardedPirResponse;
+  kTpaTagInfo = 309,        // () -> (n, epoch)
+  kTpaShardQuery = 310,     // (epoch, PirQuery) -> PirResponse;
                             // stale epoch -> kFailedPrecondition
-  kTpaSplitShard = 311,     // (shard) -> (epoch); operator rebalance
+                            // 311 is retired: it split a range shard
   kTpaAppendTag = 312,      // (tag) -> (index, epoch); new outsourced block
   kTpaCloseEpoch = 313,     // (force u8) -> (closed u8, epoch, rows merged);
                             // merges staged updates (DESIGN.md §15)
@@ -72,16 +72,23 @@ pir::PirQuery read_pir_query(net::Reader& r);
 void write_pir_response(net::Writer& w, const pir::PirResponse& resp);
 pir::PirResponse read_pir_response(net::Reader& r);
 
-/// Shard map wire form: epoch + per-shard sizes (pir::ShardMap::from_sizes
-/// reconstructs the range table on the client).
-void write_shard_map(net::Writer& w, const pir::ShardMap& map);
-pir::ShardMap read_shard_map(net::Reader& r);
+/// The 309 reply: TagStore::info().
+void write_tag_info(net::Writer& w, const TagInfo& info);
+TagInfo read_tag_info(net::Reader& r);
 
-void write_sharded_query(net::Writer& w, const pir::ShardedPirQuery& q);
-pir::ShardedPirQuery read_sharded_query(net::Reader& r);
-void write_sharded_response(net::Writer& w,
-                            const pir::ShardedPirResponse& resp);
-pir::ShardedPirResponse read_sharded_response(net::Reader& r);
+/// The 310 request: one m-point PIR query over all n rows, planned against
+/// a content epoch. A TPA whose epoch has moved refuses it with
+/// kFailedPrecondition instead of answering against other rows.
+struct TagQuery {
+  std::uint64_t epoch = 0;
+  pir::PirQuery query;
+
+  [[nodiscard]] std::size_t total_points() const { return query.size(); }
+};
+/// 310's enum name and these codec names predate the single tag layout;
+/// perfbench's tracer compiles against them.
+void write_sharded_query(net::Writer& w, const TagQuery& q);
+TagQuery read_sharded_query(net::Reader& r);
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v);
 std::vector<bn::BigInt> read_bigint_list(net::Reader& r);

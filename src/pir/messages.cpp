@@ -23,19 +23,6 @@ std::size_t wire_bits(const PirResponse& r) {
   return bits;
 }
 
-std::size_t wire_bits(const ShardedPirQuery& q) {
-  // 64-bit epoch + a 32-bit shard id and 32-bit point count per shard.
-  std::size_t bits = 64;
-  for (const auto& s : q.shards) bits += 64 + wire_bits(s.query);
-  return bits;
-}
-
-std::size_t wire_bits(const ShardedPirResponse& r) {
-  std::size_t bits = 0;
-  for (const auto& s : r.shards) bits += 64 + wire_bits(s.response);
-  return bits;
-}
-
 namespace {
 
 static_assert(sizeof(gf::GF4) == 1 && std::is_trivially_copyable_v<gf::GF4>,

@@ -45,48 +45,9 @@ struct QuerySecrets {
   std::vector<gf::GF4Vector> z;
 };
 
-/// One shard's slice of a sharded query: the points of the challenge that
-/// fall inside that shard's range, encoded against the SHARD's embedding
-/// (shard-local indexes, shard-sized gamma).
-struct ShardQuery {
-  std::uint32_t shard = 0;
-  PirQuery query;
-};
-
-/// Cross-shard fan-out query to one TPA. `epoch` pins the shard map the
-/// client planned against: the server rejects a mismatch with a typed
-/// kFailedPrecondition instead of decoding against the wrong embedding.
-/// Shard ids must be strictly increasing (canonical form; also what the
-/// planner emits, so the 1-shard encoding is byte-identical to PirQuery
-/// plus the envelope).
-struct ShardedPirQuery {
-  std::uint64_t epoch = 0;
-  std::vector<ShardQuery> shards;
-
-  [[nodiscard]] std::size_t total_points() const {
-    std::size_t m = 0;
-    for (const auto& s : shards) m += s.query.size();
-    return m;
-  }
-};
-
-/// One shard's partial response (same order/shape as the sub-query).
-struct ShardResponse {
-  std::uint32_t shard = 0;
-  PirResponse response;
-};
-
-/// Merged-by-the-client fan-out response: one partial per queried shard,
-/// in the query's shard order.
-struct ShardedPirResponse {
-  std::vector<ShardResponse> shards;
-};
-
 /// Exact packed wire size in bits (GF(4) elements cost 2 bits each).
 std::size_t wire_bits(const PirQuery& q);
 std::size_t wire_bits(const PirResponse& r);
-std::size_t wire_bits(const ShardedPirQuery& q);
-std::size_t wire_bits(const ShardedPirResponse& r);
 
 /// Packed GF(4) strings hold 4 elements per byte: element i sits at bits
 /// 2(i % 4) .. 2(i % 4) + 1 of byte i / 4.

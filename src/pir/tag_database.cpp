@@ -127,20 +127,6 @@ std::size_t TagDatabase::staged_updates() const {
   return staged_index_.size();
 }
 
-std::vector<std::pair<std::uint32_t, bn::BigInt>> TagDatabase::staged_snapshot()
-    const {
-  std::lock_guard lock(delta_mu_);
-  std::vector<std::pair<std::uint32_t, bn::BigInt>> out;
-  out.reserve(staged_index_.size());
-  for (std::size_t slot = 0; slot < staged_index_.size(); ++slot) {
-    out.emplace_back(staged_index_[slot],
-                     bn::BigInt::from_limbs(
-                         staged_rows_.data() + slot * words_per_tag_,
-                         words_per_tag_));
-  }
-  return out;
-}
-
 EpochStats TagDatabase::epoch_stats() const {
   EpochStats out = stats_;
   out.staged_rows = staged_updates();

@@ -20,7 +20,7 @@
 //     changed indexes into a sorted overlay consumed by PlaneView — one
 //     O(U·w) memcpy pass instead of a full K-plane rebuild. The CALLER must
 //     serialize close_epoch (and add, which edits the base directly)
-//     against readers; pir::ShardedTagServer does so with its structure
+//     against readers; proto::TagStore does so with its reader-writer
 //     lock.
 //
 // Plane maintenance replaces the old all-planes invalidation flag: a close
@@ -141,10 +141,6 @@ class TagDatabase {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Distinct rows staged for the next epoch. Internally synchronized.
   [[nodiscard]] std::size_t staged_updates() const;
-  /// Staged (index, tag) pairs, insertion-ordered. Used by the sharded
-  /// server to carry pending updates across a shard rebuild.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, bn::BigInt>>
-  staged_snapshot() const;
   [[nodiscard]] EpochStats epoch_stats() const;
 
   [[nodiscard]] std::size_t size() const { return n_; }

@@ -31,8 +31,8 @@ struct World {
         csp(mec::BlockStore::synthetic(config.n_blocks, config.block_bytes,
                                        seed),
             config.parallelism),
-        tpa0(config.parallelism, config.shard_budget),
-        tpa1(config.parallelism, config.shard_budget),
+        tpa0(config.parallelism),
+        tpa1(config.parallelism),
         edge_csp(csp),
         user_csp(csp),
         edge(0, params, keys.pk,
@@ -57,7 +57,6 @@ struct World {
     p.modulus_bits = keys.pk.modulus_bits();
     p.block_bytes = config.block_bytes;
     p.parallelism = config.parallelism;
-    p.shard_budget = config.shard_budget;
     return p;
   }
 
@@ -195,7 +194,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
       mec::BlockStore::synthetic(config.n_blocks, config.block_bytes, seed),
       config.parallelism);
   net::InMemoryChannel csp_chan(csp);  // shared by every edge (synchronous)
-  TpaService tpa0(config.parallelism, /*shard_budget=*/0, offline);
+  TpaService tpa0(config.parallelism, offline);
   TpaService tpa1(config.parallelism);
   net::InMemoryChannel user_tpa0(tpa0);
   net::InMemoryChannel user_tpa1(tpa1);
@@ -340,7 +339,6 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
   sim.block_bytes = config.block_bytes;
   sim.cache_capacity = config.cache_capacity;
   sim.parallelism = config.parallelism;
-  sim.shard_budget = config.shard_budget;
   World world(sim, keys, seed);
 
   SplitMix64 rng(seed ^ 0x5702f1);

@@ -33,10 +33,6 @@ struct SimConfig {
   /// 0 = hardware concurrency, 1 = single-threaded legacy path). Audit
   /// verdicts and every report counter are identical at every setting.
   std::size_t parallelism = 0;
-  /// Per-shard row budget for the TPA tag stores
-  /// (ProtocolParams::shard_budget; 0 = monolithic). Like `parallelism`, a
-  /// deployment knob: every report counter is identical at every setting.
-  std::size_t shard_budget = 0;
 };
 
 struct SimReport {
@@ -154,7 +150,6 @@ struct UpdateStormConfig {
   std::size_t ops_per_round = 40;
   std::size_t close_every = 2;       // rounds between flush + epoch close
   std::size_t parallelism = 0;       // ProtocolParams convention
-  std::size_t shard_budget = 0;      // 0 = monolithic
 };
 
 struct UpdateStormReport {

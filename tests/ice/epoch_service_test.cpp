@@ -1,22 +1,23 @@
-// Epoch engine through the service/wire layer (PR 9): the kTpaCloseEpoch
-// roundtrip, typed kInvalidArgument envelopes for hostile indexes on the
-// dynamics methods (308/311/312), staged updates surviving shard rebuilds,
-// the epoch-counter stats surface, and the differential suite pinning
+// Epoch engine through the service/wire layer: the kTpaCloseEpoch
+// roundtrip, typed kInvalidArgument envelopes for hostile input on the
+// dynamics methods (308/312), staged updates surviving an append, the
+// epoch-counter stats surface, and the differential suite pinning
 // snapshot-isolated audits bit-exact against the quiesced path across
-// shard counts x strategies x thread budgets with updates landing
-// mid-audit.
+// thread budgets with updates landing mid-audit.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
-#include "ice/shard_audit.h"
 #include "ice/tag.h"
 #include "ice/tag_store.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
+#include "ice/wire.h"
 #include "net/channel.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -103,7 +104,7 @@ TEST_F(EpochServiceTest, CloseEpochWireRoundtrip) {
 }
 
 TEST_F(EpochServiceTest, HostileIndexesRefusedWithTypedEnvelopes) {
-  World w;  // 24 blocks stored, monolithic store (1 shard)
+  World w;  // 24 blocks stored
   const TpaClient tpa(w.user_tpa0);
   const auto expect_invalid = [](auto&& call) {
     try {
@@ -120,9 +121,6 @@ TEST_F(EpochServiceTest, HostileIndexesRefusedWithTypedEnvelopes) {
   expect_invalid([&] {
     (void)tpa.update_tag(0, bn::BigInt(1) << w.params.tag_bits());
   });
-  // kTpaSplitShard (311): shard id past the end.
-  expect_invalid([&] { (void)tpa.split_shard(1); });
-  expect_invalid([&] { (void)tpa.split_shard(1u << 20); });
   // kTpaAppendTag (312): oversized tag.
   expect_invalid([&] {
     (void)tpa.append_tag(bn::BigInt(1) << w.params.tag_bits());
@@ -149,7 +147,7 @@ TEST_F(EpochServiceTest, DynamicsMethodsBeforeStoreAreFailedPrecondition) {
     }
   };
   expect_precondition([&] { (void)tpa.update_tag(0, bn::BigInt(1)); });
-  expect_precondition([&] { (void)tpa.split_shard(0); });
+  expect_precondition([&] { (void)tpa.tag_info(); });
   expect_precondition([&] { (void)tpa.append_tag(bn::BigInt(1)); });
   expect_precondition([&] { (void)tpa.close_epoch(true); });
 }
@@ -216,7 +214,7 @@ TEST_F(EpochServiceTest, EpochStatsSurfaceCountsPinsAndMerges) {
 
 // store_tags builds no bitplane lists: the fused engine streams the rows.
 // After a store, one staged update and a close, the replica has no plane
-// overlay, counts the close as merged without a rebuild, and a shard query
+// overlay, counts the close as merged without a rebuild, and a tag query
 // decodes the merged tag.
 TEST_F(EpochServiceTest, StoreTagsBuildsNoPlanes) {
   const auto tags = make_tags(24, 11);
@@ -238,37 +236,35 @@ TEST_F(EpochServiceTest, StoreTagsBuildsNoPlanes) {
   EXPECT_EQ(stats.rebuilds_avoided, 1u);
   EXPECT_EQ(stats.plane_rebuilds, 0u);
 
-  const ShardPlanner planner(clients[0].shard_map(),
-                             keys_.pk.modulus_bits());
-  const ShardPlan plan = planner.plan(std::vector<std::size_t>{5, 7, 23},
-                                      rng_);
-  const pir::ShardedPirResponse r0 = clients[0].shard_query(plan.queries[0]);
-  const pir::ShardedPirResponse r1 = clients[1].shard_query(plan.queries[1]);
-  EXPECT_EQ(planner.merge_decode(plan, r0, r1),
+  const TagInfo info = clients[0].tag_info();
+  const pir::Embedding embedding(info.n);
+  const pir::PirClient client(embedding, keys_.pk.modulus_bits());
+  auto enc = client.encode(std::vector<std::size_t>{5, 7, 23}, rng_);
+  const pir::PirResponse r0 =
+      clients[0].tag_query({info.epoch, std::move(enc.queries[0])});
+  const pir::PirResponse r1 =
+      clients[1].tag_query({info.epoch, std::move(enc.queries[1])});
+  EXPECT_EQ(client.decode(enc.secrets, r0, r1),
             (std::vector<bn::BigInt>{fresh, tags[7], tags[23]}));
 }
 
-// A staged update must survive append() splitting / rebuilding its shard:
-// the sharded server snapshots the delta before the drain and re-stages it
-// into the rebuilt shard(s), routed by local index.
-TEST_F(EpochServiceTest, StagedUpdateSurvivesShardRebuilds) {
+// A staged update must survive an append: the append adds a row and grows
+// the embedding, and the staged rows stay where they are, still invisible
+// until the close.
+TEST_F(EpochServiceTest, StagedUpdateSurvivesAppend) {
   const auto tags = make_tags(16, 3);
-  ProtocolParams p = params_;
-  p.shard_budget = 16;  // one shard, about to overflow
-  TagStore store(p, tags);
-  ASSERT_EQ(store.num_shards(), 1u);
+  TagStore store(params_, tags);
 
   const bn::BigInt fresh = make_tags(1, 4)[0];
-  store.update(2, fresh);    // lower half after the split
-  store.update(15, fresh);   // upper half after the split
+  store.update(2, fresh);
+  store.update(15, fresh);
   EXPECT_EQ(store.staged_updates(), 2u);
 
-  // Overflowing append splits the shard: 17 rows > budget 16.
   const bn::BigInt extra = make_tags(1, 5)[0];
   EXPECT_EQ(store.append(extra), 16u);
-  ASSERT_EQ(store.num_shards(), 2u);
-  EXPECT_EQ(store.staged_updates(), 2u) << "staged rows dropped by rebuild";
-  EXPECT_EQ(store.tag(2), tags[2]);  // still invisible
+  EXPECT_EQ(store.staged_updates(), 2u) << "staged rows dropped by append";
+  EXPECT_EQ(store.tag(2), tags[2]);  // both still invisible
+  EXPECT_EQ(store.tag(15), tags[15]);
 
   const auto closed = store.close_epoch(/*force=*/true);
   EXPECT_TRUE(closed.closed);
@@ -276,65 +272,55 @@ TEST_F(EpochServiceTest, StagedUpdateSurvivesShardRebuilds) {
   EXPECT_EQ(store.tag(2), fresh);
   EXPECT_EQ(store.tag(15), fresh);
   EXPECT_EQ(store.tag(16), extra);
-
-  // Same guarantee across an explicit operator split.
-  store.update(7, extra);
-  (void)store.split(0);
-  EXPECT_EQ(store.staged_updates(), 1u);
-  ASSERT_TRUE(store.close_epoch(/*force=*/true).closed);
-  EXPECT_EQ(store.tag(7), extra);
 }
 
 // The acceptance differential: snapshot-isolated retrieval rounds with
 // updates landing MID-AUDIT (between plan and respond) must be bit-exact
-// with the quiesced pre-storm state, across shard counts x thread budgets,
-// all from one seed; after the close the same round decodes the merged
-// state.
-TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossLayoutsMidUpdate) {
+// with the quiesced pre-storm state, across thread budgets, all from one
+// seed; after the close the same round decodes the merged state.
+TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossThreadBudgetsMidUpdate) {
   constexpr std::size_t kN = 96;
   const auto tags = make_tags(kN, 6);
   const auto fresh = make_tags(12, 8);
   const std::vector<std::size_t> wanted = {0, 95, 13, 13, 47, 62, 31, 1};
 
-  const std::size_t budgets[] = {0, 48, 14};  // 1, 2, 7 shards
   const std::size_t thread_budgets[] = {1, 2, 0};
 
-  for (const std::size_t budget : budgets) {
-    for (const std::size_t threads : thread_budgets) {
-      ProtocolParams p = params_;
-      p.shard_budget = budget;
-      p.parallelism = threads;
-      TagStore tpa0(p, tags);
-      TagStore tpa1(p, tags);
-      const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
-      SplitMix64 gen(0x5eed);  // same seed for every configuration
-      bn::Rng64Adapter<SplitMix64> rng(gen);
-      ShardPlan plan = planner.plan(wanted, rng);
+  for (const std::size_t threads : thread_budgets) {
+    ProtocolParams p = params_;
+    p.parallelism = threads;
+    TagStore tpa0(p, tags);
+    TagStore tpa1(p, tags);
+    const pir::Embedding embedding(kN);
+    const pir::PirClient client(embedding, tpa0.tag_bits());
+    SplitMix64 gen(0x5eed);  // same seed for every configuration
+    bn::Rng64Adapter<SplitMix64> rng(gen);
+    const std::uint64_t epoch = tpa0.epoch();
+    const auto enc = client.encode(wanted, rng);
 
-      // The storm lands mid-audit: after the challenge is planned,
-      // before either replica evaluates.
-      for (std::size_t u = 0; u < fresh.size(); ++u) {
-        tpa0.update((u * 17) % kN, fresh[u]);
-        tpa1.update((u * 17) % kN, fresh[u]);
-      }
+    // The storm lands mid-audit: after the challenge is planned,
+    // before either replica evaluates.
+    for (std::size_t u = 0; u < fresh.size(); ++u) {
+      tpa0.update((u * 17) % kN, fresh[u]);
+      tpa1.update((u * 17) % kN, fresh[u]);
+    }
 
-      pir::ShardedPirResponse r0, r1;
-      tpa0.respond_sharded(plan.queries[0], r0);
-      tpa1.respond_sharded(plan.queries[1], r1);
-      const auto got = planner.merge_decode(plan, r0, r1);
-      ASSERT_EQ(got.size(), wanted.size());
-      for (std::size_t l = 0; l < wanted.size(); ++l) {
-        EXPECT_EQ(got[l], tags[wanted[l]])
-            << "budget=" << budget << " threads=" << threads << " l=" << l;
-      }
+    pir::PirResponse r0, r1;
+    tpa0.respond(epoch, enc.queries[0], r0);
+    tpa1.respond(epoch, enc.queries[1], r1);
+    const auto got = client.decode(enc.secrets, r0, r1);
+    ASSERT_EQ(got.size(), wanted.size());
+    for (std::size_t l = 0; l < wanted.size(); ++l) {
+      EXPECT_EQ(got[l], tags[wanted[l]]) << "threads=" << threads
+                                         << " l=" << l;
+    }
 
-      // Close both replicas and re-run: the merged state decodes.
-      ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
-      ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
-      const auto after = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
-      for (std::size_t l = 0; l < wanted.size(); ++l) {
-        EXPECT_EQ(after[l], tpa0.tag(wanted[l]));
-      }
+    // Close both replicas and re-run: the merged state decodes.
+    ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
+    ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
+    const auto after = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
+    for (std::size_t l = 0; l < wanted.size(); ++l) {
+      EXPECT_EQ(after[l], tpa0.tag(wanted[l]));
     }
   }
 }

@@ -10,11 +10,12 @@
 #include "common/rng.h"
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
-#include "ice/shard_audit.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
 #include "ice/wire.h"
 #include "net/channel.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -50,16 +51,15 @@ constexpr std::uint16_t kAllMethods[] = {
     kEdgeShareBlind, kEdgeChallenge,     kEdgeBatchChallenge,
     kEdgeFlush,      kEdgeSubsetProof,   kTpaSetKey,      kTpaStoreTags,
     kTpaStartAudit,  kTpaSubmitRepacked, kTpaBatchBegin,  kTpaSubmitProof,
-    kTpaBatchFinish, kTpaUpdateTag,      kTpaShardMap,    kTpaShardQuery,
-    kTpaSplitShard,  kTpaAppendTag,      kTpaCloseEpoch,  9999};
+    kTpaBatchFinish, kTpaUpdateTag,      kTpaTagInfo,     kTpaShardQuery,
+    kTpaAppendTag,   kTpaCloseEpoch,     9999};
 
 /// TPA methods whose accepted request changes what an honest round reads:
 /// the key (300), the tag table (301, or 308 merged by a 313) and the
-/// shard map (311, 312).
+/// row count (312).
 bool changes_tpa_state(std::uint16_t method) {
   return method == kTpaSetKey || method == kTpaStoreTags ||
-         method == kTpaUpdateTag || method == kTpaSplitShard ||
-         method == kTpaAppendTag;
+         method == kTpaUpdateTag || method == kTpaAppendTag;
 }
 
 class FuzzWorld {
@@ -151,16 +151,16 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
     probes.push_back({&w.tpa0_, kTpaStartAudit, audit.take()});
   }
   {
-    // A real sharded query (310, the only tag query), planned against the
-    // TPA's own shard map.
-    const ShardPlanner planner(TpaClient(w.user_tpa0_).shard_map(),
-                               w.keys_.pk.modulus_bits());
+    // A real tag query (310, the only one), planned against the TPA's own
+    // row count and epoch.
+    const TagInfo info = TpaClient(w.user_tpa0_).tag_info();
+    const pir::Embedding embedding(info.n);
+    const pir::PirClient client(embedding, w.keys_.pk.modulus_bits());
     SplitMix64 gen(0xf055);
     bn::Rng64Adapter<SplitMix64> plan_rng(gen);
-    const ShardPlan plan =
-        planner.plan(std::vector<std::size_t>{1, 2, 3}, plan_rng);
+    auto enc = client.encode(std::vector<std::size_t>{1, 2, 3}, plan_rng);
     net::Writer query;
-    write_sharded_query(query, plan.queries[0]);
+    write_sharded_query(query, {info.epoch, std::move(enc.queries[0])});
     probes.push_back({&w.tpa0_, kTpaShardQuery, query.take()});
   }
   for (auto& probe : probes) {
@@ -208,9 +208,9 @@ TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
     // 40 random bytes cannot carry a whole 64-byte block.
     EXPECT_EQ(edge_writes, 0u);
     // Random bytes that parse as a real request are served as one: an
-    // update_tag plus a close_epoch replaces a tag, a split or an append
-    // moves tpa0's shard map away from tpa1's. That is correct behaviour,
-    // so when one landed the honest round re-uploads the file first; every
+    // update_tag plus a close_epoch replaces a tag, an append moves tpa0's
+    // row count and epoch away from tpa1's. That is correct behaviour, so
+    // when one landed the honest round re-uploads the file first; every
     // other fuzz effect must leave the round passing as it is.
     if (landed > 0) (void)w.user_.setup_file(w.blocks_);
     // A full honest round still succeeds.
@@ -256,15 +256,25 @@ TEST(FuzzTest, WriteBackWithBadLastEntryAppliesNothing) {
   }
 }
 
-// 302 was the monolithic tag query; it is retired, and a TPA answers it
-// like any id it never registered.
+// 302 was the monolithic tag query and 311 split a range shard; both are
+// retired, and a TPA answers them like any id it never registered, with
+// its row count and epoch untouched.
 TEST(FuzzTest, RetiredTagQueryMethodIsUnknown) {
   FuzzWorld w;
-  net::Writer body;
-  body.varint(1);
-  EXPECT_EQ(status_of(w.tpa0_.handle(302, body.take())),
-            net::Status::kUnknownMethod);
-  EXPECT_EQ(status_of(w.tpa0_.handle(302, {})), net::Status::kUnknownMethod);
+  const TagInfo before = TpaClient(w.user_tpa0_).tag_info();
+  for (const std::uint16_t method : {std::uint16_t{302}, std::uint16_t{311}}) {
+    SCOPED_TRACE(method);
+    net::Writer body;
+    body.varint(0);
+    EXPECT_EQ(status_of(w.tpa0_.handle(method, body.take())),
+              net::Status::kUnknownMethod);
+    EXPECT_EQ(status_of(w.tpa0_.handle(method, {})),
+              net::Status::kUnknownMethod);
+    const TagInfo after = TpaClient(w.user_tpa0_).tag_info();
+    EXPECT_EQ(after.n, before.n);
+    EXPECT_EQ(after.epoch, before.epoch);
+  }
+  EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0));
 }
 
 // Every state-changing handler rejects trailing bytes BEFORE it acts: a
@@ -299,7 +309,7 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
          return r.take();
        },
        [](FuzzWorld& w) {
-         EXPECT_EQ(TpaClient(w.user_tpa0_).shard_map().n(), 16u);
+         EXPECT_EQ(TpaClient(w.user_tpa0_).tag_info().n, 16u);
        }},
       {"tpa batch_begin", tpa, kTpaBatchBegin,
        [](const FuzzWorld&) {

@@ -322,12 +322,11 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
 class OfflineDeployment {
  public:
   OfflineDeployment(const OfflineConfig& offline, std::size_t parallelism,
-                    std::size_t shard_budget,
                     std::size_t n_blocks = 16, std::size_t block_bytes = 64)
       : params_(ice::testing::test_params(block_bytes)),
         csp_(mec::BlockStore::synthetic(n_blocks, block_bytes, 99)),
-        tpa0_(parallelism, shard_budget, offline),
-        tpa1_(parallelism, shard_budget),
+        tpa0_(parallelism, offline),
+        tpa1_(parallelism),
         tpa0_channel_(tpa0_),
         tpa1_channel_(tpa1_),
         edge_csp_(csp_),
@@ -380,44 +379,41 @@ OfflineConfig enabled_config(std::size_t capacity = 8,
 }
 
 /// The tentpole differential: pool-served audits return the same verdicts
-/// as the cold path across shard layouts x thread budgets, for honest and
-/// corrupted edges alike.
+/// as the cold path across thread budgets, for honest and corrupted edges
+/// alike.
 TEST(OfflineServiceTest, OnlineMatchesColdAcrossConfigurations) {
-  const std::size_t shard_budgets[] = {0, 7};
   const std::size_t parallelisms[] = {1, 0};
-  for (const auto shard_budget : shard_budgets) {
-    for (const auto parallelism : parallelisms) {
-      OfflineDeployment online(enabled_config(), parallelism, shard_budget);
-      OfflineDeployment cold(OfflineConfig{}, parallelism, shard_budget);
-      online.edge_.pre_download({1, 3, 4, 8});
-      cold.edge_.pre_download({1, 3, 4, 8});
-      online.wait_for_pool_depth(1);
+  for (const auto parallelism : parallelisms) {
+    OfflineDeployment online(enabled_config(), parallelism);
+    OfflineDeployment cold(OfflineConfig{}, parallelism);
+    online.edge_.pre_download({1, 3, 4, 8});
+    cold.edge_.pre_download({1, 3, 4, 8});
+    online.wait_for_pool_depth(1);
 
-      EXPECT_TRUE(online.user_.audit_edge(online.edge_channel_, 0));
-      EXPECT_TRUE(cold.user_.audit_edge(cold.edge_channel_, 0));
+    EXPECT_TRUE(online.user_.audit_edge(online.edge_channel_, 0));
+    EXPECT_TRUE(cold.user_.audit_edge(cold.edge_channel_, 0));
 
-      SplitMix64 rng(13);
-      mec::corrupt_random_blocks(online.edge_.cache_for_corruption(), 1,
-                                 mec::CorruptionKind::kBitFlip, rng);
-      SplitMix64 rng2(13);
-      mec::corrupt_random_blocks(cold.edge_.cache_for_corruption(), 1,
-                                 mec::CorruptionKind::kBitFlip, rng2);
-      online.wait_for_pool_depth(1);
-      EXPECT_FALSE(online.user_.audit_edge(online.edge_channel_, 0));
-      EXPECT_FALSE(cold.user_.audit_edge(cold.edge_channel_, 0));
+    SplitMix64 rng(13);
+    mec::corrupt_random_blocks(online.edge_.cache_for_corruption(), 1,
+                               mec::CorruptionKind::kBitFlip, rng);
+    SplitMix64 rng2(13);
+    mec::corrupt_random_blocks(cold.edge_.cache_for_corruption(), 1,
+                               mec::CorruptionKind::kBitFlip, rng2);
+    online.wait_for_pool_depth(1);
+    EXPECT_FALSE(online.user_.audit_edge(online.edge_channel_, 0));
+    EXPECT_FALSE(cold.user_.audit_edge(cold.edge_channel_, 0));
 
-      const OfflineStats stats = online.tpa0_.offline_stats();
-      EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
-      EXPECT_EQ(cold.tpa0_.offline_stats().hits +
-                    cold.tpa0_.offline_stats().misses,
-                0u)
-          << "cold service touched the pool";
-    }
+    const OfflineStats stats = online.tpa0_.offline_stats();
+    EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
+    EXPECT_EQ(cold.tpa0_.offline_stats().hits +
+                  cold.tpa0_.offline_stats().misses,
+              0u)
+        << "cold service touched the pool";
   }
 }
 
 TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
-  OfflineDeployment d(enabled_config(), 1, 0);
+  OfflineDeployment d(enabled_config(), 1);
   d.edge_.pre_download({2, 5, 9});
   // Drain the pool and cut off the refill source: every subsequent audit
   // is a deterministic pool miss served by the cold fallback.
@@ -433,7 +429,7 @@ TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
 TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
   // coeff_count below |S_j|: the session's precomputed prefix is too short,
   // so verification re-expands online — and must still pass.
-  OfflineDeployment d(enabled_config(8, 2), 1, 0);
+  OfflineDeployment d(enabled_config(8, 2), 1);
   d.edge_.pre_download({0, 1, 2, 3, 6});
   d.wait_for_pool_depth(1);
   EXPECT_TRUE(d.user_.audit_edge(d.edge_channel_, 0));
@@ -441,7 +437,7 @@ TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
 }
 
 TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
-  OfflineDeployment d(enabled_config(), 1, 0);
+  OfflineDeployment d(enabled_config(), 1);
   d.edge_.pre_download({1, 2, 7});
   d.wait_for_pool_depth(1);
   const std::uint64_t gen_before = d.tpa0_.challenge_pool().generation();
@@ -480,7 +476,7 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
 }
 
 TEST(OfflineServiceTest, BatchBeginServedFromPool) {
-  OfflineDeployment d(enabled_config(), 1, 0);
+  OfflineDeployment d(enabled_config(), 1);
   d.edge_.pre_download({1, 4, 6});
   d.wait_for_pool_depth(1);
   std::vector<net::RpcChannel*> edges{&d.edge_channel_};

@@ -6,6 +6,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "ice/tag.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -91,17 +93,47 @@ TEST_F(TagStoreTest, PreprocessReportsTime) {
   EXPECT_GE(store.preprocess(), 0.0);
 }
 
+// Serial, bounded and hardware thread budgets all decode the exact tags.
 TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
   const auto blocks = ice::testing::make_blocks(30, 64, 5);
   const auto tags = tagger_.tag_all(blocks);
-  TagStore tpa0(params_, tags);
-  TagStore tpa1(params_, tags);
   const std::vector<std::size_t> wanted = {0, 7, 7, 29, 15};
-  const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
-  ASSERT_EQ(got.size(), wanted.size());
-  for (std::size_t l = 0; l < wanted.size(); ++l) {
-    EXPECT_EQ(got[l], tags[wanted[l]]);
+  for (const std::size_t threads : {1, 2, 0}) {
+    ProtocolParams p = params_;
+    p.parallelism = threads;
+    const TagStore tpa0(p, tags);
+    const TagStore tpa1(p, tags);
+    const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
+    ASSERT_EQ(got.size(), wanted.size());
+    for (std::size_t l = 0; l < wanted.size(); ++l) {
+      EXPECT_EQ(got[l], tags[wanted[l]]) << "threads=" << threads;
+    }
   }
+}
+
+// A query planned before a merging close or an append is refused with the
+// typed StaleEpochError (the service answers kFailedPrecondition); an
+// empty close leaves it valid.
+TEST_F(TagStoreTest, StaleQueryEpochIsRejectedTyped) {
+  const auto blocks = ice::testing::make_blocks(20, 64, 9);
+  const auto tags = tagger_.tag_all(blocks);
+  TagStore store(params_, tags);
+  const pir::Embedding embedding(store.n());
+  const pir::PirClient client(embedding, store.tag_bits());
+  const auto enc = client.encode(std::vector<std::size_t>{1, 6}, rng_);
+  pir::PirResponse out;
+  EXPECT_THROW(store.respond(1, enc.queries[0], out), StaleEpochError);
+
+  EXPECT_FALSE(store.close_epoch(/*force=*/true).closed);
+  EXPECT_NO_THROW(store.respond(0, enc.queries[0], out));
+  EXPECT_EQ(out.entries.size(), 2u);
+
+  store.update(3, tags[4]);
+  ASSERT_TRUE(store.close_epoch(/*force=*/true).closed);
+  EXPECT_THROW(store.respond(0, enc.queries[0], out), StaleEpochError);
+  EXPECT_EQ(store.append(tags[5]), 20u);
+  EXPECT_EQ(store.epoch(), 2u);
+  EXPECT_THROW(store.respond(1, enc.queries[0], out), StaleEpochError);
 }
 
 TEST_F(TagStoreTest, RetrievalAfterUpdateAndCloseSeesNewTag) {

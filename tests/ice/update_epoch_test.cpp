@@ -1,12 +1,12 @@
 // Satellite regression suite for tag mutation vs. audit concurrency.
 //
 // Since PR 9 updates run on the epoch engine (DESIGN.md §15): update()
-// STAGES into the next epoch under shared locks and close_epoch() merges
-// under the exclusive structure lock. These tests (a) pin the epoch
-// visibility contract — staged rows are invisible until the close, then
-// observed by the next fresh audit round — and (b) drive staged updates,
-// appends, closes and fan-out audits from concurrent threads so both lock
-// levels are asserted under TSan on every scheduled sanitizer run (the
+// STAGES into the next epoch under the TagStore's shared lock and
+// close_epoch() merges under its exclusive lock. These tests (a) pin the
+// epoch visibility contract — staged rows are invisible until the close,
+// then observed by the next fresh audit round — and (b) drive staged
+// updates, appends, closes and audits from concurrent threads so the
+// locking is asserted under TSan on every scheduled sanitizer run (the
 // ice_test binary runs under both presets via tests/run_sanitizers.sh),
 // including the differential storm test pinning mid-storm audits bit-exact
 // to the quiesced snapshot.
@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ice/shard_audit.h"
 #include "ice/tag.h"
-#include "pir/sharded_server.h"
+#include "ice/tag_store.h"
+#include "pir/client.h"
+#include "pir/embedding.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -27,13 +28,17 @@ namespace {
 
 class UpdateEpochTest : public ::testing::Test {
  protected:
-  UpdateEpochTest() : keys_(ice::testing::test_keypair_256()), tagger_(keys_.pk) {}
+  UpdateEpochTest() : keys_(ice::testing::test_keypair_256()), tagger_(keys_.pk) {
+    params_.modulus_bits = keys_.pk.modulus_bits();
+    params_.parallelism = 1;
+  }
 
   std::vector<bn::BigInt> make_tags(std::size_t n, std::uint64_t seed) {
     return tagger_.tag_all(ice::testing::make_blocks(n, 64, seed));
   }
 
   KeyPair keys_;
+  ProtocolParams params_ = ice::testing::test_params();
   TagGenerator tagger_;
   SplitMix64 gen_{0x51ed};
   bn::Rng64Adapter<SplitMix64> rng_{gen_};
@@ -41,9 +46,8 @@ class UpdateEpochTest : public ::testing::Test {
 
 TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
   const auto tags = make_tags(24, 1);
-  pir::ShardedTagServer tpa0(keys_.pk.modulus_bits(), tags, 7);
-  pir::ShardedTagServer tpa1(keys_.pk.modulus_bits(), tags, 7);
-  ASSERT_EQ(tpa0.num_shards(), 4u);
+  TagStore tpa0(params_, tags);
+  TagStore tpa1(params_, tags);
   tpa0.preprocess();  // warm plane caches so update must invalidate them
   tpa1.preprocess();
 
@@ -56,16 +60,16 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
     // Snapshot isolation: the staged row is invisible to an audit round
     // running before the epoch close.
     const auto pre =
-        retrieve_tags_sharded(tpa0, tpa1, std::vector<std::size_t>{index},
-                              rng_);
+        retrieve_tags_direct(tpa0, tpa1, std::vector<std::size_t>{index},
+                             rng_);
     ASSERT_EQ(pre.size(), 1u);
     EXPECT_EQ(pre[0], before) << "staged row leaked for index " << index;
 
     ASSERT_TRUE(tpa0.close_epoch().closed);
     ASSERT_TRUE(tpa1.close_epoch().closed);
     const auto got =
-        retrieve_tags_sharded(tpa0, tpa1, std::vector<std::size_t>{index},
-                              rng_);
+        retrieve_tags_direct(tpa0, tpa1, std::vector<std::size_t>{index},
+                             rng_);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], fresh) << "stale plane served for index " << index;
   }
@@ -73,30 +77,30 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
 
 TEST_F(UpdateEpochTest, AppendCrossesEpochBoundaryAndIsAuditable) {
   const auto tags = make_tags(8, 2);
-  pir::ShardedTagServer tpa0(keys_.pk.modulus_bits(), tags, 8);
-  pir::ShardedTagServer tpa1(keys_.pk.modulus_bits(), tags, 8);
+  TagStore tpa0(params_, tags);
+  TagStore tpa1(params_, tags);
   const std::uint64_t epoch_before = tpa0.epoch();
 
-  // Plan an audit against the current epoch, then append (tail rebuild +
-  // epoch bump). The parked plan must be rejected with the typed status,
-  // not decoded against the rebuilt embedding.
-  const ShardPlanner stale_planner(tpa0.map_snapshot(),
-                                   keys_.pk.modulus_bits());
-  ShardPlan stale = stale_planner.plan(std::vector<std::size_t>{3}, rng_);
+  // Plan an audit against the current epoch, then append (one more row, a
+  // grown embedding, an epoch bump). The parked query must be rejected
+  // with the typed status, not decoded against the grown embedding.
+  const pir::Embedding embedding(tpa0.n());
+  const pir::PirClient client(embedding, tpa0.tag_bits());
+  const auto stale = client.encode(std::vector<std::size_t>{3}, rng_);
 
   const bn::BigInt appended = make_tags(1, 3)[0];
   EXPECT_EQ(tpa0.append(appended), 8u);
   EXPECT_EQ(tpa1.append(appended), 8u);
   EXPECT_GT(tpa0.epoch(), epoch_before);
-  EXPECT_EQ(tpa0.num_shards(), 2u);  // 9 > budget 8: tail split
+  EXPECT_EQ(tpa0.n(), 9u);
 
-  pir::ShardedPirResponse resp;
-  EXPECT_THROW(tpa0.respond_sharded(stale.queries[0], resp),
-               pir::StaleShardMapError);
+  pir::PirResponse resp;
+  EXPECT_THROW(tpa0.respond(epoch_before, stale.queries[0], resp),
+               StaleEpochError);
 
   // A fresh round planned against the new epoch retrieves everything,
   // including the appended tag.
-  const auto got = retrieve_tags_sharded(
+  const auto got = retrieve_tags_direct(
       tpa0, tpa1, std::vector<std::size_t>{0, 8, 4}, rng_);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], tags[0]);
@@ -119,17 +123,17 @@ TEST_F(UpdateEpochTest, AddKeepsWarmPlanesCurrent) {
   EXPECT_EQ(db.plane(3).size(), 1u);
 }
 
-// The TSan satellite: staged updates, appends, epoch closes and fan-out
-// audit rounds race from dedicated threads. Correctness of decoded values
-// under racing closers is not asserted here (the differential storm test
-// below covers it with closes excluded); what must hold is (a) no data
-// race — staging is internally synchronized and closes take the exclusive
-// structure lock — and (b) every structural change or close is either
-// invisible to a round or surfaces as the typed stale-plan rejection,
-// never as a malformed decode.
+// The TSan satellite: staged updates, appends, epoch closes and audit
+// rounds race from dedicated threads. Correctness of decoded values under
+// racing closers is not asserted here (the differential storm test below
+// covers it with closes excluded); what must hold is (a) no data race —
+// staging is internally synchronized and closes and appends take the
+// exclusive lock — and (b) every append or close is either invisible to a
+// round or surfaces as the typed stale-epoch rejection, never as a
+// malformed response.
 TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
   const auto tags = make_tags(32, 4);
-  pir::ShardedTagServer tpa(keys_.pk.modulus_bits(), tags, 8);
+  TagStore tpa(params_, tags);
   tpa.preprocess();
   constexpr int kRounds = 40;
   std::atomic<bool> stop{false};
@@ -157,16 +161,18 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
   bn::Rng64Adapter<SplitMix64> rng(gen);
   for (int round = 0; round < kRounds; ++round) {
     // Fresh plan each round = a fresh audit per epoch boundary.
-    const ShardPlanner planner(tpa.map_snapshot(), keys_.pk.modulus_bits());
+    const TagInfo info = tpa.info();
+    const pir::Embedding embedding(info.n);
+    const pir::PirClient client(embedding, tpa.tag_bits());
     const std::vector<std::size_t> wanted = {gen.below(32), gen.below(32)};
-    ShardPlan plan = planner.plan(wanted, rng);
-    pir::ShardedPirResponse resp;
+    const auto enc = client.encode(wanted, rng);
+    pir::PirResponse resp;
     try {
-      tpa.respond_sharded(plan.queries[0], resp);
+      tpa.respond(info.epoch, enc.queries[0], resp);
       // EXPECT, not ASSERT: a fatal failure would return from the test
       // body and destroy the running threads while joinable.
-      EXPECT_EQ(resp.shards.size(), plan.queries[0].shards.size());
-    } catch (const pir::StaleShardMapError&) {
+      EXPECT_EQ(resp.entries.size(), wanted.size());
+    } catch (const StaleEpochError&) {
       ++stale_rejections;  // an append or close landed mid-round
     }
   }
@@ -178,7 +184,7 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
 }
 
 // The PR 9 differential storm (TSan-gated like the rest of this file):
-// audit threads run full fan-out retrieval rounds WHILE updater threads
+// audit threads run full retrieval rounds WHILE updater threads
 // stage an update storm into both replicas. Snapshot isolation must make
 // every mid-storm verdict bit-exact with the quiesced epoch-t state; after
 // the storm joins and the epoch closes on both replicas, a quiesced round
@@ -187,8 +193,8 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
 TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
   const std::size_t n = 32;
   const auto tags = make_tags(n, 7);
-  pir::ShardedTagServer tpa0(keys_.pk.modulus_bits(), tags, 7);
-  pir::ShardedTagServer tpa1(keys_.pk.modulus_bits(), tags, 7);
+  TagStore tpa0(params_, tags);
+  TagStore tpa1(params_, tags);
   tpa0.preprocess();
   tpa1.preprocess();
   const auto fresh = make_tags(64, 8);
@@ -221,7 +227,7 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
     bn::Rng64Adapter<SplitMix64> rng(gen);
     for (int round = 0; round < 12; ++round) {
       std::vector<std::size_t> wanted = {gen.below(n), gen.below(n)};
-      const auto got = retrieve_tags_sharded(tpa0, tpa1, wanted, rng);
+      const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
       for (std::size_t i = 0; i < wanted.size(); ++i) {
         // The quiesced reference IS the original tag set: nothing merges
         // during the storm, so any deviation is a snapshot leak. No
@@ -254,7 +260,7 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
   // Quiesced post-close round decodes the merged state bit-exactly.
   std::vector<std::size_t> all(n);
   for (std::size_t i = 0; i < n; ++i) all[i] = i;
-  const auto got = retrieve_tags_sharded(tpa0, tpa1, all, rng_);
+  const auto got = retrieve_tags_direct(tpa0, tpa1, all, rng_);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(got[i], tpa0.tag(i)) << "post-merge decode wrong at " << i;
   }

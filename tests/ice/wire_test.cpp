@@ -194,108 +194,95 @@ TEST(WireTest, IndexListRoundTrip) {
   EXPECT_EQ(read_index_list(r), list);
 }
 
-TEST(WireTest, ShardMapRoundTrip) {
-  // Including an empty shard: the wire form must carry it (the receiver's
-  // routing skips it, but shard ids must stay aligned across peers).
-  const pir::ShardMap map = pir::ShardMap::from_sizes({5, 0, 9, 1}, 77);
+TEST(WireTest, TagInfoRoundTrip) {
+  const TagInfo info{1000000, 77};
   net::Writer w;
-  write_shard_map(w, map);
+  write_tag_info(w, info);
   const Bytes buf = w.take();
   net::Reader r(buf);
-  const pir::ShardMap back = read_shard_map(r);
-  EXPECT_EQ(back, map);
-  EXPECT_EQ(back.epoch(), 77u);
+  const TagInfo back = read_tag_info(r);
+  EXPECT_EQ(back.n, info.n);
+  EXPECT_EQ(back.epoch, info.epoch);
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireTest, ShardedQueryRoundTrip) {
+TEST(WireTest, TagQueryRoundTrip) {
   SplitMix64 rng(31);
-  pir::ShardedPirQuery q;
+  TagQuery q;
   q.epoch = 12;
-  for (std::uint32_t s : {0u, 3u, 7u}) {
-    pir::ShardQuery sq;
-    sq.shard = s;
-    for (int i = 0; i < 2; ++i) sq.query.points.push_back(random_vec(rng, 7));
-    q.shards.push_back(std::move(sq));
-  }
+  for (int i = 0; i < 3; ++i) q.query.points.push_back(random_vec(rng, 7));
   net::Writer w;
   write_sharded_query(w, q);
   const Bytes buf = w.take();
   net::Reader r(buf);
-  const pir::ShardedPirQuery back = read_sharded_query(r);
+  const TagQuery back = read_sharded_query(r);
   EXPECT_EQ(back.epoch, 12u);
-  ASSERT_EQ(back.shards.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(back.shards[i].shard, q.shards[i].shard);
-    EXPECT_EQ(back.shards[i].query.points, q.shards[i].query.points);
-  }
+  EXPECT_EQ(back.total_points(), 3u);
+  EXPECT_EQ(back.query.points, q.query.points);
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireTest, ShardedResponseRoundTrip) {
-  SplitMix64 rng(32);
-  pir::ShardedPirResponse resp;
-  for (std::uint32_t s : {1u, 4u}) {
-    pir::ShardResponse sr;
-    sr.shard = s;
+// Every strict prefix of a 309 reply, a 310 request and a 310 reply is a
+// CodecError, never a short value.
+TEST(WireTest, TruncatedTagMessagesRejectedAtEveryByte) {
+  SplitMix64 rng(33);
+  net::Writer info;
+  write_tag_info(info, {4096, 3});
+  TagQuery q;
+  q.epoch = 5;
+  for (int i = 0; i < 2; ++i) q.query.points.push_back(random_vec(rng, 9));
+  net::Writer query;
+  write_sharded_query(query, q);
+  pir::PirResponse resp;
+  for (int e = 0; e < 2; ++e) {
     pir::PirSingleResponse entry;
-    entry.values = random_vec(rng, 8);
-    for (int g = 0; g < 8; ++g) entry.gradients.push_back(random_vec(rng, 5));
-    sr.response.entries.push_back(std::move(entry));
-    resp.shards.push_back(std::move(sr));
+    entry.values = random_vec(rng, 13);
+    for (int g = 0; g < 9; ++g) entry.gradients.push_back(random_vec(rng, 13));
+    resp.entries.push_back(std::move(entry));
   }
-  net::Writer w;
-  write_sharded_response(w, resp);
-  const Bytes buf = w.take();
-  net::Reader r(buf);
-  const pir::ShardedPirResponse back = read_sharded_response(r);
-  ASSERT_EQ(back.shards.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(back.shards[i].shard, resp.shards[i].shard);
-    ASSERT_EQ(back.shards[i].response.entries.size(), 1u);
-    EXPECT_EQ(back.shards[i].response.entries[0].values,
-              resp.shards[i].response.entries[0].values);
-    EXPECT_EQ(back.shards[i].response.entries[0].gradients,
-              resp.shards[i].response.entries[0].gradients);
+  net::Writer response;
+  write_pir_response(response, resp);
+
+  const Bytes info_buf = info.take();
+  const Bytes query_buf = query.take();
+  const Bytes response_buf = response.take();
+  for (std::size_t len = 0; len < info_buf.size(); ++len) {
+    net::Reader r(BytesView(info_buf).first(len));
+    EXPECT_THROW((void)read_tag_info(r), CodecError) << "309 len=" << len;
   }
-  EXPECT_TRUE(r.done());
+  for (std::size_t len = 0; len < query_buf.size(); ++len) {
+    net::Reader r(BytesView(query_buf).first(len));
+    EXPECT_THROW((void)read_sharded_query(r), CodecError)
+        << "310 request len=" << len;
+  }
+  for (std::size_t len = 0; len < response_buf.size(); ++len) {
+    net::Reader r(BytesView(response_buf).first(len));
+    EXPECT_THROW((void)read_pir_response(r), CodecError)
+        << "310 reply len=" << len;
+  }
 }
 
-TEST(WireTest, HostileShardCountsRejected) {
-  {
-    // Shard count beyond the 2^16 clamp.
+// A 310 claiming more points than its bytes can hold reserves at most what
+// is left in the frame, then fails on the first missing point; a count past
+// the 2^20 bound is refused outright.
+TEST(WireTest, HostileTagQueryPointCountsRejected) {
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 20, (std::uint64_t{1} << 20) + 1,
+        std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(count);
     net::Writer w;
     w.u64(0);
-    w.varint((std::uint64_t{1} << 16) + 1);
-    const Bytes buf = w.take();
-    net::Reader r(buf);
-    EXPECT_THROW((void)read_shard_map(r), CodecError);
-  }
-  {
-    // A single shard claiming 2^40 + 1 rows.
-    net::Writer w;
-    w.u64(0);
-    w.varint(1);
-    w.varint((std::uint64_t{1} << 40) + 1);
-    const Bytes buf = w.take();
-    net::Reader r(buf);
-    EXPECT_THROW((void)read_shard_map(r), CodecError);
-  }
-  {
-    net::Writer w;
-    w.u64(3);
-    w.varint((std::uint64_t{1} << 16) + 1);  // sharded-query shard count
+    w.varint(count);
+    write_gf4_vector(w, gf::GF4Vector(7));
     const Bytes buf = w.take();
     net::Reader r(buf);
     EXPECT_THROW((void)read_sharded_query(r), CodecError);
   }
-  {
-    net::Writer w;
-    w.varint((std::uint64_t{1} << 16) + 1);  // sharded-response shard count
-    const Bytes buf = w.take();
-    net::Reader r(buf);
-    EXPECT_THROW((void)read_sharded_response(r), CodecError);
-  }
+  net::Writer w;
+  w.varint(std::uint64_t{1} << 20);  // 310 reply entry count
+  const Bytes buf = w.take();
+  net::Reader r(buf);
+  EXPECT_THROW((void)read_pir_response(r), CodecError);
 }
 
 TEST(WireTest, ImplausibleLengthsRejected) {

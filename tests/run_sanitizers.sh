@@ -8,16 +8,15 @@
 # basic+batch stress over shared services (SessionStressTest at parallelism
 # 1/4/hardware, SessionCollisionTest.RacingStartAuditsOneWinner), the
 # cross-service smoke under both channel families (stress_bench_sessions),
-# and the sharded audit fan-out: staged updates racing fan-out retrievals
-# under the one structure lock, with closes, splits and appends taking it
-# exclusively (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
-# ShardServiceTest.ConcurrentUpdatesAndShardedRetrievals) plus the
-# cross-shard differential suite in shard_audit_test and smoke_bench_shards.
+# and the tag store: staged updates racing retrievals under the store's one
+# reader-writer lock, with closes and appends taking it exclusively
+# (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
+# TagServiceTest.ConcurrentUpdatesAndRetrievalsDecodeExactly, TagStoreTest.*).
 # The PR 9 epoch engine adds the snapshot-isolation storm targets: staged
-# updates + epoch closes + appends racing fan-out audits
+# updates + epoch closes + appends racing audits
 # (UpdateEpochTest.StormAuditsMatchQuiescedReferenceBitExact pins mid-storm
 # verdicts bit-exact to the quiesced reference), the mid-audit differential
-# across layouts (EpochServiceTest.*), the update-storm sim scenario
+# across thread budgets (EpochServiceTest.*), the update-storm sim scenario
 # (UpdateStormTest.*) and the merge + epoch-storm bench (smoke_bench_updates).
 # The online/offline split adds its own TSan targets: the OfflineWorker's
 # refill task racing try_acquire/rekey on the sharded ChallengePool
@@ -45,8 +44,10 @@
 # last runs, n = 1, row shards cutting runs at parallelism 1-7) and the
 # word-parallel GF(4) codec (PirMessagesTest.*,
 # WireTest.PirResponseBytesMatchFlatScalarEncoding); under TSan the same
-# sweep races through ParallelDiffTest, ShardServiceTest, UpdateEpochTest
-# and EpochServiceTest.
+# sweep races through ParallelDiffTest, TagServiceTest, UpdateEpochTest
+# and EpochServiceTest. The 309/310 codecs' truncation and hostile-count
+# cases (WireTest.*) and the retired 302/311 ids (FuzzTest.*) run under
+# ASan+UBSan.
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite

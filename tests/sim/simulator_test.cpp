@@ -97,29 +97,6 @@ TEST(SimulatorTest, ZeroWriteFractionNeverLosesUpdates) {
   EXPECT_GT(r.blocks_repaired, 0u);  // clean blocks still get repaired
 }
 
-TEST(SimulatorTest, ShardedAuditsMatchMonolithicRun) {
-  // shard_budget is a deployment knob: decode is exact per shard, so every
-  // audit verdict — and with it every report counter — must be identical
-  // between the sharded and monolithic tag stores for the same seed.
-  const auto keys = ice::testing::test_keypair_256();
-  const SimReport mono = run_simulation(small_config(), keys, 14);
-  SimConfig c = small_config();
-  c.shard_budget = 6;  // 40 blocks -> 7 shards
-  const SimReport sharded = run_simulation(c, keys, 14);
-  EXPECT_EQ(sharded.requests, mono.requests);
-  EXPECT_EQ(sharded.reads, mono.reads);
-  EXPECT_EQ(sharded.writes, mono.writes);
-  EXPECT_EQ(sharded.corruptions_injected, mono.corruptions_injected);
-  EXPECT_EQ(sharded.audits, mono.audits);
-  EXPECT_EQ(sharded.failed_audits, mono.failed_audits);
-  EXPECT_EQ(sharded.blocks_repaired, mono.blocks_repaired);
-  EXPECT_EQ(sharded.updates_lost, mono.updates_lost);
-  EXPECT_EQ(sharded.flushes, mono.flushes);
-  EXPECT_EQ(sharded.blocks_written_back, mono.blocks_written_back);
-  EXPECT_EQ(sharded.cache_hits, mono.cache_hits);
-  EXPECT_EQ(sharded.cache_misses, mono.cache_misses);
-}
-
 TEST(SimulatorTest, AuditTimeAccumulates) {
   const auto keys = ice::testing::test_keypair_256();
   const SimReport r = run_simulation(small_config(), keys, 13);
@@ -173,21 +150,6 @@ TEST(UpdateStormTest, CountersDeterministicForFixedSeed) {
   EXPECT_EQ(a.epoch_closes, b.epoch_closes);
   EXPECT_EQ(a.rows_merged, b.rows_merged);
   EXPECT_EQ(a.blocks_written_back, b.blocks_written_back);
-}
-
-TEST(UpdateStormTest, ShardedStormMatchesMonolithicCounters) {
-  const auto keys = ice::testing::test_keypair_256();
-  const UpdateStormReport mono = run_update_storm_simulation(small_storm(),
-                                                             keys, 17);
-  UpdateStormConfig c = small_storm();
-  c.shard_budget = 10;  // 32 blocks -> 4 shards
-  const UpdateStormReport sharded = run_update_storm_simulation(c, keys, 17);
-  EXPECT_EQ(sharded.ops, mono.ops);
-  EXPECT_EQ(sharded.updates_staged, mono.updates_staged);
-  EXPECT_EQ(sharded.failed_audits, mono.failed_audits);
-  EXPECT_EQ(sharded.epoch_closes, mono.epoch_closes);
-  EXPECT_EQ(sharded.rows_merged, mono.rows_merged);
-  EXPECT_EQ(sharded.blocks_written_back, mono.blocks_written_back);
 }
 
 TEST(UpdateStormTest, ConfigValidation) {
