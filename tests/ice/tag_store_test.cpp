@@ -93,20 +93,45 @@ TEST_F(TagStoreTest, PreprocessReportsTime) {
   EXPECT_GE(store.preprocess(), 0.0);
 }
 
-// Serial, bounded and hardware thread budgets all decode the exact tags.
 TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
   const auto blocks = ice::testing::make_blocks(30, 64, 5);
   const auto tags = tagger_.tag_all(blocks);
+  TagStore tpa0(params_, tags);
+  TagStore tpa1(params_, tags);
   const std::vector<std::size_t> wanted = {0, 7, 7, 29, 15};
+  const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
+  ASSERT_EQ(got.size(), wanted.size());
+  for (std::size_t l = 0; l < wanted.size(); ++l) {
+    EXPECT_EQ(got[l], tags[wanted[l]]);
+  }
+}
+
+// The thread-budget differential: serial, bounded and hardware budgets, all
+// driven by the SAME seed and challenge (repeated and end-of-file indexes
+// included), return byte-identical tag lists that are the stored tags.
+TEST_F(TagStoreTest, RetrievalBitExactAcrossThreadBudgets) {
+  constexpr std::size_t kN = 96;
+  const auto tags = tagger_.tag_all(ice::testing::make_blocks(kN, 64, 1));
+  const std::vector<std::size_t> wanted = {0,  95, 13, 13, 47, 48,
+                                           77, 3,  62, 31, 90, 1};
+  std::vector<bn::BigInt> baseline;  // serial result
   for (const std::size_t threads : {1, 2, 0}) {
     ProtocolParams p = params_;
     p.parallelism = threads;
     const TagStore tpa0(p, tags);
     const TagStore tpa1(p, tags);
-    const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
+    SplitMix64 gen(0xd1ff);  // same seed for every budget
+    bn::Rng64Adapter<SplitMix64> rng(gen);
+    const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
     ASSERT_EQ(got.size(), wanted.size());
     for (std::size_t l = 0; l < wanted.size(); ++l) {
-      EXPECT_EQ(got[l], tags[wanted[l]]) << "threads=" << threads;
+      EXPECT_EQ(got[l], tags[wanted[l]]) << "threads=" << threads
+                                         << " l=" << l;
+    }
+    if (baseline.empty()) {
+      baseline = got;
+    } else {
+      EXPECT_EQ(got, baseline) << "threads=" << threads;
     }
   }
 }
