@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       db.add(bn::random_bits(rng, kTagBits));
     }
     const pir::Embedding emb(n);
-    db.build_planes();
+    const pir::Bitplanes planes = db.build_planes();
     const pir::PirServer server(db, emb);
     SplitMix64 qgen(n);
     pir::PirQuery query;
@@ -43,12 +43,13 @@ int main(int argc, char** argv) {
     for (auto& v : query.points[0]) {
       v = gf::GF4(static_cast<std::uint8_t>(qgen.below(4)));
     }
-    require_evaluators_agree(server, query);
+    require_evaluators_agree(server, planes, query);
     const gf::GF4Vector& q = query.points[0];
     const double t_naive =
         1e3 * time_median(1, [&] { (void)server.respond_naive(q); });
     const double t_matrix =
-        1e3 * time_median(3, [&] { (void)server.respond_matrix(q); });
+        1e3 *
+        time_median(3, [&] { (void)server.respond_matrix(planes, q); });
     const double t_bits =
         1e3 * time_median(3, [&] { (void)server.respond(query); });
     std::printf("%-8zu %12.1f %12.2f %14.3f %13.0fx %11.0fx\n", n, t_naive,

@@ -38,7 +38,7 @@ Times tag_response(const std::vector<bn::BigInt>& tags, std::size_t s_j,
   for (const auto& t : tags) db.add(t);
   const pir::Embedding emb(tags.size());
   const pir::PirServer server(db, emb, parallelism);
-  (void)db.build_planes();
+  const pir::Bitplanes planes = db.build_planes();
 
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
@@ -46,14 +46,16 @@ Times tag_response(const std::vector<bn::BigInt>& tags, std::size_t s_j,
   std::vector<std::size_t> wanted;
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(emb.n()));
   const pir::PirQuery query = client.encode(wanted, rng).queries[0];
-  require_evaluators_agree(server, query);
+  require_evaluators_agree(server, planes, query);
 
   Times t{};
   t.naive_s = time_median(reps, [&] {
     for (const auto& q : query.points) (void)server.respond_naive(q);
   });
   t.matrix_s = time_median(reps, [&] {
-    for (const auto& q : query.points) (void)server.respond_matrix(q);
+    for (const auto& q : query.points) {
+      (void)server.respond_matrix(planes, q);
+    }
   });
   t.bits_s = time_median(reps, [&] { (void)server.respond(query); });
   return t;

@@ -115,12 +115,13 @@ void BM_PirRespond(benchmark::State& state) {
   for (auto& v : query.points[0]) {
     v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
   }
-  db.build_planes();
+  const pir::Bitplanes planes = db.build_planes();
   for (auto _ : state) {
     if (evaluator == 0) {
       benchmark::DoNotOptimize(server.respond_naive(query.points[0]));
     } else if (evaluator == 1) {
-      benchmark::DoNotOptimize(server.respond_matrix(query.points[0]));
+      benchmark::DoNotOptimize(
+          server.respond_matrix(planes, query.points[0]));
     } else {
       benchmark::DoNotOptimize(server.respond(query));
     }

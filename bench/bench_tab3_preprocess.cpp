@@ -13,7 +13,8 @@
 #include "bignum/prime.h"
 #include "crypto/csprng.h"
 #include "ice/tag.h"
-#include "ice/tag_store.h"
+#include "pir/embedding.h"
+#include "pir/tag_database.h"
 
 namespace {
 
@@ -65,9 +66,14 @@ int main(int argc, char** argv) {
     const auto tags = tagger.tag_all(blocks);
     const double taggen = sw.seconds();
 
+    // TPASetup: the row database and embedding a TPA's TagStore holds,
+    // plus the matrix representation built from the rows.
     sw.reset();
-    proto::TagStore store(params, tags);
-    const double setup = sw.seconds() + store.preprocess();
+    pir::TagDatabase db(params.tag_bits());
+    for (const auto& t : tags) db.add(t);
+    const pir::Embedding embedding(n);
+    const pir::Bitplanes planes = db.build_planes();
+    const double setup = sw.seconds();
     std::printf("%-6zu %18.3f %24.3f %14.3f\n", n, taggen,
                 taggen * kRasPiSlowdown, setup);
   }

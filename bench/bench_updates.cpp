@@ -1,13 +1,10 @@
 // Epoch engine under an update storm: audit latency with writes in flight,
-// and epoch-close merge cost vs a full plane rebuild.
+// and the cost of an epoch close.
 //
 // Two arms (both land in BENCH_updates.json):
 //
-//   merge  — a TagDatabase with warm planes takes U staged updates; one
-//            close_epoch() merges them (memcpy of dirty rows + sorted
-//            overlay union), next to the cold build_planes() a rebuild
-//            would pay. At n = 10^6 the merge must be orders of magnitude
-//            below the build.
+//   merge  — a TagDatabase takes U staged updates; one close_epoch()
+//            merges them (a memcpy of the staged rows into the base).
 //
 //   storm  — a TagStore answers timed audit rounds (encode -> 2x respond
 //            -> decode) on an idle database and under an epoch storm
@@ -34,10 +31,8 @@ using namespace ice;
 using namespace ice::bench;
 
 struct MergeCell {
-  double cold_build_s;   // full build_planes() on the fresh database
-  double merge_ms;       // close_epoch() with U rows staged
+  double merge_ms;  // close_epoch() with U rows staged
   std::size_t rows_merged;
-  bool planes_rebuilt;   // overlay crossed the threshold (should be false)
 };
 
 MergeCell measure_merge(std::span<const bn::BigInt> tags,
@@ -47,8 +42,6 @@ MergeCell measure_merge(std::span<const bn::BigInt> tags,
   pir::TagDatabase db(tag_bits);
   for (const auto& t : tags) (void)db.add(t);
   MergeCell cell{};
-  cell.cold_build_s = db.build_planes();
-
   SplitMix64 gen(seed);
   std::vector<std::size_t> targets(updates);
   for (auto& idx : targets) idx = gen.below(n);
@@ -60,7 +53,6 @@ MergeCell measure_merge(std::span<const bn::BigInt> tags,
   const pir::EpochMergeStats merged = db.close_epoch();
   cell.merge_ms = 1e3 * sw.seconds();
   cell.rows_merged = merged.rows_merged;
-  cell.planes_rebuilt = merged.planes_rebuilt;
   return cell;
 }
 
@@ -159,34 +151,29 @@ int main(int argc, char** argv) {
 
   print_header("Epoch engine: update storms vs audit latency");
 
-  // Arm 1 — epoch-close merge vs full rebuild.
+  // Arm 1 — epoch-close merge.
   {
     const std::vector<std::size_t> sizes =
         smoke ? std::vector<std::size_t>{2000}
               : std::vector<std::size_t>{100000, 1000000};
     const std::size_t updates = smoke ? 50 : 1000;
-    std::printf("%-9s %-8s %12s %11s %9s\n", "n", "updates",
-                "cold_build(s)", "merge(ms)", "ratio");
+    std::printf("%-9s %-8s %11s\n", "n", "updates", "merge(ms)");
     for (std::size_t n : sizes) {
       const std::vector<bn::BigInt> tags = synthetic_tags(n, tag_bits, 29 + n);
       const std::vector<bn::BigInt> fresh =
           synthetic_tags(256, tag_bits, 31 + n);
       const MergeCell cell =
           measure_merge(tags, fresh, tag_bits, updates, 41 * n + 7);
-      if (cell.rows_merged == 0 || cell.planes_rebuilt) {
-        std::fprintf(stderr, "FATAL: merge cell did not stay incremental\n");
+      if (cell.rows_merged == 0) {
+        std::fprintf(stderr, "FATAL: merge cell merged no rows\n");
         return 1;
       }
-      const double ratio = 1e3 * cell.cold_build_s / cell.merge_ms;
-      std::printf("%-9zu %-8zu %12.2f %11.3f %8.1fx\n", n, updates,
-                  cell.cold_build_s, cell.merge_ms, ratio);
+      std::printf("%-9zu %-8zu %11.3f\n", n, updates, cell.merge_ms);
       if (!smoke) {
         std::ostringstream body;
         body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
              << ", \"updates\": " << updates
-             << ", \"cold_build_s\": " << cell.cold_build_s
-             << ", \"merge_ms\": " << cell.merge_ms
-             << ", \"build_over_merge\": " << ratio << "}";
+             << ", \"merge_ms\": " << cell.merge_ms << "}";
         std::ostringstream section;
         section << "updates_merge_n" << n;
         emit_parallel_json(section.str(), body.str(), "BENCH_updates.json");
@@ -223,7 +210,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nTakeaway: staged updates ride the delta plane, so audits "
               "under a write storm stay\nnear idle latency with every decode "
-              "valid; an epoch close is a memcpy-sized\nmerge, not a "
-              "K-plane rebuild.\n");
+              "valid; an epoch close is a memcpy-sized\nmerge.\n");
   return 0;
 }

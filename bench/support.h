@@ -114,17 +114,18 @@ double time_median(int repetitions, F&& f) {
 }
 
 /// Correctness gate for the PIR evaluator benches: the per-point naive and
-/// matrix references and the fused engine must agree on every point of
-/// `query` before anything is timed, or the columns would time different
-/// computations. Exits non-zero on a mismatch.
+/// matrix references (the latter over `planes`) and the fused engine must
+/// agree on every point of `query` before anything is timed, or the columns
+/// would time different computations. Exits non-zero on a mismatch.
 inline void require_evaluators_agree(const pir::PirServer& server,
+                                     const pir::Bitplanes& planes,
                                      const pir::PirQuery& query) {
   const pir::PirResponse fused = server.respond(query);
   bool ok = fused.entries.size() == query.points.size();
   for (std::size_t l = 0; ok && l < query.points.size(); ++l) {
     const pir::PirSingleResponse naive = server.respond_naive(query.points[l]);
     const pir::PirSingleResponse matrix =
-        server.respond_matrix(query.points[l]);
+        server.respond_matrix(planes, query.points[l]);
     ok = matrix.values == naive.values &&
          matrix.gradients == naive.gradients &&
          fused.entries[l].values == naive.values &&

@@ -12,8 +12,7 @@
 //     what bignum/multiexp.h and bignum/fixed_base.h build their shared
 //     squaring chains on;
 //   * `fixed_base(g, bits)` caches Lim-Lee comb tables for long-lived bases
-//     on the context itself (double-checked under a shared_mutex, the same
-//     discipline as pir::TagDatabase::plane).
+//     on the context itself (double-checked under a shared_mutex).
 #pragma once
 
 #include <atomic>

@@ -110,12 +110,6 @@ void TagStore::respond(std::uint64_t epoch, const pir::PirQuery& query,
   server_.respond_into(query, out);
 }
 
-double TagStore::preprocess() {
-  // Exclusive: a plane build swaps the arrays plane() readers iterate.
-  std::unique_lock lock(mu_);
-  return db_.build_planes();
-}
-
 std::vector<bn::BigInt> retrieve_tags_direct(
     const TagStore& tpa0, const TagStore& tpa1,
     std::span<const std::size_t> indices, bn::Rng64& rng) {

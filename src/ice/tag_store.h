@@ -8,11 +8,13 @@
 // TPA as one m-point query over the whole file (DESIGN.md §13).
 //
 // Locking and epochs (DESIGN.md §15): one reader-writer lock guards the
-// rows, the embedding and the epoch counter. Queries, tag reads and staged
-// updates take it shared; close_epoch, append and preprocess take it
-// exclusive. The epoch moves on every append and on every close that merged
-// rows, so a query planned before either fails its epoch check with the
-// typed StaleEpochError instead of decoding against the wrong state.
+// rows, the embedding and the content epoch, the store's only epoch.
+// Queries, tag reads and staged updates take it shared; close_epoch and
+// append take it exclusive. The epoch moves on every append and on every
+// close that merged rows, so a query planned before either fails its epoch
+// check with the typed StaleEpochError instead of decoding against the
+// wrong state. The store builds no bitplanes: the fused engine streams the
+// rows.
 //
 // `update()` stages into the next epoch and `close_epoch()` merges, and
 // audit sessions take a SnapshotPin for their whole lifetime. Staging is
@@ -123,12 +125,6 @@ class TagStore {
   /// ParamError when a point's length is not gamma(n).
   void respond(std::uint64_t epoch, const pir::PirQuery& query,
                pir::PirResponse& out) const;
-
-  /// Forces the TPASetup preprocessing and reports its duration in seconds
-  /// (paper Tab. III row "TPASetup"). The serving engine streams the rows
-  /// and never reads the planes; they back only the per-point matrix
-  /// reference.
-  double preprocess();
 
  private:
   mutable std::shared_mutex mu_;  // guards db_'s base rows, embedding_, epoch_

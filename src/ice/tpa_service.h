@@ -61,8 +61,8 @@ class TpaService final : public net::RpcHandler {
   /// Direct state access for tests.
   [[nodiscard]] bool has_tags() const;
 
-  /// Epoch-engine observability (DESIGN.md §15): merge/rebuild counters
-  /// plus snapshot-pin gauges. All zero before tags are stored.
+  /// Epoch-engine observability (DESIGN.md §15): merge counters plus
+  /// snapshot-pin gauges. All zero before tags are stored.
   /// Thread-safe.
   [[nodiscard]] StoreEpochStats epoch_stats() const;
 

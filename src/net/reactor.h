@@ -4,8 +4,8 @@
 // all socket reads, frame parsing (ConnState) and connection lifecycle; an
 // elastic pool of handler workers executes dispatch-table calls and stages
 // responses. Idle connections cost a few KB of state and zero threads, so
-// one reactor serves tens of thousands of concurrent sessions where the
-// legacy thread-per-connection path needed a thread each.
+// one reactor serves tens of thousands of concurrent sessions without a
+// thread per connection.
 //
 // Request pipelining: many requests may be in flight per connection (up to
 // ReactorLimits::max_pipeline); handlers run concurrently and may finish in

@@ -56,7 +56,7 @@ void io_wait(int fd, short events, const Deadline& deadline) {
 }
 
 void write_all(int fd, const std::uint8_t* data, std::size_t len,
-               const Deadline& deadline = {}) {
+               const Deadline& deadline) {
   std::size_t done = 0;
   while (done < len) {
     const ssize_t n = ::send(fd, data + done, len - done,
@@ -75,7 +75,7 @@ void write_all(int fd, const std::uint8_t* data, std::size_t len,
 
 /// Returns false on clean EOF at the first byte; throws on errors/short read.
 bool read_all(int fd, std::uint8_t* data, std::size_t len,
-              const Deadline& deadline = {}) {
+              const Deadline& deadline) {
   std::size_t done = 0;
   while (done < len) {
     const ssize_t n = ::recv(fd, data + done, len - done, MSG_DONTWAIT);
@@ -111,120 +111,36 @@ void encode_u32(std::uint8_t* b, std::uint32_t v) {
 }  // namespace
 
 TcpServer::TcpServer(RpcHandler& handler, std::uint16_t port,
-                     TcpServerOptions options)
-    : handler_(&handler) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) fail("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-      0) {
-    fail("bind");
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    fail("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 256) < 0) fail("listen");
-  if (options.use_reactor) {
-    reactor_ = std::make_unique<Reactor>(handler, options.limits);
-    reactor_->listen(listen_fd_);  // the reactor owns the fd from here
-  } else {
-    // The acceptor gets its own copy of the fd: stop() overwrites the
-    // member concurrently, and accept() on the copy fails once stop()
-    // closes it.
-    acceptor_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
-  }
-}
-
-TcpServer::~TcpServer() { stop(); }
-
-void TcpServer::stop() {
-  if (stopping_.exchange(true)) {
-    return;
-  }
-  if (reactor_) {
-    reactor_->stop();  // closes the listen fd it owns
-    listen_fd_ = -1;
-    return;
-  }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard lock(workers_mu_);
-    workers.swap(workers_);
-    // Unblock workers parked in recv() on idle connections.
-    for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& w : workers) w.join();
-}
-
-void TcpServer::accept_loop(int listen_fd) {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed by stop()
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    std::lock_guard lock(workers_mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    live_fds_.push_back(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void TcpServer::serve_connection(int fd) {
-  // frame/out persist across iterations and the response buffer goes back
-  // to the thread's BufferPool, so a long-lived connection settles into
-  // zero allocations per request once buffers reach their working size.
-  Bytes frame;
-  Bytes out;
+                     ReactorLimits limits) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) fail("socket");
   try {
-    for (;;) {
-      std::uint8_t header[4];
-      if (!read_all(fd, header, 4)) break;  // client hung up
-      const std::uint32_t frame_len = decode_u32(header);
-      if (frame_len < 2 || frame_len > kMaxFrame) {
-        throw TransportError("TcpServer: bad frame length");
-      }
-      frame.resize(frame_len);
-      if (!read_all(fd, frame.data(), frame.size())) {
-        throw TransportError("TcpServer: truncated frame");
-      }
-      const std::uint16_t method =
-          static_cast<std::uint16_t>(frame[0] | (frame[1] << 8));
-      Bytes response = handler_->handle(method, BytesView(frame).subspan(2));
-      out.resize(4 + response.size());
-      encode_u32(out.data(), static_cast<std::uint32_t>(response.size()));
-      std::copy(response.begin(), response.end(), out.begin() + 4);
-      BufferPool::local().release(std::move(response));
-      write_all(fd, out.data(), out.size());
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+      fail("bind");
     }
-  } catch (const std::exception&) {
-    // Connection-scoped failure: drop this client, keep serving others.
+    socklen_t len = sizeof addr;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+      fail("getsockname");
+    }
+    port_ = ntohs(addr.sin_port);
+    if (::listen(fd, 256) < 0) fail("listen");
+    reactor_ = std::make_unique<Reactor>(handler, limits);
+  } catch (...) {
+    ::close(fd);  // no destructor runs for a throwing constructor
+    throw;
   }
-  {
-    std::lock_guard lock(workers_mu_);
-    std::erase(live_fds_, fd);
-  }
-  ::close(fd);
+  reactor_->listen(fd);  // the reactor owns the fd from here
 }
+
+TcpServer::~TcpServer() = default;  // the reactor stops itself
+
+void TcpServer::stop() { reactor_->stop(); }
 
 TcpChannel::TcpChannel(const std::string& host, std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -1,13 +1,11 @@
 // TCP transport (loopback or LAN) for the RPC layer.
 //
 // Frames are length-prefixed: a request is [u32 frame_len][u16 method]
-// [payload]; a response is [u32 frame_len][payload]. The server defaults to
-// the epoll reactor (net/reactor.h): one I/O thread multiplexes every
+// [payload]; a response is [u32 frame_len][payload]. The server is the
+// epoll reactor (net/reactor.h): one I/O thread multiplexes every
 // connection, requests pipeline per connection, and responses come back in
 // request order — so a TPA serves thousands of concurrent sessions (the
-// paper's multi-user experiment, Fig. 4) without a thread per client. The
-// legacy blocking thread-per-connection loop stays available behind
-// TcpServerOptions::use_reactor = false for differential testing.
+// paper's multi-user experiment, Fig. 4) without a thread per client.
 #pragma once
 
 #include <atomic>
@@ -17,8 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/conn_state.h"
 #include "net/rpc.h"
@@ -27,22 +23,15 @@ namespace ice::net {
 
 class Reactor;
 
-struct TcpServerOptions {
-  /// Serve with the epoll reactor. When false, the legacy blocking
-  /// accept/handle loop runs instead (one thread per connection).
-  bool use_reactor = true;
-  /// Reactor tuning and admission control; ignored by the blocking path.
-  ReactorLimits limits;
-};
-
 /// RPC server listening on a TCP port. Lifetime: construct (binds and starts
 /// serving) -> serve -> destroy (stops and joins all threads).
 class TcpServer {
  public:
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts serving
-  /// `handler` (non-owning; must outlive the server). Throws TransportError.
+  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and serves
+  /// `handler` (non-owning; must outlive the server) through a reactor
+  /// with `limits`. Throws TransportError, leaving no socket open.
   TcpServer(RpcHandler& handler, std::uint16_t port = 0,
-            TcpServerOptions options = {});
+            ReactorLimits limits = {});
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
@@ -51,25 +40,12 @@ class TcpServer {
   /// The port actually bound.
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// The serving reactor, or nullptr in blocking mode.
-  [[nodiscard]] Reactor* reactor() { return reactor_.get(); }
-
   /// Stops accepting, closes connections, joins threads (idempotent).
   void stop();
 
  private:
-  void accept_loop(int listen_fd);
-  void serve_connection(int fd);
-
-  RpcHandler* handler_;
-  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::unique_ptr<Reactor> reactor_;  // reactor mode
-  std::thread acceptor_;              // blocking mode
-  std::mutex workers_mu_;
-  std::vector<std::thread> workers_;
-  std::vector<int> live_fds_;  // open connection sockets, for stop()
+  std::unique_ptr<Reactor> reactor_;
 };
 
 /// RPC client over one TCP connection. Thread-safe and pipelining: when

@@ -104,10 +104,15 @@ PirSingleResponse PirServer::respond_naive(const GF4Vector& q) const {
   return out;
 }
 
-PirSingleResponse PirServer::respond_matrix(const GF4Vector& q) const {
+PirSingleResponse PirServer::respond_matrix(const Bitplanes& planes,
+                                            const GF4Vector& q) const {
   check_point(q);
   const std::size_t n = db_->size();
   const std::size_t k = db_->tag_bits();
+  if (planes.n != n || planes.tag_bits != k || planes.lists.size() != k) {
+    throw ParamError("PirServer::respond_matrix: planes built over another "
+                     "row count or tag width");
+  }
   const std::size_t gamma = embedding_->gamma();
   // Monomial values and derivatives once per query (not per bitplane);
   // disjoint slots, so the precompute shards over monomials.
@@ -132,15 +137,14 @@ PirSingleResponse PirServer::respond_matrix(const GF4Vector& q) const {
     for (std::size_t pi = plane_begin; pi < plane_end; ++pi) {
       GF4 value;
       std::fill(grad.begin(), grad.end(), GF4::zero());
-      // only nonzero coefficients; the view applies the epoch overlay
-      db_->plane(pi).for_each([&](std::uint32_t i) {
+      for (const std::uint32_t i : planes.lists[pi]) {  // nonzero only
         const MonomialEval& e = evals[i];
         const Embedding::Triple& t = triples[i];
         value += e.mono;
         grad[t[0]] += e.deriv[0];
         grad[t[1]] += e.deriv[1];
         grad[t[2]] += e.deriv[2];
-      });
+      }
       out.values[pi] = value;
       for (std::size_t j = 0; j < gamma; ++j) out.gradients[j][pi] = grad[j];
     }

@@ -18,9 +18,9 @@
 //                    reference the differential tests pin `respond` to.
 //   respond_matrix — the paper's matrix representation M_pi: zero
 //                    coefficients are skipped via per-bitplane index lists
-//                    and the monomial / derivative values are computed once
-//                    per query, then reused across all K bitplanes (Fig. 2,
-//                    Tab. III).
+//                    (Bitplanes, built by the caller) and the monomial /
+//                    derivative values are computed once per query, then
+//                    reused across all K bitplanes (Fig. 2, Tab. III).
 #pragma once
 
 #include <cstdint>
@@ -54,11 +54,13 @@ class PirServer {
   /// the previous call) makes the steady-state batch sweep allocation-free.
   void respond_into(const PirQuery& query, PirResponse& out) const;
 
-  /// Per-point references (see the file comment). Both read the epoch-t
-  /// snapshot; respond_matrix goes through the plane overlay.
+  /// Per-point references (see the file comment). respond_naive reads the
+  /// base rows; respond_matrix reads `planes`, which the caller built from
+  /// the rows it means to query, and throws ParamError when they were built
+  /// over another row count or tag width.
   [[nodiscard]] PirSingleResponse respond_naive(const gf::GF4Vector& q) const;
   [[nodiscard]] PirSingleResponse respond_matrix(
-      const gf::GF4Vector& q) const;
+      const Bitplanes& planes, const gf::GF4Vector& q) const;
 
  private:
   void check_point(const gf::GF4Vector& q) const;

@@ -209,14 +209,11 @@ TEST_F(EpochServiceTest, EpochStatsSurfaceCountsPinsAndMerges) {
   EXPECT_EQ(stats.db.epochs_closed, 1u);
   EXPECT_EQ(stats.db.rows_merged, 1u);
   EXPECT_EQ(stats.db.staged_rows, 0u);
-  EXPECT_EQ(stats.db.rebuilds_avoided + stats.db.plane_rebuilds, 1u);
 }
 
-// store_tags builds no bitplane lists: the fused engine streams the rows.
-// After a store, one staged update and a close, the replica has no plane
-// overlay, counts the close as merged without a rebuild, and a tag query
-// decodes the merged tag.
-TEST_F(EpochServiceTest, StoreTagsBuildsNoPlanes) {
+// Over the wire: after a store, one staged update and a close at both
+// replicas, a tag query decodes the merged tag beside untouched ones.
+TEST_F(EpochServiceTest, StoreStageCloseThenQueryDecodesMergedTag) {
   const auto tags = make_tags(24, 11);
   const bn::BigInt fresh = make_tags(1, 12)[0];
   TpaService tpa0;
@@ -230,11 +227,6 @@ TEST_F(EpochServiceTest, StoreTagsBuildsNoPlanes) {
     EXPECT_EQ(tpa.update_tag(5, fresh), 0u);
     ASSERT_TRUE(tpa.close_epoch(/*force=*/true).closed);
   }
-
-  const auto stats = tpa0.epoch_stats().db;
-  EXPECT_EQ(stats.dirty_rows, 0u);  // no planes built, so no overlay
-  EXPECT_EQ(stats.rebuilds_avoided, 1u);
-  EXPECT_EQ(stats.plane_rebuilds, 0u);
 
   const TagInfo info = clients[0].tag_info();
   const pir::Embedding embedding(info.n);

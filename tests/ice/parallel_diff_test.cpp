@@ -132,8 +132,8 @@ TEST_F(ParallelDiffTest, VerifySameVerdictAtEveryThreadCount) {
   }
 }
 
-// The fused engine and both per-point references return the serial bits
-// at every thread count.
+// The fused engine and both per-point references agree with each other
+// serially and return the serial bits at every thread count.
 TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
   constexpr std::size_t kTags = 60;
   const auto blocks = ice::testing::make_blocks(kTags, 64, 60);
@@ -147,16 +147,26 @@ TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
   bn::Rng64Adapter<SplitMix64> qrng(qgen);
   const auto enc = client.encode(std::vector<std::size_t>{3, 17, 42}, qrng);
   const pir::PirQuery& query = enc.queries[0];
+  const pir::Bitplanes planes = db.build_planes();
   // Fused answer, then naive and matrix per point, as one entry list.
   const auto all_entries = [&](const pir::PirServer& server) {
     std::vector<pir::PirSingleResponse> out = server.respond(query).entries;
     for (const auto& q : query.points) out.push_back(server.respond_naive(q));
     for (const auto& q : query.points) {
-      out.push_back(server.respond_matrix(q));
+      out.push_back(server.respond_matrix(planes, q));
     }
     return out;
   };
   const auto serial = all_entries(pir::PirServer(db, emb, 1));
+  const std::size_t m = query.points.size();
+  ASSERT_EQ(serial.size(), 3 * m);
+  for (std::size_t l = 0; l < m; ++l) {
+    for (const std::size_t e : {l, 2 * m + l}) {  // fused, matrix
+      EXPECT_EQ(serial[e].values, serial[m + l].values) << "entry=" << e;
+      EXPECT_EQ(serial[e].gradients, serial[m + l].gradients)
+          << "entry=" << e;
+    }
+  }
   for (std::size_t t : tested_thread_counts()) {
     const auto parallel = all_entries(pir::PirServer(db, emb, t));
     ASSERT_EQ(parallel.size(), serial.size());

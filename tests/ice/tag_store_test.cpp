@@ -87,12 +87,6 @@ TEST_F(TagStoreTest, PinsRefuseNonForcedClose) {
   EXPECT_EQ(stats.db.rows_merged, 1u);
 }
 
-TEST_F(TagStoreTest, PreprocessReportsTime) {
-  const auto blocks = ice::testing::make_blocks(8, 64, 4);
-  TagStore store(params_, tagger_.tag_all(blocks));
-  EXPECT_GE(store.preprocess(), 0.0);
-}
-
 TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
   const auto blocks = ice::testing::make_blocks(30, 64, 5);
   const auto tags = tagger_.tag_all(blocks);

@@ -1,9 +1,11 @@
-// Differential transport test: identical fresh service deployments behind
-// the legacy blocking TcpServer and the epoll reactor, driven with scripted
-// wire corpuses (method-id sweep x payload variants, pipelined streams, the
-// shared abuse corpus). The two paths must produce byte-for-byte identical
-// response streams and identical connection fates — the reactor is a
-// drop-in replacement, not a reinterpretation of the protocol.
+// Differential transport test: identical fresh service deployments, one
+// served through reactor-backed TcpServers and one answered in-process by
+// calling the handlers directly, driven with scripted wire corpora
+// (method-id sweep x payload variants, a pipelined stream). The two must
+// produce byte-for-byte identical responses — the transport frames and
+// orders calls, it does not reinterpret the protocol. The shared abuse
+// corpus has no in-process form, so it runs against the served deployment
+// alone.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +18,7 @@
 #include "ice/wire.h"
 #include "mec/block_store.h"
 #include "mec/edge_cache.h"
+#include "net/channel.h"
 #include "net/tcp.h"
 #include "support/fake_transport.h"
 #include "support/ice_fixtures.h"
@@ -28,39 +31,53 @@ using net::testing::frame_request;
 using net::testing::RawTcpClient;
 using net::testing::wire_abuse_corpus;
 
-/// One CSP + edge + TPA deployment with every server in the given mode.
-/// The service state is constructed identically on both sides, and the
-/// corpus is replayed in the same order, so state evolution matches too.
+/// One CSP + edge + TPA deployment. When `served`, every service sits
+/// behind its own TcpServer and the edge reaches the CSP over TCP;
+/// otherwise the edge calls the CSP through an InMemoryChannel and callers
+/// use handler_for(). The service state is constructed identically either
+/// way, and each corpus is replayed in the same order, so state evolution
+/// matches too.
 struct Deployment {
-  explicit Deployment(bool use_reactor)
+  explicit Deployment(bool served)
       : params(ice::testing::test_params(64)),
         keys(ice::testing::test_keypair_256()),
         csp(mec::BlockStore::synthetic(16, 64, 31337)),
-        options{use_reactor, {}},
-        csp_server(csp, 0, options),
-        tpa_server(tpa, 0, options),
-        csp_channel("127.0.0.1", csp_server.port()),
+        csp_server(serve(csp, served)),
+        csp_channel(served ? std::unique_ptr<net::RpcChannel>(
+                                 std::make_unique<net::TcpChannel>(
+                                     "127.0.0.1", csp_server->port()))
+                           : std::make_unique<net::InMemoryChannel>(csp)),
         edge(0, params, keys.pk, mec::EdgeCache(8, mec::EvictionPolicy::kLru),
-             csp_channel, nullptr),
-        edge_server(edge, 0, options) {}
+             *csp_channel, nullptr),
+        tpa_server(serve(tpa, served)),
+        edge_server(serve(edge, served)) {}
 
-  /// The server a method id belongs to (by the wire.h numbering bands).
+  static std::unique_ptr<net::TcpServer> serve(net::RpcHandler& handler,
+                                               bool served) {
+    return served ? std::make_unique<net::TcpServer>(handler) : nullptr;
+  }
+
+  /// The service a method id belongs to (by the wire.h numbering bands).
+  net::RpcHandler& handler_for(std::uint16_t method) {
+    if (method < 200) return csp;
+    if (method < 300) return edge;
+    return tpa;
+  }
   net::TcpServer& server_for(std::uint16_t method) {
-    if (method < 200) return csp_server;
-    if (method < 300) return edge_server;
-    return tpa_server;
+    if (method < 200) return *csp_server;
+    if (method < 300) return *edge_server;
+    return *tpa_server;
   }
 
   ProtocolParams params;
   KeyPair keys;
   CspService csp;
   TpaService tpa;
-  net::TcpServerOptions options;
-  net::TcpServer csp_server;
-  net::TcpServer tpa_server;
-  net::TcpChannel csp_channel;
+  std::unique_ptr<net::TcpServer> csp_server;
+  std::unique_ptr<net::RpcChannel> csp_channel;
   EdgeService edge;
-  net::TcpServer edge_server;
+  std::unique_ptr<net::TcpServer> tpa_server;
+  std::unique_ptr<net::TcpServer> edge_server;
 };
 
 struct WireCase {
@@ -107,9 +124,9 @@ std::string hex(const Bytes& b) {
   return out.str();
 }
 
-/// Replays the scripted corpus against one deployment, one connection per
-/// case, and returns the transcript of response frames.
-std::vector<Bytes> replay_scripted(Deployment& d) {
+/// Replays the scripted corpus against the served deployment, one
+/// connection per case, and returns the transcript of response frames.
+std::vector<Bytes> replay_scripted_tcp(Deployment& d) {
   std::vector<Bytes> transcript;
   for (const WireCase& c : scripted_corpus()) {
     RawTcpClient client(d.server_for(c.method).port());
@@ -119,11 +136,20 @@ std::vector<Bytes> replay_scripted(Deployment& d) {
   return transcript;
 }
 
+/// The same corpus answered in-process.
+std::vector<Bytes> replay_scripted_direct(Deployment& d) {
+  std::vector<Bytes> transcript;
+  for (const WireCase& c : scripted_corpus()) {
+    transcript.push_back(d.handler_for(c.method).handle(c.method, c.payload));
+  }
+  return transcript;
+}
+
 TEST(TransportDiffTest, ScriptedCorpusMatchesByteForByte) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  const auto expected = replay_scripted(blocking);
-  const auto actual = replay_scripted(reactor);
+  Deployment direct(/*served=*/false);
+  Deployment served(/*served=*/true);
+  const auto expected = replay_scripted_direct(direct);
+  const auto actual = replay_scripted_tcp(served);
   ASSERT_EQ(expected.size(), actual.size());
   const auto corpus = scripted_corpus();
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -133,19 +159,23 @@ TEST(TransportDiffTest, ScriptedCorpusMatchesByteForByte) {
   }
 }
 
-/// Pipelined stream of deterministic requests on a single connection.
-std::vector<Bytes> replay_pipelined(Deployment& d) {
-  Bytes stream;
-  const std::vector<WireCase> cases = {
+/// Deterministic CSP requests, pipelined on one connection when served.
+std::vector<WireCase> pipelined_cases() {
+  return {
       {kCspInfo, {}}, {kCspFetch, {0x00}}, {kCspFetch, {0x05}},
       {kCspInfo, {}}, {999, {}},  // unknown method mid-pipeline
       {kCspFetch, {0x01}},
   };
+}
+
+std::vector<Bytes> replay_pipelined_tcp(Deployment& d) {
+  const std::vector<WireCase> cases = pipelined_cases();
+  Bytes stream;
   for (const WireCase& c : cases) {
     const Bytes f = frame_request(c.method, c.payload);
     stream.insert(stream.end(), f.begin(), f.end());
   }
-  RawTcpClient client(d.csp_server.port());
+  RawTcpClient client(d.csp_server->port());
   client.send(stream);
   std::vector<Bytes> transcript;
   transcript.reserve(cases.size());
@@ -155,44 +185,40 @@ std::vector<Bytes> replay_pipelined(Deployment& d) {
   return transcript;
 }
 
+std::vector<Bytes> replay_pipelined_direct(Deployment& d) {
+  std::vector<Bytes> transcript;
+  for (const WireCase& c : pipelined_cases()) {
+    transcript.push_back(d.csp.handle(c.method, c.payload));
+  }
+  return transcript;
+}
+
 TEST(TransportDiffTest, PipelinedStreamMatchesByteForByte) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  const auto expected = replay_pipelined(blocking);
-  const auto actual = replay_pipelined(reactor);
+  Deployment direct(/*served=*/false);
+  Deployment served(/*served=*/true);
+  const auto expected = replay_pipelined_direct(direct);
+  const auto actual = replay_pipelined_tcp(served);
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(hex(expected[i]), hex(actual[i])) << "response " << i;
   }
 }
 
-/// The abuse corpus must produce the same responses and the same dropped
-/// connections on both paths.
-void replay_abuse(Deployment& d, const std::string& mode) {
+// Every abuse case answers its leading valid frames and then drops the
+// connection with nothing further, against the real services.
+TEST(TransportDiffTest, AbuseCorpusDropsConnectionsAtTheServices) {
+  Deployment served(/*served=*/true);
   const Bytes valid = frame_request(kCspInfo, {});
   for (const AbuseCase& abuse : wire_abuse_corpus(valid)) {
-    SCOPED_TRACE(mode + ": " + abuse.name);
-    RawTcpClient client(d.csp_server.port());
+    SCOPED_TRACE(abuse.name);
+    RawTcpClient client(served.csp_server->port());
     client.send(abuse.stream);
     client.shutdown_write();
-    std::vector<Bytes> responses;
     for (std::size_t i = 0; i < abuse.expected_responses; ++i) {
-      responses.push_back(client.recv_response());
+      EXPECT_GE(client.recv_response().size(), net::kStatusEnvelopeBytes);
     }
-    // Any leading valid frames got real responses on both paths...
-    for (const auto& r : responses) {
-      EXPECT_GE(r.size(), net::kStatusEnvelopeBytes);
-    }
-    // ...then the violation closes the connection with nothing further.
     EXPECT_TRUE(client.eof_within()) << "connection not dropped";
   }
-}
-
-TEST(TransportDiffTest, AbuseCorpusDropsIdenticallyOnBothPaths) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  replay_abuse(blocking, "blocking");
-  replay_abuse(reactor, "reactor");
 }
 
 }  // namespace

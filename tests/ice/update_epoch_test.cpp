@@ -48,8 +48,6 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
   const auto tags = make_tags(24, 1);
   TagStore tpa0(params_, tags);
   TagStore tpa1(params_, tags);
-  tpa0.preprocess();  // warm plane caches so update must invalidate them
-  tpa1.preprocess();
 
   const bn::BigInt fresh = make_tags(1, 99)[0];
   for (std::size_t index : {std::size_t{0}, std::size_t{11},
@@ -71,7 +69,7 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
         retrieve_tags_direct(tpa0, tpa1, std::vector<std::size_t>{index},
                              rng_);
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], fresh) << "stale plane served for index " << index;
+    EXPECT_EQ(got[0], fresh) << "stale row served for index " << index;
   }
 }
 
@@ -108,21 +106,6 @@ TEST_F(UpdateEpochTest, AppendCrossesEpochBoundaryAndIsAuditable) {
   EXPECT_EQ(got[2], tags[4]);
 }
 
-TEST_F(UpdateEpochTest, AddKeepsWarmPlanesCurrent) {
-  // Direct TagDatabase regression: a warm plane cache must reflect rows
-  // added afterwards (since PR 9 add() extends the set planes in place
-  // instead of invalidating all K of them).
-  pir::TagDatabase db(64);
-  db.add(bn::BigInt::from_limbs({0b1010}));
-  db.build_planes();
-  EXPECT_EQ(db.plane(1).size(), 1u);
-  db.add(bn::BigInt::from_limbs({0b0010}));
-  const auto plane1 = db.plane(1).materialize();
-  ASSERT_EQ(plane1.size(), 2u) << "plane cache went stale after add()";
-  EXPECT_EQ(plane1[1], 1u);
-  EXPECT_EQ(db.plane(3).size(), 1u);
-}
-
 // The TSan satellite: staged updates, appends, epoch closes and audit
 // rounds race from dedicated threads. Correctness of decoded values under
 // racing closers is not asserted here (the differential storm test below
@@ -134,7 +117,6 @@ TEST_F(UpdateEpochTest, AddKeepsWarmPlanesCurrent) {
 TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
   const auto tags = make_tags(32, 4);
   TagStore tpa(params_, tags);
-  tpa.preprocess();
   constexpr int kRounds = 40;
   std::atomic<bool> stop{false};
   std::atomic<int> stale_rejections{0};
@@ -195,8 +177,6 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
   const auto tags = make_tags(n, 7);
   TagStore tpa0(params_, tags);
   TagStore tpa1(params_, tags);
-  tpa0.preprocess();
-  tpa1.preprocess();
   const auto fresh = make_tags(64, 8);
 
   std::atomic<bool> stop{false};

@@ -228,8 +228,8 @@ TEST(ReactorTest, ConnectionLimitSurfacesAsRemoteErrorThroughChannel) {
   // Full-stack version: a TcpServer with a 1-connection reactor; the
   // second channel's typed call must throw RemoteError(kResourceExhausted)
   // once the envelope is unwrapped.
-  TcpServerOptions options;
-  options.limits.max_connections = 1;
+  ReactorLimits limits;
+  limits.max_connections = 1;
   // A dispatch-table server returns enveloped responses on every path.
   class EnvelopedEcho final : public RpcHandler {
    public:
@@ -239,7 +239,7 @@ TEST(ReactorTest, ConnectionLimitSurfacesAsRemoteErrorThroughChannel) {
       return out;
     }
   } handler;
-  TcpServer server{handler, 0, options};
+  TcpServer server{handler, 0, limits};
 
   TcpChannel first{"127.0.0.1", server.port()};
   const Bytes probe = {0x10};

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "common/error.h"
@@ -62,27 +64,21 @@ TEST(LinkModelTest, InfiniteBandwidthIsLatencyOnly) {
   EXPECT_DOUBLE_EQ(m.transfer_seconds(1 << 20), 0.005);
 }
 
-/// Server-behavior tests run against both transports: the epoll reactor
-/// (param true) and the legacy blocking loop (param false). The two must be
-/// observably identical from the client side.
-class TcpTransportTest : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] TcpServerOptions options() const {
-    TcpServerOptions o;
-    o.use_reactor = GetParam();
-    return o;
-  }
-};
+/// Names the one server transport, the epoll reactor, in the
+/// parameterized server suites below (`Modes/<suite>.<test>/reactor`).
+std::string reactor_name(const ::testing::TestParamInfo<bool>&) {
+  return "reactor";
+}
 
-INSTANTIATE_TEST_SUITE_P(Modes, TcpTransportTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "reactor" : "blocking";
-                         });
+/// Server-behavior tests against the reactor-backed TcpServer.
+class TcpTransportTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Modes, TcpTransportTest, ::testing::Values(true),
+                         reactor_name);
 
 TEST_P(TcpTransportTest, RoundTrip) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   const Bytes resp = ch.call(42, Bytes{9, 8, 7});
   EXPECT_EQ(resp, (Bytes{42, 9, 8, 7}));
@@ -94,14 +90,14 @@ TEST_P(TcpTransportTest, EmptyRequestAndResponse) {
    public:
     Bytes handle(std::uint16_t, BytesView) override { return {}; }
   } handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   EXPECT_TRUE(ch.call(0, {}).empty());
 }
 
 TEST_P(TcpTransportTest, LargePayload) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   Bytes big(1 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
@@ -114,7 +110,7 @@ TEST_P(TcpTransportTest, LargePayload) {
 
 TEST_P(TcpTransportTest, SequentialCallsOnOneConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   for (std::uint16_t m = 0; m < 50; ++m) {
     const Bytes resp = ch.call(m, Bytes{static_cast<std::uint8_t>(m)});
@@ -125,11 +121,10 @@ TEST_P(TcpTransportTest, SequentialCallsOnOneConnection) {
 
 TEST_P(TcpTransportTest, PipelinedCallsShareOneConnection) {
   // Several threads calling through ONE channel: sends interleave on the
-  // wire and each caller still gets its own response (ticket-ordered
-  // reads). The blocking server serializes execution, the reactor
-  // pipelines it; both must return correct bytes.
+  // wire, the reactor pipelines them, and each caller still gets its own
+  // response (ticket-ordered reads).
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   std::vector<std::future<bool>> futs;
   for (int t = 0; t < 4; ++t) {
@@ -154,7 +149,7 @@ TEST_P(TcpTransportTest, PipelinedCallsShareOneConnection) {
 
 TEST_P(TcpTransportTest, ConcurrentClients) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   std::vector<std::future<bool>> futs;
   for (int c = 0; c < 8; ++c) {
     futs.push_back(std::async(std::launch::async, [&server, c] {
@@ -173,7 +168,7 @@ TEST_P(TcpTransportTest, ConcurrentClients) {
 
 TEST_P(TcpTransportTest, ByteAccountingMatchesFraming) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   ch.call(1, Bytes(10, 0));
   // Request frame: 4 (len) + 2 (method) + 10; response: 4 (len) + 11.
@@ -195,9 +190,31 @@ TEST(TcpTransportTest, BadAddressThrows) {
   EXPECT_THROW(TcpChannel("not-an-ip", 1), TransportError);
 }
 
+/// Open file descriptors of this process.
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+// A constructor that throws runs no destructor, so a failed bind must close
+// the listening socket itself.
+TEST(TcpTransportTest, FailedBindLeavesNoSocketOpen) {
+  EchoHandler handler;
+  TcpServer holder(handler);
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_THROW(TcpServer(handler, holder.port()), TransportError);
+  }
+  EXPECT_EQ(open_fd_count(), before);
+}
+
 TEST_P(TcpTransportTest, CallAfterServerStopThrows) {
   EchoHandler handler;
-  auto server = std::make_unique<TcpServer>(handler, 0, options());
+  auto server = std::make_unique<TcpServer>(handler);
   TcpChannel ch("127.0.0.1", server->port());
   EXPECT_EQ(ch.call(1, Bytes{1}).size(), 2u);
   server.reset();  // stops and joins
@@ -211,7 +228,7 @@ TEST_P(TcpTransportTest, CallAfterServerStopThrows) {
 
 TEST_P(TcpTransportTest, StopIsIdempotent) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   server.stop();
   server.stop();
 }
@@ -224,7 +241,7 @@ TEST_P(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
       return Bytes{1};
     }
   } handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   {
     TcpChannel bad("127.0.0.1", server.port());
     EXPECT_THROW(
@@ -282,32 +299,22 @@ void expect_dropped_then_still_serving(TcpServer& server, const Bytes& abuse,
   EXPECT_EQ(handler.calls.load(), before + 1) << "abuse must not reach handler";
 }
 
-/// Server-side abuse runs against both transports, like TcpTransportTest.
-class TcpAbuseServerTest : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] TcpServerOptions options() const {
-    TcpServerOptions o;
-    o.use_reactor = GetParam();
-    return o;
-  }
-};
+/// Server-side abuse against the reactor-backed TcpServer.
+class TcpAbuseServerTest : public ::testing::TestWithParam<bool> {};
 
-INSTANTIATE_TEST_SUITE_P(Modes, TcpAbuseServerTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "reactor" : "blocking";
-                         });
+INSTANTIATE_TEST_SUITE_P(Modes, TcpAbuseServerTest, ::testing::Values(true),
+                         reactor_name);
 
 TEST_P(TcpAbuseServerTest, OversizedLengthPrefixDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   // 4 GiB frame announcement: the server must refuse to allocate and close.
   expect_dropped_then_still_serving(server, le32(0xffffffffu), handler);
 }
 
 TEST_P(TcpAbuseServerTest, UndersizedFrameDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   // Frame length 1 cannot even hold the method id.
   Bytes abuse = le32(1);
   abuse.push_back(0x7f);
@@ -316,7 +323,7 @@ TEST_P(TcpAbuseServerTest, UndersizedFrameDropsConnection) {
 
 TEST_P(TcpAbuseServerTest, TruncatedFrameThenCloseDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   const int before = handler.calls.load();
   {
     const int fd = raw_connect(server.port());

@@ -5,7 +5,8 @@
 // phi + x*z) and under every SIMD tier this CPU supports. The first part of
 // each case name says what the fused answer is pinned to:
 //   Naive     — respond_naive, the term-by-term reference;
-//   Matrix    — respond_matrix, the paper's matrix representation;
+//   Matrix    — respond_matrix over planes built from the same rows, the
+//               paper's matrix representation;
 //   Bitsliced — the fused engine's own answer to each point asked alone,
 //               so batching and point tiling cannot move any point's bits.
 #include <gtest/gtest.h>
@@ -40,11 +41,12 @@ std::string reference_name(Reference r) {
   return "?";
 }
 
-PirSingleResponse reference_response(const PirServer& server, Reference r,
+PirSingleResponse reference_response(const PirServer& server,
+                                     const Bitplanes& planes, Reference r,
                                      const gf::GF4Vector& q) {
   switch (r) {
     case Reference::kNaive: return server.respond_naive(q);
-    case Reference::kMatrix: return server.respond_matrix(q);
+    case Reference::kMatrix: return server.respond_matrix(planes, q);
     case Reference::kBitsliced: break;
   }
   PirQuery one;
@@ -88,6 +90,7 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
   }
   const Embedding emb(kN);
   const PirServer server(db, emb, parallelism);
+  const Bitplanes planes = db.build_planes();
   const PirClient client(emb, kTagBits);
 
   // Realistic query distributions: what each of the two TPAs actually sees
@@ -102,7 +105,7 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
     simd::set_active_tier(simd::XorTier::kPortable);
     std::vector<PirSingleResponse> refs;
     for (const auto& q : query.points) {
-      refs.push_back(reference_response(server, reference, q));
+      refs.push_back(reference_response(server, planes, reference, q));
     }
     for (simd::XorTier tier : supported_tiers()) {
       simd::set_active_tier(tier);
@@ -340,7 +343,8 @@ TEST(PirBatchTest, AnyWrongDimensionPointRejected) {
   query.points.emplace_back(emb.gamma() + 1);  // second point malformed
   EXPECT_THROW(server.respond(query), ParamError);
   EXPECT_THROW(server.respond_naive(query.points[1]), ParamError);
-  EXPECT_THROW(server.respond_matrix(query.points[1]), ParamError);
+  EXPECT_THROW(server.respond_matrix(db.build_planes(), query.points[1]),
+               ParamError);
 }
 
 }  // namespace

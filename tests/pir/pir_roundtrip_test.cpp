@@ -35,13 +35,14 @@ std::string evaluator_name(Evaluator e) {
   return "?";
 }
 
-PirResponse answer(const PirServer& server, Evaluator e,
-                   const PirQuery& query) {
+PirResponse answer(const PirServer& server, const Bitplanes& planes,
+                   Evaluator e, const PirQuery& query) {
   if (e == Evaluator::kBitsliced) return server.respond(query);
   PirResponse out;
   for (const auto& q : query.points) {
-    out.entries.push_back(e == Evaluator::kNaive ? server.respond_naive(q)
-                                                 : server.respond_matrix(q));
+    out.entries.push_back(e == Evaluator::kNaive
+                              ? server.respond_naive(q)
+                              : server.respond_matrix(planes, q));
   }
   return out;
 }
@@ -64,14 +65,15 @@ TEST_P(PirRoundTripTest, RecoversRequestedTags) {
   const Embedding emb(n);
   const PirServer s0(db, emb);
   const PirServer s1(db, emb);
+  const Bitplanes planes = db.build_planes();
   const PirClient client(emb, tag_bits);
 
   // Query a batch of random indexes (with repeats allowed).
   std::vector<std::size_t> wanted;
   for (int i = 0; i < 5; ++i) wanted.push_back(gen_.below(n));
   auto enc = client.encode(wanted, rng_);
-  const PirResponse r0 = answer(s0, evaluator, enc.queries[0]);
-  const PirResponse r1 = answer(s1, evaluator, enc.queries[1]);
+  const PirResponse r0 = answer(s0, planes, evaluator, enc.queries[0]);
+  const PirResponse r1 = answer(s1, planes, evaluator, enc.queries[1]);
   const auto tags = client.decode(enc.secrets, r0, r1);
   ASSERT_EQ(tags.size(), wanted.size());
   for (std::size_t l = 0; l < wanted.size(); ++l) {
@@ -109,6 +111,7 @@ TEST(PirStrategiesTest, AllStrategiesAgreeOnResponses) {
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, k));
   const Embedding emb(n);
   const PirServer server(db, emb);
+  const Bitplanes planes = db.build_planes();
   for (int trial = 0; trial < 5; ++trial) {
     PirQuery query;
     query.points.emplace_back(emb.gamma());
@@ -116,7 +119,7 @@ TEST(PirStrategiesTest, AllStrategiesAgreeOnResponses) {
       v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
     }
     const auto a = server.respond_naive(query.points[0]);
-    const auto b = server.respond_matrix(query.points[0]);
+    const auto b = server.respond_matrix(planes, query.points[0]);
     const auto c = server.respond(query).entries.at(0);
     EXPECT_EQ(a.values, b.values);
     EXPECT_EQ(a.values, c.values);
@@ -132,8 +135,9 @@ TEST(PirClientTest, WrongDimensionQueryRejected) {
   const PirServer server(db, emb);
   EXPECT_THROW(server.respond_naive(gf::GF4Vector(emb.gamma() + 1)),
                ParamError);
-  EXPECT_THROW(server.respond_matrix(gf::GF4Vector(emb.gamma() + 1)),
-               ParamError);
+  EXPECT_THROW(
+      server.respond_matrix(db.build_planes(), gf::GF4Vector(emb.gamma() + 1)),
+      ParamError);
 }
 
 TEST(PirClientTest, MalformedResponsesRejected) {

@@ -47,7 +47,6 @@ TEST(TagDatabaseTest, OutOfRangeAccessThrows) {
   EXPECT_THROW((void)db.bit(1, 0), ParamError);
   EXPECT_THROW((void)db.bit(0, 16), ParamError);
   EXPECT_THROW((void)db.tag(2), ParamError);
-  EXPECT_THROW((void)db.plane(16), ParamError);
   EXPECT_THROW(db.update(1, bn::BigInt(2)), ParamError);
 }
 
@@ -56,31 +55,34 @@ TEST(TagDatabaseTest, PlanesListSetBits) {
   db.add(bn::BigInt(0b00000001));  // index 0: bit 0
   db.add(bn::BigInt(0b00000011));  // index 1: bits 0,1
   db.add(bn::BigInt(0b10000000));  // index 2: bit 7
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(db.plane(7).materialize(), (std::vector<std::uint32_t>{2}));
-  EXPECT_TRUE(db.plane(5).empty());
+  const Bitplanes planes = db.build_planes();
+  EXPECT_EQ(planes.lists[0], (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(planes.lists[1], (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(planes.lists[7], (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(planes.lists[5].empty());
 }
 
 // An update STAGES into the next epoch: invisible to every read surface
-// until close_epoch(), then the planes reflect it without a full rebuild.
+// until close_epoch(), then planes built from the rows reflect it.
 TEST(TagDatabaseTest, StagedUpdateInvisibleUntilClose) {
   TagDatabase db(8);
   db.add(bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).size(), 1u);
+  EXPECT_EQ(db.build_planes().lists[0].size(), 1u);
   db.update(0, bn::BigInt(0b10));
-  // Snapshot isolation: the epoch-t read surface is unchanged.
+  // Snapshot isolation: the base rows are unchanged.
   EXPECT_EQ(db.tag(0), bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0}));
-  EXPECT_TRUE(db.plane(1).empty());
+  const Bitplanes staged = db.build_planes();
+  EXPECT_EQ(staged.lists[0], (std::vector<std::uint32_t>{0}));
+  EXPECT_TRUE(staged.lists[1].empty());
   EXPECT_EQ(db.staged_updates(), 1u);
 
   const EpochMergeStats merged = db.close_epoch();
   EXPECT_TRUE(merged.closed);
-  EXPECT_EQ(merged.epoch, 1u);
   EXPECT_EQ(merged.rows_merged, 1u);
-  EXPECT_TRUE(db.plane(0).empty());
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(db.epoch_stats().epochs_closed, 1u);
+  const Bitplanes closed = db.build_planes();
+  EXPECT_TRUE(closed.lists[0].empty());
+  EXPECT_EQ(closed.lists[1], (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(db.tag(0), bn::BigInt(0b10));
   EXPECT_EQ(db.staged_updates(), 0u);
 }
@@ -106,7 +108,6 @@ TEST(TagDatabaseTest, EmptyCloseIsANoOp) {
   const EpochMergeStats merged = db.close_epoch();
   EXPECT_FALSE(merged.closed);
   EXPECT_EQ(merged.rows_merged, 0u);
-  EXPECT_EQ(db.epoch(), 0u);
   EXPECT_EQ(db.epoch_stats().epochs_closed, 0u);
 }
 
@@ -118,81 +119,14 @@ TEST(TagDatabaseTest, PlanesConsistentWithBitsRandomized) {
   for (std::size_t i = 0; i < n; ++i) {
     db.add(bn::random_bits(rng, 1 + gen.below(192)));
   }
+  const Bitplanes planes = db.build_planes();
   for (std::size_t pi = 0; pi < 192; ++pi) {
     std::vector<std::uint32_t> expect;
     for (std::size_t i = 0; i < n; ++i) {
       if (db.bit(i, pi)) expect.push_back(static_cast<std::uint32_t>(i));
     }
-    EXPECT_EQ(db.plane(pi).materialize(), expect) << "plane " << pi;
+    EXPECT_EQ(planes.lists[pi], expect) << "plane " << pi;
   }
-}
-
-// The PlaneView overlay (warm planes + merged epochs, no rebuild) must be
-// bit-identical to a cold full build of the same final state.
-TEST(TagDatabaseTest, PlaneOverlayMatchesFreshBuildRandomized) {
-  SplitMix64 gen(0xeb0c);
-  bn::Rng64Adapter rng(gen);
-  const std::size_t n = 60, tag_bits = 96;
-  TagDatabase db(tag_bits);
-  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
-  (void)db.build_planes();  // warm cache before the update epochs
-
-  for (int round = 0; round < 3; ++round) {
-    for (int u = 0; u < 8; ++u) {
-      db.update(gen.below(n), bn::random_bits(rng, tag_bits));
-    }
-    const EpochMergeStats merged = db.close_epoch();
-    EXPECT_TRUE(merged.closed);
-    EXPECT_FALSE(merged.planes_rebuilt);  // far below threshold max(64, n/8)
-
-    TagDatabase fresh(tag_bits);
-    for (std::size_t i = 0; i < n; ++i) fresh.add(db.tag(i));
-    for (std::size_t pi = 0; pi < tag_bits; ++pi) {
-      EXPECT_EQ(db.plane(pi).materialize(), fresh.plane(pi).materialize())
-          << "round " << round << " plane " << pi;
-      EXPECT_EQ(db.plane(pi).size(), fresh.plane(pi).size());
-    }
-  }
-  EXPECT_EQ(db.epoch(), 3u);
-  EXPECT_EQ(db.epoch_stats().rebuilds_avoided, 3u);
-}
-
-// Once the overlay outgrows max(64, n/8) dirty rows, a close pays one full
-// rebuild and the overlay resets.
-TEST(TagDatabaseTest, ThresholdTriggersFullPlaneRebuild) {
-  SplitMix64 gen(0x7ead);
-  bn::Rng64Adapter rng(gen);
-  const std::size_t n = 80, tag_bits = 32;  // threshold = max(64, 10) = 64
-  TagDatabase db(tag_bits);
-  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
-  (void)db.build_planes();
-
-  for (std::size_t i = 0; i < 65; ++i) {  // 65 distinct rows > 64
-    db.update(i, bn::random_bits(rng, tag_bits));
-  }
-  const EpochMergeStats merged = db.close_epoch();
-  EXPECT_TRUE(merged.planes_rebuilt);
-  EXPECT_EQ(db.epoch_stats().plane_rebuilds, 1u);
-  EXPECT_EQ(db.epoch_stats().dirty_rows, 0u);  // overlay cleared
-  for (std::size_t pi = 0; pi < tag_bits; ++pi) {
-    std::vector<std::uint32_t> expect;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (db.bit(i, pi)) expect.push_back(static_cast<std::uint32_t>(i));
-    }
-    EXPECT_EQ(db.plane(pi).materialize(), expect) << "plane " << pi;
-  }
-}
-
-// add() keeps a warm plane cache warm: the new tail index is appended to
-// exactly the planes whose bit is set, without touching the overlay.
-TEST(TagDatabaseTest, AddExtendsWarmPlanesInPlace) {
-  TagDatabase db(8);
-  db.add(bn::BigInt(0b1));
-  (void)db.build_planes();
-  db.add(bn::BigInt(0b101));
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(db.plane(2).materialize(), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(db.epoch_stats().dirty_rows, 0u);
 }
 
 TEST(TagDatabaseTest, RowWordsMatchLimbs) {
@@ -204,15 +138,18 @@ TEST(TagDatabaseTest, RowWordsMatchLimbs) {
   EXPECT_EQ(r[1], tag.limbs()[1]);
 }
 
-TEST(TagDatabaseTest, BuildPlanesReturnsTime) {
+TEST(TagDatabaseTest, BuildPlanesRecordsRowCountAndWidth) {
   TagDatabase db(64);
   for (int i = 0; i < 20; ++i) db.add(bn::BigInt(i));
-  EXPECT_GE(db.build_planes(), 0.0);
+  const Bitplanes planes = db.build_planes();
+  EXPECT_EQ(planes.n, 20u);
+  EXPECT_EQ(planes.tag_bits, 64u);
+  EXPECT_EQ(planes.lists.size(), 64u);
 }
 
-// End-to-end epoch semantics through the matrix evaluator (respond_matrix,
-// which reads the plane overlay): a retrieval between update() and
-// close_epoch() still decodes the OLD tag (snapshot isolation), and the
+// End-to-end epoch semantics through the matrix evaluator, with planes
+// built from the rows before each retrieval: a retrieval between update()
+// and close_epoch() still decodes the OLD tag (snapshot isolation), and the
 // retrieval after the close sees the replacement.
 TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   SplitMix64 gen(0xa11d);
@@ -225,19 +162,20 @@ TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   const PirClient client(emb, tag_bits);
 
   const std::size_t target = 23;
-  const auto matrix_response = [&](const PirQuery& query) {
+  const auto matrix_response = [&](const Bitplanes& planes,
+                                   const PirQuery& query) {
     PirResponse out;
-    out.entries.push_back(server.respond_matrix(query.points.at(0)));
+    out.entries.push_back(server.respond_matrix(planes, query.points.at(0)));
     return out;
   };
   const auto retrieve = [&](std::size_t idx) {
+    const Bitplanes planes = db.build_planes();
     std::vector<std::size_t> wanted = {idx};
     const auto enc = client.encode(wanted, rng);
-    return client.decode(enc.secrets, matrix_response(enc.queries[0]),
-                         matrix_response(enc.queries[1]))[0];
+    return client.decode(enc.secrets, matrix_response(planes, enc.queries[0]),
+                         matrix_response(planes, enc.queries[1]))[0];
   };
 
-  // Force the lazy plane build with a pre-update retrieval.
   EXPECT_EQ(retrieve(target), db.tag(target));
 
   const bn::BigInt before = db.tag(target);
@@ -250,12 +188,10 @@ TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   EXPECT_EQ(retrieve(target - 1), db.tag(target - 1));
 }
 
-// The matrix reference reads the plane overlay after a close; the naive
-// reference reads the rows. Both must agree point for point before the
-// update, while it is staged, and after the close has merged it into the
-// overlay (and after a later close that reaches the full-rebuild
-// threshold).
-TEST(TagDatabaseTest, MatrixMatchesNaiveAcrossPlaneOverlay) {
+// The matrix reference, with planes freshly built from the rows, and the
+// naive reference, which reads the rows, agree point for point before
+// anything is staged, while rows are staged, and after the close.
+TEST(TagDatabaseTest, MatrixMatchesNaiveAcrossEpochs) {
   SplitMix64 gen(0x0e1a);
   bn::Rng64Adapter rng(gen);
   const std::size_t n = 120, tag_bits = 80;
@@ -269,30 +205,50 @@ TEST(TagDatabaseTest, MatrixMatchesNaiveAcrossPlaneOverlay) {
   const auto enc = client.encode(wanted, rng);
 
   const auto expect_agree = [&](const char* phase) {
+    const Bitplanes planes = db.build_planes();
     for (const PirQuery& query : enc.queries) {
       for (const auto& q : query.points) {
         const PirSingleResponse naive = server.respond_naive(q);
-        const PirSingleResponse matrix = server.respond_matrix(q);
+        const PirSingleResponse matrix = server.respond_matrix(planes, q);
         EXPECT_EQ(matrix.values, naive.values) << phase;
         EXPECT_EQ(matrix.gradients, naive.gradients) << phase;
       }
     }
   };
-  expect_agree("warm planes");  // builds the planes
+  expect_agree("before staging");
   for (std::size_t l = 0; l < wanted.size(); ++l) {
     db.update(wanted[l], bn::random_bits(rng, tag_bits));
   }
   expect_agree("staged");
-  const EpochMergeStats merged = db.close_epoch();
-  ASSERT_TRUE(merged.closed);
-  ASSERT_FALSE(merged.planes_rebuilt);
-  ASSERT_GT(db.epoch_stats().dirty_rows, 0u);
-  expect_agree("overlay");
+  ASSERT_TRUE(db.close_epoch().closed);
+  expect_agree("closed");
+}
+
+// Planes record the shape they were built over; the matrix reference
+// refuses planes of another row count (built before an add) or another tag
+// width (built from a wider database) instead of indexing past its tables.
+TEST(TagDatabaseTest, MatrixRejectsPlanesOfAnotherShape) {
+  SplitMix64 gen(0x5a9e);
+  bn::Rng64Adapter rng(gen);
+  const std::size_t n = 30, tag_bits = 40;
+  TagDatabase db(tag_bits);
+  TagDatabase wider(tag_bits + 24);
   for (std::size_t i = 0; i < n; ++i) {
-    db.update(i, bn::random_bits(rng, tag_bits));
+    db.add(bn::random_bits(rng, tag_bits));
+    wider.add(bn::random_bits(rng, tag_bits + 24));
   }
-  ASSERT_TRUE(db.close_epoch().planes_rebuilt);
-  expect_agree("rebuilt");
+  const Bitplanes before_add = db.build_planes();
+  db.add(bn::random_bits(rng, tag_bits));
+  wider.add(bn::random_bits(rng, tag_bits + 24));  // same n, wider K
+  const Embedding emb(n + 1);
+  const PirServer server(db, emb);
+  const gf::GF4Vector q(emb.gamma(), gf::GF4::one());
+
+  EXPECT_THROW((void)server.respond_matrix(before_add, q), ParamError);
+  EXPECT_THROW((void)server.respond_matrix(wider.build_planes(), q),
+               ParamError);
+  const PirSingleResponse fresh = server.respond_matrix(db.build_planes(), q);
+  EXPECT_EQ(fresh.values, server.respond_naive(q).values);
 }
 
 }  // namespace

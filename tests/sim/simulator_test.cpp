@@ -132,7 +132,6 @@ TEST(UpdateStormTest, AuditsStayGreenThroughTheStorm) {
   // Epoch-engine counters flow through from the verifier TPA.
   EXPECT_EQ(r.epochs_closed, r.epoch_closes);
   EXPECT_GE(r.rows_merged, r.epochs_closed);
-  EXPECT_EQ(r.plane_rebuilds + r.rebuilds_avoided, r.epochs_closed);
   EXPECT_GE(r.pins_taken, r.audits);
   EXPECT_GT(r.updates_per_second(), 0.0);
 }

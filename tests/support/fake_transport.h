@@ -6,8 +6,7 @@
 // points (down to one byte), stall mid-frame for as long as the test wants,
 // close or half-close mid-call — all without a TCP stack or timing races.
 // RawTcpClient provides the same sending/receiving vocabulary over a real
-// TCP connection for tests that need the accept path or the legacy blocking
-// server.
+// TCP connection for tests that need the accept path.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +99,8 @@ struct AbuseCase {
 /// Shared corpus of malformed wire streams: oversized and undersized
 /// length prefixes, truncated frames and headers. When `valid_frame` is
 /// non-empty (a framed request the serving dispatch table can answer),
-/// composed cases — valid frame then violation — are included. Every
-/// transport (blocking, reactor) must handle the corpus identically.
+/// composed cases — valid frame then violation — are included. A server
+/// answers each leading valid frame and then drops the connection.
 std::vector<AbuseCase> wire_abuse_corpus(const Bytes& valid_frame = {});
 
 }  // namespace ice::net::testing
