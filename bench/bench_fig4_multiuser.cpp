@@ -12,9 +12,15 @@
 // EXPERIMENTS.md).
 #include "support.h"
 
+#include <memory>
 #include <thread>
 
 #include "common/stats.h"
+#include "ice/csp_service.h"
+#include "ice/edge_service.h"
+#include "ice/tpa_service.h"
+#include "ice/user_client.h"
+#include "net/channel.h"
 #include "net/tenant.h"
 
 namespace {

@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "baseline/trivial_retrieval.h"
+#include "sim/deployment.h"
 
 namespace {
 
@@ -39,7 +40,9 @@ int main(int argc, char** argv) {
   for (std::size_t j_edges : sweep) {
     proto::ProtocolParams params = make_params();
     if (smoke) params.modulus_bits = 256;
-    Deployment d(params, n_blocks, j_edges, 3, 9000 + j_edges);
+    sim::Deployment d(params,
+                      bench_keypair(params.modulus_bits, 9000 + j_edges),
+                      n_blocks, j_edges, 3, 9000 + j_edges);
     d.setup();
     SplitMix64 gen(17 + j_edges);
     for (std::size_t j = 0; j < j_edges; ++j) {
@@ -50,18 +53,18 @@ int main(int argc, char** argv) {
           mine.push_back(c);
         }
       }
-      d.edges_[j]->pre_download(mine);
+      d.edge(j).pre_download(mine);
     }
-    const auto channels = d.edge_channel_ptrs();
+    const auto channels = d.user_edges();
 
     const double batch_s = time_median(reps, [&] {
-      if (!d.user_->audit_edges_batch(channels)) {
+      if (!d.user().audit_edges_batch(channels)) {
         std::fprintf(stderr, "BUG: batch audit failed\n");
         std::exit(1);
       }
     });
     const double basic_s = time_median(reps, [&] {
-      if (!baseline::sequential_audits(*d.user_, channels)) {
+      if (!baseline::sequential_audits(d.user(), channels)) {
         std::fprintf(stderr, "BUG: sequential audit failed\n");
         std::exit(1);
       }

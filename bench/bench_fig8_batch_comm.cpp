@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "baseline/trivial_retrieval.h"
+#include "sim/deployment.h"
 
 namespace {
 
@@ -39,7 +40,9 @@ int main(int argc, char** argv) {
   for (std::size_t j_edges : sweep) {
     proto::ProtocolParams params = make_params();
     if (smoke) params.modulus_bits = 256;
-    Deployment d(params, n_blocks, j_edges, 3, 9100 + j_edges);
+    sim::Deployment d(params,
+                      bench_keypair(params.modulus_bits, 9100 + j_edges),
+                      n_blocks, j_edges, 3, 9100 + j_edges);
     d.setup();
     SplitMix64 gen(23 + j_edges);
     std::vector<std::vector<std::size_t>> sets;
@@ -51,26 +54,34 @@ int main(int argc, char** argv) {
           mine.push_back(c);
         }
       }
-      d.edges_[j]->pre_download(mine);
+      d.edge(j).pre_download(mine);
       std::sort(mine.begin(), mine.end());
       sets.push_back(std::move(mine));
     }
-    const auto channels = d.edge_channel_ptrs();
+    const auto channels = d.user_edges();
     const std::size_t union_size = proto::union_of_sets(sets).size();
+    const auto user_tpa_bytes = [&d] {
+      std::uint64_t bytes = 0;
+      for (std::size_t i = 0; i < 2; ++i) {
+        bytes += d.user_tpa(i).stats().bytes_sent +
+                 d.user_tpa(i).stats().bytes_received;
+      }
+      return bytes;
+    };
 
     d.reset_traffic();
-    if (!d.user_->audit_edges_batch(channels)) {
+    if (!d.user().audit_edges_batch(channels)) {
       std::fprintf(stderr, "BUG: batch audit failed\n");
       return 1;
     }
-    const std::uint64_t batch_bytes = d.user_tpa_bytes();
+    const std::uint64_t batch_bytes = user_tpa_bytes();
 
     d.reset_traffic();
-    if (!baseline::sequential_audits(*d.user_, channels)) {
+    if (!baseline::sequential_audits(d.user(), channels)) {
       std::fprintf(stderr, "BUG: sequential audit failed\n");
       return 1;
     }
-    const std::uint64_t basic_bytes = d.user_tpa_bytes();
+    const std::uint64_t basic_bytes = user_tpa_bytes();
 
     std::printf("%-8zu %14llu %16llu %14zu %18.2f\n", j_edges,
                 static_cast<unsigned long long>(batch_bytes),

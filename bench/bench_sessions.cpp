@@ -33,6 +33,11 @@
 #include <memory>
 #include <thread>
 
+#include "ice/csp_service.h"
+#include "ice/edge_service.h"
+#include "ice/tpa_service.h"
+#include "ice/user_client.h"
+#include "net/channel.h"
 #include "net/tcp.h"
 #include "support.h"
 

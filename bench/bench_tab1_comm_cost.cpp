@@ -11,6 +11,7 @@
 #include "support.h"
 
 #include "pir/embedding.h"
+#include "sim/deployment.h"
 
 namespace {
 
@@ -29,42 +30,21 @@ int main(int argc, char** argv) {
   const std::size_t kN = 100;  // file blocks
   const std::size_t kSj = 5;   // blocks on the edge
 
-  const proto::KeyPair keys = bench_keypair(params.modulus_bits);
-  proto::CspService csp(
-      mec::BlockStore::synthetic(kN, params.block_bytes, 3));
-  proto::TpaService tpa0;
-  proto::TpaService tpa1;
-  net::InMemoryChannel user_tpa0(tpa0);
-  net::InMemoryChannel user_tpa1(tpa1);
-  net::InMemoryChannel edge_csp(csp);
-  net::InMemoryChannel edge_tpa(tpa0);  // edge -> TPA (batch proofs)
-  proto::EdgeService edge(0, params, keys.pk,
-                          mec::EdgeCache(kSj, mec::EvictionPolicy::kLru),
-                          edge_csp, &edge_tpa);
-  net::InMemoryChannel user_edge(edge);  // user -> edge
-  net::InMemoryChannel tpa_edge(edge);   // TPA -> edge (challenge)
-  tpa0.register_edge(0, tpa_edge);
-  proto::UserClient user(params, keys, user_tpa0, user_tpa1);
-
-  {
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < kN; ++i) {
-      blocks.push_back(csp.store().block(i));
-    }
-    user.setup_file(blocks);
-  }
-  edge.pre_download({2, 11, 42, 77, 99});
-
-  user_tpa0.reset_stats();
-  user_tpa1.reset_stats();
-  user_edge.reset_stats();
-  tpa_edge.reset_stats();
-  if (!user.audit_edge(user_edge, 0)) {
+  sim::Deployment d(params, bench_keypair(params.modulus_bits), kN, 1, kSj,
+                    3);
+  d.setup();
+  d.edge(0).pre_download({2, 11, 42, 77, 99});
+  d.reset_traffic();
+  if (!d.user().audit_edge(d.user_edge(0), 0)) {
     std::fprintf(stderr, "BUG: audit failed\n");
     return 1;
   }
+  const net::ChannelStats& user_edge = d.user_edge(0).stats();
+  const net::ChannelStats& user_tpa0 = d.user_tpa(0).stats();
+  const net::ChannelStats& user_tpa1 = d.user_tpa(1).stats();
+  const net::ChannelStats& tpa_edge = d.tpa_edge(0).stats();
 
-  const std::size_t modulus_bits = keys.pk.modulus_bits();
+  const std::size_t modulus_bits = d.keys().pk.modulus_bits();
   const pir::Embedding emb(kN);
   const std::size_t gamma = emb.gamma();
   // Leading terms of Tab. I in bits.
@@ -81,26 +61,22 @@ int main(int argc, char** argv) {
   std::printf("%-14s %16s %16s   %s\n", "direction", "measured (bits)",
               "predicted", "paper closed form");
   std::printf("%-14s %16llu %16s   %s\n", "User->Edge",
-              static_cast<unsigned long long>(bits(user_edge.stats()
-                                                       .bytes_sent)),
+              static_cast<unsigned long long>(bits(user_edge.bytes_sent)),
               "O(1)", "O(1)  [session id + s~]");
   std::printf("%-14s %16llu %16zu   %s\n", "User->TPAs",
               static_cast<unsigned long long>(
-                  bits(user_tpa0.stats().bytes_sent +
-                       user_tpa1.stats().bytes_sent)),
+                  bits(user_tpa0.bytes_sent + user_tpa1.bytes_sent)),
               pred_user_tpa, "n_j|N| + O(n^{1/3})");
   std::printf("%-14s %16llu %16zu   %s\n", "TPAs->User",
               static_cast<unsigned long long>(
-                  bits(user_tpa0.stats().bytes_received +
-                       user_tpa1.stats().bytes_received)),
+                  bits(user_tpa0.bytes_received +
+                       user_tpa1.bytes_received)),
               pred_tpa_user, "O(n_j K n^{1/3})");
   std::printf("%-14s %16llu %16zu   %s\n", "TPA->Edge",
-              static_cast<unsigned long long>(bits(tpa_edge.stats()
-                                                       .bytes_sent)),
+              static_cast<unsigned long long>(bits(tpa_edge.bytes_sent)),
               pred_tpa_edge, "O(1)  [chal=(e, g_s)]");
   std::printf("%-14s %16llu %16zu   %s\n", "Edge->TPA",
-              static_cast<unsigned long long>(bits(tpa_edge.stats()
-                                                       .bytes_received)),
+              static_cast<unsigned long long>(bits(tpa_edge.bytes_received)),
               pred_edge_tpa, "O(1)  [proof]");
 
   std::printf("\nn=%zu, n_j=%zu, |N|=%zu, gamma=%zu. Measured includes "

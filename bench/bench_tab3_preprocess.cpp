@@ -25,7 +25,7 @@ using namespace ice::bench;
 
 int main(int argc, char** argv) {
   const bool smoke = smoke_mode(argc, argv);
-  print_header("Tab. III — preprocess time (s)");
+  print_header("Tab. III — preprocess time");
   proto::ProtocolParams params;
   params.modulus_bits = smoke ? 256 : 1024;
   params.block_bytes = smoke ? 512 : 4096;  // scaled block (paper blocks are
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   // --- TagGen and TPASetup vs n -------------------------------------------
   const proto::KeyPair keys = bench_keypair(params.modulus_bits);
   const proto::TagGenerator tagger(keys.pk);
-  std::printf("\n%-6s %18s %24s %14s\n", "n", "TagGen laptop (s)",
-              "TagGen raspi-model (s)", "TPASetup (s)");
+  std::printf("\n%-6s %18s %24s %15s\n", "n", "TagGen laptop (s)",
+              "TagGen raspi-model (s)", "TPASetup (ms)");
   const std::vector<std::size_t> sweep =
       smoke ? std::vector<std::size_t>{10}
             : std::vector<std::size_t>{40, 80, 120, 160, 200};
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
     const pir::Embedding embedding(n);
     const pir::Bitplanes planes = db.build_planes();
     const double setup = sw.seconds();
-    std::printf("%-6zu %18.3f %24.3f %14.3f\n", n, taggen,
-                taggen * kRasPiSlowdown, setup);
+    std::printf("%-6zu %18.3f %24.3f %15.4f\n", n, taggen,
+                taggen * kRasPiSlowdown, setup * 1e3);
   }
 
   std::printf("\nShape check vs paper: TagGen and TPASetup linear in n; "

@@ -11,38 +11,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
 #include "ice/keys.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
-#include "net/channel.h"
 #include "pir/server.h"
+#include "support/fixtures.h"
 
 namespace ice::bench {
-
-// Safe primes pre-generated with this library (re-validated in the test
-// suite); live safe-prime search at these sizes costs minutes and would
-// dominate every bench run.
-inline constexpr const char* kPrime128[2] = {
-    "9c0fed7e75ff0872b00f5aa289a45043",
-    "e9627eb0afce6d6c10c3df253db3e5ab"};
-inline constexpr const char* kPrime256[2] = {
-    "e44beb1515866fba68468af8631da0cce5d6f12264aa763d5cc233bbd08840bb",
-    "84d17fc49fdd91edb379dbf82494d568134da67b9c153dafece0826fe68e3447"};
-inline constexpr const char* kPrime512[2] = {
-    "d910e3b27182e2137ffbfd0e6f56239142fafeb64c4f170e9dece7710ec4f42c"
-    "dc229f9f270e7c22cdf6d8ed9670743597c151bfbbed1f34984f1e922bf94c83",
-    "8f3958def5298492ece4f64345f6c1343a288a0d73a2b5176227dc0d1139f094"
-    "18ac4922c01812b1f16d330fe318395756c486893d865d430a2ed110c6bafe3f"};
 
 /// True when the binary was invoked with --smoke: every bench main shrinks
 /// its problem sizes to a tiny fixed configuration so the ctest entries
@@ -58,22 +40,25 @@ inline bool smoke_mode(int argc, char** argv) {
 }
 
 /// Keypair with a cached prime pair for the requested nominal modulus size
-/// (256, 512 or 1024 bits; the real |N| may be one bit short).
+/// (256, 512 or 1024 bits; the real |N| may be one bit short). The primes
+/// are the first pair of the test suite's safe-prime fixtures (re-validated
+/// there); live safe-prime search at these sizes costs minutes and would
+/// dominate every bench run.
 inline proto::KeyPair bench_keypair(std::size_t modulus_bits,
                                     std::uint64_t seed = 1) {
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
-  const char* const* pq = nullptr;
+  const std::string_view* pq = nullptr;
   switch (modulus_bits) {
-    case 256: pq = kPrime128; break;
-    case 512: pq = kPrime256; break;
-    case 1024: pq = kPrime512; break;
+    case 256: pq = ice::testing::kSafePrime128; break;
+    case 512: pq = ice::testing::kSafePrime256; break;
+    case 1024: pq = ice::testing::kSafePrime512; break;
     default:
       throw ParamError("bench_keypair: no cached primes for this size");
   }
-  return proto::keygen_from_primes(bn::BigInt::from_hex(pq[0]),
-                                   bn::BigInt::from_hex(pq[1]), rng,
-                                   /*validate_primality=*/false);
+  return proto::keygen_from_primes(bn::BigInt::from_hex(std::string(pq[0])),
+                                   bn::BigInt::from_hex(std::string(pq[1])),
+                                   rng, /*validate_primality=*/false);
 }
 
 /// Random K-bit tag values (bit patterns are all that PIR benches need).
@@ -99,9 +84,15 @@ inline std::vector<Bytes> bench_blocks(std::size_t n, std::size_t bytes,
   return blocks;
 }
 
-/// Median-of-R timing of a thunk, in seconds.
+/// Median and interquartile range of R timings of a thunk, in seconds
+/// (nearest-rank quartiles).
+struct MedianIqr {
+  double median;
+  double iqr;
+};
+
 template <typename F>
-double time_median(int repetitions, F&& f) {
+MedianIqr time_quartiles(int repetitions, F&& f) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(repetitions));
   for (int i = 0; i < repetitions; ++i) {
@@ -110,7 +101,14 @@ double time_median(int repetitions, F&& f) {
     samples.push_back(sw.seconds());
   }
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  const std::size_t r = samples.size();
+  return {samples[r / 2], samples[3 * r / 4] - samples[r / 4]};
+}
+
+/// Median-of-R timing of a thunk, in seconds.
+template <typename F>
+double time_median(int repetitions, F&& f) {
+  return time_quartiles(repetitions, std::forward<F>(f)).median;
 }
 
 /// Correctness gate for the PIR evaluator benches: the per-point naive and
@@ -136,77 +134,6 @@ inline void require_evaluators_agree(const pir::PirServer& server,
     std::exit(1);
   }
 }
-
-/// A fully wired in-memory deployment (CSP + 2 TPAs + J edges + user) used
-/// by the protocol-level benches. Mirrors the test Deployment but with
-/// bench-sized parameters and exposed channels for byte accounting.
-class Deployment {
- public:
-  Deployment(const proto::ProtocolParams& params, std::size_t n_blocks,
-             std::size_t num_edges, std::size_t cache_capacity,
-             std::uint64_t seed = 42)
-      : params_(params),
-        keys_(bench_keypair(params.modulus_bits, seed)),
-        csp_(mec::BlockStore::synthetic(n_blocks, params.block_bytes, seed)),
-        user_tpa0_(tpa0_),
-        user_tpa1_(tpa1_) {
-    for (std::size_t j = 0; j < num_edges; ++j) {
-      auto to_csp = std::make_unique<net::InMemoryChannel>(csp_);
-      auto to_tpa = std::make_unique<net::InMemoryChannel>(tpa0_);
-      auto edge = std::make_unique<proto::EdgeService>(
-          static_cast<std::uint32_t>(j), params_, keys_.pk,
-          mec::EdgeCache(cache_capacity, mec::EvictionPolicy::kLru),
-          *to_csp, to_tpa.get());
-      auto channel = std::make_unique<net::InMemoryChannel>(*edge);
-      tpa0_.register_edge(static_cast<std::uint32_t>(j), *channel);
-      plumbing_.push_back(std::move(to_csp));
-      plumbing_.push_back(std::move(to_tpa));
-      edges_.push_back(std::move(edge));
-      edge_channels_.push_back(std::move(channel));
-    }
-    user_ = std::make_unique<proto::UserClient>(params_, keys_, user_tpa0_,
-                                                user_tpa1_);
-  }
-
-  /// Tags the synthetic file and uploads the tags; returns TagGen seconds.
-  double setup() {
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp_.store().size(); ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    return user_->setup_file(blocks);
-  }
-
-  [[nodiscard]] std::vector<net::RpcChannel*> edge_channel_ptrs() {
-    std::vector<net::RpcChannel*> out;
-    for (auto& ch : edge_channels_) out.push_back(ch.get());
-    return out;
-  }
-
-  /// Total user<->TPA traffic in bytes since the last reset.
-  [[nodiscard]] std::uint64_t user_tpa_bytes() const {
-    return user_tpa0_.stats().bytes_sent + user_tpa0_.stats().bytes_received +
-           user_tpa1_.stats().bytes_sent + user_tpa1_.stats().bytes_received;
-  }
-  void reset_traffic() {
-    user_tpa0_.reset_stats();
-    user_tpa1_.reset_stats();
-    for (auto& ch : edge_channels_) ch->reset_stats();
-    for (auto& ch : plumbing_) ch->reset_stats();
-  }
-
-  proto::ProtocolParams params_;
-  proto::KeyPair keys_;
-  proto::CspService csp_;
-  proto::TpaService tpa0_;
-  proto::TpaService tpa1_;
-  net::InMemoryChannel user_tpa0_;
-  net::InMemoryChannel user_tpa1_;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> plumbing_;
-  std::vector<std::unique_ptr<proto::EdgeService>> edges_;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> edge_channels_;
-  std::unique_ptr<proto::UserClient> user_;
-};
 
 /// The paper's user devices: a laptop (measured directly) and a Raspberry
 /// Pi 3B. We do not have a Pi; its numbers are modeled with the measured

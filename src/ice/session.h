@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/sharded_map.h"
@@ -36,11 +35,6 @@ struct AuditSession {
   /// uses the first |S_j| entries when enough were expanded and falls back
   /// to the online expansion otherwise — bit-identical either way.
   std::vector<bn::BigInt> coeffs;
-  /// Epoch snapshot pin (TagStore::pin): held from start_audit until the
-  /// session is consumed or TTL-purged, so a non-forced epoch close defers
-  /// while this audit is in flight. Type-erased shared_ptr — releasing it
-  /// from whichever thread extracts the session is safe.
-  std::shared_ptr<const void> store_pin;
 };
 
 /// One ICE-batch round at the TPA (paper §V): created by batch_begin,
@@ -49,8 +43,6 @@ struct BatchSession {
   ChallengeSecret secret;
   std::size_t expected_proofs = 0;
   std::vector<Proof> proofs;
-  /// Same role as AuditSession::store_pin, for the whole batch round.
-  std::shared_ptr<const void> store_pin;
 
   [[nodiscard]] bool complete() const {
     return proofs.size() == expected_proofs;

@@ -50,23 +50,7 @@ void TagStore::update(std::size_t index, const bn::BigInt& tag) {
   db_.update(index, tag);
 }
 
-SnapshotPin TagStore::pin() const {
-  pins_taken_.fetch_add(1, std::memory_order_relaxed);
-  auto latch = latch_;  // keep the counter alive past the store if needed
-  latch->fetch_add(1, std::memory_order_acq_rel);
-  return SnapshotPin(static_cast<const void*>(latch.get()),
-                     [latch](const void*) {
-                       latch->fetch_sub(1, std::memory_order_acq_rel);
-                     });
-}
-
-pir::EpochMergeStats TagStore::close_epoch(bool force) {
-  if (!force && pins_active() > 0) {
-    closes_skipped_.fetch_add(1, std::memory_order_relaxed);
-    pir::EpochMergeStats out;
-    out.epoch = epoch();
-    return out;  // closed = false: audits in flight, caller retries later
-  }
+pir::EpochMergeStats TagStore::close_epoch() {
   std::unique_lock lock(mu_);
   pir::EpochMergeStats out = db_.close_epoch();
   // Content changed: plans minted before the close would decode the new
@@ -78,15 +62,8 @@ pir::EpochMergeStats TagStore::close_epoch(bool force) {
 }
 
 StoreEpochStats TagStore::epoch_stats() const {
-  StoreEpochStats out;
-  {
-    std::shared_lock lock(mu_);
-    out.db = db_.epoch_stats();
-  }
-  out.pins_taken = pins_taken_.load(std::memory_order_relaxed);
-  out.pins_active = pins_active();
-  out.closes_skipped = closes_skipped_.load(std::memory_order_relaxed);
-  return out;
+  std::shared_lock lock(mu_);
+  return {db_.epoch_stats()};
 }
 
 std::size_t TagStore::append(const bn::BigInt& tag) {

@@ -16,16 +16,12 @@
 // wrong state. The store builds no bitplanes: the fused engine streams the
 // rows.
 //
-// `update()` stages into the next epoch and `close_epoch()` merges, and
-// audit sessions take a SnapshotPin for their whole lifetime. Staging is
-// the only way to change a tag. A pin is advisory — the hard snapshot
-// guarantee comes from the lock and the epoch check — but it lets a
-// non-forced close refuse while audits are in flight instead of failing
-// them, and it feeds the pins_active counter.
+// `update()` stages into the next epoch and `close_epoch()` merges. Staging
+// is the only way to change a tag. A retrieval's snapshot guarantee is the
+// lock and the epoch check; the verifier's own epoch gate
+// (UserClient::close_epochs) keeps its audits clear of its closes.
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -50,18 +46,9 @@ class StaleEpochError : public ProtocolError {
   using ProtocolError::ProtocolError;
 };
 
-/// RAII snapshot pin held by an audit session (stashed in session state, so
-/// it must survive thread handoff: a shared_ptr with a counting deleter,
-/// not a shared_mutex — unlock_shared from another thread would be UB).
-/// Releasing the last copy decrements the store's active-pin count.
-using SnapshotPin = std::shared_ptr<const void>;
-
 /// Store-level epoch counters.
 struct StoreEpochStats {
   pir::EpochStats db;
-  std::uint64_t pins_taken = 0;      // lifetime SnapshotPin count
-  std::uint64_t pins_active = 0;     // currently outstanding
-  std::uint64_t closes_skipped = 0;  // non-forced closes refused by pins
 };
 
 /// The store's row count and content epoch, read together (the 309 reply).
@@ -93,21 +80,10 @@ class TagStore {
   /// queries and stays invisible until close_epoch().
   void update(std::size_t index, const bn::BigInt& tag);
 
-  /// Pins the current epoch snapshot for the lifetime of the returned
-  /// handle. Cheap (one atomic increment); copies share the same pin.
-  [[nodiscard]] SnapshotPin pin() const;
-  [[nodiscard]] std::uint64_t pins_active() const {
-    return latch_->load(std::memory_order_acquire);
-  }
-
   /// Merges staged updates and moves the epoch iff any row merged (an
-  /// empty close leaves in-flight plans valid). With `force` false the
-  /// close is refused (closed=false, nothing merged) while any SnapshotPin
-  /// is outstanding — operator tooling defers rather than invalidating
-  /// in-flight audits. The verifier-driven path (UserClient) forces: its
-  /// own epoch gate already excludes its audits. The result's `epoch` is
-  /// the store's content epoch after the call.
-  pir::EpochMergeStats close_epoch(bool force = false);
+  /// empty close leaves in-flight plans valid). The result's `epoch` is the
+  /// store's content epoch after the call.
+  pir::EpochMergeStats close_epoch();
 
   /// Rows staged for the next epoch.
   [[nodiscard]] std::size_t staged_updates() const {
@@ -134,12 +110,6 @@ class TagStore {
   // append that grows both leaves it valid.
   pir::PirServer server_;
   std::uint64_t epoch_ = 0;
-  // Pin latch: shared with every outstanding SnapshotPin's deleter, so a
-  // pin released after the store is gone (session purged late) is safe.
-  std::shared_ptr<std::atomic<std::uint64_t>> latch_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
-  mutable std::atomic<std::uint64_t> pins_taken_{0};
-  std::atomic<std::uint64_t> closes_skipped_{0};
 };
 
 /// User-side helper: retrieves tags for `indices` from two TagStore replicas

@@ -175,13 +175,6 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
   if (!pooled) {
     session.challenge = make_challenge(pk, params, rng_, session.secret);
   }
-  {
-    // Pin the epoch snapshot for the session's lifetime (DESIGN.md §15):
-    // a non-forced close_epoch defers while this audit is in flight. The
-    // pin dies with the session — consumed, aborted or TTL-purged.
-    std::shared_lock store_lock(store_mu_);
-    if (store_ != nullptr) session.store_pin = store_->pin();
-  }
   const Challenge challenge = session.challenge;
   // Park the session in kChallenging state BEFORE the round trip so a
   // concurrent start_audit on the same nonce is refused, then challenge
@@ -281,11 +274,6 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
   }
   if (!pooled) base = make_batch_base(pk, rng_, batch.secret);
   batch.expected_proofs = num_edges;
-  {
-    // Same snapshot pin as start_audit, held for the whole batch round.
-    std::shared_lock store_lock(store_mu_);
-    if (store_ != nullptr) batch.store_pin = store_->pin();
-  }
   switch (batches_.try_emplace(id, std::move(batch))) {
     case SessionTable<BatchSession>::Insert::kExists:
       throw ServiceError(Status::kAlreadyExists, "batch id already in use");
@@ -406,13 +394,12 @@ void TpaService::on_append_tag(net::Reader& r, net::Writer& w) {
 }
 
 void TpaService::on_close_epoch(net::Reader& r, net::Writer& w) {
-  const bool force = r.u8() != 0;
   r.expect_done();
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
   }
-  const pir::EpochMergeStats result = store_->close_epoch(force);
+  const pir::EpochMergeStats result = store_->close_epoch();
   w.u8(result.closed ? 1 : 0);
   w.u64(result.epoch);
   w.varint(result.rows_merged);
@@ -475,9 +462,8 @@ std::uint64_t TpaClient::update_tag(std::size_t index,
   return r.u64();
 }
 
-TpaClient::CloseEpochReply TpaClient::close_epoch(bool force) const {
+TpaClient::CloseEpochReply TpaClient::close_epoch() const {
   net::Writer w;
-  w.u8(force ? 1 : 0);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaCloseEpoch, std::move(w));
   net::Reader r = unwrap(raw);
   CloseEpochReply reply;

@@ -61,9 +61,8 @@ class TpaService final : public net::RpcHandler {
   /// Direct state access for tests.
   [[nodiscard]] bool has_tags() const;
 
-  /// Epoch-engine observability (DESIGN.md §15): merge counters plus
-  /// snapshot-pin gauges. All zero before tags are stored.
-  /// Thread-safe.
+  /// Epoch-engine observability (DESIGN.md §15): merge counters. All zero
+  /// before tags are stored. Thread-safe.
   [[nodiscard]] StoreEpochStats epoch_stats() const;
 
   /// Tamper-evident record of every verdict this TPA issued. Read it only
@@ -161,10 +160,8 @@ class TpaClient {
     std::uint64_t epoch = 0;
     std::uint64_t rows_merged = 0;
   };
-  /// Merges staged updates into the readable snapshot. With force=false
-  /// the TPA refuses (closed=false) while audit sessions hold snapshot
-  /// pins; the verifier-driven UserClient path forces.
-  [[nodiscard]] CloseEpochReply close_epoch(bool force) const;
+  /// Merges staged updates into the readable snapshot.
+  [[nodiscard]] CloseEpochReply close_epoch() const;
   /// The store's row count and content epoch; the user plans its tag
   /// queries against this epoch.
   [[nodiscard]] TagInfo tag_info() const;

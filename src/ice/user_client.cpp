@@ -154,12 +154,10 @@ std::uint64_t UserClient::update_block(std::size_t index, BytesView content) {
 }
 
 bool UserClient::close_epochs() {
-  // Exclusive gate: no audit of ours is mid-flight, so forcing past the
-  // TPA-side pins is safe — the pins protect audits, and ours are the only
-  // ones against this file.
+  // Exclusive gate: no audit of ours is mid-flight while the epoch moves.
   std::unique_lock gate(epoch_gate_);
-  const auto r0 = TpaClient(*tpa0_).close_epoch(/*force=*/true);
-  const auto r1 = TpaClient(*tpa1_).close_epoch(/*force=*/true);
+  const auto r0 = TpaClient(*tpa0_).close_epoch();
+  const auto r1 = TpaClient(*tpa1_).close_epoch();
   if (r0.closed != r1.closed || r0.epoch != r1.epoch) {
     throw ProtocolError("close_epochs: TPA replicas disagree");
   }

@@ -77,11 +77,10 @@ class UserClient {
   /// ProtocolError when the replicas disagree.
   std::uint64_t update_block(std::size_t index, BytesView content);
 
-  /// Closes the epoch at BOTH TPAs in lockstep (forced: the client-side
-  /// epoch gate, not TPA pins, protects this client's own audits — the
-  /// call excludes them by taking the gate exclusively). Returns true when
-  /// staged rows merged; the cached query codec is dropped in that case
-  /// (the content epoch moved).
+  /// Closes the epoch at BOTH TPAs in lockstep (the call excludes this
+  /// client's own audits by taking its epoch gate exclusively). Returns
+  /// true when staged rows merged; the cached query codec is dropped in
+  /// that case (the content epoch moved).
   bool close_epochs();
 
   /// Data dynamics, synchronous path: once an update has been written back
@@ -153,9 +152,8 @@ class UserClient {
   std::size_t n_ = 0;
   /// Epoch gate (DESIGN.md §15): audit flows hold it shared for their full
   /// duration; close_epochs takes it exclusively. Replica epochs therefore
-  /// never move mid-audit FOR THIS CLIENT's audits — which is why closes
-  /// force past the TPA-side advisory pins. Only top-level entry points
-  /// lock it (shared_mutex is not recursive).
+  /// never move mid-audit FOR THIS CLIENT's audits. Only top-level entry
+  /// points lock it (shared_mutex is not recursive).
   mutable std::shared_mutex epoch_gate_;
   mutable std::mutex codec_mu_;
   std::shared_ptr<const QueryCodec> codec_;

@@ -55,7 +55,7 @@ enum Method : std::uint16_t {
                             // stale epoch -> kFailedPrecondition
                             // 311 is retired: it split a range shard
   kTpaAppendTag = 312,      // (tag) -> (index, epoch); new outsourced block
-  kTpaCloseEpoch = 313,     // (force u8) -> (closed u8, epoch, rows merged);
+  kTpaCloseEpoch = 313,     // () -> (closed u8, epoch, rows merged);
                             // merges staged updates (DESIGN.md §15)
 };
 

@@ -1,76 +1,33 @@
 // In-process RPC channel.
 //
 // Calls the handler directly (no sockets, no copies beyond the payload) but
-// counts bytes exactly like the TCP transport, and can model WAN link
-// characteristics so simulations can report transfer times for the
-// edge-computing topology (fast user<->edge links, slow links to TPAs).
+// counts bytes exactly like the TCP transport, so communication costs are
+// measured in bytes on the wire whichever transport a deployment uses.
 #pragma once
-
-#include <atomic>
-#include <memory>
 
 #include "net/rpc.h"
 
 namespace ice::net {
 
-/// Latency/bandwidth model of one link; used to convert byte counts into
-/// modeled transfer seconds (the machines in the paper's Tab. II are
-/// connected by WAN links we do not have).
-struct LinkModel {
-  double latency_s = 0.0;        // one-way propagation delay
-  double bandwidth_bps = 0.0;    // 0 = infinite
-
-  /// Modeled one-way transfer time of a message of `bytes` bytes.
-  [[nodiscard]] double transfer_seconds(std::size_t bytes) const {
-    double t = latency_s;
-    if (bandwidth_bps > 0) {
-      t += static_cast<double>(bytes) * 8.0 / bandwidth_bps;
-    }
-    return t;
-  }
-};
-
 class InMemoryChannel final : public RpcChannel {
  public:
   /// `handler` is non-owning and must outlive the channel.
-  explicit InMemoryChannel(RpcHandler& handler, LinkModel link = {})
-      : handler_(&handler), link_(link) {}
+  explicit InMemoryChannel(RpcHandler& handler) : handler_(&handler) {}
 
   Bytes call(std::uint16_t method, BytesView request) override {
     stats_.calls++;
     stats_.bytes_sent += request.size() + kRpcHeaderBytes;
-    add_modeled(link_.transfer_seconds(request.size() + kRpcHeaderBytes));
     Bytes response = handler_->handle(method, request);
     stats_.bytes_received += response.size() + kRpcHeaderBytes;
-    add_modeled(link_.transfer_seconds(response.size() + kRpcHeaderBytes));
     return response;
   }
 
   [[nodiscard]] const ChannelStats& stats() const override { return stats_; }
-  void reset_stats() override {
-    stats_.reset();
-    modeled_seconds_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Accumulated modeled link time for all calls so far.
-  [[nodiscard]] double modeled_seconds() const {
-    return modeled_seconds_.load(std::memory_order_relaxed);
-  }
+  void reset_stats() override { stats_.reset(); }
 
  private:
-  void add_modeled(double seconds) {
-    // fetch_add on atomic<double> is C++20; spell it as a CAS loop so the
-    // oldest supported toolchains (GCC 10/11) stay happy.
-    double cur = modeled_seconds_.load(std::memory_order_relaxed);
-    while (!modeled_seconds_.compare_exchange_weak(
-        cur, cur + seconds, std::memory_order_relaxed)) {
-    }
-  }
-
   RpcHandler* handler_;
-  LinkModel link_;
   ChannelStats stats_;
-  std::atomic<double> modeled_seconds_{0};
 };
 
 }  // namespace ice::net

@@ -8,15 +8,11 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
 #include "ice/fleet_scheduler.h"
 #include "ice/localize.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
 #include "mec/workload.h"
-#include "net/channel.h"
+#include "sim/deployment.h"
 
 namespace ice::sim {
 
@@ -24,85 +20,47 @@ namespace {
 
 using namespace proto;
 
-/// The simulated world: one CSP, one edge, two TPAs, one user.
-struct World {
-  World(const SimConfig& config, const KeyPair& keys, std::uint64_t seed)
-      : params(make_params(config, keys)),
-        csp(mec::BlockStore::synthetic(config.n_blocks, config.block_bytes,
-                                       seed),
-            config.parallelism),
-        tpa0(config.parallelism),
-        tpa1(config.parallelism),
-        edge_csp(csp),
-        user_csp(csp),
-        edge(0, params, keys.pk,
-             mec::EdgeCache(config.cache_capacity, mec::EvictionPolicy::kLru),
-             edge_csp),
-        edge_channel(edge),
-        tpa_edge(edge),
-        user_tpa0(tpa0),
-        user_tpa1(tpa1),
-        user(params, keys, user_tpa0, user_tpa1) {
-    tpa0.register_edge(0, tpa_edge);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp.store().size(); ++i) {
-      blocks.push_back(csp.store().block(i));
-    }
-    user.setup_file(blocks);
-  }
-
-  static ProtocolParams make_params(const SimConfig& config,
-                                    const KeyPair& keys) {
-    ProtocolParams p;
-    p.modulus_bits = keys.pk.modulus_bits();
-    p.block_bytes = config.block_bytes;
-    p.parallelism = config.parallelism;
-    return p;
-  }
-
-  ProtocolParams params;
-  CspService csp;
-  TpaService tpa0;
-  TpaService tpa1;
-  net::InMemoryChannel edge_csp;
-  net::InMemoryChannel user_csp;
-  EdgeService edge;
-  net::InMemoryChannel edge_channel;
-  net::InMemoryChannel tpa_edge;
-  net::InMemoryChannel user_tpa0;
-  net::InMemoryChannel user_tpa1;
-  UserClient user;
-};
+ProtocolParams make_params(const KeyPair& keys, std::size_t block_bytes,
+                           std::size_t parallelism) {
+  ProtocolParams p;
+  p.modulus_bits = keys.pk.modulus_bits();
+  p.block_bytes = block_bytes;
+  p.parallelism = parallelism;
+  return p;
+}
 
 }  // namespace
 
 SimReport run_simulation(const SimConfig& config, const KeyPair& keys,
                          std::uint64_t seed) {
-  World world(config, keys, seed);
+  Deployment world(make_params(keys, config.block_bytes, config.parallelism),
+                   keys, config.n_blocks, 1, config.cache_capacity, seed);
+  world.setup();
+  UserClient& user = world.user();
+  mec::EdgeCache& cache = world.edge(0).cache_for_corruption();
   SplitMix64 rng(seed ^ 0x51b0);
   mec::ZipfWorkload workload(config.n_blocks, config.zipf_exponent);
-  const EdgeClient edge(world.edge_channel);
-  const CspClient cloud(world.user_csp);
+  const EdgeClient edge(world.user_edge(0));
+  const CspClient cloud(world.user_csp());
   SimReport report;
 
   auto audit_and_repair = [&] {
     ++report.audits;
     Stopwatch sw;
-    const bool pass = world.user.audit_edge(world.edge_channel, 0);
+    const bool pass = user.audit_edge(world.user_edge(0), 0);
     report.audit_seconds_total += sw.seconds();
     if (pass) return;
     ++report.failed_audits;
     const LocalizationResult located =
-        world.user.localize_corruption(world.edge_channel);
+        user.localize_corruption(world.user_edge(0));
     for (std::size_t index : located.corrupted) {
-      auto& cache = world.edge.cache_for_corruption();
       if (cache.dirty(index)) {
         // The only current copy was on the edge: the update is gone. The
         // best we can do is roll back to the CSP's stale version.
         ++report.updates_lost;
         cache.raw_block(index) = cloud.fetch(index);
         cache.mark_clean(index);
-        world.user.forget_updated_block(index);
+        user.forget_updated_block(index);
       } else {
         cache.raw_block(index) = cloud.fetch(index);
       }
@@ -116,10 +74,10 @@ SimReport run_simulation(const SimConfig& config, const KeyPair& keys,
   auto do_flush = [&] {
     audit_and_repair();
     ++report.flushes;
-    const auto pending = world.user.updated_blocks();  // copy: commit erases
+    const auto pending = user.updated_blocks();  // copy: commit erases
     report.blocks_written_back += edge.flush();
     for (const auto& [index, content] : pending) {
-      world.user.commit_updated_block(index, content);
+      user.commit_updated_block(index, content);
     }
   };
 
@@ -140,7 +98,7 @@ SimReport run_simulation(const SimConfig& config, const KeyPair& keys,
           do_flush();
           edge.write(block, content);
         }
-        world.user.note_updated_block(block, std::move(content));
+        user.note_updated_block(block, std::move(content));
       } else {
         ++report.reads;
         try {
@@ -152,10 +110,8 @@ SimReport run_simulation(const SimConfig& config, const KeyPair& keys,
       }
     }
     // Silent corruption.
-    if (rng.uniform01() < config.corruption_prob_per_tick &&
-        world.edge.cache_for_corruption().size() > 0) {
-      mec::corrupt_random_blocks(world.edge.cache_for_corruption(), 1,
-                                 mec::CorruptionKind::kBitFlip, rng);
+    if (rng.uniform01() < config.corruption_prob_per_tick && cache.size() > 0) {
+      mec::corrupt_random_blocks(cache, 1, mec::CorruptionKind::kBitFlip, rng);
       ++report.corruptions_injected;
     }
     if (tick % config.flush_every == 0) {
@@ -165,8 +121,8 @@ SimReport run_simulation(const SimConfig& config, const KeyPair& keys,
     }
   }
 
-  report.cache_hits = world.edge.cache_for_corruption().hits();
-  report.cache_misses = world.edge.cache_for_corruption().misses();
+  report.cache_hits = cache.hits();
+  report.cache_misses = cache.misses();
   return report;
 }
 
@@ -179,48 +135,17 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
     throw ParamError("fleet: blocks_per_edge must be in [1, n_blocks]");
   }
 
-  ProtocolParams params;
-  params.modulus_bits = keys.pk.modulus_bits();
-  params.block_bytes = config.block_bytes;
-  params.parallelism = config.parallelism;
-
   OfflineConfig offline;
   offline.enabled = config.offline;
   offline.pool_capacity = config.pool_capacity;
   offline.pool_shards = config.pool_shards;
   offline.coeff_count = config.coeff_count;
 
-  CspService csp(
-      mec::BlockStore::synthetic(config.n_blocks, config.block_bytes, seed),
-      config.parallelism);
-  net::InMemoryChannel csp_chan(csp);  // shared by every edge (synchronous)
-  TpaService tpa0(config.parallelism, offline);
-  TpaService tpa1(config.parallelism);
-  net::InMemoryChannel user_tpa0(tpa0);
-  net::InMemoryChannel user_tpa1(tpa1);
-
-  std::vector<std::unique_ptr<EdgeService>> edges;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> edge_chans;
-  edges.reserve(config.edges);
-  edge_chans.reserve(config.edges);
-  for (std::size_t i = 0; i < config.edges; ++i) {
-    edges.push_back(std::make_unique<EdgeService>(
-        static_cast<std::uint32_t>(i), params, keys.pk,
-        mec::EdgeCache(config.blocks_per_edge, mec::EvictionPolicy::kLru),
-        csp_chan));
-    edge_chans.push_back(std::make_unique<net::InMemoryChannel>(*edges[i]));
-    tpa0.register_edge(static_cast<std::uint32_t>(i), *edge_chans[i]);
-  }
-
-  UserClient user(params, keys, user_tpa0, user_tpa1);
-  {
-    std::vector<Bytes> blocks;
-    blocks.reserve(csp.store().size());
-    for (std::size_t i = 0; i < csp.store().size(); ++i) {
-      blocks.push_back(csp.store().block(i));
-    }
-    user.setup_file(blocks);
-  }
+  Deployment world(make_params(keys, config.block_bytes, config.parallelism),
+                   keys, config.n_blocks, config.edges,
+                   config.blocks_per_edge, seed, Transport::kInProcess,
+                   offline);
+  world.setup();
   // Overlapping pre-download slices around the file, as query-driven
   // caching would produce.
   for (std::size_t i = 0; i < config.edges; ++i) {
@@ -230,7 +155,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
     }
     std::sort(slice.begin(), slice.end());
     slice.erase(std::unique(slice.begin(), slice.end()), slice.end());
-    edges[i]->pre_download(slice);
+    world.edge(i).pre_download(slice);
   }
 
   FleetSchedulerConfig sched_config;
@@ -241,7 +166,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
   }
 
   SplitMix64 rng(seed ^ 0xf1ee7);
-  const CspClient cloud(csp_chan);
+  const CspClient cloud(world.user_csp());
   constexpr mec::CorruptionKind kKinds[] = {
       mec::CorruptionKind::kBitFlip, mec::CorruptionKind::kByteStuck,
       mec::CorruptionKind::kTruncate, mec::CorruptionKind::kZeroFill,
@@ -264,7 +189,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
     if (config.corrupt_every != 0 && round % config.corrupt_every == 1 % config.corrupt_every) {
       const auto victim_edge =
           static_cast<std::uint32_t>(rng.below(config.edges));
-      auto& cache = edges[victim_edge]->cache_for_corruption();
+      auto& cache = world.edge(victim_edge).cache_for_corruption();
       const auto kind = kKinds[report.corruptions_injected % std::size(kKinds)];
       std::vector<std::size_t> victims =
           mec::corrupt_random_blocks(cache, 1, kind, rng);
@@ -286,7 +211,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
 
     for (const std::uint32_t id : scheduler.plan_round()) {
       Stopwatch sw;
-      const bool pass = user.audit_edge(*edge_chans[id], id);
+      const bool pass = world.user().audit_edge(world.user_edge(id), id);
       latencies.add(sw.seconds());
       ++report.audits;
       scheduler.record(id, pass);
@@ -298,7 +223,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
       report.max_detection_lag_rounds = std::max(
           report.max_detection_lag_rounds, round - it->second.round);
       // Repair from the cloud's clean copies (nothing here is dirty).
-      auto& cache = edges[id]->cache_for_corruption();
+      auto& cache = world.edge(id).cache_for_corruption();
       for (const std::size_t index : it->second.victims) {
         if (cache.contains(index)) cache.raw_block(index) = cloud.fetch(index);
       }
@@ -318,7 +243,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
       latencies.empty() ? 0.0 : latencies.mean() * latencies.count();
   report.audit_seconds_mean = latencies.empty() ? 0.0 : latencies.mean();
   report.audit_seconds_p95 = latencies.empty() ? 0.0 : latencies.percentile(95);
-  const proto::OfflineStats pool = tpa0.offline_stats();
+  const proto::OfflineStats pool = world.tpa(0).offline_stats();
   report.pool_hits = pool.hits;
   report.pool_misses = pool.misses;
   return report;
@@ -334,12 +259,10 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
     throw ParamError("storm: close_every must be >= 1");
   }
 
-  SimConfig sim;
-  sim.n_blocks = config.n_blocks;
-  sim.block_bytes = config.block_bytes;
-  sim.cache_capacity = config.cache_capacity;
-  sim.parallelism = config.parallelism;
-  World world(sim, keys, seed);
+  Deployment world(make_params(keys, config.block_bytes, config.parallelism),
+                   keys, config.n_blocks, 1, config.cache_capacity, seed);
+  world.setup();
+  UserClient& user = world.user();
 
   SplitMix64 rng(seed ^ 0x5702f1);
   mec::MixedWorkload workload(
@@ -349,7 +272,7 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
                                              config.hot_blocks,
                                              config.hot_fraction),
       config.write_fraction);
-  const EdgeClient edge(world.edge_channel);
+  const EdgeClient edge(world.user_edge(0));
   UpdateStormReport report;
   SampleStats audit_latency;
 
@@ -359,10 +282,10 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
   auto flush_and_close = [&] {
     Stopwatch sw;
     report.blocks_written_back += edge.flush();
-    if (world.user.close_epochs()) ++report.epoch_closes;
-    for (const auto& [index, content] : world.user.updated_blocks()) {
+    if (user.close_epochs()) ++report.epoch_closes;
+    for (const auto& [index, content] : user.updated_blocks()) {
       (void)content;
-      world.user.forget_updated_block(index);
+      user.forget_updated_block(index);
     }
     report.close_seconds_total += sw.seconds();
   };
@@ -385,10 +308,10 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
         // Stage the re-tag at both TPAs (invisible until the close) and
         // note the update so mid-storm audits repack the fresh tag.
         Stopwatch sw;
-        world.user.update_block(access.index, content);
+        user.update_block(access.index, content);
         report.update_seconds_total += sw.seconds();
         ++report.updates_staged;
-        world.user.note_updated_block(access.index, std::move(content));
+        user.note_updated_block(access.index, std::move(content));
       } else {
         ++report.reads;
         try {
@@ -401,7 +324,7 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
     }
     // The measured axis: a full audit mid-storm, staged delta outstanding.
     Stopwatch sw;
-    const bool pass = world.user.audit_edge(world.edge_channel, 0);
+    const bool pass = user.audit_edge(world.user_edge(0), 0);
     audit_latency.add(sw.seconds());
     ++report.audits;
     if (!pass) ++report.failed_audits;
@@ -413,10 +336,9 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
       audit_latency.empty() ? 0.0 : audit_latency.mean();
   report.audit_seconds_p95 =
       audit_latency.empty() ? 0.0 : audit_latency.percentile(95);
-  const StoreEpochStats stats = world.tpa0.epoch_stats();
+  const StoreEpochStats stats = world.tpa(0).epoch_stats();
   report.epochs_closed = stats.db.epochs_closed;
   report.rows_merged = stats.db.rows_merged;
-  report.pins_taken = stats.pins_taken;
   return report;
 }
 

@@ -164,7 +164,6 @@ struct UpdateStormReport {
   // Epoch-engine counters from the verifier TPA (TpaService::epoch_stats).
   std::uint64_t epochs_closed = 0;
   std::uint64_t rows_merged = 0;
-  std::uint64_t pins_taken = 0;
   // The two axes measured against each other (wall-clock; not
   // deterministic, unlike every counter above).
   double update_seconds_total = 0.0;  // staging time across all writes

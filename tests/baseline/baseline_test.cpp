@@ -3,17 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "common/error.h"
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
 #include "ice/tag.h"
-#include "ice/tpa_service.h"
 #include "mec/corruption.h"
-#include "net/channel.h"
 #include "pir/messages.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::baseline {
@@ -67,35 +62,16 @@ TEST_F(BaselineTest, PirBeatsTrivialCommunicationForLargeFiles) {
 TEST_F(BaselineTest, SequentialAuditsMatchPerEdgeVerdicts) {
   // Two edges behind one TPA; sequential_audits is true iff every edge is
   // intact, and flags the batch as failed when any one edge is corrupted.
-  proto::CspService csp(mec::BlockStore::synthetic(20, 64, 4));
-  proto::TpaService tpa0;
-  proto::TpaService tpa1;
-  net::InMemoryChannel user_tpa0(tpa0);
-  net::InMemoryChannel user_tpa1(tpa1);
-  std::vector<std::unique_ptr<net::InMemoryChannel>> plumbing;
-  std::vector<std::unique_ptr<proto::EdgeService>> edges;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> channels;
+  sim::Deployment d(params_, keys_, 20, 2, 4, 4);
   for (std::uint32_t j = 0; j < 2; ++j) {
-    auto to_csp = std::make_unique<net::InMemoryChannel>(csp);
-    auto edge = std::make_unique<proto::EdgeService>(
-        j, params_, keys_.pk, mec::EdgeCache(4, mec::EvictionPolicy::kLru),
-        *to_csp);
-    edge->pre_download({j, j + 2, j + 4});
-    auto ch = std::make_unique<net::InMemoryChannel>(*edge);
-    tpa0.register_edge(j, *ch);
-    plumbing.push_back(std::move(to_csp));
-    edges.push_back(std::move(edge));
-    channels.push_back(std::move(ch));
+    d.edge(j).pre_download({j, j + 2, j + 4});
   }
-  proto::UserClient user(params_, keys_, user_tpa0, user_tpa1);
-  std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < 20; ++i) blocks.push_back(csp.store().block(i));
-  user.setup_file(blocks);
-  std::vector<net::RpcChannel*> ptrs = {channels[0].get(), channels[1].get()};
-  EXPECT_TRUE(sequential_audits(user, ptrs));
-  mec::corrupt_random_blocks(edges[1]->cache_for_corruption(), 1,
+  d.setup();
+  const std::vector<net::RpcChannel*> ptrs = d.user_edges();
+  EXPECT_TRUE(sequential_audits(d.user(), ptrs));
+  mec::corrupt_random_blocks(d.edge(1).cache_for_corruption(), 1,
                              mec::CorruptionKind::kBitFlip, gen_);
-  EXPECT_FALSE(sequential_audits(user, ptrs));
+  EXPECT_FALSE(sequential_audits(d.user(), ptrs));
 }
 
 TEST_F(BaselineTest, TrivialWinsForTinyFiles) {

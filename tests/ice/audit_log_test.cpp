@@ -4,12 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
-#include "net/channel.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -69,32 +65,18 @@ TEST(AuditLogTest, ForgedGenesisDetected) {
 }
 
 TEST(AuditLogTest, TpaRecordsVerdictsInOrder) {
-  const auto params = ice::testing::test_params(64);
-  const auto keys = ice::testing::test_keypair_256();
-  CspService csp(mec::BlockStore::synthetic(16, 64, 5));
-  TpaService tpa0;
-  TpaService tpa1;
-  net::InMemoryChannel edge_csp(csp);
-  EdgeService edge(0, params, keys.pk,
-                   mec::EdgeCache(8, mec::EvictionPolicy::kLru), edge_csp);
-  net::InMemoryChannel edge_channel(edge);
-  net::InMemoryChannel tpa_edge(edge);
-  tpa0.register_edge(0, tpa_edge);
-  net::InMemoryChannel user_tpa0(tpa0);
-  net::InMemoryChannel user_tpa1(tpa1);
-  UserClient user(params, keys, user_tpa0, user_tpa1);
-  std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < 16; ++i) blocks.push_back(csp.store().block(i));
-  user.setup_file(blocks);
-  edge.pre_download({1, 2, 3});
+  sim::Deployment d(ice::testing::test_params(64),
+                    ice::testing::test_keypair_256(), 16, 1, 8, 5);
+  d.setup();
+  d.edge(0).pre_download({1, 2, 3});
 
-  EXPECT_TRUE(user.audit_edge(edge_channel, 0));
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
   SplitMix64 rng(1);
-  mec::corrupt_random_blocks(edge.cache_for_corruption(), 1,
+  mec::corrupt_random_blocks(d.edge(0).cache_for_corruption(), 1,
                              mec::CorruptionKind::kBitFlip, rng);
-  EXPECT_FALSE(user.audit_edge(edge_channel, 0));
+  EXPECT_FALSE(d.user().audit_edge(d.user_edge(0), 0));
 
-  const AuditLog& log = tpa0.audit_log();
+  const AuditLog& log = d.tpa(0).audit_log();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_TRUE(log.records()[0].pass);
   EXPECT_FALSE(log.records()[1].pass);

@@ -4,124 +4,78 @@
 // communication accounting the protocol promises.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
-#include "net/channel.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
 namespace {
 
-/// One fully wired deployment: CSP, two TPAs, `num_edges` edges, one user.
-class Deployment {
+/// CSP, two TPAs, `num_edges` edges and a user over the test key, with
+/// a synthetic file of file seed 777.
+class Deployment : public sim::Deployment {
  public:
   Deployment(std::size_t n_blocks, std::size_t block_bytes,
              std::size_t num_edges, std::size_t cache_capacity)
-      : params_(ice::testing::test_params(block_bytes)),
-        csp_(mec::BlockStore::synthetic(n_blocks, block_bytes, 777)),
-        tpa0_channel_(tpa0_),
-        tpa1_channel_(tpa1_) {
-    for (std::size_t j = 0; j < num_edges; ++j) {
-      auto csp_channel = std::make_unique<net::InMemoryChannel>(csp_);
-      auto tpa_channel = std::make_unique<net::InMemoryChannel>(tpa0_);
-      auto edge = std::make_unique<EdgeService>(
-          static_cast<std::uint32_t>(j), params_,
-          ice::testing::test_keypair_256().pk,
-          mec::EdgeCache(cache_capacity, mec::EvictionPolicy::kLru),
-          *csp_channel, tpa_channel.get());
-      auto edge_channel = std::make_unique<net::InMemoryChannel>(*edge);
-      tpa0_.register_edge(static_cast<std::uint32_t>(j), *edge_channel);
-      csp_channels_.push_back(std::move(csp_channel));
-      tpa_back_channels_.push_back(std::move(tpa_channel));
-      edges_.push_back(std::move(edge));
-      edge_channels_.push_back(std::move(edge_channel));
-    }
-    user_ = std::make_unique<UserClient>(
-        params_, ice::testing::test_keypair_256(), tpa0_channel_,
-        tpa1_channel_);
-  }
-
-  /// Tags the CSP's file and uploads to the TPAs.
-  void setup() {
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp_.store().size(); ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    user_->setup_file(blocks);
-  }
-
-  ProtocolParams params_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::InMemoryChannel tpa0_channel_;
-  net::InMemoryChannel tpa1_channel_;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> csp_channels_;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> tpa_back_channels_;
-  std::vector<std::unique_ptr<EdgeService>> edges_;
-  std::vector<std::unique_ptr<net::InMemoryChannel>> edge_channels_;
-  std::unique_ptr<UserClient> user_;
+      : sim::Deployment(ice::testing::test_params(block_bytes),
+                        ice::testing::test_keypair_256(), n_blocks,
+                        num_edges, cache_capacity, 777) {}
 };
 
 TEST(E2eTest, HonestEdgePassesAudit) {
   Deployment d(20, 64, 1, 8);
   d.setup();
-  d.edges_[0]->pre_download({2, 5, 7, 11});
-  EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  d.edge(0).pre_download({2, 5, 7, 11});
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, EmptyEdgePassesVacuously) {
   Deployment d(10, 64, 1, 4);
   d.setup();
-  EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, CorruptedEdgeFailsAudit) {
   Deployment d(20, 64, 1, 8);
   d.setup();
-  d.edges_[0]->pre_download({1, 2, 3, 4, 5});
+  d.edge(0).pre_download({1, 2, 3, 4, 5});
   SplitMix64 rng(1);
-  mec::corrupt_random_blocks(d.edges_[0]->cache_for_corruption(), 1,
+  mec::corrupt_random_blocks(d.edge(0).cache_for_corruption(), 1,
                              mec::CorruptionKind::kBitFlip, rng);
-  EXPECT_FALSE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  EXPECT_FALSE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, AuditReflectsReadDrivenCaching) {
   Deployment d(20, 64, 1, 8);
   d.setup();
-  const EdgeClient edge(*d.edge_channels_[0]);
+  const EdgeClient edge(d.user_edge(0));
   // User reads populate the cache (query-driven pre-download).
   (void)edge.read(3);
   (void)edge.read(9);
   EXPECT_EQ(edge.index_query(), (std::vector<std::size_t>{3, 9}));
-  EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, ReadsReturnTrueContent) {
   Deployment d(10, 64, 1, 4);
   d.setup();
-  const EdgeClient edge(*d.edge_channels_[0]);
-  EXPECT_EQ(edge.read(7), d.csp_.store().block(7));
-  EXPECT_EQ(edge.read(7), d.csp_.store().block(7));  // cached path
+  const EdgeClient edge(d.user_edge(0));
+  EXPECT_EQ(edge.read(7), d.csp().store().block(7));
+  EXPECT_EQ(edge.read(7), d.csp().store().block(7));  // cached path
 }
 
 TEST(E2eTest, UpdatedBlockAuditsCleanlyWithFreshTag) {
   Deployment d(12, 64, 1, 6);
   d.setup();
-  const EdgeClient edge(*d.edge_channels_[0]);
+  const EdgeClient edge(d.user_edge(0));
   (void)edge.read(4);
   (void)edge.read(8);
   // User updates block 4 at the edge (write-back deferred).
   const Bytes new_content = ice::testing::make_blocks(1, 64, 99)[0];
   edge.write(4, new_content);
-  d.user_->note_updated_block(4, new_content);
-  EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  d.user().note_updated_block(4, new_content);
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, UpdatedBlockWithoutNoteFailsAudit) {
@@ -129,75 +83,71 @@ TEST(E2eTest, UpdatedBlockWithoutNoteFailsAudit) {
   // user who forgets the update substitution must see a failed audit.
   Deployment d(12, 64, 1, 6);
   d.setup();
-  const EdgeClient edge(*d.edge_channels_[0]);
+  const EdgeClient edge(d.user_edge(0));
   (void)edge.read(4);
   edge.write(4, ice::testing::make_blocks(1, 64, 98)[0]);
-  EXPECT_FALSE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  EXPECT_FALSE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(E2eTest, FlushWritesBackToCsp) {
   Deployment d(12, 64, 1, 6);
   d.setup();
-  const EdgeClient edge(*d.edge_channels_[0]);
+  const EdgeClient edge(d.user_edge(0));
   (void)edge.read(4);
   const Bytes new_content = ice::testing::make_blocks(1, 64, 97)[0];
   edge.write(4, new_content);
-  EXPECT_NE(d.csp_.store().block(4), new_content);  // delayed
+  EXPECT_NE(d.csp().store().block(4), new_content);  // delayed
   EXPECT_EQ(edge.flush(), 1u);
-  EXPECT_EQ(d.csp_.store().block(4), new_content);
+  EXPECT_EQ(d.csp().store().block(4), new_content);
   EXPECT_EQ(edge.flush(), 0u);
 }
 
 TEST(E2eTest, BatchAuditHonestEdgesPass) {
   Deployment d(30, 64, 3, 8);
   d.setup();
-  d.edges_[0]->pre_download({0, 1, 2});
-  d.edges_[1]->pre_download({1, 2, 3});
-  d.edges_[2]->pre_download({2, 3, 4});
-  std::vector<net::RpcChannel*> channels;
-  for (auto& ch : d.edge_channels_) channels.push_back(ch.get());
-  EXPECT_TRUE(d.user_->audit_edges_batch(channels));
+  d.edge(0).pre_download({0, 1, 2});
+  d.edge(1).pre_download({1, 2, 3});
+  d.edge(2).pre_download({2, 3, 4});
+  EXPECT_TRUE(d.user().audit_edges_batch(d.user_edges()));
 }
 
 TEST(E2eTest, BatchAuditDetectsOneBadEdge) {
   Deployment d(30, 64, 3, 8);
   d.setup();
-  d.edges_[0]->pre_download({0, 1, 2});
-  d.edges_[1]->pre_download({1, 2, 3});
-  d.edges_[2]->pre_download({2, 3, 4});
+  d.edge(0).pre_download({0, 1, 2});
+  d.edge(1).pre_download({1, 2, 3});
+  d.edge(2).pre_download({2, 3, 4});
   SplitMix64 rng(2);
-  mec::corrupt_random_blocks(d.edges_[1]->cache_for_corruption(), 1,
+  mec::corrupt_random_blocks(d.edge(1).cache_for_corruption(), 1,
                              mec::CorruptionKind::kZeroFill, rng);
-  std::vector<net::RpcChannel*> channels;
-  for (auto& ch : d.edge_channels_) channels.push_back(ch.get());
-  EXPECT_FALSE(d.user_->audit_edges_batch(channels));
+  EXPECT_FALSE(d.user().audit_edges_batch(d.user_edges()));
 }
 
 TEST(E2eTest, RepeatedAuditsUseFreshSessions) {
   Deployment d(20, 64, 1, 8);
   d.setup();
-  d.edges_[0]->pre_download({2, 5, 7});
+  d.edge(0).pre_download({2, 5, 7});
   for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0)) << round;
+    EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0)) << round;
   }
 }
 
 TEST(E2eTest, AuditOfUnknownEdgeFails) {
   Deployment d(10, 64, 1, 4);
   d.setup();
-  d.edges_[0]->pre_download({1});
-  EXPECT_THROW((void)d.user_->audit_edge(*d.edge_channels_[0], 42),
+  d.edge(0).pre_download({1});
+  EXPECT_THROW((void)d.user().audit_edge(d.user_edge(0), 42),
                ProtocolError);
 }
 
 TEST(E2eTest, RetrieveTagsMatchesDirectTagging) {
   Deployment d(25, 64, 1, 8);
   d.setup();
-  const TagGenerator tagger(d.user_->pk());
-  const auto tags = d.user_->retrieve_tags({0, 13, 24});
-  EXPECT_EQ(tags[0], tagger.tag(d.csp_.store().block(0)));
-  EXPECT_EQ(tags[1], tagger.tag(d.csp_.store().block(13)));
-  EXPECT_EQ(tags[2], tagger.tag(d.csp_.store().block(24)));
+  const TagGenerator tagger(d.user().pk());
+  const auto tags = d.user().retrieve_tags({0, 13, 24});
+  EXPECT_EQ(tags[0], tagger.tag(d.csp().store().block(0)));
+  EXPECT_EQ(tags[1], tagger.tag(d.csp().store().block(13)));
+  EXPECT_EQ(tags[2], tagger.tag(d.csp().store().block(24)));
 }
 
 TEST(E2eTest, TagQueryTrafficIsSublinearInFileSize) {
@@ -205,9 +155,9 @@ TEST(E2eTest, TagQueryTrafficIsSublinearInFileSize) {
   // all n tags. Check the PIR answer is much smaller than the whole tag set.
   Deployment d(60, 64, 1, 8);
   d.setup();
-  d.tpa0_channel_.reset_stats();
-  (void)d.user_->retrieve_tags({7});
-  const std::uint64_t received = d.tpa0_channel_.stats().bytes_received;
+  d.user_tpa(0).reset_stats();
+  (void)d.user().retrieve_tags({7});
+  const std::uint64_t received = d.user_tpa(0).stats().bytes_received;
   // All 60 tags at 32 bytes each would be ~1920 B before framing; a single
   // PIR response is (1 + gamma) * K GF4 elements = (1+9)*256/4 = 640 B.
   EXPECT_LT(received, 1000u);

@@ -8,16 +8,13 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
 #include "ice/tag.h"
 #include "ice/tag_store.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "ice/wire.h"
 #include "net/channel.h"
 #include "pir/client.h"
 #include "pir/embedding.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -41,51 +38,24 @@ class EpochServiceTest : public ::testing::Test {
   bn::Rng64Adapter<SplitMix64> rng_{gen_};
 };
 
-/// Full single-edge deployment (the dynamics_test World, epoch-aware
-/// usage): CSP + verifier/helper TPA pair + one edge + user.
-struct World {
+/// Full single-edge deployment: CSP + verifier/helper TPA pair + one edge
+/// (6-block cache) + user over a 24-block file of seed 99, set up.
+struct World : sim::Deployment {
   World()
-      : params(ice::testing::test_params(64)),
-        keys(ice::testing::test_keypair_256()),
-        csp(mec::BlockStore::synthetic(24, 64, 99)),
-        edge_csp(csp),
-        edge(0, params, keys.pk,
-             mec::EdgeCache(6, mec::EvictionPolicy::kLru), edge_csp),
-        edge_channel(edge),
-        tpa_edge(edge),
-        user_tpa0(tpa0),
-        user_tpa1(tpa1),
-        user(params, keys, user_tpa0, user_tpa1) {
-    tpa0.register_edge(0, tpa_edge);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp.store().size(); ++i) {
-      blocks.push_back(csp.store().block(i));
-    }
-    user.setup_file(blocks);
+      : sim::Deployment(ice::testing::test_params(64),
+                        ice::testing::test_keypair_256(), 24, 1, 6, 99) {
+    setup();
   }
-
-  ProtocolParams params;
-  KeyPair keys;
-  CspService csp;
-  TpaService tpa0;
-  TpaService tpa1;
-  net::InMemoryChannel edge_csp;
-  EdgeService edge;
-  net::InMemoryChannel edge_channel;
-  net::InMemoryChannel tpa_edge;
-  net::InMemoryChannel user_tpa0;
-  net::InMemoryChannel user_tpa1;
-  UserClient user;
 };
 
 TEST_F(EpochServiceTest, CloseEpochWireRoundtrip) {
   World w;
-  const TpaClient tpa(w.user_tpa0);
-  const TagGenerator tagger(w.keys.pk);
+  const TpaClient tpa(w.user_tpa(0));
+  const TagGenerator tagger(w.keys().pk);
   const Bytes fresh = ice::testing::make_blocks(1, 64, 7)[0];
 
   // Nothing staged: a close is a no-op at epoch 0.
-  const auto idle = tpa.close_epoch(/*force=*/true);
+  const auto idle = tpa.close_epoch();
   EXPECT_FALSE(idle.closed);
   EXPECT_EQ(idle.epoch, 0u);
   EXPECT_EQ(idle.rows_merged, 0u);
@@ -94,7 +64,7 @@ TEST_F(EpochServiceTest, CloseEpochWireRoundtrip) {
   EXPECT_EQ(tpa.update_tag(3, tagger.tag(fresh)), 0u);
   EXPECT_EQ(tpa.update_tag(3, tagger.tag(fresh)), 0u);  // restage dedups
   EXPECT_EQ(tpa.update_tag(9, tagger.tag(fresh)), 0u);
-  const auto closed = tpa.close_epoch(/*force=*/true);
+  const auto closed = tpa.close_epoch();
   EXPECT_TRUE(closed.closed);
   EXPECT_EQ(closed.epoch, 1u);
   EXPECT_EQ(closed.rows_merged, 2u);
@@ -105,7 +75,7 @@ TEST_F(EpochServiceTest, CloseEpochWireRoundtrip) {
 
 TEST_F(EpochServiceTest, HostileIndexesRefusedWithTypedEnvelopes) {
   World w;  // 24 blocks stored
-  const TpaClient tpa(w.user_tpa0);
+  const TpaClient tpa(w.user_tpa(0));
   const auto expect_invalid = [](auto&& call) {
     try {
       call();
@@ -119,19 +89,19 @@ TEST_F(EpochServiceTest, HostileIndexesRefusedWithTypedEnvelopes) {
   // reachable hostile case).
   expect_invalid([&] { (void)tpa.update_tag(24, bn::BigInt(1)); });
   expect_invalid([&] {
-    (void)tpa.update_tag(0, bn::BigInt(1) << w.params.tag_bits());
+    (void)tpa.update_tag(0, bn::BigInt(1) << w.params().tag_bits());
   });
   // kTpaAppendTag (312): oversized tag.
   expect_invalid([&] {
-    (void)tpa.append_tag(bn::BigInt(1) << w.params.tag_bits());
+    (void)tpa.append_tag(bn::BigInt(1) << w.params().tag_bits());
   });
   // A clean refusal leaves the store untouched: nothing staged, no epoch
   // movement, and ordinary audits still pass.
-  EXPECT_EQ(w.tpa0.epoch_stats().db.staged_rows, 0u);
-  EXPECT_FALSE(tpa.close_epoch(/*force=*/true).closed);
-  const EdgeClient edge(w.edge_channel);
+  EXPECT_EQ(w.tpa(0).epoch_stats().db.staged_rows, 0u);
+  EXPECT_FALSE(tpa.close_epoch().closed);
+  const EdgeClient edge(w.user_edge(0));
   (void)edge.read(2);
-  EXPECT_TRUE(w.user.audit_edge(w.edge_channel, 0));
+  EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 }
 
 TEST_F(EpochServiceTest, DynamicsMethodsBeforeStoreAreFailedPrecondition) {
@@ -149,7 +119,7 @@ TEST_F(EpochServiceTest, DynamicsMethodsBeforeStoreAreFailedPrecondition) {
   expect_precondition([&] { (void)tpa.update_tag(0, bn::BigInt(1)); });
   expect_precondition([&] { (void)tpa.tag_info(); });
   expect_precondition([&] { (void)tpa.append_tag(bn::BigInt(1)); });
-  expect_precondition([&] { (void)tpa.close_epoch(true); });
+  expect_precondition([&] { (void)tpa.close_epoch(); });
 }
 
 // UserClient storm path end-to-end: update_block stages at both replicas
@@ -158,54 +128,48 @@ TEST_F(EpochServiceTest, DynamicsMethodsBeforeStoreAreFailedPrecondition) {
 // fresh content exactly at the close.
 TEST_F(EpochServiceTest, UpdateBlockThenCloseEpochsCommitsAtBothReplicas) {
   World w;
-  const EdgeClient edge(w.edge_channel);
+  const EdgeClient edge(w.user_edge(0));
   (void)edge.read(3);
   const Bytes fresh = ice::testing::make_blocks(1, 64, 11)[0];
   edge.write(3, fresh);
-  w.user.note_updated_block(3, fresh);
+  w.user().note_updated_block(3, fresh);
 
-  const TagGenerator tagger(w.keys.pk);
-  const bn::BigInt old_tag = w.user.retrieve_tags({3})[0];
-  const std::uint64_t staged_epoch = w.user.update_block(3, fresh);
+  const TagGenerator tagger(w.keys().pk);
+  const bn::BigInt old_tag = w.user().retrieve_tags({3})[0];
+  const std::uint64_t staged_epoch = w.user().update_block(3, fresh);
   EXPECT_EQ(staged_epoch, 0u);
 
   // Mid-storm: the stored tag is still the epoch-0 snapshot; the audit
   // passes because the session note covers the dirty block.
-  EXPECT_EQ(w.user.retrieve_tags({3})[0], old_tag);
-  EXPECT_TRUE(w.user.audit_edge(w.edge_channel, 0));
+  EXPECT_EQ(w.user().retrieve_tags({3})[0], old_tag);
+  EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 
   EXPECT_EQ(edge.flush(), 1u);
-  EXPECT_TRUE(w.user.close_epochs());
-  w.user.forget_updated_block(3);
-  EXPECT_EQ(w.user.retrieve_tags({3})[0], tagger.tag(fresh));
-  EXPECT_TRUE(w.user.audit_edge(w.edge_channel, 0));
+  EXPECT_TRUE(w.user().close_epochs());
+  w.user().forget_updated_block(3);
+  EXPECT_EQ(w.user().retrieve_tags({3})[0], tagger.tag(fresh));
+  EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 
   // Both replicas closed in lockstep.
-  EXPECT_EQ(w.tpa0.epoch_stats().db.epochs_closed, 1u);
-  EXPECT_EQ(w.tpa1.epoch_stats().db.epochs_closed, 1u);
-  EXPECT_EQ(w.tpa0.epoch_stats().db.rows_merged, 1u);
+  EXPECT_EQ(w.tpa(0).epoch_stats().db.epochs_closed, 1u);
+  EXPECT_EQ(w.tpa(1).epoch_stats().db.epochs_closed, 1u);
+  EXPECT_EQ(w.tpa(0).epoch_stats().db.rows_merged, 1u);
 }
 
 TEST_F(EpochServiceTest, EpochStatsSurfaceCountsPinsAndMerges) {
   World w;
-  EXPECT_EQ(w.tpa1.epoch_stats().pins_taken, 0u);  // helper never audits
-
-  const EdgeClient edge(w.edge_channel);
+  const EdgeClient edge(w.user_edge(0));
   (void)edge.read(1);
-  ASSERT_TRUE(w.user.audit_edge(w.edge_channel, 0));
-  const auto after_audit = w.tpa0.epoch_stats();
-  EXPECT_EQ(after_audit.pins_taken, 1u);  // the session pinned a snapshot
-  EXPECT_EQ(after_audit.pins_active, 0u);  // ...and released it at verdict
-  EXPECT_EQ(after_audit.closes_skipped, 0u);
+  ASSERT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 
   const Bytes fresh = ice::testing::make_blocks(1, 64, 21)[0];
-  w.user.note_updated_block(2, fresh);
-  (void)w.user.update_block(2, fresh);
-  EXPECT_EQ(w.tpa0.epoch_stats().db.staged_rows, 1u);
-  ASSERT_TRUE(w.user.close_epochs());
-  w.user.forget_updated_block(2);
+  w.user().note_updated_block(2, fresh);
+  (void)w.user().update_block(2, fresh);
+  EXPECT_EQ(w.tpa(0).epoch_stats().db.staged_rows, 1u);
+  ASSERT_TRUE(w.user().close_epochs());
+  w.user().forget_updated_block(2);
 
-  const auto stats = w.tpa0.epoch_stats();
+  const auto stats = w.tpa(0).epoch_stats();
   EXPECT_EQ(stats.db.epochs_closed, 1u);
   EXPECT_EQ(stats.db.rows_merged, 1u);
   EXPECT_EQ(stats.db.staged_rows, 0u);
@@ -225,7 +189,7 @@ TEST_F(EpochServiceTest, StoreStageCloseThenQueryDecodesMergedTag) {
     tpa.set_key(keys_.pk, params_);
     tpa.store_tags(tags);
     EXPECT_EQ(tpa.update_tag(5, fresh), 0u);
-    ASSERT_TRUE(tpa.close_epoch(/*force=*/true).closed);
+    ASSERT_TRUE(tpa.close_epoch().closed);
   }
 
   const TagInfo info = clients[0].tag_info();
@@ -258,7 +222,7 @@ TEST_F(EpochServiceTest, StagedUpdateSurvivesAppend) {
   EXPECT_EQ(store.tag(2), tags[2]);  // both still invisible
   EXPECT_EQ(store.tag(15), tags[15]);
 
-  const auto closed = store.close_epoch(/*force=*/true);
+  const auto closed = store.close_epoch();
   EXPECT_TRUE(closed.closed);
   EXPECT_EQ(closed.rows_merged, 2u);
   EXPECT_EQ(store.tag(2), fresh);
@@ -308,8 +272,8 @@ TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossThreadBudgetsMidUpdate) {
     }
 
     // Close both replicas and re-run: the merged state decodes.
-    ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
-    ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
+    ASSERT_TRUE(tpa0.close_epoch().closed);
+    ASSERT_TRUE(tpa1.close_epoch().closed);
     const auto after = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
     for (std::size_t l = 0; l < wanted.size(); ++l) {
       EXPECT_EQ(after[l], tpa0.tag(wanted[l]));

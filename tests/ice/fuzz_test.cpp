@@ -8,14 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "ice/wire.h"
-#include "net/channel.h"
 #include "pir/client.h"
 #include "pir/embedding.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -62,48 +58,27 @@ bool changes_tpa_state(std::uint16_t method) {
          method == kTpaUpdateTag || method == kTpaAppendTag;
 }
 
-class FuzzWorld {
+/// One edge (8-block cache, blocks 1-3 cached) over a 16-block file of
+/// seed 8, set up; `blocks_` keeps the file as it was uploaded.
+class FuzzWorld : public sim::Deployment {
  public:
   FuzzWorld()
-      : params_(ice::testing::test_params(64)),
-        keys_(ice::testing::test_keypair_256()),
-        csp_(mec::BlockStore::synthetic(16, 64, 8)),
-        edge_csp_(csp_),
-        edge_tpa_(tpa0_),
-        edge_(0, params_, keys_.pk,
-              mec::EdgeCache(8, mec::EvictionPolicy::kLru), edge_csp_,
-              &edge_tpa_),
-        tpa_edge_(edge_),
-        user_tpa0_(tpa0_),
-        user_tpa1_(tpa1_),
-        user_(params_, keys_, user_tpa0_, user_tpa1_) {
-    tpa0_.register_edge(0, tpa_edge_);
+      : sim::Deployment(ice::testing::test_params(64),
+                        ice::testing::test_keypair_256(), 16, 1, 8, 8) {
+    setup();
     for (std::size_t i = 0; i < 16; ++i) {
-      blocks_.push_back(csp_.store().block(i));
+      blocks_.push_back(csp().store().block(i));
     }
-    user_.setup_file(blocks_);
-    edge_.pre_download({1, 2, 3});
+    edge(0).pre_download({1, 2, 3});
   }
 
-  ProtocolParams params_;
-  KeyPair keys_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::InMemoryChannel edge_csp_;
-  net::InMemoryChannel edge_tpa_;
-  EdgeService edge_;
-  net::InMemoryChannel tpa_edge_;
-  net::InMemoryChannel user_tpa0_;
-  net::InMemoryChannel user_tpa1_;
-  UserClient user_;
   std::vector<Bytes> blocks_;
 };
 
 TEST(FuzzTest, RandomGarbageNeverCrashesAnyService) {
   FuzzWorld w;
   SplitMix64 rng(0xf022);
-  net::RpcHandler* services[] = {&w.csp_, &w.edge_, &w.tpa0_};
+  net::RpcHandler* services[] = {&w.csp(), &w.edge(0), &w.tpa(0)};
   for (auto* service : services) {
     for (std::uint16_t method : kAllMethods) {
       for (int trial = 0; trial < 25; ++trial) {
@@ -131,37 +106,37 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
   {
     net::Writer fetch;
     fetch.varint(3);
-    probes.push_back({&w.csp_, kCspFetch, fetch.take()});
+    probes.push_back({&w.csp(), kCspFetch, fetch.take()});
   }
   {
     net::Writer read;
     read.varint(2);
-    probes.push_back({&w.edge_, kEdgeRead, read.take()});
+    probes.push_back({&w.edge(0), kEdgeRead, read.take()});
   }
   {
     net::Writer blind;
     blind.u64(77);
     blind.bigint(bn::BigInt(12345));
-    probes.push_back({&w.edge_, kEdgeShareBlind, blind.take()});
+    probes.push_back({&w.edge(0), kEdgeShareBlind, blind.take()});
   }
   {
     net::Writer audit;
     audit.varint(0);
     audit.u64(1234);
-    probes.push_back({&w.tpa0_, kTpaStartAudit, audit.take()});
+    probes.push_back({&w.tpa(0), kTpaStartAudit, audit.take()});
   }
   {
     // A real tag query (310, the only one), planned against the TPA's own
     // row count and epoch.
-    const TagInfo info = TpaClient(w.user_tpa0_).tag_info();
+    const TagInfo info = TpaClient(w.user_tpa(0)).tag_info();
     const pir::Embedding embedding(info.n);
-    const pir::PirClient client(embedding, w.keys_.pk.modulus_bits());
+    const pir::PirClient client(embedding, w.keys().pk.modulus_bits());
     SplitMix64 gen(0xf055);
     bn::Rng64Adapter<SplitMix64> plan_rng(gen);
     auto enc = client.encode(std::vector<std::size_t>{1, 2, 3}, plan_rng);
     net::Writer query;
     write_sharded_query(query, {info.epoch, std::move(enc.queries[0])});
-    probes.push_back({&w.tpa0_, kTpaShardQuery, query.take()});
+    probes.push_back({&w.tpa(0), kTpaShardQuery, query.take()});
   }
   for (auto& probe : probes) {
     for (int trial = 0; trial < 200; ++trial) {
@@ -193,12 +168,13 @@ TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
     std::size_t edge_writes = 0;
     for (std::uint16_t method : kAllMethods) {
       for (int trial = 0; trial < 10; ++trial) {
-        (void)w.csp_.handle(method, random_bytes(rng, 40));
-        const Bytes edge_reply = w.edge_.handle(method, random_bytes(rng, 40));
+        (void)w.csp().handle(method, random_bytes(rng, 40));
+        const Bytes edge_reply =
+            w.edge(0).handle(method, random_bytes(rng, 40));
         if (method == kEdgeWrite && status_of(edge_reply) == net::Status::kOk) {
           ++edge_writes;
         }
-        const Bytes reply = w.tpa0_.handle(method, random_bytes(rng, 40));
+        const Bytes reply = w.tpa(0).handle(method, random_bytes(rng, 40));
         if (changes_tpa_state(method) &&
             status_of(reply) == net::Status::kOk) {
           ++landed;
@@ -212,9 +188,9 @@ TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
     // row count and epoch away from tpa1's. That is correct behaviour, so
     // when one landed the honest round re-uploads the file first; every
     // other fuzz effect must leave the round passing as it is.
-    if (landed > 0) (void)w.user_.setup_file(w.blocks_);
+    if (landed > 0) (void)w.user().setup_file(w.blocks_);
     // A full honest round still succeeds.
-    EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0))
+    EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0))
         << landed << " fuzzed TPA state changes were accepted";
   }
 }
@@ -229,12 +205,12 @@ TEST(FuzzTest, WrongSizeEdgeWriteLeavesEdgeUnchanged) {
     net::Writer r;
     r.varint(index);
     r.bytes(Bytes(40, 0xee));
-    EXPECT_EQ(status_of(w.edge_.handle(kEdgeWrite, r.take())),
+    EXPECT_EQ(status_of(w.edge(0).handle(kEdgeWrite, r.take())),
               net::Status::kInvalidArgument);
-    EXPECT_EQ(EdgeClient(w.tpa_edge_).index_query(),
+    EXPECT_EQ(EdgeClient(w.user_edge(0)).index_query(),
               (std::vector<std::size_t>{1, 2, 3}));
-    EXPECT_EQ(EdgeClient(w.tpa_edge_).flush(), 0u);
-    EXPECT_EQ(EdgeClient(w.tpa_edge_).read(2), w.blocks_[2]);
+    EXPECT_EQ(EdgeClient(w.user_edge(0)).flush(), 0u);
+    EXPECT_EQ(EdgeClient(w.user_edge(0)).read(2), w.blocks_[2]);
   }
 }
 
@@ -249,10 +225,10 @@ TEST(FuzzTest, WriteBackWithBadLastEntryAppliesNothing) {
   r.bytes(Bytes(64, 0xbb));
   r.varint(2);
   r.bytes(Bytes(40, 0xcc));  // short
-  EXPECT_EQ(status_of(w.csp_.handle(kCspWriteBack, r.take())),
+  EXPECT_EQ(status_of(w.csp().handle(kCspWriteBack, r.take())),
             net::Status::kInvalidArgument);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(w.csp_.store().block(i), w.blocks_[i]) << "block " << i;
+    EXPECT_EQ(w.csp().store().block(i), w.blocks_[i]) << "block " << i;
   }
 }
 
@@ -261,20 +237,20 @@ TEST(FuzzTest, WriteBackWithBadLastEntryAppliesNothing) {
 // its row count and epoch untouched.
 TEST(FuzzTest, RetiredTagQueryMethodIsUnknown) {
   FuzzWorld w;
-  const TagInfo before = TpaClient(w.user_tpa0_).tag_info();
+  const TagInfo before = TpaClient(w.user_tpa(0)).tag_info();
   for (const std::uint16_t method : {std::uint16_t{302}, std::uint16_t{311}}) {
     SCOPED_TRACE(method);
     net::Writer body;
     body.varint(0);
-    EXPECT_EQ(status_of(w.tpa0_.handle(method, body.take())),
+    EXPECT_EQ(status_of(w.tpa(0).handle(method, body.take())),
               net::Status::kUnknownMethod);
-    EXPECT_EQ(status_of(w.tpa0_.handle(method, {})),
+    EXPECT_EQ(status_of(w.tpa(0).handle(method, {})),
               net::Status::kUnknownMethod);
-    const TagInfo after = TpaClient(w.user_tpa0_).tag_info();
+    const TagInfo after = TpaClient(w.user_tpa(0)).tag_info();
     EXPECT_EQ(after.n, before.n);
     EXPECT_EQ(after.epoch, before.epoch);
   }
-  EXPECT_TRUE(w.user_.audit_edge(w.tpa_edge_, 0));
+  EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 }
 
 // Every state-changing handler rejects trailing bytes BEFORE it acts: a
@@ -285,54 +261,68 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
     const char* name;
     net::RpcHandler& (*service)(FuzzWorld&);
     std::uint16_t method;
-    Bytes (*request)(const FuzzWorld&);
+    Bytes (*request)(FuzzWorld&);
     void (*unchanged)(FuzzWorld&);
   };
-  const auto tpa = [](FuzzWorld& w) -> net::RpcHandler& { return w.tpa0_; };
-  const auto edge = [](FuzzWorld& w) -> net::RpcHandler& { return w.edge_; };
-  const auto csp = [](FuzzWorld& w) -> net::RpcHandler& { return w.csp_; };
-  const auto set_key = [](const FuzzWorld& w) {
+  const auto tpa = [](FuzzWorld& w) -> net::RpcHandler& { return w.tpa(0); };
+  const auto edge = [](FuzzWorld& w) -> net::RpcHandler& { return w.edge(0); };
+  const auto csp = [](FuzzWorld& w) -> net::RpcHandler& { return w.csp(); };
+  const auto set_key = [](FuzzWorld& w) {
     net::Writer r;
-    r.bigint(w.keys_.pk.n);
-    r.bigint(w.keys_.pk.g);
-    r.varint(w.params_.coeff_bits);
-    r.varint(w.params_.challenge_key_bits);
+    r.bigint(w.keys().pk.n);
+    r.bigint(w.keys().pk.g);
+    r.varint(w.params().coeff_bits);
+    r.varint(w.params().challenge_key_bits);
     return r.take();
   };
   const Case cases[] = {
       {"tpa set_key", tpa, kTpaSetKey, set_key,
-       [](FuzzWorld& w) { EXPECT_TRUE(w.tpa0_.has_tags()); }},
+       [](FuzzWorld& w) { EXPECT_TRUE(w.tpa(0).has_tags()); }},
       {"tpa store_tags", tpa, kTpaStoreTags,
-       [](const FuzzWorld&) {
+       [](FuzzWorld&) {
          net::Writer r;
          write_bigint_list(r, {bn::BigInt(1), bn::BigInt(2)});
          return r.take();
        },
        [](FuzzWorld& w) {
-         EXPECT_EQ(TpaClient(w.user_tpa0_).tag_info().n, 16u);
+         EXPECT_EQ(TpaClient(w.user_tpa(0)).tag_info().n, 16u);
        }},
       {"tpa batch_begin", tpa, kTpaBatchBegin,
-       [](const FuzzWorld&) {
+       [](FuzzWorld&) {
          net::Writer r;
          r.u64(4242);
          r.varint(1);
          return r.take();
        },
        [](FuzzWorld& w) {
-         EXPECT_NO_THROW((void)TpaClient(w.user_tpa0_).batch_begin(4242, 1));
+         EXPECT_NO_THROW((void)TpaClient(w.user_tpa(0)).batch_begin(4242, 1));
+       }},
+      // 313 takes no arguments; the one byte is the retired force flag.
+      // One staged row shows whether a close ran.
+      {"tpa close_epoch", tpa, kTpaCloseEpoch,
+       [](FuzzWorld& w) {
+         (void)TpaClient(w.user_tpa(0))
+             .update_tag(4, TagGenerator(w.keys().pk).tag(w.blocks_[5]));
+         return Bytes{};
+       },
+       [](FuzzWorld& w) {
+         const pir::EpochStats stats = w.tpa(0).epoch_stats().db;
+         EXPECT_EQ(stats.staged_rows, 1u);
+         EXPECT_EQ(stats.rows_merged, 0u);
+         EXPECT_EQ(stats.epochs_closed, 0u);
        }},
       {"edge write", edge, kEdgeWrite,
-       [](const FuzzWorld&) {
+       [](FuzzWorld&) {
          net::Writer r;
          r.varint(2);
          r.bytes(Bytes(64, 0xee));
          return r.take();
        },
        [](FuzzWorld& w) {
-         EXPECT_EQ(EdgeClient(w.tpa_edge_).read(2), w.blocks_[2]);
+         EXPECT_EQ(EdgeClient(w.user_edge(0)).read(2), w.blocks_[2]);
        }},
       {"edge share_blind", edge, kEdgeShareBlind,
-       [](const FuzzWorld&) {
+       [](FuzzWorld&) {
          net::Writer r;
          r.u64(777);
          r.bigint(bn::BigInt(12345));
@@ -340,7 +330,7 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
        },
        [](FuzzWorld& w) {
          EXPECT_NO_THROW(
-             EdgeClient(w.tpa_edge_).share_blinding(777, bn::BigInt(12345)));
+             EdgeClient(w.user_edge(0)).share_blinding(777, bn::BigInt(12345)));
        }},
       {"csp set_key", csp, kCspSetKey, set_key,
        [](FuzzWorld& w) {
@@ -349,7 +339,7 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
          r.bigint(bn::BigInt(3));
          r.bigint(bn::BigInt(4));
          write_index_list(r, {0});
-         EXPECT_EQ(status_of(w.csp_.handle(kCspChallenge, r.take())),
+         EXPECT_EQ(status_of(w.csp().handle(kCspChallenge, r.take())),
                    net::Status::kFailedPrecondition);
        }},
   };
@@ -372,8 +362,8 @@ TEST(FuzzTest, HostileRepackedTagsRejectedNotCrashing) {
   // fail (or error), never crash the TPA.
   FuzzWorld w;
   SplitMix64 gen(0xf088);
-  const TpaClient tpa(w.user_tpa0_);
-  EdgeClient(w.tpa_edge_).share_blinding(424242, bn::BigInt(7));
+  const TpaClient tpa(w.user_tpa(0));
+  EdgeClient(w.user_edge(0)).share_blinding(424242, bn::BigInt(7));
   tpa.start_audit(0, 424242);
   std::vector<bn::BigInt> garbage;
   for (int i = 0; i < 3; ++i) {
@@ -384,12 +374,12 @@ TEST(FuzzTest, HostileRepackedTagsRejectedNotCrashing) {
 
 TEST(FuzzTest, ZeroAndHugeTagValuesHandled) {
   FuzzWorld w;
-  const TpaClient tpa(w.user_tpa0_);
-  EdgeClient(w.tpa_edge_).share_blinding(31337, bn::BigInt(7));
+  const TpaClient tpa(w.user_tpa(0));
+  EdgeClient(w.user_edge(0)).share_blinding(31337, bn::BigInt(7));
   tpa.start_audit(0, 31337);
   // Tag congruent to 0 mod N and a tag far larger than N.
   const std::vector<bn::BigInt> weird = {
-      bn::BigInt(0), w.keys_.pk.n * w.keys_.pk.n, bn::BigInt(1)};
+      bn::BigInt(0), w.keys().pk.n * w.keys().pk.n, bn::BigInt(1)};
   EXPECT_FALSE(tpa.submit_repacked(31337, weird));
 }
 

@@ -6,67 +6,38 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
-#include "net/channel.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
 namespace {
 
-/// Minimal world: CSP + 2 TPAs + 1 edge + user, with helpers to corrupt
-/// specific cached blocks.
-class LocalizeWorld {
+/// CSP + 2 TPAs + 1 edge + user over a 64-block file of seed 55; the edge
+/// caches the even blocks 0, 2, ..., 2(cached_blocks - 1). corrupt() flips
+/// a bit of one cached block.
+class LocalizeWorld : public sim::Deployment {
  public:
   explicit LocalizeWorld(std::size_t cached_blocks)
-      : params_(ice::testing::test_params(64)),
-        keys_(ice::testing::test_keypair_256()),
-        csp_(mec::BlockStore::synthetic(64, 64, 55)),
-        edge_csp_(csp_),
-        edge_(0, params_, keys_.pk,
-              mec::EdgeCache(cached_blocks, mec::EvictionPolicy::kLru),
-              edge_csp_),
-        edge_channel_(edge_),
-        tpa_edge_(edge_),
-        user_tpa0_(tpa0_),
-        user_tpa1_(tpa1_),
-        user_(params_, keys_, user_tpa0_, user_tpa1_) {
-    tpa0_.register_edge(0, tpa_edge_);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp_.store().size(); ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    user_.setup_file(blocks);
+      : sim::Deployment(ice::testing::test_params(64),
+                        ice::testing::test_keypair_256(), 64, 1,
+                        cached_blocks, 55) {
+    setup();
     std::vector<std::size_t> wanted;
     for (std::size_t i = 0; i < cached_blocks; ++i) wanted.push_back(2 * i);
-    edge_.pre_download(wanted);
+    edge(0).pre_download(wanted);
   }
 
   void corrupt(std::size_t index) {
     SplitMix64 rng(31 + index);
-    mec::corrupt_block(edge_.cache_for_corruption().raw_block(index),
+    mec::corrupt_block(edge(0).cache_for_corruption().raw_block(index),
                        mec::CorruptionKind::kBitFlip, rng);
   }
-
-  ProtocolParams params_;
-  KeyPair keys_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::InMemoryChannel edge_csp_;
-  EdgeService edge_;
-  net::InMemoryChannel edge_channel_;
-  net::InMemoryChannel tpa_edge_;
-  net::InMemoryChannel user_tpa0_;
-  net::InMemoryChannel user_tpa1_;
-  UserClient user_;
 };
 
 TEST(LocalizeTest, CleanEdgeYieldsNothing) {
   LocalizeWorld w(8);
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_TRUE(result.corrupted.empty());
   EXPECT_EQ(result.proofs_requested, 1u);  // one passing root audit
 }
@@ -74,8 +45,8 @@ TEST(LocalizeTest, CleanEdgeYieldsNothing) {
 TEST(LocalizeTest, FindsSingleCorruptedBlock) {
   LocalizeWorld w(8);
   w.corrupt(6);
-  EXPECT_FALSE(w.user_.audit_edge(w.edge_channel_, 0));
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  EXPECT_FALSE(w.user().audit_edge(w.user_edge(0), 0));
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{6}));
   // Bisection over 8 blocks: at most 2*log2(8)+1 = 7 proofs.
   EXPECT_LE(result.proofs_requested, 7u);
@@ -86,21 +57,21 @@ TEST(LocalizeTest, FindsMultipleCorruptedBlocks) {
   w.corrupt(0);
   w.corrupt(14);
   w.corrupt(22);
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{0, 14, 22}));
 }
 
 TEST(LocalizeTest, AllBlocksCorrupted) {
   LocalizeWorld w(4);
   for (std::size_t i = 0; i < 4; ++i) w.corrupt(2 * i);
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{0, 2, 4, 6}));
 }
 
 TEST(LocalizeTest, CostIsLogarithmicForOneBadBlock) {
   LocalizeWorld w(32);
   w.corrupt(20);
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{20}));
   // One failing path down a depth-5 tree plus sibling passes:
   // worst case 2*5 + 1 = 11 proofs, versus 32 singleton audits.
@@ -109,11 +80,11 @@ TEST(LocalizeTest, CostIsLogarithmicForOneBadBlock) {
 
 TEST(LocalizeTest, UpdatedBlockIsNotMisreported) {
   LocalizeWorld w(8);
-  const EdgeClient edge(w.edge_channel_);
+  const EdgeClient edge(w.user_edge(0));
   const Bytes fresh = ice::testing::make_blocks(1, 64, 77)[0];
   edge.write(4, fresh);
-  w.user_.note_updated_block(4, fresh);
-  const auto result = w.user_.localize_corruption(w.edge_channel_);
+  w.user().note_updated_block(4, fresh);
+  const auto result = w.user().localize_corruption(w.user_edge(0));
   EXPECT_TRUE(result.corrupted.empty());
 }
 
@@ -121,18 +92,18 @@ TEST(LocalizeTest, InputValidation) {
   LocalizeWorld w(4);
   SplitMix64 gen(1);
   bn::Rng64Adapter rng(gen);
-  const EdgeClient edge(w.edge_channel_);
-  EXPECT_THROW(localize_corruption(w.keys_.pk, w.params_, edge, {0, 1},
+  const EdgeClient edge(w.user_edge(0));
+  EXPECT_THROW(localize_corruption(w.keys().pk, w.params(), edge, {0, 1},
                                    {bn::BigInt(1)}, rng),
                ParamError);
 }
 
 TEST(LocalizeTest, SubsetProofOfUncachedBlockErrors) {
   LocalizeWorld w(4);
-  const EdgeClient edge(w.edge_channel_);
+  const EdgeClient edge(w.user_edge(0));
   SplitMix64 gen(2);
   bn::Rng64Adapter rng(gen);
-  const bn::BigInt g_s = w.keys_.pk.g;
+  const bn::BigInt g_s = w.keys().pk.g;
   EXPECT_THROW((void)edge.subset_proof(bn::BigInt(5), g_s, {63}),
                ProtocolError);
 }

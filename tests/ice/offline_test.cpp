@@ -13,14 +13,12 @@
 #include "common/rng.h"
 #include "crypto/csprng.h"
 #include "crypto/prf.h"
-#include "ice/csp_service.h"
 #include "ice/edge_service.h"
 #include "ice/offline.h"
 #include "ice/tag.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
 #include "net/channel.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -317,55 +315,33 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
 
 // --- Service-level differential suite -----------------------------------
 
-/// One CSP + verifier TPA (+ replica) + one edge + user, with the offline
-/// split configurable at the verifier.
-class OfflineDeployment {
+/// One CSP + verifier TPA (+ replica) + one edge (8-block cache) + user
+/// over a 16-block file of seed 99, set up, with the offline split
+/// configurable at the verifier.
+class OfflineDeployment : public sim::Deployment {
  public:
-  OfflineDeployment(const OfflineConfig& offline, std::size_t parallelism,
-                    std::size_t n_blocks = 16, std::size_t block_bytes = 64)
-      : params_(ice::testing::test_params(block_bytes)),
-        csp_(mec::BlockStore::synthetic(n_blocks, block_bytes, 99)),
-        tpa0_(parallelism, offline),
-        tpa1_(parallelism),
-        tpa0_channel_(tpa0_),
-        tpa1_channel_(tpa1_),
-        edge_csp_(csp_),
-        edge_tpa_(tpa0_),
-        edge_(0, params_, ice::testing::test_keypair_256().pk,
-              mec::EdgeCache(8, mec::EvictionPolicy::kLru), edge_csp_,
-              &edge_tpa_),
-        edge_channel_(edge_),
-        user_(params_, ice::testing::test_keypair_256(), tpa0_channel_,
-              tpa1_channel_) {
-    tpa0_.register_edge(0, edge_channel_);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp_.store().size(); ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    user_.setup_file(blocks);
+  OfflineDeployment(const OfflineConfig& offline, std::size_t parallelism)
+      : sim::Deployment(with_parallelism(parallelism),
+                        ice::testing::test_keypair_256(), 16, 1, 8, 99,
+                        sim::Transport::kInProcess, offline) {
+    setup();
+  }
+
+  static ProtocolParams with_parallelism(std::size_t parallelism) {
+    ProtocolParams p = ice::testing::test_params(64);
+    p.parallelism = parallelism;
+    return p;
   }
 
   void wait_for_pool_depth(std::size_t depth) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (tpa0_.offline_stats().depth < depth &&
+    while (tpa(0).offline_stats().depth < depth &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_GE(tpa0_.offline_stats().depth, depth) << "pool never filled";
+    ASSERT_GE(tpa(0).offline_stats().depth, depth) << "pool never filled";
   }
-
-  ProtocolParams params_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::InMemoryChannel tpa0_channel_;
-  net::InMemoryChannel tpa1_channel_;
-  net::InMemoryChannel edge_csp_;
-  net::InMemoryChannel edge_tpa_;
-  EdgeService edge_;
-  net::InMemoryChannel edge_channel_;
-  UserClient user_;
 };
 
 OfflineConfig enabled_config(std::size_t capacity = 8,
@@ -386,27 +362,27 @@ TEST(OfflineServiceTest, OnlineMatchesColdAcrossConfigurations) {
   for (const auto parallelism : parallelisms) {
     OfflineDeployment online(enabled_config(), parallelism);
     OfflineDeployment cold(OfflineConfig{}, parallelism);
-    online.edge_.pre_download({1, 3, 4, 8});
-    cold.edge_.pre_download({1, 3, 4, 8});
+    online.edge(0).pre_download({1, 3, 4, 8});
+    cold.edge(0).pre_download({1, 3, 4, 8});
     online.wait_for_pool_depth(1);
 
-    EXPECT_TRUE(online.user_.audit_edge(online.edge_channel_, 0));
-    EXPECT_TRUE(cold.user_.audit_edge(cold.edge_channel_, 0));
+    EXPECT_TRUE(online.user().audit_edge(online.user_edge(0), 0));
+    EXPECT_TRUE(cold.user().audit_edge(cold.user_edge(0), 0));
 
     SplitMix64 rng(13);
-    mec::corrupt_random_blocks(online.edge_.cache_for_corruption(), 1,
+    mec::corrupt_random_blocks(online.edge(0).cache_for_corruption(), 1,
                                mec::CorruptionKind::kBitFlip, rng);
     SplitMix64 rng2(13);
-    mec::corrupt_random_blocks(cold.edge_.cache_for_corruption(), 1,
+    mec::corrupt_random_blocks(cold.edge(0).cache_for_corruption(), 1,
                                mec::CorruptionKind::kBitFlip, rng2);
     online.wait_for_pool_depth(1);
-    EXPECT_FALSE(online.user_.audit_edge(online.edge_channel_, 0));
-    EXPECT_FALSE(cold.user_.audit_edge(cold.edge_channel_, 0));
+    EXPECT_FALSE(online.user().audit_edge(online.user_edge(0), 0));
+    EXPECT_FALSE(cold.user().audit_edge(cold.user_edge(0), 0));
 
-    const OfflineStats stats = online.tpa0_.offline_stats();
+    const OfflineStats stats = online.tpa(0).offline_stats();
     EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
-    EXPECT_EQ(cold.tpa0_.offline_stats().hits +
-                  cold.tpa0_.offline_stats().misses,
+    EXPECT_EQ(cold.tpa(0).offline_stats().hits +
+                  cold.tpa(0).offline_stats().misses,
               0u)
         << "cold service touched the pool";
   }
@@ -414,14 +390,14 @@ TEST(OfflineServiceTest, OnlineMatchesColdAcrossConfigurations) {
 
 TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
   OfflineDeployment d(enabled_config(), 1);
-  d.edge_.pre_download({2, 5, 9});
+  d.edge(0).pre_download({2, 5, 9});
   // Drain the pool and cut off the refill source: every subsequent audit
   // is a deterministic pool miss served by the cold fallback.
-  d.tpa0_.challenge_pool().invalidate();
+  d.tpa(0).challenge_pool().invalidate();
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(d.user_.audit_edge(d.edge_channel_, 0));
+    EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
   }
-  const OfflineStats stats = d.tpa0_.offline_stats();
+  const OfflineStats stats = d.tpa(0).offline_stats();
   EXPECT_GE(stats.misses, 3u);
   EXPECT_EQ(stats.depth, 0u);
 }
@@ -430,17 +406,17 @@ TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
   // coeff_count below |S_j|: the session's precomputed prefix is too short,
   // so verification re-expands online — and must still pass.
   OfflineDeployment d(enabled_config(8, 2), 1);
-  d.edge_.pre_download({0, 1, 2, 3, 6});
+  d.edge(0).pre_download({0, 1, 2, 3, 6});
   d.wait_for_pool_depth(1);
-  EXPECT_TRUE(d.user_.audit_edge(d.edge_channel_, 0));
-  EXPECT_GE(d.tpa0_.offline_stats().hits, 1u);
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
+  EXPECT_GE(d.tpa(0).offline_stats().hits, 1u);
 }
 
 TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
   OfflineDeployment d(enabled_config(), 1);
-  d.edge_.pre_download({1, 2, 7});
+  d.edge(0).pre_download({1, 2, 7});
   d.wait_for_pool_depth(1);
-  const std::uint64_t gen_before = d.tpa0_.challenge_pool().generation();
+  const std::uint64_t gen_before = d.tpa(0).challenge_pool().generation();
 
   // Rotate the key: a fresh generator draw under the same modulus (edges
   // keep their modulus for a file's lifetime). setup_file re-tags every
@@ -448,23 +424,23 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
   // above — their g_s values are powers of the OLD generator.
   const KeyPair rotated = ice::testing::test_keypair_256(1);
   ASSERT_NE(rotated.pk.g, ice::testing::test_keypair_256().pk.g);
-  UserClient user2(d.params_, rotated, d.tpa0_channel_, d.tpa1_channel_);
+  UserClient user2(d.params(), rotated, d.user_tpa(0), d.user_tpa(1));
   std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < d.csp_.store().size(); ++i) {
-    blocks.push_back(d.csp_.store().block(i));
+  for (std::size_t i = 0; i < d.csp().store().size(); ++i) {
+    blocks.push_back(d.csp().store().block(i));
   }
   user2.setup_file(blocks);
-  EXPECT_GT(d.tpa0_.challenge_pool().generation(), gen_before);
+  EXPECT_GT(d.tpa(0).challenge_pool().generation(), gen_before);
 
   // Re-provision the edge for the rotated key: a fresh cache pulls the
   // re-tagged blocks (the old edge's cached tags are stale by design).
-  net::InMemoryChannel edge_csp2(d.csp_);
-  net::InMemoryChannel edge_tpa2(d.tpa0_);
-  EdgeService edge2(1, d.params_, rotated.pk,
+  net::InMemoryChannel edge_csp2(d.csp());
+  net::InMemoryChannel edge_tpa2(d.tpa(0));
+  EdgeService edge2(1, d.params(), rotated.pk,
                     mec::EdgeCache(8, mec::EvictionPolicy::kLru), edge_csp2,
                     &edge_tpa2);
   net::InMemoryChannel edge2_channel(edge2);
-  d.tpa0_.register_edge(1, edge2_channel);
+  d.tpa(0).register_edge(1, edge2_channel);
   edge2.pre_download({1, 2, 7});
 
   // Every audit after rotation verifies under the new key: a stale bundle
@@ -477,11 +453,11 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
 
 TEST(OfflineServiceTest, BatchBeginServedFromPool) {
   OfflineDeployment d(enabled_config(), 1);
-  d.edge_.pre_download({1, 4, 6});
+  d.edge(0).pre_download({1, 4, 6});
   d.wait_for_pool_depth(1);
-  std::vector<net::RpcChannel*> edges{&d.edge_channel_};
-  EXPECT_TRUE(d.user_.audit_edges_batch(edges));
-  EXPECT_GE(d.tpa0_.offline_stats().hits, 1u);
+  std::vector<net::RpcChannel*> edges{&d.user_edge(0)};
+  EXPECT_TRUE(d.user().audit_edges_batch(edges));
+  EXPECT_GE(d.tpa(0).offline_stats().hits, 1u);
 }
 
 }  // namespace

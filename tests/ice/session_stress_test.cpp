@@ -13,12 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "ice/wire.h"
-#include "net/channel.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -27,64 +23,24 @@ namespace {
 constexpr std::size_t kBlocks = 16;
 constexpr std::size_t kBlockBytes = 64;
 
-/// One CSP, two edges, verifier TPA + replica, all in-process. Matches the
-/// e2e deployments but sized for fast repeated audits.
-class StressWorld {
+/// One CSP, two edges (caching blocks 0-5 and 4-9), verifier TPA +
+/// replica, all in-process at one thread budget, set up by the owner.
+class StressWorld : public sim::Deployment {
  public:
   explicit StressWorld(std::size_t parallelism)
-      : params_(ice::testing::test_params(kBlockBytes)),
-        keys_(ice::testing::test_keypair_256()),
-        csp_(mec::BlockStore::synthetic(kBlocks, kBlockBytes, 5),
-             parallelism),
-        tpa0_(parallelism),
-        tpa1_(parallelism),
-        edge0_csp_(csp_),
-        edge1_csp_(csp_),
-        edge0_tpa_(tpa0_),
-        edge1_tpa_(tpa0_),
-        edge0_(0, with_parallelism(params_, parallelism), keys_.pk,
-               mec::EdgeCache(kBlocks, mec::EvictionPolicy::kLru),
-               edge0_csp_, &edge0_tpa_),
-        edge1_(1, with_parallelism(params_, parallelism), keys_.pk,
-               mec::EdgeCache(kBlocks, mec::EvictionPolicy::kLru),
-               edge1_csp_, &edge1_tpa_),
-        tpa0_edge0_(edge0_),
-        tpa0_edge1_(edge1_),
-        owner_tpa0_(tpa0_),
-        owner_tpa1_(tpa1_),
-        owner_(params_, keys_, owner_tpa0_, owner_tpa1_) {
-    tpa0_.register_edge(0, tpa0_edge0_);
-    tpa0_.register_edge(1, tpa0_edge1_);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    owner_.setup_file(blocks);
-    edge0_.pre_download({0, 1, 2, 3, 4, 5});
-    edge1_.pre_download({4, 5, 6, 7, 8, 9});
+      : sim::Deployment(with_parallelism(parallelism),
+                        ice::testing::test_keypair_256(), kBlocks, 2,
+                        kBlocks, 5) {
+    setup();
+    edge(0).pre_download({0, 1, 2, 3, 4, 5});
+    edge(1).pre_download({4, 5, 6, 7, 8, 9});
   }
 
-  static ProtocolParams with_parallelism(ProtocolParams p, std::size_t par) {
+  static ProtocolParams with_parallelism(std::size_t par) {
+    ProtocolParams p = ice::testing::test_params(kBlockBytes);
     p.parallelism = par;
     return p;
   }
-
-  ProtocolParams params_;
-  KeyPair keys_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::InMemoryChannel edge0_csp_;
-  net::InMemoryChannel edge1_csp_;
-  net::InMemoryChannel edge0_tpa_;
-  net::InMemoryChannel edge1_tpa_;
-  EdgeService edge0_;
-  EdgeService edge1_;
-  net::InMemoryChannel tpa0_edge0_;
-  net::InMemoryChannel tpa0_edge1_;
-  net::InMemoryChannel owner_tpa0_;
-  net::InMemoryChannel owner_tpa1_;
-  UserClient owner_;
 };
 
 class SessionStressTest : public ::testing::TestWithParam<std::size_t> {};
@@ -102,17 +58,16 @@ TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
     threads.emplace_back([&w, &ok, t] {
       // Each thread is its own user session sharing the owner's key pair
       // and the deployment's channels (channels are thread-safe).
-      UserClient user(w.params_, w.keys_, w.owner_tpa0_, w.owner_tpa1_);
+      UserClient user(ice::testing::test_params(kBlockBytes), w.keys(),
+                      w.user_tpa(0), w.user_tpa(1));
       user.attach_file(kBlocks);
       bool good = true;
       try {
         for (int round = 0; round < kRounds; ++round) {
           const std::uint32_t edge_id =
               static_cast<std::uint32_t>((t + round) % 2);
-          net::RpcChannel& edge_channel =
-              edge_id == 0 ? w.tpa0_edge0_ : w.tpa0_edge1_;
-          good &= user.audit_edge(edge_channel, edge_id);
-          good &= user.audit_edges_batch({&w.tpa0_edge0_, &w.tpa0_edge1_});
+          good &= user.audit_edge(w.user_edge(edge_id), edge_id);
+          good &= user.audit_edges_batch(w.user_edges());
         }
       } catch (const std::exception&) {
         good = false;
@@ -125,7 +80,7 @@ TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
     EXPECT_TRUE(ok[t]) << "thread " << t << " parallelism " << parallelism;
   }
   // Every audit got a verdict: kThreads * kRounds basic + as many batch.
-  EXPECT_EQ(w.tpa0_.audit_log().size(), kThreads * kRounds * 2);
+  EXPECT_EQ(w.tpa(0).audit_log().size(), kThreads * kRounds * 2);
 }
 
 // parallelism 1 = serial protocol math, 4 = fixed pool fan-out, 0 =
@@ -135,8 +90,8 @@ INSTANTIATE_TEST_SUITE_P(Parallelism, SessionStressTest,
 
 TEST(SessionCollisionTest, StartAuditRefusesLiveSessionId) {
   StressWorld w(1);
-  const TpaClient tpa(w.owner_tpa0_);
-  const EdgeClient edge(w.tpa0_edge0_);
+  const TpaClient tpa(w.user_tpa(0));
+  const EdgeClient edge(w.user_edge(0));
   edge.share_blinding(1001, bn::BigInt(7));
   tpa.start_audit(0, 1001);
   // The id is live (proof parked, tags not yet submitted): a second
@@ -152,7 +107,7 @@ TEST(SessionCollisionTest, StartAuditRefusesLiveSessionId) {
 
 TEST(SessionCollisionTest, BatchBeginRefusesLiveBatchId) {
   StressWorld w(1);
-  const TpaClient tpa(w.owner_tpa0_);
+  const TpaClient tpa(w.user_tpa(0));
   (void)tpa.batch_begin(2002, 2);
   try {
     (void)tpa.batch_begin(2002, 2);
@@ -164,7 +119,7 @@ TEST(SessionCollisionTest, BatchBeginRefusesLiveBatchId) {
 
 TEST(SessionCollisionTest, ShareBlindingRefusesLiveSessionId) {
   StressWorld w(1);
-  const EdgeClient edge(w.tpa0_edge0_);
+  const EdgeClient edge(w.user_edge(0));
   edge.share_blinding(3003, bn::BigInt(7));
   try {
     edge.share_blinding(3003, bn::BigInt(9));
@@ -177,7 +132,7 @@ TEST(SessionCollisionTest, ShareBlindingRefusesLiveSessionId) {
 TEST(SessionCollisionTest, RacingStartAuditsOneWinner) {
   StressWorld w(1);
   constexpr std::size_t kThreads = 6;
-  const EdgeClient edge(w.tpa0_edge0_);
+  const EdgeClient edge(w.user_edge(0));
   for (int round = 0; round < 5; ++round) {
     const std::uint64_t id = 5000 + static_cast<std::uint64_t>(round);
     edge.share_blinding(id, bn::BigInt(7));
@@ -188,7 +143,7 @@ TEST(SessionCollisionTest, RacingStartAuditsOneWinner) {
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&w, &winners, &already_exists, id] {
         try {
-          TpaClient(w.owner_tpa0_).start_audit(0, id);
+          TpaClient(w.user_tpa(0)).start_audit(0, id);
           winners.fetch_add(1);
         } catch (const net::RemoteError& e) {
           if (e.status() == net::Status::kAlreadyExists) {

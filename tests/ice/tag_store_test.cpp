@@ -48,43 +48,11 @@ TEST_F(TagStoreTest, UpdateStagesUntilEpochClose) {
   store.update(2, fresh);
   EXPECT_EQ(store.tag(2), tags[2]);  // snapshot isolation: staged only
   EXPECT_EQ(store.staged_updates(), 1u);
-  const auto closed = store.close_epoch(/*force=*/true);
+  const auto closed = store.close_epoch();
   EXPECT_TRUE(closed.closed);
   EXPECT_EQ(closed.rows_merged, 1u);
   EXPECT_EQ(store.tag(2), fresh);
   EXPECT_EQ(store.epoch(), closed.epoch);
-}
-
-// A non-forced close defers while any SnapshotPin is outstanding; dropping
-// the pin lets it through. This is the operator-tooling guard — the
-// verifier-driven path forces, its own epoch gate excludes its audits.
-TEST_F(TagStoreTest, PinsRefuseNonForcedClose) {
-  const auto blocks = ice::testing::make_blocks(4, 64, 12);
-  TagStore store(params_, tagger_.tag_all(blocks));
-  const bn::BigInt fresh =
-      tagger_.tag(ice::testing::make_blocks(1, 64, 13)[0]);
-  store.update(1, fresh);
-
-  SnapshotPin pin = store.pin();
-  EXPECT_EQ(store.pins_active(), 1u);
-  const auto refused = store.close_epoch(/*force=*/false);
-  EXPECT_FALSE(refused.closed);
-  EXPECT_EQ(store.staged_updates(), 1u);  // nothing merged
-  EXPECT_EQ(store.epoch_stats().closes_skipped, 1u);
-
-  {
-    SnapshotPin copy = pin;  // copies share the pin, count stays 1-owner
-    EXPECT_EQ(store.pins_active(), 1u);
-  }
-  pin.reset();
-  EXPECT_EQ(store.pins_active(), 0u);
-  EXPECT_TRUE(store.close_epoch(/*force=*/false).closed);
-  EXPECT_EQ(store.tag(1), fresh);
-
-  const auto stats = store.epoch_stats();
-  EXPECT_EQ(stats.pins_taken, 1u);
-  EXPECT_EQ(stats.db.epochs_closed, 1u);
-  EXPECT_EQ(stats.db.rows_merged, 1u);
 }
 
 TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
@@ -143,12 +111,12 @@ TEST_F(TagStoreTest, StaleQueryEpochIsRejectedTyped) {
   pir::PirResponse out;
   EXPECT_THROW(store.respond(1, enc.queries[0], out), StaleEpochError);
 
-  EXPECT_FALSE(store.close_epoch(/*force=*/true).closed);
+  EXPECT_FALSE(store.close_epoch().closed);
   EXPECT_NO_THROW(store.respond(0, enc.queries[0], out));
   EXPECT_EQ(out.entries.size(), 2u);
 
   store.update(3, tags[4]);
-  ASSERT_TRUE(store.close_epoch(/*force=*/true).closed);
+  ASSERT_TRUE(store.close_epoch().closed);
   EXPECT_THROW(store.respond(0, enc.queries[0], out), StaleEpochError);
   EXPECT_EQ(store.append(tags[5]), 20u);
   EXPECT_EQ(store.epoch(), 2u);
@@ -166,8 +134,8 @@ TEST_F(TagStoreTest, RetrievalAfterUpdateAndCloseSeesNewTag) {
   // Pre-close retrieval decodes the epoch-t snapshot on both replicas.
   const auto pre = retrieve_tags_direct(tpa0, tpa1, {{3}}, rng_);
   EXPECT_EQ(pre[0], tags[3]);
-  ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
-  ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
+  ASSERT_TRUE(tpa0.close_epoch().closed);
+  ASSERT_TRUE(tpa1.close_epoch().closed);
   const auto got = retrieve_tags_direct(tpa0, tpa1, {{3}}, rng_);
   EXPECT_EQ(got[0], fresh);
 }

@@ -3,112 +3,57 @@
 // sockets — the closest analogue of the paper's physical testbed.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "common/rng.h"
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
-#include "ice/user_client.h"
 #include "mec/corruption.h"
-#include "net/tcp.h"
+#include "sim/deployment.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
 namespace {
 
-class TcpDeployment {
+/// Every service behind its own TcpServer; the file (seed 31337) is tagged
+/// and uploaded before the test body runs.
+class TcpDeployment : public sim::Deployment {
  public:
   TcpDeployment(std::size_t n_blocks, std::size_t num_edges)
-      : params_(ice::testing::test_params(64)),
-        keys_(ice::testing::test_keypair_256()),
-        csp_(mec::BlockStore::synthetic(n_blocks, 64, 31337)),
-        csp_server_(csp_),
-        tpa0_server_(tpa0_),
-        tpa1_server_(tpa1_) {
-    for (std::size_t j = 0; j < num_edges; ++j) {
-      auto csp_ch = std::make_unique<net::TcpChannel>("127.0.0.1",
-                                                      csp_server_.port());
-      auto tpa_ch = std::make_unique<net::TcpChannel>("127.0.0.1",
-                                                      tpa0_server_.port());
-      auto edge = std::make_unique<EdgeService>(
-          static_cast<std::uint32_t>(j), params_, keys_.pk,
-          mec::EdgeCache(16, mec::EvictionPolicy::kLru), *csp_ch,
-          tpa_ch.get());
-      auto server = std::make_unique<net::TcpServer>(*edge);
-      auto edge_ch = std::make_unique<net::TcpChannel>("127.0.0.1",
-                                                       server->port());
-      tpa0_.register_edge(static_cast<std::uint32_t>(j), *edge_ch);
-      csp_channels_.push_back(std::move(csp_ch));
-      tpa_back_channels_.push_back(std::move(tpa_ch));
-      edges_.push_back(std::move(edge));
-      edge_servers_.push_back(std::move(server));
-      edge_channels_.push_back(std::move(edge_ch));
-    }
-    user_tpa0_ = std::make_unique<net::TcpChannel>("127.0.0.1",
-                                                   tpa0_server_.port());
-    user_tpa1_ = std::make_unique<net::TcpChannel>("127.0.0.1",
-                                                   tpa1_server_.port());
-    user_ = std::make_unique<UserClient>(params_, keys_, *user_tpa0_,
-                                         *user_tpa1_);
-    std::vector<Bytes> blocks;
-    for (std::size_t i = 0; i < csp_.store().size(); ++i) {
-      blocks.push_back(csp_.store().block(i));
-    }
-    user_->setup_file(blocks);
+      : sim::Deployment(ice::testing::test_params(64),
+                        ice::testing::test_keypair_256(), n_blocks,
+                        num_edges, 16, 31337, sim::Transport::kTcp) {
+    setup();
   }
-
-  ProtocolParams params_;
-  KeyPair keys_;
-  CspService csp_;
-  TpaService tpa0_;
-  TpaService tpa1_;
-  net::TcpServer csp_server_;
-  net::TcpServer tpa0_server_;
-  net::TcpServer tpa1_server_;
-  std::vector<std::unique_ptr<net::TcpChannel>> csp_channels_;
-  std::vector<std::unique_ptr<net::TcpChannel>> tpa_back_channels_;
-  std::vector<std::unique_ptr<EdgeService>> edges_;
-  std::vector<std::unique_ptr<net::TcpServer>> edge_servers_;
-  std::vector<std::unique_ptr<net::TcpChannel>> edge_channels_;
-  std::unique_ptr<net::TcpChannel> user_tpa0_;
-  std::unique_ptr<net::TcpChannel> user_tpa1_;
-  std::unique_ptr<UserClient> user_;
 };
 
 TEST(TcpE2eTest, BasicAuditOverSockets) {
   TcpDeployment d(16, 1);
-  d.edges_[0]->pre_download({1, 4, 9});
-  EXPECT_TRUE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  d.edge(0).pre_download({1, 4, 9});
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(TcpE2eTest, CorruptionDetectedOverSockets) {
   TcpDeployment d(16, 1);
-  d.edges_[0]->pre_download({1, 4, 9});
+  d.edge(0).pre_download({1, 4, 9});
   SplitMix64 rng(3);
-  mec::corrupt_random_blocks(d.edges_[0]->cache_for_corruption(), 1,
+  mec::corrupt_random_blocks(d.edge(0).cache_for_corruption(), 1,
                              mec::CorruptionKind::kGarbage, rng);
-  EXPECT_FALSE(d.user_->audit_edge(*d.edge_channels_[0], 0));
+  EXPECT_FALSE(d.user().audit_edge(d.user_edge(0), 0));
 }
 
 TEST(TcpE2eTest, BatchAuditOverSockets) {
   TcpDeployment d(16, 2);
-  d.edges_[0]->pre_download({0, 1, 2});
-  d.edges_[1]->pre_download({1, 2, 3});
-  std::vector<net::RpcChannel*> channels;
-  for (auto& ch : d.edge_channels_) channels.push_back(ch.get());
-  EXPECT_TRUE(d.user_->audit_edges_batch(channels));
+  d.edge(0).pre_download({0, 1, 2});
+  d.edge(1).pre_download({1, 2, 3});
+  EXPECT_TRUE(d.user().audit_edges_batch(d.user_edges()));
 }
 
 TEST(TcpE2eTest, ReadAndWriteThroughEdgeOverSockets) {
   TcpDeployment d(16, 1);
-  const EdgeClient edge(*d.edge_channels_[0]);
-  EXPECT_EQ(edge.read(5), d.csp_.store().block(5));
+  const EdgeClient edge(d.user_edge(0));
+  EXPECT_EQ(edge.read(5), d.csp().store().block(5));
   const Bytes fresh = ice::testing::make_blocks(1, 64, 44)[0];
   edge.write(5, fresh);
   EXPECT_EQ(edge.read(5), fresh);
   EXPECT_EQ(edge.flush(), 1u);
-  EXPECT_EQ(d.csp_.store().block(5), fresh);
+  EXPECT_EQ(d.csp().store().block(5), fresh);
 }
 
 }  // namespace

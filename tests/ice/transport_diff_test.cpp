@@ -8,18 +8,11 @@
 // alone.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <vector>
 
-#include "ice/csp_service.h"
-#include "ice/edge_service.h"
-#include "ice/tpa_service.h"
 #include "ice/wire.h"
-#include "mec/block_store.h"
-#include "mec/edge_cache.h"
-#include "net/channel.h"
-#include "net/tcp.h"
+#include "sim/deployment.h"
 #include "support/fake_transport.h"
 #include "support/ice_fixtures.h"
 
@@ -31,53 +24,29 @@ using net::testing::frame_request;
 using net::testing::RawTcpClient;
 using net::testing::wire_abuse_corpus;
 
-/// One CSP + edge + TPA deployment. When `served`, every service sits
-/// behind its own TcpServer and the edge reaches the CSP over TCP;
-/// otherwise the edge calls the CSP through an InMemoryChannel and callers
-/// use handler_for(). The service state is constructed identically either
-/// way, and each corpus is replayed in the same order, so state evolution
-/// matches too.
-struct Deployment {
+/// A fresh deployment (no tags stored) with one edge. When `served`,
+/// every service sits behind its own TcpServer and every channel is TCP;
+/// otherwise callers use handler_for(). The service state is constructed
+/// identically either way, and each corpus is replayed in the same order,
+/// so state evolution matches too.
+struct Deployment : sim::Deployment {
   explicit Deployment(bool served)
-      : params(ice::testing::test_params(64)),
-        keys(ice::testing::test_keypair_256()),
-        csp(mec::BlockStore::synthetic(16, 64, 31337)),
-        csp_server(serve(csp, served)),
-        csp_channel(served ? std::unique_ptr<net::RpcChannel>(
-                                 std::make_unique<net::TcpChannel>(
-                                     "127.0.0.1", csp_server->port()))
-                           : std::make_unique<net::InMemoryChannel>(csp)),
-        edge(0, params, keys.pk, mec::EdgeCache(8, mec::EvictionPolicy::kLru),
-             *csp_channel, nullptr),
-        tpa_server(serve(tpa, served)),
-        edge_server(serve(edge, served)) {}
-
-  static std::unique_ptr<net::TcpServer> serve(net::RpcHandler& handler,
-                                               bool served) {
-    return served ? std::make_unique<net::TcpServer>(handler) : nullptr;
-  }
+      : sim::Deployment(ice::testing::test_params(64),
+                        ice::testing::test_keypair_256(), 16, 1, 8, 31337,
+                        served ? sim::Transport::kTcp
+                               : sim::Transport::kInProcess) {}
 
   /// The service a method id belongs to (by the wire.h numbering bands).
   net::RpcHandler& handler_for(std::uint16_t method) {
-    if (method < 200) return csp;
-    if (method < 300) return edge;
-    return tpa;
+    if (method < 200) return csp();
+    if (method < 300) return edge(0);
+    return tpa(0);
   }
-  net::TcpServer& server_for(std::uint16_t method) {
-    if (method < 200) return *csp_server;
-    if (method < 300) return *edge_server;
-    return *tpa_server;
+  std::uint16_t port_for(std::uint16_t method) const {
+    if (method < 200) return csp_port();
+    if (method < 300) return edge_port(0);
+    return tpa_port(0);
   }
-
-  ProtocolParams params;
-  KeyPair keys;
-  CspService csp;
-  TpaService tpa;
-  std::unique_ptr<net::TcpServer> csp_server;
-  std::unique_ptr<net::RpcChannel> csp_channel;
-  EdgeService edge;
-  std::unique_ptr<net::TcpServer> tpa_server;
-  std::unique_ptr<net::TcpServer> edge_server;
 };
 
 struct WireCase {
@@ -129,7 +98,7 @@ std::string hex(const Bytes& b) {
 std::vector<Bytes> replay_scripted_tcp(Deployment& d) {
   std::vector<Bytes> transcript;
   for (const WireCase& c : scripted_corpus()) {
-    RawTcpClient client(d.server_for(c.method).port());
+    RawTcpClient client(d.port_for(c.method));
     client.send_request(c.method, c.payload);
     transcript.push_back(client.recv_response());
   }
@@ -175,7 +144,7 @@ std::vector<Bytes> replay_pipelined_tcp(Deployment& d) {
     const Bytes f = frame_request(c.method, c.payload);
     stream.insert(stream.end(), f.begin(), f.end());
   }
-  RawTcpClient client(d.csp_server->port());
+  RawTcpClient client(d.csp_port());
   client.send(stream);
   std::vector<Bytes> transcript;
   transcript.reserve(cases.size());
@@ -188,7 +157,7 @@ std::vector<Bytes> replay_pipelined_tcp(Deployment& d) {
 std::vector<Bytes> replay_pipelined_direct(Deployment& d) {
   std::vector<Bytes> transcript;
   for (const WireCase& c : pipelined_cases()) {
-    transcript.push_back(d.csp.handle(c.method, c.payload));
+    transcript.push_back(d.csp().handle(c.method, c.payload));
   }
   return transcript;
 }
@@ -211,7 +180,7 @@ TEST(TransportDiffTest, AbuseCorpusDropsConnectionsAtTheServices) {
   const Bytes valid = frame_request(kCspInfo, {});
   for (const AbuseCase& abuse : wire_abuse_corpus(valid)) {
     SCOPED_TRACE(abuse.name);
-    RawTcpClient client(served.csp_server->port());
+    RawTcpClient client(served.csp_port());
     client.send(abuse.stream);
     client.shutdown_write();
     for (std::size_t i = 0; i < abuse.expected_responses; ++i) {

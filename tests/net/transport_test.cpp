@@ -1,4 +1,4 @@
-// Tests for the in-memory channel (byte accounting, link model) and the TCP
+// Tests for the in-memory channel (byte accounting) and the TCP
 // transport (framing, concurrency, failure handling).
 #include <gtest/gtest.h>
 
@@ -47,21 +47,6 @@ TEST(InMemoryChannelTest, RoundTripAndCounting) {
   EXPECT_EQ(ch.stats().bytes_received, resp.size() + kRpcHeaderBytes);
   ch.reset_stats();
   EXPECT_EQ(ch.stats().calls, 0u);
-}
-
-TEST(InMemoryChannelTest, LinkModelAccumulates) {
-  EchoHandler handler;
-  // 10 ms latency, 1 Mbit/s.
-  InMemoryChannel ch(handler, LinkModel{0.010, 1e6});
-  ch.call(1, Bytes(119, 0));  // request 119 + 6 header = 125 B
-  // Echo response is 120 B payload + 6 header = 126 B; latency both ways.
-  const double expect = 0.020 + 125 * 8 / 1e6 + 126 * 8 / 1e6;
-  EXPECT_NEAR(ch.modeled_seconds(), expect, 1e-9);
-}
-
-TEST(LinkModelTest, InfiniteBandwidthIsLatencyOnly) {
-  const LinkModel m{0.005, 0};
-  EXPECT_DOUBLE_EQ(m.transfer_seconds(1 << 20), 0.005);
 }
 
 /// Names the one server transport, the epoll reactor, in the

@@ -47,7 +47,11 @@
 # sweep races through ParallelDiffTest, TagServiceTest, UpdateEpochTest
 # and EpochServiceTest. The 309/310 codecs' truncation and hostile-count
 # cases (WireTest.*) and the retired 302/311 ids (FuzzTest.*) run under
-# ASan+UBSan.
+# ASan+UBSan. Every end-to-end fixture builds sim::Deployment (DESIGN.md
+# §16); its in-process and loopback-TCP wirings are gated under TSan by
+# SessionStressTest, EpochServiceTest, TcpE2eTest, TransportDiffTest and
+# OfflineServiceTest, and under ASan+UBSan by E2eTest, TcpE2eTest,
+# TransportDiffTest, FuzzTest, LocalizeTest and DynamicsTest.
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite

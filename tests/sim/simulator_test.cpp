@@ -124,7 +124,7 @@ TEST(UpdateStormTest, AuditsStayGreenThroughTheStorm) {
   EXPECT_GT(r.updates_staged, 0u);
   EXPECT_EQ(r.audits, 4u);
   // The tentpole acceptance: one audit per round runs MID-STORM against
-  // the pinned snapshot (with session notes covering dirty blocks) and
+  // the epoch snapshot (with session notes covering dirty blocks) and
   // every verdict passes.
   EXPECT_EQ(r.failed_audits, 0u);
   EXPECT_GT(r.epoch_closes, 0u);
@@ -132,7 +132,6 @@ TEST(UpdateStormTest, AuditsStayGreenThroughTheStorm) {
   // Epoch-engine counters flow through from the verifier TPA.
   EXPECT_EQ(r.epochs_closed, r.epoch_closes);
   EXPECT_GE(r.rows_merged, r.epochs_closed);
-  EXPECT_GE(r.pins_taken, r.audits);
   EXPECT_GT(r.updates_per_second(), 0.0);
 }
 
