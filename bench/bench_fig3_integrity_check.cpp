@@ -1,7 +1,8 @@
 // Fig. 3 — Computation cost on the TPA: Integrity Checking.
 //
-// Two TPA-side steps are timed: generating the challenge for the edge and
-// verifying the proof against the repacked tags.
+// Two TPA-side steps are timed: generating the challenge for the edge (g^s
+// and its 15-rung power ladder, DESIGN.md §8) and verifying the proof
+// against the repacked tags.
 // Expected shape (paper): challenge time is flat in |S_j| and n; verify
 // time grows with |S_j|; everything stays in the tens-of-milliseconds
 // range (<= 50 ms in the paper at |N| = 1024).
@@ -21,7 +22,8 @@ struct Timing {
 };
 
 Timing measure(const proto::KeyPair& keys, const proto::ProtocolParams& params,
-               std::size_t s_j, std::uint64_t seed) {
+               const proto::RungBases& rungs, std::size_t s_j,
+               std::uint64_t seed) {
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
   const proto::TagGenerator tagger(keys.pk);
@@ -32,7 +34,7 @@ Timing measure(const proto::KeyPair& keys, const proto::ProtocolParams& params,
   proto::ChallengeSecret secret;
   proto::Challenge chal;
   t.challenge_ms = 1e3 * time_median(5, [&] {
-    chal = proto::make_challenge(keys.pk, params, rng, secret);
+    chal = proto::make_challenge(keys.pk, params, rng, secret, &rungs);
   });
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   const proto::Proof proof =
@@ -59,6 +61,10 @@ int main(int argc, char** argv) {
                                             // block-size independent on the
                                             // TPA side)
   const proto::KeyPair keys = bench_keypair(params.modulus_bits);
+  // The TPA's per-key ladder, built before any clock starts (the TPA
+  // builds it once per key, on the first challenge).
+  const proto::RungBases rungs(keys.pk, params);
+  (void)rungs.raise(bn::BigInt(1));
 
   std::printf("\nFig. 3a: |N| = %zu, |S_j| sweep\n", params.modulus_bits);
   std::printf("%-8s %16s %16s\n", "|S_j|", "challenge (ms)", "verify (ms)");
@@ -66,7 +72,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{2}
             : std::vector<std::size_t>{1, 2, 4, 6, 8, 10};
   for (std::size_t s_j : sj_sweep) {
-    const Timing t = measure(keys, params, s_j, 100 + s_j);
+    const Timing t = measure(keys, params, rungs, s_j, 100 + s_j);
     std::printf("%-8zu %16.2f %16.2f\n", s_j, t.challenge_ms, t.verify_ms);
   }
 
@@ -77,7 +83,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{40}
             : std::vector<std::size_t>{40, 80, 120, 160, 200};
   for (std::size_t n : n_sweep) {
-    const Timing t = measure(keys, params, 5, 200 + n);
+    const Timing t = measure(keys, params, rungs, 5, 200 + n);
     std::printf("%-8zu %16.2f %16.2f\n", n, t.challenge_ms, t.verify_ms);
   }
 

@@ -1,11 +1,13 @@
 // Fig. 6 — Computation cost on the edges: proof generation.
 //
 // The edge's cost is one modular exponentiation whose exponent is the
-// coefficient-weighted sum of its |S_j| blocks. Expected shape (paper):
-// nearly flat in |S_j| (the modexp dominates; coefficient expansion and
+// coefficient-weighted sum of its |S_j| blocks, computed through the
+// challenge's 16-rung power ladder (DESIGN.md §8): a multi-exp whose
+// squaring chain is 1/16 of the exponent. Expected shape (paper): nearly
+// flat in |S_j| (the modexp dominates; coefficient expansion and
 // big-integer additions are negligible) and linear in the block size
 // (256KB -> 512KB -> 1024KB gave 0.74 -> 1.45 -> 2.93 s on the paper's
-// T470 laptop at |N| = 1024).
+// T470 laptop at |N| = 1024, with no ladder).
 //
 // We sweep scaled blocks (16/32/64 KB) for the |S_j| grid and add the
 // paper's full 256KB/512KB/1024KB sizes at |S_j| = 3 as single-shot
@@ -23,14 +25,17 @@ using namespace ice;
 using namespace ice::bench;
 
 double proof_seconds(const proto::KeyPair& keys,
-                     const proto::ProtocolParams& params,
+                     proto::ProtocolParams params,
                      const std::vector<Bytes>& blocks, std::uint64_t seed,
                      int reps) {
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
+  // The TPA's ladder for this block size, built before the clock starts.
+  params.block_bytes = blocks.front().size();
+  const proto::RungBases rungs(keys.pk, params);
   proto::ChallengeSecret secret;
   const proto::Challenge chal =
-      proto::make_challenge(keys.pk, params, rng, secret);
+      proto::make_challenge(keys.pk, params, rng, secret, &rungs);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   return time_median(reps, [&] {
     (void)proto::make_proof(keys.pk, params, blocks, chal, s_tilde);
@@ -40,10 +45,12 @@ double proof_seconds(const proto::KeyPair& keys,
 // Thread sweep: the same work at parallelism 1/2/4/hw, two shapes.
 //
 //   single proof — one make_proof call: the aggregation chunks across the
-//     pool but the closing modexp is a sequential squaring chain, so this
-//     row stays ~flat (documents WHERE threads do not help);
+//     pool and the ladder's 16 rungs split over the threads, each thread
+//     running its own L-long squaring chain, so this row falls as threads
+//     are added (at about 1.9x the serial CPU at 4 threads);
 //   ICE-batch round — J per-edge proofs fanned out by make_batch_proofs:
-//     independent modexps, the shape that scales with cores.
+//     independent proofs, each serial on its own worker, so no chain is
+//     repeated.
 void run_thread_sweep(const ice::proto::KeyPair& keys) {
   using namespace ice;
   using namespace ice::bench;
@@ -58,6 +65,8 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
 
   proto::ProtocolParams params;
   params.modulus_bits = 1024;
+  params.block_bytes = kBlockKb * 1024;
+  const proto::RungBases rungs(keys.pk, params);
   const auto blocks = bench_blocks(kSj, kBlockKb * 1024, 900);
   std::vector<std::vector<Bytes>> edge_blocks;
   for (std::size_t j = 0; j < kJ; ++j) {
@@ -67,7 +76,7 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
   bn::Rng64Adapter rng(gen);
   proto::ChallengeSecret secret;
   const proto::Challenge base =
-      proto::make_batch_base(keys.pk, rng, secret);
+      proto::make_batch_base(keys.pk, rng, secret, &rungs);
   const auto edge_keys = proto::draw_challenge_keys(params, kJ, rng);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   proto::Challenge chal = base;
@@ -85,7 +94,7 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
     });
     const double round = time_median(3, [&] {
       (void)proto::make_batch_proofs(keys.pk, params, edge_blocks, edge_keys,
-                                     base.g_s);
+                                     base.g_s, base.ladder);
     });
     single_s.push_back(one);
     batch_s.push_back(round);
@@ -94,7 +103,7 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
                 speedup.back());
   }
   std::printf("Expected on >=4 cores: batch column >=2x at 4 threads; the\n"
-              "single-proof column stays flat (modexp squaring chain).\n");
+              "single-proof column falls as the ladder's rungs split.\n");
 
   std::string body;
   body += "{\"hardware_concurrency\": " + std::to_string(hw);
@@ -151,7 +160,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nShape check vs paper: flat in |S_j|, linear in block "
-              "size (one modexp dominates).\n");
+              "size (one laddered modexp dominates).\n");
 
   run_thread_sweep(keys);
   return 0;

@@ -8,6 +8,9 @@
 //   TPA -> Edge  : O(1)
 // We wire every direction through its own instrumented channel, run one
 // audit, and print measured bytes next to the leading-term prediction.
+// The TPA -> Edge term includes the challenge's power ladder (DESIGN.md
+// §8): 15 rungs of |N| bits beside g_s, and the rung width. It stays O(1)
+// in n and n_j.
 #include "support.h"
 
 #include "pir/embedding.h"
@@ -53,8 +56,15 @@ int main(int argc, char** argv) {
       + 2 * kSj * gamma * 2;    // PIR queries to both TPAs (gamma F4 elems)
   const std::size_t pred_tpa_user =
       2 * kSj * (1 + gamma) * modulus_bits * 2;  // PIR responses, both TPAs
-  const std::size_t pred_tpa_edge =
-      params.challenge_key_bits + modulus_bits;  // chal = (e, g_s)
+  // chal = (e, g_s, ladder): the key, g_s and 15 rungs, the rung width L.
+  std::size_t width_varint_bytes = 1;
+  for (std::size_t v = proto::rung_width(d.keys().pk, params); v >= 0x80;
+       v >>= 7) {
+    ++width_varint_bytes;
+  }
+  const std::size_t pred_tpa_edge = params.challenge_key_bits +
+                                    proto::kLadderRungs * modulus_bits +
+                                    8 * width_varint_bytes;
   const std::size_t pred_edge_tpa = modulus_bits;  // the proof
 
   const auto bits = [](std::uint64_t bytes) { return bytes * 8; };
@@ -74,7 +84,7 @@ int main(int argc, char** argv) {
               pred_tpa_user, "O(n_j K n^{1/3})");
   std::printf("%-14s %16llu %16zu   %s\n", "TPA->Edge",
               static_cast<unsigned long long>(bits(tpa_edge.bytes_sent)),
-              pred_tpa_edge, "O(1)  [chal=(e, g_s)]");
+              pred_tpa_edge, "O(1)  [chal=(e, g_s, 15 rungs, L)]");
   std::printf("%-14s %16llu %16zu   %s\n", "Edge->TPA",
               static_cast<unsigned long long>(bits(tpa_edge.bytes_received)),
               pred_edge_tpa, "O(1)  [proof]");

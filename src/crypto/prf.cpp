@@ -41,7 +41,7 @@ ChaCha20::Key derive_key(const bn::BigInt& e) {
 
 CoefficientPrf::CoefficientPrf(const bn::BigInt& key, std::size_t coeff_bits)
     : coeff_bits_(coeff_bits), stream_(derive_key(key), ChaCha20::Nonce{}) {
-  if (coeff_bits == 0 || coeff_bits > 256) {
+  if (coeff_bits == 0 || coeff_bits > kMaxCoeffBits) {
     throw ParamError("CoefficientPrf: coefficient width must be in [1, 256]");
   }
 }

@@ -17,8 +17,11 @@ namespace ice::crypto {
 /// Expands a challenge key into a deterministic stream of coefficients.
 class CoefficientPrf {
  public:
+  /// The widest coefficient the PRF draws, in bits.
+  static constexpr std::size_t kMaxCoeffBits = 256;
+
   /// `key` is the challenge value e (any length; hashed to a ChaCha20 key).
-  /// `coeff_bits` is d, the coefficient width in bits (1..=256).
+  /// `coeff_bits` is d, the coefficient width in bits (1..=kMaxCoeffBits).
   CoefficientPrf(const bn::BigInt& key, std::size_t coeff_bits);
 
   /// The i-th call returns a_{i+1}. Nonzero (a zero coefficient would let a

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "bignum/fixed_base.h"
-#include "bignum/montgomery.h"
 #include "bignum/multiexp.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -13,13 +11,15 @@
 namespace ice::proto {
 
 Challenge make_batch_base(const PublicKey& pk, bn::Rng64& rng,
-                          ChallengeSecret& secret_out) {
+                          ChallengeSecret& secret_out,
+                          const RungBases* rungs) {
   Challenge base;
   secret_out.s = bn::random_unit(rng, pk.n);
   // g is long-lived: every batch round reuses the cached Lim-Lee comb.
   const auto mont = bn::Montgomery::shared(pk.n);
   base.g_s = mont->fixed_base(pk.g, pk.n.bit_length())->pow(secret_out.s);
   base.e = bn::BigInt(0);  // per-edge keys live with the user in ICE-batch
+  if (rungs != nullptr) base.ladder = rungs->raise(secret_out.s);
   return base;
 }
 
@@ -42,12 +42,12 @@ std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,
 
 Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
                        const std::vector<Bytes>& blocks, const bn::BigInt& e_j,
-                       const bn::BigInt& g_s) {
+                       const bn::BigInt& g_s, const bn::Ladder& ladder) {
   if (blocks.empty()) throw ParamError("make_batch_proof: no blocks");
   // Same chunked-aggregation scheme as make_proof: expand the sequential
   // coefficient stream once, sum a_k * m_k per chunk, add partials in chunk
   // order (exact integer addition — bit-identical at every thread count),
-  // then one modexp.
+  // then one modexp through the ladder.
   const std::vector<bn::BigInt> coeffs =
       crypto::CoefficientPrf::expand(e_j, params.coeff_bits, blocks.size());
   std::vector<bn::BigInt> partials(
@@ -63,27 +63,31 @@ Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
   bn::BigInt aggregate(0);
   for (const auto& partial : partials) aggregate += partial;
   Proof proof;
-  // g_s is round-fresh, so no comb; the shared context still saves the
-  // per-call R^2 / n0inv derivation.
-  proof.p = bn::Montgomery::shared(pk.n)->pow(g_s, aggregate);
+  proof.p = bn::ladder_pow(*bn::Montgomery::shared(pk.n), g_s, ladder,
+                           aggregate, params.parallelism);
   return proof;
 }
 
 std::vector<Proof> make_batch_proofs(
     const PublicKey& pk, const ProtocolParams& params,
     const std::vector<std::vector<Bytes>>& edge_blocks,
-    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s) {
+    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s,
+    const bn::Ladder& ladder) {
   if (edge_blocks.size() != challenge_keys.size()) {
     throw ParamError("make_batch_proofs: blocks/keys size mismatch");
   }
   std::vector<Proof> proofs(edge_blocks.size());
-  // One task per edge (chunks of the edge range); the nested per-proof
-  // parallel_chunks calls detect they are on pool workers and run inline.
+  // One task per edge (chunks of the edge range), each proof serial inside:
+  // the calling thread runs a chunk too, and a split ladder there would
+  // repeat its squaring chain on workers the other proofs need.
+  ProtocolParams serial = params;
+  serial.parallelism = 1;
   parallel_chunks(edge_blocks.size(), params.parallelism,
                   [&](std::size_t, std::size_t begin, std::size_t end) {
                     for (std::size_t j = begin; j < end; ++j) {
-                      proofs[j] = make_batch_proof(pk, params, edge_blocks[j],
-                                                   challenge_keys[j], g_s);
+                      proofs[j] = make_batch_proof(pk, serial, edge_blocks[j],
+                                                   challenge_keys[j], g_s,
+                                                   ladder);
                     }
                   });
   return proofs;

@@ -24,30 +24,34 @@
 
 namespace ice::proto {
 
-/// TPA side: one secret s and the shared g_s for the whole batch.
+/// TPA side: one secret s and the shared g_s for the whole batch; with
+/// `rungs`, also g_s's ladder, which the user forwards to every edge.
 Challenge make_batch_base(const PublicKey& pk, bn::Rng64& rng,
-                          ChallengeSecret& secret_out);
+                          ChallengeSecret& secret_out,
+                          const RungBases* rungs = nullptr);
 
 /// User side: J independent challenge keys e_1..e_J.
 std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,
                                             std::size_t edges,
                                             bn::Rng64& rng);
 
-/// Edge side: P_j = (g_s)^{sum_k a_k^{(j)} m_{j,k}} mod N.
+/// Edge side: P_j = (g_s)^{sum_k a_k^{(j)} m_{j,k}} mod N, through g_s's
+/// ladder (empty for the owner-driven 104 and 207 challenges, c = 1).
 Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
                        const std::vector<Bytes>& blocks, const bn::BigInt& e_j,
-                       const bn::BigInt& g_s);
+                       const bn::BigInt& g_s, const bn::Ladder& ladder = {});
 
 /// Whole-batch fan-out: P_j for every edge in one call, the per-edge proofs
-/// spread across the shared pool (params.parallelism chunks). Each proof is
-/// a sequential squaring chain internally, so cross-edge fan-out — not
-/// intra-modexp splitting — is what scales with cores; this is the shape
-/// the ICE-batch round (paper Sec. V) runs J edges through.
-/// `edge_blocks[j]` pairs with `challenge_keys[j]`.
+/// spread across the shared pool (params.parallelism chunks). Each proof
+/// then runs its ladder multi-exp on its own worker: fanning out whole
+/// proofs costs no repeated squaring chains, unlike splitting one proof's
+/// rungs. This is the shape the ICE-batch round (paper Sec. V) runs J
+/// edges through. `edge_blocks[j]` pairs with `challenge_keys[j]`.
 std::vector<Proof> make_batch_proofs(
     const PublicKey& pk, const ProtocolParams& params,
     const std::vector<std::vector<Bytes>>& edge_blocks,
-    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s);
+    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s,
+    const bn::Ladder& ladder = {});
 
 /// User side: the union U of the edges' pre-download sets, sorted.
 std::vector<std::size_t> union_of_sets(

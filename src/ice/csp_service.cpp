@@ -92,6 +92,7 @@ void CspService::on_challenge(net::Reader& r, net::Writer& w) {
   const bn::BigInt e = r.bigint();
   const bn::BigInt g_s = r.bigint();
   const std::vector<std::size_t> sample = read_index_list(r);
+  r.expect_done();  // before the proof over the sampled blocks
   PublicKey pk;
   ProtocolParams params;
   std::vector<Bytes> blocks;

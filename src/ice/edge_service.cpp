@@ -144,7 +144,11 @@ void EdgeService::on_challenge(net::Reader& r, net::Writer& w) {
   Challenge chal;
   chal.e = r.bigint();
   chal.g_s = r.bigint();
+  chal.ladder = read_ladder(r);
   r.expect_done();
+  // Before the one-shot blinding is taken: a hostile ladder must not use
+  // up the session.
+  validate_ladder(pk_, params_, chal.ladder);
   auto blinding = blindings_.extract(session);  // one-shot
   if (!blinding) {
     throw ServiceError(Status::kNotFound, "no blinding for session");
@@ -160,13 +164,16 @@ void EdgeService::on_batch_challenge(net::Reader& r, net::Writer&) {
   const std::uint64_t batch_id = r.u64();
   const bn::BigInt e_j = r.bigint();
   const bn::BigInt g_s = r.bigint();
+  const bn::Ladder ladder = read_ladder(r);
   r.expect_done();
+  validate_ladder(pk_, params_, ladder);
   if (tpa_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition,
                        "no TPA channel for batch");
   }
   const std::vector<Bytes> blocks = snapshot_blocks();
-  const Proof proof = make_batch_proof(pk_, params_, blocks, e_j, g_s);
+  const Proof proof =
+      make_batch_proof(pk_, params_, blocks, e_j, g_s, ladder);
   // Submit to the TPA with no lock held; a rejection surfaces as this
   // call's error response.
   net::Writer submit;
@@ -180,6 +187,7 @@ void EdgeService::on_subset_proof(net::Reader& r, net::Writer& w) {
   const bn::BigInt e = r.bigint();
   const bn::BigInt g_s = r.bigint();
   const std::vector<std::size_t> subset = read_index_list(r);
+  r.expect_done();  // before the cache lookups and the proof
   std::vector<Bytes> blocks;
   blocks.reserve(subset.size());
   {
@@ -258,6 +266,7 @@ Proof EdgeClient::challenge(std::uint64_t session_id,
   w.u64(session_id);
   w.bigint(chal.e);
   w.bigint(chal.g_s);
+  write_ladder(w, chal.ladder);
   const net::PooledBytes raw = net::call_pooled(*channel_, kEdgeChallenge, std::move(w));
   net::Reader r = unwrap(raw);
   Proof proof;
@@ -266,11 +275,13 @@ Proof EdgeClient::challenge(std::uint64_t session_id,
 }
 
 void EdgeClient::batch_challenge(std::uint64_t batch_id, const bn::BigInt& e_j,
-                                 const bn::BigInt& g_s) const {
+                                 const bn::BigInt& g_s,
+                                 const bn::Ladder& ladder) const {
   net::Writer w;
   w.u64(batch_id);
   w.bigint(e_j);
   w.bigint(g_s);
+  write_ladder(w, ladder);
   const net::PooledBytes raw = net::call_pooled(*channel_, kEdgeBatchChallenge, std::move(w));
   unwrap(raw);
 }

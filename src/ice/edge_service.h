@@ -90,9 +90,10 @@ class EdgeClient {
   /// TPA-side: deliver a challenge, get the proof back.
   [[nodiscard]] Proof challenge(std::uint64_t session_id,
                                 const Challenge& chal) const;
-  /// ICE-batch: deliver (e_j, g_s); the edge pushes its proof to the TPA.
+  /// ICE-batch: deliver (e_j, g_s, ladder); the edge pushes its proof to
+  /// the TPA.
   void batch_challenge(std::uint64_t batch_id, const bn::BigInt& e_j,
-                       const bn::BigInt& g_s) const;
+                       const bn::BigInt& g_s, const bn::Ladder& ladder) const;
   /// Flushes dirty blocks to the CSP; returns how many were written back.
   std::size_t flush() const;
   /// Owner-driven subset challenge (corruption localization): proof over

@@ -8,9 +8,10 @@
 namespace ice::proto {
 
 ChallengeBundle make_bundle(const PublicKey& pk, const ProtocolParams& params,
-                            bn::Rng64& rng, std::size_t coeff_count) {
+                            bn::Rng64& rng, std::size_t coeff_count,
+                            const RungBases* rungs) {
   ChallengeBundle bundle;
-  bundle.challenge = make_challenge(pk, params, rng, bundle.secret);
+  bundle.challenge = make_challenge(pk, params, rng, bundle.secret, rungs);
   if (coeff_count > 0) {
     bundle.coeffs = crypto::CoefficientPrf::expand(
         bundle.challenge.e, params.coeff_bits, coeff_count);
@@ -33,7 +34,8 @@ ChallengePool::ChallengePool(const OfflineConfig& config)
 }
 
 std::uint64_t ChallengePool::rekey(const PublicKey& pk,
-                                   const ProtocolParams& params) {
+                                   const ProtocolParams& params,
+                                   std::shared_ptr<const RungBases> rungs) {
   // The generation moves in the same spec_mu_ hold that swaps the spec, so
   // mint_spec() never pairs the new generation with the old key: a producer
   // that snapshotted the old spec gets its offers refused. Then drop the
@@ -42,7 +44,7 @@ std::uint64_t ChallengePool::rekey(const PublicKey& pk,
   {
     std::lock_guard lock(spec_mu_);
     gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    spec_.emplace(pk, params);
+    spec_.emplace(MintSpec{pk, params, std::move(rungs)});
   }
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
@@ -69,9 +71,7 @@ std::optional<ChallengePool::MintSpec> ChallengePool::mint_spec() const {
   // caught by offer().
   std::lock_guard lock(spec_mu_);
   if (!spec_) return std::nullopt;
-  MintSpec spec;
-  spec.pk = spec_->first;
-  spec.params = spec_->second;
+  MintSpec spec = *spec_;
   spec.coeff_count = coeff_count_;
   spec.generation = generation_.load(std::memory_order_acquire);
   return spec;
@@ -203,8 +203,8 @@ void OfflineWorker::refill() {
   while (!cancel_.stop_requested()) {
     const auto spec = pool_->mint_spec();
     if (!spec || pool_->full()) break;
-    ChallengeBundle bundle =
-        make_bundle(spec->pk, spec->params, *rng_, spec->coeff_count);
+    ChallengeBundle bundle = make_bundle(spec->pk, spec->params, *rng_,
+                                         spec->coeff_count, spec->rungs.get());
     bundle.generation = spec->generation;
     (void)pool_->offer(std::move(bundle));
   }

@@ -2,12 +2,13 @@
 //
 // Nothing on the TPA's per-round critical path before the proof arrives
 // depends on WHICH edge is being audited: the challenge key e, the secret
-// s, the fixed-base power g^s and the coefficient expansion of e are all
-// edge-independent (Ali & Liu's federated online/offline inspection makes
-// the same observation). This module hoists that work into idle cycles:
-// a background OfflineWorker on the shared ThreadPool mints ready-made
-// ChallengeBundles into a bounded lock-sharded ChallengePool, and the
-// online phase of start_audit / batch_begin collapses to a pool pop.
+// s, the fixed-base power g^s with its ladder and the coefficient expansion
+// of e are all edge-independent (Ali & Liu's federated online/offline
+// inspection makes the same observation). This module hoists that work
+// into idle cycles: a background OfflineWorker on the shared ThreadPool
+// mints ready-made ChallengeBundles into a bounded lock-sharded
+// ChallengePool, and the online phase of start_audit / batch_begin
+// collapses to a pool pop.
 //
 // Correctness contract: a bundle is minted by the EXACT cold-path code
 // (make_challenge, then CoefficientPrf::expand of the drawn e), so an
@@ -24,6 +25,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -41,17 +43,18 @@ namespace ice::proto {
 /// coefficient expansion of e (a prefix of any shorter expansion, so the
 /// online verify slices the first |S_j| entries).
 struct ChallengeBundle {
-  Challenge challenge;             // (e, g^s)
+  Challenge challenge;             // (e, g^s, ladder)
   ChallengeSecret secret;          // s
   std::vector<bn::BigInt> coeffs;  // a_1..a_{coeff_count} expanded from e
   std::uint64_t generation = 0;    // pool generation this was minted under
 };
 
 /// Mints one bundle exactly as the cold path would: make_challenge (same
-/// RNG draw order), then CoefficientPrf::expand of the drawn e. The caller
-/// stamps the generation.
+/// RNG draw order, same ladder), then CoefficientPrf::expand of the drawn
+/// e. The caller stamps the generation.
 ChallengeBundle make_bundle(const PublicKey& pk, const ProtocolParams& params,
-                            bn::Rng64& rng, std::size_t coeff_count);
+                            bn::Rng64& rng, std::size_t coeff_count,
+                            const RungBases* rungs = nullptr);
 
 /// Snapshot of the pool's hit/miss/refill surface (HitCounter-style; see
 /// common/stats.h). `hits`/`misses` count online acquire outcomes; `minted`
@@ -99,14 +102,17 @@ class ChallengePool {
   struct MintSpec {
     PublicKey pk;
     ProtocolParams params;
+    std::shared_ptr<const RungBases> rungs;  // the key's ladder, or null
     std::size_t coeff_count = 0;
     std::uint64_t generation = 0;
   };
 
   /// Key or protocol parameters changed: bump the generation (so in-flight
   /// mints become stale), drop every stored bundle, and install the new
-  /// mint spec. Returns the new generation.
-  std::uint64_t rekey(const PublicKey& pk, const ProtocolParams& params);
+  /// mint spec. `rungs` is the new key's ladder holder, the one the cold
+  /// path challenges with. Returns the new generation.
+  std::uint64_t rekey(const PublicKey& pk, const ProtocolParams& params,
+                      std::shared_ptr<const RungBases> rungs = nullptr);
 
   /// Bump the generation and drop bundles without installing a new spec
   /// (key revoked, no replacement yet): mint_spec() goes empty.
@@ -151,7 +157,7 @@ class ChallengePool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex spec_mu_;
-  std::optional<std::pair<PublicKey, ProtocolParams>> spec_;
+  std::optional<MintSpec> spec_;  // generation and coeff_count unset
 };
 
 /// Background producer: refills a ChallengePool during idle cycles on the

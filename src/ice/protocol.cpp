@@ -1,7 +1,5 @@
 #include "ice/protocol.h"
 
-#include "bignum/fixed_base.h"
-#include "bignum/montgomery.h"
 #include "bignum/multiexp.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -9,8 +7,52 @@
 
 namespace ice::proto {
 
+std::size_t rung_width(const PublicKey& pk, const ProtocolParams& params) {
+  const std::size_t max_exp_bits = 8 * params.block_bytes +
+                                   params.coeff_bits + 64 +
+                                   pk.modulus_bits();
+  return bn::ladder_width(max_exp_bits, kLadderRungs);
+}
+
+RungBases::RungBases(const PublicKey& pk, const ProtocolParams& params)
+    : mont_(bn::Montgomery::shared(pk.n)),
+      g_(pk.g),
+      width_(rung_width(pk, params)),
+      parallelism_(params.parallelism) {}
+
+void RungBases::build() const {
+  // One chain of 15·L squarings of the public g: the TPA trusts nobody
+  // for its rungs (DESIGN.md §6). Each rung then gets a comb sized for
+  // the secret s < N.
+  const bn::Ladder bases =
+      bn::build_ladder(*mont_, g_, kLadderRungs, width_);
+  const std::size_t exp_bits = mont_->modulus().bit_length();
+  std::vector<bn::FixedBase> combs;  // installed whole: a throw retries
+  combs.reserve(bases.rungs.size());
+  for (const bn::BigInt& base : bases.rungs) {
+    combs.emplace_back(*mont_, base, exp_bits);
+  }
+  combs_ = std::move(combs);
+  builds_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+bn::Ladder RungBases::raise(const bn::BigInt& s) const {
+  std::call_once(once_, [this] { build(); });
+  bn::Ladder ladder;
+  ladder.width = width_;
+  ladder.rungs.resize(combs_.size());
+  parallel_chunks(combs_.size(), parallelism_,
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      combs_[i].pow_into(ladder.rungs[i], s);
+                    }
+                  });
+  return ladder;
+}
+
 Challenge make_challenge(const PublicKey& pk, const ProtocolParams& params,
-                         bn::Rng64& rng, ChallengeSecret& secret_out) {
+                         bn::Rng64& rng, ChallengeSecret& secret_out,
+                         const RungBases* rungs) {
   Challenge chal;
   // e in [1, 2^kappa - 1]: nonzero so the PRF key is never degenerate.
   do {
@@ -22,6 +64,7 @@ Challenge make_challenge(const PublicKey& pk, const ProtocolParams& params,
   // Lim-Lee comb turns g^s into a chain |N|/h the length of a generic pow.
   const auto mont = bn::Montgomery::shared(pk.n);
   chal.g_s = mont->fixed_base(pk.g, pk.n.bit_length())->pow(secret_out.s);
+  if (rungs != nullptr) chal.ladder = rungs->raise(secret_out.s);
   return chal;
 }
 
@@ -37,11 +80,10 @@ Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
   // The coefficient stream is sequential, so it is expanded up front; the
   // a_k * m_k products are then chunked across the shared pool and the
   // partial sums added in chunk order. Integer addition is exact, so the
-  // aggregate is bit-identical at every thread count. The final modexp
-  // stays single: its cost is a sequential squaring chain as long as the
-  // aggregate (splitting the exponent cannot shorten that chain), so
-  // cross-proof fan-out — not intra-modexp splitting — is where edge-side
-  // wall-clock scaling comes from (see make_batch_proofs).
+  // aggregate is bit-identical at every thread count. The closing modexp
+  // runs through the challenge's ladder: 16 L-bit chunks of the exponent
+  // share one squaring chain L long instead of |E| (DESIGN.md §8), and the
+  // rungs split over the pool, each thread with its own chain.
   const std::vector<bn::BigInt> coeffs = crypto::CoefficientPrf::expand(
       challenge.e, params.coeff_bits, blocks.size());
   std::vector<bn::BigInt> partials(
@@ -57,10 +99,9 @@ Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
   bn::BigInt aggregate(0);
   for (const auto& partial : partials) aggregate += partial;
   Proof proof;
-  // g_s is challenge-fresh, so no comb: one generic pow on the cached
-  // context (which still saves the per-call R^2 / n0inv derivation).
-  proof.p = bn::Montgomery::shared(pk.n)->pow(challenge.g_s,
-                                              aggregate * s_tilde);
+  proof.p = bn::ladder_pow(*bn::Montgomery::shared(pk.n), challenge.g_s,
+                           challenge.ladder, aggregate * s_tilde,
+                           params.parallelism);
   return proof;
 }
 
@@ -148,6 +189,28 @@ bn::BigInt draw_blinding(const PublicKey& pk, bn::Rng64& rng) {
   for (;;) {
     bn::BigInt s = bn::random_unit(rng, pk.n);
     if (s != bn::BigInt(1)) return s;
+  }
+}
+
+void validate_ladder(const PublicKey& pk, const ProtocolParams& params,
+                     const bn::Ladder& ladder) {
+  if (ladder.count() > kLadderRungs) {
+    throw ParamError("ladder: more rungs than the cap");
+  }
+  if (ladder.rungs.empty()) {
+    if (ladder.width != 0) throw ParamError("ladder: width without rungs");
+    return;
+  }
+  ProtocolParams widest = params;
+  widest.block_bytes = kMaxBlockBytes;
+  if (ladder.width == 0 || ladder.width % bn::BigInt::kLimbBits != 0 ||
+      ladder.width > rung_width(pk, widest)) {
+    throw ParamError("ladder: implausible rung width");
+  }
+  for (const bn::BigInt& rung : ladder.rungs) {
+    if (rung.sign() <= 0 || rung >= pk.n) {
+      throw ParamError("ladder: rung out of range [1, N)");
+    }
   }
 }
 

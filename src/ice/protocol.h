@@ -14,9 +14,16 @@
 // factoring) nothing else does.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bignum/bigint.h"
+#include "bignum/fixed_base.h"
+#include "bignum/ladder.h"
+#include "bignum/montgomery.h"
 #include "bignum/random.h"
 #include "common/bytes.h"
 #include "ice/keys.h"
@@ -24,10 +31,20 @@
 
 namespace ice::proto {
 
-/// What the TPA sends to the edge: chal = (e, g_s).
+/// c: the rungs of a challenge's power ladder, g_s included (DESIGN.md §8).
+/// Also the cap the edge and the user hold a received ladder to.
+inline constexpr std::size_t kLadderRungs = 16;
+
+/// The largest block a key may declare at the TPA: the paper's 1 MiB.
+inline constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 20;
+
+/// What the TPA sends to the edge: chal = (e, g_s), plus the power ladder
+/// H_i = g_s^{2^{i·L}} that lets the edge cut its squaring chain 16 ways.
+/// An empty ladder is the paper's challenge (c = 1).
 struct Challenge {
-  bn::BigInt e;    // challenge key seeding the coefficient PRF
-  bn::BigInt g_s;  // g^s mod N
+  bn::BigInt e;       // challenge key seeding the coefficient PRF
+  bn::BigInt g_s;     // g^s mod N
+  bn::Ladder ladder;  // H_1..H_{c-1}
 };
 
 /// TPA-private state behind a challenge (s never leaves the TPA).
@@ -40,14 +57,59 @@ struct Proof {
   bn::BigInt p;
 };
 
+/// L for a key: the kLadderRungs-rung width (bn::ladder_width) of the
+/// longest proof exponent for params.block_bytes-byte blocks,
+/// E_max = 8·block_bytes + coeff_bits + 64 + |N| (sum a_k m_k over up to
+/// 2^64 blocks, times s~ < N).
+[[nodiscard]] std::size_t rung_width(const PublicKey& pk,
+                                     const ProtocolParams& params);
+
+/// The TPA's per-key ladder (DESIGN.md §8): the rung bases
+/// G_i = g^{2^{i·L}} for 1 <= i < kLadderRungs, each with its own Lim-Lee
+/// comb (the context's comb cache holds only 8 bases). Construction only
+/// derives L; the first raise() builds the rungs by squaring the public g,
+/// once, whichever thread gets there first. Immutable and thread-safe
+/// after that.
+class RungBases {
+ public:
+  /// L from rung_width(pk, params); params.parallelism is the thread
+  /// budget of raise().
+  RungBases(const PublicKey& pk, const ProtocolParams& params);
+
+  [[nodiscard]] std::size_t width() const { return width_; }
+
+  /// The challenge ladder for secret s: H_i = G_i^s, one comb pow per rung,
+  /// fanned over the shared pool. Builds the rungs on the first call.
+  [[nodiscard]] bn::Ladder raise(const bn::BigInt& s) const;
+
+  /// Times the rungs were built: 0 before the first raise(), 1 after.
+  [[nodiscard]] std::uint64_t builds() const {
+    return builds_.load(std::memory_order_acquire);
+  }
+
+ private:
+  void build() const;
+
+  std::shared_ptr<const bn::Montgomery> mont_;  // the combs borrow it
+  bn::BigInt g_;
+  std::size_t width_;
+  std::size_t parallelism_;
+  mutable std::once_flag once_;
+  mutable std::vector<bn::FixedBase> combs_;  // one per G_i, i >= 1
+  mutable std::atomic<std::uint64_t> builds_{0};
+};
+
 /// TPA side: draws e in [1, 2^kappa) and s in Z_N^*, returns chal and the
-/// secret s.
+/// secret s. With `rungs`, the challenge also carries H_i = G_i^s; the
+/// ladder draws nothing, so the RNG order is the same either way.
 Challenge make_challenge(const PublicKey& pk, const ProtocolParams& params,
-                         bn::Rng64& rng, ChallengeSecret& secret_out);
+                         bn::Rng64& rng, ChallengeSecret& secret_out,
+                         const RungBases* rungs = nullptr);
 
 /// Edge side: expands e into coefficients a_1..a_{|blocks|} of d bits and
-/// computes P = (g_s)^{s_tilde * sum a_k m_k} mod N. `s_tilde` is the
-/// user-chosen blinding the edge received over the fast local link.
+/// computes P = (g_s)^{s_tilde * sum a_k m_k} mod N, through the
+/// challenge's ladder (bn::ladder_pow, params.parallelism threads). `s_tilde`
+/// is the user-chosen blinding the edge received over the fast local link.
 Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
                  const std::vector<Bytes>& blocks, const Challenge& challenge,
                  const bn::BigInt& s_tilde);
@@ -91,6 +153,13 @@ bool verify_proof_precomputed(const PublicKey& pk,
 
 /// Draws the user's blinding s_tilde uniformly from Z_N^* \ {1}.
 bn::BigInt draw_blinding(const PublicKey& pk, bn::Rng64& rng);
+
+/// Validates a just-received challenge ladder: at most kLadderRungs rungs;
+/// with rungs, a width that is a positive multiple of 64 and no wider than
+/// the rung_width of a kMaxBlockBytes block, and every rung in [1, N);
+/// without rungs, width 0. Throws ParamError on violation.
+void validate_ladder(const PublicKey& pk, const ProtocolParams& params,
+                     const bn::Ladder& ladder);
 
 /// Validates a just-deserialized proof value: an honest proof is an element
 /// of Z_N^*, so anything outside [1, N) or sharing a factor with N is

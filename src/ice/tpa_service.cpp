@@ -3,6 +3,7 @@
 #include "bignum/fixed_base.h"
 #include "bignum/montgomery.h"
 #include "common/error.h"
+#include "crypto/prf.h"
 #include "ice/edge_service.h"
 #include "ice/wire.h"
 
@@ -82,18 +83,37 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
   pk.g = r.bigint();
   const auto coeff_bits = static_cast<std::size_t>(r.varint());
   const auto key_bits = static_cast<std::size_t>(r.varint());
+  const std::uint64_t block_bytes = r.varint();
   r.expect_done();  // before the store wipe below, not after it
   if (!plausible_public_key(pk)) {
     throw ServiceError(Status::kInvalidArgument, "implausible public key");
   }
+  // The block size and the coefficient width set the rung width, and so
+  // the length of the squaring chain the first challenge runs: refuse what
+  // no honest file declares.
+  if (block_bytes == 0 || block_bytes > kMaxBlockBytes) {
+    throw ServiceError(Status::kInvalidArgument,
+                       "block size outside (0, 1 MiB]");
+  }
+  if (coeff_bits == 0 || coeff_bits > crypto::CoefficientPrf::kMaxCoeffBits) {
+    throw ServiceError(Status::kInvalidArgument,
+                       "coefficient width outside the PRF's range");
+  }
   ProtocolParams params;
+  std::shared_ptr<const RungBases> rungs;
   {
     std::unique_lock lock(config_mu_);
     params_.coeff_bits = coeff_bits;
     params_.challenge_key_bits = key_bits;
     params_.modulus_bits = pk.n.bit_length();
+    params_.block_bytes = static_cast<std::size_t>(block_bytes);
     params = params_;
     pk_ = pk;
+    // A fresh holder, swapped with the key: no challenge can pair this key
+    // with the last key's rungs. It builds nothing until a challenge asks
+    // (the non-verifier replica never does).
+    rungs = std::make_shared<const RungBases>(pk, params);
+    rungs_ = rungs;
   }
   {
     std::unique_lock lock(store_mu_);
@@ -110,7 +130,7 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
   if (offline_cfg_.enabled) {
     // New key ⇒ new pool generation: stored bundles drop, in-flight mints
     // against the old key become stale offers the pool refuses.
-    pool_.rekey(pk, params);
+    pool_.rekey(pk, params, std::move(rungs));
     offline_worker_->kick();
   }
 }
@@ -140,6 +160,7 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
   r.expect_done();
   PublicKey pk;
   ProtocolParams params;
+  std::shared_ptr<const RungBases> rungs;
   net::RpcChannel* edge_channel = nullptr;
   {
     std::shared_lock lock(config_mu_);
@@ -152,15 +173,16 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
     }
     pk = *pk_;
     params = params_;
+    rungs = rungs_;
     edge_channel = it->second;
   }
 
   AuditSession session;
   session.edge_id = edge_id;
   // Online/offline split: a pooled bundle turns the challenge phase into a
-  // dequeue (the g^s modexp, RNG draws and coefficient expansion already
-  // happened offline). The cold path below is the pinned reference and the
-  // pool-miss fallback — bit-identical verdict either way.
+  // dequeue (the g^s modexp and its ladder, RNG draws and coefficient
+  // expansion already happened offline). The cold path below is the pinned
+  // reference and the pool-miss fallback — bit-identical verdict either way.
   bool pooled = false;
   if (offline_cfg_.enabled) {
     ChallengeBundle bundle;
@@ -173,7 +195,8 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
     offline_worker_->kick();  // refill behind this consume (or miss)
   }
   if (!pooled) {
-    session.challenge = make_challenge(pk, params, rng_, session.secret);
+    session.challenge =
+        make_challenge(pk, params, rng_, session.secret, rungs.get());
   }
   const Challenge challenge = session.challenge;
   // Park the session in kChallenging state BEFORE the round trip so a
@@ -254,25 +277,35 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
   if (num_edges == 0) {
     throw ServiceError(Status::kInvalidArgument, "empty batch");
   }
-  const auto [pk, params] = config_snapshot();
-  (void)params;
+  PublicKey pk;
+  std::shared_ptr<const RungBases> rungs;
+  {
+    std::shared_lock lock(config_mu_);
+    if (!pk_) {
+      throw ServiceError(Status::kFailedPrecondition, "set key first");
+    }
+    pk = *pk_;
+    rungs = rungs_;
+  }
   BatchSession batch;
   Challenge base;
-  // ICE-batch only needs (s, g^s) from the TPA — the per-edge challenge
-  // keys are the user's (paper §V) — so a pooled bundle serves here too;
-  // its pre-expanded coefficients go unused, but the g^s modexp dominates
-  // the mint, so the online saving is nearly the full bundle.
+  // ICE-batch only needs (s, g^s, ladder) from the TPA — the per-edge
+  // challenge keys are the user's (paper §V) — so a pooled bundle serves
+  // here too; its e and pre-expanded coefficients go unused, but the g^s
+  // modexp and the ladder dominate the mint, so the online saving is nearly
+  // the full bundle.
   bool pooled = false;
   if (offline_cfg_.enabled) {
     ChallengeBundle bundle;
     if (pool_.try_acquire(bundle)) {
       base.g_s = std::move(bundle.challenge.g_s);
+      base.ladder = std::move(bundle.challenge.ladder);
       batch.secret = std::move(bundle.secret);
       pooled = true;
     }
     offline_worker_->kick();
   }
-  if (!pooled) base = make_batch_base(pk, rng_, batch.secret);
+  if (!pooled) base = make_batch_base(pk, rng_, batch.secret, rungs.get());
   batch.expected_proofs = num_edges;
   switch (batches_.try_emplace(id, std::move(batch))) {
     case SessionTable<BatchSession>::Insert::kExists:
@@ -283,6 +316,7 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
       break;
   }
   w.bigint(base.g_s);
+  write_ladder(w, base.ladder);
 }
 
 void TpaService::on_submit_proof(net::Reader& r, net::Writer&) {
@@ -365,6 +399,7 @@ void TpaService::on_tag_info(net::Reader& r, net::Writer& w) {
 
 void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
   const TagQuery query = read_sharded_query(r);
+  r.expect_done();  // before the sweep over all n rows
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
@@ -412,6 +447,7 @@ void TpaClient::set_key(const PublicKey& pk,
   w.bigint(pk.g);
   w.varint(params.coeff_bits);
   w.varint(params.challenge_key_bits);
+  w.varint(params.block_bytes);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaSetKey, std::move(w));
   unwrap(raw);
 }
@@ -442,14 +478,17 @@ bool TpaClient::submit_repacked(std::uint64_t session_id,
   return r.u8() == 1;
 }
 
-bn::BigInt TpaClient::batch_begin(std::uint64_t batch_id,
-                                  std::size_t num_edges) const {
+Challenge TpaClient::batch_begin(std::uint64_t batch_id,
+                                 std::size_t num_edges) const {
   net::Writer w;
   w.u64(batch_id);
   w.varint(num_edges);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaBatchBegin, std::move(w));
   net::Reader r = unwrap(raw);
-  return r.bigint();
+  Challenge base;
+  base.g_s = r.bigint();
+  base.ladder = read_ladder(r);
+  return base;
 }
 
 std::uint64_t TpaClient::update_tag(std::size_t index,

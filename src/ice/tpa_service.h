@@ -102,8 +102,11 @@ class TpaService final : public net::RpcHandler {
   // Key/edge configuration: written by set_key/register_edge, read
   // (shared) by every audit path.
   mutable std::shared_mutex config_mu_;
-  ProtocolParams params_;        // coeff/key widths from kTpaSetKey
+  ProtocolParams params_;  // coeff/key widths and block size from kTpaSetKey
   std::optional<PublicKey> pk_;
+  // The key's ladder holder (DESIGN.md §8): swapped with pk_ by set_key,
+  // shared with the offline worker's mint spec, built on first challenge.
+  std::shared_ptr<const RungBases> rungs_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
   // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
@@ -142,10 +145,12 @@ class TpaClient {
   [[nodiscard]] bool submit_repacked(
       std::uint64_t session_id, const std::vector<bn::BigInt>& tags) const;
   /// ICE-batch: opens a batch under the user-chosen id expecting
-  /// `num_edges` proofs; returns g_s. A live-id collision is refused
-  /// (RemoteError kAlreadyExists).
-  [[nodiscard]] bn::BigInt batch_begin(std::uint64_t batch_id,
-                                       std::size_t num_edges) const;
+  /// `num_edges` proofs; returns the batch base (g_s and its ladder; e is
+  /// 0). The ladder is decoded but not validated: the caller checks it
+  /// with validate_ladder before forwarding it. A live-id collision is
+  /// refused (RemoteError kAlreadyExists).
+  [[nodiscard]] Challenge batch_begin(std::uint64_t batch_id,
+                                      std::size_t num_edges) const;
   /// ICE-batch: closes the batch with the repacked union tags.
   [[nodiscard]] bool batch_finish(std::uint64_t batch_id,
                                   const std::vector<bn::BigInt>& tags) const;

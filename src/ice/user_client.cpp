@@ -286,7 +286,10 @@ bool UserClient::audit_edges_batch(
   // TPA opens the batch (draws s) under a user-chosen nonce; user draws
   // the per-edge keys e_j, which the TPA never sees.
   const std::uint64_t batch_id = rng_.next_u64();
-  const bn::BigInt g_s = tpa.batch_begin(batch_id, edge_channels.size());
+  const Challenge base = tpa.batch_begin(batch_id, edge_channels.size());
+  // The user forwards g_s's ladder to every edge: a malformed one is
+  // refused here, with a typed error, instead of at J edges.
+  validate_ladder(keys_.pk.pk, params_, base.ladder);
   const std::vector<bn::BigInt> keys =
       draw_challenge_keys(params_, edge_channels.size(), rng_);
 
@@ -300,7 +303,8 @@ bool UserClient::audit_edges_batch(
   for (std::size_t j = 0; j < edge_channels.size(); ++j) {
     challenges.emplace_back([&, j] {
       try {
-        EdgeClient(*edge_channels[j]).batch_challenge(batch_id, keys[j], g_s);
+        EdgeClient(*edge_channels[j])
+            .batch_challenge(batch_id, keys[j], base.g_s, base.ladder);
       } catch (...) {
         edge_errors[j] = std::current_exception();
       }

@@ -6,9 +6,10 @@
 //   audit:   IndexQuery (edge) -> share s~ (edge) -> start audit (TPA
 //            challenges edge, parks proof) -> private tag retrieval (both
 //            TPAs) -> repack -> submit -> verdict
-//   batch:   IndexQuery x J -> batch begin (TPA) -> challenge keys e_j to
-//            each edge (fast local links) -> union retrieval -> aggregated
-//            repack -> batch finish -> verdict
+//   batch:   IndexQuery x J -> batch begin (TPA: g_s and its ladder) ->
+//            challenge keys e_j, g_s and the ladder to each edge (fast
+//            local links) -> union retrieval -> aggregated repack -> batch
+//            finish -> verdict
 // Thread safety: after the single-threaded setup phase (setup_file or
 // attach_file), concurrent audit_edge / audit_edges_batch / retrieve_tags
 // calls on one client are safe — randomness goes through a serialized

@@ -145,6 +145,25 @@ TagQuery read_sharded_query(net::Reader& r) {
   return q;
 }
 
+void write_ladder(net::Writer& w, const bn::Ladder& ladder) {
+  w.varint(ladder.width);
+  write_bigint_list(w, ladder.rungs);
+}
+
+bn::Ladder read_ladder(net::Reader& r) {
+  bn::Ladder ladder;
+  ladder.width = static_cast<std::size_t>(r.varint());
+  const std::uint64_t count = r.varint();
+  if (count >= kLadderRungs) {
+    throw CodecError("read_ladder: more rungs than the cap");
+  }
+  ladder.rungs.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ladder.rungs.push_back(r.bigint());
+  }
+  return ladder;
+}
+
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v) {
   w.varint(v.size());
   for (const auto& x : v) w.bigint(x);

@@ -26,26 +26,30 @@ enum Method : std::uint16_t {
   kCspFetch = 101,      // (index) -> (block)
   kCspWriteBack = 102,  // ([index, block]...) -> ()
   kCspSetKey = 103,     // (N, g, coeff_bits, key_bits) -> ()
-  kCspChallenge = 104,  // (e, g_s, [index]...) -> (proof); sampled PDP
+  kCspChallenge = 104,  // (e, g_s, [index]...) -> (proof); sampled PDP,
+                        // no ladder (c = 1)
 
   // Edge service
   kEdgeRead = 200,            // (index) -> (block); fetches from CSP on miss
   kEdgeWrite = 201,           // (index, block) -> (); dirty write
   kEdgeIndexQuery = 202,      // () -> sorted S_j   [paper IndexQuery]
   kEdgeShareBlind = 203,      // (session_id, s~) -> ()
-  kEdgeChallenge = 204,       // (session_id, e, g_s) -> (proof)
-  kEdgeBatchChallenge = 205,  // (batch_id, e_j, g_s) -> (); proof goes to TPA
+  kEdgeChallenge = 204,       // (session_id, e, g_s, ladder) -> (proof)
+  kEdgeBatchChallenge = 205,  // (batch_id, e_j, g_s, ladder) -> (); proof
+                              // goes to TPA
   kEdgeFlush = 206,           // () -> (blocks written back)
   kEdgeSubsetProof = 207,     // (e, g_s, [index]...) -> (proof); owner-driven
-                              // subset challenge used by localization
+                              // subset challenge used by localization, no
+                              // ladder (c = 1)
 
   // TPA service
-  kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits) -> ()
+  kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits, block_bytes)
+                            //   -> ()
   kTpaStoreTags = 301,      // ([tag]...) -> ()
                             // 302 is retired: kTpaShardQuery asks for tags
   kTpaStartAudit = 303,     // (edge_id, session_id) -> ()
   kTpaSubmitRepacked = 304, // (session_id, [tag]...) -> (verdict)
-  kTpaBatchBegin = 305,     // (batch_id, num_edges) -> (g_s)
+  kTpaBatchBegin = 305,     // (batch_id, num_edges) -> (g_s, ladder)
   kTpaSubmitProof = 306,    // (batch_id, proof) -> ()
   kTpaBatchFinish = 307,    // (batch_id, [tag]...) -> (verdict)
   kTpaUpdateTag = 308,      // (index, tag) -> (epoch); stages into
@@ -89,6 +93,14 @@ struct TagQuery {
 /// perfbench's tracer compiles against them.
 void write_sharded_query(net::Writer& w, const TagQuery& q);
 TagQuery read_sharded_query(net::Reader& r);
+
+/// A challenge's power ladder as it follows g_s in 204, 205 and the 305
+/// reply: the rung width L (varint), the rung count (varint), then
+/// H_1..H_{c-1}. read_ladder refuses more than kLadderRungs - 1 rungs with
+/// CodecError before it reads any; the receiver then checks the values with
+/// validate_ladder (ice/protocol.h).
+void write_ladder(net::Writer& w, const bn::Ladder& ladder);
+bn::Ladder read_ladder(net::Reader& r);
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v);
 std::vector<bn::BigInt> read_bigint_list(net::Reader& r);

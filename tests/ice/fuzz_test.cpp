@@ -275,8 +275,18 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
     r.varint(w.params().challenge_key_bits);
     return r.take();
   };
+  // The TPA's set_key also declares the block size (the rung width).
+  const auto tpa_set_key = [](FuzzWorld& w) {
+    net::Writer r;
+    r.bigint(w.keys().pk.n);
+    r.bigint(w.keys().pk.g);
+    r.varint(w.params().coeff_bits);
+    r.varint(w.params().challenge_key_bits);
+    r.varint(w.params().block_bytes);
+    return r.take();
+  };
   const Case cases[] = {
-      {"tpa set_key", tpa, kTpaSetKey, set_key,
+      {"tpa set_key", tpa, kTpaSetKey, tpa_set_key,
        [](FuzzWorld& w) { EXPECT_TRUE(w.tpa(0).has_tags()); }},
       {"tpa store_tags", tpa, kTpaStoreTags,
        [](FuzzWorld&) {
@@ -354,6 +364,51 @@ TEST(FuzzTest, TrailingByteRejectedBeforeAnyStateChange) {
     (void)r.u16();
     EXPECT_NE(r.str().find("trailing bytes"), std::string::npos);
     c.unchanged(w);
+  }
+}
+
+// The read-only handlers whose work is expensive (a PIR sweep over all n
+// rows, a proof) check for trailing bytes right after decoding: a request
+// that would fail later for another reason answers kMalformed instead.
+TEST(FuzzTest, TrailingByteRejectedBeforeExpensiveWork) {
+  FuzzWorld w;
+  struct Case {
+    const char* name;
+    net::RpcHandler& service;
+    std::uint16_t method;
+    Bytes request;
+  };
+  net::Writer stale;  // 310 planned against an epoch the TPA never had
+  {
+    const TagInfo info = TpaClient(w.user_tpa(0)).tag_info();
+    const pir::Embedding embedding(info.n);
+    const pir::PirClient client(embedding, w.keys().pk.modulus_bits());
+    SplitMix64 gen(0xf0a1);
+    bn::Rng64Adapter<SplitMix64> plan_rng(gen);
+    auto enc = client.encode(std::vector<std::size_t>{1, 2}, plan_rng);
+    write_sharded_query(stale, {info.epoch + 1, std::move(enc.queries[0])});
+  }
+  net::Writer uncached;  // 207 naming block 9, which the edge does not hold
+  uncached.bigint(bn::BigInt(5));
+  uncached.bigint(bn::BigInt(3));
+  write_index_list(uncached, {9});
+  net::Writer keyless;  // 104 to a CSP that has no key
+  keyless.bigint(bn::BigInt(5));
+  keyless.bigint(bn::BigInt(3));
+  write_index_list(keyless, {0});
+  Case cases[] = {
+      {"tpa tag_query", w.tpa(0), kTpaShardQuery, stale.take()},
+      {"edge subset_proof", w.edge(0), kEdgeSubsetProof, uncached.take()},
+      {"csp challenge", w.csp(), kCspChallenge, keyless.take()},
+  };
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.request.push_back(0x00);
+    const Bytes reply = c.service.handle(c.method, c.request);
+    ASSERT_EQ(status_of(reply), net::Status::kMalformed);
+    net::Reader r(reply);
+    (void)r.u16();
+    EXPECT_NE(r.str().find("trailing bytes"), std::string::npos);
   }
 }
 

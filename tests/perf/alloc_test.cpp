@@ -19,6 +19,8 @@
 #include <new>
 #include <vector>
 
+#include "bignum/ladder.h"
+#include "bignum/multiexp.h"
 #include "bignum/random.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -211,6 +213,27 @@ TEST_P(AllocTest, FusedPirRespondIsAllocationFree) {
   pir::PirResponse resp;
   const std::uint64_t allocs = steady_state_allocs(
       [&] { server.respond_into(enc.queries[0], resp); });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST_P(AllocTest, LadderMultiExpIsAllocationFree) {
+  // The edge's multi-exp at 64 KB blocks: 16 rungs, each raised to one
+  // L-bit chunk of a full-length proof exponent.
+  const proto::KeyPair keys = bench::bench_keypair(1024);
+  proto::ProtocolParams params;
+  params.block_bytes = 64 * 1024;
+  const auto mont = bn::Montgomery::shared(keys.pk.n);
+  std::vector<bn::BigInt> rungs(proto::kLadderRungs);
+  for (auto& r : rungs) r = bn::random_below(rng_, keys.pk.n);
+  const bn::BigInt exp =
+      bn::random_bits(rng_, 8 * params.block_bytes + params.coeff_bits +
+                                64 + keys.pk.modulus_bits());
+  std::vector<bn::BigInt> chunks;
+  bn::ladder_chunks(exp, proto::kLadderRungs,
+                    proto::rung_width(keys.pk, params), chunks);
+
+  const std::uint64_t allocs = steady_state_allocs(
+      [&] { (void)bn::multi_exp(*mont, rungs, chunks, GetParam()); }, 2, 2);
   EXPECT_EQ(allocs, 0u);
 }
 

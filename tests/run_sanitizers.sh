@@ -52,6 +52,16 @@
 # SessionStressTest, EpochServiceTest, TcpE2eTest, TransportDiffTest and
 # OfflineServiceTest, and under ASan+UBSan by E2eTest, TcpE2eTest,
 # TransportDiffTest, FuzzTest, LocalizeTest and DynamicsTest.
+# The challenge's power ladder (DESIGN.md §8) keeps one lazily built
+# holder per key, shared by concurrent first challenges, the offline
+# worker and set_key: TSan gates that race with
+# RungBasesTest.RacingFirstChallengesBuildOnce,
+# RungBasesTest.WorkerColdPathAndRekeysBuildOncePerKey and
+# LadderWireTest.SetKeyRacingChallengesNeverMixesKeys. ASan+UBSan covers
+# the ladder codec and its hostile counts, widths and truncations
+# (LadderProtocolTest.*, LadderWireTest.*) and the bignum side: the
+# ladder differential against Montgomery::pow (LadderTest.*) and the
+# chunk slicing it rests on.
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite
