@@ -1,22 +1,21 @@
-// Online/offline audit split + fleet-scale scheduling (PR 8).
+// The challenge pool + fleet-scale scheduling.
 //
 // Two measurements land in BENCH_fleet.json:
 //
-//  1. fleet_online_* — the TPA's per-round challenge phase, cold vs
-//     pool-served, at the paper's 1024-bit modulus. The cold phase is what
-//     every audit paid before the split: draw (e, s), the g^s fixed-base
-//     power, and the coefficient expansion of e. The online phase is a
-//     ChallengePool::try_acquire of a bundle minted offline by the exact
-//     same code. The acceptance bar is online >= 3x faster; in practice
-//     the dequeue is several orders of magnitude faster.
+//  1. fleet_online_* — the TPA's challenge on the audit path at the paper's
+//     1024-bit modulus and 256 KB blocks, minted inline vs popped from the
+//     pool. An inline mint (a pool miss) draws (e, s) and computes g^s and
+//     its 15 ladder rungs (the key's rungs built before the clock); a pop is
+//     a ChallengePool::try_acquire of a bundle the same code minted ahead of
+//     time. The pool holds kChallengePoolCapacity bundles, so the pops are
+//     timed in rounds of that many, refilled off the clock.
 //
 //  2. fleet_sched_* — full-protocol fleet rounds (sim/simulator.h
-//     run_fleet_simulation) at 100..1000 edges with the offline split on:
-//     audits/s, per-audit latency, pool hit rate, and the corruption
-//     detection lag vs the scheduler's staleness bound.
+//     run_fleet_simulation) at 100..1000 edges: audits/s, per-audit
+//     latency, pool hit rate, and the corruption detection lag vs the
+//     scheduler's staleness bound.
 #include "support.h"
 
-#include "crypto/prf.h"
 #include "ice/offline.h"
 #include "sim/simulator.h"
 
@@ -26,67 +25,60 @@ using namespace ice;
 using namespace ice::bench;
 
 struct OnlineCell {
-  double cold_us = 0.0;    // make_challenge + coefficient expansion
-  double online_us = 0.0;  // pool dequeue of an offline-minted bundle
+  double inline_us = 0.0;  // make_challenge with the key's ladder
+  double pop_us = 0.0;     // pool pop of a bundle minted ahead of time
   double speedup = 0.0;
   double hit_rate = 0.0;
 };
 
-OnlineCell measure_online_split(std::size_t modulus_bits,
-                                std::size_t coeff_count, int reps,
+OnlineCell measure_online_split(std::size_t modulus_bits, int rounds,
                                 std::uint64_t seed) {
   const proto::KeyPair keys = bench_keypair(modulus_bits, seed);
   proto::ProtocolParams params;
   params.modulus_bits = keys.pk.modulus_bits();
-
+  auto rungs = std::make_shared<const proto::RungBases>(keys.pk, params);
   SplitMix64 gen(seed ^ 0x0ff1);
   bn::Rng64Adapter rng(gen);
+  (void)proto::make_bundle(keys.pk, params, rng, rungs.get());  // builds
+
+  constexpr std::size_t kBurst = proto::kChallengePoolCapacity;
+  const int reps = rounds * static_cast<int>(kBurst);
   OnlineCell cell;
-
-  // Cold phase, per audit: the challenge draws + g^s + expansion.
   {
-    proto::ChallengeSecret secret;
     Stopwatch sw;
     for (int i = 0; i < reps; ++i) {
-      const proto::Challenge chal =
-          proto::make_challenge(keys.pk, params, rng, secret);
-      (void)crypto::CoefficientPrf::expand(chal.e, params.coeff_bits,
-                                           coeff_count);
+      (void)proto::make_bundle(keys.pk, params, rng, rungs.get());
     }
-    cell.cold_us = sw.seconds() * 1e6 / reps;
+    cell.inline_us = sw.seconds() * 1e6 / reps;
   }
-
-  // Online phase: bundles minted ahead of time (that cost is the offline
-  // half — idle cycles, not the audit path), then timed dequeues.
   {
-    proto::OfflineConfig config;
-    config.enabled = true;
-    config.pool_capacity = static_cast<std::size_t>(reps);
-    config.coeff_count = coeff_count;
-    proto::ChallengePool pool(config);
-    pool.rekey(keys.pk, params);
-    const std::uint64_t gen_now = pool.generation();
-    for (int i = 0; i < reps; ++i) {
-      proto::ChallengeBundle bundle =
-          proto::make_bundle(keys.pk, params, rng, coeff_count);
-      bundle.generation = gen_now;
-      if (!pool.offer(std::move(bundle))) {
-        std::fprintf(stderr, "FATAL: prefill offer rejected\n");
-        std::exit(1);
-      }
-    }
+    proto::ChallengePool pool;
+    const std::uint64_t generation = pool.rekey(keys.pk, params, rungs);
+    double popped_s = 0.0;
     proto::ChallengeBundle out;
-    Stopwatch sw;
-    for (int i = 0; i < reps; ++i) {
-      if (!pool.try_acquire(out)) {
-        std::fprintf(stderr, "FATAL: prefilled pool missed\n");
-        std::exit(1);
+    for (int round = 0; round < rounds; ++round) {
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        proto::ChallengeBundle bundle =
+            proto::make_bundle(keys.pk, params, rng, rungs.get());
+        bundle.generation = generation;
+        if (!pool.offer(std::move(bundle))) {
+          std::fprintf(stderr, "FATAL: prefill offer rejected\n");
+          std::exit(1);
+        }
       }
+      Stopwatch sw;
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        if (!pool.try_acquire(generation, out)) {
+          std::fprintf(stderr, "FATAL: prefilled pool missed\n");
+          std::exit(1);
+        }
+      }
+      popped_s += sw.seconds();
     }
-    cell.online_us = sw.seconds() * 1e6 / reps;
+    cell.pop_us = popped_s * 1e6 / reps;
     cell.hit_rate = pool.stats().hit_rate();
   }
-  cell.speedup = cell.online_us > 0.0 ? cell.cold_us / cell.online_us : 0.0;
+  cell.speedup = cell.pop_us > 0.0 ? cell.inline_us / cell.pop_us : 0.0;
   return cell;
 }
 
@@ -95,24 +87,24 @@ OnlineCell measure_online_split(std::size_t modulus_bits,
 int main(int argc, char** argv) {
   const bool smoke = smoke_mode(argc, argv);
 
-  // --- 1. Online vs cold challenge phase -------------------------------
+  // --- 1. Inline mint vs pool pop -------------------------------------
   const std::size_t online_bits = smoke ? 256 : 1024;
-  const std::size_t coeff_count = smoke ? 8 : 64;
-  const int online_reps = smoke ? 4 : 256;
-  print_header("Online/offline split: TPA challenge phase");
-  std::printf("%-10s %-8s %12s %12s %10s %9s\n", "modulus", "coeffs",
-              "cold(us)", "online(us)", "speedup", "hit rate");
+  const int online_rounds = smoke ? 1 : 8;
+  print_header("Challenge pool: the TPA challenge on the audit path");
+  std::printf("%-10s %-8s %12s %12s %10s %9s\n", "modulus", "reps",
+              "inline(us)", "pop(us)", "speedup", "hit rate");
   const OnlineCell online =
-      measure_online_split(online_bits, coeff_count, online_reps, 7);
-  std::printf("%-10zu %-8zu %12.2f %12.3f %9.0fx %9.2f\n", online_bits,
-              coeff_count, online.cold_us, online.online_us, online.speedup,
+      measure_online_split(online_bits, online_rounds, 7);
+  const int online_reps =
+      online_rounds * static_cast<int>(proto::kChallengePoolCapacity);
+  std::printf("%-10zu %-8d %12.2f %12.3f %9.0fx %9.2f\n", online_bits,
+              online_reps, online.inline_us, online.pop_us, online.speedup,
               online.hit_rate);
   if (!smoke) {
     std::ostringstream body;
-    body << "{\"modulus_bits\": " << online_bits
-         << ", \"coeff_count\": " << coeff_count << ", \"reps\": "
-         << online_reps << ", \"cold_us\": " << online.cold_us
-         << ", \"online_us\": " << online.online_us
+    body << "{\"modulus_bits\": " << online_bits << ", \"reps\": "
+         << online_reps << ", \"inline_us\": " << online.inline_us
+         << ", \"pop_us\": " << online.pop_us
          << ", \"online_speedup\": " << online.speedup
          << ", \"pool_hit_rate\": " << online.hit_rate << "}";
     emit_parallel_json("fleet_online_phase", body.str(), "BENCH_fleet.json");
@@ -122,7 +114,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> fleet_sizes =
       smoke ? std::vector<std::size_t>{6}
             : std::vector<std::size_t>{100, 1000};
-  print_header("Fleet scheduler: continuous audit rounds (offline split on)");
+  print_header("Fleet scheduler: continuous audit rounds");
   std::printf("%-7s %-7s %-7s %10s %12s %12s %10s %7s %7s\n", "edges",
               "rounds", "budget", "audits/s", "mean(ms)", "p95(ms)",
               "hit rate", "inj", "det");
@@ -163,8 +155,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nTakeaway: with challenge material minted offline, the TPA's online "
-      "challenge phase\ncollapses to a pool dequeue, and the scheduler keeps "
+      "\nTakeaway: with challenges minted ahead of time, the TPA's challenge "
+      "on the audit path\ncollapses to a pool pop, and the scheduler keeps "
       "detection lag within the\nstaleness bound across the whole fleet.\n");
   return 0;
 }

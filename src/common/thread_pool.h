@@ -21,8 +21,8 @@ namespace ice {
 
 /// Cooperative cancellation shared between a background producer task and
 /// its owner. ThreadPool itself has no way to retract a submitted task, so
-/// a long-running producer (e.g. the offline challenge refiller) polls the
-/// token at its work-item boundaries and the owner's shutdown path is
+/// a long-running producer (e.g. the challenge pool's refill worker) polls
+/// the token at its work-item boundaries and the owner's shutdown path is
 /// request_stop() + wait-for-drain instead of racing the in-flight task.
 class CancellationToken {
  public:

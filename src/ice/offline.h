@@ -1,28 +1,22 @@
-// Online/offline audit split: precomputed challenge bundles.
+// The challenge pool: every TPA challenge is minted before it is needed.
 //
-// Nothing on the TPA's per-round critical path before the proof arrives
-// depends on WHICH edge is being audited: the challenge key e, the secret
-// s, the fixed-base power g^s with its ladder and the coefficient expansion
-// of e are all edge-independent (Ali & Liu's federated online/offline
-// inspection makes the same observation). This module hoists that work
-// into idle cycles: a background OfflineWorker on the shared ThreadPool
-// mints ready-made ChallengeBundles into a bounded lock-sharded
-// ChallengePool, and the online phase of start_audit / batch_begin
-// collapses to a pool pop.
+// Nothing in the TPA's challenge depends on WHICH edge is being audited:
+// the challenge key e, the secret s, the fixed-base power g^s and its
+// ladder are all edge-independent (Ali & Liu's federated online/offline
+// inspection makes the same observation). So a background OfflineWorker on
+// the shared ThreadPool mints ChallengeBundles into a bounded
+// ChallengePool, and the verifier's start_audit / batch_begin pop one. Only
+// a miss (the first challenge under a key, or an empty pool) mints inline,
+// with the same make_challenge call (DESIGN.md §14).
 //
-// Correctness contract: a bundle is minted by the EXACT cold-path code
-// (make_challenge, then CoefficientPrf::expand of the drawn e), so an
-// audit served from the pool is bit-identical to one served cold from the
-// same RNG draws — the cold path stays the pinned reference and the
-// fallback on pool miss (tests/ice/offline_test.cpp pins both).
-//
-// Invalidation: every bundle carries the pool generation it was minted
-// under; rekey() bumps the generation, in the same lock hold that swaps
-// the mint spec, BEFORE dropping stored bundles, so a worker mid-mint
-// against the old key offers a stale bundle that the pool refuses — a
-// challenge under a rotated key can never be consumed.
+// The pool also holds the key the TPA challenges under, and its counter is
+// the TPA's key generation: rekey() swaps the key, bumps the generation and
+// drops every stored bundle in one hold. A bundle minted under an older
+// generation is refused at offer(), and a pop names the generation it was
+// read with, so a challenge under a rotated key is never consumed.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -39,35 +33,33 @@
 
 namespace ice::proto {
 
-/// One precomputed audit round: everything make_challenge draws plus the
-/// coefficient expansion of e (a prefix of any shorter expansion, so the
-/// online verify slices the first |S_j| entries).
+/// Bundles the pool holds: a burst of this many challenges pops without
+/// minting inline.
+inline constexpr std::size_t kChallengePoolCapacity = 32;
+
+/// One precomputed challenge: everything make_challenge draws.
 struct ChallengeBundle {
-  Challenge challenge;             // (e, g^s, ladder)
-  ChallengeSecret secret;          // s
-  std::vector<bn::BigInt> coeffs;  // a_1..a_{coeff_count} expanded from e
-  std::uint64_t generation = 0;    // pool generation this was minted under
+  Challenge challenge;           // (e, g^s, ladder)
+  ChallengeSecret secret;        // s
+  std::uint64_t generation = 0;  // pool generation this was minted under
 };
 
-/// Mints one bundle exactly as the cold path would: make_challenge (same
-/// RNG draw order, same ladder), then CoefficientPrf::expand of the drawn
-/// e. The caller stamps the generation.
+/// Mints one bundle exactly as make_challenge does (same RNG draw order,
+/// same ladder). The caller stamps the generation.
 ChallengeBundle make_bundle(const PublicKey& pk, const ProtocolParams& params,
-                            bn::Rng64& rng, std::size_t coeff_count,
-                            const RungBases* rungs = nullptr);
+                            bn::Rng64& rng, const RungBases* rungs = nullptr);
 
 /// Snapshot of the pool's hit/miss/refill surface (HitCounter-style; see
-/// common/stats.h). `hits`/`misses` count online acquire outcomes; `minted`
-/// counts accepted offers; `stale_rejects` counts offers refused because
-/// the generation moved mid-mint (key/params rotation).
+/// common/stats.h). `hits`/`misses` count pops; `minted` counts accepted
+/// offers; `stale_rejects` counts offers refused because the generation
+/// moved mid-mint (key rotation).
 struct OfflineStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t minted = 0;
   std::uint64_t stale_rejects = 0;
   std::uint64_t full_rejects = 0;
-  std::size_t depth = 0;     // bundles currently pooled
-  std::size_t capacity = 0;  // configured bound
+  std::size_t depth = 0;  // bundles currently pooled
 
   [[nodiscard]] double hit_rate() const {
     const auto total = hits + misses;
@@ -76,96 +68,60 @@ struct OfflineStats {
   }
 };
 
-/// Deployment knobs for the offline split at a TPA. Disabled by default:
-/// the cold path stays byte-for-byte the only path unless a deployment
-/// opts in (the differential suites that pin RNG streams rely on that).
-struct OfflineConfig {
-  bool enabled = false;
-  /// Bundles the pool holds across all shards.
-  std::size_t pool_capacity = 32;
-  /// Lock shards (acquire/offer contend per shard, never pool-wide).
-  std::size_t pool_shards = 4;
-  /// Coefficients pre-expanded per bundle. Audits over at most this many
-  /// blocks verify from the bundle's prefix; larger ones re-expand from e
-  /// online (same stream, same bits) and still save the g^s modexp.
-  std::size_t coeff_count = 64;
-};
-
-/// Bounded lock-sharded store of ready ChallengeBundles with generation-
-/// tagged invalidation. Thread-safe; every lock is per-shard except the
-/// small config mutex guarding the mint spec.
+/// Bounded store of ready ChallengeBundles and the key they are minted
+/// under. Thread-safe; one mutex guards everything, since the pool sees
+/// about one pop and one offer per audit.
 class ChallengePool {
  public:
-  explicit ChallengePool(const OfflineConfig& config);
-
-  /// What a producer needs to mint bundles the pool will accept right now.
+  /// The key the pool mints under, with its generation.
   struct MintSpec {
     PublicKey pk;
     ProtocolParams params;
     std::shared_ptr<const RungBases> rungs;  // the key's ladder, or null
-    std::size_t coeff_count = 0;
     std::uint64_t generation = 0;
   };
 
-  /// Key or protocol parameters changed: bump the generation (so in-flight
-  /// mints become stale), drop every stored bundle, and install the new
-  /// mint spec. `rungs` is the new key's ladder holder, the one the cold
-  /// path challenges with. Returns the new generation.
+  /// Key or protocol parameters changed: install the new spec, bump the
+  /// generation (so in-flight mints become stale) and drop every stored
+  /// bundle, in one hold. `rungs` is the new key's ladder holder. Returns
+  /// the new generation.
   std::uint64_t rekey(const PublicKey& pk, const ProtocolParams& params,
                       std::shared_ptr<const RungBases> rungs = nullptr);
 
-  /// Bump the generation and drop bundles without installing a new spec
-  /// (key revoked, no replacement yet): mint_spec() goes empty.
-  void invalidate();
+  [[nodiscard]] std::uint64_t generation() const;
 
-  [[nodiscard]] std::uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  /// Current mint spec, or nullopt before the first rekey / after
-  /// invalidate().
+  /// The current key and generation, read in one hold; nullopt before the
+  /// first rekey.
   [[nodiscard]] std::optional<MintSpec> mint_spec() const;
 
-  /// Pops a ready bundle minted under the CURRENT generation. Records a
-  /// hit or miss either way.
-  bool try_acquire(ChallengeBundle& out);
+  /// Pops a ready bundle minted under `generation`, which must be the
+  /// current one. Records a hit or a miss either way.
+  bool try_acquire(std::uint64_t generation, ChallengeBundle& out);
 
   /// Offers a freshly minted bundle. Refused (false) when its generation
-  /// is stale or every shard is full.
+  /// is stale or the pool is full.
   bool offer(ChallengeBundle&& bundle);
 
   [[nodiscard]] std::size_t depth() const;
   [[nodiscard]] bool full() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] OfflineStats stats() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<ChallengeBundle> bundles;
-    HitCounter acquires;           // pool-hit vs cold-fallback
-    std::uint64_t minted = 0;      // accepted offers
-    std::uint64_t stale_rejects = 0;
-    std::uint64_t full_rejects = 0;
-  };
-
-  const std::size_t capacity_;
-  const std::size_t per_shard_;
-  const std::size_t coeff_count_;
-  std::atomic<std::uint64_t> generation_{0};
-  std::atomic<std::size_t> cursor_{0};  // round-robin start shard
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex spec_mu_;
-  std::optional<MintSpec> spec_;  // generation and coeff_count unset
+  mutable std::mutex mu_;
+  std::optional<MintSpec> spec_;  // carries the current generation
+  std::vector<ChallengeBundle> bundles_;  // all of the current generation
+  HitCounter acquires_;
+  std::uint64_t minted_ = 0;
+  std::uint64_t stale_rejects_ = 0;
+  std::uint64_t full_rejects_ = 0;
 };
 
-/// Background producer: refills a ChallengePool during idle cycles on the
-/// process-wide shared ThreadPool. At most one refill task is in flight;
-/// kick() schedules one when the pool has room. The CancellationToken is
-/// honored between bundles, so stop() (and the destructor) drains the
-/// in-flight task instead of racing a mid-refill offer — the "drain and
-/// stop background producer" idiom ThreadPool itself does not provide.
+/// Background producer: refills a ChallengePool on the process-wide shared
+/// ThreadPool. At most one refill task is in flight; kick() schedules one
+/// when the pool has room. The CancellationToken is honored between
+/// bundles, so stop() (and the destructor) drains the in-flight task
+/// instead of racing a mid-refill offer — the "drain and stop background
+/// producer" idiom ThreadPool itself does not provide.
 class OfflineWorker {
  public:
   /// `rng` must be safe for concurrent draws (crypto::SharedCsprng is);
@@ -177,8 +133,7 @@ class OfflineWorker {
   OfflineWorker& operator=(const OfflineWorker&) = delete;
 
   /// Schedules a refill task unless one is already in flight, the pool is
-  /// full, or the worker is stopped. Cheap; called after every consumed
-  /// bundle and every rekey.
+  /// full, or the worker is stopped. Cheap; called after every challenge.
   void kick();
 
   /// Requests cancellation and blocks until no refill task is running.

@@ -17,8 +17,7 @@ std::size_t rung_width(const PublicKey& pk, const ProtocolParams& params) {
 RungBases::RungBases(const PublicKey& pk, const ProtocolParams& params)
     : mont_(bn::Montgomery::shared(pk.n)),
       g_(pk.g),
-      width_(rung_width(pk, params)),
-      parallelism_(params.parallelism) {}
+      width_(rung_width(pk, params)) {}
 
 void RungBases::build() const {
   // One chain of 15·L squarings of the public g: the TPA trusts nobody
@@ -41,12 +40,12 @@ bn::Ladder RungBases::raise(const bn::BigInt& s) const {
   bn::Ladder ladder;
   ladder.width = width_;
   ladder.rungs.resize(combs_.size());
-  parallel_chunks(combs_.size(), parallelism_,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      combs_[i].pow_into(ladder.rungs[i], s);
-                    }
-                  });
+  // Serial: almost every raise runs in the refill worker, already on a pool
+  // thread; only an inline miss pays the ~1.1 ms of comb pows (1024-bit N)
+  // on the audit path (DESIGN.md §14).
+  for (std::size_t i = 0; i < combs_.size(); ++i) {
+    combs_[i].pow_into(ladder.rungs[i], s);
+  }
   return ladder;
 }
 
@@ -130,30 +129,6 @@ void repack_tags_into(const PublicKey& pk, const std::vector<bn::BigInt>& tags,
                   });
 }
 
-namespace {
-
-/// Shared tail of the two verify paths: R = prod_k T~_k^{a_k}, expected =
-/// R^s, compare with the (canonically reduced) claimed proof.
-bool verify_with_coeffs(const PublicKey& pk, const ProtocolParams& params,
-                        const std::vector<bn::BigInt>& repacked_tags,
-                        const std::vector<bn::BigInt>& coeffs,
-                        const ChallengeSecret& secret, const Proof& proof) {
-  const auto mont = bn::Montgomery::shared(pk.n);
-  // R = prod_k T~_k^{a_k} mod N: one simultaneous multi-exponentiation
-  // sharing a single squaring chain across all |S_j| tags (multiexp.h),
-  // chunked over the pool with partials combined in chunk order — the
-  // canonical result is bit-identical to per-tag pow at every thread count.
-  const bn::BigInt r =
-      bn::multi_exp(*mont, repacked_tags, coeffs, params.parallelism);
-  bn::BigInt expected;
-  mont->pow_into(expected, r, secret.s);
-  // One canonical reduction of the claimed proof (a no-op for wire-valid
-  // proofs, which deserialization already range-checks).
-  return expected == mont->reduce(proof.p);
-}
-
-}  // namespace
-
 bool verify_proof(const PublicKey& pk, const ProtocolParams& params,
                   const std::vector<bn::BigInt>& repacked_tags,
                   const Challenge& challenge, const ChallengeSecret& secret,
@@ -167,22 +142,18 @@ bool verify_proof(const PublicKey& pk, const ProtocolParams& params,
   static thread_local std::vector<bn::BigInt> coeffs;
   crypto::CoefficientPrf::expand_into(challenge.e, params.coeff_bits,
                                       repacked_tags.size(), coeffs);
-  return verify_with_coeffs(pk, params, repacked_tags, coeffs, secret, proof);
-}
-
-bool verify_proof_precomputed(const PublicKey& pk,
-                              const ProtocolParams& params,
-                              const std::vector<bn::BigInt>& repacked_tags,
-                              const std::vector<bn::BigInt>& coeffs,
-                              const ChallengeSecret& secret,
-                              const Proof& proof) {
-  if (repacked_tags.empty()) {
-    throw ParamError("verify_proof: no tags to verify against");
-  }
-  if (coeffs.size() != repacked_tags.size()) {
-    throw ParamError("verify_proof_precomputed: coefficient count mismatch");
-  }
-  return verify_with_coeffs(pk, params, repacked_tags, coeffs, secret, proof);
+  const auto mont = bn::Montgomery::shared(pk.n);
+  // R = prod_k T~_k^{a_k} mod N: one simultaneous multi-exponentiation
+  // sharing a single squaring chain across all |S_j| tags (multiexp.h),
+  // chunked over the pool with partials combined in chunk order — the
+  // canonical result is bit-identical to per-tag pow at every thread count.
+  const bn::BigInt r =
+      bn::multi_exp(*mont, repacked_tags, coeffs, params.parallelism);
+  bn::BigInt expected;
+  mont->pow_into(expected, r, secret.s);
+  // One canonical reduction of the claimed proof (a no-op for wire-valid
+  // proofs, which deserialization already range-checks).
+  return expected == mont->reduce(proof.p);
 }
 
 bn::BigInt draw_blinding(const PublicKey& pk, bn::Rng64& rng) {

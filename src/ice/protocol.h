@@ -72,14 +72,13 @@ struct Proof {
 /// after that.
 class RungBases {
  public:
-  /// L from rung_width(pk, params); params.parallelism is the thread
-  /// budget of raise().
+  /// L from rung_width(pk, params).
   RungBases(const PublicKey& pk, const ProtocolParams& params);
 
   [[nodiscard]] std::size_t width() const { return width_; }
 
   /// The challenge ladder for secret s: H_i = G_i^s, one comb pow per rung,
-  /// fanned over the shared pool. Builds the rungs on the first call.
+  /// on the calling thread. Builds the rungs on the first call.
   [[nodiscard]] bn::Ladder raise(const bn::BigInt& s) const;
 
   /// Times the rungs were built: 0 before the first raise(), 1 after.
@@ -93,7 +92,6 @@ class RungBases {
   std::shared_ptr<const bn::Montgomery> mont_;  // the combs borrow it
   bn::BigInt g_;
   std::size_t width_;
-  std::size_t parallelism_;
   mutable std::once_flag once_;
   mutable std::vector<bn::FixedBase> combs_;  // one per G_i, i >= 1
   mutable std::atomic<std::uint64_t> builds_{0};
@@ -136,20 +134,6 @@ bool verify_proof(const PublicKey& pk, const ProtocolParams& params,
                   const std::vector<bn::BigInt>& repacked_tags,
                   const Challenge& challenge, const ChallengeSecret& secret,
                   const Proof& proof);
-
-/// verify_proof with the coefficient expansion already done offline:
-/// `coeffs` must be the first repacked_tags.size() entries of
-/// CoefficientPrf::expand(challenge.e, params.coeff_bits, ...) — the
-/// stream is sequential, so any longer offline expansion's prefix is the
-/// exact cold-path vector. Bit-identical to verify_proof (the cold path
-/// stays the pinned reference; tests/ice/offline_test.cpp holds the two
-/// equal); throws ParamError on a size mismatch.
-bool verify_proof_precomputed(const PublicKey& pk,
-                              const ProtocolParams& params,
-                              const std::vector<bn::BigInt>& repacked_tags,
-                              const std::vector<bn::BigInt>& coeffs,
-                              const ChallengeSecret& secret,
-                              const Proof& proof);
 
 /// Draws the user's blinding s_tilde uniformly from Z_N^* \ {1}.
 bn::BigInt draw_blinding(const PublicKey& pk, bn::Rng64& rng);

@@ -27,19 +27,18 @@ struct AuditSession {
 
   State state = State::kChallenging;
   std::uint32_t edge_id = 0;
+  /// The key generation the challenge was minted under (ice/offline.h);
+  /// submit_repacked refuses the session under any other.
+  std::uint64_t generation = 0;
   Challenge challenge;
   ChallengeSecret secret;
   Proof proof;  // valid once state == kAwaitingTags
-  /// Coefficients pre-expanded offline when this session was served from
-  /// the challenge pool (ice/offline.h); empty on the cold path. verify
-  /// uses the first |S_j| entries when enough were expanded and falls back
-  /// to the online expansion otherwise — bit-identical either way.
-  std::vector<bn::BigInt> coeffs;
 };
 
 /// One ICE-batch round at the TPA (paper §V): created by batch_begin,
 /// filled by per-edge submit_proof calls, consumed by batch_finish.
 struct BatchSession {
+  std::uint64_t generation = 0;  // as AuditSession::generation
   ChallengeSecret secret;
   std::size_t expected_proofs = 0;
   std::vector<Proof> proofs;

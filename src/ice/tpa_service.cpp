@@ -12,16 +12,12 @@ namespace ice::proto {
 using net::ServiceError;
 using net::Status;
 
-TpaService::TpaService(std::size_t parallelism, const OfflineConfig& offline)
+TpaService::TpaService(std::size_t parallelism)
     : dispatch_("TpaService"),
+      parallelism_(parallelism),
       sessions_(session_table_config()),
       batches_(session_table_config()),
-      offline_cfg_(offline),
-      pool_(offline) {
-  params_.parallelism = parallelism;
-  if (offline_cfg_.enabled) {
-    offline_worker_ = std::make_unique<OfflineWorker>(pool_, rng_);
-  }
+      worker_(pool_, rng_) {
   const auto bind = [this](void (TpaService::*fn)(net::Reader&,
                                                   net::Writer&)) {
     return [this, fn](net::Reader& r, net::Writer& w) { (this->*fn)(r, w); };
@@ -54,7 +50,7 @@ Bytes TpaService::handle(std::uint16_t method, BytesView request) {
 
 void TpaService::register_edge(std::uint32_t edge_id,
                                net::RpcChannel& channel) {
-  std::unique_lock lock(config_mu_);
+  std::unique_lock lock(edges_mu_);
   edges_[edge_id] = &channel;
 }
 
@@ -69,12 +65,25 @@ StoreEpochStats TpaService::epoch_stats() const {
   return store_->epoch_stats();
 }
 
-std::pair<PublicKey, ProtocolParams> TpaService::config_snapshot() const {
-  std::shared_lock lock(config_mu_);
-  if (!pk_) {
+ChallengePool::MintSpec TpaService::key_snapshot() const {
+  auto key = pool_.mint_spec();
+  if (!key) {
     throw ServiceError(Status::kFailedPrecondition, "set key first");
   }
-  return {*pk_, params_};
+  return std::move(*key);
+}
+
+ChallengeBundle TpaService::next_challenge(const ChallengePool::MintSpec& key) {
+  ChallengeBundle bundle;
+  if (!pool_.try_acquire(key.generation, bundle)) {
+    bundle = make_bundle(key.pk, key.params, rng_, key.rungs.get());
+    bundle.generation = key.generation;
+  }
+  // The first challenge under a key starts the refills: the helper replica
+  // receives set_key but never challenges, so it never mints and never
+  // builds rungs.
+  worker_.kick();
+  return bundle;
 }
 
 void TpaService::on_set_key(net::Reader& r, net::Writer&) {
@@ -100,21 +109,16 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
                        "coefficient width outside the PRF's range");
   }
   ProtocolParams params;
-  std::shared_ptr<const RungBases> rungs;
-  {
-    std::unique_lock lock(config_mu_);
-    params_.coeff_bits = coeff_bits;
-    params_.challenge_key_bits = key_bits;
-    params_.modulus_bits = pk.n.bit_length();
-    params_.block_bytes = static_cast<std::size_t>(block_bytes);
-    params = params_;
-    pk_ = pk;
-    // A fresh holder, swapped with the key: no challenge can pair this key
-    // with the last key's rungs. It builds nothing until a challenge asks
-    // (the non-verifier replica never does).
-    rungs = std::make_shared<const RungBases>(pk, params);
-    rungs_ = rungs;
-  }
+  params.coeff_bits = coeff_bits;
+  params.challenge_key_bits = key_bits;
+  params.modulus_bits = pk.n.bit_length();
+  params.block_bytes = static_cast<std::size_t>(block_bytes);
+  params.parallelism = parallelism_;
+  // Key, ladder holder and a new generation in one hold: a challenge read
+  // under the old key keeps the old generation, and submit_repacked and
+  // batch_finish refuse it. The fresh holder builds nothing until a
+  // challenge asks (the helper replica never does).
+  pool_.rekey(pk, params, std::make_shared<const RungBases>(pk, params));
   {
     std::unique_lock lock(store_mu_);
     store_.reset();  // tags from an old key are meaningless now
@@ -127,12 +131,6 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
   // (tests/bignum/fixed_base_test.cpp pins the cliff). Keys change rarely;
   // pay it here, off every audit path.
   bn::FixedBase::warm(*bn::Montgomery::shared(pk.n), pk.g, pk.n.bit_length());
-  if (offline_cfg_.enabled) {
-    // New key ⇒ new pool generation: stored bundles drop, in-flight mints
-    // against the old key become stale offers the pool refuses.
-    pool_.rekey(pk, params, std::move(rungs));
-    offline_worker_->kick();
-  }
 }
 
 void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
@@ -141,8 +139,7 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   if (tags.empty()) {
     throw ServiceError(Status::kInvalidArgument, "no tags");
   }
-  const auto [pk, params] = config_snapshot();
-  (void)pk;
+  const ProtocolParams params = key_snapshot().params;
   // Build the replacement store with no lock held (this is the expensive
   // part), then swap it in. The fused engine streams the rows, so no
   // bitplane lists are built here.
@@ -158,46 +155,23 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
   // when our challenge arrives.
   const std::uint64_t id = r.u64();
   r.expect_done();
-  PublicKey pk;
-  ProtocolParams params;
-  std::shared_ptr<const RungBases> rungs;
+  const ChallengePool::MintSpec key = key_snapshot();
   net::RpcChannel* edge_channel = nullptr;
   {
-    std::shared_lock lock(config_mu_);
-    if (!pk_) {
-      throw ServiceError(Status::kFailedPrecondition, "set key first");
-    }
+    std::shared_lock lock(edges_mu_);
     const auto it = edges_.find(edge_id);
     if (it == edges_.end()) {
       throw ServiceError(Status::kNotFound, "unknown edge");
     }
-    pk = *pk_;
-    params = params_;
-    rungs = rungs_;
     edge_channel = it->second;
   }
 
+  ChallengeBundle bundle = next_challenge(key);
   AuditSession session;
   session.edge_id = edge_id;
-  // Online/offline split: a pooled bundle turns the challenge phase into a
-  // dequeue (the g^s modexp and its ladder, RNG draws and coefficient
-  // expansion already happened offline). The cold path below is the pinned
-  // reference and the pool-miss fallback — bit-identical verdict either way.
-  bool pooled = false;
-  if (offline_cfg_.enabled) {
-    ChallengeBundle bundle;
-    if (pool_.try_acquire(bundle)) {
-      session.challenge = std::move(bundle.challenge);
-      session.secret = std::move(bundle.secret);
-      session.coeffs = std::move(bundle.coeffs);
-      pooled = true;
-    }
-    offline_worker_->kick();  // refill behind this consume (or miss)
-  }
-  if (!pooled) {
-    session.challenge =
-        make_challenge(pk, params, rng_, session.secret, rungs.get());
-  }
+  session.generation = bundle.generation;
+  session.challenge = std::move(bundle.challenge);
+  session.secret = std::move(bundle.secret);
   const Challenge challenge = session.challenge;
   // Park the session in kChallenging state BEFORE the round trip so a
   // concurrent start_audit on the same nonce is refused, then challenge
@@ -217,7 +191,7 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
     // Reject malformed proof values at the wire boundary: an honest edge
     // always returns an element of Z_N^*, so anything else is a protocol
     // violation, not a failed audit.
-    validate_proof(pk, proof);
+    validate_proof(key.pk, proof);
   } catch (...) {
     sessions_.erase(id);
     throw;
@@ -236,7 +210,7 @@ void TpaService::on_submit_repacked(net::Reader& r, net::Writer& w) {
   const std::uint64_t id = r.u64();
   const std::vector<bn::BigInt> tags = read_bigint_list(r);
   r.expect_done();
-  const auto [pk, params] = config_snapshot();
+  const ChallengePool::MintSpec key = key_snapshot();
   auto [outcome, session] =
       sessions_.extract_if(id, [](const AuditSession& s) {
         return s.state == AuditSession::State::kAwaitingTags;
@@ -248,18 +222,12 @@ void TpaService::on_submit_repacked(net::Reader& r, net::Writer& w) {
     throw ServiceError(Status::kFailedPrecondition,
                        "edge challenge still in flight");
   }
-  bool pass;
-  if (session->coeffs.size() >= tags.size()) {
-    // Pool-served session with enough pre-expanded coefficients: slice the
-    // prefix (the PRF stream is sequential, so it is the exact cold-path
-    // vector) and skip the online expansion.
-    session->coeffs.resize(tags.size());
-    pass = verify_proof_precomputed(pk, params, tags, session->coeffs,
-                                    session->secret, session->proof);
-  } else {
-    pass = verify_proof(pk, params, tags, session->challenge, session->secret,
-                        session->proof);
+  if (session->generation != key.generation) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "session challenged under a replaced key");
   }
+  const bool pass = verify_proof(key.pk, key.params, tags, session->challenge,
+                                 session->secret, session->proof);
   {
     std::lock_guard lock(log_mu_);
     log_.append(id, session->edge_id, /*batch=*/false, pass);
@@ -277,35 +245,16 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
   if (num_edges == 0) {
     throw ServiceError(Status::kInvalidArgument, "empty batch");
   }
-  PublicKey pk;
-  std::shared_ptr<const RungBases> rungs;
-  {
-    std::shared_lock lock(config_mu_);
-    if (!pk_) {
-      throw ServiceError(Status::kFailedPrecondition, "set key first");
-    }
-    pk = *pk_;
-    rungs = rungs_;
-  }
-  BatchSession batch;
-  Challenge base;
   // ICE-batch only needs (s, g^s, ladder) from the TPA — the per-edge
-  // challenge keys are the user's (paper §V) — so a pooled bundle serves
-  // here too; its e and pre-expanded coefficients go unused, but the g^s
-  // modexp and the ladder dominate the mint, so the online saving is nearly
-  // the full bundle.
-  bool pooled = false;
-  if (offline_cfg_.enabled) {
-    ChallengeBundle bundle;
-    if (pool_.try_acquire(bundle)) {
-      base.g_s = std::move(bundle.challenge.g_s);
-      base.ladder = std::move(bundle.challenge.ladder);
-      batch.secret = std::move(bundle.secret);
-      pooled = true;
-    }
-    offline_worker_->kick();
-  }
-  if (!pooled) base = make_batch_base(pk, rng_, batch.secret, rungs.get());
+  // challenge keys are the user's (paper §V) — so the bundle's e goes
+  // unused.
+  ChallengeBundle bundle = next_challenge(key_snapshot());
+  Challenge base;
+  base.g_s = std::move(bundle.challenge.g_s);
+  base.ladder = std::move(bundle.challenge.ladder);
+  BatchSession batch;
+  batch.generation = bundle.generation;
+  batch.secret = std::move(bundle.secret);
   batch.expected_proofs = num_edges;
   switch (batches_.try_emplace(id, std::move(batch))) {
     case SessionTable<BatchSession>::Insert::kExists:
@@ -324,9 +273,7 @@ void TpaService::on_submit_proof(net::Reader& r, net::Writer&) {
   Proof proof;
   proof.p = r.bigint();
   r.expect_done();
-  const auto [pk, params] = config_snapshot();
-  (void)params;
-  validate_proof(pk, proof);  // range/unit check at deserialization
+  validate_proof(key_snapshot().pk, proof);  // range/unit check at decode
   bool full = false;
   const bool found = batches_.with(id, [&](BatchSession& batch) {
     if (batch.proofs.size() >= batch.expected_proofs) {
@@ -345,7 +292,7 @@ void TpaService::on_batch_finish(net::Reader& r, net::Writer& w) {
   const std::uint64_t id = r.u64();
   const std::vector<bn::BigInt> tags = read_bigint_list(r);
   r.expect_done();
-  const auto [pk, params] = config_snapshot();
+  const ChallengePool::MintSpec key = key_snapshot();
   auto [outcome, batch] = batches_.extract_if(
       id, [](const BatchSession& b) { return b.complete(); });
   if (outcome == SessionTable<BatchSession>::Extract::kMissing) {
@@ -355,8 +302,12 @@ void TpaService::on_batch_finish(net::Reader& r, net::Writer& w) {
     throw ServiceError(Status::kFailedPrecondition,
                        "batch proofs incomplete");
   }
-  const bool pass = verify_batch(pk, tags, batch->proofs, batch->secret,
-                                 params.parallelism);
+  if (batch->generation != key.generation) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "batch challenged under a replaced key");
+  }
+  const bool pass = verify_batch(key.pk, tags, batch->proofs, batch->secret,
+                                 key.params.parallelism);
   {
     std::lock_guard lock(log_mu_);
     log_.append(id, /*edge_id=*/0, /*batch=*/true, pass);

@@ -11,8 +11,9 @@
 //
 // Concurrency (DESIGN.md §10): requests route through a typed Dispatcher;
 // per-session state lives in sharded TTL tables locked per shard; the only
-// service-wide locks are two shared_mutexes over key/edge configuration and
-// the tag store, taken shared on the hot paths. No lock of any kind is held
+// service-wide locks are two shared_mutexes over the edge registry and the
+// tag store, taken shared on the hot paths, and the challenge pool's mutex
+// over the key and its generation. No lock of any kind is held
 // across an outbound channel call (the PR 3 TPA/Edge lock-order hazard is
 // structurally impossible now).
 #pragma once
@@ -20,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 
 #include "crypto/csprng.h"
@@ -44,13 +44,7 @@ class TpaService final : public net::RpcHandler {
   /// `parallelism` is the worker-task budget for PIR evaluation and proof
   /// verification: a local deployment knob, independent of the protocol
   /// parameters received via kTpaSetKey.
-  /// `offline` opts the verifier into the online/offline audit split
-  /// (ice/offline.h): a background worker precomputes challenge bundles
-  /// during idle cycles and start_audit / batch_begin consume them. Off by
-  /// default — with it off, the RNG draw order and every wire byte are
-  /// exactly the pre-PR-8 cold path.
-  explicit TpaService(std::size_t parallelism = 0,
-                      const OfflineConfig& offline = {});
+  explicit TpaService(std::size_t parallelism = 0);
 
   Bytes handle(std::uint16_t method, BytesView request) override;
 
@@ -70,13 +64,13 @@ class TpaService final : public net::RpcHandler {
   /// through this accessor are not).
   [[nodiscard]] const AuditLog& audit_log() const { return log_; }
 
-  /// Offline-split observability: pool depth, hit/miss/refill counters
-  /// (all zero when the split is disabled). Thread-safe.
+  /// Challenge-pool observability: depth, hit/miss/refill counters.
+  /// Thread-safe.
   [[nodiscard]] OfflineStats offline_stats() const { return pool_.stats(); }
 
-  /// Direct pool access for tests and operator tooling (stale-bundle
-  /// injection, prefill waits). The service owns the pool; do not hold
-  /// references across a service restart.
+  /// Direct pool access for tests and operator tooling (the key, its
+  /// generation and its ladder holder live there). The service owns the
+  /// pool; do not hold references across a service restart.
   [[nodiscard]] ChallengePool& challenge_pool() { return pool_; }
 
  private:
@@ -93,20 +87,21 @@ class TpaService final : public net::RpcHandler {
   void on_append_tag(net::Reader& r, net::Writer& w);
   void on_close_epoch(net::Reader& r, net::Writer& w);
 
-  /// Copies the key + params under the shared config lock; throws
+  /// The current key and its generation, read in one hold; throws
   /// ServiceError(kFailedPrecondition) before set_key.
-  [[nodiscard]] std::pair<PublicKey, ProtocolParams> config_snapshot() const;
+  [[nodiscard]] ChallengePool::MintSpec key_snapshot() const;
+
+  /// The one challenge path (DESIGN.md §14): pops a bundle minted under
+  /// `key`'s generation or, on a miss, mints one inline with the same
+  /// make_challenge call; then kicks the refill worker.
+  [[nodiscard]] ChallengeBundle next_challenge(
+      const ChallengePool::MintSpec& key);
 
   net::Dispatcher dispatch_;
+  const std::size_t parallelism_;
 
-  // Key/edge configuration: written by set_key/register_edge, read
-  // (shared) by every audit path.
-  mutable std::shared_mutex config_mu_;
-  ProtocolParams params_;  // coeff/key widths and block size from kTpaSetKey
-  std::optional<PublicKey> pk_;
-  // The key's ladder holder (DESIGN.md §8): swapped with pk_ by set_key,
-  // shared with the offline worker's mint spec, built on first challenge.
-  std::shared_ptr<const RungBases> rungs_;
+  // Edge registry: written by register_edge, read (shared) by start_audit.
+  mutable std::shared_mutex edges_mu_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
   // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
@@ -118,12 +113,12 @@ class TpaService final : public net::RpcHandler {
   SessionTable<BatchSession> batches_;
   crypto::SharedCsprng rng_;
 
-  // Online/offline split (ice/offline.h). Declared after rng_ and before
-  // offline_worker_ so destruction stops the worker (which draws from
-  // rng_ and fills pool_) before either referent dies.
-  const OfflineConfig offline_cfg_;
+  // The key (with its ladder holder and generation) and the bundles
+  // minted under it. Declared after rng_ and before worker_ so destruction
+  // stops the worker (which draws from rng_ and fills pool_) before either
+  // referent dies.
   ChallengePool pool_;
-  std::unique_ptr<OfflineWorker> offline_worker_;
+  OfflineWorker worker_;
 
   std::mutex log_mu_;
   AuditLog log_;

@@ -30,14 +30,13 @@ std::unique_ptr<net::RpcChannel> connect(
 Deployment::Deployment(const proto::ProtocolParams& params,
                        proto::KeyPair keys, std::size_t n_blocks,
                        std::size_t num_edges, std::size_t cache_capacity,
-                       std::uint64_t file_seed, Transport transport,
-                       const proto::OfflineConfig& offline)
+                       std::uint64_t file_seed, Transport transport)
     : params_(params),
       keys_(std::move(keys)),
       csp_(mec::BlockStore::synthetic(n_blocks, params.block_bytes,
                                       file_seed),
            params.parallelism),
-      tpa0_(params.parallelism, offline),
+      tpa0_(params.parallelism),
       tpa1_(params.parallelism),
       csp_server_(serve(csp_, transport)),
       tpa0_server_(serve(tpa0_, transport)),

@@ -24,7 +24,6 @@
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
 #include "ice/keys.h"
-#include "ice/offline.h"
 #include "ice/params.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
@@ -38,14 +37,13 @@ enum class Transport { kInProcess, kTcp };
 class Deployment {
  public:
   /// `params` (including its thread budget) configures every service and
-  /// the user; `offline` configures the verifier TPA only. Edge j has id j
-  /// and an LRU cache of `cache_capacity` blocks. The file is
-  /// mec::BlockStore::synthetic(n_blocks, params.block_bytes, file_seed).
+  /// the user. Edge j has id j and an LRU cache of `cache_capacity` blocks.
+  /// The file is mec::BlockStore::synthetic(n_blocks, params.block_bytes,
+  /// file_seed).
   Deployment(const proto::ProtocolParams& params, proto::KeyPair keys,
              std::size_t n_blocks, std::size_t num_edges,
              std::size_t cache_capacity, std::uint64_t file_seed,
-             Transport transport = Transport::kInProcess,
-             const proto::OfflineConfig& offline = {});
+             Transport transport = Transport::kInProcess);
   ~Deployment();
 
   Deployment(const Deployment&) = delete;

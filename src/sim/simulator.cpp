@@ -135,16 +135,9 @@ FleetReport run_fleet_simulation(const FleetConfig& config,
     throw ParamError("fleet: blocks_per_edge must be in [1, n_blocks]");
   }
 
-  OfflineConfig offline;
-  offline.enabled = config.offline;
-  offline.pool_capacity = config.pool_capacity;
-  offline.pool_shards = config.pool_shards;
-  offline.coeff_count = config.coeff_count;
-
   Deployment world(make_params(keys, config.block_bytes, config.parallelism),
                    keys, config.n_blocks, config.edges,
-                   config.blocks_per_edge, seed, Transport::kInProcess,
-                   offline);
+                   config.blocks_per_edge, seed);
   world.setup();
   // Overlapping pre-download slices around the file, as query-driven
   // caching would produce.

@@ -66,7 +66,7 @@ SimReport run_simulation(const SimConfig& config, const proto::KeyPair& keys,
 
 /// Fleet-scale audit scheduling scenario (PR 8): one verifier TPA watches
 /// `edges` edge caches, running continuous audit rounds planned by
-/// ice/fleet_scheduler.h with the online/offline challenge split enabled.
+/// ice/fleet_scheduler.h, every challenge served by the challenge pool.
 /// Each round the scheduler picks `round_budget` edges by staleness and
 /// corruption risk; silent corruption strikes a random edge every
 /// `corrupt_every` rounds and the report tracks how many rounds it survived
@@ -80,13 +80,6 @@ struct FleetConfig {
   std::size_t round_budget = 16;     // audits per round (scheduler budget)
   std::size_t corrupt_every = 3;     // rounds between injections (0 = never)
   std::size_t parallelism = 0;       // ProtocolParams convention
-  /// Online/offline split at the verifier TPA (ice/offline.h). On by
-  /// default here — the whole point of the fleet scenario; audit verdicts
-  /// and detection counters are identical with it off, just slower.
-  bool offline = true;
-  std::size_t pool_capacity = 32;
-  std::size_t pool_shards = 4;
-  std::size_t coeff_count = 64;      // >= blocks_per_edge for full precompute
 };
 
 struct FleetReport {
@@ -103,7 +96,7 @@ struct FleetReport {
   std::size_t staleness_bound = 0;     // scheduler's forced-audit threshold
   std::size_t max_staleness_seen = 0;  // worst staleness any edge reached
   std::uint64_t pool_hits = 0;         // start_audit served from the pool
-  std::uint64_t pool_misses = 0;       // cold-path fallbacks
+  std::uint64_t pool_misses = 0;       // minted inline
   double audit_seconds_total = 0.0;
   double audit_seconds_mean = 0.0;
   double audit_seconds_p95 = 0.0;

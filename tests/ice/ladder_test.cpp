@@ -2,7 +2,7 @@
 // ladder changes no proof bit, draws nothing from the RNG, keeps every
 // soundness failure a failure, makes a tampered rung fail an honest edge,
 // and reaches the edge and the user only through typed-error checks.
-// The holder's lazy build races first challenges, the offline worker and
+// The holder's lazy build races first challenges, the refill worker and
 // key swaps (TSan target).
 #include <gtest/gtest.h>
 
@@ -295,20 +295,15 @@ TEST(RungBasesTest, RacingFirstChallengesBuildOnce) {
   }
 }
 
-// The offline worker, cold challenges and key swaps share one holder per
-// key: each holder builds once, and every minted or cold challenge pairs
+// The refill worker, inline mints and key swaps share one holder per
+// key: each holder builds once, and every pooled or inline challenge pairs
 // its g_s with its own key's rungs.
 TEST(RungBasesTest, WorkerColdPathAndRekeysBuildOncePerKey) {
   const KeyPair key_a = ice::testing::test_keypair_256();
   const KeyPair key_b = ice::testing::test_keypair_512();
   const ProtocolParams params_a = ice::testing::test_params(256);
   const ProtocolParams params_b = ice::testing::test_params(512);
-  OfflineConfig cfg;
-  cfg.enabled = true;
-  cfg.pool_capacity = 4;
-  cfg.pool_shards = 2;
-  cfg.coeff_count = 2;
-  ChallengePool pool(cfg);
+  ChallengePool pool;
   crypto::SharedCsprng rng = crypto::SharedCsprng::deterministic(5);
   OfflineWorker worker(pool, rng);
 
@@ -328,7 +323,10 @@ TEST(RungBasesTest, WorkerColdPathAndRekeysBuildOncePerKey) {
   std::thread consumer([&] {
     while (!stop.load()) {
       ChallengeBundle bundle;
-      if (pool.try_acquire(bundle) && !consistent(bundle.challenge)) ++bad;
+      if (pool.try_acquire(pool.generation(), bundle) &&
+          !consistent(bundle.challenge)) {
+        ++bad;
+      }
       worker.kick();
     }
   });
@@ -363,10 +361,9 @@ TEST(RungBasesTest, WorkerColdPathAndRekeysBuildOncePerKey) {
 /// 64-byte blocks, set up.
 class LadderWorld : public sim::Deployment {
  public:
-  explicit LadderWorld(const OfflineConfig& offline = {})
+  LadderWorld()
       : sim::Deployment(ice::testing::test_params(64),
-                        ice::testing::test_keypair_256(), 16, 1, 8, 8,
-                        sim::Transport::kInProcess, offline) {
+                        ice::testing::test_keypair_256(), 16, 1, 8, 8) {
     setup();
     edge(0).pre_download({1, 2, 3});
   }
@@ -554,14 +551,10 @@ TEST(LadderWireTest, SetKeyRefusesChainLengthsOutsideTheCaps) {
   EXPECT_TRUE(w.user().audit_edges_batch(w.user_edges()));
 }
 
-// set_key racing first challenges and the offline worker at the service:
+// set_key racing first challenges and the refill worker at the service:
 // every 305 reply pairs its g_s with the rungs of one key.
 TEST(LadderWireTest, SetKeyRacingChallengesNeverMixesKeys) {
-  OfflineConfig offline;
-  offline.enabled = true;
-  offline.pool_capacity = 4;
-  offline.coeff_count = 2;
-  LadderWorld w(offline);
+  LadderWorld w;
   const KeyPair other = ice::testing::test_keypair_512();
   ProtocolParams other_params = ice::testing::test_params(512);
   other_params.modulus_bits = 512;

@@ -1,18 +1,21 @@
-// Online/offline audit split (ice/offline.h): the differential suite
-// pinning pool-served audits bit-exact against the cold path, the
-// generation-invalidation contract (a bundle minted under a rotated key is
-// never consumed), pool-exhaustion fallback, and the worker's shutdown /
-// rekey races (exercised under TSan via the sanitizer presets).
+// The challenge pool (ice/offline.h): bundles minted bit-exact with
+// make_challenge, the generation contract (a bundle minted under a rotated
+// key is never consumed, a session is never verified under a key it was
+// not challenged under), the one challenge path at the service (the first
+// challenge after set_key mints inline, later ones pop, verdicts agree),
+// and the worker's shutdown / rekey races (exercised under TSan via the
+// sanitizer presets).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/rng.h"
 #include "crypto/csprng.h"
-#include "crypto/prf.h"
+#include "ice/batch.h"
 #include "ice/edge_service.h"
 #include "ice/offline.h"
 #include "ice/tag.h"
@@ -30,70 +33,38 @@ ProtocolParams small_params() {
   return params;
 }
 
-// --- make_bundle vs the cold path --------------------------------------
+/// Offers `count` bundles minted under the pool's current spec.
+void fill(ChallengePool& pool, bn::Rng64& rng, std::size_t count) {
+  const auto spec = pool.mint_spec();
+  ASSERT_TRUE(spec.has_value());
+  for (std::size_t i = 0; i < count; ++i) {
+    ChallengeBundle b = make_bundle(spec->pk, spec->params, rng);
+    b.generation = spec->generation;
+    ASSERT_TRUE(pool.offer(std::move(b)));
+  }
+}
+
+// --- make_bundle vs make_challenge ---------------------------------------
 
 TEST(OfflineBundleTest, BundleMatchesColdPathBitExact) {
   const KeyPair keys = ice::testing::test_keypair_256();
   const ProtocolParams params = small_params();
+  const RungBases rungs(keys.pk, params);
 
   SplitMix64 gen_a(42), gen_b(42);
   bn::Rng64Adapter rng_a(gen_a), rng_b(gen_b);
 
-  const ChallengeBundle bundle = make_bundle(keys.pk, params, rng_a, 12);
+  const ChallengeBundle bundle = make_bundle(keys.pk, params, rng_a, &rungs);
   ChallengeSecret cold_secret;
-  const Challenge cold = make_challenge(keys.pk, params, rng_b, cold_secret);
+  const Challenge cold =
+      make_challenge(keys.pk, params, rng_b, cold_secret, &rungs);
 
   // Identical RNG stream -> identical challenge material, bit for bit.
   EXPECT_EQ(bundle.challenge.e, cold.e);
   EXPECT_EQ(bundle.challenge.g_s, cold.g_s);
   EXPECT_EQ(bundle.secret.s, cold_secret.s);
-
-  // The bundle's coefficient vector is the exact PRF expansion of e; a
-  // shorter cold expansion is its prefix (the stream is sequential).
-  const auto cold_coeffs =
-      crypto::CoefficientPrf::expand(cold.e, params.coeff_bits, 5);
-  ASSERT_EQ(bundle.coeffs.size(), 12u);
-  for (std::size_t i = 0; i < cold_coeffs.size(); ++i) {
-    EXPECT_EQ(bundle.coeffs[i], cold_coeffs[i]) << "coefficient " << i;
-  }
-}
-
-TEST(OfflineBundleTest, PrecomputedVerifyMatchesColdVerdicts) {
-  const KeyPair keys = ice::testing::test_keypair_256();
-  const ProtocolParams params = small_params();
-  const auto blocks = ice::testing::make_blocks(6, params.block_bytes, 3);
-
-  SplitMix64 gen(7);
-  bn::Rng64Adapter rng(gen);
-  const ChallengeBundle bundle = make_bundle(keys.pk, params, rng, 10);
-  const bn::BigInt s_tilde = draw_blinding(keys.pk, rng);
-  const Proof proof =
-      make_proof(keys.pk, params, blocks, bundle.challenge, s_tilde);
-
-  const TagGenerator tagger(keys.pk);
-  std::vector<bn::BigInt> tags;
-  for (const auto& b : blocks) tags.push_back(tagger.tag(b));
-  const auto repacked = repack_tags(keys.pk, tags, s_tilde, 1);
-
-  std::vector<bn::BigInt> coeffs(bundle.coeffs.begin(),
-                                 bundle.coeffs.begin() + 6);
-  EXPECT_TRUE(verify_proof(keys.pk, params, repacked, bundle.challenge,
-                           bundle.secret, proof));
-  EXPECT_TRUE(verify_proof_precomputed(keys.pk, params, repacked, coeffs,
-                                       bundle.secret, proof));
-
-  // Tamper: both paths must agree on the failure too.
-  Proof bad = proof;
-  bad.p = bad.p + bn::BigInt(1);
-  EXPECT_FALSE(verify_proof(keys.pk, params, repacked, bundle.challenge,
-                            bundle.secret, bad));
-  EXPECT_FALSE(verify_proof_precomputed(keys.pk, params, repacked, coeffs,
-                                        bundle.secret, bad));
-
-  // Coefficient count must match the tag count exactly.
-  EXPECT_THROW(verify_proof_precomputed(keys.pk, params, repacked,
-                                        bundle.coeffs, bundle.secret, proof),
-               ParamError);
+  EXPECT_EQ(bundle.challenge.ladder.width, cold.ladder.width);
+  EXPECT_EQ(bundle.challenge.ladder.rungs, cold.ladder.rungs);
 }
 
 // --- ChallengePool semantics --------------------------------------------
@@ -101,49 +72,38 @@ TEST(OfflineBundleTest, PrecomputedVerifyMatchesColdVerdicts) {
 TEST(ChallengePoolTest, AcquireOfferAndStats) {
   const KeyPair keys = ice::testing::test_keypair_256();
   const ProtocolParams params = small_params();
-  OfflineConfig config;
-  config.enabled = true;
-  config.pool_capacity = 4;
-  config.pool_shards = 2;
-  config.coeff_count = 4;
-  ChallengePool pool(config);
+  ChallengePool pool;
 
   ChallengeBundle out;
-  EXPECT_FALSE(pool.try_acquire(out));  // empty: miss
+  EXPECT_FALSE(pool.try_acquire(0, out));  // no key yet: miss
   EXPECT_FALSE(pool.mint_spec().has_value());
 
   const std::uint64_t gen = pool.rekey(keys.pk, params);
   const auto spec = pool.mint_spec();
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->generation, gen);
-  EXPECT_EQ(spec->coeff_count, 4u);
+  EXPECT_EQ(pool.generation(), gen);
 
   SplitMix64 sm(5);
   bn::Rng64Adapter rng(sm);
-  for (std::size_t i = 0; i < 4; ++i) {
-    ChallengeBundle b = make_bundle(spec->pk, spec->params, rng, 4);
-    b.generation = spec->generation;
-    EXPECT_TRUE(pool.offer(std::move(b)));
-  }
+  fill(pool, rng, kChallengePoolCapacity);
   EXPECT_TRUE(pool.full());
-  EXPECT_EQ(pool.depth(), 4u);
+  EXPECT_EQ(pool.depth(), kChallengePoolCapacity);
 
-  // A fifth offer at capacity is refused.
-  ChallengeBundle extra = make_bundle(spec->pk, spec->params, rng, 4);
+  // One more offer at capacity is refused.
+  ChallengeBundle extra = make_bundle(spec->pk, spec->params, rng);
   extra.generation = spec->generation;
   EXPECT_FALSE(pool.offer(std::move(extra)));
 
-  EXPECT_TRUE(pool.try_acquire(out));
+  EXPECT_TRUE(pool.try_acquire(gen, out));
   EXPECT_EQ(out.generation, gen);
-  EXPECT_EQ(out.coeffs.size(), 4u);
 
   const OfflineStats stats = pool.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.minted, 4u);
+  EXPECT_EQ(stats.minted, kChallengePoolCapacity);
   EXPECT_EQ(stats.full_rejects, 1u);
-  EXPECT_EQ(stats.depth, 3u);
-  EXPECT_EQ(stats.capacity, 4u);
+  EXPECT_EQ(stats.depth, kChallengePoolCapacity - 1);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
@@ -151,17 +111,12 @@ TEST(ChallengePoolTest, RekeyInvalidatesStoredAndInFlightBundles) {
   const KeyPair keys = ice::testing::test_keypair_256();
   const KeyPair keys2 = ice::testing::test_keypair_256(0, 1);
   const ProtocolParams params = small_params();
-  OfflineConfig config;
-  config.pool_capacity = 4;
-  config.coeff_count = 2;
-  ChallengePool pool(config);
+  ChallengePool pool;
 
   const std::uint64_t gen1 = pool.rekey(keys.pk, params);
   SplitMix64 sm(6);
   bn::Rng64Adapter rng(sm);
-  ChallengeBundle b = make_bundle(keys.pk, params, rng, 2);
-  b.generation = gen1;
-  ASSERT_TRUE(pool.offer(std::move(b)));
+  fill(pool, rng, 1);
   ASSERT_EQ(pool.depth(), 1u);
 
   // Key rotation: stored bundles drop, and an in-flight mint against the
@@ -169,28 +124,22 @@ TEST(ChallengePoolTest, RekeyInvalidatesStoredAndInFlightBundles) {
   const std::uint64_t gen2 = pool.rekey(keys2.pk, params);
   EXPECT_GT(gen2, gen1);
   EXPECT_EQ(pool.depth(), 0u);
-  ChallengeBundle stale = make_bundle(keys.pk, params, rng, 2);
+  ChallengeBundle stale = make_bundle(keys.pk, params, rng);
   stale.generation = gen1;
   EXPECT_FALSE(pool.offer(std::move(stale)));
   EXPECT_EQ(pool.stats().stale_rejects, 1u);
   EXPECT_EQ(pool.depth(), 0u);
 
-  // A stale bundle is NEVER acquirable: only current-generation material.
+  // Only current-generation material is ever popped, and only by a caller
+  // that read the current key: one that read the old key misses even with
+  // a new-key bundle stored.
   ChallengeBundle out;
-  EXPECT_FALSE(pool.try_acquire(out));
-  ChallengeBundle fresh = make_bundle(keys2.pk, params, rng, 2);
-  fresh.generation = gen2;
-  ASSERT_TRUE(pool.offer(std::move(fresh)));
-  ASSERT_TRUE(pool.try_acquire(out));
+  EXPECT_FALSE(pool.try_acquire(gen2, out));
+  fill(pool, rng, 1);
+  EXPECT_FALSE(pool.try_acquire(gen1, out));
+  ASSERT_TRUE(pool.try_acquire(gen2, out));
   EXPECT_EQ(out.generation, gen2);
-
-  // invalidate(): generation moves, spec goes away, pool drains.
-  pool.invalidate();
-  EXPECT_FALSE(pool.mint_spec().has_value());
-  EXPECT_EQ(pool.depth(), 0u);
 }
-
-// --- OfflineWorker lifecycle and races ----------------------------------
 
 // A rekey moves the generation and the mint spec together: a producer
 // reading the spec mid-rekey must never see the new generation with the
@@ -200,7 +149,7 @@ TEST(ChallengePoolTest, MintSpecNeverPairsNewGenerationWithOldKey) {
   const KeyPair keys_b = ice::testing::test_keypair_256(0, 1);
   ASSERT_NE(keys_a.pk.n, keys_b.pk.n);
   const ProtocolParams params = small_params();
-  ChallengePool pool(OfflineConfig{});
+  ChallengePool pool;
   pool.rekey(keys_a.pk, params);  // odd generations key a, even ones key b
   std::atomic<bool> done{false};
   std::thread rekeyer([&] {
@@ -221,13 +170,12 @@ TEST(ChallengePoolTest, MintSpecNeverPairsNewGenerationWithOldKey) {
   EXPECT_EQ(mismatched, 0u);
 }
 
+// --- OfflineWorker lifecycle and races ----------------------------------
+
 TEST(OfflineWorkerTest, FillsPoolAndStops) {
   const KeyPair keys = ice::testing::test_keypair_256();
   const ProtocolParams params = small_params();
-  OfflineConfig config;
-  config.pool_capacity = 8;
-  config.coeff_count = 4;
-  ChallengePool pool(config);
+  ChallengePool pool;
   pool.rekey(keys.pk, params);
 
   crypto::SharedCsprng rng = crypto::SharedCsprng::deterministic(9);
@@ -245,8 +193,9 @@ TEST(OfflineWorkerTest, FillsPoolAndStops) {
   worker.stop();  // idempotent
   // After stop, kicks are inert.
   worker.kick();
+  const std::uint64_t gen = pool.generation();
   ChallengeBundle out;
-  while (pool.try_acquire(out)) {
+  while (pool.try_acquire(gen, out)) {
   }
   worker.kick();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -260,10 +209,7 @@ TEST(OfflineWorkerTest, StopDuringRefillDoesNotRace) {
   const ProtocolParams params = small_params();
   crypto::SharedCsprng rng = crypto::SharedCsprng::deterministic(10);
   for (int i = 0; i < 20; ++i) {
-    OfflineConfig config;
-    config.pool_capacity = 16;
-    config.coeff_count = 8;
-    ChallengePool pool(config);
+    ChallengePool pool;
     pool.rekey(keys.pk, params);
     OfflineWorker worker(pool, rng);
     worker.kick();
@@ -278,10 +224,7 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
   const KeyPair keys_a = ice::testing::test_keypair_256();
   const KeyPair keys_b = ice::testing::test_keypair_256(0, 1);
   const ProtocolParams params = small_params();
-  OfflineConfig config;
-  config.pool_capacity = 8;
-  config.coeff_count = 4;
-  ChallengePool pool(config);
+  ChallengePool pool;
   pool.rekey(keys_a.pk, params);
   crypto::SharedCsprng rng = crypto::SharedCsprng::deterministic(11);
   OfflineWorker worker(pool, rng);
@@ -295,11 +238,11 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
   });
   for (int i = 0; i < 25; ++i) {
     worker.kick();
+    const std::uint64_t gen = pool.generation();
     ChallengeBundle out;
-    if (pool.try_acquire(out)) {
-      // Whatever we got was minted under the CURRENT generation at the
-      // moment of acquisition — the invariant the per-bundle tag enforces.
-      EXPECT_LE(out.generation, pool.generation());
+    if (pool.try_acquire(gen, out)) {
+      // Whatever we got was minted under the generation we asked for.
+      EXPECT_EQ(out.generation, gen);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -308,22 +251,21 @@ TEST(OfflineWorkerTest, ConcurrentRekeyNeverLeavesStaleBundles) {
   // Post-quiescence: every surviving bundle carries the final generation.
   const std::uint64_t gen = pool.generation();
   ChallengeBundle out;
-  while (pool.try_acquire(out)) {
+  while (pool.try_acquire(gen, out)) {
     EXPECT_EQ(out.generation, gen);
   }
+  EXPECT_EQ(pool.depth(), 0u);
 }
 
-// --- Service-level differential suite -----------------------------------
+// --- Service level: the one challenge path ------------------------------
 
-/// One CSP + verifier TPA (+ replica) + one edge (8-block cache) + user
-/// over a 16-block file of seed 99, set up, with the offline split
-/// configurable at the verifier.
+/// A default deployment: one CSP + verifier TPA (+ replica) + one edge
+/// (8-block cache) + user over a 16-block file of seed 99, set up.
 class OfflineDeployment : public sim::Deployment {
  public:
-  OfflineDeployment(const OfflineConfig& offline, std::size_t parallelism)
+  explicit OfflineDeployment(std::size_t parallelism)
       : sim::Deployment(with_parallelism(parallelism),
-                        ice::testing::test_keypair_256(), 16, 1, 8, 99,
-                        sim::Transport::kInProcess, offline) {
+                        ice::testing::test_keypair_256(), 16, 1, 8, 99) {
     setup();
   }
 
@@ -342,79 +284,96 @@ class OfflineDeployment : public sim::Deployment {
     }
     ASSERT_GE(tpa(0).offline_stats().depth, depth) << "pool never filled";
   }
+
+  /// Times the key's rungs were built at TPA `i`.
+  std::uint64_t rung_builds(std::size_t i) {
+    return tpa(i).challenge_pool().mint_spec()->rungs->builds();
+  }
 };
 
-OfflineConfig enabled_config(std::size_t capacity = 8,
-                             std::size_t coeffs = 16) {
-  OfflineConfig config;
-  config.enabled = true;
-  config.pool_capacity = capacity;
-  config.pool_shards = 2;
-  config.coeff_count = coeffs;
-  return config;
-}
-
-/// The tentpole differential: pool-served audits return the same verdicts
-/// as the cold path across thread budgets, for honest and corrupted edges
-/// alike.
+/// The first challenge under a key is an inline miss; once the worker has
+/// refilled, challenges pop. Both return the same verdicts across thread
+/// budgets, for honest and corrupted edges alike.
 TEST(OfflineServiceTest, OnlineMatchesColdAcrossConfigurations) {
   const std::size_t parallelisms[] = {1, 0};
   for (const auto parallelism : parallelisms) {
-    OfflineDeployment online(enabled_config(), parallelism);
-    OfflineDeployment cold(OfflineConfig{}, parallelism);
-    online.edge(0).pre_download({1, 3, 4, 8});
-    cold.edge(0).pre_download({1, 3, 4, 8});
-    online.wait_for_pool_depth(1);
+    for (const bool corrupt : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "parallelism " << parallelism
+                                      << (corrupt ? ", corrupted" : ""));
+      OfflineDeployment d(parallelism);
+      d.edge(0).pre_download({1, 3, 4, 8});
+      if (corrupt) {
+        SplitMix64 rng(13);
+        mec::corrupt_random_blocks(d.edge(0).cache_for_corruption(), 1,
+                                   mec::CorruptionKind::kBitFlip, rng);
+      }
+      EXPECT_EQ(d.user().audit_edge(d.user_edge(0), 0), !corrupt);
+      OfflineStats stats = d.tpa(0).offline_stats();
+      EXPECT_EQ(stats.hits, 0u);
+      EXPECT_EQ(stats.misses, 1u);
 
-    EXPECT_TRUE(online.user().audit_edge(online.user_edge(0), 0));
-    EXPECT_TRUE(cold.user().audit_edge(cold.user_edge(0), 0));
-
-    SplitMix64 rng(13);
-    mec::corrupt_random_blocks(online.edge(0).cache_for_corruption(), 1,
-                               mec::CorruptionKind::kBitFlip, rng);
-    SplitMix64 rng2(13);
-    mec::corrupt_random_blocks(cold.edge(0).cache_for_corruption(), 1,
-                               mec::CorruptionKind::kBitFlip, rng2);
-    online.wait_for_pool_depth(1);
-    EXPECT_FALSE(online.user().audit_edge(online.user_edge(0), 0));
-    EXPECT_FALSE(cold.user().audit_edge(cold.user_edge(0), 0));
-
-    const OfflineStats stats = online.tpa(0).offline_stats();
-    EXPECT_GE(stats.hits, 1u) << "pool-served path never exercised";
-    EXPECT_EQ(cold.tpa(0).offline_stats().hits +
-                  cold.tpa(0).offline_stats().misses,
-              0u)
-        << "cold service touched the pool";
+      d.wait_for_pool_depth(1);
+      EXPECT_EQ(d.user().audit_edge(d.user_edge(0), 0), !corrupt);
+      stats = d.tpa(0).offline_stats();
+      EXPECT_EQ(stats.hits, 1u);
+      EXPECT_EQ(stats.misses, 1u);
+    }
   }
 }
 
 TEST(OfflineServiceTest, PoolExhaustionFallsBackToColdPath) {
-  OfflineDeployment d(enabled_config(), 1);
+  // set_key starts no refill, so the first challenge after it finds the
+  // pool empty, mints inline (building the key's rungs) and passes.
+  OfflineDeployment d(1);
   d.edge(0).pre_download({2, 5, 9});
-  // Drain the pool and cut off the refill source: every subsequent audit
-  // is a deterministic pool miss served by the cold fallback.
-  d.tpa(0).challenge_pool().invalidate();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
-  }
+  EXPECT_EQ(d.tpa(0).offline_stats().minted, 0u);
+  EXPECT_EQ(d.rung_builds(0), 0u);
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
   const OfflineStats stats = d.tpa(0).offline_stats();
-  EXPECT_GE(stats.misses, 3u);
-  EXPECT_EQ(stats.depth, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(d.rung_builds(0), 1u);
+  d.wait_for_pool_depth(1);  // and it kicked the refill
 }
 
-TEST(OfflineServiceTest, BundleWithTooFewCoefficientsStillVerifies) {
-  // coeff_count below |S_j|: the session's precomputed prefix is too short,
-  // so verification re-expands online — and must still pass.
-  OfflineDeployment d(enabled_config(8, 2), 1);
-  d.edge(0).pre_download({0, 1, 2, 3, 6});
-  d.wait_for_pool_depth(1);
+// The shipped configuration: after one audit the verifier's pool refills,
+// and every later ICE-basic and ICE-batch audit is a pool hit with the
+// right verdict; the helper replica mints nothing and builds no rungs.
+TEST(OfflineServiceTest, DefaultDeploymentServesAuditsFromThePool) {
+  OfflineDeployment d(0);
+  d.edge(0).pre_download({1, 4, 6, 11});
   EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
-  EXPECT_GE(d.tpa(0).offline_stats().hits, 1u);
+  const auto audit_basic = [&] {
+    d.wait_for_pool_depth(1);
+    return d.user().audit_edge(d.user_edge(0), 0);
+  };
+  const auto audit_batch = [&] {
+    d.wait_for_pool_depth(1);
+    return d.user().audit_edges_batch(d.user_edges());
+  };
+  EXPECT_TRUE(audit_basic());
+  EXPECT_TRUE(audit_batch());
+  SplitMix64 rng(17);
+  mec::corrupt_random_blocks(d.edge(0).cache_for_corruption(), 1,
+                             mec::CorruptionKind::kBitFlip, rng);
+  EXPECT_FALSE(audit_basic());
+  EXPECT_FALSE(audit_batch());
+
+  const OfflineStats verifier = d.tpa(0).offline_stats();
+  EXPECT_EQ(verifier.hits, 4u);
+  EXPECT_EQ(verifier.misses, 1u);
+  EXPECT_GE(verifier.minted, 4u);
+  EXPECT_EQ(d.rung_builds(0), 1u);
+  const OfflineStats helper = d.tpa(1).offline_stats();
+  EXPECT_EQ(helper.minted, 0u);
+  EXPECT_EQ(helper.hits + helper.misses, 0u);
+  EXPECT_EQ(d.rung_builds(1), 0u);
 }
 
 TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
-  OfflineDeployment d(enabled_config(), 1);
+  OfflineDeployment d(1);
   d.edge(0).pre_download({1, 2, 7});
+  EXPECT_TRUE(d.user().audit_edge(d.user_edge(0), 0));
   d.wait_for_pool_depth(1);
   const std::uint64_t gen_before = d.tpa(0).challenge_pool().generation();
 
@@ -445,6 +404,7 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
 
   // Every audit after rotation verifies under the new key: a stale bundle
   // (old-generator g_s) would fail the honest edge.
+  EXPECT_TRUE(user2.audit_edge(edge2_channel, 1));
   d.wait_for_pool_depth(1);
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(user2.audit_edge(edge2_channel, 1));
@@ -452,12 +412,113 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
 }
 
 TEST(OfflineServiceTest, BatchBeginServedFromPool) {
-  OfflineDeployment d(enabled_config(), 1);
+  OfflineDeployment d(1);
   d.edge(0).pre_download({1, 4, 6});
-  d.wait_for_pool_depth(1);
-  std::vector<net::RpcChannel*> edges{&d.user_edge(0)};
+  const std::vector<net::RpcChannel*> edges{&d.user_edge(0)};
   EXPECT_TRUE(d.user().audit_edges_batch(edges));
-  EXPECT_GE(d.tpa(0).offline_stats().hits, 1u);
+  d.wait_for_pool_depth(1);
+  EXPECT_TRUE(d.user().audit_edges_batch(edges));
+  EXPECT_EQ(d.tpa(0).offline_stats().hits, 1u);
+}
+
+// Same-modulus key rotations (set_key + store_tags at the verifier) racing
+// ICE-basic and ICE-batch audits of an honest edge. Each audit repacks the
+// tags of the key current when its challenge came back, as a user
+// retrieving after the challenge would. A session challenged under one key
+// and finished under another must surface as a typed error, never as FAIL.
+TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
+  OfflineDeployment d(1);
+  const KeyPair& key_a = d.keys();
+  const KeyPair key_b = ice::testing::test_keypair_256(1);
+  ASSERT_EQ(key_a.pk.n, key_b.pk.n);
+  ASSERT_NE(key_a.pk.g, key_b.pk.g);
+  const std::vector<std::size_t> s_j{1, 2, 7};
+  d.edge(0).pre_download(s_j);
+
+  std::vector<Bytes> blocks;
+  for (std::size_t i = 0; i < d.csp().store().size(); ++i) {
+    blocks.push_back(d.csp().store().block(i));
+  }
+  const std::vector<bn::BigInt> file_a = TagGenerator(key_a.pk).tag_all(blocks);
+  const std::vector<bn::BigInt> file_b = TagGenerator(key_b.pk).tag_all(blocks);
+  // The owner rotates under key_mu, so the S_j tags read under it are
+  // those of the key the verifier holds right now.
+  std::mutex key_mu;
+  bool holds_a = true;
+  const auto current_tags = [&] {
+    std::lock_guard lock(key_mu);
+    std::vector<bn::BigInt> tags;
+    for (const std::size_t k : s_j) {
+      tags.push_back((holds_a ? file_a : file_b)[k]);
+    }
+    return tags;
+  };
+
+  // One audit of each kind; `gen` seeds the session ids and blindings.
+  const auto audit_basic = [&](SplitMix64& gen) {
+    bn::Rng64Adapter rng(gen);
+    const TpaClient tpa(d.user_tpa(0));
+    const std::uint64_t id = rng.next_u64();
+    const bn::BigInt s_tilde = draw_blinding(key_a.pk, rng);
+    EdgeClient(d.user_edge(0)).share_blinding(id, s_tilde);
+    tpa.start_audit(0, id);
+    const auto repacked = repack_tags(key_a.pk, current_tags(), s_tilde, 1);
+    return tpa.submit_repacked(id, repacked);
+  };
+  const auto audit_batch = [&](SplitMix64& gen) {
+    bn::Rng64Adapter rng(gen);
+    const TpaClient tpa(d.user_tpa(0));
+    const std::uint64_t id = rng.next_u64();
+    const Challenge base = tpa.batch_begin(id, 1);
+    const std::vector<bn::BigInt> keys =
+        draw_challenge_keys(d.params(), 1, rng);
+    EdgeClient(d.user_edge(0))
+        .batch_challenge(id, keys[0], base.g_s, base.ladder);
+    const auto repacked =
+        batch_repack(key_a.pk, d.params(), s_j, current_tags(), {s_j}, keys);
+    return tpa.batch_finish(id, repacked);
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> fails{0};
+  std::atomic<int> refused{0};
+  const auto loop = [&](const auto& audit, std::uint64_t seed) {
+    SplitMix64 gen(seed);
+    while (!stop.load()) {
+      try {
+        (audit(gen) ? passes : fails)++;
+      } catch (const net::RemoteError&) {
+        ++refused;  // a typed error: the key moved under this audit
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "untyped error: " << e.what();
+      }
+    }
+  };
+  std::thread basic([&] { loop(audit_basic, 0xb451c); });
+  std::thread batch([&] { loop(audit_batch, 0xba7c4); });
+  const TpaClient owner(d.user_tpa(0));
+  SplitMix64 pause(0x5eed);
+  for (int i = 0; i < 200; ++i) {
+    {
+      std::lock_guard lock(key_mu);
+      holds_a = !holds_a;
+      owner.set_key(holds_a ? key_a.pk : key_b.pk, d.params());
+      owner.store_tags(holds_a ? file_a : file_b);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(pause.below(300)));
+  }
+  stop.store(true);
+  basic.join();
+  batch.join();
+  RecordProperty("passed", passes.load());
+  RecordProperty("refused", refused.load());
+  EXPECT_EQ(fails.load(), 0) << passes.load() << " passed, "
+                             << refused.load() << " refused";
+  // With the key settled, both audits pass.
+  SplitMix64 settled(0x5e77);
+  EXPECT_TRUE(audit_basic(settled));
+  EXPECT_TRUE(audit_batch(settled));
 }
 
 }  // namespace

@@ -18,14 +18,16 @@
 # verdicts bit-exact to the quiesced reference), the mid-audit differential
 # across thread budgets (EpochServiceTest.*), the update-storm sim scenario
 # (UpdateStormTest.*) and the merge + epoch-storm bench (smoke_bench_updates).
-# The online/offline split adds its own TSan targets: the OfflineWorker's
-# refill task racing try_acquire/rekey on the sharded ChallengePool
-# (OfflineWorkerTest.StopDuringRefillDoesNotRace,
+# Every TPA challenge goes through the challenge pool, which adds its own
+# TSan targets: the OfflineWorker's refill task racing try_acquire/rekey on
+# the one-mutex ChallengePool (OfflineWorkerTest.StopDuringRefillDoesNotRace,
 # ConcurrentRekeyNeverLeavesStaleBundles,
 # ChallengePoolTest.MintSpecNeverPairsNewGenerationWithOldKey), the
-# pool-served vs cold-path
-# service differential (OfflineServiceTest.*), and the fleet simulation's
-# scheduler loop over pooled challenges (FleetSimTest.*, smoke_bench_fleet).
+# inline-miss vs pool-hit service differential (OfflineServiceTest.*),
+# same-modulus set_key + store_tags rotations racing ICE-basic and ICE-batch
+# audits (KeyRotationStressTest.SameModulusRotationsNeverFailHonestAudits),
+# and the fleet simulation's scheduler loop over pooled challenges
+# (FleetSimTest.*, smoke_bench_fleet).
 # The thread pool's FIFO of concurrent broadcast jobs is gated by its own
 # targets: posters from several threads sharing the workers
 # (ThreadPoolTest.ConcurrentBroadcastsBothUseWorkers,
@@ -53,7 +55,7 @@
 # OfflineServiceTest, and under ASan+UBSan by E2eTest, TcpE2eTest,
 # TransportDiffTest, FuzzTest, LocalizeTest and DynamicsTest.
 # The challenge's power ladder (DESIGN.md §8) keeps one lazily built
-# holder per key, shared by concurrent first challenges, the offline
+# holder per key, shared by concurrent first challenges, the refill
 # worker and set_key: TSan gates that race with
 # RungBasesTest.RacingFirstChallengesBuildOnce,
 # RungBasesTest.WorkerColdPathAndRekeysBuildOncePerKey and

@@ -1,7 +1,8 @@
 // Fleet simulation (sim/simulator.h run_fleet_simulation): every
 // CorruptionKind is caught within the scheduler's bounded number of
-// rounds, clean edges are never starved, detection counters are identical
-// with the offline split on and off, and the pool accounting is sane.
+// rounds, clean edges are never starved, detection counters do not depend
+// on how the refill worker races the audit loop, and the pool accounting
+// is sane.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -21,8 +22,6 @@ FleetConfig small_fleet() {
   config.round_budget = 5;  // budget covers the fleet: detect next audit
   config.corrupt_every = 2;
   config.parallelism = 1;
-  config.pool_capacity = 8;
-  config.coeff_count = 8;
   return config;
 }
 
@@ -50,30 +49,29 @@ TEST(FleetSimTest, NoEdgeStarvesAndCountersAreSane) {
   EXPECT_GE(report.audits, config.rounds);  // at least budget-limited rounds
   EXPECT_GT(report.wall_seconds, 0.0);
   EXPECT_GT(report.audits_per_second(), 0.0);
-  // With the split enabled, every start_audit either hit or missed the
-  // pool — exactly once per audit.
+  // Every start_audit either hit or missed the pool — exactly once per
+  // audit.
   EXPECT_EQ(report.pool_hits + report.pool_misses,
             static_cast<std::uint64_t>(report.audits));
   EXPECT_GE(report.pool_hit_rate(), 0.0);
   EXPECT_LE(report.pool_hit_rate(), 1.0);
 }
 
+// Which challenges pop and which mint inline depends on how the refill
+// worker races the audit loop; the verdicts and detection counters do not.
 TEST(FleetSimTest, OfflineSplitNeverChangesVerdictCounters) {
   FleetConfig config = small_fleet();
   config.rounds = 6;
   const auto keys = ice::testing::test_keypair_256();
-  FleetConfig cold = config;
-  cold.offline = false;
-  const FleetReport with_pool = run_fleet_simulation(config, keys, 23);
-  const FleetReport without = run_fleet_simulation(cold, keys, 23);
-  EXPECT_EQ(without.pool_hits + without.pool_misses, 0u);
-  EXPECT_EQ(with_pool.audits, without.audits);
-  EXPECT_EQ(with_pool.failed_audits, without.failed_audits);
-  EXPECT_EQ(with_pool.corruptions_injected, without.corruptions_injected);
-  EXPECT_EQ(with_pool.corruptions_detected, without.corruptions_detected);
-  EXPECT_EQ(with_pool.max_detection_lag_rounds,
-            without.max_detection_lag_rounds);
-  EXPECT_EQ(with_pool.max_staleness_seen, without.max_staleness_seen);
+  const FleetReport first = run_fleet_simulation(config, keys, 23);
+  const FleetReport second = run_fleet_simulation(config, keys, 23);
+  EXPECT_GE(first.pool_misses, 1u);  // the first challenge mints inline
+  EXPECT_EQ(first.audits, second.audits);
+  EXPECT_EQ(first.failed_audits, second.failed_audits);
+  EXPECT_EQ(first.corruptions_injected, second.corruptions_injected);
+  EXPECT_EQ(first.corruptions_detected, second.corruptions_detected);
+  EXPECT_EQ(first.max_detection_lag_rounds, second.max_detection_lag_rounds);
+  EXPECT_EQ(first.max_staleness_seen, second.max_staleness_seen);
 }
 
 TEST(FleetSimTest, RejectsDegenerateConfigs) {
