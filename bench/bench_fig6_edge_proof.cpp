@@ -2,8 +2,8 @@
 //
 // The edge's cost is one modular exponentiation whose exponent is the
 // coefficient-weighted sum of its |S_j| blocks, computed through the
-// challenge's 16-rung power ladder (DESIGN.md §8): a multi-exp whose
-// squaring chain is 1/16 of the exponent. Expected shape (paper): nearly
+// challenge's 32-rung power ladder (DESIGN.md §8): a multi-exp whose
+// squaring chain is 1/32 of the exponent. Expected shape (paper): nearly
 // flat in |S_j| (the modexp dominates; coefficient expansion and
 // big-integer additions are negligible) and linear in the block size
 // (256KB -> 512KB -> 1024KB gave 0.74 -> 1.45 -> 2.93 s on the paper's
@@ -44,10 +44,12 @@ double proof_seconds(const proto::KeyPair& keys,
 
 // Thread sweep: the same work at parallelism 1/2/4/hw, two shapes.
 //
-//   single proof — one make_proof call: the aggregation chunks across the
-//     pool and the ladder's 16 rungs split over the threads, each thread
-//     running its own L-long squaring chain, so this row falls as threads
-//     are added (at about 1.9x the serial CPU at 4 threads);
+//   single proof — one make_proof call at 32 KB and at 4 KB blocks: the
+//     aggregation chunks across the pool and the ladder's 32 rungs split
+//     over the threads, each thread running its own L-long squaring chain.
+//     Both columns fall as threads are added on an idle host; the 4 KB
+//     chunks (L = 1,088 bits) are short, so there a contended host can
+//     make the split lose to serial;
 //   ICE-batch round — J per-edge proofs fanned out by make_batch_proofs:
 //     independent proofs, each serial on its own worker, so no chain is
 //     repeated.
@@ -62,12 +64,17 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
   constexpr std::size_t kJ = 4;           // edges per batch round
   constexpr std::size_t kSj = 4;          // blocks per edge
   constexpr std::size_t kBlockKb = 32;
+  constexpr std::size_t kSmallKb = 4;
 
   proto::ProtocolParams params;
   params.modulus_bits = 1024;
   params.block_bytes = kBlockKb * 1024;
   const proto::RungBases rungs(keys.pk, params);
   const auto blocks = bench_blocks(kSj, kBlockKb * 1024, 900);
+  proto::ProtocolParams small_params = params;
+  small_params.block_bytes = kSmallKb * 1024;
+  const proto::RungBases small_rungs(keys.pk, small_params);
+  const auto small_blocks = bench_blocks(kSj, kSmallKb * 1024, 930);
   std::vector<std::vector<Bytes>> edge_blocks;
   for (std::size_t j = 0; j < kJ; ++j) {
     edge_blocks.push_back(bench_blocks(kSj, kBlockKb * 1024, 910 + j));
@@ -81,14 +88,22 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   proto::Challenge chal = base;
   chal.e = edge_keys[0];
+  const proto::Challenge small_chal =
+      proto::make_challenge(keys.pk, small_params, rng, secret, &small_rungs);
 
-  std::printf("\nThread sweep (%zuKB blocks, hardware threads: %zu)\n",
+  std::printf("\nThread sweep (%zuKB blocks unless noted, hardware threads: "
+              "%zu)\n",
               kBlockKb, hw);
-  std::printf("%-8s %18s %24s %9s\n", "threads", "1 proof (s)",
-              "batch J=4 round (s)", "speedup");
-  std::vector<double> single_s, batch_s, speedup;
+  std::printf("%-8s %18s %18s %24s %9s\n", "threads", "1 proof 4KB (s)",
+              "1 proof (s)", "batch J=4 round (s)", "speedup");
+  std::vector<double> small_s, single_s, batch_s, speedup;
   for (std::size_t t : threads) {
     params.parallelism = t;
+    small_params.parallelism = t;
+    const double small = time_median(15, [&] {
+      (void)proto::make_proof(keys.pk, small_params, small_blocks,
+                              small_chal, s_tilde);
+    });
     const double one = time_median(3, [&] {
       (void)proto::make_proof(keys.pk, params, blocks, chal, s_tilde);
     });
@@ -96,19 +111,21 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
       (void)proto::make_batch_proofs(keys.pk, params, edge_blocks, edge_keys,
                                      base.g_s, base.ladder);
     });
+    small_s.push_back(small);
     single_s.push_back(one);
     batch_s.push_back(round);
     speedup.push_back(batch_s.front() / round);
-    std::printf("%-8zu %18.3f %24.3f %8.2fx\n", t, one, round,
+    std::printf("%-8zu %18.4f %18.3f %24.3f %8.2fx\n", t, small, one, round,
                 speedup.back());
   }
   std::printf("Expected on >=4 cores: batch column >=2x at 4 threads; the\n"
-              "single-proof column falls as the ladder's rungs split.\n");
+              "32KB single-proof column falls as the ladder's rungs split.\n");
 
   std::string body;
   body += "{\"hardware_concurrency\": " + std::to_string(hw);
   body += ", \"block_kb\": " + std::to_string(kBlockKb);
   body += ", \"threads\": " + json_array(threads);
+  body += ", \"single_proof_4kb_seconds\": " + json_array(small_s);
   body += ", \"single_proof_seconds\": " + json_array(single_s);
   body += ", \"batch_edges\": " + std::to_string(kJ);
   body += ", \"batch_round_seconds\": " + json_array(batch_s);

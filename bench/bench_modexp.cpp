@@ -1,7 +1,8 @@
 // Exponentiation-engine microbench: the Montgomery square and multiply
 // kernels per op and a generic pow's cost per exponent bit at the edge
 // proof's exponent length, naive per-tag pow+mul vs simultaneous
-// multi-exp, generic pow vs the Lim-Lee fixed-base comb, and the end-to-end
+// multi-exp, the Straus window the edge's ladder chunks get, generic pow
+// vs the Lim-Lee fixed-base comb, and the end-to-end
 // protocol shapes those kernels drive (Fig. 3 TPA verification at
 // |S_j| = 10, Tab. III TagGen at n = 200). Emits BENCH_modexp.json with the
 // PR 1 baseline constants embedded so speedups are auditable offline.
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bignum/fixed_base.h"
+#include "bignum/mont_kernels.h"
 #include "bignum/montgomery.h"
 #include "bignum/multiexp.h"
 #include "bignum/random.h"
@@ -155,6 +157,20 @@ Sweep sweep_multi_exp(std::size_t modulus_bits, const std::vector<std::size_t>& 
   return sweep;
 }
 
+// The window multi_exp picks for the edge's ladder chunks (L bits each, at
+// the shipped rung count) at the paper's 1024-bit N.
+void print_ladder_windows() {
+  const proto::KeyPair keys = bench_keypair(1024);
+  for (const std::size_t kb : {4u, 64u, 256u, 1024u}) {
+    proto::ProtocolParams params;
+    params.block_bytes = kb * 1024;
+    const std::size_t width = proto::rung_width(keys.pk, params);
+    std::printf("  %4zu KB blocks: %zu rungs of L = %6zu bits  Straus w = %u\n",
+                kb, proto::kLadderRungs, width,
+                bn::detail::pow_window_bits(width));
+  }
+}
+
 struct CombPoint {
   double generic_ms;
   double comb_ms;
@@ -222,6 +238,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const Sweep s1024 = sweep_multi_exp(1024, ks);
+
+  print_header("Straus window at the ladder's chunk lengths (|N| = 1024)");
+  print_ladder_windows();
 
   print_header("fixed-base comb vs generic pow (base g)");
   const CombPoint c_chal = bench_comb(1024, 1023);    // challenge g^s

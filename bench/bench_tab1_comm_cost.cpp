@@ -9,8 +9,10 @@
 // We wire every direction through its own instrumented channel, run one
 // audit, and print measured bytes next to the leading-term prediction.
 // The TPA -> Edge term includes the challenge's power ladder (DESIGN.md
-// §8): 15 rungs of |N| bits beside g_s, and the rung width. It stays O(1)
-// in n and n_j.
+// §8): kLadderRungs - 1 rungs of |N| bits beside g_s, and the rung width.
+// It stays O(1) in n and n_j, and is predicted to the byte: the request's
+// wire form, each bigint at its full byte length (a value with a leading
+// zero byte arrives one byte shorter).
 #include "support.h"
 
 #include "pir/embedding.h"
@@ -20,6 +22,19 @@ namespace {
 
 using namespace ice;
 using namespace ice::bench;
+
+std::size_t varint_bytes(std::size_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// A non-negative bits-long bigint on the wire: sign byte, length varint,
+// magnitude.
+std::size_t bigint_bytes(std::size_t bits) {
+  const std::size_t magnitude = (bits + 7) / 8;
+  return 1 + varint_bytes(magnitude) + magnitude;
+}
 
 }  // namespace
 
@@ -56,15 +71,17 @@ int main(int argc, char** argv) {
       + 2 * kSj * gamma * 2;    // PIR queries to both TPAs (gamma F4 elems)
   const std::size_t pred_tpa_user =
       2 * kSj * (1 + gamma) * modulus_bits * 2;  // PIR responses, both TPAs
-  // chal = (e, g_s, ladder): the key, g_s and 15 rungs, the rung width L.
-  std::size_t width_varint_bytes = 1;
-  for (std::size_t v = proto::rung_width(d.keys().pk, params); v >= 0x80;
-       v >>= 7) {
-    ++width_varint_bytes;
-  }
-  const std::size_t pred_tpa_edge = params.challenge_key_bits +
-                                    proto::kLadderRungs * modulus_bits +
-                                    8 * width_varint_bytes;
+  // The 204 request: session id, chal = (e, g_s, ladder) with the width
+  // and count varints and kLadderRungs - 1 rungs, plus the RPC header.
+  const std::size_t rungs = proto::kLadderRungs - 1;
+  const std::size_t pred_tpa_edge =
+      8 * (net::kRpcHeaderBytes + 8 +
+           bigint_bytes(params.challenge_key_bits) +
+           bigint_bytes(modulus_bits) +
+           varint_bytes(proto::rung_width(d.keys().pk, params)) +
+           varint_bytes(rungs) + rungs * bigint_bytes(modulus_bits));
+  const std::string chal_form =
+      "O(1)  [chal=(e, g_s, " + std::to_string(rungs) + " rungs, L)]";
   const std::size_t pred_edge_tpa = modulus_bits;  // the proof
 
   const auto bits = [](std::uint64_t bytes) { return bytes * 8; };
@@ -84,14 +101,16 @@ int main(int argc, char** argv) {
               pred_tpa_user, "O(n_j K n^{1/3})");
   std::printf("%-14s %16llu %16zu   %s\n", "TPA->Edge",
               static_cast<unsigned long long>(bits(tpa_edge.bytes_sent)),
-              pred_tpa_edge, "O(1)  [chal=(e, g_s, 15 rungs, L)]");
+              pred_tpa_edge, chal_form.c_str());
   std::printf("%-14s %16llu %16zu   %s\n", "Edge->TPA",
               static_cast<unsigned long long>(bits(tpa_edge.bytes_received)),
               pred_edge_tpa, "O(1)  [proof]");
 
   std::printf("\nn=%zu, n_j=%zu, |N|=%zu, gamma=%zu. Measured includes "
               "framing/serde overhead,\nso measured >= predicted with a "
-              "small constant factor; shapes must match.\n",
+              "small constant factor; shapes must match.\nTPA->Edge is "
+              "predicted to the byte (8 bits less per value with a leading "
+              "zero byte).\n",
               kN, kSj, modulus_bits, gamma);
   return 0;
 }

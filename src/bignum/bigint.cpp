@@ -233,12 +233,6 @@ std::size_t BigInt::bit_length() const {
          (64 - static_cast<std::size_t>(std::countl_zero(limbs_.back())));
 }
 
-bool BigInt::bit(std::size_t i) const {
-  const std::size_t limb = i / 64;
-  if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 64)) & 1u;
-}
-
 bool BigInt::fits_u64() const { return sign_ >= 0 && limbs_.size() <= 1; }
 
 std::uint64_t BigInt::to_u64() const {

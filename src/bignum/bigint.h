@@ -77,8 +77,12 @@ class BigInt {
 
   /// Number of significant bits of the magnitude (0 for zero).
   [[nodiscard]] std::size_t bit_length() const;
-  /// Value of magnitude bit `i` (false beyond bit_length()).
-  [[nodiscard]] bool bit(std::size_t i) const;
+  /// Value of magnitude bit `i` (false beyond bit_length()). Inline: the
+  /// comb's column read (FixedBase::pow_into) calls it per tooth.
+  [[nodiscard]] bool bit(std::size_t i) const {
+    const std::size_t limb = i / 64;
+    return limb < limbs_.size() && ((limbs_[limb] >> (i % 64)) & 1u);
+  }
 
   /// Fits in int64/uint64? Conversion throws ParamError if not.
   [[nodiscard]] bool fits_u64() const;

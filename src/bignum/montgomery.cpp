@@ -325,33 +325,24 @@ void Montgomery::pow_into(BigInt& out, const BigInt& base,
     }
   }
 
-  // Sliding odd windows from the top; the chain between windows is pure
-  // squarings on the sqr_into specialization.
+  // Sliding odd windows from the top, read off the limbs; the chain
+  // between windows is pure squarings on the sqr_into specialization.
   bool started = false;
-  std::size_t i = nbits;
-  while (i-- > 0) {
-    if (!exp.bit(i)) {
-      if (started) sqr_into(acc, acc, scratch);
-      continue;
-    }
-    std::size_t j = i >= w - 1 ? i - (w - 1) : 0;
-    while (!exp.bit(j)) ++j;  // make the window digit odd
-    unsigned digit = 0;
-    for (std::size_t b = j; b <= i; ++b) {
-      digit |= static_cast<unsigned>(exp.bit(b)) << (b - j);
-    }
-    if (started) {
-      for (std::size_t s = 0; s <= i - j; ++s) {
-        sqr_into(acc, acc, scratch);
-      }
-      mul_into(acc, acc, table + (digit >> 1) * k, scratch);
-    } else {
-      std::copy(table + (digit >> 1) * k, table + (digit >> 1) * k + k, acc);
-      started = true;
-    }
-    if (j == 0) break;
-    i = j;  // loop decrement moves to bit j - 1
-  }
+  std::size_t pos = 0;  // exponent bit acc has reached
+  const LimbBuf& e = exp.limbs();
+  detail::for_each_odd_window(
+      e.data(), e.size(), w, [&](detail::OddWindow win) {
+        const Limb* entry = table + (win.digit >> 1) * k;
+        if (started) {
+          for (; pos > win.pos; --pos) sqr_into(acc, acc, scratch);
+          mul_into(acc, acc, entry, scratch);
+        } else {
+          std::copy(entry, entry + k, acc);
+          started = true;
+        }
+        pos = win.pos;
+      });
+  for (; pos > 0; --pos) sqr_into(acc, acc, scratch);
   from_mont_into(out, acc, scratch);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bignum/mont_kernels.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/scratch.h"
@@ -13,31 +14,25 @@ namespace {
 
 using Limb = Montgomery::Limb;
 
-// Sliding-window width for Straus: per-base tables cost 2^{w-1} products,
-// windows cost ~bits/(w+1) products per base.
-unsigned straus_window(std::size_t max_bits) {
-  if (max_bits <= 32) return 2;
-  if (max_bits <= 128) return 4;
-  if (max_bits <= 1024) return 5;
-  return 6;
-}
-
-// One odd window of one exponent: multiply table[digit >> 1] in when the
-// shared chain reaches bit `pos`.
+// One odd window of one base: multiply table[digit >> 1] in when the
+// shared chain reaches bit at - 1. at = 0 ends the base's list.
 struct WindowEvent {
-  std::size_t pos;
-  std::uint32_t base;
-  std::uint32_t digit;  // odd
+  std::size_t at;
+  unsigned digit;  // odd
 };
 
 // prod bases[i]^{exps[i]} over [begin, end) with one shared squaring chain,
-// written into the k-limb buffer `out` (Montgomery form). Table limbs come
-// from the calling thread's arena; the window schedule reuses thread-local
-// capacity — steady-state calls are allocation-free.
+// written into the k-limb buffer `out` (Montgomery form). The window width
+// follows Montgomery::pow's cost model; each base's windows come off its
+// limbs top-down into a list of its own, and the replay walks one cursor
+// per base. Table limbs come from the calling thread's arena, the lists and
+// cursors reuse thread-local capacity: steady-state calls are
+// allocation-free.
 void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
                   const std::vector<BigInt>& exps, std::size_t begin,
                   std::size_t end, Limb* out) {
   const std::size_t k = mont.limb_count();
+  const std::size_t m = end - begin;
   std::size_t max_bits = 0;
   for (std::size_t i = begin; i < end; ++i) {
     max_bits = std::max(max_bits, exps[i].bit_length());
@@ -46,54 +41,47 @@ void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
     std::copy(mont.one_mont().begin(), mont.one_mont().end(), out);
     return;
   }
-  const unsigned w = straus_window(max_bits);
+  const unsigned w = detail::pow_window_bits(max_bits);
 
-  // Window schedule and per-base table extents (offs is a prefix sum of
-  // table entry counts; zero-exponent bases get no table at all).
+  // Per-base window lists, each top-down and closed by an at = 0 event;
+  // cursor[b] indexes base b's next window. offs is a prefix sum of table
+  // entry counts (zero-exponent bases get no table at all).
   static thread_local std::vector<WindowEvent> events;
+  static thread_local std::vector<std::size_t> cursor;
   static thread_local std::vector<std::size_t> offs;
   events.clear();
-  offs.assign(end - begin + 1, 0);
-  for (std::size_t i = begin; i < end; ++i) {
-    const BigInt& e = exps[i];
-    const std::size_t nbits = e.bit_length();
-    if (nbits == 0) continue;
-    std::size_t top = nbits;
-    std::uint32_t max_digit = 1;
-    while (top-- > 0) {
-      if (!e.bit(top)) continue;
-      std::size_t j = top >= w - 1 ? top - (w - 1) : 0;
-      while (!e.bit(j)) ++j;
-      std::uint32_t digit = 0;
-      for (std::size_t b = j; b <= top; ++b) {
-        digit |= static_cast<std::uint32_t>(e.bit(b)) << (b - j);
-      }
-      events.push_back({j, static_cast<std::uint32_t>(i - begin), digit});
-      max_digit = std::max(max_digit, digit);
-      if (j == 0) break;
-      top = j;  // loop decrement continues from bit j - 1
-    }
-    offs[i - begin + 1] = (max_digit >> 1) + 1;
+  cursor.resize(m);
+  offs.assign(m + 1, 0);
+  for (std::size_t b = 0; b < m; ++b) {
+    cursor[b] = events.size();
+    const LimbBuf& e = exps[begin + b].limbs();
+    unsigned max_digit = 0;
+    detail::for_each_odd_window(
+        e.data(), e.size(), w, [&](detail::OddWindow win) {
+          events.push_back({win.pos + 1, win.digit});
+          max_digit = std::max(max_digit, win.digit);
+        });
+    events.push_back({0, 0});
+    offs[b + 1] = offs[b] + (max_digit == 0 ? 0 : (max_digit >> 1) + 1);
   }
-  if (events.empty()) {
-    std::copy(mont.one_mont().begin(), mont.one_mont().end(), out);
-    return;
-  }
-  for (std::size_t i = 1; i < offs.size(); ++i) offs[i] += offs[i - 1];
 
   // One arena lease: all per-base odd-power tables laid out flat, plus
-  // base^2 staging and kernel scratch.
+  // base^2 staging, the accumulator and kernel scratch. The chain runs in
+  // this thread's own lease, not in `out`: pooled chunks' outputs sit side
+  // by side in one caller buffer, and a chain written there would share
+  // cache lines with its neighbour's on every squaring.
   const std::size_t total = offs.back();
   ScratchArena::Lease lease =
-      ScratchArena::local().take(total * k + k + mont.scratch_limbs());
+      ScratchArena::local().take(total * k + 2 * k + mont.scratch_limbs());
   Limb* tables = lease.data();
   Limb* b2 = tables + total * k;
-  Limb* scratch = b2 + k;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t ts = offs[i - begin + 1] - offs[i - begin];
+  Limb* acc = b2 + k;
+  Limb* scratch = acc + k;
+  for (std::size_t b = 0; b < m; ++b) {
+    const std::size_t ts = offs[b + 1] - offs[b];
     if (ts == 0) continue;
-    Limb* table = tables + offs[i - begin] * k;
-    mont.to_mont_into(table, bases[i], scratch);
+    Limb* table = tables + offs[b] * k;
+    mont.to_mont_into(table, bases[begin + b], scratch);
     if (ts > 1) {
       mont.sqr_into(b2, table, scratch);
       for (std::size_t d = 1; d < ts; ++d) {
@@ -101,179 +89,44 @@ void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
       }
     }
   }
-  // Replay top-down. (pos, base) pairs are unique — one window per base per
-  // position — so this plain sort reproduces the insertion order for equal
-  // positions (base-ascending) that a stable sort by pos would give, without
-  // stable_sort's temporary buffer.
-  std::sort(events.begin(), events.end(),
-            [](const WindowEvent& a, const WindowEvent& b) {
-              return a.pos != b.pos ? a.pos > b.pos : a.base < b.base;
-            });
 
-  Limb* acc = out;
+  // Replay top-down: at each chain position that holds a window, multiply
+  // in every base whose next window sits there and advance its cursor,
+  // then square down to the next such position. Products of canonical
+  // residues commute, so the order within a position does not matter.
+  std::size_t next = 0;  // 1 + the next position holding a window
+  for (std::size_t b = 0; b < m; ++b) {
+    next = std::max(next, events[cursor[b]].at);
+  }
   bool started = false;
-  std::size_t next = 0;
-  for (std::size_t pos = events.front().pos + 1; pos-- > 0;) {
-    if (started) mont.sqr_into(acc, acc, scratch);
-    while (next < events.size() && events[next].pos == pos) {
-      const Limb* entry =
-          tables +
-          (offs[events[next].base] + (events[next].digit >> 1)) * k;
-      if (started) {
-        mont.mul_into(acc, acc, entry, scratch);
-      } else {
-        std::copy(entry, entry + k, acc);
-        started = true;
-      }
-      ++next;
-    }
-  }
-}
-
-// Pippenger-style bucket method over [begin, end): fixed c-bit windows,
-// each window accumulates bases into digit buckets and combines them with
-// the running-product trick (prod_d bucket[d]^d in 2 * 2^c multiplies).
-// Result goes into the k-limb buffer `out` (Montgomery form).
-void pippenger_range(const Montgomery& mont, const std::vector<BigInt>& bases,
-                     const std::vector<BigInt>& exps, std::size_t begin,
-                     std::size_t end, unsigned c, Limb* out) {
-  const std::size_t k = mont.limb_count();
-  std::size_t max_bits = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    max_bits = std::max(max_bits, exps[i].bit_length());
-  }
-  if (max_bits == 0) {
-    std::copy(mont.one_mont().begin(), mont.one_mont().end(), out);
-    return;
-  }
-
-  // Flat arena layout: per-base residues, 2^c buckets, suffix products.
-  const std::size_t m = end - begin;
-  const std::size_t nbuckets = std::size_t{1} << c;
-  ScratchArena::Lease lease = ScratchArena::local().take(
-      (m + nbuckets + 2) * k + mont.scratch_limbs());
-  Limb* base_m = lease.data();
-  Limb* bucket = base_m + m * k;
-  Limb* running = bucket + nbuckets * k;
-  Limb* total = running + k;
-  Limb* scratch = total + k;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!exps[i].is_zero()) {
-      mont.to_mont_into(base_m + (i - begin) * k, bases[i], scratch);
-    }
-  }
-
-  static thread_local std::vector<std::uint8_t> used;
-  const std::size_t windows = (max_bits + c - 1) / c;
-  Limb* acc = out;
-  bool started = false;
-  for (std::size_t win = windows; win-- > 0;) {
-    if (started) {
-      for (unsigned s = 0; s < c; ++s) mont.sqr_into(acc, acc, scratch);
-    }
-    used.assign(nbuckets, 0);
-    for (std::size_t i = begin; i < end; ++i) {
-      const BigInt& e = exps[i];
-      std::uint32_t digit = 0;
-      for (unsigned b = 0; b < c; ++b) {
-        digit |= static_cast<std::uint32_t>(e.bit(win * c + b)) << b;
-      }
-      if (digit == 0) continue;
-      Limb* slot = bucket + digit * k;
-      if (!used[digit]) {
-        std::copy(base_m + (i - begin) * k, base_m + (i - begin + 1) * k,
-                  slot);
-        used[digit] = 1;
-      } else {
-        mont.mul_into(slot, slot, base_m + (i - begin) * k, scratch);
-      }
-    }
-    // prod_d bucket[d]^d via suffix products: running = prod_{d' >= d},
-    // total accumulates running once per d.
-    bool have_running = false;
-    bool have_total = false;
-    for (std::size_t d = nbuckets; d-- > 1;) {
-      if (used[d]) {
-        if (have_running) {
-          mont.mul_into(running, running, bucket + d * k, scratch);
+  std::size_t pos = next - 1;
+  for (;;) {
+    next = 0;
+    for (std::size_t b = 0; b < m; ++b) {
+      const WindowEvent& ev = events[cursor[b]];
+      if (ev.at == pos + 1) {
+        const Limb* entry = tables + (offs[b] + (ev.digit >> 1)) * k;
+        if (started) {
+          mont.mul_into(acc, acc, entry, scratch);
         } else {
-          std::copy(bucket + d * k, bucket + (d + 1) * k, running);
-          have_running = true;
+          std::copy(entry, entry + k, acc);
+          started = true;
         }
+        ++cursor[b];
       }
-      if (!have_running) continue;
-      if (have_total) {
-        mont.mul_into(total, total, running, scratch);
-      } else {
-        std::copy(running, running + k, total);
-        have_total = true;
-      }
+      next = std::max(next, events[cursor[b]].at);
     }
-    if (!have_total) continue;
-    if (started) {
-      mont.mul_into(acc, acc, total, scratch);
-    } else {
-      std::copy(total, total + k, acc);
-      started = true;
-    }
+    if (next == 0) break;
+    for (; pos >= next; --pos) mont.sqr_into(acc, acc, scratch);
   }
-  if (!started) {
-    std::copy(mont.one_mont().begin(), mont.one_mont().end(), out);
-  }
-}
-
-// Rough product counts used to pick the algorithm and the Pippenger window.
-double straus_cost(std::size_t k, std::size_t bits) {
-  const unsigned w = straus_window(bits);
-  const double table = static_cast<double>(k) *
-                       static_cast<double>(std::size_t{1} << (w - 1));
-  const double windows = static_cast<double>(k) * static_cast<double>(bits) /
-                         (w + 1.0);
-  return 0.8 * static_cast<double>(bits) + table + windows;
-}
-
-double pippenger_cost(std::size_t k, std::size_t bits, unsigned c) {
-  const double windows = (static_cast<double>(bits) + c - 1) / c;
-  return 0.8 * static_cast<double>(bits) +
-         windows * (static_cast<double>(k) +
-                    2.0 * static_cast<double>(std::size_t{1} << c));
-}
-
-void multi_exp_range(const Montgomery& mont, const std::vector<BigInt>& bases,
-                     const std::vector<BigInt>& exps, std::size_t begin,
-                     std::size_t end, MultiExpAlgo algo, Limb* out) {
-  const std::size_t k = end - begin;
-  std::size_t max_bits = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    max_bits = std::max(max_bits, exps[i].bit_length());
-  }
-  unsigned best_c = 4;
-  if (algo != MultiExpAlgo::kStraus && max_bits > 0) {
-    double best = pippenger_cost(k, max_bits, best_c);
-    for (unsigned c = 2; c <= 8; ++c) {
-      const double cost = pippenger_cost(k, max_bits, c);
-      if (cost < best) {
-        best = cost;
-        best_c = c;
-      }
-    }
-    if (algo == MultiExpAlgo::kAuto &&
-        (k < 32 || straus_cost(k, max_bits) <= best)) {
-      algo = MultiExpAlgo::kStraus;
-    }
-  }
-  if (algo == MultiExpAlgo::kStraus || max_bits == 0) {
-    straus_range(mont, bases, exps, begin, end, out);
-    return;
-  }
-  pippenger_range(mont, bases, exps, begin, end, best_c, out);
+  for (; pos > 0; --pos) mont.sqr_into(acc, acc, scratch);
+  std::copy(acc, acc + k, out);
 }
 
 }  // namespace
 
 BigInt multi_exp(const Montgomery& mont, const std::vector<BigInt>& bases,
-                 const std::vector<BigInt>& exps, std::size_t parallelism,
-                 MultiExpAlgo algo) {
+                 const std::vector<BigInt>& exps, std::size_t parallelism) {
   if (bases.size() != exps.size()) {
     throw ParamError("multi_exp: bases/exps size mismatch");
   }
@@ -293,8 +146,8 @@ BigInt multi_exp(const Montgomery& mont, const std::vector<BigInt>& bases,
   Limb* scratch = partials + chunks * k;
   parallel_chunks(bases.size(), parallelism,
                   [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                    multi_exp_range(mont, bases, exps, begin, end, algo,
-                                    partials + chunk * k);
+                    straus_range(mont, bases, exps, begin, end,
+                                 partials + chunk * k);
                   });
   for (std::size_t c = 1; c < chunks; ++c) {
     mont.mul_into(partials, partials, partials + c * k, scratch);
@@ -317,16 +170,18 @@ BigInt mont_product(const Montgomery& mont, const std::vector<BigInt>& values,
   parallel_chunks(
       values.size(), parallelism,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        // Accumulates in the worker's own lease (see straus_range).
         ScratchArena::Lease worker_lease =
-            ScratchArena::local().take(k + mont.scratch_limbs());
+            ScratchArena::local().take(2 * k + mont.scratch_limbs());
         Limb* v = worker_lease.data();
-        Limb* wscratch = v + k;
-        Limb* acc = partials + chunk * k;
+        Limb* acc = v + k;
+        Limb* wscratch = acc + k;
         mont.to_mont_into(acc, values[begin], wscratch);
         for (std::size_t i = begin + 1; i < end; ++i) {
           mont.to_mont_into(v, values[i], wscratch);
           mont.mul_into(acc, acc, v, wscratch);
         }
+        std::copy(acc, acc + k, partials + chunk * k);
       });
   for (std::size_t c = 1; c < chunks; ++c) {
     mont.mul_into(partials, partials, partials + c * k, scratch);

@@ -1,17 +1,13 @@
 // Simultaneous multi-exponentiation: prod_i bases[i]^{exps[i]} mod N.
 //
-// The TPA verification identity (paper Lemma 1) and every owner-driven
-// audit bottom out in this product. Computing it one pow at a time costs a
-// full squaring chain per base; a simultaneous scheme shares ONE squaring
-// chain across all bases:
-//   * Straus interleaving (small/medium k): per-base sliding odd windows
-//     merged onto a single chain — max_bits squarings total instead of
-//     k * max_bits.
-//   * Pippenger-style buckets (large k): per-window digit buckets with a
-//     running-product combine, so per-base work drops to one multiply per
-//     window regardless of window width.
-// The algorithm choice never changes the result: both produce the canonical
-// residue, bit-identical to folding Montgomery::pow with modular multiplies.
+// The TPA verification identity (paper Lemma 1), every owner-driven audit
+// and the edge's ladder proof (bignum/ladder.h) bottom out in this product.
+// Computing it one pow at a time costs a full squaring chain per base;
+// Straus interleaving shares ONE chain across all bases: per-base sliding
+// odd windows, sized by Montgomery::pow's cost model, merged onto a single
+// chain of max_bits squarings instead of k * max_bits. The result is the
+// canonical residue, bit-identical to folding Montgomery::pow with modular
+// multiplies.
 #pragma once
 
 #include <cstddef>
@@ -21,12 +17,6 @@
 #include "bignum/montgomery.h"
 
 namespace ice::bn {
-
-enum class MultiExpAlgo {
-  kAuto,       // cost-model pick between the two (the default)
-  kStraus,     // interleaved sliding odd windows, one shared chain
-  kPippenger,  // fixed windows into digit buckets, running-product combine
-};
 
 /// prod_i bases[i]^{exps[i]} mod N. Sizes must match (ParamError), every
 /// exponent must be >= 0 (ParamError); the empty product is 1 mod N.
@@ -40,8 +30,7 @@ enum class MultiExpAlgo {
 [[nodiscard]] BigInt multi_exp(const Montgomery& mont,
                                const std::vector<BigInt>& bases,
                                const std::vector<BigInt>& exps,
-                               std::size_t parallelism = 1,
-                               MultiExpAlgo algo = MultiExpAlgo::kAuto);
+                               std::size_t parallelism = 1);
 
 /// prod_i values[i] mod N (all exponents 1): the ICE-batch product check.
 /// One Montgomery conversion per value and one mont_mul per step — the

@@ -20,7 +20,7 @@ RungBases::RungBases(const PublicKey& pk, const ProtocolParams& params)
       width_(rung_width(pk, params)) {}
 
 void RungBases::build() const {
-  // One chain of 15·L squarings of the public g: the TPA trusts nobody
+  // One chain of 31·L squarings of the public g: the TPA trusts nobody
   // for its rungs (DESIGN.md §6). Each rung then gets a comb sized for
   // the secret s < N.
   const bn::Ladder bases =
@@ -41,7 +41,7 @@ bn::Ladder RungBases::raise(const bn::BigInt& s) const {
   ladder.width = width_;
   ladder.rungs.resize(combs_.size());
   // Serial: almost every raise runs in the refill worker, already on a pool
-  // thread; only an inline miss pays the ~1.1 ms of comb pows (1024-bit N)
+  // thread; only an inline miss pays the ~2.5 ms of comb pows (1024-bit N)
   // on the audit path (DESIGN.md §14).
   for (std::size_t i = 0; i < combs_.size(); ++i) {
     combs_[i].pow_into(ladder.rungs[i], s);
@@ -80,7 +80,7 @@ Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
   // a_k * m_k products are then chunked across the shared pool and the
   // partial sums added in chunk order. Integer addition is exact, so the
   // aggregate is bit-identical at every thread count. The closing modexp
-  // runs through the challenge's ladder: 16 L-bit chunks of the exponent
+  // runs through the challenge's ladder: 32 L-bit chunks of the exponent
   // share one squaring chain L long instead of |E| (DESIGN.md §8), and the
   // rungs split over the pool, each thread with its own chain.
   const std::vector<bn::BigInt> coeffs = crypto::CoefficientPrf::expand(

@@ -33,13 +33,13 @@ namespace ice::proto {
 
 /// c: the rungs of a challenge's power ladder, g_s included (DESIGN.md §8).
 /// Also the cap the edge and the user hold a received ladder to.
-inline constexpr std::size_t kLadderRungs = 16;
+inline constexpr std::size_t kLadderRungs = 32;
 
 /// The largest block a key may declare at the TPA: the paper's 1 MiB.
 inline constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 20;
 
 /// What the TPA sends to the edge: chal = (e, g_s), plus the power ladder
-/// H_i = g_s^{2^{i·L}} that lets the edge cut its squaring chain 16 ways.
+/// H_i = g_s^{2^{i·L}} that lets the edge cut its squaring chain 32 ways.
 /// An empty ladder is the paper's challenge (c = 1).
 struct Challenge {
   bn::BigInt e;       // challenge key seeding the coefficient PRF

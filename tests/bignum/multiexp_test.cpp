@@ -1,15 +1,17 @@
 // Differential tests pinning the multi-exponentiation engine to the scalar
-// reference: for every algorithm, modulus size, batch size, and thread
-// count, multi_exp must equal the fold of Montgomery::pow with modular
-// multiplies, bit for bit.
+// reference: for every modulus size, batch size, exponent shape and thread
+// count, multi_exp (Straus) must equal the fold of Montgomery::pow with
+// modular multiplies, bit for bit.
 #include "bignum/multiexp.h"
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bignum/mont_kernels.h"
 #include "bignum/random.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -65,11 +67,6 @@ TEST_P(MultiExpDifferentialTest, MatchesFoldOfPowAcrossSizesAndThreads) {
       EXPECT_EQ(multi_exp(mont, bases, exps, t), want)
           << "k=" << k << " threads=" << t;
     }
-    // Both concrete algorithms agree with the reference regardless of what
-    // the cost model would have picked.
-    EXPECT_EQ(multi_exp(mont, bases, exps, 1, MultiExpAlgo::kStraus), want);
-    EXPECT_EQ(multi_exp(mont, bases, exps, 1, MultiExpAlgo::kPippenger),
-              want);
   }
 }
 
@@ -86,10 +83,7 @@ TEST_P(MultiExpDifferentialTest, EdgeCaseExponents) {
   std::vector<BigInt> exps = {BigInt(0), random_bits(rng, 100), BigInt(1),
                               BigInt(0), BigInt(1) << 63};
   const BigInt want = fold_of_pow(mont, bases, exps);
-  for (auto algo : {MultiExpAlgo::kAuto, MultiExpAlgo::kStraus,
-                    MultiExpAlgo::kPippenger}) {
-    EXPECT_EQ(multi_exp(mont, bases, exps, 1, algo), want);
-  }
+  EXPECT_EQ(multi_exp(mont, bases, exps, 1), want);
 
   // All exponents zero: the empty product.
   std::vector<BigInt> zeros(bases.size(), BigInt(0));
@@ -103,6 +97,124 @@ TEST_P(MultiExpDifferentialTest, EdgeCaseExponents) {
 INSTANTIATE_TEST_SUITE_P(ModulusBits, MultiExpDifferentialTest,
                          ::testing::Values(std::size_t{128}, std::size_t{256},
                                            std::size_t{512}));
+
+// base^exp by bit-serial square-and-multiply on the residue API: a
+// reference for Montgomery::pow that shares nothing with the window scan
+// Montgomery::pow and multi_exp both run on.
+BigInt bitwise_pow(const Montgomery& mont, const BigInt& base,
+                   const BigInt& exp) {
+  const Montgomery::LimbVec b = mont.to_mont(base);
+  Montgomery::LimbVec acc = mont.one_mont();
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    acc = mont.mont_sqr(acc);
+    if (exp.bit(i)) acc = mont.mont_mul(acc, b);
+  }
+  return mont.from_mont(acc);
+}
+
+BigInt set_bits(std::initializer_list<std::size_t> bits) {
+  BigInt x;
+  for (std::size_t b : bits) x += BigInt(1) << b;
+  return x;
+}
+
+BigInt ones(std::size_t n) { return (BigInt(1) << n) - BigInt(1); }
+
+struct ShapeCase {
+  const char* name;
+  std::vector<BigInt> exps;
+};
+
+// Exponent shapes the limb-level window schedule must get right, around
+// L-bit chunks (L a multiple of 64, as the ladder cuts them).
+std::vector<ShapeCase> schedule_shapes(std::size_t L, Rng64& rng) {
+  std::vector<ShapeCase> cases;
+  // A lone set bit just below, at and just above each limb boundary.
+  for (const std::size_t j : {std::size_t{1}, std::size_t{2}, L / 64}) {
+    cases.push_back({"single bit at a limb boundary",
+                     {BigInt(1) << (64 * j - 1), BigInt(1) << (64 * j),
+                      BigInt(1) << (64 * j + 1)}});
+  }
+  // Two bits 3 apart across each boundary: one window (w >= 4) holds both.
+  std::vector<BigInt> straddle;
+  for (std::size_t j = 1; 64 * j + 1 < L - 1; ++j) {
+    straddle.push_back(set_bits({L - 1, 64 * j + 1, 64 * j - 2}));
+  }
+  cases.push_back({"windows straddling limb boundaries", straddle});
+  cases.push_back({"long zero runs",
+                   {set_bits({L - 1, 0}), set_bits({L - 1, L / 2, 1}),
+                    (random_bits(rng, 70) << (L - 70)) + BigInt(5)}});
+  cases.push_back({"all-ones chunks",
+                   {ones(L), ones(64), ones(130), ones(L - 1)}});
+  cases.push_back({"zero exponents beside nonzero ones",
+                   {BigInt(0), random_bits(rng, L), BigInt(0), BigInt(0),
+                    random_bits(rng, L / 2), BigInt(0)}});
+  cases.push_back({"top bits below the window width",
+                   {random_bits(rng, L), BigInt(1), BigInt(2), BigInt(3),
+                    BigInt(5), BigInt(7), BigInt(12)}});
+  cases.push_back({"a last chunk longer than L",
+                   {random_bits(rng, L), random_bits(rng, L),
+                    random_bits(rng, L), random_bits(rng, 2 * L + 37)}});
+  return cases;
+}
+
+// k = 16, 8 and 4 limbs run the fixed-width kernels where the host has
+// them; 6 limbs (384 bits) has none, so it always runs the portable ones.
+class MultiExpScheduleTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MultiExpScheduleTest, ShapesMatchFoldOfPowAtEveryThreadCount) {
+  SplitMix64 gen(0x5c4ed + GetParam());
+  Rng64Adapter rng(gen);
+  const std::size_t limbs = GetParam();
+  const BigInt n = (BigInt(1) << (64 * limbs - 1)) +
+                   random_bits(rng, 64 * limbs - 2) * BigInt(2) + BigInt(1);
+  const Montgomery mont(n);
+  ASSERT_EQ(mont.limb_count(), limbs);
+  for (const std::size_t L : {std::size_t{192}, std::size_t{1088}}) {
+    for (const ShapeCase& c : schedule_shapes(L, rng)) {
+      std::vector<BigInt> bases(c.exps.size());
+      for (auto& b : bases) b = random_below(rng, n);
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        ASSERT_EQ(mont.pow(bases[i], c.exps[i]),
+                  bitwise_pow(mont, bases[i], c.exps[i]))
+            << c.name << ", exponent " << i;
+      }
+      const BigInt want = fold_of_pow(mont, bases, c.exps);
+      for (const std::size_t t : {1u, 2u, 3u, 4u}) {
+        EXPECT_EQ(multi_exp(mont, bases, c.exps, t), want)
+            << c.name << ", L=" << L << ", threads " << t;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Limbs, MultiExpScheduleTest,
+                         ::testing::Values(std::size_t{16}, std::size_t{8},
+                                           std::size_t{4}, std::size_t{6}),
+                         [](const auto& info) {
+                           return "K" + std::to_string(info.param);
+                         });
+
+TEST(MultiExpTest, LadderChunkWindowsMatchFoldOfPow) {
+  // One 4-thread chunk of the 64 KB ladder (eight rungs of L = 16,448
+  // bits, the top one longer), where the cost model picks w = 9: 2^8-entry
+  // tables on every base.
+  const BigInt n = fixture_modulus(512);
+  const Montgomery mont(n);
+  SplitMix64 gen(0x16448);
+  Rng64Adapter rng(gen);
+  const std::size_t L = 16448;
+  ASSERT_EQ(detail::pow_window_bits(L), 9u);
+  std::vector<BigInt> bases(8), exps(8);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    bases[i] = random_below(rng, n);
+    exps[i] = random_bits(rng, i + 1 == bases.size() ? L + 700 : L);
+  }
+  const BigInt want = fold_of_pow(mont, bases, exps);
+  for (const std::size_t t : {1u, 2u, 3u, 4u}) {
+    EXPECT_EQ(multi_exp(mont, bases, exps, t), want) << "threads " << t;
+  }
+}
 
 TEST(MultiExpTest, EmptyInputIsOne) {
   const Montgomery mont(BigInt(101));

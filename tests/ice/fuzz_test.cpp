@@ -412,6 +412,35 @@ TEST(FuzzTest, TrailingByteRejectedBeforeExpensiveWork) {
   }
 }
 
+TEST(FuzzTest, LadderRungCapIsTheShippedCount) {
+  // 204 takes a ladder of kLadderRungs rungs (g_s and kLadderRungs - 1
+  // values) and refuses one rung more as malformed, before the one-shot
+  // blinding is taken.
+  FuzzWorld w;
+  const RungBases rungs(w.keys().pk, w.params());
+  SplitMix64 gen(0xf0cc);
+  bn::Rng64Adapter rng(gen);
+  ChallengeSecret secret;
+  const Challenge chal =
+      make_challenge(w.keys().pk, w.params(), rng, secret, &rungs);
+  ASSERT_EQ(chal.ladder.count(), kLadderRungs);
+  EdgeClient(w.user_edge(0)).share_blinding(5, bn::BigInt(7));
+  const auto request = [&](const bn::Ladder& ladder) {
+    net::Writer req;
+    req.u64(5);
+    req.bigint(chal.e);
+    req.bigint(chal.g_s);
+    write_ladder(req, ladder);
+    return req.take();
+  };
+  bn::Ladder over = chal.ladder;
+  over.rungs.push_back(chal.ladder.rungs.back());
+  EXPECT_EQ(status_of(w.edge(0).handle(kEdgeChallenge, request(over))),
+            net::Status::kMalformed);
+  EXPECT_EQ(status_of(w.edge(0).handle(kEdgeChallenge, request(chal.ladder))),
+            net::Status::kOk);
+}
+
 TEST(FuzzTest, HostileRepackedTagsRejectedNotCrashing) {
   // A malicious user submits garbage repacked tags: the audit must simply
   // fail (or error), never crash the TPA.

@@ -1,4 +1,4 @@
-// The challenge's power ladder (DESIGN.md §6, §8): the shipped 16-rung
+// The challenge's power ladder (DESIGN.md §6, §8): the shipped 32-rung
 // ladder changes no proof bit, draws nothing from the RNG, keeps every
 // soundness failure a failure, makes a tampered rung fail an honest edge,
 // and reaches the edge and the user only through typed-error checks.
@@ -43,11 +43,12 @@ bool rungs_are_squares(const PublicKey& pk, const bn::BigInt& g_s,
 
 class LadderProtocolTest : public ::testing::Test {
  protected:
-  // 4 KB blocks: from about this size up, every proof exponent reaches
-  // the top rung, basic and batch alike (at tiny blocks the limb rounding
-  // of L leaves the top rungs with zero chunks, which no proof reads).
+  // 8 KB blocks: from about this size up, every proof exponent reaches
+  // the top of 32 rungs, basic and batch alike (at smaller blocks the limb
+  // rounding of L leaves the top rungs with zero chunks, which no proof
+  // reads).
   LadderProtocolTest()
-      : params_(ice::testing::test_params(4096)),
+      : params_(ice::testing::test_params(8192)),
         keys_(ice::testing::test_keypair_256()),
         rungs_(keys_.pk, params_),
         tagger_(keys_.pk) {}
@@ -89,10 +90,10 @@ TEST_F(LadderProtocolTest, RungWidthCoversTheLongestProof) {
   EXPECT_GE(kLadderRungs * width, e_max);
   EXPECT_LT(kLadderRungs * (width - 64), e_max);
   EXPECT_EQ(rungs_.width(), width);
-  // The paper's 64 KB blocks at |N| = 1024: 525,440 bits in 16 rungs.
+  // The paper's 64 KB blocks at |N| = 1024: 525,440 bits in 32 rungs.
   ProtocolParams paper;
   paper.block_bytes = 64 * 1024;
-  EXPECT_EQ(rung_width(ice::testing::test_keypair_1024().pk, paper), 32896u);
+  EXPECT_EQ(rung_width(ice::testing::test_keypair_1024().pk, paper), 16448u);
 }
 
 TEST_F(LadderProtocolTest, ChallengeCarriesSquaresOfGs) {
@@ -175,7 +176,7 @@ TEST_F(LadderProtocolTest, ValidateLadderRejectsHostileLadders) {
   };
   bn::Ladder l = chal.ladder;
   l.rungs.push_back(bn::BigInt(2));
-  rejects(l, "17 rungs");
+  rejects(l, "33 rungs");
   for (const std::size_t width :
        {std::size_t{0}, std::size_t{65}, max_width + 64}) {
     l = chal.ladder;
@@ -195,7 +196,7 @@ TEST_F(LadderProtocolTest, ValidateLadderRejectsHostileLadders) {
   EXPECT_NO_THROW(validate_ladder(keys_.pk, params_, l));
 }
 
-// Every negative outcome of the paper's protocol stays negative at c = 16.
+// Every negative outcome of the paper's protocol stays negative at c = 32.
 TEST_F(LadderProtocolTest, SoundnessHoldsAtTheShippedRungCount) {
   const auto blocks = ice::testing::make_blocks(4, params_.block_bytes, 31);
   const auto tags = tagger_.tag_all(blocks);
@@ -436,6 +437,7 @@ TEST(LadderWireTest, EdgeRefusesHostileLaddersWithTypedErrors) {
   ChallengeSecret secret;
   const Challenge chal =
       make_challenge(w.keys().pk, w.params(), rng, secret, &rungs);
+  ASSERT_EQ(chal.ladder.count(), kLadderRungs);
   EdgeClient(w.user_edge(0)).share_blinding(9, bn::BigInt(7));
   for (const HostileLadder& h : kHostileLadders) {
     SCOPED_TRACE(h.name);
@@ -455,7 +457,8 @@ TEST(LadderWireTest, EdgeRefusesHostileLaddersWithTypedErrors) {
         status_of(w.edge(0).handle(kEdgeBatchChallenge, batch.take())),
         h.status);
   }
-  // No hostile ladder used up the session's one-shot blinding.
+  // No hostile ladder used up the session's one-shot blinding, and the
+  // shipped kLadderRungs-rung ladder is taken.
   EXPECT_NO_THROW((void)EdgeClient(w.tpa_edge(0)).challenge(9, chal));
 }
 

@@ -217,24 +217,28 @@ TEST_P(AllocTest, FusedPirRespondIsAllocationFree) {
 }
 
 TEST_P(AllocTest, LadderMultiExpIsAllocationFree) {
-  // The edge's multi-exp at 64 KB blocks: 16 rungs, each raised to one
-  // L-bit chunk of a full-length proof exponent.
+  // The edge's multi-exp: 32 rungs, each raised to one L-bit chunk of a
+  // full-length proof exponent. 64 KB blocks give w = 9 tables, 256 KB
+  // blocks w = 10 (2 MB of arena for the serial 32-base tables).
   const proto::KeyPair keys = bench::bench_keypair(1024);
-  proto::ProtocolParams params;
-  params.block_bytes = 64 * 1024;
   const auto mont = bn::Montgomery::shared(keys.pk.n);
   std::vector<bn::BigInt> rungs(proto::kLadderRungs);
   for (auto& r : rungs) r = bn::random_below(rng_, keys.pk.n);
-  const bn::BigInt exp =
-      bn::random_bits(rng_, 8 * params.block_bytes + params.coeff_bits +
-                                64 + keys.pk.modulus_bits());
-  std::vector<bn::BigInt> chunks;
-  bn::ladder_chunks(exp, proto::kLadderRungs,
-                    proto::rung_width(keys.pk, params), chunks);
+  for (const std::size_t block_bytes : {64 * 1024, 256 * 1024}) {
+    proto::ProtocolParams params;
+    params.block_bytes = block_bytes;
+    const bn::BigInt exp =
+        bn::random_bits(rng_, 8 * params.block_bytes + params.coeff_bits +
+                                  64 + keys.pk.modulus_bits());
+    std::vector<bn::BigInt> chunks;
+    bn::ladder_chunks(exp, proto::kLadderRungs,
+                      proto::rung_width(keys.pk, params), chunks);
 
-  const std::uint64_t allocs = steady_state_allocs(
-      [&] { (void)bn::multi_exp(*mont, rungs, chunks, GetParam()); }, 2, 2);
-  EXPECT_EQ(allocs, 0u);
+    const std::uint64_t allocs = steady_state_allocs(
+        [&] { (void)bn::multi_exp(*mont, rungs, chunks, GetParam()); }, 2,
+        2);
+    EXPECT_EQ(allocs, 0u) << block_bytes << " B blocks";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndPooled, AllocTest,

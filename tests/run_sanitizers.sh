@@ -63,7 +63,11 @@
 # the ladder codec and its hostile counts, widths and truncations
 # (LadderProtocolTest.*, LadderWireTest.*) and the bignum side: the
 # ladder differential against Montgomery::pow (LadderTest.*) and the
-# chunk slicing it rests on.
+# chunk slicing it rests on. The Straus engine's limb-level window
+# schedule (two-limb window reads, per-base cursors, arena tables of up to
+# 2 MB) runs under both: MultiExpScheduleTest.* and
+# MultiExpTest.LadderChunkWindowsMatchFoldOfPow split it over 1-4 threads,
+# whose per-thread partials the caller combines after the fan-out joins.
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite
