@@ -83,7 +83,7 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
   bn::Rng64Adapter rng(gen);
   proto::ChallengeSecret secret;
   const proto::Challenge base =
-      proto::make_batch_base(keys.pk, rng, secret, &rungs);
+      proto::make_challenge(keys.pk, params, rng, secret, &rungs);
   const auto edge_keys = proto::draw_challenge_keys(params, kJ, rng);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   proto::Challenge chal = base;

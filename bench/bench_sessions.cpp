@@ -1,4 +1,4 @@
-// Concurrent-session throughput: sharded session cores vs the pre-refactor
+// Concurrent-session throughput: per-session locking vs the pre-refactor
 // big-lock services.
 //
 // K user threads each run independent ICE-basic audits against ONE shared
@@ -7,16 +7,16 @@
 //                the whole handler, including nested outbound calls. This is
 //                the pre-session-core locking (the old TPA held its lock
 //                across the edge challenge round trip).
-//   sharded    — the services as they are now: per-session state in sharded
-//                tables, config behind shared_mutexes, and no lock ever held
-//                across a channel call.
+//   per-session — the services as they are now: per-session state in
+//                session tables (one short-held mutex each), config behind
+//                shared_mutexes, and no lock ever held across a channel call.
 // and two channel families:
 //   in-process — calls traverse a channel wrapper that really sleeps the
 //                modeled one-way WAN latency each direction. Latency
 //                injection is what makes the lock-scope difference visible
 //                on any machine: the serialized build sleeps while holding
 //                the service lock, so K sessions serialize their WAN waits;
-//                the sharded build overlaps them. (CPU work still contends
+//                the per-session build overlaps them. (CPU work still contends
 //                for real cores, so multi-core hosts additionally overlap
 //                compute — the speedups below are a floor.)
 //   tcp        — the real loopback transport (TcpServer's epoll reactor),
@@ -106,7 +106,7 @@ class SleepingChannel final : public net::RpcChannel {
 };
 
 /// One deployment (CSP + 2 TPAs + 1 edge + owner), built either serialized
-/// or sharded. All user traffic goes through the MaybeSerialized wrappers so
+/// or per-session. All user traffic goes through the MaybeSerialized wrappers so
 /// the two builds differ only in lock scope.
 class Arm {
  public:
@@ -477,18 +477,18 @@ void scale_sweep(const Cfg& cfg, const std::vector<std::size_t>& counts,
 
 template <typename ArmT>
 void sweep(const char* family, const Cfg& cfg, std::vector<double>& ser_thr,
-           std::vector<double>& shard_thr) {
+           std::vector<double>& session_thr) {
   for (const std::size_t k : cfg.session_counts) {
     // Fresh deployments per point so session tables and caches start equal.
     ArmT serialized(/*serialized=*/true, cfg);
-    ArmT sharded(/*serialized=*/false, cfg);
+    ArmT per_session(/*serialized=*/false, cfg);
     const double ser = serialized.run(k);
-    const double shard = sharded.run(k);
+    const double session = per_session.run(k);
     ser_thr.push_back(ser);
-    shard_thr.push_back(shard);
-    std::printf("%-10s K=%-3zu serialized %8.2f audits/s   sharded %8.2f "
+    session_thr.push_back(session);
+    std::printf("%-10s K=%-3zu serialized %8.2f audits/s   per-session %8.2f "
                 "audits/s   speedup %5.2fx\n",
-                family, k, ser, shard, shard / ser);
+                family, k, ser, session, session / ser);
     std::fflush(stdout);
   }
 }
@@ -526,18 +526,18 @@ int main(int argc, char** argv) {
   }
   if (latency_override > 0) cfg.one_way_latency_s = latency_override;
 
-  print_header("concurrent audit sessions: serialized vs sharded services");
+  print_header("concurrent audit sessions: serialized vs per-session services");
   std::printf("modulus %zu bits, %zu blocks x %zu B, %d audits/session, "
               "modeled one-way latency %.1f ms, %u hardware threads\n",
               cfg.modulus_bits, cfg.n_blocks, kBlockBytes,
               cfg.audits_per_session, cfg.one_way_latency_s * 1e3,
               std::thread::hardware_concurrency());
 
-  std::vector<double> inproc_ser, inproc_shard, tcp_ser, tcp_shard;
-  sweep<Arm>("inproc", cfg, inproc_ser, inproc_shard);
-  sweep<TcpArm>("tcp", cfg, tcp_ser, tcp_shard);
+  std::vector<double> inproc_ser, inproc_session, tcp_ser, tcp_session;
+  sweep<Arm>("inproc", cfg, inproc_ser, inproc_session);
+  sweep<TcpArm>("tcp", cfg, tcp_ser, tcp_session);
 
-  const double last_speedup = inproc_shard.back() / inproc_ser.back();
+  const double last_speedup = inproc_session.back() / inproc_ser.back();
   std::printf("\nin-process speedup at K=%zu: %.2fx\n",
               cfg.session_counts.back(), last_speedup);
 
@@ -574,11 +574,12 @@ int main(int argc, char** argv) {
         << ",\n"
         << "  \"inproc_serialized_audits_per_s\": " << json_array(inproc_ser)
         << ",\n"
-        << "  \"inproc_sharded_audits_per_s\": " << json_array(inproc_shard)
+        << "  \"inproc_per_session_audits_per_s\": "
+        << json_array(inproc_session)
         << ",\n"
         << "  \"tcp_serialized_audits_per_s\": " << json_array(tcp_ser)
         << ",\n"
-        << "  \"tcp_sharded_audits_per_s\": " << json_array(tcp_shard)
+        << "  \"tcp_per_session_audits_per_s\": " << json_array(tcp_session)
         << ",\n"
         << "  \"scale_modulus_bits\": " << scale_cfg.modulus_bits << ",\n"
         << "  \"scale_lanes\": " << ScaleArm::kMaxLanes << ",\n"

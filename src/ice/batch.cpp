@@ -10,19 +10,6 @@
 
 namespace ice::proto {
 
-Challenge make_batch_base(const PublicKey& pk, bn::Rng64& rng,
-                          ChallengeSecret& secret_out,
-                          const RungBases* rungs) {
-  Challenge base;
-  secret_out.s = bn::random_unit(rng, pk.n);
-  // g is long-lived: every batch round reuses the cached Lim-Lee comb.
-  const auto mont = bn::Montgomery::shared(pk.n);
-  base.g_s = mont->fixed_base(pk.g, pk.n.bit_length())->pow(secret_out.s);
-  base.e = bn::BigInt(0);  // per-edge keys live with the user in ICE-batch
-  if (rungs != nullptr) base.ladder = rungs->raise(secret_out.s);
-  return base;
-}
-
 std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,
                                             std::size_t edges,
                                             bn::Rng64& rng) {

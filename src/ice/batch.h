@@ -24,11 +24,8 @@
 
 namespace ice::proto {
 
-/// TPA side: one secret s and the shared g_s for the whole batch; with
-/// `rungs`, also g_s's ladder, which the user forwards to every edge.
-Challenge make_batch_base(const PublicKey& pk, bn::Rng64& rng,
-                          ChallengeSecret& secret_out,
-                          const RungBases* rungs = nullptr);
+// The TPA side of a batch is make_challenge (ice/protocol.h): its s, g_s and
+// ladder serve every edge, and its e goes unused.
 
 /// User side: J independent challenge keys e_1..e_J.
 std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,

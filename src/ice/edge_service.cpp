@@ -19,8 +19,7 @@ EdgeService::EdgeService(std::uint32_t edge_id, const ProtocolParams& params,
       csp_(&csp),
       tpa_(tpa),
       dispatch_("EdgeService"),
-      cache_(std::move(cache)),
-      blindings_(session_table_config()) {
+      cache_(std::move(cache)) {
   const auto bind = [this](void (EdgeService::*fn)(net::Reader&,
                                                    net::Writer&)) {
     return [this, fn](net::Reader& r, net::Writer& w) { (this->*fn)(r, w); };
@@ -126,17 +125,7 @@ void EdgeService::on_share_blind(net::Reader& r, net::Writer&) {
   if (s_tilde.is_zero()) {
     throw ServiceError(Status::kInvalidArgument, "zero blinding");
   }
-  switch (blindings_.try_emplace(session,
-                                 BlindingSession{std::move(s_tilde)})) {
-    case SessionTable<BlindingSession>::Insert::kExists:
-      throw ServiceError(Status::kAlreadyExists,
-                         "blinding already shared for session");
-    case SessionTable<BlindingSession>::Insert::kFull:
-      throw ServiceError(Status::kResourceExhausted,
-                         "too many pending blindings");
-    case SessionTable<BlindingSession>::Insert::kInserted:
-      break;
-  }
+  blindings_.insert(session, BlindingSession{std::move(s_tilde)});
 }
 
 void EdgeService::on_challenge(net::Reader& r, net::Writer& w) {
@@ -149,14 +138,11 @@ void EdgeService::on_challenge(net::Reader& r, net::Writer& w) {
   // Before the one-shot blinding is taken: a hostile ladder must not use
   // up the session.
   validate_ladder(pk_, params_, chal.ladder);
-  auto blinding = blindings_.extract(session);  // one-shot
-  if (!blinding) {
-    throw ServiceError(Status::kNotFound, "no blinding for session");
-  }
+  const BlindingSession blinding = blindings_.take(session);  // one-shot
   // Snapshot the cache, then compute the proof with no lock held.
   const std::vector<Bytes> blocks = snapshot_blocks();
   const Proof proof =
-      make_proof(pk_, params_, blocks, chal, blinding->s_tilde);
+      make_proof(pk_, params_, blocks, chal, blinding.s_tilde);
   w.bigint(proof.p);
 }
 

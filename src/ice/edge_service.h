@@ -5,12 +5,12 @@
 // on for security — a tampered edge simply fails verification. Tests
 // exercise that through the fault-injection hook.
 //
-// Concurrency (DESIGN.md §10): the per-session blinding nonces live in a
-// sharded TTL table; the only service-wide lock is cache_mu_ over the block
-// cache, and it is never held across a channel call — CSP fetches,
-// write-backs and TPA proof submissions all run lock-free on state
-// snapshotted under the lock (which also removes the PR 3 deferred-call
-// workaround for the TPA/Edge lock-order inversion).
+// Concurrency (DESIGN.md §10): the per-session blindings live in one TTL
+// session table (one mutex, which also owns the share/challenge refusals);
+// the only other lock is cache_mu_ over the block cache, and neither is
+// held across a channel call — CSP fetches, write-backs and TPA proof
+// submissions all run lock-free on state snapshotted under the lock, so
+// the TPA/Edge lock-order inversion cannot arise.
 #pragma once
 
 #include <mutex>

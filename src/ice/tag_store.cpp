@@ -16,10 +16,11 @@ std::size_t checked_size(std::span<const bn::BigInt> tags) {
 }  // namespace
 
 TagStore::TagStore(const ProtocolParams& params,
-                   std::span<const bn::BigInt> tags)
+                   std::span<const bn::BigInt> tags, std::uint64_t generation)
     : db_(params.tag_bits()),
       embedding_(checked_size(tags)),
-      server_(db_, embedding_, params.parallelism) {
+      server_(db_, embedding_, params.parallelism),
+      generation_(generation) {
   for (const auto& t : tags) db_.add(t);
 }
 
@@ -35,7 +36,13 @@ std::uint64_t TagStore::epoch() const {
 
 TagInfo TagStore::info() const {
   std::shared_lock lock(mu_);
-  return {db_.size(), epoch_};
+  return {db_.size(), generation_, epoch_};
+}
+
+void TagStore::follow(const TagStore& replaced) {
+  const std::uint64_t after = replaced.epoch() + 1;
+  std::unique_lock lock(mu_);
+  epoch_ = after;
 }
 
 bn::BigInt TagStore::tag(std::size_t index) const {

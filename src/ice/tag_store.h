@@ -11,10 +11,12 @@
 // rows, the embedding and the content epoch, the store's only epoch.
 // Queries, tag reads and staged updates take it shared; close_epoch and
 // append take it exclusive. The epoch moves on every append and on every
-// close that merged rows, so a query planned before either fails its epoch
+// close that merged rows, and a replacement store starts above the store
+// it replaces, so a query planned before any of these fails its epoch
 // check with the typed StaleEpochError instead of decoding against the
-// wrong state. The store builds no bitplanes: the fused engine streams the
-// rows.
+// wrong state. The store also names the key generation its tags were
+// uploaded under (fixed at construction). The store builds no bitplanes:
+// the fused engine streams the rows.
 //
 // `update()` stages into the next epoch and `close_epoch()` merges. Staging
 // is the only way to change a tag. A retrieval's snapshot guarantee is the
@@ -51,25 +53,35 @@ struct StoreEpochStats {
   pir::EpochStats db;
 };
 
-/// The store's row count and content epoch, read together (the 309 reply).
+/// The store's row count, key generation and content epoch, read together
+/// (the 309 reply). A retrieval is planned against (generation, epoch).
 struct TagInfo {
   std::uint64_t n = 0;
+  std::uint64_t generation = 0;
   std::uint64_t epoch = 0;
 };
 
 class TagStore {
  public:
-  /// Copies the tag set; K comes from `params.tag_bits()`, the evaluation
-  /// budget from `params.parallelism`. Throws ParamError on an empty set or
-  /// a tag wider than K bits.
-  TagStore(const ProtocolParams& params, std::span<const bn::BigInt> tags);
+  /// Copies the tag set, uploaded under key `generation`; K comes from
+  /// `params.tag_bits()`, the evaluation budget from `params.parallelism`.
+  /// Throws ParamError on an empty set or a tag wider than K bits.
+  TagStore(const ProtocolParams& params, std::span<const bn::BigInt> tags,
+           std::uint64_t generation = 0);
 
   [[nodiscard]] std::size_t n() const;
   [[nodiscard]] std::size_t tag_bits() const { return db_.tag_bits(); }
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
   /// Content epoch: moves on every append and every close that merged.
   [[nodiscard]] std::uint64_t epoch() const;
-  /// n and the epoch under one lock, so an append cannot fall between them.
+  /// n, the generation and the epoch under one lock, so an append cannot
+  /// fall between them.
   [[nodiscard]] TagInfo info() const;
+
+  /// Starts this store's epoch one above `replaced`'s, so a query planned
+  /// against the store this one replaces fails its epoch check. Call
+  /// before the store is shared.
+  void follow(const TagStore& replaced);
 
   /// Plain (non-private) tag read; used by trusted-path tests and by the
   /// naive full-download baseline.
@@ -109,6 +121,7 @@ class TagStore {
   // Points at db_ and embedding_, whose addresses never change, so an
   // append that grows both leaves it valid.
   pir::PirServer server_;
+  const std::uint64_t generation_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "ice/tpa_service.h"
 
+#include <string>
+
 #include "bignum/fixed_base.h"
 #include "bignum/montgomery.h"
 #include "common/error.h"
@@ -12,11 +14,27 @@ namespace ice::proto {
 using net::ServiceError;
 using net::Status;
 
+namespace {
+
+// A verdict needs the challenge and the tags under the key held now: a
+// challenge or tags of a rotated key would fail an honest edge.
+void require_generation(std::uint64_t challenged, std::uint64_t tags,
+                        std::uint64_t current) {
+  if (challenged != current) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "challenged under a replaced key");
+  }
+  if (tags != current) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "tags retrieved under another key");
+  }
+}
+
+}  // namespace
+
 TpaService::TpaService(std::size_t parallelism)
     : dispatch_("TpaService"),
       parallelism_(parallelism),
-      sessions_(session_table_config()),
-      batches_(session_table_config()),
       worker_(pool_, rng_) {
   const auto bind = [this](void (TpaService::*fn)(net::Reader&,
                                                   net::Writer&)) {
@@ -139,12 +157,20 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   if (tags.empty()) {
     throw ServiceError(Status::kInvalidArgument, "no tags");
   }
-  const ProtocolParams params = key_snapshot().params;
+  const ChallengePool::MintSpec key = key_snapshot();
   // Build the replacement store with no lock held (this is the expensive
   // part), then swap it in. The fused engine streams the rows, so no
   // bitplane lists are built here.
-  auto store = std::make_unique<TagStore>(params, tags);
+  auto store = std::make_unique<TagStore>(key.params, tags, key.generation);
   std::unique_lock lock(store_mu_);
+  // set_key bumps the generation before it drops the store, so a key
+  // rotated during the build is seen here: these tags belong to the old
+  // key and must not stand under the new one.
+  if (pool_.generation() != key.generation) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "key replaced while the tags were stored");
+  }
+  if (store_ != nullptr) store->follow(*store_);
   store_ = std::move(store);
 }
 
@@ -176,15 +202,7 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
   // Park the session in kChallenging state BEFORE the round trip so a
   // concurrent start_audit on the same nonce is refused, then challenge
   // the edge with no lock of ours held.
-  switch (sessions_.try_emplace(id, std::move(session))) {
-    case SessionTable<AuditSession>::Insert::kExists:
-      throw ServiceError(Status::kAlreadyExists, "session id already in use");
-    case SessionTable<AuditSession>::Insert::kFull:
-      throw ServiceError(Status::kResourceExhausted,
-                         "too many open sessions");
-    case SessionTable<AuditSession>::Insert::kInserted:
-      break;
-  }
+  sessions_.insert(id, std::move(session));
   Proof proof;
   try {
     proof = EdgeClient(*edge_channel).challenge(id, challenge);
@@ -196,41 +214,27 @@ void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
     sessions_.erase(id);
     throw;
   }
-  const bool parked = sessions_.with(id, [&](AuditSession& s) {
+  sessions_.with(id, [&](AuditSession& s) {
     s.proof = std::move(proof);
     s.state = AuditSession::State::kAwaitingTags;
   });
-  if (!parked) {
-    throw ServiceError(Status::kNotFound,
-                       "session expired during the edge challenge");
-  }
 }
 
 void TpaService::on_submit_repacked(net::Reader& r, net::Writer& w) {
   const std::uint64_t id = r.u64();
+  const std::uint64_t tags_generation = r.varint();
   const std::vector<bn::BigInt> tags = read_bigint_list(r);
   r.expect_done();
   const ChallengePool::MintSpec key = key_snapshot();
-  auto [outcome, session] =
-      sessions_.extract_if(id, [](const AuditSession& s) {
-        return s.state == AuditSession::State::kAwaitingTags;
-      });
-  if (outcome == SessionTable<AuditSession>::Extract::kMissing) {
-    throw ServiceError(Status::kNotFound, "unknown session");
-  }
-  if (outcome == SessionTable<AuditSession>::Extract::kRejected) {
-    throw ServiceError(Status::kFailedPrecondition,
-                       "edge challenge still in flight");
-  }
-  if (session->generation != key.generation) {
-    throw ServiceError(Status::kFailedPrecondition,
-                       "session challenged under a replaced key");
-  }
-  const bool pass = verify_proof(key.pk, key.params, tags, session->challenge,
-                                 session->secret, session->proof);
+  const AuditSession session = sessions_.take(id, [](const AuditSession& s) {
+    return s.state == AuditSession::State::kAwaitingTags;
+  });
+  require_generation(session.generation, tags_generation, key.generation);
+  const bool pass = verify_proof(key.pk, key.params, tags, session.challenge,
+                                 session.secret, session.proof);
   {
     std::lock_guard lock(log_mu_);
-    log_.append(id, session->edge_id, /*batch=*/false, pass);
+    log_.append(id, session.edge_id, /*batch=*/false, pass);
   }
   w.u8(pass ? 1 : 0);
 }
@@ -256,14 +260,7 @@ void TpaService::on_batch_begin(net::Reader& r, net::Writer& w) {
   batch.generation = bundle.generation;
   batch.secret = std::move(bundle.secret);
   batch.expected_proofs = num_edges;
-  switch (batches_.try_emplace(id, std::move(batch))) {
-    case SessionTable<BatchSession>::Insert::kExists:
-      throw ServiceError(Status::kAlreadyExists, "batch id already in use");
-    case SessionTable<BatchSession>::Insert::kFull:
-      throw ServiceError(Status::kResourceExhausted, "too many open batches");
-    case SessionTable<BatchSession>::Insert::kInserted:
-      break;
-  }
+  batches_.insert(id, std::move(batch));
   w.bigint(base.g_s);
   write_ladder(w, base.ladder);
 }
@@ -274,39 +271,24 @@ void TpaService::on_submit_proof(net::Reader& r, net::Writer&) {
   proof.p = r.bigint();
   r.expect_done();
   validate_proof(key_snapshot().pk, proof);  // range/unit check at decode
-  bool full = false;
-  const bool found = batches_.with(id, [&](BatchSession& batch) {
-    if (batch.proofs.size() >= batch.expected_proofs) {
-      full = true;
-      return;
+  batches_.with(id, [&](BatchSession& batch) {
+    if (batch.complete()) {
+      throw ServiceError(Status::kFailedPrecondition, "batch already full");
     }
     batch.proofs.push_back(std::move(proof));
   });
-  if (!found) throw ServiceError(Status::kNotFound, "unknown batch");
-  if (full) {
-    throw ServiceError(Status::kFailedPrecondition, "batch already full");
-  }
 }
 
 void TpaService::on_batch_finish(net::Reader& r, net::Writer& w) {
   const std::uint64_t id = r.u64();
+  const std::uint64_t tags_generation = r.varint();
   const std::vector<bn::BigInt> tags = read_bigint_list(r);
   r.expect_done();
   const ChallengePool::MintSpec key = key_snapshot();
-  auto [outcome, batch] = batches_.extract_if(
+  const BatchSession batch = batches_.take(
       id, [](const BatchSession& b) { return b.complete(); });
-  if (outcome == SessionTable<BatchSession>::Extract::kMissing) {
-    throw ServiceError(Status::kNotFound, "unknown batch");
-  }
-  if (outcome == SessionTable<BatchSession>::Extract::kRejected) {
-    throw ServiceError(Status::kFailedPrecondition,
-                       "batch proofs incomplete");
-  }
-  if (batch->generation != key.generation) {
-    throw ServiceError(Status::kFailedPrecondition,
-                       "batch challenged under a replaced key");
-  }
-  const bool pass = verify_batch(key.pk, tags, batch->proofs, batch->secret,
+  require_generation(batch.generation, tags_generation, key.generation);
+  const bool pass = verify_batch(key.pk, tags, batch.proofs, batch.secret,
                                  key.params.parallelism);
   {
     std::lock_guard lock(log_mu_);
@@ -355,10 +337,16 @@ void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");
   }
-  // A stale query epoch throws StaleEpochError (a ProtocolError), which
-  // the dispatcher maps to kFailedPrecondition for the client's
-  // refresh-and-retry path; a point of the wrong length throws ParamError
-  // (kInvalidArgument).
+  // A query planned under another key generation or content epoch throws
+  // StaleEpochError (a ProtocolError), which the dispatcher maps to
+  // kFailedPrecondition for the client's refresh-and-retry path; a point
+  // of the wrong length throws ParamError (kInvalidArgument).
+  if (query.generation != store_->generation()) {
+    throw StaleEpochError("tag query planned under key generation " +
+                          std::to_string(query.generation) +
+                          ", tags stored under " +
+                          std::to_string(store_->generation()));
+  }
   pir::PirResponse out;
   store_->respond(query.epoch, query.query, out);
   write_pir_response(w, out);
@@ -420,9 +408,11 @@ void TpaClient::start_audit(std::uint32_t edge_id,
 }
 
 bool TpaClient::submit_repacked(std::uint64_t session_id,
+                                std::uint64_t generation,
                                 const std::vector<bn::BigInt>& tags) const {
   net::Writer w;
   w.u64(session_id);
+  w.varint(generation);
   write_bigint_list(w, tags);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaSubmitRepacked, std::move(w));
   net::Reader r = unwrap(raw);
@@ -489,10 +479,11 @@ std::pair<std::size_t, std::uint64_t> TpaClient::append_tag(
   return {index, epoch};
 }
 
-bool TpaClient::batch_finish(std::uint64_t batch_id,
+bool TpaClient::batch_finish(std::uint64_t batch_id, std::uint64_t generation,
                              const std::vector<bn::BigInt>& tags) const {
   net::Writer w;
   w.u64(batch_id);
+  w.varint(generation);
   write_bigint_list(w, tags);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaBatchFinish, std::move(w));
   net::Reader r = unwrap(raw);

@@ -9,13 +9,18 @@
 // Exactly one of the two TPA replicas is the "verifier" (owns audit
 // sessions and edge channels); both answer tag queries.
 //
+// Key generations (DESIGN.md §14): set_key bumps the generation; the tag
+// store, every session and every retrieval name the generation they
+// belong to, and a verdict needs all three to be the current one. Anything
+// else is a typed kFailedPrecondition, never a FAIL.
+//
 // Concurrency (DESIGN.md §10): requests route through a typed Dispatcher;
-// per-session state lives in sharded TTL tables locked per shard; the only
-// service-wide locks are two shared_mutexes over the edge registry and the
-// tag store, taken shared on the hot paths, and the challenge pool's mutex
-// over the key and its generation. No lock of any kind is held
-// across an outbound channel call (the PR 3 TPA/Edge lock-order hazard is
-// structurally impossible now).
+// per-session state lives in two TTL session tables, one mutex each, which
+// also own the session refusals; the other service-wide locks are two
+// shared_mutexes over the edge registry and the tag store, taken shared on
+// the hot paths, and the challenge pool's mutex over the key and its
+// generation. No lock of any kind is held across an outbound channel call
+// (the TPA/Edge lock-order hazard is structurally impossible).
 #pragma once
 
 #include <map>
@@ -105,7 +110,8 @@ class TpaService final : public net::RpcHandler {
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
   // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
-  // then swapped in), queried shared by tag_query.
+  // then swapped in unless set_key ran meanwhile, at an epoch above the
+  // replaced store's), queried shared by tag_query.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 
@@ -136,9 +142,12 @@ class TpaClient {
   /// challenges the edge synchronously and parks the proof. A nonce that
   /// collides with a live session is refused (RemoteError kAlreadyExists).
   void start_audit(std::uint32_t edge_id, std::uint64_t session_id) const;
-  /// Submits the repacked tags; returns the audit verdict.
+  /// Submits the repacked tags, retrieved under key `generation` (the
+  /// tag_info reply's); returns the audit verdict. A generation other than
+  /// the session's is refused (RemoteError kFailedPrecondition).
   [[nodiscard]] bool submit_repacked(
-      std::uint64_t session_id, const std::vector<bn::BigInt>& tags) const;
+      std::uint64_t session_id, std::uint64_t generation,
+      const std::vector<bn::BigInt>& tags) const;
   /// ICE-batch: opens a batch under the user-chosen id expecting
   /// `num_edges` proofs; returns the batch base (g_s and its ladder; e is
   /// 0). The ladder is decoded but not validated: the caller checks it
@@ -146,8 +155,10 @@ class TpaClient {
   /// refused (RemoteError kAlreadyExists).
   [[nodiscard]] Challenge batch_begin(std::uint64_t batch_id,
                                       std::size_t num_edges) const;
-  /// ICE-batch: closes the batch with the repacked union tags.
+  /// ICE-batch: closes the batch with the repacked union tags, retrieved
+  /// under key `generation` (refused as in submit_repacked).
   [[nodiscard]] bool batch_finish(std::uint64_t batch_id,
+                                  std::uint64_t generation,
                                   const std::vector<bn::BigInt>& tags) const;
   /// Data dynamics: stages the replacement tag of one block into the next
   /// epoch (invisible to retrievals until close_epoch). Returns the epoch
@@ -162,11 +173,11 @@ class TpaClient {
   };
   /// Merges staged updates into the readable snapshot.
   [[nodiscard]] CloseEpochReply close_epoch() const;
-  /// The store's row count and content epoch; the user plans its tag
-  /// queries against this epoch.
+  /// The store's row count, key generation and content epoch; the user
+  /// plans its tag queries against this (generation, epoch) pair.
   [[nodiscard]] TagInfo tag_info() const;
-  /// One private tag query over all n rows. A stale epoch surfaces as
-  /// RemoteError kFailedPrecondition — refresh the epoch and re-plan.
+  /// One private tag query over all n rows. A stale generation or epoch
+  /// surfaces as RemoteError kFailedPrecondition — refresh and re-plan.
   [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query) const;
   /// Appends the tag of a newly outsourced block; returns its global
   /// index and the new epoch.

@@ -58,8 +58,8 @@ std::shared_ptr<const UserClient::QueryCodec> UserClient::codec() {
     }
     // K is the ACTUAL modulus width: N built from two b/2-bit primes can
     // be one bit short of the nominal params_.modulus_bits.
-    codec_ = std::make_shared<const QueryCodec>(info.epoch, n_,
-                                                keys_.pk.pk.modulus_bits());
+    codec_ = std::make_shared<const QueryCodec>(
+        info.generation, info.epoch, n_, keys_.pk.pk.modulus_bits());
   }
   return codec_;
 }
@@ -71,16 +71,23 @@ void UserClient::invalidate_codec() {
 
 std::vector<bn::BigInt> UserClient::retrieve_tags(
     const std::vector<std::size_t>& indices) {
+  return retrieve(indices).tags;
+}
+
+UserClient::Retrieved UserClient::retrieve(
+    const std::vector<std::size_t>& indices) {
   if (n_ == 0) throw ProtocolError("retrieve_tags: no file");
   if (indices.empty()) return {};
-  // One retry: an append or a close at the TPAs between our planning and
-  // their evaluation is rejected remotely with kFailedPrecondition;
-  // refresh the epoch and re-plan once.
+  // One retry: a key rotation, a tag upload, an append or a close at the
+  // TPAs between our planning and their evaluation is rejected remotely
+  // with kFailedPrecondition; refresh the pair and re-plan once.
   for (int attempt = 0;; ++attempt) {
     const std::shared_ptr<const QueryCodec> plan_for = codec();
     pir::PirClient::EncodedQuery enc = plan_for->client.encode(indices, rng_);
-    const TagQuery q0{plan_for->epoch, std::move(enc.queries[0])};
-    const TagQuery q1{plan_for->epoch, std::move(enc.queries[1])};
+    const TagQuery q0{plan_for->generation, plan_for->epoch,
+                      std::move(enc.queries[0])};
+    const TagQuery q1{plan_for->generation, plan_for->epoch,
+                      std::move(enc.queries[1])};
     // The two PIR servers are independent (that independence is the
     // privacy guarantee), so their round trips overlap instead of paying
     // the WAN latency twice per retrieval.
@@ -117,7 +124,8 @@ std::vector<bn::BigInt> UserClient::retrieve_tags(
       }
       std::rethrow_exception(error);
     }
-    return plan_for->client.decode(enc.secrets, r0, r1);
+    return {plan_for->generation,
+            plan_for->client.decode(enc.secrets, r0, r1)};
   }
 }
 
@@ -219,10 +227,10 @@ bool UserClient::audit_edge(net::RpcChannel& edge_channel,
       audit_error = std::current_exception();
     }
   });
-  std::vector<bn::BigInt> tags;
+  Retrieved tags;
   std::exception_ptr tags_error;
   try {
-    tags = retrieve_tags(s_j);
+    tags = retrieve(s_j);
   } catch (...) {
     tags_error = std::current_exception();
   }
@@ -232,7 +240,7 @@ bool UserClient::audit_edge(net::RpcChannel& edge_channel,
 
   // 5. Repack: T~ = T^s~; updated blocks get fresh g^{m' s~} tags.
   std::vector<bn::BigInt> repacked =
-      repack_tags(keys_.pk.pk, tags, s_tilde, params_.parallelism);
+      repack_tags(keys_.pk.pk, tags.tags, s_tilde, params_.parallelism);
   for (const auto& [index, content] : updated_blocks()) {
     const auto it = std::find(s_j.begin(), s_j.end(), index);
     if (it == s_j.end()) continue;
@@ -240,8 +248,9 @@ bool UserClient::audit_edge(net::RpcChannel& edge_channel,
         tagger_.updated_tag(content, s_tilde);
   }
 
-  // 6. Submit and receive the verdict.
-  return tpa.submit_repacked(session_id, repacked);
+  // 6. Submit, naming the key generation of the tags (a rotation since the
+  //    retrieval is refused, not verified), and receive the verdict.
+  return tpa.submit_repacked(session_id, tags.generation, repacked);
 }
 
 LocalizationResult UserClient::localize_corruption(
@@ -311,10 +320,10 @@ bool UserClient::audit_edges_batch(
     });
   }
   const std::vector<std::size_t> u = union_of_sets(edge_sets);
-  std::vector<bn::BigInt> tags;
+  Retrieved tags;
   std::exception_ptr tags_error;
   try {
-    tags = retrieve_tags(u);
+    tags = retrieve(u);
   } catch (...) {
     tags_error = std::current_exception();
   }
@@ -326,8 +335,8 @@ bool UserClient::audit_edges_batch(
 
   // Aggregated repacking over the union.
   const std::vector<bn::BigInt> repacked =
-      batch_repack(keys_.pk.pk, params_, u, tags, edge_sets, keys);
-  return tpa.batch_finish(batch_id, repacked);
+      batch_repack(keys_.pk.pk, params_, u, tags.tags, edge_sets, keys);
+  return tpa.batch_finish(batch_id, tags.generation, repacked);
 }
 
 }  // namespace ice::proto

@@ -99,12 +99,13 @@ class UserClient {
   }
 
   /// Privately retrieves tags for `indices` from the two TPAs: each gets
-  /// one |indices|-point query over all n rows. The content epoch is
-  /// fetched lazily from tpa0 and cached; when an append or a close at the
-  /// TPAs lands between planning and evaluation, the stale query is
-  /// rejected remotely (kFailedPrecondition) and the client refreshes its
-  /// epoch and retries once. Throws ProtocolError, before any query is
-  /// sent, when tpa0 reports a row count other than file_blocks().
+  /// one |indices|-point query over all n rows. The key generation and
+  /// content epoch are fetched lazily from tpa0 and cached; when a key
+  /// rotation, a tag upload, an append or a close at the TPAs lands between
+  /// planning and evaluation, the stale query is rejected remotely
+  /// (kFailedPrecondition) and the client refreshes the pair and retries
+  /// once. Throws ProtocolError, before any query is sent, when tpa0
+  /// reports a row count other than file_blocks().
   [[nodiscard]] std::vector<bn::BigInt> retrieve_tags(
       const std::vector<std::size_t>& indices);
 
@@ -132,17 +133,30 @@ class UserClient {
   TagGenerator tagger_;
   net::RpcChannel* tpa0_;
   net::RpcChannel* tpa1_;
-  /// The PIR state a retrieval encodes and decodes with: the content epoch
-  /// tpa0 reported, the embedding over the file's own n rows, and the
-  /// client that points at it (so the struct never moves).
+  /// The PIR state a retrieval encodes and decodes with: the key
+  /// generation and content epoch tpa0 reported, the embedding over the
+  /// file's own n rows, and the client that points at it (so the struct
+  /// never moves).
   struct QueryCodec {
-    QueryCodec(std::uint64_t epoch, std::size_t n, std::size_t tag_bits)
-        : epoch(epoch), embedding(n), client(embedding, tag_bits) {}
+    QueryCodec(std::uint64_t generation, std::uint64_t epoch, std::size_t n,
+               std::size_t tag_bits)
+        : generation(generation),
+          epoch(epoch),
+          embedding(n),
+          client(embedding, tag_bits) {}
 
+    std::uint64_t generation;
     std::uint64_t epoch;
     pir::Embedding embedding;
     pir::PirClient client;
   };
+  /// Retrieved tags and the key generation they were stored under, which
+  /// the verdict call names.
+  struct Retrieved {
+    std::uint64_t generation = 0;
+    std::vector<bn::BigInt> tags;
+  };
+  [[nodiscard]] Retrieved retrieve(const std::vector<std::size_t>& indices);
   /// Cached query codec, built on first use and dropped on any event that
   /// can move the epoch or n (setup, attach, append, close, remote
   /// stale-epoch rejection). shared_ptr so an in-flight retrieval keeps

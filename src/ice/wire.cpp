@@ -123,23 +123,27 @@ pir::PirResponse read_pir_response(net::Reader& r) {
 
 void write_tag_info(net::Writer& w, const TagInfo& info) {
   w.varint(info.n);
+  w.varint(info.generation);
   w.u64(info.epoch);
 }
 
 TagInfo read_tag_info(net::Reader& r) {
   TagInfo info;
   info.n = r.varint();
+  info.generation = r.varint();
   info.epoch = r.u64();
   return info;
 }
 
 void write_sharded_query(net::Writer& w, const TagQuery& q) {
+  w.varint(q.generation);
   w.u64(q.epoch);
   write_pir_query(w, q.query);
 }
 
 TagQuery read_sharded_query(net::Reader& r) {
   TagQuery q;
+  q.generation = r.varint();
   q.epoch = r.u64();
   q.query = read_pir_query(r);
   return q;

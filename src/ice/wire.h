@@ -48,15 +48,19 @@ enum Method : std::uint16_t {
   kTpaStoreTags = 301,      // ([tag]...) -> ()
                             // 302 is retired: kTpaShardQuery asks for tags
   kTpaStartAudit = 303,     // (edge_id, session_id) -> ()
-  kTpaSubmitRepacked = 304, // (session_id, [tag]...) -> (verdict)
+  kTpaSubmitRepacked = 304, // (session_id, generation, [tag]...)
+                            //   -> (verdict); generation names the key
+                            //   the tags were retrieved under
   kTpaBatchBegin = 305,     // (batch_id, num_edges) -> (g_s, ladder)
   kTpaSubmitProof = 306,    // (batch_id, proof) -> ()
-  kTpaBatchFinish = 307,    // (batch_id, [tag]...) -> (verdict)
+  kTpaBatchFinish = 307,    // (batch_id, generation, [tag]...)
+                            //   -> (verdict); generation as in 304
   kTpaUpdateTag = 308,      // (index, tag) -> (epoch); stages into
                             // the next epoch (data dynamics)
-  kTpaTagInfo = 309,        // () -> (n, epoch)
-  kTpaShardQuery = 310,     // (epoch, PirQuery) -> PirResponse;
-                            // stale epoch -> kFailedPrecondition
+  kTpaTagInfo = 309,        // () -> (n, generation, epoch)
+  kTpaShardQuery = 310,     // (generation, epoch, PirQuery)
+                            //   -> PirResponse; any other (generation,
+                            //   epoch) pair -> kFailedPrecondition
                             // 311 is retired: it split a range shard
   kTpaAppendTag = 312,      // (tag) -> (index, epoch); new outsourced block
   kTpaCloseEpoch = 313,     // () -> (closed u8, epoch, rows merged);
@@ -81,9 +85,11 @@ void write_tag_info(net::Writer& w, const TagInfo& info);
 TagInfo read_tag_info(net::Reader& r);
 
 /// The 310 request: one m-point PIR query over all n rows, planned against
-/// a content epoch. A TPA whose epoch has moved refuses it with
-/// kFailedPrecondition instead of answering against other rows.
+/// a key generation and a content epoch (the 309 reply's). A TPA holding
+/// any other pair refuses it with kFailedPrecondition instead of answering
+/// against other rows or other keys' tags.
 struct TagQuery {
+  std::uint64_t generation = 0;
   std::uint64_t epoch = 0;
   pir::PirQuery query;
 

@@ -434,11 +434,12 @@ void Reactor::worker_loop() {
     }
 
     Bytes response;
-    bool ok = true;
     try {
       response = handler_->handle(task.req.method, task.req.payload);
-    } catch (const std::exception&) {
-      ok = false;  // drop this client, keep serving the others
+    } catch (const std::exception& e) {
+      // Only a handler outside a Dispatcher throws: answer this call with
+      // kInternal, and keep the connection's other calls in flight.
+      response = encode_error(Status::kInternal, e.what());
     }
     // The consumed request payload refills this worker's BufferPool,
     // balancing the pooled Writer its handler response was built from.
@@ -448,10 +449,6 @@ void Reactor::worker_loop() {
     std::lock_guard lock(conn->mu);
     if (conn->dead) {
       BufferPool::local().release(std::move(response));
-      continue;
-    }
-    if (!ok) {
-      request_retire_locked(conn);
       continue;
     }
     conn->state.complete(task.req.seq, std::move(response));

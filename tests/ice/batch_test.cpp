@@ -44,7 +44,7 @@ class BatchTest : public ::testing::Test {
                  std::function<void(std::vector<std::vector<Bytes>>&)>
                      tamper = nullptr) {
     ChallengeSecret secret;
-    const Challenge base = make_batch_base(keys_.pk, rng_, secret);
+    const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
     const auto keys = draw_challenge_keys(params_, sets.size(), rng_);
     std::vector<std::vector<Bytes>> edge_blocks;
     for (const auto& s : sets) edge_blocks.push_back(blocks_for(s));
@@ -146,7 +146,7 @@ TEST_F(BatchTest, RepackValidatesInputs) {
 
 TEST_F(BatchTest, VerifyValidatesInputs) {
   ChallengeSecret secret;
-  (void)make_batch_base(keys_.pk, rng_, secret);
+  (void)make_challenge(keys_.pk, params_, rng_, secret);
   EXPECT_THROW(verify_batch(keys_.pk, {}, {Proof{bn::BigInt(1)}}, secret),
                ParamError);
   EXPECT_THROW(verify_batch(keys_.pk, {bn::BigInt(1)}, {}, secret),

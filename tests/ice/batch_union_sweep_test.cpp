@@ -46,7 +46,7 @@ class BatchUnionSweepTest : public ::testing::Test {
     ProtocolParams p = params_;
     p.parallelism = parallelism;
     ChallengeSecret secret;
-    const Challenge base = make_batch_base(keys_.pk, rng_, secret);
+    const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
     const auto challenge_keys = draw_challenge_keys(p, sets.size(), rng_);
     std::vector<std::vector<Bytes>> edge_blocks;
     for (const auto& s : sets) {

@@ -80,8 +80,8 @@ TEST(DynamicsTest, CacheChurnBetweenIndexQueryAndChallengeFailsClosed) {
   const TpaClient tpa(w.user_tpa(0));
   tpa.start_audit(0, 777);
   const auto tags = w.user().retrieve_tags(s_j);
-  EXPECT_FALSE(
-      tpa.submit_repacked(777, repack_tags(w.keys().pk, tags, s_tilde)));
+  EXPECT_FALSE(tpa.submit_repacked(777, tpa.tag_info().generation,
+                                   repack_tags(w.keys().pk, tags, s_tilde)));
 }
 
 TEST(DynamicsTest, TenantIsolatedTpasServeTwoUsers) {

@@ -127,7 +127,7 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
   }
   {
     // A real tag query (310, the only one), planned against the TPA's own
-    // row count and epoch.
+    // row count, key generation and epoch.
     const TagInfo info = TpaClient(w.user_tpa(0)).tag_info();
     const pir::Embedding embedding(info.n);
     const pir::PirClient client(embedding, w.keys().pk.modulus_bits());
@@ -135,7 +135,8 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
     bn::Rng64Adapter<SplitMix64> plan_rng(gen);
     auto enc = client.encode(std::vector<std::size_t>{1, 2, 3}, plan_rng);
     net::Writer query;
-    write_sharded_query(query, {info.epoch, std::move(enc.queries[0])});
+    write_sharded_query(
+        query, {info.generation, info.epoch, std::move(enc.queries[0])});
     probes.push_back({&w.tpa(0), kTpaShardQuery, query.take()});
   }
   for (auto& probe : probes) {
@@ -386,7 +387,8 @@ TEST(FuzzTest, TrailingByteRejectedBeforeExpensiveWork) {
     SplitMix64 gen(0xf0a1);
     bn::Rng64Adapter<SplitMix64> plan_rng(gen);
     auto enc = client.encode(std::vector<std::size_t>{1, 2}, plan_rng);
-    write_sharded_query(stale, {info.epoch + 1, std::move(enc.queries[0])});
+    write_sharded_query(
+        stale, {info.generation, info.epoch + 1, std::move(enc.queries[0])});
   }
   net::Writer uncached;  // 207 naming block 9, which the edge does not hold
   uncached.bigint(bn::BigInt(5));
@@ -453,7 +455,8 @@ TEST(FuzzTest, HostileRepackedTagsRejectedNotCrashing) {
   for (int i = 0; i < 3; ++i) {
     garbage.push_back(bn::BigInt(static_cast<std::int64_t>(gen())));
   }
-  EXPECT_FALSE(tpa.submit_repacked(424242, garbage));
+  const std::uint64_t generation = tpa.tag_info().generation;
+  EXPECT_FALSE(tpa.submit_repacked(424242, generation, garbage));
 }
 
 TEST(FuzzTest, ZeroAndHugeTagValuesHandled) {
@@ -464,7 +467,7 @@ TEST(FuzzTest, ZeroAndHugeTagValuesHandled) {
   // Tag congruent to 0 mod N and a tag far larger than N.
   const std::vector<bn::BigInt> weird = {
       bn::BigInt(0), w.keys().pk.n * w.keys().pk.n, bn::BigInt(1)};
-  EXPECT_FALSE(tpa.submit_repacked(31337, weird));
+  EXPECT_FALSE(tpa.submit_repacked(31337, tpa.tag_info().generation, weird));
 }
 
 }  // namespace

@@ -122,13 +122,6 @@ TEST_F(LadderProtocolTest, MakeChallengeDrawsInTheSameOrder) {
   EXPECT_EQ(secret_a.s, secret_b.s);
   EXPECT_TRUE(plain.ladder.rungs.empty());
   EXPECT_EQ(gen_a(), gen_b());  // the next draw lines up too
-
-  ChallengeSecret batch_a, batch_b;
-  const Challenge base_a = make_batch_base(keys_.pk, rng_a, batch_a);
-  const Challenge base_b = make_batch_base(keys_.pk, rng_b, batch_b, &rungs_);
-  EXPECT_EQ(base_a.g_s, base_b.g_s);
-  EXPECT_EQ(gen_a(), gen_b());
-  EXPECT_TRUE(rungs_are_squares(keys_.pk, base_b.g_s, base_b.ladder));
 }
 
 // make_proof and make_batch_proof with the shipped ladder equal their c = 1
@@ -242,7 +235,8 @@ TEST_F(LadderProtocolTest, AnyReplacedRungFailsAnHonestEdge) {
   // ICE-batch: one edge's proof over a base whose rung i was replaced.
   const std::vector<std::vector<std::size_t>> sets = {{0, 1}, {1, 2}};
   ChallengeSecret secret;
-  const Challenge base = make_batch_base(keys_.pk, rng_, secret, &rungs_);
+  const Challenge base =
+      make_challenge(keys_.pk, params_, rng_, secret, &rungs_);
   const auto keys = draw_challenge_keys(params_, sets.size(), rng_);
   const auto u = union_of_sets(sets);
   std::vector<bn::BigInt> union_tags;

@@ -1,7 +1,9 @@
 // The challenge pool (ice/offline.h): bundles minted bit-exact with
 // make_challenge, the generation contract (a bundle minted under a rotated
 // key is never consumed, a session is never verified under a key it was
-// not challenged under), the one challenge path at the service (the first
+// not challenged under nor with tags retrieved under another key, even
+// when the rotation lands between the retrieval and the challenge), the
+// one challenge path at the service (the first
 // challenge after set_key mints inline, later ones pop, verdicts agree),
 // and the worker's shutdown / rekey races (exercised under TSan via the
 // sanitizer presets).
@@ -9,9 +11,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "crypto/csprng.h"
@@ -19,6 +24,7 @@
 #include "ice/edge_service.h"
 #include "ice/offline.h"
 #include "ice/tag.h"
+#include "ice/wire.h"
 #include "mec/corruption.h"
 #include "net/channel.h"
 #include "sim/deployment.h"
@@ -289,6 +295,24 @@ class OfflineDeployment : public sim::Deployment {
   std::uint64_t rung_builds(std::size_t i) {
     return tpa(i).challenge_pool().mint_spec()->rungs->builds();
   }
+
+  /// The CSP's blocks, in index order.
+  std::vector<Bytes> file_blocks() {
+    std::vector<Bytes> blocks;
+    for (std::size_t i = 0; i < csp().store().size(); ++i) {
+      blocks.push_back(csp().store().block(i));
+    }
+    return blocks;
+  }
+
+  /// Re-keys both TPAs to `pk` and uploads `tags`, as an owner does.
+  void rotate(const PublicKey& pk, const std::vector<bn::BigInt>& tags) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      const TpaClient tpa(user_tpa(i));
+      tpa.set_key(pk, params());
+      tpa.store_tags(tags);
+    }
+  }
 };
 
 /// The first challenge under a key is an inline miss; once the worker has
@@ -384,11 +408,7 @@ TEST(OfflineServiceTest, KeyRotationNeverServesStaleBundles) {
   const KeyPair rotated = ice::testing::test_keypair_256(1);
   ASSERT_NE(rotated.pk.g, ice::testing::test_keypair_256().pk.g);
   UserClient user2(d.params(), rotated, d.user_tpa(0), d.user_tpa(1));
-  std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < d.csp().store().size(); ++i) {
-    blocks.push_back(d.csp().store().block(i));
-  }
-  user2.setup_file(blocks);
+  user2.setup_file(d.file_blocks());
   EXPECT_GT(d.tpa(0).challenge_pool().generation(), gen_before);
 
   // Re-provision the edge for the rotated key: a fresh cache pulls the
@@ -435,14 +455,11 @@ TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
   const std::vector<std::size_t> s_j{1, 2, 7};
   d.edge(0).pre_download(s_j);
 
-  std::vector<Bytes> blocks;
-  for (std::size_t i = 0; i < d.csp().store().size(); ++i) {
-    blocks.push_back(d.csp().store().block(i));
-  }
+  const std::vector<Bytes> blocks = d.file_blocks();
   const std::vector<bn::BigInt> file_a = TagGenerator(key_a.pk).tag_all(blocks);
   const std::vector<bn::BigInt> file_b = TagGenerator(key_b.pk).tag_all(blocks);
   // The owner rotates under key_mu, so the S_j tags read under it are
-  // those of the key the verifier holds right now.
+  // those of the key the verifier holds right now, with its generation.
   std::mutex key_mu;
   bool holds_a = true;
   const auto current_tags = [&] {
@@ -451,7 +468,7 @@ TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
     for (const std::size_t k : s_j) {
       tags.push_back((holds_a ? file_a : file_b)[k]);
     }
-    return tags;
+    return std::pair{d.tpa(0).challenge_pool().generation(), tags};
   };
 
   // One audit of each kind; `gen` seeds the session ids and blindings.
@@ -462,8 +479,9 @@ TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
     const bn::BigInt s_tilde = draw_blinding(key_a.pk, rng);
     EdgeClient(d.user_edge(0)).share_blinding(id, s_tilde);
     tpa.start_audit(0, id);
-    const auto repacked = repack_tags(key_a.pk, current_tags(), s_tilde, 1);
-    return tpa.submit_repacked(id, repacked);
+    const auto [generation, tags] = current_tags();
+    const auto repacked = repack_tags(key_a.pk, tags, s_tilde, 1);
+    return tpa.submit_repacked(id, generation, repacked);
   };
   const auto audit_batch = [&](SplitMix64& gen) {
     bn::Rng64Adapter rng(gen);
@@ -474,9 +492,10 @@ TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
         draw_challenge_keys(d.params(), 1, rng);
     EdgeClient(d.user_edge(0))
         .batch_challenge(id, keys[0], base.g_s, base.ladder);
+    const auto [generation, tags] = current_tags();
     const auto repacked =
-        batch_repack(key_a.pk, d.params(), s_j, current_tags(), {s_j}, keys);
-    return tpa.batch_finish(id, repacked);
+        batch_repack(key_a.pk, d.params(), s_j, tags, {s_j}, keys);
+    return tpa.batch_finish(id, generation, repacked);
   };
 
   std::atomic<bool> stop{false};
@@ -519,6 +538,133 @@ TEST(KeyRotationStressTest, SameModulusRotationsNeverFailHonestAudits) {
   SplitMix64 settled(0x5e77);
   EXPECT_TRUE(audit_basic(settled));
   EXPECT_TRUE(audit_batch(settled));
+}
+
+/// Counts the 310s that returned through the channels sharing it; the
+/// holding channel waits on it.
+struct QueryCount {
+  std::mutex mu;
+  std::condition_variable cv;
+  int returned = 0;
+};
+
+/// A user-side TPA channel. With a `before_start` action it holds the
+/// first 303 until two 310s have returned, runs the action, then forwards
+/// the 303: an owner's action pinned between the user's tag retrieval and
+/// the TPA's challenge.
+class HoldingChannel final : public net::RpcChannel {
+ public:
+  HoldingChannel(net::RpcChannel& inner, QueryCount& queries,
+                 std::function<void()> before_start = nullptr)
+      : inner_(&inner),
+        queries_(&queries),
+        before_start_(std::move(before_start)) {}
+
+  Bytes call(std::uint16_t method, BytesView request) override {
+    if (method == kTpaStartAudit && before_start_ != nullptr) {
+      {
+        std::unique_lock lock(queries_->mu);
+        queries_->cv.wait_for(lock, std::chrono::seconds(30),
+                              [&] { return queries_->returned >= 2; });
+      }
+      std::exchange(before_start_, nullptr)();
+    }
+    Bytes response = inner_->call(method, request);
+    if (method == kTpaShardQuery) {
+      std::lock_guard lock(queries_->mu);
+      ++queries_->returned;
+      queries_->cv.notify_all();
+    }
+    return response;
+  }
+  [[nodiscard]] const net::ChannelStats& stats() const override {
+    return inner_->stats();
+  }
+  void reset_stats() override { inner_->reset_stats(); }
+
+ private:
+  net::RpcChannel* inner_;
+  QueryCount* queries_;
+  std::function<void()> before_start_;
+};
+
+// A same-modulus rotation at both TPAs lands after the user retrieved the
+// tags and before the verifier challenges the edge: the tags are the old
+// key's and the challenge the new key's. The audit must end as a typed
+// refusal, never as a verdict on the honest edge; the next audit passes.
+TEST(KeyRotationTest, RotationBetweenRetrievalAndChallengeIsRefused) {
+  OfflineDeployment d(1);
+  const KeyPair key_b = ice::testing::test_keypair_256(1);
+  ASSERT_EQ(d.keys().pk.n, key_b.pk.n);
+  d.edge(0).pre_download({1, 2, 7});
+  const std::vector<bn::BigInt> file_b =
+      TagGenerator(key_b.pk).tag_all(d.file_blocks());
+
+  QueryCount queries;
+  HoldingChannel tpa0(d.user_tpa(0), queries,
+                      [&] { d.rotate(key_b.pk, file_b); });
+  HoldingChannel tpa1(d.user_tpa(1), queries);
+  UserClient user(d.params(), d.keys(), tpa0, tpa1);
+  user.attach_file(d.csp().store().size());
+  try {
+    const bool pass = user.audit_edge(d.user_edge(0), 0);
+    ADD_FAILURE() << "the audit ended in a verdict: "
+                  << (pass ? "PASS" : "FAIL");
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.status(), net::Status::kFailedPrecondition) << e.what();
+  }
+  EXPECT_TRUE(user.audit_edge(d.user_edge(0), 0));
+}
+
+// Same-modulus rotations at both TPAs (set_key + store_tags, as an owner
+// re-keying its file) racing the user's own ICE-basic and ICE-batch audits,
+// whose tags come from its private retrieval and may belong to any key the
+// TPAs held meanwhile. Typed refusals are allowed; a FAIL is not.
+TEST(KeyRotationStressTest, UserClientAuditsAcrossRotationsNeverFail) {
+  OfflineDeployment d(1);
+  const KeyPair key_b = ice::testing::test_keypair_256(1);
+  ASSERT_EQ(d.keys().pk.n, key_b.pk.n);
+  d.edge(0).pre_download({1, 2, 7});
+  const std::vector<Bytes> blocks = d.file_blocks();
+  const std::vector<bn::BigInt> file_a =
+      TagGenerator(d.keys().pk).tag_all(blocks);
+  const std::vector<bn::BigInt> file_b = TagGenerator(key_b.pk).tag_all(blocks);
+  UserClient& user = d.user();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> fails{0};
+  std::atomic<int> refused{0};
+  const auto loop = [&](const auto& audit) {
+    while (!stop.load()) {
+      try {
+        (audit() ? passes : fails)++;
+      } catch (const net::RemoteError&) {
+        ++refused;  // a typed error: the key moved under this audit
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "untyped error: " << e.what();
+      }
+    }
+  };
+  std::thread basic(
+      [&] { loop([&] { return user.audit_edge(d.user_edge(0), 0); }); });
+  std::thread batch(
+      [&] { loop([&] { return user.audit_edges_batch(d.user_edges()); }); });
+  SplitMix64 pause(0x5eed);
+  for (int i = 0; i < 200; ++i) {
+    d.rotate(i % 2 == 0 ? key_b.pk : d.keys().pk, i % 2 == 0 ? file_b : file_a);
+    std::this_thread::sleep_for(std::chrono::microseconds(pause.below(300)));
+  }
+  stop.store(true);
+  basic.join();
+  batch.join();
+  RecordProperty("passed", passes.load());
+  RecordProperty("refused", refused.load());
+  EXPECT_EQ(fails.load(), 0) << passes.load() << " passed, "
+                             << refused.load() << " refused";
+  // With the key settled, both audits pass.
+  EXPECT_TRUE(user.audit_edge(d.user_edge(0), 0));
+  EXPECT_TRUE(user.audit_edges_batch(d.user_edges()));
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ TEST_F(ParallelDiffTest, ProofBitExactAtEveryThreadCount) {
 TEST_F(ParallelDiffTest, BatchProofBitExactAtEveryThreadCount) {
   const auto blocks = ice::testing::make_blocks(11, 256, 22);
   ChallengeSecret secret;
-  const Challenge base = make_batch_base(keys_.pk, rng_, secret);
+  const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
   const auto keys = draw_challenge_keys(params_, 1, rng_);
   const Proof serial =
       make_batch_proof(keys_.pk, params_, blocks, keys[0], base.g_s);
@@ -81,7 +81,7 @@ TEST_F(ParallelDiffTest, BatchProofFanOutMatchesPerEdgeSerial) {
     edge_blocks.push_back(ice::testing::make_blocks(3 + j, 128, 30 + j));
   }
   ChallengeSecret secret;
-  const Challenge base = make_batch_base(keys_.pk, rng_, secret);
+  const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
   const auto keys = draw_challenge_keys(params_, kEdges, rng_);
   std::vector<Proof> serial;
   for (std::size_t j = 0; j < kEdges; ++j) {
@@ -238,7 +238,7 @@ TEST_F(ParallelDiffTest, BatchRepackAndVerifyBitExactAtEveryThreadCount) {
   const std::vector<std::vector<std::size_t>> edge_sets{
       {0, 1, 2, 3, 4, 5}, {4, 5, 6, 7, 8}, {0, 2, 8, 9, 10, 11}};
   ChallengeSecret secret;
-  const Challenge base = make_batch_base(keys_.pk, rng_, secret);
+  const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
   const auto keys = draw_challenge_keys(params_, edge_sets.size(), rng_);
   const auto u = union_of_sets(edge_sets);
   std::vector<bn::BigInt> union_tags;

@@ -3,10 +3,11 @@
 // N threads drive interleaved ICE-basic and ICE-batch audits against one
 // TPA/edge deployment over shared in-process channels. This is the test the
 // sanitizer presets (asan/tsan, tests/run_sanitizers.sh) lean on: it
-// exercises the sharded session tables, the shared_mutex config/store
-// paths, the atomic channel counters, and the no-lock-across-channel-call
-// discipline (a lock-order inversion here deadlocks; TSan flags it even
-// when it doesn't).
+// exercises the session tables (one mutex each), the shared_mutex
+// config/store paths, the atomic channel counters, and the
+// no-lock-across-channel-call discipline (a lock-order inversion here
+// deadlocks; TSan flags it even when it doesn't). The collision and cap
+// cases pin the wire status of each session refusal.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -157,6 +158,25 @@ TEST(SessionCollisionTest, RacingStartAuditsOneWinner) {
     EXPECT_EQ(already_exists.load(), static_cast<int>(kThreads) - 1)
         << "round " << round;
   }
+}
+
+// The edge holds at most kMaxOpenSessions pending blindings: the next
+// share is refused with kResourceExhausted until a challenge takes one.
+TEST(SessionCapTest, EdgeRefusesBlindingsPastTheCapUntilAChallengeTakesOne) {
+  StressWorld w(1);
+  const EdgeClient edge(w.user_edge(0));
+  for (std::uint64_t id = 0; id < kMaxOpenSessions; ++id) {
+    edge.share_blinding(id, bn::BigInt(7));
+  }
+  const std::uint64_t next = kMaxOpenSessions;
+  try {
+    edge.share_blinding(next, bn::BigInt(7));
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.status(), net::Status::kResourceExhausted);
+  }
+  TpaClient(w.user_tpa(0)).start_audit(0, 0);  // consumes blinding 0
+  EXPECT_NO_THROW(edge.share_blinding(next, bn::BigInt(7)));
 }
 
 }  // namespace

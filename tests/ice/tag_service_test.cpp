@@ -1,6 +1,7 @@
 // The TPA tag service end to end through the RPC layer: what a TPA sees of
 // a retrieval (one query shape, whichever indexes the user wants), the
-// typed stale-epoch rejection and the client's refresh-and-retry, appends,
+// typed stale-epoch rejection (of a moved epoch, a replaced store or
+// another key generation) and the client's refresh-and-retry, appends,
 // staged updates racing retrievals, hostile 310 points, and a user that
 // refuses a TPA misreporting the file's size.
 #include <gtest/gtest.h>
@@ -85,7 +86,8 @@ TEST_F(TagServiceTest, StaleEpochSurfacesAsFailedPrecondition) {
   SplitMix64 gen(0x8);
   bn::Rng64Adapter<SplitMix64> rng(gen);
   auto enc = client.encode(std::vector<std::size_t>{3}, rng);
-  const TagQuery stale{info.epoch + 3, std::move(enc.queries[0])};
+  const TagQuery stale{info.generation, info.epoch + 3,
+                       std::move(enc.queries[0])};
   try {
     (void)tpa.tag_query(stale);
     FAIL() << "expected RemoteError";
@@ -227,10 +229,11 @@ TEST_F(TagServiceTest, WrongLengthPointsAnswerInvalidArgument) {
   UserClient user(params_, keys_, ch0_, ch1_);
   user.setup_file(blocks);
   const std::size_t gamma = pir::gamma_for(blocks.size());
+  const TagInfo info = TpaClient(ch0_).tag_info();
 
   for (const std::size_t len : {std::size_t{0}, gamma - 1, gamma + 1}) {
     SCOPED_TRACE(len);
-    TagQuery q;
+    TagQuery q{info.generation, info.epoch, {}};
     q.query.points.assign(2, gf::GF4Vector(len));
     net::Writer w;
     write_sharded_query(w, q);
@@ -242,6 +245,41 @@ TEST_F(TagServiceTest, WrongLengthPointsAnswerInvalidArgument) {
   EXPECT_EQ(got[1], tags[39]);
 }
 
+// store_tags under an unchanged key starts the replacement store above the
+// replaced store's epoch, so a query planned against the old store is
+// refused, not answered from the new rows; a query naming another key
+// generation is refused the same way. The user's one re-plan covers both.
+TEST_F(TagServiceTest, QueriesAgainstAReplacedStoreOrKeyAreRefused) {
+  const auto blocks = ice::testing::make_blocks(16, 64, 3);
+  const auto tags = tagger_.tag_all(blocks);
+  UserClient user(params_, keys_, ch0_, ch1_);
+  user.setup_file(blocks);
+  const TpaClient tpa(ch0_);
+  const TagInfo before = tpa.tag_info();
+  EXPECT_EQ(user.retrieve_tags({2})[0], tags[2]);  // caches `before`
+  for (net::RpcChannel* ch : {&ch0_, &ch1_}) TpaClient(*ch).store_tags(tags);
+  const TagInfo after = tpa.tag_info();
+  EXPECT_EQ(after.generation, before.generation);
+  EXPECT_GT(after.epoch, before.epoch);
+
+  const pir::Embedding embedding(before.n);
+  const pir::PirClient client(embedding, keys_.pk.modulus_bits());
+  SplitMix64 gen(0x7a);
+  bn::Rng64Adapter<SplitMix64> rng(gen);
+  const auto status_at = [&](std::uint64_t generation, std::uint64_t epoch) {
+    auto enc = client.encode(std::vector<std::size_t>{5}, rng);
+    net::Writer w;
+    write_sharded_query(w, {generation, epoch, std::move(enc.queries[0])});
+    return status_of(tpa0_.handle(kTpaShardQuery, w.take()));
+  };
+  EXPECT_EQ(status_at(before.generation, before.epoch),
+            net::Status::kFailedPrecondition);
+  EXPECT_EQ(status_at(after.generation + 1, after.epoch),
+            net::Status::kFailedPrecondition);
+  EXPECT_EQ(status_at(after.generation, after.epoch), net::Status::kOk);
+  EXPECT_EQ(user.retrieve_tags({2})[0], tags[2]);  // re-plans once
+}
+
 /// A TPA whose 309 reply reports a chosen row count, and which counts the
 /// 310 queries it is sent.
 class MisreportingTpa final : public net::RpcHandler {
@@ -251,7 +289,7 @@ class MisreportingTpa final : public net::RpcHandler {
   Bytes handle(std::uint16_t method, BytesView) override {
     if (method == kTpaTagInfo) {
       net::Writer w;
-      write_tag_info(w, {n_, 0});
+      write_tag_info(w, {n_, 0, 0});
       return net::encode_ok(std::move(w));
     }
     if (method == kTpaShardQuery) ++queries_;

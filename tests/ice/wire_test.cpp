@@ -195,13 +195,14 @@ TEST(WireTest, IndexListRoundTrip) {
 }
 
 TEST(WireTest, TagInfoRoundTrip) {
-  const TagInfo info{1000000, 77};
+  const TagInfo info{1000000, 3, 77};
   net::Writer w;
   write_tag_info(w, info);
   const Bytes buf = w.take();
   net::Reader r(buf);
   const TagInfo back = read_tag_info(r);
   EXPECT_EQ(back.n, info.n);
+  EXPECT_EQ(back.generation, info.generation);
   EXPECT_EQ(back.epoch, info.epoch);
   EXPECT_TRUE(r.done());
 }
@@ -209,6 +210,7 @@ TEST(WireTest, TagInfoRoundTrip) {
 TEST(WireTest, TagQueryRoundTrip) {
   SplitMix64 rng(31);
   TagQuery q;
+  q.generation = 4;
   q.epoch = 12;
   for (int i = 0; i < 3; ++i) q.query.points.push_back(random_vec(rng, 7));
   net::Writer w;
@@ -216,6 +218,7 @@ TEST(WireTest, TagQueryRoundTrip) {
   const Bytes buf = w.take();
   net::Reader r(buf);
   const TagQuery back = read_sharded_query(r);
+  EXPECT_EQ(back.generation, 4u);
   EXPECT_EQ(back.epoch, 12u);
   EXPECT_EQ(back.total_points(), 3u);
   EXPECT_EQ(back.query.points, q.query.points);
@@ -227,8 +230,9 @@ TEST(WireTest, TagQueryRoundTrip) {
 TEST(WireTest, TruncatedTagMessagesRejectedAtEveryByte) {
   SplitMix64 rng(33);
   net::Writer info;
-  write_tag_info(info, {4096, 3});
+  write_tag_info(info, {4096, 2, 3});
   TagQuery q;
+  q.generation = 2;
   q.epoch = 5;
   for (int i = 0; i < 2; ++i) q.query.points.push_back(random_vec(rng, 9));
   net::Writer query;

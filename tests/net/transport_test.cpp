@@ -18,6 +18,7 @@
 
 #include "common/error.h"
 #include "net/channel.h"
+#include "net/dispatch.h"
 #include "net/tcp.h"
 
 namespace ice::net {
@@ -218,7 +219,9 @@ TEST_P(TcpTransportTest, StopIsIdempotent) {
   server.stop();
 }
 
-TEST_P(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
+// A handler outside a Dispatcher that throws has its call answered with
+// kInternal; the connection stays up and serves the next call.
+TEST_P(TcpTransportTest, HandlerExceptionAnswersInternalAndKeepsServing) {
   class ThrowingHandler : public RpcHandler {
    public:
     Bytes handle(std::uint16_t method, BytesView) override {
@@ -227,18 +230,16 @@ TEST_P(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
     }
   } handler;
   TcpServer server(handler);
-  {
-    TcpChannel bad("127.0.0.1", server.port());
-    EXPECT_THROW(
-        {
-          bad.call(13, {});
-          bad.call(13, {});
-        },
-        TransportError);
+  TcpChannel ch("127.0.0.1", server.port());
+  const Bytes failed = ch.call(13, {});
+  try {
+    (void)unwrap(failed);
+    FAIL() << "expected RemoteError";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.status(), Status::kInternal);
+    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
   }
-  // Server still serves new connections.
-  TcpChannel good("127.0.0.1", server.port());
-  EXPECT_EQ(good.call(1, {}), Bytes{1});
+  EXPECT_EQ(ch.call(1, {}), Bytes{1});
 }
 
 // --- Wire-level abuse: raw sockets against the real server/client ---------

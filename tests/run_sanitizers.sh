@@ -3,10 +3,13 @@
 # ThreadSanitizer using the CMake presets. TSan is the gate for the
 # parallel audit paths (common/parallel.h fan-out), the exponentiation
 # engine's shared caches (Montgomery::shared context cache, per-context
-# Lim-Lee comb cache), and the session-core concurrency layer: the sharded
-# session tables (ShardedMapTest.Concurrent*), the N-threads-interleaving
-# basic+batch stress over shared services (SessionStressTest at parallelism
-# 1/4/hardware, SessionCollisionTest.RacingStartAuditsOneWinner), the
+# Lim-Lee comb cache), and the session-core concurrency layer: the
+# one-mutex session tables
+# (SessionTableTest.ConcurrentDistinctKeysKeepCountsConsistent,
+# ConcurrentSameKeyExactlyOneWinner, ConcurrentInsertsNeverExceedTheCap),
+# the N-threads-interleaving basic+batch stress over shared services
+# (SessionStressTest at parallelism 1/4/hardware,
+# SessionCollisionTest.RacingStartAuditsOneWinner), the
 # cross-service smoke under both channel families (stress_bench_sessions),
 # and the tag store: staged updates racing retrievals under the store's one
 # reader-writer lock, with closes and appends taking it exclusively
@@ -25,7 +28,10 @@
 # ChallengePoolTest.MintSpecNeverPairsNewGenerationWithOldKey), the
 # inline-miss vs pool-hit service differential (OfflineServiceTest.*),
 # same-modulus set_key + store_tags rotations racing ICE-basic and ICE-batch
-# audits (KeyRotationStressTest.SameModulusRotationsNeverFailHonestAudits),
+# audits (KeyRotationStressTest.SameModulusRotationsNeverFailHonestAudits,
+# and at both TPAs racing the user's own retrievals:
+# KeyRotationStressTest.UserClientAuditsAcrossRotationsNeverFail,
+# KeyRotationTest.RotationBetweenRetrievalAndChallengeIsRefused),
 # and the fleet simulation's scheduler loop over pooled challenges
 # (FleetSimTest.*, smoke_bench_fleet).
 # The thread pool's FIFO of concurrent broadcast jobs is gated by its own
