@@ -16,6 +16,7 @@
 
 #include <thread>
 
+#include "common/parallel.h"
 #include "ice/batch.h"
 #include "ice/protocol.h"
 
@@ -50,9 +51,9 @@ double proof_seconds(const proto::KeyPair& keys,
 //     Both columns fall as threads are added on an idle host; the 4 KB
 //     chunks (L = 1,088 bits) are short, so there a contended host can
 //     make the split lose to serial;
-//   ICE-batch round — J per-edge proofs fanned out by make_batch_proofs:
-//     independent proofs, each serial on its own worker, so no chain is
-//     repeated.
+//   ICE-batch round — J per-edge make_proof calls (blinding 1) fanned out
+//     with parallel_chunks: independent proofs, each serial on its own
+//     worker, so no chain is repeated.
 void run_thread_sweep(const ice::proto::KeyPair& keys) {
   using namespace ice;
   using namespace ice::bench;
@@ -86,8 +87,9 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
       proto::make_challenge(keys.pk, params, rng, secret, &rungs);
   const auto edge_keys = proto::draw_challenge_keys(params, kJ, rng);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
-  proto::Challenge chal = base;
-  chal.e = edge_keys[0];
+  std::vector<proto::Challenge> edge_chals(kJ, base);
+  for (std::size_t j = 0; j < kJ; ++j) edge_chals[j].e = edge_keys[j];
+  const proto::Challenge& chal = edge_chals[0];
   const proto::Challenge small_chal =
       proto::make_challenge(keys.pk, small_params, rng, secret, &small_rungs);
 
@@ -107,9 +109,19 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
     const double one = time_median(3, [&] {
       (void)proto::make_proof(keys.pk, params, blocks, chal, s_tilde);
     });
+    // One task per edge, each proof serial: a split ladder inside a
+    // fanned-out proof would repeat its squaring chain on workers the
+    // other proofs need.
+    proto::ProtocolParams serial = params;
+    serial.parallelism = 1;
     const double round = time_median(3, [&] {
-      (void)proto::make_batch_proofs(keys.pk, params, edge_blocks, edge_keys,
-                                     base.g_s, base.ladder);
+      parallel_chunks(kJ, t, [&](std::size_t, std::size_t begin,
+                                 std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          (void)proto::make_proof(keys.pk, serial, edge_blocks[j],
+                                  edge_chals[j], bn::BigInt(1));
+        }
+      });
     });
     small_s.push_back(small);
     single_s.push_back(one);

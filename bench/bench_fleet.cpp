@@ -5,7 +5,7 @@
 //  1. fleet_online_* — the TPA's challenge on the audit path at the paper's
 //     1024-bit modulus and 256 KB blocks, minted inline vs popped from the
 //     pool. An inline mint (a pool miss) draws (e, s) and computes g^s and
-//     its 15 ladder rungs (the key's rungs built before the clock); a pop is
+//     its 31 ladder rungs (the key's rungs built before the clock); a pop is
 //     a ChallengePool::try_acquire of a bundle the same code minted ahead of
 //     time. The pool holds kChallengePoolCapacity bundles, so the pops are
 //     timed in rounds of that many, refilled off the clock.

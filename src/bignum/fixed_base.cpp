@@ -32,6 +32,15 @@ std::size_t round_capacity(std::size_t min_exp_bits) {
   return (floor + kStep - 1) / kStep * kStep;
 }
 
+// pow walks every column of a comb, so a cached comb serves a request only
+// if it covers the exponent and is at most twice the comb the request would
+// build: a block-sized TagGen comb must not turn each |N|-bit g^s into a
+// block-long chain.
+bool serves(const FixedBase& comb, std::size_t min_exp_bits) {
+  const std::size_t cap = comb.capacity_bits();
+  return cap >= min_exp_bits && cap <= 2 * round_capacity(min_exp_bits);
+}
+
 }  // namespace
 
 FixedBase::FixedBase(const Montgomery& mont, const BigInt& base,
@@ -70,12 +79,6 @@ FixedBase::FixedBase(const Montgomery& mont, const BigInt& base,
                     scratch.data());
     }
   }
-}
-
-std::shared_ptr<const FixedBase> FixedBase::warm(const Montgomery& mont,
-                                                 const BigInt& base,
-                                                 std::size_t min_exp_bits) {
-  return mont.fixed_base(base, min_exp_bits);
 }
 
 BigInt FixedBase::pow(const BigInt& exp) const {
@@ -130,7 +133,7 @@ std::shared_ptr<const FixedBase> Montgomery::fixed_base(
   {
     std::shared_lock lock(fb_mu_);
     for (const auto& e : fb_cache_) {
-      if (e.base == key && e.comb->capacity_bits() >= min_exp_bits) {
+      if (e.base == key && serves(*e.comb, min_exp_bits)) {
         e.last_use.store(
             fb_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
@@ -143,13 +146,13 @@ std::shared_ptr<const FixedBase> Montgomery::fixed_base(
   const std::uint64_t stamp =
       fb_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   for (auto& e : fb_cache_) {
-    if (e.base == key) {
+    if (e.base == key && serves(*e.comb, min_exp_bits)) {  // a racing build
       e.last_use.store(stamp, std::memory_order_relaxed);
-      if (e.comb->capacity_bits() >= min_exp_bits) return e.comb;
-      e.comb = fresh;  // rebuilt bigger: replace the stale entry
-      return fresh;
+      return e.comb;
     }
   }
+  // A right-sized comb goes beside the base's other combs: TagGen's
+  // block-sized comb and the challenges' |N|-sized one both stay warm.
   if (fb_cache_.size() >= kMaxCachedBases) {
     // LRU eviction: drop the entry with the stalest use stamp.
     auto stalest = fb_cache_.begin();

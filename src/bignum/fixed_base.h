@@ -9,9 +9,12 @@
 // one bit from each of the h exponent blocks per column, so the whole
 // squaring chain shrinks by the factor h.
 //
-// Tables are built once per (context, base) and cached on the Montgomery
-// context itself (Montgomery::fixed_base); callers on the protocol hot
-// paths never construct combs directly.
+// Tables are built once per (context, base, size class) and cached on the
+// Montgomery context itself (Montgomery::fixed_base): a base keeps one comb
+// per exponent size it is raised to (TagGen's block-sized one, the
+// challenges' |N|-sized one), since pow walks the whole comb. Callers on
+// the protocol hot paths never construct combs directly; key setup looks
+// the |N|-sized comb up once so the first challenge does not build it.
 #pragma once
 
 #include <cstddef>
@@ -33,16 +36,6 @@ class FixedBase {
   /// 2^h multiplies, amortized across every later pow() call.
   FixedBase(const Montgomery& mont, const BigInt& base,
             std::size_t max_exp_bits);
-
-  /// Eagerly builds (and caches on `mont`) the comb for `base` sized for
-  /// `min_exp_bits`-bit exponents. Montgomery::fixed_base does this lazily
-  /// on the first pow of a fresh (context, base) pair, which puts the whole
-  /// table build (~capacity squarings + 2^h multiplies) on the first
-  /// audit's critical path; key setup calls warm() so the first audit runs
-  /// at steady-state cost. Returns the cached comb.
-  static std::shared_ptr<const FixedBase> warm(const Montgomery& mont,
-                                               const BigInt& base,
-                                               std::size_t min_exp_bits);
 
   /// base^exp mod N for exp >= 0 (throws ParamError on negative exp).
   /// Exponents longer than capacity_bits() fall back to Montgomery::pow,

@@ -107,16 +107,18 @@ class Montgomery {
   void sqr_into(Limb* out, const Limb* a, Limb* scratch) const;
 
   /// Cached Lim-Lee comb for `base`, able to take exponents of at least
-  /// `min_exp_bits` bits. Built lazily (and rebuilt bigger when a longer
-  /// exponent shows up); the handle stays valid after eviction. The comb
-  /// borrows this context, so it must not outlive it — handles obtained
-  /// from a `shared()` context live for the whole process. Bounded LRU,
-  /// same discipline as shared().
+  /// `min_exp_bits` bits and at most twice the size a fresh comb for them
+  /// would be (pow walks the whole comb). Built lazily; a longer or much
+  /// shorter exponent gets its own comb beside the base's others. The
+  /// handle stays valid after eviction. The comb borrows this context, so
+  /// it must not outlive it — handles obtained from a `shared()` context
+  /// live for the whole process. Bounded LRU, same discipline as shared().
   [[nodiscard]] std::shared_ptr<const FixedBase> fixed_base(
       const BigInt& base, std::size_t min_exp_bits) const;
   /// Current entry count of the comb cache (for cache-bound tests).
   [[nodiscard]] std::size_t fixed_base_cache_size() const;
-  /// Capacity bound of the per-context comb cache.
+  /// Entry bound of the per-context comb cache; one base may hold several
+  /// entries, one per exponent size class.
   static constexpr std::size_t kMaxCachedBases = 8;
 
  private:
@@ -131,9 +133,10 @@ class Montgomery {
   // (bignum/mont_kernels.h); otherwise the portable kernels run.
   bool fixed_width_ = false;
 
-  // Small per-context comb cache keyed by base value (linear scan; there
-  // are only ever a handful of long-lived bases per modulus). Hits bump the
-  // entry's use stamp under the shared lock; eviction drops the stalest.
+  // Small per-context comb cache keyed by base value and size (linear
+  // scan; there are only ever a handful of long-lived bases per modulus).
+  // Hits bump the entry's use stamp under the shared lock; eviction drops
+  // the stalest.
   struct FbEntry {
     BigInt base;
     std::shared_ptr<const FixedBase> comb;

@@ -16,68 +16,10 @@ std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,
   if (edges == 0) throw ParamError("draw_challenge_keys: no edges");
   std::vector<bn::BigInt> keys;
   keys.reserve(edges);
-  const bn::BigInt bound = bn::BigInt(1) << params.challenge_key_bits;
   for (std::size_t j = 0; j < edges; ++j) {
-    bn::BigInt e;
-    do {
-      e = bn::random_below(rng, bound);
-    } while (e.is_zero());
-    keys.push_back(std::move(e));
+    keys.push_back(draw_challenge_key(params, rng));
   }
   return keys;
-}
-
-Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
-                       const std::vector<Bytes>& blocks, const bn::BigInt& e_j,
-                       const bn::BigInt& g_s, const bn::Ladder& ladder) {
-  if (blocks.empty()) throw ParamError("make_batch_proof: no blocks");
-  // Same chunked-aggregation scheme as make_proof: expand the sequential
-  // coefficient stream once, sum a_k * m_k per chunk, add partials in chunk
-  // order (exact integer addition — bit-identical at every thread count),
-  // then one modexp through the ladder.
-  const std::vector<bn::BigInt> coeffs =
-      crypto::CoefficientPrf::expand(e_j, params.coeff_bits, blocks.size());
-  std::vector<bn::BigInt> partials(
-      chunk_count(blocks.size(), resolve_parallelism(params.parallelism)));
-  parallel_chunks(blocks.size(), params.parallelism,
-                  [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                    bn::BigInt sum(0);
-                    for (std::size_t k = begin; k < end; ++k) {
-                      sum += coeffs[k] * bn::BigInt::from_bytes_be(blocks[k]);
-                    }
-                    partials[chunk] = std::move(sum);
-                  });
-  bn::BigInt aggregate(0);
-  for (const auto& partial : partials) aggregate += partial;
-  Proof proof;
-  proof.p = bn::ladder_pow(*bn::Montgomery::shared(pk.n), g_s, ladder,
-                           aggregate, params.parallelism);
-  return proof;
-}
-
-std::vector<Proof> make_batch_proofs(
-    const PublicKey& pk, const ProtocolParams& params,
-    const std::vector<std::vector<Bytes>>& edge_blocks,
-    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s,
-    const bn::Ladder& ladder) {
-  if (edge_blocks.size() != challenge_keys.size()) {
-    throw ParamError("make_batch_proofs: blocks/keys size mismatch");
-  }
-  std::vector<Proof> proofs(edge_blocks.size());
-  // One task per edge (chunks of the edge range), each proof serial inside:
-  // the calling thread runs a chunk too, and a split ladder there would
-  // repeat its squaring chain on workers the other proofs need.
-  ProtocolParams serial = params;
-  serial.parallelism = 1;
-  parallel_chunks(edge_blocks.size(), params.parallelism,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t j = begin; j < end; ++j) {
-                      proofs[j] = make_batch_proof(pk, serial, edge_blocks[j],
-                                                   challenge_keys[j], g_s,
-                                                   ladder);
-                    }
-                  });
-  return proofs;
 }
 
 std::vector<std::size_t> union_of_sets(

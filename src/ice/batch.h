@@ -4,10 +4,10 @@
 //   * the TPA contributes a single secret s (one g_s for all edges) while
 //     the USER draws the per-edge challenge keys e_j — the TPA never sees
 //     them, so it cannot tell which tags fed which edge's proof;
-//   * edge proofs carry no user blinding s~; instead the user folds the
-//     coefficient aggregation into the repacked tags, exponentiating each
-//     union tag by sum of that block's coefficients across the edges
-//     holding it;
+//   * edge proofs carry no user blinding s~ (make_proof at blinding 1);
+//     instead the user folds the coefficient aggregation into the repacked
+//     tags, exponentiating each union tag by sum of that block's
+//     coefficients across the edges holding it;
 //   * the TPA only multiplies: R = prod_k T~_{U,k}, P~ = R^s, and accepts
 //     iff prod_j P_j = P~. Overlapping pre-downloads therefore cost the TPA
 //     nothing extra — the effect measured in Fig. 7/8.
@@ -17,7 +17,6 @@
 
 #include "bignum/bigint.h"
 #include "bignum/random.h"
-#include "common/bytes.h"
 #include "ice/keys.h"
 #include "ice/params.h"
 #include "ice/protocol.h"
@@ -25,30 +24,14 @@
 namespace ice::proto {
 
 // The TPA side of a batch is make_challenge (ice/protocol.h): its s, g_s and
-// ladder serve every edge, and its e goes unused.
+// ladder serve every edge, and its e goes unused. Edge j proves with
+// make_proof over (e_j, g_s, ladder) at blinding 1:
+// P_j = (g_s)^{sum_k a_k^{(j)} m_{j,k}} mod N.
 
-/// User side: J independent challenge keys e_1..e_J.
+/// User side: J independent challenge keys e_1..e_J (draw_challenge_key).
 std::vector<bn::BigInt> draw_challenge_keys(const ProtocolParams& params,
                                             std::size_t edges,
                                             bn::Rng64& rng);
-
-/// Edge side: P_j = (g_s)^{sum_k a_k^{(j)} m_{j,k}} mod N, through g_s's
-/// ladder (empty for the owner-driven 104 and 207 challenges, c = 1).
-Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
-                       const std::vector<Bytes>& blocks, const bn::BigInt& e_j,
-                       const bn::BigInt& g_s, const bn::Ladder& ladder = {});
-
-/// Whole-batch fan-out: P_j for every edge in one call, the per-edge proofs
-/// spread across the shared pool (params.parallelism chunks). Each proof
-/// then runs its ladder multi-exp on its own worker: fanning out whole
-/// proofs costs no repeated squaring chains, unlike splitting one proof's
-/// rungs. This is the shape the ICE-batch round (paper Sec. V) runs J
-/// edges through. `edge_blocks[j]` pairs with `challenge_keys[j]`.
-std::vector<Proof> make_batch_proofs(
-    const PublicKey& pk, const ProtocolParams& params,
-    const std::vector<std::vector<Bytes>>& edge_blocks,
-    const std::vector<bn::BigInt>& challenge_keys, const bn::BigInt& g_s,
-    const bn::Ladder& ladder = {});
 
 /// User side: the union U of the edges' pre-download sets, sorted.
 std::vector<std::size_t> union_of_sets(

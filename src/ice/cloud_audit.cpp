@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "bignum/fixed_base.h"
-#include "bignum/montgomery.h"
-#include "bignum/multiexp.h"
 #include "common/error.h"
-#include "crypto/prf.h"
 #include "ice/protocol.h"
 #include "ice/wire.h"
 
@@ -46,29 +42,18 @@ CloudAuditResult audit_cloud(UserClient& user, net::RpcChannel& csp_channel,
                             static_cast<std::ptrdiff_t>(sample_size));
   std::sort(result.sampled.begin(), result.sampled.end());
 
-  // Challenge the CSP (owner-driven: the user verifies itself).
+  // Challenge the CSP (owner-driven: the user verifies itself against the
+  // privately retrieved true tags, so the proof carries no blinding).
   const PublicKey& pk = user.pk();
-  const auto mont = bn::Montgomery::shared(pk.n);
   ProtocolParams params;  // coefficient widths are the protocol defaults
-  bn::BigInt e;
-  do {
-    e = bn::random_below(rng, bn::BigInt(1) << params.challenge_key_bits);
-  } while (e.is_zero());
-  const bn::BigInt s = bn::random_unit(rng, pk.n);
-  // g is long-lived: the shared context's comb covers every cloud audit.
-  const bn::BigInt g_s = mont->fixed_base(pk.g, pk.n.bit_length())->pow(s);
+  ChallengeSecret secret;
+  const Challenge chal = make_challenge(pk, params, rng, secret);
   const CspClient csp(csp_channel);
   csp.set_key(pk, params);  // idempotent; the CSP needs (N, g) and d
-  const Proof proof = csp.challenge(e, g_s, result.sampled);
+  const Proof proof = csp.challenge(chal.e, chal.g_s, result.sampled);
   validate_proof(pk, proof);  // reject malformed CSP responses up front
-
-  // Verify against privately retrieved tags: one simultaneous multi-exp
-  // over the sampled tags instead of a pow+mul per tag.
   const std::vector<bn::BigInt> tags = user.retrieve_tags(result.sampled);
-  const std::vector<bn::BigInt> coeffs =
-      crypto::CoefficientPrf::expand(e, params.coeff_bits, tags.size());
-  const bn::BigInt r = bn::multi_exp(*mont, tags, coeffs, params.parallelism);
-  result.pass = mont->pow(r, s) == mont->reduce(proof.p);
+  result.pass = verify_proof(pk, params, tags, chal, secret, proof);
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "common/error.h"
-#include "ice/batch.h"
 #include "ice/wire.h"
 
 namespace ice::proto {
@@ -89,8 +88,9 @@ void CspService::on_set_key(net::Reader& r, net::Writer&) {
 }
 
 void CspService::on_challenge(net::Reader& r, net::Writer& w) {
-  const bn::BigInt e = r.bigint();
-  const bn::BigInt g_s = r.bigint();
+  Challenge chal;  // no ladder on 104 (c = 1)
+  chal.e = r.bigint();
+  chal.g_s = r.bigint();
   const std::vector<std::size_t> sample = read_index_list(r);
   r.expect_done();  // before the proof over the sampled blocks
   PublicKey pk;
@@ -108,8 +108,9 @@ void CspService::on_challenge(net::Reader& r, net::Writer& w) {
       blocks.push_back(store_.block(index));
     }
   }
-  // Heavy proof computation runs with no lock held.
-  const Proof proof = make_batch_proof(pk, params, blocks, e, g_s);
+  // Heavy proof computation runs with no lock held; the owner verifies
+  // against its true tags, so there is no blinding.
+  const Proof proof = make_proof(pk, params, blocks, chal, bn::BigInt(1));
   w.bigint(proof.p);
 }
 

@@ -1,7 +1,6 @@
 #include "ice/edge_service.h"
 
 #include "common/error.h"
-#include "ice/batch.h"
 #include "ice/csp_service.h"
 #include "ice/wire.h"
 
@@ -148,18 +147,20 @@ void EdgeService::on_challenge(net::Reader& r, net::Writer& w) {
 
 void EdgeService::on_batch_challenge(net::Reader& r, net::Writer&) {
   const std::uint64_t batch_id = r.u64();
-  const bn::BigInt e_j = r.bigint();
-  const bn::BigInt g_s = r.bigint();
-  const bn::Ladder ladder = read_ladder(r);
+  Challenge chal;
+  chal.e = r.bigint();  // this edge's e_j, drawn by the user
+  chal.g_s = r.bigint();
+  chal.ladder = read_ladder(r);
   r.expect_done();
-  validate_ladder(pk_, params_, ladder);
+  validate_ladder(pk_, params_, chal.ladder);
   if (tpa_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition,
                        "no TPA channel for batch");
   }
   const std::vector<Bytes> blocks = snapshot_blocks();
-  const Proof proof =
-      make_batch_proof(pk_, params_, blocks, e_j, g_s, ladder);
+  // ICE-batch has no blinding: the user folds the coefficients into the
+  // repacked union tags instead (batch.h).
+  const Proof proof = make_proof(pk_, params_, blocks, chal, bn::BigInt(1));
   // Submit to the TPA with no lock held; a rejection surfaces as this
   // call's error response.
   net::Writer submit;
@@ -170,8 +171,9 @@ void EdgeService::on_batch_challenge(net::Reader& r, net::Writer&) {
 }
 
 void EdgeService::on_subset_proof(net::Reader& r, net::Writer& w) {
-  const bn::BigInt e = r.bigint();
-  const bn::BigInt g_s = r.bigint();
+  Challenge chal;  // no ladder on 207 (c = 1)
+  chal.e = r.bigint();
+  chal.g_s = r.bigint();
   const std::vector<std::size_t> subset = read_index_list(r);
   r.expect_done();  // before the cache lookups and the proof
   std::vector<Bytes> blocks;
@@ -186,10 +188,9 @@ void EdgeService::on_subset_proof(net::Reader& r, net::Writer& w) {
       blocks.push_back(std::move(*cached));
     }
   }
-  // Owner-driven challenge: the data owner verifies with its own s, so
-  // no session blinding is involved (make_batch_proof has exactly the
-  // unblinded shape needed).
-  const Proof proof = make_batch_proof(pk_, params_, blocks, e, g_s);
+  // Owner-driven challenge: the data owner verifies against its true tags
+  // with its own s, so the proof carries no blinding.
+  const Proof proof = make_proof(pk_, params_, blocks, chal, bn::BigInt(1));
   w.bigint(proof.p);
 }
 

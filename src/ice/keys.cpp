@@ -62,8 +62,8 @@ KeyPair keygen_from_primes(const bn::BigInt& p, const bn::BigInt& q,
   // through the shared context's Lim-Lee comb, which is otherwise built
   // lazily on the first challenge/tag — a first-audit latency cliff worth
   // whole table build. Keys are minted rarely; pay it here.
-  bn::FixedBase::warm(*bn::Montgomery::shared(kp.pk.n), kp.pk.g,
-                      kp.pk.n.bit_length());
+  (void)bn::Montgomery::shared(kp.pk.n)->fixed_base(kp.pk.g,
+                                                    kp.pk.n.bit_length());
   return kp;
 }
 

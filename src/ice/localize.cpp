@@ -2,11 +2,7 @@
 
 #include <algorithm>
 
-#include "bignum/fixed_base.h"
-#include "bignum/montgomery.h"
-#include "bignum/multiexp.h"
 #include "common/error.h"
-#include "crypto/prf.h"
 #include "ice/protocol.h"
 
 namespace ice::proto {
@@ -17,23 +13,16 @@ namespace {
 /// its own verifier (it knows the true tags; no blinding needed).
 /// Returns true iff the edge's proof over `subset` checks out.
 bool subset_passes(const PublicKey& pk, const ProtocolParams& params,
-                   const EdgeClient& edge, const bn::Montgomery& mont,
+                   const EdgeClient& edge,
                    const std::vector<std::size_t>& subset,
                    const std::vector<bn::BigInt>& subset_tags,
                    bn::Rng64& rng, std::size_t& proof_count) {
-  bn::BigInt e;
-  do {
-    e = bn::random_below(rng, bn::BigInt(1) << params.challenge_key_bits);
-  } while (e.is_zero());
-  const bn::BigInt s = bn::random_unit(rng, pk.n);
-  // Every bisection round raises g, so the context's comb pays for itself
-  // after the first of the O(log n) subset audits.
-  const bn::BigInt g_s = mont.fixed_base(pk.g, pk.n.bit_length())->pow(s);
-
+  ChallengeSecret secret;
+  const Challenge chal = make_challenge(pk, params, rng, secret);
   ++proof_count;
   Proof proof;
   try {
-    proof = edge.subset_proof(e, g_s, subset);
+    proof = edge.subset_proof(chal.e, chal.g_s, subset);
     // A malformed proof value (out of range / non-unit) fails the subset
     // the same way a missing block does.
     validate_proof(pk, proof);
@@ -41,21 +30,15 @@ bool subset_passes(const PublicKey& pk, const ProtocolParams& params,
     // Edge no longer holds some block of the subset: treat as failing.
     return false;
   }
-
-  const std::vector<bn::BigInt> coeffs = crypto::CoefficientPrf::expand(
-      e, params.coeff_bits, subset_tags.size());
-  const bn::BigInt r =
-      bn::multi_exp(mont, subset_tags, coeffs, params.parallelism);
-  return mont.pow(r, s) == mont.reduce(proof.p);
+  return verify_proof(pk, params, subset_tags, chal, secret, proof);
 }
 
 void bisect(const PublicKey& pk, const ProtocolParams& params,
-            const EdgeClient& edge, const bn::Montgomery& mont,
-            const std::vector<std::size_t>& indices,
+            const EdgeClient& edge, const std::vector<std::size_t>& indices,
             const std::vector<bn::BigInt>& tags, bn::Rng64& rng,
             LocalizationResult& out) {
   if (indices.empty()) return;
-  if (subset_passes(pk, params, edge, mont, indices, tags, rng,
+  if (subset_passes(pk, params, edge, indices, tags, rng,
                     out.proofs_requested)) {
     return;  // whole subtree clean
   }
@@ -73,8 +56,8 @@ void bisect(const PublicKey& pk, const ProtocolParams& params,
       tags.begin(), tags.begin() + static_cast<std::ptrdiff_t>(half));
   const std::vector<bn::BigInt> right_tags(
       tags.begin() + static_cast<std::ptrdiff_t>(half), tags.end());
-  bisect(pk, params, edge, mont, left, left_tags, rng, out);
-  bisect(pk, params, edge, mont, right, right_tags, rng, out);
+  bisect(pk, params, edge, left, left_tags, rng, out);
+  bisect(pk, params, edge, right, right_tags, rng, out);
 }
 
 }  // namespace
@@ -90,8 +73,7 @@ LocalizationResult localize_corruption(const PublicKey& pk,
     throw ParamError("localize_corruption: indices/tags size mismatch");
   }
   LocalizationResult out;
-  const auto mont = bn::Montgomery::shared(pk.n);
-  bisect(pk, params, edge, *mont, indices, tags, rng, out);
+  bisect(pk, params, edge, indices, tags, rng, out);
   std::sort(out.corrupted.begin(), out.corrupted.end());
   return out;
 }

@@ -49,15 +49,25 @@ bn::Ladder RungBases::raise(const bn::BigInt& s) const {
   return ladder;
 }
 
+bn::BigInt draw_challenge_key(const ProtocolParams& params, bn::Rng64& rng) {
+  // kappa = 0 would leave only e = 0, which the loop below never accepts.
+  if (params.challenge_key_bits == 0 ||
+      params.challenge_key_bits > kMaxChallengeKeyBits) {
+    throw ParamError("challenge key width outside [1, 256] bits");
+  }
+  const bn::BigInt bound = bn::BigInt(1) << params.challenge_key_bits;
+  bn::BigInt e;
+  do {
+    e = bn::random_below(rng, bound);
+  } while (e.is_zero());
+  return e;
+}
+
 Challenge make_challenge(const PublicKey& pk, const ProtocolParams& params,
                          bn::Rng64& rng, ChallengeSecret& secret_out,
                          const RungBases* rungs) {
   Challenge chal;
-  // e in [1, 2^kappa - 1]: nonzero so the PRF key is never degenerate.
-  do {
-    chal.e = bn::random_below(rng, bn::BigInt(1)
-                                       << params.challenge_key_bits);
-  } while (chal.e.is_zero());
+  chal.e = draw_challenge_key(params, rng);
   secret_out.s = bn::random_unit(rng, pk.n);
   // g is the long-lived base of every challenge: the shared context's
   // Lim-Lee comb turns g^s into a chain |N|/h the length of a generic pow.

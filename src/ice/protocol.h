@@ -1,17 +1,24 @@
-// ICE-basic protocol primitives (paper Sec. III-A).
+// The one audit equation (paper Sec. III-A): every audit in this code
+// draws its challenge, computes its proof and checks it here.
 //
-// These are pure, transport-free functions; the entity actors in
-// ice/entities.h wire them to RPC. Roles:
+// These are pure, transport-free functions; TpaService, EdgeService and
+// CspService (ice/*_service.h) wire them to RPC. Roles:
 //
-//   TPA   — make_challenge, verify_proof
-//   Edge  — make_proof
+//   TPA   — make_challenge, verify_proof (ICE-basic)
+//   Edge  — make_proof (ICE-basic with the user's blinding s~; ICE-batch
+//           at blinding 1, one proof per edge, checked by verify_batch)
+//   Owner — make_challenge and verify_proof with the true tags, for the
+//           bisection sub-audits (localize.h) and the cloud's sampled PDP
+//           (cloud_audit.h); the edge or CSP answers with make_proof at
+//           blinding 1
 //   User  — repack_tags (+ TagGenerator::updated_tag for dirty blocks)
 //
 // Verification identity (Lemma 1):
 //   P  = (g^s)^{s~ * sum_k a_k m_k}
 //   P~ = (prod_k (T_k^{s~})^{a_k})^s   with T_k = g^{m_k}
 // so an edge holding the exact blocks passes, and (Thm. 6, under KEA1-r +
-// factoring) nothing else does.
+// factoring) nothing else does. Without a blinding (s~ = 1) the repacked
+// tags are the true tags.
 #pragma once
 
 #include <atomic>
@@ -37,6 +44,10 @@ inline constexpr std::size_t kLadderRungs = 32;
 
 /// The largest block a key may declare at the TPA: the paper's 1 MiB.
 inline constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 20;
+
+/// The widest challenge key kappa a key may declare: the coefficient PRF
+/// hashes e to a 256-bit ChaCha20 key, so a longer e adds only bytes.
+inline constexpr std::size_t kMaxChallengeKeyBits = 256;
 
 /// What the TPA sends to the edge: chal = (e, g_s), plus the power ladder
 /// H_i = g_s^{2^{i·L}} that lets the edge cut its squaring chain 32 ways.
@@ -66,7 +77,7 @@ struct Proof {
 
 /// The TPA's per-key ladder (DESIGN.md §8): the rung bases
 /// G_i = g^{2^{i·L}} for 1 <= i < kLadderRungs, each with its own Lim-Lee
-/// comb (the context's comb cache holds only 8 bases). Construction only
+/// comb (the context's comb cache holds only 8 entries). Construction only
 /// derives L; the first raise() builds the rungs by squaring the public g,
 /// once, whichever thread gets there first. Immutable and thread-safe
 /// after that.
@@ -97,17 +108,25 @@ class RungBases {
   mutable std::atomic<std::uint64_t> builds_{0};
 };
 
-/// TPA side: draws e in [1, 2^kappa) and s in Z_N^*, returns chal and the
-/// secret s. With `rungs`, the challenge also carries H_i = G_i^s; the
-/// ladder draws nothing, so the RNG order is the same either way.
+/// A challenge key e in [1, 2^kappa), kappa = params.challenge_key_bits:
+/// nonzero so the PRF key is never degenerate. Throws ParamError unless
+/// 1 <= kappa <= kMaxChallengeKeyBits.
+bn::BigInt draw_challenge_key(const ProtocolParams& params, bn::Rng64& rng);
+
+/// Verifier side: draws e (draw_challenge_key), then s in Z_N^*, returns
+/// chal and the secret s. With `rungs`, the challenge also carries
+/// H_i = G_i^s; the ladder draws nothing, so the RNG order is the same
+/// either way.
 Challenge make_challenge(const PublicKey& pk, const ProtocolParams& params,
                          bn::Rng64& rng, ChallengeSecret& secret_out,
                          const RungBases* rungs = nullptr);
 
-/// Edge side: expands e into coefficients a_1..a_{|blocks|} of d bits and
+/// Prover side: expands e into coefficients a_1..a_{|blocks|} of d bits and
 /// computes P = (g_s)^{s_tilde * sum a_k m_k} mod N, through the
-/// challenge's ladder (bn::ladder_pow, params.parallelism threads). `s_tilde`
-/// is the user-chosen blinding the edge received over the fast local link.
+/// challenge's ladder (bn::ladder_pow, params.parallelism threads; an empty
+/// ladder is c = 1). `s_tilde` is the blinding the user sent the edge over
+/// the fast local link in ICE-basic, and 1 where the protocol has none
+/// (ICE-batch, the owner's subset proofs, the CSP's sampled proof).
 Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
                  const std::vector<Bytes>& blocks, const Challenge& challenge,
                  const bn::BigInt& s_tilde);
@@ -127,8 +146,9 @@ void repack_tags_into(const PublicKey& pk, const std::vector<bn::BigInt>& tags,
                       const bn::BigInt& s_tilde, std::size_t parallelism,
                       std::vector<bn::BigInt>& out);
 
-/// TPA side: recomputes the coefficients from e, aggregates the repacked
-/// tags, raises to s, and compares with the edge's proof.
+/// Verifier side: recomputes the coefficients from e, aggregates the
+/// repacked tags (the true tags when the proof is unblinded), raises to s,
+/// and compares with the proof.
 /// Returns true iff the audit passes (a normal outcome, not an error).
 bool verify_proof(const PublicKey& pk, const ProtocolParams& params,
                   const std::vector<bn::BigInt>& repacked_tags,

@@ -126,6 +126,12 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
     throw ServiceError(Status::kInvalidArgument,
                        "coefficient width outside the PRF's range");
   }
+  // Every challenge draws e below 2^kappa and retries a zero: kappa = 0
+  // would spin the challenging thread for good.
+  if (key_bits == 0 || key_bits > kMaxChallengeKeyBits) {
+    throw ServiceError(Status::kInvalidArgument,
+                       "challenge key width outside [1, 256] bits");
+  }
   ProtocolParams params;
   params.coeff_bits = coeff_bits;
   params.challenge_key_bits = key_bits;
@@ -148,7 +154,7 @@ void TpaService::on_set_key(net::Reader& r, net::Writer&) {
   // otherwise pay the whole Lim-Lee table build for g on its critical path
   // (tests/bignum/fixed_base_test.cpp pins the cliff). Keys change rarely;
   // pay it here, off every audit path.
-  bn::FixedBase::warm(*bn::Montgomery::shared(pk.n), pk.g, pk.n.bit_length());
+  (void)bn::Montgomery::shared(pk.n)->fixed_base(pk.g, pk.n.bit_length());
 }
 
 void TpaService::on_store_tags(net::Reader& r, net::Writer&) {

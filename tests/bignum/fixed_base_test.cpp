@@ -1,7 +1,7 @@
 // Differential tests for the Lim-Lee fixed-base comb: FixedBase::pow must
 // equal Montgomery::pow bit for bit at every exponent length, including
 // past the comb's declared capacity (generic fallback) and through the
-// per-context cache (rebuild-bigger, concurrent lookups).
+// per-context cache (a comb per size class, concurrent lookups).
 #include "bignum/fixed_base.h"
 
 #include <gtest/gtest.h>
@@ -150,9 +150,9 @@ TEST(FixedBaseCacheTest, ConcurrentLookupsAgree) {
   for (int w = 0; w < 8; ++w) EXPECT_EQ(ok[w], 1) << "worker " << w;
 }
 
-// warm() is the eager key-setup hook: after it, the first hot-path lookup
-// of (context, base) is a cache hit instead of a whole table build — the
-// first-audit latency cliff the lazy path used to pay.
+// Key setup looks the |N|-sized comb up eagerly: after that, the first
+// hot-path lookup of (context, base) is a cache hit instead of a whole
+// table build — the first-audit latency cliff the lazy path used to pay.
 TEST(FixedBaseCacheTest, WarmEagerlyBuildsAndCachesTheComb) {
   const BigInt n = fixture_modulus(128);
   const Montgomery mont(n);
@@ -161,7 +161,7 @@ TEST(FixedBaseCacheTest, WarmEagerlyBuildsAndCachesTheComb) {
   const BigInt g = random_unit(rng, n);
 
   ASSERT_EQ(mont.fixed_base_cache_size(), 0u);
-  const auto comb = FixedBase::warm(mont, g, n.bit_length());
+  const auto comb = mont.fixed_base(g, n.bit_length());
   EXPECT_EQ(mont.fixed_base_cache_size(), 1u);
   EXPECT_GE(comb->capacity_bits(), n.bit_length());
 
@@ -171,9 +171,36 @@ TEST(FixedBaseCacheTest, WarmEagerlyBuildsAndCachesTheComb) {
   const BigInt e = random_bits(rng, n.bit_length());
   EXPECT_EQ(comb->pow(e), mont.pow(g, e));
 
-  // Idempotent: warming again is a lookup, not a second table.
-  EXPECT_EQ(FixedBase::warm(mont, g, n.bit_length()).get(), comb.get());
+  // Idempotent: looking up again is a hit, not a second table.
+  EXPECT_EQ(mont.fixed_base(g, n.bit_length()).get(), comb.get());
   EXPECT_EQ(mont.fixed_base_cache_size(), 1u);
+}
+
+// pow walks every column of a comb: after TagGen has cached a block-sized
+// comb for g (a 64 KB block here), a modulus-sized g^s must get a comb of
+// its own size, not a block-long chain.
+TEST(FixedBaseCacheTest, ModulusSizedExponentGetsItsOwnComb) {
+  const BigInt n = fixture_modulus(256);
+  const Montgomery mont(n);
+  SplitMix64 gen(64);
+  Rng64Adapter rng(gen);
+  const BigInt g = random_unit(rng, n);
+
+  const auto block = mont.fixed_base(g, 8 * 65536);
+  ASSERT_GE(block->capacity_bits(), 8u * 65536);
+  const auto small = mont.fixed_base(g, n.bit_length());
+  const std::size_t rounded = (n.bit_length() + 255) / 256 * 256;
+  EXPECT_GE(small->capacity_bits(), n.bit_length());
+  EXPECT_LE(small->capacity_bits(), 2 * rounded);
+  EXPECT_EQ(mont.fixed_base_cache_size(), 2u);
+  // Both stay cached: each size class is a hit from now on.
+  EXPECT_EQ(mont.fixed_base(g, 8 * 65536).get(), block.get());
+  EXPECT_EQ(mont.fixed_base(g, n.bit_length()).get(), small.get());
+  for (int i = 0; i < 5; ++i) {
+    const BigInt e = random_bits(rng, n.bit_length());
+    EXPECT_EQ(small->pow(e), mont.pow(g, e));
+    EXPECT_EQ(block->pow(e), mont.pow(g, e));
+  }
 }
 
 }  // namespace

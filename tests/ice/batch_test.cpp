@@ -51,8 +51,9 @@ class BatchTest : public ::testing::Test {
     if (tamper) tamper(edge_blocks);
     std::vector<Proof> proofs;
     for (std::size_t j = 0; j < sets.size(); ++j) {
-      proofs.push_back(make_batch_proof(keys_.pk, params_, edge_blocks[j],
-                                        keys[j], base.g_s));
+      const Challenge edge_chal{keys[j], base.g_s, {}};
+      proofs.push_back(make_proof(keys_.pk, params_, edge_blocks[j],
+                                  edge_chal, bn::BigInt(1)));
     }
     const auto u = union_of_sets(sets);
     const auto repacked =
@@ -163,6 +164,20 @@ TEST_F(BatchTest, ChallengeKeysAreFreshAndBounded) {
     }
   }
   EXPECT_THROW(draw_challenge_keys(params_, 0, rng_), ParamError);
+  // kappa = 0 leaves only e = 0, which the draw retries forever; a key
+  // wider than the PRF's 256-bit key only adds bytes.
+  for (const std::size_t kappa : {std::size_t{0}, kMaxChallengeKeyBits + 1}) {
+    SCOPED_TRACE(kappa);
+    ProtocolParams p = params_;
+    p.challenge_key_bits = kappa;
+    EXPECT_THROW(draw_challenge_keys(p, 1, rng_), ParamError);
+    ChallengeSecret secret;
+    EXPECT_THROW(make_challenge(keys_.pk, p, rng_, secret), ParamError);
+  }
+  ProtocolParams widest = params_;
+  widest.challenge_key_bits = kMaxChallengeKeyBits;
+  EXPECT_LE(draw_challenge_keys(widest, 1, rng_)[0].bit_length(),
+            kMaxChallengeKeyBits);
 }
 
 }  // namespace

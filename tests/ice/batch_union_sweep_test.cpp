@@ -1,7 +1,7 @@
 // ICE-batch union retrieval sweep (paper Sec. V / Fig. 7): J edges with
 // overlapping pre-download sets audited in one round through the PARALLEL
-// proof path (make_batch_proofs + batch_repack + verify_batch, all under
-// params.parallelism), checking the batch identity
+// proof path (per-edge make_proof at blinding 1 + batch_repack +
+// verify_batch, all under params.parallelism), checking the batch identity
 //   prod_j P_j = (prod_k T~_{U,k})^s
 // for J in {1, 2, 5} and rejecting a single corrupted block.
 #include "ice/batch.h"
@@ -38,7 +38,7 @@ class BatchUnionSweepTest : public ::testing::Test {
         file_(ice::testing::make_blocks(10, 128, 77)),
         tags_(tagger_.tag_all(file_)) {}
 
-  /// One batch round over `sets` with J proofs fanned out across the pool.
+  /// One batch round over `sets`, each of the J proofs split over the pool.
   bool run_round(const std::vector<std::vector<std::size_t>>& sets,
                  std::size_t parallelism,
                  std::function<void(std::vector<std::vector<Bytes>>&)>
@@ -55,8 +55,12 @@ class BatchUnionSweepTest : public ::testing::Test {
       edge_blocks.push_back(std::move(blocks));
     }
     if (tamper) tamper(edge_blocks);
-    const std::vector<Proof> proofs =
-        make_batch_proofs(keys_.pk, p, edge_blocks, challenge_keys, base.g_s);
+    std::vector<Proof> proofs;
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      const Challenge edge_chal{challenge_keys[j], base.g_s, {}};
+      proofs.push_back(
+          make_proof(keys_.pk, p, edge_blocks[j], edge_chal, bn::BigInt(1)));
+    }
     const auto u = union_of_sets(sets);
     std::vector<bn::BigInt> union_tags;
     for (std::size_t k : u) union_tags.push_back(tags_[k]);

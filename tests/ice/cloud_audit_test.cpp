@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ice/wire.h"
 #include "mec/corruption.h"
 #include "sim/deployment.h"
 #include "support/ice_fixtures.h"
+#include "support/recording_channel.h"
 
 namespace ice::proto {
 namespace {
@@ -65,6 +67,41 @@ TEST(CloudAuditTest, DetectionIffCorruptedBlockSampled) {
         std::find(result.sampled.begin(), result.sampled.end(), 7u) !=
         result.sampled.end();
     EXPECT_EQ(result.pass, !sampled_bad);
+  }
+}
+
+// The cloud's sampled audit is the one audit equation: after the sample
+// draws, each 104 carries the challenge make_challenge draws from the
+// owner's RNG, and the CSP answers with make_proof at blinding 1 over the
+// sampled blocks.
+TEST(CloudAuditTest, SampledAuditIsMakeChallengeAndMakeProof) {
+  CloudAuditWorld w(20);
+  w.corrupt_cloud_block(7);
+  const PublicKey& pk = w.keys().pk;
+  const ProtocolParams params;  // audit_cloud's protocol defaults
+  ice::testing::RecordingChannel recorder(w.user_csp());
+  constexpr std::size_t kSample = 5;
+  for (std::uint64_t seed = 0x104; seed < 0x104 + 6; ++seed) {
+    SplitMix64 gen(seed), twin(seed);
+    bn::Rng64Adapter rng(gen), twin_rng(twin);
+    const auto result = audit_cloud(w.user(), recorder, kSample, rng);
+    const auto calls = recorder.challenges(kCspChallenge);
+    ASSERT_EQ(calls.size(), seed - 0x104 + 1);  // one 104 per audit
+    const auto& call = calls.back();
+    EXPECT_EQ(call.indices, result.sampled);
+    for (std::size_t i = 0; i < kSample; ++i) {
+      (void)bn::random_below(twin_rng, bn::BigInt(20 - i));  // the sample
+    }
+    ChallengeSecret secret;
+    const Challenge drawn = make_challenge(pk, params, twin_rng, secret);
+    EXPECT_EQ(call.e, drawn.e);
+    EXPECT_EQ(call.g_s, drawn.g_s);
+    std::vector<Bytes> blocks;
+    for (std::size_t index : call.indices) {
+      blocks.push_back(w.csp().store().block(index));
+    }
+    EXPECT_EQ(call.proof,
+              make_proof(pk, params, blocks, drawn, bn::BigInt(1)).p);
   }
 }
 

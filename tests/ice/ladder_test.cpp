@@ -124,9 +124,10 @@ TEST_F(LadderProtocolTest, MakeChallengeDrawsInTheSameOrder) {
   EXPECT_EQ(gen_a(), gen_b());  // the next draw lines up too
 }
 
-// make_proof and make_batch_proof with the shipped ladder equal their c = 1
-// results bit for bit, at every thread count, and with blocks longer than
-// the key declared (the excess rides in the last chunk).
+// make_proof with the shipped ladder equals its c = 1 result bit for bit,
+// blinded (ICE-basic) and at blinding 1 (ICE-batch), at every thread count,
+// and with blocks longer than the key declared (the excess rides in the
+// last chunk).
 TEST_F(LadderProtocolTest, ProofsEqualTheirUnladderedResults) {
   ChallengeSecret secret;
   const Challenge chal =
@@ -141,15 +142,13 @@ TEST_F(LadderProtocolTest, ProofsEqualTheirUnladderedResults) {
     p.parallelism = 1;
     const Proof reference = make_proof(keys_.pk, p, blocks, plain, s_tilde);
     const Proof batch_reference =
-        make_batch_proof(keys_.pk, p, blocks, chal.e, chal.g_s);
+        make_proof(keys_.pk, p, blocks, plain, bn::BigInt(1));
     for (const std::size_t t : {1u, 2u, 7u, 0u}) {
       p.parallelism = t;
       EXPECT_EQ(make_proof(keys_.pk, p, blocks, chal, s_tilde).p,
                 reference.p)
           << bytes << " B blocks, threads " << t;
-      EXPECT_EQ(make_batch_proof(keys_.pk, p, blocks, chal.e, chal.g_s,
-                                 chal.ladder)
-                    .p,
+      EXPECT_EQ(make_proof(keys_.pk, p, blocks, chal, bn::BigInt(1)).p,
                 batch_reference.p)
           << bytes << " B blocks, threads " << t;
     }
@@ -248,9 +247,10 @@ TEST_F(LadderProtocolTest, AnyReplacedRungFailsAnHonestEdge) {
     for (std::size_t j = 0; j < sets.size(); ++j) {
       std::vector<Bytes> mine;
       for (std::size_t k : sets[j]) mine.push_back(blocks[k]);
-      proofs.push_back(make_batch_proof(keys_.pk, params_, mine, keys[j],
-                                        base.g_s,
-                                        j == 1 ? edge1_ladder : base.ladder));
+      const Challenge edge_chal{keys[j], base.g_s,
+                                j == 1 ? edge1_ladder : base.ladder};
+      proofs.push_back(
+          make_proof(keys_.pk, params_, mine, edge_chal, bn::BigInt(1)));
     }
     return proofs;
   };
@@ -516,33 +516,47 @@ TEST(LadderWireTest, UserRefusesHostileBatchLaddersWithTypedErrors) {
 }
 
 // The block size and the coefficient width set the length of the rung
-// chain, so set_key refuses values no honest file declares.
+// chain, and the challenge key width the draw of every e, so set_key
+// refuses values no honest file declares.
 TEST(LadderWireTest, SetKeyRefusesChainLengthsOutsideTheCaps) {
   LadderWorld w;
   const auto set_key = [&](std::uint64_t coeff_bits,
-                           std::uint64_t block_bytes) {
+                           std::uint64_t block_bytes,
+                           std::uint64_t key_bits) {
     net::Writer r;
     r.bigint(w.keys().pk.n);
     r.bigint(w.keys().pk.g);
     r.varint(coeff_bits);
-    r.varint(w.params().challenge_key_bits);
+    r.varint(key_bits);
     r.varint(block_bytes);
     return status_of(w.tpa(0).handle(kTpaSetKey, r.take()));
   };
+  const std::uint64_t key_bits = w.params().challenge_key_bits;
   for (const std::uint64_t block_bytes :
        {std::uint64_t{0}, std::uint64_t{kMaxBlockBytes} + 1,
         std::uint64_t{1} << 62}) {
     SCOPED_TRACE(block_bytes);
-    EXPECT_EQ(set_key(w.params().coeff_bits, block_bytes),
+    EXPECT_EQ(set_key(w.params().coeff_bits, block_bytes, key_bits),
               net::Status::kInvalidArgument);
     EXPECT_TRUE(w.tpa(0).has_tags());  // the key and its tags stayed
   }
   for (const std::uint64_t coeff_bits :
        {std::uint64_t{0}, std::uint64_t{257}, std::uint64_t{1} << 40}) {
     SCOPED_TRACE(coeff_bits);
-    EXPECT_EQ(set_key(coeff_bits, w.params().block_bytes),
+    EXPECT_EQ(set_key(coeff_bits, w.params().block_bytes, key_bits),
               net::Status::kInvalidArgument);
     EXPECT_TRUE(w.tpa(0).has_tags());
+  }
+  // kappa = 0 would spin the next challenge forever (e = 0 is redrawn) and
+  // 2^40 would allocate a 2^40-bit bound: stop at the first one served.
+  for (const std::uint64_t bad_key_bits :
+       {std::uint64_t{0}, std::uint64_t{kMaxChallengeKeyBits} + 1,
+        std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(bad_key_bits);
+    ASSERT_EQ(set_key(w.params().coeff_bits, w.params().block_bytes,
+                      bad_key_bits),
+              net::Status::kInvalidArgument);
+    ASSERT_TRUE(w.tpa(0).has_tags());
   }
   EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
   EXPECT_TRUE(w.user().audit_edges_batch(w.user_edges()));

@@ -6,9 +6,12 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "ice/tag.h"
+#include "ice/wire.h"
 #include "mec/corruption.h"
 #include "sim/deployment.h"
 #include "support/ice_fixtures.h"
+#include "support/recording_channel.h"
 
 namespace ice::proto {
 namespace {
@@ -96,6 +99,44 @@ TEST(LocalizeTest, InputValidation) {
   EXPECT_THROW(localize_corruption(w.keys().pk, w.params(), edge, {0, 1},
                                    {bn::BigInt(1)}, rng),
                ParamError);
+}
+
+// The owner's sub-audits are the one audit equation: each 207 carries the
+// challenge make_challenge draws from the owner's RNG, in order, and the
+// edge answers each with make_proof at blinding 1 over its cached blocks.
+TEST(LocalizeTest, SubsetAuditsAreMakeChallengeAndMakeProof) {
+  LocalizeWorld w(8);
+  w.corrupt(6);
+  const PublicKey& pk = w.keys().pk;
+  std::vector<std::size_t> cached;
+  std::vector<bn::BigInt> tags;
+  const TagGenerator tagger(pk);
+  for (std::size_t i = 0; i < 8; ++i) {
+    cached.push_back(2 * i);
+    tags.push_back(tagger.tag(w.csp().store().block(2 * i)));
+  }
+  ice::testing::RecordingChannel recorder(w.user_edge(0));
+  SplitMix64 gen(0x207), twin(0x207);
+  bn::Rng64Adapter rng(gen), twin_rng(twin);
+  const auto result = localize_corruption(pk, w.params(), EdgeClient(recorder),
+                                          cached, tags, rng);
+  EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{6}));
+
+  const auto calls = recorder.challenges(kEdgeSubsetProof);
+  ASSERT_EQ(calls.size(), result.proofs_requested);
+  EXPECT_EQ(calls.front().indices, cached);
+  for (const auto& call : calls) {
+    ChallengeSecret secret;
+    const Challenge drawn = make_challenge(pk, w.params(), twin_rng, secret);
+    EXPECT_EQ(call.e, drawn.e);
+    EXPECT_EQ(call.g_s, drawn.g_s);
+    std::vector<Bytes> blocks;
+    for (std::size_t index : call.indices) {
+      blocks.push_back(w.edge(0).cache_for_corruption().raw_block(index));
+    }
+    EXPECT_EQ(call.proof,
+              make_proof(pk, w.params(), blocks, drawn, bn::BigInt(1)).p);
+  }
 }
 
 TEST(LocalizeTest, SubsetProofOfUncachedBlockErrors) {

@@ -61,43 +61,15 @@ TEST_F(ParallelDiffTest, ProofBitExactAtEveryThreadCount) {
 TEST_F(ParallelDiffTest, BatchProofBitExactAtEveryThreadCount) {
   const auto blocks = ice::testing::make_blocks(11, 256, 22);
   ChallengeSecret secret;
-  const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
-  const auto keys = draw_challenge_keys(params_, 1, rng_);
+  Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  chal.e = draw_challenge_keys(params_, 1, rng_)[0];  // the user's e_j
   const Proof serial =
-      make_batch_proof(keys_.pk, params_, blocks, keys[0], base.g_s);
+      make_proof(keys_.pk, params_, blocks, chal, bn::BigInt(1));
   for (std::size_t t : tested_thread_counts()) {
     ProtocolParams p = params_;
     p.parallelism = t;
-    const Proof parallel =
-        make_batch_proof(keys_.pk, p, blocks, keys[0], base.g_s);
+    const Proof parallel = make_proof(keys_.pk, p, blocks, chal, bn::BigInt(1));
     EXPECT_EQ(parallel.p, serial.p) << "threads=" << t;
-  }
-}
-
-TEST_F(ParallelDiffTest, BatchProofFanOutMatchesPerEdgeSerial) {
-  constexpr std::size_t kEdges = 5;
-  std::vector<std::vector<Bytes>> edge_blocks;
-  for (std::size_t j = 0; j < kEdges; ++j) {
-    edge_blocks.push_back(ice::testing::make_blocks(3 + j, 128, 30 + j));
-  }
-  ChallengeSecret secret;
-  const Challenge base = make_challenge(keys_.pk, params_, rng_, secret);
-  const auto keys = draw_challenge_keys(params_, kEdges, rng_);
-  std::vector<Proof> serial;
-  for (std::size_t j = 0; j < kEdges; ++j) {
-    serial.push_back(
-        make_batch_proof(keys_.pk, params_, edge_blocks[j], keys[j],
-                         base.g_s));
-  }
-  for (std::size_t t : tested_thread_counts()) {
-    ProtocolParams p = params_;
-    p.parallelism = t;
-    const std::vector<Proof> fanned =
-        make_batch_proofs(keys_.pk, p, edge_blocks, keys, base.g_s);
-    ASSERT_EQ(fanned.size(), serial.size());
-    for (std::size_t j = 0; j < kEdges; ++j) {
-      EXPECT_EQ(fanned[j].p, serial[j].p) << "threads=" << t << " edge=" << j;
-    }
   }
 }
 

@@ -74,6 +74,16 @@
 # 2 MB) runs under both: MultiExpScheduleTest.* and
 # MultiExpTest.LadderChunkWindowsMatchFoldOfPow split it over 1-4 threads,
 # whose per-thread partials the caller combines after the fan-out joins.
+# The per-context comb cache keeps one comb per exponent size class, so a
+# base may hold several entries: TSan gates lookups racing builds of mixed
+# capacities with FixedBaseCacheTest.ConcurrentLookupsAgree and
+# FixedBaseCacheTest.ModulusSizedExponentGetsItsOwnComb
+# (`tests/run_sanitizers.sh tsan 'FixedBase|CacheBound'`). ASan+UBSan
+# covers the challenge key width caps: set_key at kappa = 0, 257 and 2^40
+# (LadderWireTest.SetKeyRefusesChainLengthsOutsideTheCaps) and the
+# ParamError of make_challenge and draw_challenge_keys
+# (BatchTest.ChallengeKeysAreFreshAndBounded), plus the owner-driven audit
+# pins over recording channels (LocalizeTest.*, CloudAuditTest.*).
 #
 # Usage: tests/run_sanitizers.sh [asan|tsan] [ctest-filter-regex]
 #   no args      — run both sanitizers over the full suite
