@@ -14,8 +14,6 @@ namespace {
 using Limb = BigInt::Limb;
 using u128 = unsigned __int128;
 
-constexpr std::size_t kKaratsubaThreshold = 32;  // limbs
-
 void trim(LimbBuf& v) {
   while (!v.empty() && v.back() == 0) v.pop_back();
 }
@@ -325,64 +323,9 @@ LimbBuf BigInt::mul_school(const LimbBuf& a,
   return out;
 }
 
-LimbBuf BigInt::mul_karatsuba(const LimbBuf& a,
-                                        const LimbBuf& b) {
-  const std::size_t n = std::max(a.size(), b.size());
-  if (std::min(a.size(), b.size()) < kKaratsubaThreshold) {
-    return mul_school(a, b);
-  }
-  const std::size_t half = n / 2;
-  auto lo = [&](const LimbBuf& v) {
-    LimbBuf r(v.begin(),
-                        v.begin() + static_cast<std::ptrdiff_t>(
-                                        std::min(half, v.size())));
-    trim(r);
-    return r;
-  };
-  auto hi = [&](const LimbBuf& v) {
-    if (v.size() <= half) return LimbBuf{};
-    LimbBuf r(v.begin() + static_cast<std::ptrdiff_t>(half),
-                        v.end());
-    trim(r);
-    return r;
-  };
-  const auto a0 = lo(a), a1 = hi(a), b0 = lo(b), b1 = hi(b);
-  auto z0 = mul_karatsuba(a0, b0);
-  auto z2 = mul_karatsuba(a1, b1);
-  auto sa = add_mag(a0, a1);
-  auto sb = add_mag(b0, b1);
-  auto z1 = mul_karatsuba(sa, sb);
-  z1 = sub_mag(z1, z0);
-  z1 = sub_mag(z1, z2);
-  // result = z0 + (z1 << 64*half) + (z2 << 128*half)
-  LimbBuf out(std::max({z0.size(), z1.size() + half,
-                                  z2.size() + 2 * half}) + 1,
-                        0);
-  auto add_at = [&](const LimbBuf& v, std::size_t off) {
-    Limb carry = 0;
-    std::size_t i = 0;
-    for (; i < v.size(); ++i) {
-      u128 t = static_cast<u128>(out[off + i]) + v[i] + carry;
-      out[off + i] = static_cast<Limb>(t);
-      carry = static_cast<Limb>(t >> 64);
-    }
-    while (carry) {
-      u128 t = static_cast<u128>(out[off + i]) + carry;
-      out[off + i] = static_cast<Limb>(t);
-      carry = static_cast<Limb>(t >> 64);
-      ++i;
-    }
-  };
-  add_at(z0, 0);
-  add_at(z1, half);
-  add_at(z2, 2 * half);
-  trim(out);
-  return out;
-}
-
 LimbBuf BigInt::mul_mag(const LimbBuf& a,
                                   const LimbBuf& b) {
-  return mul_karatsuba(a, b);
+  return mul_school(a, b);
 }
 
 void BigInt::divmod_mag(const LimbBuf& num,

@@ -2,8 +2,10 @@
 //
 // This is the arithmetic substrate for the ICE protocols: tags are
 // `g^{b_i} mod N` where the exponent is an entire data block (up to
-// megabits), so the library needs fast multiplication (Karatsuba), Knuth-D
-// division, and Montgomery exponentiation (bignum/montgomery.h).
+// megabits). Multiplication is schoolbook: at |N| <= 1024 bits a
+// block-sized value only ever meets a coefficient or s~, so no product has
+// two wide operands. Division is Knuth-D, exponentiation Montgomery
+// (bignum/montgomery.h).
 //
 // Representation: sign-magnitude; magnitude is a little-endian sequence of
 // 64-bit limbs with no trailing zero limb, stored in a small-buffer-optimized
@@ -148,7 +150,6 @@ class BigInt {
   static LimbBuf sub_mag(const LimbBuf& a, const LimbBuf& b);
   static LimbBuf mul_mag(const LimbBuf& a, const LimbBuf& b);
   static LimbBuf mul_school(const LimbBuf& a, const LimbBuf& b);
-  static LimbBuf mul_karatsuba(const LimbBuf& a, const LimbBuf& b);
   static void divmod_mag(const LimbBuf& num, const LimbBuf& den,
                          LimbBuf& quot, LimbBuf& rem);
 

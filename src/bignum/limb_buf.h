@@ -4,9 +4,9 @@
 // N, i.e. 16 or 32 limbs), and intermediate products / division scratch peak
 // at roughly twice the modulus width plus a carry limb. kInlineLimbs is sized
 // so every value the steady-state protocol touches lives inline and BigInt
-// temporaries never hit the allocator; wider values (block-sized exponents,
-// Karatsuba scratch) spill to a heap block that grows geometrically and never
-// shrinks.
+// temporaries never hit the allocator; wider values (block-sized exponents
+// and their products) spill to a heap block that grows geometrically and
+// never shrinks.
 //
 // Semantics match the std::vector<Limb> this replaces, with two deliberate
 // exceptions: capacity never shrinks (shrink_to_fit would reintroduce churn),

@@ -45,7 +45,7 @@ CloudAuditResult audit_cloud(UserClient& user, net::RpcChannel& csp_channel,
   // Challenge the CSP (owner-driven: the user verifies itself against the
   // privately retrieved true tags, so the proof carries no blinding).
   const PublicKey& pk = user.pk();
-  ProtocolParams params;  // coefficient widths are the protocol defaults
+  const ProtocolParams& params = user.params();  // the file's d and kappa
   ChallengeSecret secret;
   const Challenge chal = make_challenge(pk, params, rng, secret);
   const CspClient csp(csp_channel);

@@ -18,7 +18,6 @@ CspService::CspService(mec::BlockStore store, std::size_t parallelism)
                                                   net::Writer&)) {
     return [this, fn](net::Reader& r, net::Writer& w) { (this->*fn)(r, w); };
   };
-  dispatch_.on(kCspInfo, "info", bind(&CspService::on_info));
   dispatch_.on(kCspFetch, "fetch", bind(&CspService::on_fetch));
   dispatch_.on(kCspWriteBack, "write_back", bind(&CspService::on_write_back));
   dispatch_.on(kCspSetKey, "set_key", bind(&CspService::on_set_key));
@@ -27,12 +26,6 @@ CspService::CspService(mec::BlockStore store, std::size_t parallelism)
 
 Bytes CspService::handle(std::uint16_t method, BytesView request) {
   return dispatch_.handle(method, request);
-}
-
-void CspService::on_info(net::Reader&, net::Writer& w) {
-  std::shared_lock lock(mu_);
-  w.varint(store_.size());
-  w.varint(store_.block_size());
 }
 
 void CspService::on_fetch(net::Reader& r, net::Writer& w) {
@@ -93,6 +86,7 @@ void CspService::on_challenge(net::Reader& r, net::Writer& w) {
   chal.g_s = r.bigint();
   const std::vector<std::size_t> sample = read_index_list(r);
   r.expect_done();  // before the proof over the sampled blocks
+  require_distinct(sample);  // so at most the file is copied
   PublicKey pk;
   ProtocolParams params;
   std::vector<Bytes> blocks;
@@ -112,15 +106,6 @@ void CspService::on_challenge(net::Reader& r, net::Writer& w) {
   // against its true tags, so there is no blinding.
   const Proof proof = make_proof(pk, params, blocks, chal, bn::BigInt(1));
   w.bigint(proof.p);
-}
-
-CspClient::Info CspClient::info() const {
-  const net::PooledBytes raw = net::call_pooled(*channel_, kCspInfo);
-  net::Reader r = unwrap(raw);
-  Info out;
-  out.n = static_cast<std::size_t>(r.varint());
-  out.block_size = static_cast<std::size_t>(r.varint());
-  return out;
 }
 
 Bytes CspClient::fetch(std::size_t index) const {

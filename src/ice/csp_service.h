@@ -36,7 +36,6 @@ class CspService final : public net::RpcHandler {
   [[nodiscard]] mec::BlockStore& store_for_corruption() { return store_; }
 
  private:
-  void on_info(net::Reader& r, net::Writer& w);
   void on_fetch(net::Reader& r, net::Writer& w);
   void on_write_back(net::Reader& r, net::Writer& w);
   void on_set_key(net::Reader& r, net::Writer& w);
@@ -54,11 +53,6 @@ class CspClient {
  public:
   explicit CspClient(net::RpcChannel& channel) : channel_(&channel) {}
 
-  struct Info {
-    std::size_t n;
-    std::size_t block_size;
-  };
-  [[nodiscard]] Info info() const;
   [[nodiscard]] Bytes fetch(std::size_t index) const;
   void write_back(
       const std::vector<std::pair<std::size_t, Bytes>>& blocks) const;

@@ -176,6 +176,7 @@ void EdgeService::on_subset_proof(net::Reader& r, net::Writer& w) {
   chal.g_s = r.bigint();
   const std::vector<std::size_t> subset = read_index_list(r);
   r.expect_done();  // before the cache lookups and the proof
+  require_distinct(subset);  // so at most the cache is copied
   std::vector<Bytes> blocks;
   blocks.reserve(subset.size());
   {

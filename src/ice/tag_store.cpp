@@ -24,11 +24,6 @@ TagStore::TagStore(const ProtocolParams& params,
   for (const auto& t : tags) db_.add(t);
 }
 
-std::size_t TagStore::n() const {
-  std::shared_lock lock(mu_);
-  return db_.size();
-}
-
 std::uint64_t TagStore::epoch() const {
   std::shared_lock lock(mu_);
   return epoch_;
@@ -36,13 +31,7 @@ std::uint64_t TagStore::epoch() const {
 
 TagInfo TagStore::info() const {
   std::shared_lock lock(mu_);
-  return {db_.size(), generation_, epoch_};
-}
-
-void TagStore::follow(const TagStore& replaced) {
-  const std::uint64_t after = replaced.epoch() + 1;
-  std::unique_lock lock(mu_);
-  epoch_ = after;
+  return {n(), generation_, epoch_};
 }
 
 bn::BigInt TagStore::tag(std::size_t index) const {
@@ -71,16 +60,6 @@ pir::EpochMergeStats TagStore::close_epoch() {
 StoreEpochStats TagStore::epoch_stats() const {
   std::shared_lock lock(mu_);
   return {db_.epoch_stats()};
-}
-
-std::size_t TagStore::append(const bn::BigInt& tag) {
-  std::unique_lock lock(mu_);
-  // Build the grown embedding first: if it throws, nothing has changed.
-  pir::Embedding grown(db_.size() + 1);
-  const std::size_t index = db_.add(tag);
-  embedding_ = std::move(grown);
-  ++epoch_;
-  return index;
 }
 
 void TagStore::respond(std::uint64_t epoch, const pir::PirQuery& query,

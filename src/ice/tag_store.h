@@ -7,16 +7,17 @@
 // Embedding and one PirServer over all n rows, so every retrieval reaches a
 // TPA as one m-point query over the whole file (DESIGN.md §13).
 //
-// Locking and epochs (DESIGN.md §15): one reader-writer lock guards the
-// rows, the embedding and the content epoch, the store's only epoch.
-// Queries, tag reads and staged updates take it shared; close_epoch and
-// append take it exclusive. The epoch moves on every append and on every
-// close that merged rows, and a replacement store starts above the store
-// it replaces, so a query planned before any of these fails its epoch
-// check with the typed StaleEpochError instead of decoding against the
-// wrong state. The store also names the key generation its tags were
-// uploaded under (fixed at construction). The store builds no bitplanes:
-// the fused engine streams the rows.
+// Shape, locking and epochs (DESIGN.md §15): the rows, the embedding and
+// the PirServer over them are set at construction and never change shape;
+// a new upload is a new store (after set_key). One reader-writer lock
+// guards the base rows and the content epoch, the store's only epoch.
+// Queries, tag reads and staged updates take it shared; only close_epoch
+// takes it exclusive. The epoch counts the closes that merged rows, so a
+// query planned before one fails its epoch check with the typed
+// StaleEpochError instead of decoding against the wrong rows. The store
+// also names the key generation its tags were uploaded under (fixed at
+// construction). The store builds no bitplanes: the fused engine streams
+// the rows.
 //
 // `update()` stages into the next epoch and `close_epoch()` merges. Staging
 // is the only way to change a tag. A retrieval's snapshot guarantee is the
@@ -39,10 +40,10 @@
 
 namespace ice::proto {
 
-/// A tag query was planned against an epoch the store has since left (an
-/// append, or a close that merged rows). ProtocolError, so the RPC
-/// dispatcher maps it to Status::kFailedPrecondition; the client refreshes
-/// its epoch and re-plans.
+/// A tag query was planned against an epoch the store has since left (a
+/// close that merged rows). ProtocolError, so the RPC dispatcher maps it to
+/// Status::kFailedPrecondition; the client refreshes its epoch and
+/// re-plans.
 class StaleEpochError : public ProtocolError {
  public:
   using ProtocolError::ProtocolError;
@@ -69,19 +70,13 @@ class TagStore {
   TagStore(const ProtocolParams& params, std::span<const bn::BigInt> tags,
            std::uint64_t generation = 0);
 
-  [[nodiscard]] std::size_t n() const;
+  [[nodiscard]] std::size_t n() const { return embedding_.n(); }
   [[nodiscard]] std::size_t tag_bits() const { return db_.tag_bits(); }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
-  /// Content epoch: moves on every append and every close that merged.
+  /// Content epoch: the number of closes that merged rows.
   [[nodiscard]] std::uint64_t epoch() const;
-  /// n, the generation and the epoch under one lock, so an append cannot
-  /// fall between them.
+  /// The 309 reply: n, the generation and the epoch.
   [[nodiscard]] TagInfo info() const;
-
-  /// Starts this store's epoch one above `replaced`'s, so a query planned
-  /// against the store this one replaces fails its epoch check. Call
-  /// before the store is shared.
-  void follow(const TagStore& replaced);
 
   /// Plain (non-private) tag read; used by trusted-path tests and by the
   /// naive full-download baseline.
@@ -103,11 +98,6 @@ class TagStore {
   }
   [[nodiscard]] StoreEpochStats epoch_stats() const;
 
-  /// Appends a tag for a newly outsourced block: one more row and an
-  /// embedding over n + 1 (gamma may grow). Existing rows and staged
-  /// updates stay where they are. Moves the epoch. Returns the new index.
-  std::size_t append(const bn::BigInt& tag);
-
   /// Answers one private tag query (paper Alg. 1 "tag response") planned
   /// against `epoch`. Throws StaleEpochError when the epoch has moved and
   /// ParamError when a point's length is not gamma(n).
@@ -115,12 +105,10 @@ class TagStore {
                pir::PirResponse& out) const;
 
  private:
-  mutable std::shared_mutex mu_;  // guards db_'s base rows, embedding_, epoch_
+  mutable std::shared_mutex mu_;  // guards db_'s base rows and epoch_
   pir::TagDatabase db_;
-  pir::Embedding embedding_;
-  // Points at db_ and embedding_, whose addresses never change, so an
-  // append that grows both leaves it valid.
-  pir::PirServer server_;
+  const pir::Embedding embedding_;
+  const pir::PirServer server_;  // over db_ and embedding_
   const std::uint64_t generation_;
   std::uint64_t epoch_ = 0;
 };

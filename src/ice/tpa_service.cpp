@@ -56,8 +56,6 @@ TpaService::TpaService(std::size_t parallelism)
                bind(&TpaService::on_update_tag));
   dispatch_.on(kTpaTagInfo, "tag_info", bind(&TpaService::on_tag_info));
   dispatch_.on(kTpaShardQuery, "tag_query", bind(&TpaService::on_tag_query));
-  dispatch_.on(kTpaAppendTag, "append_tag",
-               bind(&TpaService::on_append_tag));
   dispatch_.on(kTpaCloseEpoch, "close_epoch",
                bind(&TpaService::on_close_epoch));
 }
@@ -164,9 +162,9 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
     throw ServiceError(Status::kInvalidArgument, "no tags");
   }
   const ChallengePool::MintSpec key = key_snapshot();
-  // Build the replacement store with no lock held (this is the expensive
-  // part), then swap it in. The fused engine streams the rows, so no
-  // bitplane lists are built here.
+  // Build the store with no lock held (this is the expensive part), then
+  // install it. The fused engine streams the rows, so no bitplane lists
+  // are built here.
   auto store = std::make_unique<TagStore>(key.params, tags, key.generation);
   std::unique_lock lock(store_mu_);
   // set_key bumps the generation before it drops the store, so a key
@@ -176,7 +174,12 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
     throw ServiceError(Status::kFailedPrecondition,
                        "key replaced while the tags were stored");
   }
-  if (store_ != nullptr) store->follow(*store_);
+  // One upload per key: a store's rows change only by staged updates and
+  // closes, so a plan never meets rows of another upload under its pair.
+  if (store_ != nullptr) {
+    throw ServiceError(Status::kFailedPrecondition,
+                       "tags already stored; set_key first");
+  }
   store_ = std::move(store);
 }
 
@@ -358,21 +361,6 @@ void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
   write_pir_response(w, out);
 }
 
-void TpaService::on_append_tag(net::Reader& r, net::Writer& w) {
-  const bn::BigInt tag = r.bigint();
-  r.expect_done();
-  std::shared_lock lock(store_mu_);
-  if (store_ == nullptr) {
-    throw ServiceError(Status::kFailedPrecondition, "no tags stored");
-  }
-  if (tag.is_negative() || tag.bit_length() > store_->tag_bits()) {
-    throw ServiceError(Status::kInvalidArgument, "tag out of range for K bits");
-  }
-  const std::size_t index = store_->append(tag);
-  w.varint(index);
-  w.u64(store_->epoch());
-}
-
 void TpaService::on_close_epoch(net::Reader& r, net::Writer& w) {
   r.expect_done();
   std::shared_lock lock(store_mu_);
@@ -472,17 +460,6 @@ pir::PirResponse TpaClient::tag_query(const TagQuery& query) const {
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaShardQuery, std::move(w));
   net::Reader r = unwrap(raw);
   return read_pir_response(r);
-}
-
-std::pair<std::size_t, std::uint64_t> TpaClient::append_tag(
-    const bn::BigInt& tag) const {
-  net::Writer w;
-  w.bigint(tag);
-  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaAppendTag, std::move(w));
-  net::Reader r = unwrap(raw);
-  const auto index = static_cast<std::size_t>(r.varint());
-  const std::uint64_t epoch = r.u64();
-  return {index, epoch};
 }
 
 bool TpaClient::batch_finish(std::uint64_t batch_id, std::uint64_t generation,

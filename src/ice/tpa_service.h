@@ -89,7 +89,6 @@ class TpaService final : public net::RpcHandler {
   void on_update_tag(net::Reader& r, net::Writer& w);
   void on_tag_info(net::Reader& r, net::Writer& w);
   void on_tag_query(net::Reader& r, net::Writer& w);
-  void on_append_tag(net::Reader& r, net::Writer& w);
   void on_close_epoch(net::Reader& r, net::Writer& w);
 
   /// The current key and its generation, read in one hold; throws
@@ -109,9 +108,9 @@ class TpaService final : public net::RpcHandler {
   mutable std::shared_mutex edges_mu_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
-  // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
-  // then swapped in unless set_key ran meanwhile, at an epoch above the
-  // replaced store's), queried shared by tag_query.
+  // Tag store: installed by store_tags (built OUTSIDE the lock, then
+  // installed unless set_key ran meanwhile or a store is already there),
+  // dropped by set_key, queried shared by tag_query.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 
@@ -179,10 +178,6 @@ class TpaClient {
   /// One private tag query over all n rows. A stale generation or epoch
   /// surfaces as RemoteError kFailedPrecondition — refresh and re-plan.
   [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query) const;
-  /// Appends the tag of a newly outsourced block; returns its global
-  /// index and the new epoch.
-  [[nodiscard]] std::pair<std::size_t, std::uint64_t> append_tag(
-      const bn::BigInt& tag) const;
 
  private:
   net::RpcChannel* channel_;

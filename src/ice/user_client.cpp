@@ -24,49 +24,48 @@ double UserClient::setup_file(const std::vector<Bytes>& blocks) {
   const std::vector<bn::BigInt> tags =
       tagger_.tag_all(blocks, params_.parallelism);
   const double taggen_seconds = sw.seconds();
-  n_ = blocks.size();
-  invalidate_codec();  // fresh store, fresh epoch
+  // set_key drops the TPA's store, so the upload is accepted as the
+  // store's one upload under the new key generation.
   for (net::RpcChannel* ch : {tpa0_, tpa1_}) {
     const TpaClient tpa(*ch);
     tpa.set_key(keys_.pk.pk, params_);
     tpa.store_tags(tags);
   }
-  std::lock_guard lock(blocks_mu_);
-  updated_blocks_.clear();
+  attach_file(blocks.size());
   return taggen_seconds;
 }
 
 void UserClient::attach_file(std::size_t n_blocks) {
   if (n_blocks == 0) throw ParamError("attach_file: no blocks");
-  n_ = n_blocks;
-  invalidate_codec();
+  pir_.reset();  // before the embedding it points at is replaced
+  embedding_.emplace(n_blocks);
+  // K is the ACTUAL modulus width: N built from two b/2-bit primes can be
+  // one bit short of the nominal params_.modulus_bits.
+  pir_.emplace(*embedding_, keys_.pk.pk.modulus_bits());
+  drop_plan();
   std::lock_guard lock(blocks_mu_);
   updated_blocks_.clear();
 }
 
-std::shared_ptr<const UserClient::QueryCodec> UserClient::codec() {
-  std::lock_guard lock(codec_mu_);
-  if (codec_ == nullptr) {
+TagInfo UserClient::plan() {
+  std::lock_guard lock(plan_mu_);
+  if (!plan_) {
     const TagInfo info = TpaClient(*tpa0_).tag_info();
     // The user plans against the file it owns. A TPA reporting another row
-    // count is faulty or hostile, and must not decide how much the device
-    // allocates for the embedding.
-    if (info.n != n_) {
+    // count is faulty or hostile: its rows are not this file's.
+    if (info.n != file_blocks()) {
       throw ProtocolError("retrieve_tags: tpa0 reports " +
                           std::to_string(info.n) + " rows, the file has " +
-                          std::to_string(n_));
+                          std::to_string(file_blocks()));
     }
-    // K is the ACTUAL modulus width: N built from two b/2-bit primes can
-    // be one bit short of the nominal params_.modulus_bits.
-    codec_ = std::make_shared<const QueryCodec>(
-        info.generation, info.epoch, n_, keys_.pk.pk.modulus_bits());
+    plan_ = info;
   }
-  return codec_;
+  return *plan_;
 }
 
-void UserClient::invalidate_codec() {
-  std::lock_guard lock(codec_mu_);
-  codec_.reset();
+void UserClient::drop_plan() {
+  std::lock_guard lock(plan_mu_);
+  plan_.reset();
 }
 
 std::vector<bn::BigInt> UserClient::retrieve_tags(
@@ -76,18 +75,16 @@ std::vector<bn::BigInt> UserClient::retrieve_tags(
 
 UserClient::Retrieved UserClient::retrieve(
     const std::vector<std::size_t>& indices) {
-  if (n_ == 0) throw ProtocolError("retrieve_tags: no file");
+  if (file_blocks() == 0) throw ProtocolError("retrieve_tags: no file");
   if (indices.empty()) return {};
-  // One retry: a key rotation, a tag upload, an append or a close at the
-  // TPAs between our planning and their evaluation is rejected remotely
-  // with kFailedPrecondition; refresh the pair and re-plan once.
+  // One retry: a key rotation or a merging close at the TPAs between our
+  // planning and their evaluation is rejected remotely with
+  // kFailedPrecondition; refresh the pair and re-plan once.
   for (int attempt = 0;; ++attempt) {
-    const std::shared_ptr<const QueryCodec> plan_for = codec();
-    pir::PirClient::EncodedQuery enc = plan_for->client.encode(indices, rng_);
-    const TagQuery q0{plan_for->generation, plan_for->epoch,
-                      std::move(enc.queries[0])};
-    const TagQuery q1{plan_for->generation, plan_for->epoch,
-                      std::move(enc.queries[1])};
+    const TagInfo at = plan();
+    pir::PirClient::EncodedQuery enc = pir_->encode(indices, rng_);
+    const TagQuery q0{at.generation, at.epoch, std::move(enc.queries[0])};
+    const TagQuery q1{at.generation, at.epoch, std::move(enc.queries[1])};
     // The two PIR servers are independent (that independence is the
     // privacy guarantee), so their round trips overlap instead of paying
     // the WAN latency twice per retrieval.
@@ -116,7 +113,7 @@ UserClient::Retrieved UserClient::retrieve(
           std::rethrow_exception(error);
         } catch (const net::RemoteError& e) {
           if (e.status() == net::Status::kFailedPrecondition) {
-            invalidate_codec();
+            drop_plan();
             continue;
           }
           throw;
@@ -124,22 +121,8 @@ UserClient::Retrieved UserClient::retrieve(
       }
       std::rethrow_exception(error);
     }
-    return {plan_for->generation,
-            plan_for->client.decode(enc.secrets, r0, r1)};
+    return {at.generation, pir_->decode(enc.secrets, r0, r1)};
   }
-}
-
-std::size_t UserClient::append_block(BytesView content) {
-  if (n_ == 0) throw ProtocolError("append_block: no file");
-  const bn::BigInt tag = tagger_.tag(content);
-  const auto [index0, epoch0] = TpaClient(*tpa0_).append_tag(tag);
-  const auto [index1, epoch1] = TpaClient(*tpa1_).append_tag(tag);
-  if (index0 != index1 || epoch0 != epoch1) {
-    throw ProtocolError("append_block: TPA replicas disagree");
-  }
-  n_ = index0 + 1;
-  invalidate_codec();  // n and the epoch moved
-  return index0;
 }
 
 void UserClient::forget_updated_block(std::size_t index) {
@@ -149,7 +132,7 @@ void UserClient::forget_updated_block(std::size_t index) {
 }
 
 std::uint64_t UserClient::update_block(std::size_t index, BytesView content) {
-  if (n_ == 0 || index >= n_) {
+  if (index >= file_blocks()) {
     throw ParamError("update_block: bad index or no file");
   }
   const bn::BigInt tag = tagger_.tag(content);
@@ -170,15 +153,15 @@ bool UserClient::close_epochs() {
     throw ProtocolError("close_epochs: TPA replicas disagree");
   }
   if (r0.closed) {
-    // The epoch moved; drop the codec now instead of paying a stale-query
+    // The epoch moved; drop the pair now instead of paying a stale-query
     // round trip on the next retrieval.
-    invalidate_codec();
+    drop_plan();
   }
   return r0.closed;
 }
 
 void UserClient::commit_updated_block(std::size_t index, BytesView content) {
-  if (n_ == 0 || index >= n_) {
+  if (index >= file_blocks()) {
     throw ParamError("commit_updated_block: bad index or no file");
   }
   update_block(index, content);
@@ -197,7 +180,7 @@ void UserClient::note_updated_block(std::size_t index, Bytes new_content) {
 
 bool UserClient::audit_edge(net::RpcChannel& edge_channel,
                             std::uint32_t edge_id) {
-  if (n_ == 0) throw ProtocolError("audit_edge: no file");
+  if (file_blocks() == 0) throw ProtocolError("audit_edge: no file");
   // Shared epoch gate: close_epochs cannot land between our tag retrieval
   // and the verdict, so the whole audit reads one epoch snapshot.
   std::shared_lock gate(epoch_gate_);
@@ -255,7 +238,7 @@ bool UserClient::audit_edge(net::RpcChannel& edge_channel,
 
 LocalizationResult UserClient::localize_corruption(
     net::RpcChannel& edge_channel) {
-  if (n_ == 0) {
+  if (file_blocks() == 0) {
     throw ProtocolError("localize_corruption: no file");
   }
   std::shared_lock gate(epoch_gate_);
@@ -275,7 +258,7 @@ LocalizationResult UserClient::localize_corruption(
 
 bool UserClient::audit_edges_batch(
     const std::vector<net::RpcChannel*>& edge_channels) {
-  if (n_ == 0) throw ProtocolError("audit_edges_batch: no file");
+  if (file_blocks() == 0) throw ProtocolError("audit_edges_batch: no file");
   if (edge_channels.empty()) {
     throw ParamError("audit_edges_batch: no edges");
   }

@@ -13,12 +13,14 @@
 // Thread safety: after the single-threaded setup phase (setup_file or
 // attach_file), concurrent audit_edge / audit_edges_batch / retrieve_tags
 // calls on one client are safe — randomness goes through a serialized
-// SharedCsprng and the updated-block notes sit behind their own mutex.
+// SharedCsprng, the file's PIR embedding and client are read-only, and the
+// cached (generation, epoch) pair and the updated-block notes sit behind
+// their own mutexes.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <vector>
 
@@ -42,14 +44,16 @@ class UserClient {
   UserClient(const ProtocolParams& params, KeyPair keys,
              net::RpcChannel& tpa0, net::RpcChannel& tpa1);
 
-  /// Tags all blocks, uploads the tag set to both TPAs, and remembers n.
+  /// Tags all blocks, installs the key at both TPAs (which drops any
+  /// stored tags) and uploads the tag set, then attaches the file.
   /// Returns the tag-generation time in seconds (paper Tab. III "TagGen").
   double setup_file(const std::vector<Bytes>& blocks);
 
   /// Adopts an already-uploaded file of `n_blocks` blocks without re-tagging
   /// or re-uploading: a second client holding the same key pair (e.g. one
   /// per concurrent session in the benchmarks) can audit the file some
-  /// other client set up.
+  /// other client set up. Builds the file's PIR embedding and client, which
+  /// then stay fixed until the next setup_file or attach_file.
   void attach_file(std::size_t n_blocks);
 
   /// Runs one complete ICE-basic audit of the edge behind `edge_channel`
@@ -80,8 +84,8 @@ class UserClient {
 
   /// Closes the epoch at BOTH TPAs in lockstep (the call excludes this
   /// client's own audits by taking its epoch gate exclusively). Returns
-  /// true when staged rows merged; the cached query codec is dropped in
-  /// that case (the content epoch moved).
+  /// true when staged rows merged; the cached (generation, epoch) pair is
+  /// dropped in that case (the content epoch moved).
   bool close_epochs();
 
   /// Data dynamics, synchronous path: once an update has been written back
@@ -101,17 +105,13 @@ class UserClient {
   /// Privately retrieves tags for `indices` from the two TPAs: each gets
   /// one |indices|-point query over all n rows. The key generation and
   /// content epoch are fetched lazily from tpa0 and cached; when a key
-  /// rotation, a tag upload, an append or a close at the TPAs lands between
-  /// planning and evaluation, the stale query is rejected remotely
-  /// (kFailedPrecondition) and the client refreshes the pair and retries
-  /// once. Throws ProtocolError, before any query is sent, when tpa0
-  /// reports a row count other than file_blocks().
+  /// rotation or a merging close at the TPAs lands between planning and
+  /// evaluation, the stale query is rejected remotely (kFailedPrecondition)
+  /// and the client refreshes the pair and retries once. Throws
+  /// ProtocolError, before any query is sent, when tpa0 reports a row
+  /// count other than file_blocks().
   [[nodiscard]] std::vector<bn::BigInt> retrieve_tags(
       const std::vector<std::size_t>& indices);
-
-  /// Data dynamics: tags a NEW block and appends it at both TPAs. Returns
-  /// the block's index.
-  std::size_t append_block(BytesView content);
 
   /// After a failed audit: pinpoints which of the edge's cached blocks are
   /// corrupted by bisection sub-audits over the fast local link (see
@@ -121,7 +121,12 @@ class UserClient {
       net::RpcChannel& edge_channel);
 
   [[nodiscard]] const PublicKey& pk() const { return keys_.pk.pk; }
-  [[nodiscard]] std::size_t file_blocks() const { return n_; }
+  /// The file's protocol parameters (d, kappa, block size), as sent in
+  /// set_key.
+  [[nodiscard]] const ProtocolParams& params() const { return params_; }
+  [[nodiscard]] std::size_t file_blocks() const {
+    return embedding_ ? embedding_->n() : 0;
+  }
 
  private:
   struct Keys {
@@ -133,23 +138,6 @@ class UserClient {
   TagGenerator tagger_;
   net::RpcChannel* tpa0_;
   net::RpcChannel* tpa1_;
-  /// The PIR state a retrieval encodes and decodes with: the key
-  /// generation and content epoch tpa0 reported, the embedding over the
-  /// file's own n rows, and the client that points at it (so the struct
-  /// never moves).
-  struct QueryCodec {
-    QueryCodec(std::uint64_t generation, std::uint64_t epoch, std::size_t n,
-               std::size_t tag_bits)
-        : generation(generation),
-          epoch(epoch),
-          embedding(n),
-          client(embedding, tag_bits) {}
-
-    std::uint64_t generation;
-    std::uint64_t epoch;
-    pir::Embedding embedding;
-    pir::PirClient client;
-  };
   /// Retrieved tags and the key generation they were stored under, which
   /// the verdict call names.
   struct Retrieved {
@@ -157,21 +145,24 @@ class UserClient {
     std::vector<bn::BigInt> tags;
   };
   [[nodiscard]] Retrieved retrieve(const std::vector<std::size_t>& indices);
-  /// Cached query codec, built on first use and dropped on any event that
-  /// can move the epoch or n (setup, attach, append, close, remote
-  /// stale-epoch rejection). shared_ptr so an in-flight retrieval keeps
-  /// its codec while a concurrent refresh swaps the cache.
-  [[nodiscard]] std::shared_ptr<const QueryCodec> codec();
-  void invalidate_codec();
+  /// The (generation, epoch) pair retrievals are planned against: tpa0's
+  /// 309 reply, fetched on first use and dropped by any event that can
+  /// move it (setup, attach, a merging close, a remote stale-plan refusal).
+  [[nodiscard]] TagInfo plan();
+  void drop_plan();
 
-  std::size_t n_ = 0;
+  /// The file's PIR state, built by setup_file and attach_file (the
+  /// client points at the embedding) and read-only afterwards; the
+  /// embedding's n is the file's block count.
+  std::optional<pir::Embedding> embedding_;
+  std::optional<pir::PirClient> pir_;
   /// Epoch gate (DESIGN.md §15): audit flows hold it shared for their full
   /// duration; close_epochs takes it exclusively. Replica epochs therefore
   /// never move mid-audit FOR THIS CLIENT's audits. Only top-level entry
   /// points lock it (shared_mutex is not recursive).
   mutable std::shared_mutex epoch_gate_;
-  mutable std::mutex codec_mu_;
-  std::shared_ptr<const QueryCodec> codec_;
+  std::mutex plan_mu_;
+  std::optional<TagInfo> plan_;
   crypto::SharedCsprng rng_;
   mutable std::mutex blocks_mu_;
   std::vector<std::pair<std::size_t, Bytes>> updated_blocks_;

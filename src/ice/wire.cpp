@@ -55,8 +55,8 @@ void write_pir_query(net::Writer& w, const pir::PirQuery& q) {
 
 pir::PirQuery read_pir_query(net::Reader& r) {
   const std::uint64_t count = r.varint();
-  if (count > (std::uint64_t{1} << 20)) {
-    throw CodecError("read_pir_query: implausible count");
+  if (count > kMaxQueryPoints) {
+    throw CodecError("read_pir_query: more points than the cap");
   }
   pir::PirQuery q;
   q.points.reserve(static_cast<std::size_t>(
@@ -202,6 +202,14 @@ std::vector<std::size_t> read_index_list(net::Reader& r) {
     v.push_back(static_cast<std::size_t>(r.varint()));
   }
   return v;
+}
+
+void require_distinct(const std::vector<std::size_t>& indices) {
+  std::vector<std::size_t> sorted = indices;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw net::ServiceError(net::Status::kInvalidArgument, "repeated index");
+  }
 }
 
 }  // namespace ice::proto

@@ -22,12 +22,13 @@ namespace ice::proto {
 
 enum Method : std::uint16_t {
   // CSP service
-  kCspInfo = 100,       // () -> (n, block_size)
+  // 100 is retired: it reported (n, block_size), and no caller asked
   kCspFetch = 101,      // (index) -> (block)
   kCspWriteBack = 102,  // ([index, block]...) -> ()
   kCspSetKey = 103,     // (N, g, coeff_bits, key_bits) -> ()
   kCspChallenge = 104,  // (e, g_s, [index]...) -> (proof); sampled PDP,
-                        // no ladder (c = 1)
+                        // no ladder (c = 1); a repeated index ->
+                        // kInvalidArgument
 
   // Edge service
   kEdgeRead = 200,            // (index) -> (block); fetches from CSP on miss
@@ -40,12 +41,14 @@ enum Method : std::uint16_t {
   kEdgeFlush = 206,           // () -> (blocks written back)
   kEdgeSubsetProof = 207,     // (e, g_s, [index]...) -> (proof); owner-driven
                               // subset challenge used by localization, no
-                              // ladder (c = 1)
+                              // ladder (c = 1); a repeated index ->
+                              // kInvalidArgument
 
   // TPA service
   kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits, block_bytes)
                             //   -> ()
-  kTpaStoreTags = 301,      // ([tag]...) -> ()
+  kTpaStoreTags = 301,      // ([tag]...) -> (); once per set_key, a
+                            //   second -> kFailedPrecondition
                             // 302 is retired: kTpaShardQuery asks for tags
   kTpaStartAudit = 303,     // (edge_id, session_id) -> ()
   kTpaSubmitRepacked = 304, // (session_id, generation, [tag]...)
@@ -62,7 +65,7 @@ enum Method : std::uint16_t {
                             //   -> PirResponse; any other (generation,
                             //   epoch) pair -> kFailedPrecondition
                             // 311 is retired: it split a range shard
-  kTpaAppendTag = 312,      // (tag) -> (index, epoch); new outsourced block
+                            // 312 is retired: it appended a row
   kTpaCloseEpoch = 313,     // () -> (closed u8, epoch, rows merged);
                             // merges staged updates (DESIGN.md §15)
 };
@@ -75,7 +78,18 @@ using net::unwrap;
 void write_gf4_vector(net::Writer& w, const gf::GF4Vector& v);
 gf::GF4Vector read_gf4_vector(net::Reader& r);
 
+/// The most points one tag query may carry. Every caller sends at most 40
+/// (a benchmark gate), and the paper's largest batch union is J = 10 edges
+/// x |S_j| = 10. A query of m points costs the TPA num_shards · m ·
+/// 2w(1 + gamma) words of scratch, which its thread keeps, plus
+/// m(1 + gamma)K response bytes: about 52 MB at the cap for n = 10^3 (a
+/// probe read +51 MB for 1,000 points) and about 390 MB at n = 10^6, where
+/// a 2^20-point query would have cost tens of GB.
+inline constexpr std::size_t kMaxQueryPoints = 1024;
+
 void write_pir_query(net::Writer& w, const pir::PirQuery& q);
+/// Refuses more than kMaxQueryPoints points with CodecError before it
+/// decodes any.
 pir::PirQuery read_pir_query(net::Reader& r);
 void write_pir_response(net::Writer& w, const pir::PirResponse& resp);
 pir::PirResponse read_pir_response(net::Reader& r);
@@ -113,5 +127,11 @@ std::vector<bn::BigInt> read_bigint_list(net::Reader& r);
 
 void write_index_list(net::Writer& w, const std::vector<std::size_t>& v);
 std::vector<std::size_t> read_index_list(net::Reader& r);
+
+/// Refuses (ServiceError kInvalidArgument) a list that names one index
+/// twice: 104 and 207 copy one block per listed index, so a repeat would
+/// let a small request copy one block without bound. Honest lists are
+/// sorted and distinct.
+void require_distinct(const std::vector<std::size_t>& indices);
 
 }  // namespace ice::proto

@@ -1,6 +1,7 @@
 // Property-based sweeps: algebraic identities on random operands at many
-// bit sizes, covering the schoolbook and Karatsuba multiplication paths and
-// the Knuth-D division corner cases (qhat corrections).
+// bit sizes, pinning schoolbook multiplication (the only multiply) up to
+// 4096-bit operands and the Knuth-D division corner cases (qhat
+// corrections).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,8 +159,8 @@ TEST_P(BigIntPropertyTest, GcdDividesBoth) {
   }
 }
 
-// Bit sizes chosen to cross limb boundaries and the Karatsuba threshold
-// (32 limbs = 2048 bits).
+// Bit sizes chosen to cross limb boundaries and the LimbBuf inline
+// capacity (36 limbs = 2304 bits).
 INSTANTIATE_TEST_SUITE_P(Widths, BigIntPropertyTest,
                          ::testing::Values(8, 63, 64, 65, 127, 128, 256, 1000,
                                            2048, 2500, 4096),

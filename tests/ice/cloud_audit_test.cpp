@@ -16,9 +16,11 @@ namespace {
 /// CSP + 2 TPAs + user (no edges) over an n-block file of seed 66, set up.
 class CloudAuditWorld : public sim::Deployment {
  public:
-  explicit CloudAuditWorld(std::size_t n)
-      : sim::Deployment(ice::testing::test_params(64),
-                        ice::testing::test_keypair_256(), n, 0, 0, 66) {
+  explicit CloudAuditWorld(
+      std::size_t n,
+      const ProtocolParams& params = ice::testing::test_params(64))
+      : sim::Deployment(params, ice::testing::test_keypair_256(), n, 0, 0,
+                        66) {
     setup();
   }
 
@@ -78,7 +80,7 @@ TEST(CloudAuditTest, SampledAuditIsMakeChallengeAndMakeProof) {
   CloudAuditWorld w(20);
   w.corrupt_cloud_block(7);
   const PublicKey& pk = w.keys().pk;
-  const ProtocolParams params;  // audit_cloud's protocol defaults
+  const ProtocolParams& params = w.params();  // the file's parameters
   ice::testing::RecordingChannel recorder(w.user_csp());
   constexpr std::size_t kSample = 5;
   for (std::uint64_t seed = 0x104; seed < 0x104 + 6; ++seed) {
@@ -103,6 +105,46 @@ TEST(CloudAuditTest, SampledAuditIsMakeChallengeAndMakeProof) {
     EXPECT_EQ(call.proof,
               make_proof(pk, params, blocks, drawn, bn::BigInt(1)).p);
   }
+}
+
+// The sampled audit follows the file's d and kappa, not the protocol
+// defaults: the 103 it sends carries them, its challenge key fits kappa,
+// and it passes an honest CSP and fails a corrupted sampled block.
+TEST(CloudAuditTest, ChallengeUsesTheFilesParameters) {
+  ProtocolParams params = ice::testing::test_params(64);
+  params.coeff_bits = 32;
+  params.challenge_key_bits = 64;
+  CloudAuditWorld w(20, params);
+  ice::testing::RecordingChannel recorder(w.user_csp());
+  EXPECT_TRUE(audit_cloud(w.user(), recorder, 20, w.rng_).pass);
+  const std::vector<Bytes> set_keys = recorder.requests(kCspSetKey);
+  ASSERT_EQ(set_keys.size(), 1u);
+  net::Reader r(set_keys[0]);
+  (void)r.bigint();  // N
+  (void)r.bigint();  // g
+  EXPECT_EQ(r.varint(), 32u);
+  EXPECT_EQ(r.varint(), 64u);
+  const auto calls = recorder.challenges(kCspChallenge);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_LE(calls[0].e.bit_length(), 64u);
+
+  w.corrupt_cloud_block(7);
+  EXPECT_FALSE(audit_cloud(w.user(), recorder, 20, w.rng_).pass);
+}
+
+// A 104 that names one block twice is refused with kInvalidArgument before
+// any block is copied, and the next honest audit still passes.
+TEST(CloudAuditTest, RepeatedSampleIndexIsRefused) {
+  CloudAuditWorld w(20);
+  ASSERT_TRUE(audit_cloud(w.user(), w.user_csp(), 5, w.rng_).pass);  // key
+  try {
+    (void)CspClient(w.user_csp())
+        .challenge(bn::BigInt(5), w.keys().pk.g, {3, 9, 3});
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.status(), net::Status::kInvalidArgument);
+  }
+  EXPECT_TRUE(audit_cloud(w.user(), w.user_csp(), 5, w.rng_).pass);
 }
 
 TEST(CloudAuditTest, ParamValidation) {

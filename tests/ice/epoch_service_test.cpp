@@ -1,9 +1,8 @@
 // Epoch engine through the service/wire layer: the kTpaCloseEpoch
 // roundtrip, typed kInvalidArgument envelopes for hostile input on the
-// dynamics methods (308/312), staged updates surviving an append, the
-// epoch-counter stats surface, and the differential suite pinning
-// snapshot-isolated audits bit-exact against the quiesced path across
-// thread budgets with updates landing mid-audit.
+// dynamics method (308), the epoch-counter stats surface, and the
+// differential suite pinning snapshot-isolated audits bit-exact against
+// the quiesced path across thread budgets with updates landing mid-audit.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -91,10 +90,6 @@ TEST_F(EpochServiceTest, HostileIndexesRefusedWithTypedEnvelopes) {
   expect_invalid([&] {
     (void)tpa.update_tag(0, bn::BigInt(1) << w.params().tag_bits());
   });
-  // kTpaAppendTag (312): oversized tag.
-  expect_invalid([&] {
-    (void)tpa.append_tag(bn::BigInt(1) << w.params().tag_bits());
-  });
   // A clean refusal leaves the store untouched: nothing staged, no epoch
   // movement, and ordinary audits still pass.
   EXPECT_EQ(w.tpa(0).epoch_stats().db.staged_rows, 0u);
@@ -118,7 +113,6 @@ TEST_F(EpochServiceTest, DynamicsMethodsBeforeStoreAreFailedPrecondition) {
   };
   expect_precondition([&] { (void)tpa.update_tag(0, bn::BigInt(1)); });
   expect_precondition([&] { (void)tpa.tag_info(); });
-  expect_precondition([&] { (void)tpa.append_tag(bn::BigInt(1)); });
   expect_precondition([&] { (void)tpa.close_epoch(); });
 }
 
@@ -202,32 +196,6 @@ TEST_F(EpochServiceTest, StoreStageCloseThenQueryDecodesMergedTag) {
       {info.generation, info.epoch, std::move(enc.queries[1])});
   EXPECT_EQ(client.decode(enc.secrets, r0, r1),
             (std::vector<bn::BigInt>{fresh, tags[7], tags[23]}));
-}
-
-// A staged update must survive an append: the append adds a row and grows
-// the embedding, and the staged rows stay where they are, still invisible
-// until the close.
-TEST_F(EpochServiceTest, StagedUpdateSurvivesAppend) {
-  const auto tags = make_tags(16, 3);
-  TagStore store(params_, tags);
-
-  const bn::BigInt fresh = make_tags(1, 4)[0];
-  store.update(2, fresh);
-  store.update(15, fresh);
-  EXPECT_EQ(store.staged_updates(), 2u);
-
-  const bn::BigInt extra = make_tags(1, 5)[0];
-  EXPECT_EQ(store.append(extra), 16u);
-  EXPECT_EQ(store.staged_updates(), 2u) << "staged rows dropped by append";
-  EXPECT_EQ(store.tag(2), tags[2]);  // both still invisible
-  EXPECT_EQ(store.tag(15), tags[15]);
-
-  const auto closed = store.close_epoch();
-  EXPECT_TRUE(closed.closed);
-  EXPECT_EQ(closed.rows_merged, 2u);
-  EXPECT_EQ(store.tag(2), fresh);
-  EXPECT_EQ(store.tag(15), fresh);
-  EXPECT_EQ(store.tag(16), extra);
 }
 
 // The acceptance differential: snapshot-isolated retrieval rounds with

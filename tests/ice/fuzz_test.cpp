@@ -41,21 +41,21 @@ void expect_wellformed(const Bytes& response) {
   }
 }
 
+// 100 and 312 are retired ids, kept beside the never-used 9999.
 constexpr std::uint16_t kAllMethods[] = {
-    kCspInfo,        kCspFetch,          kCspWriteBack,   kCspSetKey,
+    100,             kCspFetch,          kCspWriteBack,   kCspSetKey,
     kCspChallenge,   kEdgeRead,          kEdgeWrite,      kEdgeIndexQuery,
     kEdgeShareBlind, kEdgeChallenge,     kEdgeBatchChallenge,
     kEdgeFlush,      kEdgeSubsetProof,   kTpaSetKey,      kTpaStoreTags,
     kTpaStartAudit,  kTpaSubmitRepacked, kTpaBatchBegin,  kTpaSubmitProof,
     kTpaBatchFinish, kTpaUpdateTag,      kTpaTagInfo,     kTpaShardQuery,
-    kTpaAppendTag,   kTpaCloseEpoch,     9999};
+    312,             kTpaCloseEpoch,     9999};
 
 /// TPA methods whose accepted request changes what an honest round reads:
-/// the key (300), the tag table (301, or 308 merged by a 313) and the
-/// row count (312).
+/// the key (300), the tag table (301 after a 300, or 308 merged by a 313).
 bool changes_tpa_state(std::uint16_t method) {
   return method == kTpaSetKey || method == kTpaStoreTags ||
-         method == kTpaUpdateTag || method == kTpaAppendTag;
+         method == kTpaUpdateTag;
 }
 
 /// One edge (8-block cache, blocks 1-3 cached) over a 16-block file of
@@ -185,10 +185,10 @@ TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
     // 40 random bytes cannot carry a whole 64-byte block.
     EXPECT_EQ(edge_writes, 0u);
     // Random bytes that parse as a real request are served as one: an
-    // update_tag plus a close_epoch replaces a tag, an append moves tpa0's
-    // row count and epoch away from tpa1's. That is correct behaviour, so
-    // when one landed the honest round re-uploads the file first; every
-    // other fuzz effect must leave the round passing as it is.
+    // update_tag plus a close_epoch replaces a tag, a set_key drops the
+    // store. That is correct behaviour, so when one landed the honest round
+    // re-uploads the file first; every other fuzz effect must leave the
+    // round passing as it is.
     if (landed > 0) (void)w.user().setup_file(w.blocks_);
     // A full honest round still succeeds.
     EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0))
@@ -233,13 +233,16 @@ TEST(FuzzTest, WriteBackWithBadLastEntryAppliesNothing) {
   }
 }
 
-// 302 was the monolithic tag query and 311 split a range shard; both are
-// retired, and a TPA answers them like any id it never registered, with
-// its row count and epoch untouched.
+// 302 was the monolithic tag query, 311 split a range shard and 312
+// appended a row; all three are retired, and a TPA answers them like any
+// id it never registered, with its row count and epoch untouched, even
+// for a valid append body. The CSP answers its retired 100 the same way.
 TEST(FuzzTest, RetiredTagQueryMethodIsUnknown) {
   FuzzWorld w;
   const TagInfo before = TpaClient(w.user_tpa(0)).tag_info();
-  for (const std::uint16_t method : {std::uint16_t{302}, std::uint16_t{311}}) {
+  const bn::BigInt tag = TagGenerator(w.keys().pk).tag(w.blocks_[5]);
+  for (const std::uint16_t method :
+       {std::uint16_t{302}, std::uint16_t{311}, std::uint16_t{312}}) {
     SCOPED_TRACE(method);
     net::Writer body;
     body.varint(0);
@@ -247,10 +250,15 @@ TEST(FuzzTest, RetiredTagQueryMethodIsUnknown) {
               net::Status::kUnknownMethod);
     EXPECT_EQ(status_of(w.tpa(0).handle(method, {})),
               net::Status::kUnknownMethod);
+    net::Writer append;  // 312's old request: one tag
+    append.bigint(tag);
+    EXPECT_EQ(status_of(w.tpa(0).handle(method, append.take())),
+              net::Status::kUnknownMethod);
     const TagInfo after = TpaClient(w.user_tpa(0)).tag_info();
     EXPECT_EQ(after.n, before.n);
     EXPECT_EQ(after.epoch, before.epoch);
   }
+  EXPECT_EQ(status_of(w.csp().handle(100, {})), net::Status::kUnknownMethod);
   EXPECT_TRUE(w.user().audit_edge(w.user_edge(0), 0));
 }
 

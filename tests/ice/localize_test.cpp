@@ -149,5 +149,22 @@ TEST(LocalizeTest, SubsetProofOfUncachedBlockErrors) {
                ProtocolError);
 }
 
+// A 207 that names one cached block twice is refused with
+// kInvalidArgument before any block is copied, and an honest localization
+// still finds the corrupted block.
+TEST(LocalizeTest, RepeatedSubsetIndexIsRefused) {
+  LocalizeWorld w(8);
+  w.corrupt(6);
+  try {
+    (void)EdgeClient(w.user_edge(0))
+        .subset_proof(bn::BigInt(5), w.keys().pk.g, {2, 4, 2});
+    FAIL() << "expected RemoteError";
+  } catch (const net::RemoteError& e) {
+    EXPECT_EQ(e.status(), net::Status::kInvalidArgument);
+  }
+  const auto result = w.user().localize_corruption(w.user_edge(0));
+  EXPECT_EQ(result.corrupted, (std::vector<std::size_t>{6}));
+}
+
 }  // namespace
 }  // namespace ice::proto

@@ -1,8 +1,8 @@
 // The TPA tag service end to end through the RPC layer: what a TPA sees of
 // a retrieval (one query shape, whichever indexes the user wants), the
-// typed stale-epoch rejection (of a moved epoch, a replaced store or
-// another key generation) and the client's refresh-and-retry, appends,
-// staged updates racing retrievals, hostile 310 points, and a user that
+// typed stale-epoch rejection (of a moved epoch or another key generation)
+// and the client's refresh-and-retry, one upload per key, staged updates
+// racing retrievals, hostile 310 points and point counts, and a user that
 // refuses a TPA misreporting the file's size.
 #include <gtest/gtest.h>
 
@@ -164,26 +164,6 @@ TEST_F(TagServiceTest, UserRefreshesAfterAnotherClientsClose) {
   EXPECT_EQ(seen0.queries().size(), 3u);
 }
 
-TEST_F(TagServiceTest, AppendBlockGrowsFile) {
-  const auto blocks = ice::testing::make_blocks(16, 64, 6);
-  UserClient user(params_, keys_, ch0_, ch1_);
-  user.setup_file(blocks);
-  EXPECT_EQ(user.retrieve_tags({0})[0], tagger_.tag(blocks[0]));
-  const std::uint64_t epoch = TpaClient(ch0_).tag_info().epoch;
-
-  const Bytes fresh = ice::testing::make_blocks(1, 64, 7)[0];
-  const std::size_t index = user.append_block(fresh);
-  EXPECT_EQ(index, 16u);
-  EXPECT_EQ(user.file_blocks(), 17u);
-  const TagInfo info = TpaClient(ch0_).tag_info();
-  EXPECT_EQ(info.n, 17u);
-  EXPECT_GT(info.epoch, epoch);
-
-  const auto got = user.retrieve_tags({16, 0});
-  EXPECT_EQ(got[0], tagger_.tag(fresh));
-  EXPECT_EQ(got[1], tagger_.tag(blocks[0]));
-}
-
 TEST_F(TagServiceTest, ConcurrentUpdatesAndRetrievalsDecodeExactly) {
   // TSan target: kTpaUpdateTag holds the service store lock shared and
   // stages into the delta plane while 310 queries read the base rows
@@ -245,22 +225,73 @@ TEST_F(TagServiceTest, WrongLengthPointsAnswerInvalidArgument) {
   EXPECT_EQ(got[1], tags[39]);
 }
 
-// store_tags under an unchanged key starts the replacement store above the
-// replaced store's epoch, so a query planned against the old store is
-// refused, not answered from the new rows; a query naming another key
-// generation is refused the same way. The user's one re-plan covers both.
+// A 310 carries at most kMaxQueryPoints points: one more is refused as
+// malformed before the sweep, the service goes on serving honest
+// retrievals, and a query at the cap is answered.
+TEST_F(TagServiceTest, QueryPointCapRefusesOneMorePoint) {
+  const auto blocks = ice::testing::make_blocks(40, 64, 12);
+  const auto tags = tagger_.tag_all(blocks);
+  UserClient user(params_, keys_, ch0_, ch1_);
+  user.setup_file(blocks);
+  const TagInfo info = TpaClient(ch0_).tag_info();
+  const pir::Embedding embedding(info.n);
+  const pir::PirClient client(embedding, keys_.pk.modulus_bits());
+  SplitMix64 gen(0x310);
+  bn::Rng64Adapter<SplitMix64> rng(gen);
+  std::vector<std::size_t> wanted(kMaxQueryPoints);
+  for (std::size_t i = 0; i < wanted.size(); ++i) wanted[i] = i % info.n;
+  auto enc = client.encode(wanted, rng);
+  TagQuery q{info.generation, info.epoch, std::move(enc.queries[0])};
+  const auto status_of_query = [&] {
+    net::Writer w;
+    write_sharded_query(w, q);
+    return status_of(tpa0_.handle(kTpaShardQuery, w.take()));
+  };
+
+  q.query.points.push_back(q.query.points.front());
+  EXPECT_EQ(status_of_query(), net::Status::kMalformed);
+  const auto got = user.retrieve_tags({0, 39});
+  EXPECT_EQ(got[0], tags[0]);
+  EXPECT_EQ(got[1], tags[39]);
+  q.query.points.pop_back();
+  EXPECT_EQ(status_of_query(), net::Status::kOk);
+}
+
+// A TPA takes one upload per key: a store_tags while a store is installed
+// is refused and changes nothing, and after set_key the same upload is
+// accepted under a new generation. A query planned at the old
+// (generation, epoch) pair is then refused, as is one naming a generation
+// the TPA never held, and the user's one re-plan decodes the new rows.
 TEST_F(TagServiceTest, QueriesAgainstAReplacedStoreOrKeyAreRefused) {
   const auto blocks = ice::testing::make_blocks(16, 64, 3);
   const auto tags = tagger_.tag_all(blocks);
+  const auto other = tagger_.tag_all(ice::testing::make_blocks(16, 64, 4));
   UserClient user(params_, keys_, ch0_, ch1_);
   user.setup_file(blocks);
   const TpaClient tpa(ch0_);
   const TagInfo before = tpa.tag_info();
   EXPECT_EQ(user.retrieve_tags({2})[0], tags[2]);  // caches `before`
-  for (net::RpcChannel* ch : {&ch0_, &ch1_}) TpaClient(*ch).store_tags(tags);
+
+  const auto upload = [&](TpaService& service) {
+    net::Writer w;
+    write_bigint_list(w, other);
+    return status_of(service.handle(kTpaStoreTags, w.take()));
+  };
+  EXPECT_EQ(upload(tpa0_), net::Status::kFailedPrecondition);
+  EXPECT_EQ(upload(tpa1_), net::Status::kFailedPrecondition);
+  const TagInfo kept = tpa.tag_info();
+  EXPECT_EQ(kept.n, before.n);
+  EXPECT_EQ(kept.generation, before.generation);
+  EXPECT_EQ(kept.epoch, before.epoch);
+  EXPECT_EQ(user.retrieve_tags({2, 9}),
+            (std::vector<bn::BigInt>{tags[2], tags[9]}));
+
+  TpaClient(ch0_).set_key(keys_.pk, params_);
+  TpaClient(ch1_).set_key(keys_.pk, params_);
+  EXPECT_EQ(upload(tpa0_), net::Status::kOk);
+  EXPECT_EQ(upload(tpa1_), net::Status::kOk);
   const TagInfo after = tpa.tag_info();
-  EXPECT_EQ(after.generation, before.generation);
-  EXPECT_GT(after.epoch, before.epoch);
+  EXPECT_GT(after.generation, before.generation);
 
   const pir::Embedding embedding(before.n);
   const pir::PirClient client(embedding, keys_.pk.modulus_bits());
@@ -277,7 +308,7 @@ TEST_F(TagServiceTest, QueriesAgainstAReplacedStoreOrKeyAreRefused) {
   EXPECT_EQ(status_at(after.generation + 1, after.epoch),
             net::Status::kFailedPrecondition);
   EXPECT_EQ(status_at(after.generation, after.epoch), net::Status::kOk);
-  EXPECT_EQ(user.retrieve_tags({2})[0], tags[2]);  // re-plans once
+  EXPECT_EQ(user.retrieve_tags({2})[0], other[2]);  // re-plans once
 }
 
 /// A TPA whose 309 reply reports a chosen row count, and which counts the

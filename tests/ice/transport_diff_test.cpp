@@ -69,7 +69,7 @@ std::vector<WireCase> scripted_corpus() {
   };
   // Every registered method plus unknown ids inside each band.
   const std::vector<std::uint16_t> methods = {
-      90,  99,  kCspInfo,        kCspFetch,       kCspWriteBack,
+      90,  99,  100,             kCspFetch,       kCspWriteBack,
       kCspSetKey,   kCspChallenge, 150, kEdgeRead, kEdgeWrite,
       kEdgeIndexQuery, kEdgeShareBlind, kEdgeChallenge, kEdgeBatchChallenge,
       kEdgeFlush,   kEdgeSubsetProof, 250, kTpaSetKey, kTpaStoreTags,
@@ -131,8 +131,8 @@ TEST(TransportDiffTest, ScriptedCorpusMatchesByteForByte) {
 /// Deterministic CSP requests, pipelined on one connection when served.
 std::vector<WireCase> pipelined_cases() {
   return {
-      {kCspInfo, {}}, {kCspFetch, {0x00}}, {kCspFetch, {0x05}},
-      {kCspInfo, {}}, {999, {}},  // unknown method mid-pipeline
+      {kCspFetch, {0x02}}, {kCspFetch, {0x00}}, {kCspFetch, {0x05}},
+      {kCspFetch, {0x02}}, {999, {}},  // unknown method mid-pipeline
       {kCspFetch, {0x01}},
   };
 }
@@ -177,7 +177,7 @@ TEST(TransportDiffTest, PipelinedStreamMatchesByteForByte) {
 // connection with nothing further, against the real services.
 TEST(TransportDiffTest, AbuseCorpusDropsConnectionsAtTheServices) {
   Deployment served(/*served=*/true);
-  const Bytes valid = frame_request(kCspInfo, {});
+  const Bytes valid = frame_request(kCspFetch, Bytes{0x00});
   for (const AbuseCase& abuse : wire_abuse_corpus(valid)) {
     SCOPED_TRACE(abuse.name);
     RawTcpClient client(served.csp_port());

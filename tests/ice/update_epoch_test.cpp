@@ -5,7 +5,7 @@
 // close_epoch() merges under its exclusive lock. These tests (a) pin the
 // epoch visibility contract — staged rows are invisible until the close,
 // then observed by the next fresh audit round — and (b) drive staged
-// updates, appends, closes and audits from concurrent threads so the
+// updates, closes and audits from concurrent threads so the
 // locking is asserted under TSan on every scheduled sanitizer run (the
 // ice_test binary runs under both presets via tests/run_sanitizers.sh),
 // including the differential storm test pinning mid-storm audits bit-exact
@@ -73,48 +73,15 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
   }
 }
 
-TEST_F(UpdateEpochTest, AppendCrossesEpochBoundaryAndIsAuditable) {
-  const auto tags = make_tags(8, 2);
-  TagStore tpa0(params_, tags);
-  TagStore tpa1(params_, tags);
-  const std::uint64_t epoch_before = tpa0.epoch();
-
-  // Plan an audit against the current epoch, then append (one more row, a
-  // grown embedding, an epoch bump). The parked query must be rejected
-  // with the typed status, not decoded against the grown embedding.
-  const pir::Embedding embedding(tpa0.n());
-  const pir::PirClient client(embedding, tpa0.tag_bits());
-  const auto stale = client.encode(std::vector<std::size_t>{3}, rng_);
-
-  const bn::BigInt appended = make_tags(1, 3)[0];
-  EXPECT_EQ(tpa0.append(appended), 8u);
-  EXPECT_EQ(tpa1.append(appended), 8u);
-  EXPECT_GT(tpa0.epoch(), epoch_before);
-  EXPECT_EQ(tpa0.n(), 9u);
-
-  pir::PirResponse resp;
-  EXPECT_THROW(tpa0.respond(epoch_before, stale.queries[0], resp),
-               StaleEpochError);
-
-  // A fresh round planned against the new epoch retrieves everything,
-  // including the appended tag.
-  const auto got = retrieve_tags_direct(
-      tpa0, tpa1, std::vector<std::size_t>{0, 8, 4}, rng_);
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], tags[0]);
-  EXPECT_EQ(got[1], appended);
-  EXPECT_EQ(got[2], tags[4]);
-}
-
-// The TSan satellite: staged updates, appends, epoch closes and audit
-// rounds race from dedicated threads. Correctness of decoded values under
-// racing closers is not asserted here (the differential storm test below
-// covers it with closes excluded); what must hold is (a) no data race —
-// staging is internally synchronized and closes and appends take the
-// exclusive lock — and (b) every append or close is either invisible to a
-// round or surfaces as the typed stale-epoch rejection, never as a
-// malformed response.
-TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
+// The TSan satellite: staged updates, epoch closes and audit rounds race
+// from dedicated threads. Correctness of decoded values under racing
+// closers is not asserted here (the differential storm test below covers
+// it with closes excluded); what must hold is (a) no data race — staging
+// is internally synchronized and closes take the exclusive lock — and (b)
+// every close is either invisible to a round or surfaces as the typed
+// stale-epoch rejection, never as a malformed response. The store's shape
+// never moves, so one embedding plans every round.
+TEST_F(UpdateEpochTest, ConcurrentUpdatesClosesAndAuditsAreRaceFree) {
   const auto tags = make_tags(32, 4);
   TagStore tpa(params_, tags);
   constexpr int kRounds = 40;
@@ -134,18 +101,14 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
       std::this_thread::yield();
     }
   });
-  std::thread appender([&] {
-    const bn::BigInt extra = make_tags(1, 6)[0];
-    for (int i = 0; i < 8; ++i) tpa.append(extra);
-  });
 
   SplitMix64 gen(0x77);
   bn::Rng64Adapter<SplitMix64> rng(gen);
+  const pir::Embedding embedding(tpa.n());
+  const pir::PirClient client(embedding, tpa.tag_bits());
   for (int round = 0; round < kRounds; ++round) {
     // Fresh plan each round = a fresh audit per epoch boundary.
     const TagInfo info = tpa.info();
-    const pir::Embedding embedding(info.n);
-    const pir::PirClient client(embedding, tpa.tag_bits());
     const std::vector<std::size_t> wanted = {gen.below(32), gen.below(32)};
     const auto enc = client.encode(wanted, rng);
     pir::PirResponse resp;
@@ -155,14 +118,13 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
       // body and destroy the running threads while joinable.
       EXPECT_EQ(resp.entries.size(), wanted.size());
     } catch (const StaleEpochError&) {
-      ++stale_rejections;  // an append or close landed mid-round
+      ++stale_rejections;  // a close landed mid-round
     }
   }
   stop.store(true, std::memory_order_release);
   updater.join();
   closer.join();
-  appender.join();
-  EXPECT_GT(tpa.n(), 32u);
+  EXPECT_EQ(tpa.n(), 32u);
 }
 
 // The PR 9 differential storm (TSan-gated like the rest of this file):

@@ -268,19 +268,35 @@ TEST(WireTest, TruncatedTagMessagesRejectedAtEveryByte) {
 
 // A 310 claiming more points than its bytes can hold reserves at most what
 // is left in the frame, then fails on the first missing point; a count past
-// the 2^20 bound is refused outright.
+// kMaxQueryPoints is refused outright, even when every point is present,
+// and a query at the cap decodes.
 TEST(WireTest, HostileTagQueryPointCountsRejected) {
   for (const std::uint64_t count :
-       {std::uint64_t{1} << 20, (std::uint64_t{1} << 20) + 1,
+       {std::uint64_t{kMaxQueryPoints}, std::uint64_t{kMaxQueryPoints} + 1,
         std::uint64_t{1} << 40}) {
     SCOPED_TRACE(count);
     net::Writer w;
+    w.varint(0);
     w.u64(0);
     w.varint(count);
     write_gf4_vector(w, gf::GF4Vector(7));
     const Bytes buf = w.take();
     net::Reader r(buf);
     EXPECT_THROW((void)read_sharded_query(r), CodecError);
+  }
+  for (const std::size_t count : {kMaxQueryPoints, kMaxQueryPoints + 1}) {
+    SCOPED_TRACE(count);
+    TagQuery q;
+    q.query.points.assign(count, gf::GF4Vector(7));
+    net::Writer w;
+    write_sharded_query(w, q);
+    const Bytes buf = w.take();
+    net::Reader r(buf);
+    if (count == kMaxQueryPoints) {
+      EXPECT_EQ(read_sharded_query(r).total_points(), count);
+    } else {
+      EXPECT_THROW((void)read_sharded_query(r), CodecError);
+    }
   }
   net::Writer w;
   w.varint(std::uint64_t{1} << 20);  // 310 reply entry count

@@ -12,11 +12,14 @@
 # SessionCollisionTest.RacingStartAuditsOneWinner), the
 # cross-service smoke under both channel families (stress_bench_sessions),
 # and the tag store: staged updates racing retrievals under the store's one
-# reader-writer lock, with closes and appends taking it exclusively
-# (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
-# TagServiceTest.ConcurrentUpdatesAndRetrievalsDecodeExactly, TagStoreTest.*).
+# reader-writer lock, with closes alone taking it exclusively
+# (UpdateEpochTest.ConcurrentUpdatesClosesAndAuditsAreRaceFree,
+# TagServiceTest.ConcurrentUpdatesAndRetrievalsDecodeExactly, TagStoreTest.*),
+# and the user's cached (generation, epoch) pair, which one client's
+# concurrent ICE-basic and ICE-batch audits plan against while stale-plan
+# refusals drop it (KeyRotationStressTest.UserClientAuditsAcrossRotationsNeverFail).
 # The PR 9 epoch engine adds the snapshot-isolation storm targets: staged
-# updates + epoch closes + appends racing audits
+# updates + epoch closes racing audits
 # (UpdateEpochTest.StormAuditsMatchQuiescedReferenceBitExact pins mid-storm
 # verdicts bit-exact to the quiesced reference), the mid-audit differential
 # across thread budgets (EpochServiceTest.*), the update-storm sim scenario
@@ -54,7 +57,11 @@
 # WireTest.PirResponseBytesMatchFlatScalarEncoding); under TSan the same
 # sweep races through ParallelDiffTest, TagServiceTest, UpdateEpochTest
 # and EpochServiceTest. The 309/310 codecs' truncation and hostile-count
-# cases (WireTest.*) and the retired 302/311 ids (FuzzTest.*) run under
+# cases (WireTest.*), the 310 point cap at the service
+# (TagServiceTest.QueryPointCapRefusesOneMorePoint), the repeated-index
+# refusals of 207 and 104 (LocalizeTest.RepeatedSubsetIndexIsRefused,
+# CloudAuditTest.RepeatedSampleIndexIsRefused) and the retired 100, 302,
+# 311 and 312 ids (FuzzTest.RetiredTagQueryMethodIsUnknown) run under
 # ASan+UBSan. Every end-to-end fixture builds sim::Deployment (DESIGN.md
 # §16); its in-process and loopback-TCP wirings are gated under TSan by
 # SessionStressTest, EpochServiceTest, TcpE2eTest, TransportDiffTest and

@@ -1,6 +1,6 @@
 // A channel that forwards every call and keeps a copy, so a test can read
-// what an owner-driven audit asked (207 to an edge, 104 to the CSP) and
-// what came back.
+// what an owner-driven audit asked (207 to an edge, 103 and 104 to the CSP)
+// and what came back.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +37,15 @@ class RecordingChannel final : public net::RpcChannel {
     return inner_->stats();
   }
   void reset_stats() override { inner_->reset_stats(); }
+
+  /// The raw requests of `method`, in call order.
+  [[nodiscard]] std::vector<Bytes> requests(std::uint16_t method) const {
+    std::vector<Bytes> out;
+    for (const Call& c : calls_) {
+      if (c.method == method) out.push_back(c.request);
+    }
+    return out;
+  }
 
   /// The recorded calls of `method` (kEdgeSubsetProof or kCspChallenge),
   /// decoded, in call order.
