@@ -16,6 +16,7 @@
 
 #include <thread>
 
+#include "bignum/montgomery.h"
 #include "common/parallel.h"
 #include "ice/batch.h"
 #include "ice/protocol.h"
@@ -154,6 +155,8 @@ int main(int argc, char** argv) {
   proto::ProtocolParams params;
   params.modulus_bits = smoke ? 256 : 1024;  // paper's |N| is 1024
   const proto::KeyPair keys = bench_keypair(params.modulus_bits);
+  std::printf("|N| = %zu bits, Montgomery kernel: %s\n", params.modulus_bits,
+              bn::Montgomery::shared(keys.pk.n)->kernel_name());
 
   if (smoke) {
     // One tiny proof through the same measurement helper; skip the

@@ -1,5 +1,7 @@
 // Exponentiation-engine microbench: the Montgomery square and multiply
-// kernels per op and a generic pow's cost per exponent bit at the edge
+// kernels per op (naming the kernel that serves each width, with the
+// 16-limb MULX/ADX kernel timed beside the IFMA one at 1024 bits through
+// direct detail:: calls) and a generic pow's cost per exponent bit at the edge
 // proof's exponent length, naive per-tag pow+mul vs simultaneous
 // multi-exp, the Straus window the edge's ladder chunks get, generic pow
 // vs the Lim-Lee fixed-base comb, and the end-to-end
@@ -49,49 +51,87 @@ double time_min(int trials, F&& f) {
 
 struct KernelSweep {
   std::vector<std::size_t> bits;
+  std::vector<std::string> kernels;  // the kernel Montgomery picks per width
   std::vector<double> sqr_ns;
   std::vector<double> mul_ns;
+  // The 16-limb MULX/ADX kernel called directly (0 when the host has none
+  // or 1024 bits is not swept), to set beside an IFMA-served 1024 bits.
+  double adx1024_sqr_ns = 0;
+  double adx1024_mul_ns = 0;
 };
+
+// Best-of-`trials` nanoseconds per call of a dependent chain of `ops` calls.
+template <typename F>
+double chain_ns(int trials, int ops, F&& op) {
+  return time_min(trials, [&] {
+           for (int i = 0; i < ops; ++i) op();
+         }) *
+         1e9 / ops;
+}
 
 // Per-op Montgomery square and multiply at each modulus width: a trial
 // times a dependent chain of `ops` calls, and each figure is the minimum
 // over `trials` trials in each of `rounds` rounds that cycle through the
-// widths (on a shared host, noise only ever adds time).
+// widths (on a shared host, noise only ever adds time). At 1024 bits each
+// round also times the MULX/ADX kernel through detail:: when the host has
+// it, so an IFMA context and the ADX kernel are measured side by side.
 KernelSweep sweep_kernels(const std::vector<std::size_t>& widths, int rounds,
                           int trials, int ops) {
   KernelSweep sweep;
   sweep.bits = widths;
-  sweep.sqr_ns.assign(widths.size(), 1e300);
-  sweep.mul_ns.assign(widths.size(), 1e300);
+  sweep.sqr_ns.assign(widths.size(), 0);
+  sweep.mul_ns.assign(widths.size(), 0);
+  const auto keep_min = [](double& best, double ns) {
+    best = best == 0 ? ns : std::min(best, ns);
+  };
   for (int round = 0; round < rounds; ++round) {
     for (std::size_t w = 0; w < widths.size(); ++w) {
       const proto::KeyPair keys = bench_keypair(widths[w]);
       const auto mont = bn::Montgomery::shared(keys.pk.n);
+      if (round == 0) sweep.kernels.emplace_back(mont->kernel_name());
       SplitMix64 gen(11);
       bn::Rng64Adapter rng(gen);
-      bn::Montgomery::LimbVec a =
-          mont->to_mont(bn::random_below(rng, keys.pk.n));
-      const bn::Montgomery::LimbVec b =
-          mont->to_mont(bn::random_below(rng, keys.pk.n));
+      const bn::BigInt x = bn::random_below(rng, keys.pk.n);
+      const bn::BigInt y = bn::random_below(rng, keys.pk.n);
+      bn::Montgomery::LimbVec a = mont->to_mont(x);
+      const bn::Montgomery::LimbVec b = mont->to_mont(y);
       std::vector<bn::Montgomery::Limb> scratch(mont->scratch_limbs());
-      const double sqr = time_min(trials, [&] {
-        for (int i = 0; i < ops; ++i) {
-          mont->sqr_into(a.data(), a.data(), scratch.data());
-        }
-      });
-      const double mul = time_min(trials, [&] {
-        for (int i = 0; i < ops; ++i) {
-          mont->mul_into(a.data(), a.data(), b.data(), scratch.data());
-        }
-      });
-      sweep.sqr_ns[w] = std::min(sweep.sqr_ns[w], sqr * 1e9 / ops);
-      sweep.mul_ns[w] = std::min(sweep.mul_ns[w], mul * 1e9 / ops);
+      keep_min(sweep.sqr_ns[w], chain_ns(trials, ops, [&] {
+        mont->sqr_into(a.data(), a.data(), scratch.data());
+      }));
+      keep_min(sweep.mul_ns[w], chain_ns(trials, ops, [&] {
+        mont->mul_into(a.data(), a.data(), b.data(), scratch.data());
+      }));
+      const bn::LimbBuf& n = keys.pk.n.limbs();
+      if (widths[w] != 1024 || !bn::detail::mont_fixed_width(n.size())) {
+        continue;
+      }
+      // The ADX kernel's own 64-bit residues: any value below N will do.
+      bn::LimbBuf ra = x.limbs(), rb = y.limbs();
+      ra.resize(n.size(), 0);
+      rb.resize(n.size(), 0);
+      bn::detail::Limb inv = 1;  // -N^{-1} mod 2^64 by Newton iteration
+      for (int i = 0; i < 6; ++i) inv *= 2 - n[0] * inv;
+      const bn::detail::Limb n0inv = ~inv + 1;
+      keep_min(sweep.adx1024_sqr_ns, chain_ns(trials, ops, [&] {
+        bn::detail::mont_sqr_fixed(ra.data(), ra.data(), n.data(), n0inv,
+                                   n.size());
+      }));
+      keep_min(sweep.adx1024_mul_ns, chain_ns(trials, ops, [&] {
+        bn::detail::mont_mul_fixed(ra.data(), ra.data(), rb.data(), n.data(),
+                                   n0inv, n.size());
+      }));
     }
   }
   for (std::size_t w = 0; w < widths.size(); ++w) {
-    std::printf("  |N|=%4zu  sqr %7.1f ns  mul %7.1f ns  (sqr/mul %.2f)\n",
-                widths[w], sweep.sqr_ns[w], sweep.mul_ns[w],
-                sweep.sqr_ns[w] / sweep.mul_ns[w]);
+    std::printf("  |N|=%4zu  %-8s  sqr %7.1f ns  mul %7.1f ns  (sqr/mul %.2f)\n",
+                widths[w], sweep.kernels[w].c_str(), sweep.sqr_ns[w],
+                sweep.mul_ns[w], sweep.sqr_ns[w] / sweep.mul_ns[w]);
+  }
+  if (sweep.adx1024_mul_ns > 0) {
+    std::printf("  |N|=1024  %-8s  sqr %7.1f ns  mul %7.1f ns  (direct "
+                "detail:: calls)\n",
+                "adx", sweep.adx1024_sqr_ns, sweep.adx1024_mul_ns);
   }
   return sweep;
 }
@@ -263,9 +303,19 @@ int main(int argc, char** argv) {
   std::printf("  tag_all @n=200, 10 KiB:  %.3f s  (PR1 baseline %.3f s, %.2fx)\n",
               taggen, kPr1TagGen200Seconds, kPr1TagGen200Seconds / taggen);
 
+  std::string kernel_names = "[";
+  for (std::size_t w = 0; w < kernels.kernels.size(); ++w) {
+    kernel_names += (w == 0 ? "\"" : ", \"") + kernels.kernels[w] + "\"";
+  }
+  kernel_names += "]";
   std::string body = "{\"kernel_bits\": " + json_array(kernels.bits) +
+                     ", \"kernels\": " + kernel_names +
                      ", \"sqr_ns\": " + json_array(kernels.sqr_ns) +
                      ", \"mul_ns\": " + json_array(kernels.mul_ns) +
+                     ", \"adx1024_sqr_ns\": " +
+                     std::to_string(kernels.adx1024_sqr_ns) +
+                     ", \"adx1024_mul_ns\": " +
+                     std::to_string(kernels.adx1024_mul_ns) +
                      ", \"pow_exp_bits\": " +
                      std::to_string(kEdgeProofExpBits) +
                      ", \"pow_ns_per_bit\": " + std::to_string(pow_ns_per_bit) +

@@ -2,9 +2,12 @@
 // and the sliding-window exponent scan Montgomery::pow and multi_exp share.
 //
 // Internal to bignum/, its differential tests and bench_modexp: everything
-// else goes through Montgomery, which picks the kernel. Every kernel
-// returns the canonical residue a * b * R^{-1} mod N in [0, N)
-// (R = 2^{64 k}), so the kernels are interchangeable bit for bit.
+// else goes through Montgomery, which picks the kernel. The 64-bit kernels
+// (portable and MULX/ADX) take k-limb residues with R = 2^{64 k} and return
+// the canonical a * b * R^{-1} mod N in [0, N), so they are interchangeable
+// bit for bit. The IFMA kernel keeps its own residues (20 digits of 52
+// bits, R = 2^1040, values below 2N); Montgomery converts at to_mont and
+// from_mont, so every canonical value it returns is the same.
 #pragma once
 
 #include <bit>
@@ -35,6 +38,32 @@ void mont_mul_fixed(Limb* out, const Limb* a, const Limb* b, const Limb* n,
                     Limb n0inv, std::size_t k);
 void mont_sqr_fixed(Limb* out, const Limb* a, const Limb* n, Limb n0inv,
                     std::size_t k);
+
+/// The IFMA kernel serves N of kIfmaLimbs limbs (1024-bit N); its residues
+/// are kIfmaDigits little-endian digits of 52 bits each, with R = 2^1040.
+inline constexpr std::size_t kIfmaLimbs = 16;
+inline constexpr std::size_t kIfmaDigits = 20;
+
+/// True when this CPU can run mont_mul_ifma (AVX-512F, VL and IFMA).
+bool mont_ifma_supported();
+/// True when Montgomery serves 16-limb N with mont_mul_ifma in this
+/// process: mont_ifma_supported() and the ICE_SIMD variable does not cap
+/// the process below avx512. Decided once per process.
+bool mont_ifma_selected();
+
+/// a * b * 2^{-1040} mod N for 20-digit a, b below 2N (digits below
+/// 2^52), with n = N's 20 digits and k0 = -N^{-1} mod 2^52. The result
+/// is below 2N with digits below 2^52, but not always below N: it is the
+/// kernel's own residue, not the canonical value. It serves the square
+/// too (mont_mul_ifma(out, a, a, ...)). out may alias a and/or b.
+/// Requires mont_ifma_supported().
+void mont_mul_ifma(Limb* out, const Limb* a, const Limb* b, const Limb* n,
+                   Limb k0);
+
+/// 16 64-bit limbs to 20 52-bit digits, and back; digits52_to_limbs needs
+/// a value below 2^1024.
+void limbs_to_digits52(Limb* digits, const Limb* limbs);
+void digits52_to_limbs(Limb* limbs, const Limb* digits);
 
 /// Widest sliding window Montgomery::pow and multi_exp use: 2^9 table
 /// entries per base, 64 KB at 1024 bits.

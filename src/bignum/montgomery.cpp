@@ -195,36 +195,72 @@ Montgomery::Montgomery(const BigInt& modulus) : n_big_(modulus) {
   if (modulus <= BigInt(1) || modulus.is_even()) {
     throw ParamError("Montgomery: modulus must be odd and > 1");
   }
-  n_ = modulus.limbs();
-  k_ = n_.size();
-  n0inv_ = ~inv64(n_[0]) + 1;  // -inv mod 2^64
-  // R^2 mod N with R = 2^{64k}: compute (2^{64k})^2 mod N via BigInt.
-  BigInt r2 = (BigInt(1) << (64 * k_ * 2)).mod(modulus);
-  r2_ = r2.limbs();
-  r2_.resize(k_, 0);
-  BigInt r1 = (BigInt(1) << (64 * k_)).mod(modulus);
-  one_mont_ = r1.limbs();
-  one_mont_.resize(k_, 0);
-  one_plain_.assign(k_, 0);
-  one_plain_[0] = 1;
-  fixed_width_ = detail::mont_fixed_width(k_);
+  const LimbBuf& n = modulus.limbs();
+  n0inv_ = ~inv64(n[0]) + 1;  // -inv mod 2^64
+  if (n.size() == detail::kIfmaLimbs && detail::mont_ifma_selected()) {
+    kernel_ = Kernel::kIfma;
+    k_ = detail::kIfmaDigits;
+    n0inv_ &= (Limb{1} << 52) - 1;  // -N^{-1} mod 2^52
+  } else {
+    kernel_ = detail::mont_fixed_width(n.size()) ? Kernel::kAdx
+                                                 : Kernel::kPortable;
+    k_ = n.size();
+  }
+  const std::size_t r_bits =
+      kernel_ == Kernel::kIfma ? 52 * detail::kIfmaDigits : 64 * k_;
+  // The constants in residue format; load_reduced only reads n_big_.
+  const auto residue = [&](const BigInt& x) {
+    LimbVec out(k_);
+    LimbVec scratch(scratch_limbs());
+    load_reduced(out.data(), x, scratch.data());
+    return out;
+  };
+  n_.assign(k_, 0);
+  if (kernel_ == Kernel::kIfma) {
+    detail::limbs_to_digits52(n_.data(), n.data());
+  } else {
+    std::copy(n.begin(), n.end(), n_.begin());
+  }
+  r2_ = residue(BigInt(1) << (2 * r_bits));
+  one_mont_ = residue(BigInt(1) << r_bits);
+  one_plain_ = residue(BigInt(1));
+}
+
+const char* Montgomery::kernel_name() const {
+  switch (kernel_) {
+    case Kernel::kIfma:
+      return "ifma";
+    case Kernel::kAdx:
+      return "adx";
+    case Kernel::kPortable:
+      break;
+  }
+  return "portable";
 }
 
 void Montgomery::mul_into(Limb* out, const Limb* a, const Limb* b,
                           Limb* scratch) const {
-  if (fixed_width_) {
-    detail::mont_mul_fixed(out, a, b, n_.data(), n0inv_, k_);
-  } else {
-    detail::mont_mul_portable(out, a, b, n_.data(), n0inv_, k_, scratch);
+  switch (kernel_) {
+    case Kernel::kIfma:
+      return detail::mont_mul_ifma(out, a, b, n_.data(), n0inv_);
+    case Kernel::kAdx:
+      return detail::mont_mul_fixed(out, a, b, n_.data(), n0inv_, k_);
+    case Kernel::kPortable:
+      break;
   }
+  detail::mont_mul_portable(out, a, b, n_.data(), n0inv_, k_, scratch);
 }
 
 void Montgomery::sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
-  if (fixed_width_) {
-    detail::mont_sqr_fixed(out, a, n_.data(), n0inv_, k_);
-  } else {
-    detail::mont_sqr_portable(out, a, n_.data(), n0inv_, k_, scratch);
+  switch (kernel_) {
+    case Kernel::kIfma:
+      return detail::mont_mul_ifma(out, a, a, n_.data(), n0inv_);
+    case Kernel::kAdx:
+      return detail::mont_sqr_fixed(out, a, n_.data(), n0inv_, k_);
+    case Kernel::kPortable:
+      break;
   }
+  detail::mont_sqr_portable(out, a, n_.data(), n0inv_, k_, scratch);
 }
 
 Montgomery::LimbVec Montgomery::mont_mul(const LimbVec& a,
@@ -247,25 +283,42 @@ BigInt Montgomery::reduce(const BigInt& x) const {
   return x.mod(n_big_);
 }
 
+void Montgomery::load_reduced(Limb* out, const BigInt& x,
+                              Limb* scratch) const {
+  // Already reduced is the common case: no division at all.
+  const bool reduced = !x.is_negative() && x < n_big_;
+  BigInt red;  // SBO: stack for protocol widths
+  if (!reduced) red = x.mod(n_big_);
+  const LimbBuf& limbs = reduced ? x.limbs() : red.limbs();
+  Limb* dst = kernel_ == Kernel::kIfma ? scratch : out;
+  const std::size_t width =
+      kernel_ == Kernel::kIfma ? detail::kIfmaLimbs : k_;
+  std::copy(limbs.begin(), limbs.end(), dst);
+  std::fill(dst + limbs.size(), dst + width, Limb{0});
+  if (kernel_ == Kernel::kIfma) detail::limbs_to_digits52(out, scratch);
+}
+
 void Montgomery::to_mont_into(Limb* out, const BigInt& x, Limb* scratch) const {
-  if (!x.is_negative() && x < n_big_) {
-    // Already reduced (the common case): no BigInt temporary at all.
-    const LimbBuf& limbs = x.limbs();
-    std::copy(limbs.begin(), limbs.end(), out);
-    std::fill(out + limbs.size(), out + k_, Limb{0});
-  } else {
-    const BigInt red = x.mod(n_big_);  // SBO: stack for protocol widths
-    const LimbBuf& limbs = red.limbs();
-    std::copy(limbs.begin(), limbs.end(), out);
-    std::fill(out + limbs.size(), out + k_, Limb{0});
-  }
+  load_reduced(out, x, scratch);
   mul_into(out, out, r2_.data(), scratch);
 }
 
 void Montgomery::from_mont_into(BigInt& out, const Limb* x,
                                 Limb* scratch) const {
-  out.limbs_.resize_uninit(k_);
-  mul_into(out.limbs_.data(), x, one_plain_.data(), scratch);
+  if (kernel_ != Kernel::kIfma) {
+    out.limbs_.resize_uninit(k_);
+    mul_into(out.limbs_.data(), x, one_plain_.data(), scratch);
+  } else {
+    // x < 2N, so x R^{-1} mod N comes out at most N (N itself when x is 0
+    // mod N): one conditional subtraction makes it canonical.
+    mul_into(scratch, x, one_plain_.data(), scratch + k_);
+    const std::size_t nk = detail::kIfmaLimbs;
+    out.limbs_.resize_uninit(nk);
+    Limb* v = out.limbs_.data();
+    detail::digits52_to_limbs(v, scratch);
+    const Limb* n = n_big_.limbs().data();
+    if (ge_mod(v, n, nk)) sub_mod(v, v, n, nk);
+  }
   out.sign_ = 1;
   out.normalize();
 }

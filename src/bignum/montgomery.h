@@ -34,8 +34,11 @@ class FixedBase;
 class Montgomery {
  public:
   using Limb = BigInt::Limb;
-  /// A k-limb residue (k = limb_count()), little-endian, in Montgomery form
-  /// (value * R mod N with R = 2^{64 k}). The unit of the engine-level API.
+  /// A k-word residue (k = limb_count()), little-endian, in Montgomery form
+  /// (value * R mod N). The unit of the engine-level API. Its format is the
+  /// kernel's: k limbs of N with R = 2^{64 k}, or, where the IFMA kernel
+  /// serves a 1024-bit N, 20 digits of 52 bits with R = 2^1040 and values
+  /// below 2N. Only from_mont's canonical value leaves the context.
   /// Small-buffer-optimized: residues up to LimbBuf::kInlineLimbs live on
   /// the stack, so passing/returning them does not touch the allocator.
   using LimbVec = LimbBuf;
@@ -56,8 +59,11 @@ class Montgomery {
   static constexpr std::size_t kMaxSharedContexts = 64;
 
   [[nodiscard]] const BigInt& modulus() const { return n_big_; }
-  /// Limb count k of the modulus; every Montgomery residue has k limbs.
+  /// Words k per Montgomery residue: the limb count of N, or 20 where the
+  /// IFMA kernel serves a 1024-bit N.
   [[nodiscard]] std::size_t limb_count() const { return k_; }
+  /// The kernel behind mul_into/sqr_into: "ifma", "adx" or "portable".
+  [[nodiscard]] const char* kernel_name() const;
 
   /// (a * b) mod N. Inputs need not be reduced; they are reduced first.
   [[nodiscard]] BigInt mul(const BigInt& a, const BigInt& b) const;
@@ -82,24 +88,25 @@ class Montgomery {
   [[nodiscard]] LimbVec to_mont(const BigInt& x) const;
   [[nodiscard]] BigInt from_mont(const LimbVec& x) const;
   /// Destination-passing conversions for arena-managed inner loops.
-  /// `out` is a k-limb buffer; `scratch` has scratch_limbs() limbs.
+  /// `out` is a k-word buffer; `scratch` has scratch_limbs() words.
   void to_mont_into(Limb* out, const BigInt& x, Limb* scratch) const;
-  /// Writes the canonical value of the k-limb residue `x` into `out`,
-  /// reusing out's limb capacity (normalized, non-negative).
+  /// Writes the canonical value in [0, N) of the k-word residue `x` into
+  /// `out`, reusing out's limb capacity (normalized, non-negative).
   void from_mont_into(BigInt& out, const Limb* x, Limb* scratch) const;
   /// R mod N: the Montgomery residue of 1 (multiplicative identity).
   [[nodiscard]] const LimbVec& one_mont() const { return one_mont_; }
 
-  /// Montgomery product: a * b * R^{-1} mod N; a, b are k-limb residues.
+  /// Montgomery product: a * b * R^{-1} mod N; a, b are k-word residues.
   [[nodiscard]] LimbVec mont_mul(const LimbVec& a, const LimbVec& b) const;
   /// Montgomery square: a^2 * R^{-1} mod N. Result is identical to
-  /// mont_mul(a, a); roughly 3/4 the limb products (cross terms doubled
-  /// instead of recomputed), and squarings are the majority of pow work.
+  /// mont_mul(a, a); the 64-bit kernels do roughly 3/4 the limb products
+  /// (cross terms doubled instead of recomputed), the IFMA kernel runs the
+  /// multiply.
   [[nodiscard]] LimbVec mont_sqr(const LimbVec& a) const;
 
   // --- Allocation-free kernels for inner loops ----------------------------
-  // out/a/b point at k-limb buffers; `scratch` at scratch_limbs() limbs.
-  // out may alias a and/or b (results are staged in scratch).
+  // out/a/b point at k-word buffers; `scratch` at scratch_limbs() words.
+  // out may alias a and/or b.
 
   [[nodiscard]] std::size_t scratch_limbs() const { return 2 * k_ + 2; }
   void mul_into(Limb* out, const Limb* a, const Limb* b,
@@ -122,16 +129,23 @@ class Montgomery {
   static constexpr std::size_t kMaxCachedBases = 8;
 
  private:
-  std::size_t k_;      // limb count of modulus
-  LimbVec n_;          // modulus limbs, length k_
+  // The kernel serving this context (bignum/mont_kernels.h): IFMA for a
+  // 16-limb N where mont_ifma_selected(), else the fixed-width MULX/ADX
+  // kernel where mont_fixed_width(k), else the portable ones.
+  enum class Kernel : std::uint8_t { kPortable, kAdx, kIfma };
+
+  // Copies the canonical x mod N into the k-word residue buffer `out`, in
+  // the kernel's format (not yet times R).
+  void load_reduced(Limb* out, const BigInt& x, Limb* scratch) const;
+
+  Kernel kernel_ = Kernel::kPortable;
+  std::size_t k_;      // words per residue
+  LimbVec n_;          // N in residue format, length k_
   BigInt n_big_;
-  Limb n0inv_;         // -N^{-1} mod 2^64
-  LimbVec r2_;         // R^2 mod N (R = 2^{64 k_}), length k_
+  Limb n0inv_;         // -N^{-1} mod the digit base (2^64, or 2^52 for IFMA)
+  LimbVec r2_;         // R^2 mod N, length k_
   LimbVec one_mont_;   // R mod N
-  LimbVec one_plain_;  // the k-limb constant 1 (from_mont multiplies by it)
-  // A fixed-width MULX/ADX kernel serves k_ on this host
-  // (bignum/mont_kernels.h); otherwise the portable kernels run.
-  bool fixed_width_ = false;
+  LimbVec one_plain_;  // the constant 1 (from_mont multiplies by it)
 
   // Small per-context comb cache keyed by base value and size (linear
   // scan; there are only ever a handful of long-lived bases per modulus).

@@ -92,8 +92,9 @@ void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
 
   // Replay top-down: at each chain position that holds a window, multiply
   // in every base whose next window sits there and advance its cursor,
-  // then square down to the next such position. Products of canonical
-  // residues commute, so the order within a position does not matter.
+  // then square down to the next such position. Products commute mod N
+  // and the result leaves through from_mont's canonical value, so the
+  // order within a position does not matter.
   std::size_t next = 0;  // 1 + the next position holding a window
   for (std::size_t b = 0; b < m; ++b) {
     next = std::max(next, events[cursor[b]].at);

@@ -421,21 +421,16 @@ XorTier probe_best_tier() {
   return XorTier::kPortable;
 }
 
+XorTier read_env_cap() {
+  const char* env = std::getenv("ICE_SIMD");
+  const std::string_view want(env == nullptr ? "" : env);
+  if (want == "portable") return XorTier::kPortable;
+  if (want == "avx2") return XorTier::kAvx2;
+  return XorTier::kAvx512;
+}
+
 const XorKernels* initial_kernels() {
-  XorTier tier = best_supported_tier();
-  if (const char* env = std::getenv("ICE_SIMD")) {
-    const std::string_view want(env);
-    XorTier requested = tier;
-    if (want == "portable") {
-      requested = XorTier::kPortable;
-    } else if (want == "avx2") {
-      requested = XorTier::kAvx2;
-    } else if (want == "avx512") {
-      requested = XorTier::kAvx512;
-    }
-    if (tier_supported(requested)) tier = requested;
-  }
-  return &kernels_for(tier);
+  return &kernels_for(std::min(best_supported_tier(), env_tier_cap()));
 }
 
 std::atomic<const XorKernels*>& active_slot() {
@@ -448,6 +443,11 @@ std::atomic<const XorKernels*>& active_slot() {
 XorTier best_supported_tier() {
   static const XorTier tier = probe_best_tier();
   return tier;
+}
+
+XorTier env_tier_cap() {
+  static const XorTier cap = read_env_cap();
+  return cap;
 }
 
 bool tier_supported(XorTier tier) {

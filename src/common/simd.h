@@ -66,9 +66,15 @@ struct XorKernels {
 /// the tier (callers gate on tier_supported()).
 [[nodiscard]] const XorKernels& kernels_for(XorTier tier);
 
-/// The process-wide active bundle: best_supported_tier() unless overridden
-/// by set_active_tier() or the ICE_SIMD environment variable
-/// ("portable" | "avx2" | "avx512", clamped to what the CPU supports).
+/// The tier the ICE_SIMD environment variable caps this process at
+/// ("portable" | "avx2" | "avx512"; kAvx512 when unset or naming no tier).
+/// Read once per process; set_active_tier does not move it. The bignum
+/// layer reads it too: a cap below avx512 keeps 1024-bit moduli off the
+/// IFMA Montgomery kernel.
+[[nodiscard]] XorTier env_tier_cap();
+
+/// The process-wide active bundle: best_supported_tier() capped by
+/// env_tier_cap(), unless overridden by set_active_tier().
 [[nodiscard]] const XorKernels& active_kernels();
 
 /// Overrides the active tier (benches compare tiers; tests pin the fused

@@ -24,9 +24,10 @@ std::uint8_t* begin_gf4_string(net::Writer& w, std::size_t count) {
   return w.grow(nbytes);
 }
 
-PackedGf4 read_gf4_string(net::Reader& r) {
+PackedGf4 read_gf4_string(net::Reader& r,
+                          std::uint64_t max_count = std::uint64_t{1} << 24) {
   const std::uint64_t count = r.varint();
-  if (count > (std::uint64_t{1} << 24)) {
+  if (count > max_count) {
     throw CodecError("read_gf4_vector: implausible length");
   }
   const BytesView data = r.bytes_view();
@@ -62,7 +63,8 @@ pir::PirQuery read_pir_query(net::Reader& r) {
   q.points.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, r.remaining())));
   for (std::uint64_t i = 0; i < count; ++i) {
-    q.points.push_back(read_gf4_vector(r));
+    const PackedGf4 point = read_gf4_string(r, kMaxQueryPointLength);
+    q.points.push_back(pir::unpack_gf4(point.data, point.count));
   }
   return q;
 }

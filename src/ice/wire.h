@@ -87,9 +87,17 @@ gf::GF4Vector read_gf4_vector(net::Reader& r);
 /// a 2^20-point query would have cost tens of GB.
 inline constexpr std::size_t kMaxQueryPoints = 1024;
 
+/// The longest point a tag query may carry: gamma_for(2^24), the gamma of
+/// the largest store store_tags admits (2^24 tags). A longer point could
+/// only be refused later, by the TPA's check against its own gamma, and
+/// would first be unpacked at one byte per element (a probe's 67 MB 310 of
+/// 16 points of 2^24 elements raised TPA RSS by 248 MB).
+inline constexpr std::size_t kMaxQueryPointLength = 468;
+
 void write_pir_query(net::Writer& w, const pir::PirQuery& q);
 /// Refuses more than kMaxQueryPoints points with CodecError before it
-/// decodes any.
+/// decodes any, and a point longer than kMaxQueryPointLength before it
+/// unpacks that point.
 pir::PirQuery read_pir_query(net::Reader& r);
 void write_pir_response(net::Writer& w, const pir::PirResponse& resp);
 pir::PirResponse read_pir_response(net::Reader& r);

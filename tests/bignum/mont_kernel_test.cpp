@@ -1,6 +1,7 @@
 // Differential suite for the Montgomery kernels (bignum/mont_kernels.h):
 // the fixed-width MULX/ADX kernels against the portable u128 kernels and a
-// BigInt a * b * R^{-1} mod N reference at k = 4, 8 and 16 limbs, and
+// BigInt a * b * R^{-1} mod N reference at k = 4, 8 and 16 limbs, the
+// radix-2^52 IFMA kernel against the BigInt reference at 1024-bit N, and
 // Montgomery::pow (fixed kernels, tuned windows) against a square-and-
 // multiply chain on the portable kernels.
 #include "bignum/mont_kernels.h"
@@ -167,6 +168,129 @@ INSTANTIATE_TEST_SUITE_P(Widths, MontKernelTest,
                          [](const auto& info) {
                            return "K" + std::to_string(info.param);
                          });
+
+// --- The IFMA kernel: 20 digits of 52 bits, R = 2^1040, values below 2N.
+
+constexpr Limb kMask52 = (Limb{1} << 52) - 1;
+
+// x as 20 digits of 52 bits, read bit by bit (independent of the kernel
+// file's limb conversions).
+Limbs digits_of(const BigInt& x) {
+  Limbs d(detail::kIfmaDigits, 0);
+  for (std::size_t i = 0; i < 52 * d.size(); ++i) {
+    if (x.bit(i)) d[i / 52] |= Limb{1} << (i % 52);
+  }
+  return d;
+}
+
+BigInt value_of_digits(const Limbs& d) {
+  BigInt v;
+  for (std::size_t i = d.size(); i-- > 0;) v = (v << 52) + BigInt(d[i]);
+  return v;
+}
+
+class MontKernelIfmaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!detail::mont_ifma_supported()) {
+      GTEST_SKIP() << "no AVX-512 IFMA on this host";
+    }
+  }
+  SplitMix64 gen_{0x1f3a};
+  Rng64Adapter<SplitMix64> rng_{gen_};
+};
+
+// The header's promise for a product of a and b: digits below 2^52, a
+// value below 2N, congruent to a * b * 2^{-1040} mod N.
+void expect_ifma_product(const Limbs& got, const BigInt& a, const BigInt& b,
+                         const Modulus& m, const BigInt& r_inv) {
+  for (const Limb d : got) EXPECT_LE(d, kMask52);
+  const BigInt v = value_of_digits(got);
+  EXPECT_LT(v, m.n + m.n);
+  EXPECT_EQ(v.mod(m.n), (a * b * r_inv).mod(m.n))
+      << "modulus " << m.n.to_hex();
+}
+
+TEST_F(MontKernelIfmaTest, MatchesBigIntReferenceBelowTwoN) {
+  for (const Modulus& m : moduli(16, rng_)) {
+    const Limbs n = digits_of(m.n);
+    const Limb k0 = m.n0inv & kMask52;
+    const BigInt r_inv = mod_inverse((BigInt(1) << 1040).mod(m.n), m.n);
+    // The edge operands (inputs below 2N are admitted), then random
+    // residues below N and below 2N.
+    std::vector<BigInt> ops = {BigInt(0), BigInt(1), m.n - BigInt(1), m.n,
+                               m.n + m.n - BigInt(1)};
+    for (int i = 0; i < 8; ++i) ops.push_back(random_below(rng_, m.n));
+    for (int i = 0; i < 8; ++i) ops.push_back(random_below(rng_, m.n + m.n));
+    Limbs out(detail::kIfmaDigits);
+    for (const BigInt& a : ops) {
+      const Limbs la = digits_of(a);
+      for (const BigInt& b : ops) {
+        detail::mont_mul_ifma(out.data(), la.data(), digits_of(b).data(),
+                              n.data(), k0);
+        expect_ifma_product(out, a, b, m, r_inv);
+      }
+    }
+  }
+}
+
+TEST_F(MontKernelIfmaTest, OutputMayAliasInputs) {
+  for (const Modulus& m : moduli(16, rng_)) {
+    const Limbs n = digits_of(m.n);
+    const Limb k0 = m.n0inv & kMask52;
+    const BigInt r_inv = mod_inverse((BigInt(1) << 1040).mod(m.n), m.n);
+    const BigInt a = random_below(rng_, m.n + m.n);
+    const BigInt b = random_below(rng_, m.n + m.n);
+    Limbs x = digits_of(a);
+    detail::mont_mul_ifma(x.data(), x.data(), digits_of(b).data(), n.data(),
+                          k0);
+    expect_ifma_product(x, a, b, m, r_inv);
+    x = digits_of(b);
+    detail::mont_mul_ifma(x.data(), digits_of(a).data(), x.data(), n.data(),
+                          k0);
+    expect_ifma_product(x, a, b, m, r_inv);
+    x = digits_of(a);
+    detail::mont_mul_ifma(x.data(), x.data(), x.data(), n.data(), k0);
+    expect_ifma_product(x, a, a, m, r_inv);
+  }
+}
+
+TEST_F(MontKernelIfmaTest, DigitConversionsRoundTrip) {
+  std::vector<BigInt> values = {BigInt(0), BigInt(1),
+                                (BigInt(1) << 1024) - BigInt(1)};
+  for (int i = 0; i < 16; ++i) values.push_back(random_bits(rng_, 1024));
+  for (const BigInt& x : values) {
+    const Limbs limbs = limbs_of(x, detail::kIfmaLimbs);
+    Limbs digits(detail::kIfmaDigits), back(detail::kIfmaLimbs);
+    detail::limbs_to_digits52(digits.data(), limbs.data());
+    EXPECT_EQ(digits, digits_of(x));
+    detail::digits52_to_limbs(back.data(), digits.data());
+    EXPECT_EQ(back, limbs);
+  }
+}
+
+// A context on the IFMA kernel hands out canonical values only: a residue
+// that is N itself (0 mod N, not reduced) comes back as 0.
+TEST_F(MontKernelIfmaTest, ContextReturnsCanonicalValues) {
+  if (!detail::mont_ifma_selected()) {
+    GTEST_SKIP() << "ICE_SIMD keeps 1024-bit moduli on MULX/ADX";
+  }
+  for (const Modulus& m : moduli(16, rng_)) {
+    const Montgomery mont(m.n);
+    ASSERT_STREQ(mont.kernel_name(), "ifma");
+    ASSERT_EQ(mont.limb_count(), detail::kIfmaDigits);
+    const BigInt r_inv = mod_inverse((BigInt(1) << 1040).mod(m.n), m.n);
+    for (const BigInt& x :
+         {BigInt(0), BigInt(1), m.n - BigInt(1), random_below(rng_, m.n)}) {
+      EXPECT_EQ(mont.from_mont(mont.to_mont(x)), x);
+    }
+    for (const BigInt& x : {m.n, m.n + BigInt(1), m.n + m.n - BigInt(1)}) {
+      const Limbs d = digits_of(x);
+      const Montgomery::LimbVec residue(d.data(), d.data() + d.size());
+      EXPECT_EQ(mont.from_mont(residue), (x * r_inv).mod(m.n));
+    }
+  }
+}
 
 // base^exp mod N by binary square-and-multiply on the portable kernels:
 // the reference chain for Montgomery::pow.

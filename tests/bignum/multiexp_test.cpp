@@ -158,8 +158,9 @@ std::vector<ShapeCase> schedule_shapes(std::size_t L, Rng64& rng) {
   return cases;
 }
 
-// k = 16, 8 and 4 limbs run the fixed-width kernels where the host has
-// them; 6 limbs (384 bits) has none, so it always runs the portable ones.
+// k = 16 limbs runs the IFMA kernel where the host has it, else MULX/ADX;
+// 8 and 4 limbs run MULX/ADX where the host has it; 6 limbs (384 bits) has
+// no fixed-width kernel, so it always runs the portable ones.
 class MultiExpScheduleTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MultiExpScheduleTest, ShapesMatchFoldOfPowAtEveryThreadCount) {
@@ -169,7 +170,11 @@ TEST_P(MultiExpScheduleTest, ShapesMatchFoldOfPowAtEveryThreadCount) {
   const BigInt n = (BigInt(1) << (64 * limbs - 1)) +
                    random_bits(rng, 64 * limbs - 2) * BigInt(2) + BigInt(1);
   const Montgomery mont(n);
-  ASSERT_EQ(mont.limb_count(), limbs);
+  ASSERT_EQ(n.limbs().size(), limbs);
+  // An IFMA context's residues are 20 digits of 52 bits.
+  ASSERT_EQ(mont.limb_count(), std::string(mont.kernel_name()) == "ifma"
+                                   ? detail::kIfmaDigits
+                                   : limbs);
   for (const std::size_t L : {std::size_t{192}, std::size_t{1088}}) {
     for (const ShapeCase& c : schedule_shapes(L, rng)) {
       std::vector<BigInt> bases(c.exps.size());

@@ -257,6 +257,30 @@ TEST_F(TagServiceTest, QueryPointCapRefusesOneMorePoint) {
   EXPECT_EQ(status_of_query(), net::Status::kOk);
 }
 
+// A query point longer than kMaxQueryPointLength, the gamma of a 2^24-row
+// store, is refused as malformed before it is unpacked; a point at the
+// bound passes the codec and meets the TPA's own gamma check.
+TEST_F(TagServiceTest, QueryPointLengthCapRefusesOneMoreElement) {
+  EXPECT_EQ(kMaxQueryPointLength, pir::gamma_for(std::size_t{1} << 24));
+  const auto blocks = ice::testing::make_blocks(40, 64, 13);
+  UserClient user(params_, keys_, ch0_, ch1_);
+  user.setup_file(blocks);
+  const TagInfo info = TpaClient(ch0_).tag_info();
+  const auto status_of_point = [&](std::size_t length) {
+    TagQuery q{info.generation, info.epoch, {}};
+    q.query.points.assign(2, gf::GF4Vector(pir::gamma_for(info.n)));
+    q.query.points.back() = gf::GF4Vector(length);
+    net::Writer w;
+    write_sharded_query(w, q);
+    return status_of(tpa0_.handle(kTpaShardQuery, w.take()));
+  };
+  EXPECT_EQ(status_of_point(kMaxQueryPointLength + 1),
+            net::Status::kMalformed);
+  EXPECT_EQ(status_of_point(kMaxQueryPointLength),
+            net::Status::kInvalidArgument);
+  EXPECT_EQ(status_of_point(pir::gamma_for(info.n)), net::Status::kOk);
+}
+
 // A TPA takes one upload per key: a store_tags while a store is installed
 // is refused and changes nothing, and after set_key the same upload is
 // accepted under a new generation. A query planned at the old

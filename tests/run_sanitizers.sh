@@ -57,8 +57,9 @@
 # WireTest.PirResponseBytesMatchFlatScalarEncoding); under TSan the same
 # sweep races through ParallelDiffTest, TagServiceTest, UpdateEpochTest
 # and EpochServiceTest. The 309/310 codecs' truncation and hostile-count
-# cases (WireTest.*), the 310 point cap at the service
-# (TagServiceTest.QueryPointCapRefusesOneMorePoint), the repeated-index
+# cases (WireTest.*), the 310 point cap and point length cap at the
+# service (TagServiceTest.QueryPointCapRefusesOneMorePoint,
+# TagServiceTest.QueryPointLengthCapRefusesOneMoreElement), the repeated-index
 # refusals of 207 and 104 (LocalizeTest.RepeatedSubsetIndexIsRefused,
 # CloudAuditTest.RepeatedSampleIndexIsRefused) and the retired 100, 302,
 # 311 and 312 ids (FuzzTest.RetiredTagQueryMethodIsUnknown) run under
@@ -76,7 +77,13 @@
 # the ladder codec and its hostile counts, widths and truncations
 # (LadderProtocolTest.*, LadderWireTest.*) and the bignum side: the
 # ladder differential against Montgomery::pow (LadderTest.*) and the
-# chunk slicing it rests on. The Straus engine's limb-level window
+# chunk slicing it rests on. The radix-2^52 IFMA Montgomery kernel
+# (masked 4-lane loads and stores of its third register, the scalar digit-0
+# copy, the carry ripple) runs under ASan+UBSan against the BigInt
+# reference at the three 16-limb modulus shapes, with aliased outputs, the
+# limb/digit conversions and a context's canonical values
+# (MontKernelIfmaTest.*; it skips on hosts without AVX-512 IFMA, and a
+# 1024-bit pow or multi-exp there runs on it). The Straus engine's limb-level window
 # schedule (two-limb window reads, per-base cursors, arena tables of up to
 # 2 MB) runs under both: MultiExpScheduleTest.* and
 # MultiExpTest.LadderChunkWindowsMatchFoldOfPow split it over 1-4 threads,
