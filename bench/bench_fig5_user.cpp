@@ -1,8 +1,10 @@
 // Fig. 5 — Computation cost on the end-user devices.
 //
-// Two user-side phases are timed: the tag query (PIR encode + decode, the
-// paper's "tag query" cost) and the verification work (drawing s~ and
-// repacking the |S_j| tags). Fig. 5a sweeps |S_j|; Fig. 5b sweeps n.
+// Two user-side phases are timed, each as the median of 7 repetitions: the
+// tag query (the paper's "tag query" cost: PIR encode, then reading both
+// TPAs' 310 reply frames and decoding them, bytes in and tags out) and the
+// verification work (drawing s~ and repacking the |S_j| tags). Fig. 5a
+// sweeps |S_j|; Fig. 5b sweeps n.
 // Expected shape: grows with |S_j|, nearly flat in n. The Raspberry Pi
 // column is modeled from the laptop measurement with the paper's own
 // laptop/Pi ratio (Tab. III), since we have no Pi hardware.
@@ -10,6 +12,7 @@
 
 #include "ice/protocol.h"
 #include "ice/tag_store.h"
+#include "ice/wire.h"
 #include "pir/client.h"
 #include "pir/embedding.h"
 
@@ -20,10 +23,19 @@ using namespace ice::bench;
 
 constexpr std::size_t kTagBits = 1024;
 
+constexpr int kReps = 7;
+
 struct UserCost {
-  double query_ms;   // PIR encode + decode
+  double query_ms;   // PIR encode + reply reads + decode
   double verify_ms;  // blinding + tag repacking
 };
+
+// The 310 reply frame a TPA sends for `resp`.
+Bytes reply_frame(const pir::PirResponse& resp) {
+  net::Writer w;
+  proto::write_pir_response(w, resp);
+  return w.take();
+}
 
 UserCost measure(std::size_t n, std::size_t s_j, std::uint64_t seed) {
   SplitMix64 gen(seed);
@@ -39,21 +51,27 @@ UserCost measure(std::size_t n, std::size_t s_j, std::uint64_t seed) {
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(n));
 
   UserCost cost{};
-  // Tag query: encode, then decode pre-computed responses.
+  // Tag query: encode, then read and decode pre-computed reply frames.
   const pir::PirClient::EncodedQuery enc = client.encode(wanted, rng);
   pir::PirResponse r0, r1;
   tpa0.respond(tpa0.epoch(), enc.queries[0], r0);
   tpa1.respond(tpa1.epoch(), enc.queries[1], r1);
-  cost.query_ms = 1e3 * time_median(3, [&] {
+  const Bytes frames[2] = {reply_frame(r0), reply_frame(r1)};
+  const pir::PirShape shape = r0.shape;
+  cost.query_ms = 1e3 * time_median(kReps, [&] {
     (void)client.encode(wanted, rng);
-    (void)client.decode(enc.secrets, r0, r1);
+    net::Reader in0(frames[0]);
+    net::Reader in1(frames[1]);
+    const pir::PirResponse got0 = proto::read_pir_response(in0, shape);
+    const pir::PirResponse got1 = proto::read_pir_response(in1, shape);
+    (void)client.decode(enc.secrets, got0, got1);
   });
 
   // Verification work on the user: s~ and T~_k = T_k^{s~}.
   const proto::KeyPair keys = bench_keypair(kTagBits);
   std::vector<bn::BigInt> subset;
   for (std::size_t idx : wanted) subset.push_back(tags[idx].mod(keys.pk.n));
-  cost.verify_ms = 1e3 * time_median(3, [&] {
+  cost.verify_ms = 1e3 * time_median(kReps, [&] {
     const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
     (void)proto::repack_tags(keys.pk, subset, s_tilde);
   });
@@ -61,7 +79,7 @@ UserCost measure(std::size_t n, std::size_t s_j, std::uint64_t seed) {
 }
 
 void print_row(std::size_t v, const UserCost& c) {
-  std::printf("%-8zu %14.2f %14.2f %16.2f %16.2f\n", v, c.query_ms,
+  std::printf("%-8zu %14.3f %14.2f %16.3f %16.2f\n", v, c.query_ms,
               c.verify_ms, c.query_ms * kRasPiSlowdown,
               c.verify_ms * kRasPiSlowdown);
 }

@@ -10,7 +10,12 @@
 // Results land in BENCH_pir.json; the portable/AVX2/AVX-512 ratios are
 // what decides whether a middle tier earns its code.
 //
-// A second arm measures two threads responding at once on one shared
+// A second table times one m-point answer through the 310 reply codec at
+// each (n, m): the TPA's write_pir_response, which interleaves the
+// answer's bit planes into the frame, and the user's read_pir_response,
+// which de-interleaves the frame into planes again (medians of 9 each).
+//
+// A third arm measures two threads responding at once on one shared
 // pooled server (n = 10^5, m = 10), the way both TPA replicas of one
 // process answer a retrieval together. Each repetition starts both
 // responds together; the medians of the faster and the slower respond of
@@ -25,6 +30,7 @@
 
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "ice/wire.h"
 #include "pir/client.h"
 #include "pir/server.h"
 
@@ -45,14 +51,7 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
 }
 
 bool same_response(const pir::PirResponse& x, const pir::PirResponse& y) {
-  if (x.entries.size() != y.entries.size()) return false;
-  for (std::size_t l = 0; l < x.entries.size(); ++l) {
-    if (x.entries[l].values != y.entries[l].values ||
-        x.entries[l].gradients != y.entries[l].gradients) {
-      return false;
-    }
-  }
-  return true;
+  return x.shape == y.shape && x.planes == y.planes;
 }
 
 std::vector<simd::XorTier> supported_tiers() {
@@ -75,8 +74,9 @@ void require_tiers_agree(const pir::PirServer& server,
   if (check_naive) {
     const pir::PirSingleResponse naive =
         server.respond_naive(query.points.front());
-    ok = naive.values == reference.entries.front().values &&
-         naive.gradients == reference.entries.front().gradients;
+    const pir::PirSingleResponse got =
+        ice::testing::point_elements(reference, 0);
+    ok = naive.values == got.values && naive.gradients == got.gradients;
   }
   for (simd::XorTier tier : supported_tiers()) {
     simd::set_active_tier(tier);
@@ -88,6 +88,31 @@ void require_tiers_agree(const pir::PirServer& server,
                  "respond_naive\n");
     std::exit(1);
   }
+}
+
+struct CodecCell {
+  std::size_t n, m;
+  double frame_kb;
+  MedianIqr write, read;  // seconds
+};
+
+// The TPA's write and the user's read of one 310 reply carrying `resp`.
+CodecCell measure_codec(const pir::PirResponse& resp, std::size_t n,
+                        int reps) {
+  net::Writer fw;
+  proto::write_pir_response(fw, resp);
+  const Bytes frame = fw.take();
+  CodecCell cell{n, resp.shape.points,
+                 static_cast<double>(frame.size()) / 1024.0, {}, {}};
+  cell.write = time_quartiles(reps, [&] {
+    net::Writer w;
+    proto::write_pir_response(w, resp);
+  });
+  cell.read = time_quartiles(reps, [&] {
+    net::Reader r(frame);
+    (void)proto::read_pir_response(r, resp.shape);
+  });
+  return cell;
 }
 
 struct ConcurrentCell {
@@ -157,6 +182,7 @@ int main(int argc, char** argv) {
               "respond(ms)", "ns/row·point", "vs portable");
 
   const simd::XorTier best = simd::best_supported_tier();
+  std::vector<CodecCell> codec;
   for (std::size_t n : sizes) {
     pir::TagDatabase db(tag_bits);
     for (const auto& t : synthetic_tags(n, tag_bits, 7 + n)) db.add(t);
@@ -190,9 +216,32 @@ int main(int argc, char** argv) {
           emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
         }
       }
+      simd::set_active_tier(best);
+      codec.push_back(measure_codec(server.respond(query), n, smoke ? 3 : 9));
     }
   }
   simd::set_active_tier(best);
+
+  print_header("310 reply codec: one m-point answer (K = tag bits)");
+  std::printf("%-8s %-4s %10s %11s %11s %11s %11s\n", "n", "m", "frame(KB)",
+              "write(ms)", "write IQR", "read(ms)", "read IQR");
+  for (const CodecCell& c : codec) {
+    std::printf("%-8zu %-4zu %10.1f %11.3f %11.3f %11.3f %11.3f\n", c.n, c.m,
+                c.frame_kb, 1e3 * c.write.median, 1e3 * c.write.iqr,
+                1e3 * c.read.median, 1e3 * c.read.iqr);
+    if (!smoke) {
+      std::ostringstream body;
+      body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << c.n
+           << ", \"m\": " << c.m << ", \"frame_kb\": " << c.frame_kb
+           << ", \"write_ms\": " << 1e3 * c.write.median
+           << ", \"write_iqr_ms\": " << 1e3 * c.write.iqr
+           << ", \"read_ms\": " << 1e3 * c.read.median
+           << ", \"read_iqr_ms\": " << 1e3 * c.read.iqr << "}";
+      std::ostringstream section;
+      section << "pir_reply_codec_n" << c.n << "_m" << c.m;
+      emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
+    }
+  }
 
   const std::size_t cn = smoke ? 200 : 100000;
   const std::size_t cm = 10;

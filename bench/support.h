@@ -23,6 +23,7 @@
 #include "ice/keys.h"
 #include "pir/server.h"
 #include "support/fixtures.h"
+#include "support/pir_planes.h"
 
 namespace ice::bench {
 
@@ -119,15 +120,15 @@ inline void require_evaluators_agree(const pir::PirServer& server,
                                      const pir::Bitplanes& planes,
                                      const pir::PirQuery& query) {
   const pir::PirResponse fused = server.respond(query);
-  bool ok = fused.entries.size() == query.points.size();
+  bool ok = fused.shape.points == query.points.size();
   for (std::size_t l = 0; ok && l < query.points.size(); ++l) {
     const pir::PirSingleResponse naive = server.respond_naive(query.points[l]);
     const pir::PirSingleResponse matrix =
         server.respond_matrix(planes, query.points[l]);
+    const pir::PirSingleResponse got = ice::testing::point_elements(fused, l);
     ok = matrix.values == naive.values &&
-         matrix.gradients == naive.gradients &&
-         fused.entries[l].values == naive.values &&
-         fused.entries[l].gradients == naive.gradients;
+         matrix.gradients == naive.gradients && got.values == naive.values &&
+         got.gradients == naive.gradients;
   }
   if (!ok) {
     std::fprintf(stderr, "FATAL: PIR evaluators disagree on the query\n");

@@ -1,11 +1,8 @@
 #include "common/simd.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "common/error.h"
@@ -48,20 +45,6 @@ constexpr std::uint64_t bit_mask(unsigned e, unsigned bit) {
 // 1024 row per plane) lives in a stack block the word loops vectorize over.
 constexpr std::size_t kRunWords = 16;
 
-// dst pair ([lo | hi], w apart) += c * (ul + uh x) over bw words. With
-// x (lo + hi x) = hi + (lo + hi) x the product is
-//   c = 1: (ul, uh),  c = 2: (uh, ul ^ uh),  c = 3: (ul ^ uh, ul).
-void add_scaled_portable(std::uint64_t* dst, std::size_t w,
-                         const std::uint64_t* ul, const std::uint64_t* uh,
-                         std::size_t bw, unsigned c) {
-  if (c == 0) return;
-  const std::uint64_t m0 = bit_mask(c, 0), m1 = bit_mask(c, 1);
-  for (std::size_t j = 0; j < bw; ++j) {
-    dst[j] ^= (ul[j] & m0) ^ (uh[j] & m1);
-    dst[w + j] ^= (uh[j] & m0) ^ ((ul[j] ^ uh[j]) & m1);
-  }
-}
-
 // Words [j0, j0 + bw) of xor_run, bw <= kRunWords.
 void run_words_portable(std::uint64_t* acc, const std::uint64_t* rows,
                         std::size_t w, const std::uint8_t* q, std::uint32_t a,
@@ -86,9 +69,9 @@ void run_words_portable(std::uint64_t* acc, const std::uint64_t* rows,
       for (std::size_t j = 0; j < bw; ++j) dc[w + j] ^= t[j];
     }
   }
-  add_scaled_portable(acc + j0, w, ul, uh, bw, s);
-  add_scaled_portable(acc + pair * (1 + a) + j0, w, ul, uh, bw, qb);
-  add_scaled_portable(acc + pair * (1 + b) + j0, w, ul, uh, bw, qa);
+  add_scaled(acc + j0, w, ul, uh, bw, s);
+  add_scaled(acc + pair * (1 + a) + j0, w, ul, uh, bw, qb);
+  add_scaled(acc + pair * (1 + b) + j0, w, ul, uh, bw, qa);
 }
 
 void xor_run_portable(std::uint64_t* acc, const std::uint64_t* rows,
@@ -99,43 +82,6 @@ void xor_run_portable(std::uint64_t* acc, const std::uint64_t* rows,
   for (std::size_t j0 = 0; j0 < w; j0 += kRunWords) {
     run_words_portable(acc, rows, w, q, a, b, c0, len, j0,
                        std::min(kRunWords, w - j0));
-  }
-}
-
-// Spreads bit i of a byte into byte i of a word — the building block of the
-// portable plane-pair expansion (eight elements per table lookup pair).
-constexpr std::array<std::uint64_t, 256> make_spread_table() {
-  std::array<std::uint64_t, 256> t{};
-  for (std::size_t b = 0; b < 256; ++b) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>((b >> i) & 1u) << (8 * i);
-    }
-    t[b] = v;
-  }
-  return t;
-}
-constexpr std::array<std::uint64_t, 256> kSpread = make_spread_table();
-
-void spread_pair_portable(const std::uint64_t* lo, const std::uint64_t* hi,
-                          std::size_t k, std::uint8_t* out) {
-  std::size_t base = 0;
-  for (std::size_t word = 0; base < k; ++word) {
-    const std::uint64_t l = lo[word];
-    const std::uint64_t h = hi[word];
-    for (int g = 0; g < 8 && base < k; ++g) {
-      const std::uint64_t bytes = kSpread[(l >> (8 * g)) & 0xFF] |
-                                  (kSpread[(h >> (8 * g)) & 0xFF] << 1);
-      const std::size_t take = std::min<std::size_t>(8, k - base);
-      if (std::endian::native == std::endian::little && take == 8) {
-        std::memcpy(out + base, &bytes, 8);
-      } else {
-        for (std::size_t i = 0; i < take; ++i) {
-          out[base + i] = static_cast<std::uint8_t>((bytes >> (8 * i)) & 0x3);
-        }
-      }
-      base += take;
-    }
   }
 }
 
@@ -159,7 +105,7 @@ __attribute__((target("avx2"))) void xor_row_avx2(std::uint64_t* dst,
 }
 
 // dst pair += c * (u_lo, u_hi) for one 4-word lane (see
-// add_scaled_portable for the GF(4) product).
+// add_scaled in simd.h for the GF(4) product).
 __attribute__((target("avx2"))) void add_scaled_avx2(std::uint64_t* dst,
                                                      std::size_t w,
                                                      __m256i ul, __m256i uh,
@@ -228,48 +174,6 @@ __attribute__((target("avx2"))) void xor_run_avx2(
   if (j0 < w) run_words_portable(acc, rows, w, q, a, b, c0, len, j0, w - j0);
 }
 
-__attribute__((target("avx2"))) void spread_pair_avx2(
-    const std::uint64_t* lo, const std::uint64_t* hi, std::size_t k,
-    std::uint8_t* out) {
-  // 32 elements per step: broadcast the 32-bit plane chunk, shuffle each
-  // byte lane onto the source byte holding its bit, isolate the lane's bit
-  // and compare-to-mask into a 0/1 byte (0/2 for the hi plane).
-  const __m256i shuf = _mm256_setr_epi8(
-      0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2,
-      3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bits = _mm256_setr_epi8(
-      1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8,
-      16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64, -128);
-  std::size_t base = 0;
-  while (base + 32 <= k) {
-    const std::size_t word = base / 64;
-    const int half = static_cast<int>((base / 32) % 2);
-    const std::uint32_t l32 =
-        static_cast<std::uint32_t>(lo[word] >> (32 * half));
-    const std::uint32_t h32 =
-        static_cast<std::uint32_t>(hi[word] >> (32 * half));
-    const __m256i vl = _mm256_shuffle_epi8(
-        _mm256_set1_epi32(static_cast<int>(l32)), shuf);
-    const __m256i vh = _mm256_shuffle_epi8(
-        _mm256_set1_epi32(static_cast<int>(h32)), shuf);
-    const __m256i bl = _mm256_and_si256(
-        _mm256_cmpeq_epi8(_mm256_and_si256(vl, bits), bits),
-        _mm256_set1_epi8(1));
-    const __m256i bh = _mm256_and_si256(
-        _mm256_cmpeq_epi8(_mm256_and_si256(vh, bits), bits),
-        _mm256_set1_epi8(2));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + base),
-                        _mm256_or_si256(bl, bh));
-    base += 32;
-  }
-  for (; base < k; ++base) {
-    const std::size_t word = base / 64;
-    const int bit = static_cast<int>(base % 64);
-    out[base] = static_cast<std::uint8_t>(((lo[word] >> bit) & 1u) |
-                                          (((hi[word] >> bit) & 1u) << 1));
-  }
-}
-
 // ---------------------------------------------------------------- AVX-512
 
 __attribute__((target("avx512f"))) void xor_row_avx512(
@@ -309,7 +213,7 @@ __attribute__((target("avx512f"))) inline void xor_lanes(
 }
 
 // dst pair += c * (ul + uh x) over one 16-word block (see
-// add_scaled_portable for the GF(4) product).
+// add_scaled in simd.h for the GF(4) product).
 __attribute__((target("avx512f"))) inline void add_scaled_avx512(
     std::uint64_t* dst, std::size_t w, __mmask8 k0, __mmask8 k1,
     __m512i ul0, __m512i ul1, __m512i uh0, __m512i uh1, unsigned c) {
@@ -367,55 +271,20 @@ __attribute__((target("avx512f"))) void xor_run_avx512(
   }
 }
 
-// AVX-512BW: a plane word IS a byte mask — one masked broadcast per plane
-// expands 64 bits to 64 one-byte elements.
-__attribute__((target("avx512f,avx512bw"))) void spread_pair_avx512(
-    const std::uint64_t* lo, const std::uint64_t* hi, std::size_t k,
-    std::uint8_t* out) {
-  const __m512i one = _mm512_set1_epi8(1);
-  const __m512i two = _mm512_set1_epi8(2);
-  std::size_t base = 0;
-  std::size_t word = 0;
-  for (; base + 64 <= k; base += 64, ++word) {
-    const __m512i vl =
-        _mm512_maskz_mov_epi8(static_cast<__mmask64>(lo[word]), one);
-    const __m512i vh =
-        _mm512_maskz_mov_epi8(static_cast<__mmask64>(hi[word]), two);
-    _mm512_storeu_si512(out + base, _mm512_or_si512(vl, vh));
-  }
-  if (base < k) {
-    const __mmask64 tail =
-        (static_cast<__mmask64>(1) << (k - base)) - 1;  // k - base < 64
-    const __m512i vl =
-        _mm512_maskz_mov_epi8(static_cast<__mmask64>(lo[word]), one);
-    const __m512i vh =
-        _mm512_maskz_mov_epi8(static_cast<__mmask64>(hi[word]), two);
-    _mm512_mask_storeu_epi8(out + base, tail, _mm512_or_si512(vl, vh));
-  }
-}
-
 #endif  // ICE_SIMD_X86
 
-constexpr XorKernels kPortableKernels = {
-    xor_row_portable, xor_run_portable, spread_pair_portable,
-    XorTier::kPortable, "portable"};
+constexpr XorKernels kPortableKernels = {xor_row_portable, xor_run_portable,
+                                         XorTier::kPortable, "portable"};
 #if defined(ICE_SIMD_X86)
 constexpr XorKernels kAvx2Kernels = {xor_row_avx2, xor_run_avx2,
-                                     spread_pair_avx2, XorTier::kAvx2,
-                                     "avx2"};
+                                     XorTier::kAvx2, "avx2"};
 constexpr XorKernels kAvx512Kernels = {xor_row_avx512, xor_run_avx512,
-                                       spread_pair_avx512, XorTier::kAvx512,
-                                       "avx512"};
+                                       XorTier::kAvx512, "avx512"};
 #endif
 
 XorTier probe_best_tier() {
 #if defined(ICE_SIMD_X86)
-  // BW is required for the byte-mask plane expansion; every AVX-512 server
-  // part since Skylake-SP ships F and BW together.
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
-    return XorTier::kAvx512;
-  }
+  if (__builtin_cpu_supports("avx512f")) return XorTier::kAvx512;
   if (__builtin_cpu_supports("avx2")) return XorTier::kAvx2;
 #endif
   return XorTier::kPortable;

@@ -2,8 +2,8 @@
 //
 // The Woodruff–Yekhanin servers are pure XOR workloads over K-bit tag rows
 // packed in 64-bit words: the fused sweep XORs rows into GF(4) component
-// bitplanes, folds per-shard accumulators and expands the planes into
-// response bytes. These kernels provide those operations in three tiers —
+// bitplanes and folds per-shard accumulators; the folded planes are the
+// response. These kernels provide those operations in three tiers —
 // portable u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at
 // startup (the same pattern as the bignum ADX squaring dispatch) and
 // selectable at runtime so benches can compare tiers and tests can pin
@@ -20,6 +20,25 @@
 namespace ice::simd {
 
 enum class XorTier : std::uint8_t { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
+
+/// dst pair ([lo | hi], w words apart) += c * (ul + uh x) over the first bw
+/// words, for a GF(4) element c in [0, 3] (gf::GF4's 2-bit value). With
+/// x (lo + hi x) = hi + (lo + hi) x the product is
+///   c = 1: (ul, uh),  c = 2: (uh, ul ^ uh),  c = 3: (ul ^ uh, ul),
+/// at most two XORs per word; c's bits become word masks, not branches.
+/// The portable run kernel folds U with it, and PirClient::decode folds
+/// z and M^-1's row into whole bit planes.
+inline void add_scaled(std::uint64_t* dst, std::size_t w,
+                       const std::uint64_t* ul, const std::uint64_t* uh,
+                       std::size_t bw, unsigned c) {
+  if (c == 0) return;
+  const std::uint64_t m0 = 0 - static_cast<std::uint64_t>(c & 1u);
+  const std::uint64_t m1 = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
+  for (std::size_t j = 0; j < bw; ++j) {
+    dst[j] ^= (ul[j] & m0) ^ (uh[j] & m1);
+    dst[w + j] ^= (uh[j] & m0) ^ ((ul[j] ^ uh[j]) & m1);
+  }
+}
 
 /// The kernel bundle for one tier. Rows are `w` little-endian 64-bit words;
 /// source and destination ranges must not partially overlap.
@@ -43,15 +62,6 @@ struct XorKernels {
   void (*xor_run)(std::uint64_t* acc, const std::uint64_t* rows,
                   std::size_t w, const std::uint8_t* q, std::uint32_t a,
                   std::uint32_t b, std::uint32_t c0, std::size_t len);
-  /// Expands k bit-plane pairs into one 2-bit element byte each:
-  ///   out[i] = ((lo[i / 64] >> (i % 64)) & 1) |
-  ///            (((hi[i / 64] >> (i % 64)) & 1) << 1)   for i in [0, k).
-  /// This is the response unpack step (packed GF(4) component planes to
-  /// one element byte per bitplane); it sweeps every accumulator pair once
-  /// per respond, so it is dispatched alongside the XOR kernels (AVX-512
-  /// turns a 64-bit plane word directly into a 64-byte mask expansion).
-  void (*spread_pair)(const std::uint64_t* lo, const std::uint64_t* hi,
-                      std::size_t k, std::uint8_t* out);
   XorTier tier;
   const char* name;
 };

@@ -454,12 +454,18 @@ TagInfo TpaClient::tag_info() const {
   return read_tag_info(r);
 }
 
-pir::PirResponse TpaClient::tag_query(const TagQuery& query) const {
+pir::PirResponse TpaClient::tag_query(const TagQuery& query,
+                                      std::size_t tag_bits) const {
+  const std::vector<gf::GF4Vector>& points = query.query.points;
+  const pir::PirShape want{points.size(), tag_bits,
+                           points.empty() ? 0 : points.front().size()};
   net::Writer w;
   write_sharded_query(w, query);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaShardQuery, std::move(w));
   net::Reader r = unwrap(raw);
-  return read_pir_response(r);
+  pir::PirResponse resp = read_pir_response(r, want);
+  r.expect_done();
+  return resp;
 }
 
 bool TpaClient::batch_finish(std::uint64_t batch_id, std::uint64_t generation,

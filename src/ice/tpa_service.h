@@ -175,9 +175,13 @@ class TpaClient {
   /// The store's row count, key generation and content epoch; the user
   /// plans its tag queries against this (generation, epoch) pair.
   [[nodiscard]] TagInfo tag_info() const;
-  /// One private tag query over all n rows. A stale generation or epoch
-  /// surfaces as RemoteError kFailedPrecondition — refresh and re-plan.
-  [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query) const;
+  /// One private tag query over all n rows, whose reply is read as the
+  /// answer to it: one entry per point, `tag_bits`-bit tags, gradients as
+  /// long as its points (a reply of any other shape is a CodecError). A
+  /// stale generation or epoch surfaces as RemoteError kFailedPrecondition
+  /// — refresh and re-plan.
+  [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query,
+                                           std::size_t tag_bits) const;
 
  private:
   net::RpcChannel* channel_;

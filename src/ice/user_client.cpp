@@ -92,7 +92,7 @@ UserClient::Retrieved UserClient::retrieve(
     std::exception_ptr r1_error;
     std::thread second([&] {
       try {
-        r1 = TpaClient(*tpa1_).tag_query(q1);
+        r1 = TpaClient(*tpa1_).tag_query(q1, pir_->tag_bits());
       } catch (...) {
         r1_error = std::current_exception();
       }
@@ -100,7 +100,7 @@ UserClient::Retrieved UserClient::retrieve(
     pir::PirResponse r0;
     std::exception_ptr r0_error;
     try {
-      r0 = TpaClient(*tpa0_).tag_query(q0);
+      r0 = TpaClient(*tpa0_).tag_query(q0, pir_->tag_bits());
     } catch (...) {
       r0_error = std::current_exception();
     }

@@ -1,12 +1,21 @@
 #include "ice/wire.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 
 namespace ice::proto {
 
 namespace {
+
+// The byte length of a packed string of `count` elements, and the mask of
+// its last byte's padding bits (zero when the elements fill that byte).
+std::size_t packed_bytes(std::size_t count) { return (count + 3) / 4; }
+std::uint8_t padding_mask(std::size_t count) {
+  return count % 4 == 0 ? 0
+                        : static_cast<std::uint8_t>(0xFF << (2 * (count % 4)));
+}
 
 // A length-prefixed packed GF(4) string as it sits in the frame: the
 // element count, then the packed bytes (pir::pack_gf4's layout).
@@ -18,7 +27,7 @@ struct PackedGf4 {
 // Writes the count and the length prefix, and returns the zeroed bytes the
 // caller packs the elements into (valid until the next write).
 std::uint8_t* begin_gf4_string(net::Writer& w, std::size_t count) {
-  const std::size_t nbytes = (count + 3) / 4;
+  const std::size_t nbytes = packed_bytes(count);
   w.varint(count);
   w.varint(nbytes);
   return w.grow(nbytes);
@@ -31,10 +40,29 @@ PackedGf4 read_gf4_string(net::Reader& r,
     throw CodecError("read_gf4_vector: implausible length");
   }
   const BytesView data = r.bytes_view();
-  if (data.size() < (count + 3) / 4) {
+  if (data.size() < packed_bytes(count)) {
     throw CodecError("unpack_gf4: buffer too short");
   }
   return {static_cast<std::size_t>(count), data};
+}
+
+// Reads a packed GF(4) string that must hold exactly `count` elements in
+// exactly packed_bytes(count) bytes with zero padding; `what` names the
+// count in the error.
+BytesView read_exact_gf4_string(net::Reader& r, std::size_t count,
+                                const char* what) {
+  if (r.varint() != count) {
+    throw CodecError(std::string("read_pir_response: ") + what +
+                     " is not the query's");
+  }
+  const BytesView data = r.bytes_view();
+  if (data.size() != packed_bytes(count)) {
+    throw CodecError("read_pir_response: packed string length mismatch");
+  }
+  if (count != 0 && (data.back() & padding_mask(count)) != 0) {
+    throw CodecError("read_pir_response: bits set past the last element");
+  }
+  return data;
 }
 
 }  // namespace
@@ -70,55 +98,47 @@ pir::PirQuery read_pir_query(net::Reader& r) {
 }
 
 void write_pir_response(net::Writer& w, const pir::PirResponse& resp) {
-  w.varint(resp.entries.size());
-  for (const auto& e : resp.entries) {
-    write_gf4_vector(w, e.values);
-    // Gradients are gamma coordinate vectors of uniform length K, sent as
-    // ONE packed GF(4) string to avoid per-vector length overhead (this is
-    // the dominant share of the TPA->User bytes in Tab. I). Each vector is
-    // packed straight into its slice of that string.
-    const std::size_t inner =
-        e.gradients.empty() ? 0 : e.gradients.front().size();
-    for (const auto& g : e.gradients) {
-      if (g.size() != inner) {
-        throw CodecError("write_pir_response: ragged gradients");
-      }
-    }
-    w.varint(inner);
-    std::uint8_t* const packed =
-        begin_gf4_string(w, e.gradients.size() * inner);
-    for (std::size_t row = 0; row < e.gradients.size(); ++row) {
-      pir::pack_gf4_at(e.gradients[row], packed, row * inner);
-    }
+  const pir::PirShape& shape = resp.shape;
+  if (resp.planes.size() != shape.points * shape.stride()) {
+    throw CodecError("write_pir_response: plane words do not match the shape");
+  }
+  const std::size_t k = shape.tag_bits;
+  const std::size_t pair = 2 * shape.words();
+  w.varint(shape.points);
+  for (std::size_t p = 0; p < shape.points; ++p) {
+    const std::uint64_t* const planes = resp.point(p);
+    pir::pack_plane_pairs(planes, 1, k, begin_gf4_string(w, k));
+    // Gradients are gamma coordinate rows of K elements, sent as ONE packed
+    // GF(4) string to avoid per-row length overhead (this is the dominant
+    // share of the TPA->User bytes in Tab. I). The rows' plane pairs are
+    // contiguous, so one call interleaves them all into the frame.
+    w.varint(shape.gamma == 0 ? 0 : k);
+    pir::pack_plane_pairs(planes + pair, shape.gamma, k,
+                          begin_gf4_string(w, shape.gamma * k));
   }
 }
 
-pir::PirResponse read_pir_response(net::Reader& r) {
-  const std::uint64_t count = r.varint();
-  if (count > (std::uint64_t{1} << 20)) {
-    throw CodecError("read_pir_response: implausible count");
+pir::PirResponse read_pir_response(net::Reader& r,
+                                   const pir::PirShape& want) {
+  if (r.varint() != want.points) {
+    throw CodecError("read_pir_response: entry count is not the query's");
   }
+  const std::size_t k = want.tag_bits;
+  const std::size_t pair = 2 * want.words();
   pir::PirResponse resp;
-  resp.entries.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, r.remaining())));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    pir::PirSingleResponse e;
-    e.values = read_gf4_vector(r);
-    const std::uint64_t inner = r.varint();
-    if (inner > (std::uint64_t{1} << 16)) {
-      throw CodecError("read_pir_response: implausible gradient length");
+  resp.shape = want;
+  resp.planes.resize(want.points * want.stride());
+  for (std::size_t p = 0; p < want.points; ++p) {
+    std::uint64_t* const planes = resp.planes.data() + p * want.stride();
+    pir::unpack_plane_pairs(read_exact_gf4_string(r, k, "tag width").data(),
+                            1, k, planes);
+    if (r.varint() != (want.gamma == 0 ? 0 : k)) {
+      throw CodecError(
+          "read_pir_response: gradient length is not the tag width");
     }
-    const PackedGf4 flat = read_gf4_string(r);
-    if (inner != 0 && flat.count % inner != 0) {
-      throw CodecError("read_pir_response: gradient size mismatch");
-    }
-    const std::size_t rows = inner == 0 ? 0 : flat.count / inner;
-    e.gradients.resize(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      e.gradients[row].resize(static_cast<std::size_t>(inner));
-      pir::unpack_gf4_at(flat.data.data(), row * inner, e.gradients[row]);
-    }
-    resp.entries.push_back(std::move(e));
+    const BytesView grads =
+        read_exact_gf4_string(r, want.gamma * k, "gradient count");
+    pir::unpack_plane_pairs(grads.data(), want.gamma, k, planes + pair);
   }
   return resp;
 }

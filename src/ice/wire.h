@@ -80,11 +80,11 @@ gf::GF4Vector read_gf4_vector(net::Reader& r);
 
 /// The most points one tag query may carry. Every caller sends at most 40
 /// (a benchmark gate), and the paper's largest batch union is J = 10 edges
-/// x |S_j| = 10. A query of m points costs the TPA num_shards · m ·
-/// 2w(1 + gamma) words of scratch, which its thread keeps, plus
-/// m(1 + gamma)K response bytes: about 52 MB at the cap for n = 10^3 (a
-/// probe read +51 MB for 1,000 points) and about 390 MB at n = 10^6, where
-/// a 2^20-point query would have cost tens of GB.
+/// x |S_j| = 10. A query of m points costs the TPA m · 2w(1 + gamma) words
+/// of response planes plus (num_shards - 1) times that of scratch, which
+/// its thread keeps: about 5.8 MB per shard at the cap for n = 10^3 and
+/// about 48 MB per shard at n = 10^6, where a 2^20-point query would have
+/// cost tens of GB.
 inline constexpr std::size_t kMaxQueryPoints = 1024;
 
 /// The longest point a tag query may carry: gamma_for(2^24), the gamma of
@@ -99,8 +99,19 @@ void write_pir_query(net::Writer& w, const pir::PirQuery& q);
 /// decodes any, and a point longer than kMaxQueryPointLength before it
 /// unpacks that point.
 pir::PirQuery read_pir_query(net::Reader& r);
+/// A 310 reply: the entry count, then per point the K values as one packed
+/// GF(4) string and, after the row length K, the gamma gradient rows as
+/// another. The codec interleaves the response's bit planes straight into
+/// the packed strings and back (pir::pack_plane_pairs). Throws CodecError
+/// when the planes do not match the response's shape.
 void write_pir_response(net::Writer& w, const pir::PirResponse& resp);
-pir::PirResponse read_pir_response(net::Reader& r);
+/// Reads a 310 reply that must answer a query of `want.points` points with
+/// `want.tag_bits`-bit tags and `want.gamma` gradients. Throws CodecError
+/// on any other count, tag width, row length or gradient count, a string
+/// of the wrong byte length, a truncated frame, or bits set past a
+/// string's last element; the planes are sized from `want`, never from the
+/// frame.
+pir::PirResponse read_pir_response(net::Reader& r, const pir::PirShape& want);
 
 /// The 309 reply: TagStore::info().
 void write_tag_info(net::Writer& w, const TagInfo& info);

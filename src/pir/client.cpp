@@ -1,10 +1,11 @@
 #include "pir/client.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "common/error.h"
+#include "common/scratch.h"
+#include "common/simd.h"
+#include "gf/gf4_matrix.h"
 
 namespace ice::pir {
 
@@ -28,61 +29,13 @@ GF4Matrix decode_matrix() {
   });
 }
 
-// Gathers the LSB of each of the eight bytes of x into the low byte of the
-// result (bit i <- byte i). Product positions 8i + (56 - 7j) are pairwise
-// distinct, so the multiply is carry-free.
-inline std::uint64_t gather_lsb(std::uint64_t x) {
-  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
-// Folds z into one entry's coordinate-major gradients: after the call, bit
-// pi of (acc_lo, acc_hi) holds the {1, x} components of <grad F_pi, z>.
-// Per coordinate j, the K gradient bytes pack into component bitmasks
-// eight elements at a time (carry-free multiply gather), and z_j scatters
-// into both accumulators with three AND/XOR word ops —
-// (a0+a1x)(b0+b1x) = (a0b0^a1b1) + (a0b1^a1b0^a1b1)x — so the dot fold
-// runs word-parallel across 64 bitplanes at once instead of
-// element-by-element per plane.
-void fold_gradients(const std::vector<GF4Vector>& grads, const GF4Vector& z,
-                    std::size_t k, std::uint64_t* acc_lo,
-                    std::uint64_t* acc_hi) {
-  const std::size_t gamma = z.size();
-  for (std::size_t j = 0; j < gamma; ++j) {
-    const std::uint8_t zv = z[j].value();
-    if (zv == 0) continue;  // a zero coordinate contributes nothing
-    const std::uint64_t mzl = 0 - static_cast<std::uint64_t>(zv & 1u);
-    const std::uint64_t mzh = 0 - static_cast<std::uint64_t>((zv >> 1) & 1u);
-    const GF4* const g = grads[j].data();
-    for (std::size_t base = 0, word = 0; base < k; base += 64, ++word) {
-      const std::size_t lim = std::min<std::size_t>(64, k - base);
-      std::uint64_t glo = 0, ghi = 0;
-      std::size_t b = 0;
-      if (std::endian::native == std::endian::little) {
-        for (; b + 8 <= lim; b += 8) {
-          std::uint64_t bytes;
-          std::memcpy(&bytes, g + base + b, 8);
-          glo |= gather_lsb(bytes) << b;
-          ghi |= gather_lsb(bytes >> 1) << b;
-        }
-      }
-      for (; b < lim; ++b) {
-        const auto v = static_cast<std::uint64_t>(g[base + b].value());
-        glo |= (v & 1) << b;
-        ghi |= (v >> 1) << b;
-      }
-      acc_lo[word] ^= (glo & mzl) ^ (ghi & mzh);
-      acc_hi[word] ^= (glo & mzh) ^ (ghi & mzl) ^ (ghi & mzh);
-    }
-  }
-}
-
 }  // namespace
 
 PirClient::PirClient(const Embedding& embedding, std::size_t tag_bits)
-    : embedding_(&embedding),
-      tag_bits_(tag_bits),
-      decode_matrix_inv_(decode_matrix().inverse()) {
+    : embedding_(&embedding), tag_bits_(tag_bits) {
   if (tag_bits == 0) throw ParamError("PirClient: tag_bits must be >= 1");
+  const GF4Matrix inv = decode_matrix().inverse();
+  for (std::size_t k = 0; k < c0_row_.size(); ++k) c0_row_[k] = inv.at(0, k);
 }
 
 PirClient::EncodedQuery PirClient::encode(
@@ -134,65 +87,66 @@ std::vector<bn::BigInt> PirClient::decode(const QuerySecrets& secrets,
                                           const PirResponse& r0,
                                           const PirResponse& r1) const {
   const std::size_t count = secrets.indices.size();
-  if (r0.entries.size() != count || r1.entries.size() != count ||
-      secrets.z.size() != count) {
-    throw ProtocolError("PirClient::decode: response count mismatch");
+  if (secrets.z.size() != count) {
+    throw ProtocolError("PirClient::decode: secret count mismatch");
   }
-  const std::size_t gamma = embedding_->gamma();
-  std::vector<bn::BigInt> tags;
-  tags.reserve(count);
-  const std::size_t kw = (tag_bits_ + 63) / 64;
-  std::vector<std::uint64_t> words(kw);
-  // Per-server packed dot planes, reused across points: bit pi of
-  // (d*_lo, d*_hi) holds the {1, x} components of <grad F_pi, z> — the
-  // gradient folds run word-parallel over all K bitplanes in
-  // fold_gradients instead of one dot product per plane.
-  std::vector<std::uint64_t> d0_lo(kw), d0_hi(kw), d1_lo(kw), d1_hi(kw);
-  GF4Vector u(4);
-  for (std::size_t l = 0; l < count; ++l) {
-    const PirSingleResponse& e0 = r0.entries[l];
-    const PirSingleResponse& e1 = r1.entries[l];
-    if (e0.values.size() != tag_bits_ || e1.values.size() != tag_bits_ ||
-        e0.gradients.size() != gamma || e1.gradients.size() != gamma) {
+  const PirShape want{count, tag_bits_, embedding_->gamma()};
+  for (const PirResponse* r : {&r0, &r1}) {
+    if (r->shape.points != count) {
+      throw ProtocolError("PirClient::decode: response count mismatch");
+    }
+    if (r->shape != want) {
       throw ProtocolError("PirClient::decode: response shape mismatch");
     }
-    for (std::size_t j = 0; j < gamma; ++j) {
-      if (e0.gradients[j].size() != tag_bits_ ||
-          e1.gradients[j].size() != tag_bits_) {
-        throw ProtocolError("PirClient::decode: gradient dim mismatch");
-      }
+    if (r->planes.size() != count * want.stride()) {
+      throw ProtocolError("PirClient::decode: plane words do not match the "
+                          "response shape");
     }
+  }
+  const std::size_t w = want.words();
+  const std::size_t pair = 2 * w;
+  const std::uint64_t last_word =
+      tag_bits_ % 64 == 0 ? ~std::uint64_t{0}
+                          : (std::uint64_t{1} << (tag_bits_ % 64)) - 1;
+  // Per point, in one lease: the two servers' dot planes, where bit pi of
+  // d = (d_lo, d_hi) holds <grad F_pi, z> at that server's point, and the
+  // decoded c_0 planes.
+  auto lease = ScratchArena::local().take(3 * pair);
+  std::uint64_t* const d0 = lease.data();
+  std::uint64_t* const d1 = d0 + pair;
+  std::uint64_t* const c0 = d1 + pair;
+  std::vector<bn::BigInt> tags;
+  tags.reserve(count);
+  for (std::size_t l = 0; l < count; ++l) {
     const GF4Vector& z = secrets.z[l];
-    if (z.size() != gamma) {
+    if (z.size() != want.gamma) {
       throw ProtocolError("PirClient::decode: secret dim mismatch");
     }
-    std::fill(d0_lo.begin(), d0_lo.end(), 0);
-    std::fill(d0_hi.begin(), d0_hi.end(), 0);
-    std::fill(d1_lo.begin(), d1_lo.end(), 0);
-    std::fill(d1_hi.begin(), d1_hi.end(), 0);
-    fold_gradients(e0.gradients, z, tag_bits_, d0_lo.data(), d0_hi.data());
-    fold_gradients(e1.gradients, z, tag_bits_, d1_lo.data(), d1_hi.data());
-    std::fill(words.begin(), words.end(), 0);
-    for (std::size_t pi = 0; pi < tag_bits_; ++pi) {
-      const std::size_t word = pi / 64;
-      const std::size_t sh = pi % 64;
-      u[0] = e0.values[pi];
-      u[1] = GF4(static_cast<std::uint8_t>(((d0_lo[word] >> sh) & 1u) |
-                                           (((d0_hi[word] >> sh) & 1u)
-                                            << 1)));
-      u[2] = e1.values[pi];
-      u[3] = GF4(static_cast<std::uint8_t>(((d1_lo[word] >> sh) & 1u) |
-                                           (((d1_hi[word] >> sh) & 1u)
-                                            << 1)));
-      const GF4 bit = decode_matrix_inv_.mul(u)[0];
-      if (bit.value() > 1) {
+    const std::uint64_t* const e0 = r0.point(l);
+    const std::uint64_t* const e1 = r1.point(l);
+    // Fold z into each server's gradient planes, 64 bitplanes per word.
+    std::fill(d0, d0 + 2 * pair, 0);
+    for (std::size_t j = 0; j < want.gamma; ++j) {
+      const std::uint64_t* const g0 = e0 + pair * (1 + j);
+      const std::uint64_t* const g1 = e1 + pair * (1 + j);
+      simd::add_scaled(d0, w, g0, g0 + w, w, z[j].value());
+      simd::add_scaled(d1, w, g1, g1 + w, w, z[j].value());
+    }
+    // c_0 = row . (F(1), <grad F(1), z>, F(x), <grad F(x), z>), solved for
+    // all K bitplanes at once.
+    std::fill(c0, c0 + pair, 0);
+    const std::uint64_t* const u[4] = {e0, d0, e1, d1};
+    for (std::size_t k = 0; k < c0_row_.size(); ++k) {
+      simd::add_scaled(c0, w, u[k], u[k] + w, w, c0_row_[k].value());
+    }
+    c0[w - 1] &= last_word;
+    c0[2 * w - 1] &= last_word;
+    for (std::size_t i = 0; i < w; ++i) {
+      if (c0[w + i] != 0) {
         throw ProtocolError("PirClient::decode: non-boolean decoded bit");
       }
-      if (bit.value() == 1) {
-        words[pi / 64] |= std::uint64_t{1} << (pi % 64);
-      }
     }
-    tags.push_back(bn::BigInt::from_limbs(words));
+    tags.push_back(bn::BigInt::from_limbs(c0, w));
   }
   return tags;
 }

@@ -7,13 +7,14 @@
 // equations, and c_0 = g(0) = F_pi(phi(j_l)) is the wanted tag bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
 
 #include "bignum/bigint.h"
 #include "bignum/random.h"
-#include "gf/gf4_matrix.h"
+#include "gf/gf4.h"
 #include "pir/embedding.h"
 #include "pir/messages.h"
 
@@ -36,7 +37,9 @@ class PirClient {
                                     bn::Rng64& rng) const;
 
   /// Decodes the two auditors' responses into the retrieved tags, in the
-  /// order of secrets.indices. Throws ProtocolError on malformed responses.
+  /// order of secrets.indices, word-parallel over their bit planes. Throws
+  /// ProtocolError on a response of another shape than
+  /// (|indices|, K, gamma) and on a decoded bit outside {0, 1}.
   [[nodiscard]] std::vector<bn::BigInt> decode(
       const QuerySecrets& secrets, const PirResponse& r0,
       const PirResponse& r1) const;
@@ -46,7 +49,9 @@ class PirClient {
  private:
   const Embedding* embedding_;
   std::size_t tag_bits_;
-  gf::GF4Matrix decode_matrix_inv_;  // M^{-1} from Lemma 2
+  // Row 0 of M^{-1} from Lemma 2: c_0 = sum_k row[k] u_k for
+  // u = (g(1), g'(1), g(x), g'(x)).
+  std::array<gf::GF4, 4> c0_row_;
 };
 
 }  // namespace ice::pir

@@ -23,19 +23,50 @@ struct PirQuery {
   [[nodiscard]] std::size_t size() const { return points.size(); }
 };
 
-/// Response entry for one queried point: F_pi(q) for every bitplane pi and
-/// the gradient (partial derivatives) of each F_pi at q. Gradients are
-/// coordinate-major — gradients[j][pi] is dF_pi/dx_j — matching the
-/// server's accumulator planes (contiguous unpack) and letting the client
-/// fold z_j into all K bitplanes word-parallel during decode.
+/// F_pi(q) for every bitplane pi and the gradient (partial derivatives) of
+/// each F_pi at q, one GF(4) element per byte: the output of the per-point
+/// reference evaluators (PirServer::respond_naive / respond_matrix), which
+/// the differential tests compare the serving engine against. Gradients
+/// are coordinate-major: gradients[j][pi] is dF_pi/dx_j.
 struct PirSingleResponse {
   gf::GF4Vector values;                   // length K
   std::vector<gf::GF4Vector> gradients;   // gamma entries, each length K
 };
 
-/// Full response from one TPA (paper Alg. 1, "Auditor tau: tag response").
+/// The shape of one TPA's answer: one entry per queried point, each the K
+/// values F_pi(q) and gamma gradient rows of K elements.
+struct PirShape {
+  std::size_t points = 0;
+  std::size_t tag_bits = 0;  // K
+  std::size_t gamma = 0;
+
+  /// 64-bit words per bit plane.
+  [[nodiscard]] std::size_t words() const { return (tag_bits + 63) / 64; }
+  /// Words per point: the value pair, then gamma gradient pairs.
+  [[nodiscard]] std::size_t stride() const {
+    return 2 * words() * (1 + gamma);
+  }
+
+  friend bool operator==(const PirShape&, const PirShape&) = default;
+};
+
+/// Full response from one TPA (paper Alg. 1, "Auditor tau: tag response")
+/// in the layout the server's sweep accumulates: GF(4) bit planes. Element
+/// pi of a plane pair [lo | hi] (w = ceil(K / 64) words each) is
+/// bit pi of lo | bit pi of hi << 1, and bits K and above are zero. Point
+/// p owns words [p * stride, (p + 1) * stride): the value pair, then the
+/// pair of gradient coordinate j at word 2w(1 + j). The server hands its
+/// folded accumulator over as this, the wire codec interleaves the pairs
+/// straight into the frame and back, and the client decodes them
+/// word-parallel (DESIGN.md §9).
 struct PirResponse {
-  std::vector<PirSingleResponse> entries;  // one per queried point
+  PirShape shape;
+  std::vector<std::uint64_t> planes;  // shape.points * shape.stride() words
+
+  /// The first word of point p's value pair.
+  [[nodiscard]] const std::uint64_t* point(std::size_t p) const {
+    return planes.data() + p * shape.stride();
+  }
 };
 
 /// Client-side secrets needed to decode: the random directions z_l and the
@@ -68,5 +99,20 @@ void pack_gf4_at(std::span<const gf::GF4> v, std::uint8_t* out,
 /// into `out`, 32 elements per 64-bit word. The caller bounds-checks.
 void unpack_gf4_at(const std::uint8_t* data, std::size_t pos,
                    std::span<gf::GF4> out);
+
+/// Packs `rows` bit-plane pairs of K elements each into one packed string
+/// of rows * K elements: pair r (lo at pairs + 2wr, hi w words after it,
+/// w = ceil(K / 64)) becomes elements rK .. rK + K - 1. Each 32-element
+/// group is bit-interleaved once (lo to the even bits, hi to the odd ones)
+/// and funnel-shifted into place, so rows need not start on a byte. Writes
+/// all ceil(rows * K / 4) bytes at `out`; bits past the last element are
+/// zero, and plane bits past K are ignored.
+void pack_plane_pairs(const std::uint64_t* pairs, std::size_t rows,
+                      std::size_t k, std::uint8_t* out);
+/// The inverse: reads rows * K elements from the ceil(rows * K / 4) bytes
+/// at `data` into `rows` plane pairs laid out as above, writing every word
+/// of them (plane bits past K come out zero). The caller bounds-checks.
+void unpack_plane_pairs(const std::uint8_t* data, std::size_t rows,
+                        std::size_t k, std::uint64_t* pairs);
 
 }  // namespace ice::pir

@@ -1,7 +1,7 @@
 #include "pir/server.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <optional>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -31,16 +31,6 @@ MonomialEval eval_monomial(const GF4Vector& q, const Embedding::Triple& t) {
   e.deriv[2] = qa * qb;
   e.mono = qa * e.deriv[0];
   return e;
-}
-
-// Expands k elements of a lo/hi bit-plane pair into GF(4) bytes
-// (lo | hi << 1 per element) through the dispatched spread kernel. GF4 is
-// one trivially-copyable byte whose representation IS the 2-bit element
-// value, so the kernel writes the output array directly.
-void unpack_pair(const simd::XorKernels& kern, const std::uint64_t* lo,
-                 const std::uint64_t* hi, std::size_t k, GF4* out) {
-  static_assert(std::is_trivially_copyable_v<GF4> && sizeof(GF4) == 1);
-  kern.spread_pair(lo, hi, k, reinterpret_cast<std::uint8_t*>(out));
 }
 
 }  // namespace
@@ -160,15 +150,15 @@ PirSingleResponse PirServer::respond_matrix(const Bitplanes& planes,
 void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   for (const auto& q : query.points) check_point(q);
   const std::vector<GF4Vector>& qs = query.points;
-  if (qs.empty()) {
-    out.entries.clear();
-    return;
-  }
   const std::size_t n = db_->size();
-  const std::size_t k = db_->tag_bits();
-  const std::size_t gamma = embedding_->gamma();
   const std::size_t w = db_->words_per_tag();
   const std::size_t m = qs.size();
+  out.shape = {m, db_->tag_bits(), embedding_->gamma()};
+  const std::size_t gamma = out.shape.gamma;
+  const std::size_t stride = out.shape.stride();
+  // assign (not a fresh vector) keeps a warm response's capacity.
+  out.planes.assign(m * stride, 0);
+  if (m == 0) return;
   const Embedding::Triple* const triples = embedding_->triples().data();
   const std::uint64_t* const rows = db_->rows_data();
   const simd::XorKernels& kern = simd::active_kernels();
@@ -177,16 +167,21 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   // 2w(1 + gamma) words — the value pair [v_lo | v_hi] followed by the
   // gamma gradient pairs [g_lo_j | g_hi_j] (lo/hi interleaved per
   // coordinate, so one kernel add touches one contiguous 2w-word pair).
-  // All m points of a shard are adjacent, all shards adjacent in one
-  // reusable thread-local lease, zeroed per call instead of allocated per
-  // call.
-  const std::size_t pair = 2 * w;
-  const std::size_t stride = pair * (1 + gamma);
+  // That is the response's own layout: shard 0 accumulates straight into
+  // out.planes, and the other shards into one reusable thread-local lease,
+  // zeroed per call instead of allocated per call.
   const std::size_t num_shards =
-      chunk_count(n, resolve_parallelism(parallelism_));
-  auto lease = ScratchArena::local().take_zeroed(
-      std::max<std::size_t>(num_shards, 1) * m * stride);
-  std::uint64_t* const acc = lease.data();
+      std::max<std::size_t>(chunk_count(n, resolve_parallelism(parallelism_)),
+                            1);
+  std::optional<ScratchArena::Lease> lease;
+  if (num_shards > 1) {
+    lease.emplace(ScratchArena::local().take_zeroed((num_shards - 1) * m *
+                                                    stride));
+  }
+  const auto shard_acc = [&](std::size_t shard) {
+    return shard == 0 ? out.planes.data()
+                      : lease->data() + (shard - 1) * m * stride;
+  };
 
   // Run-factored sweep. The embedding enumerates supports {a < b < c}
   // lexicographically, so the rows sharing (a, b) are consecutive with
@@ -202,13 +197,13 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   // linear in the rows.
   parallel_chunks(n, parallelism_, [&](std::size_t shard, std::size_t begin,
                                        std::size_t end) {
-    std::uint64_t* const shard_acc = acc + shard * m * stride;
+    std::uint64_t* const acc = shard_acc(shard);
     for (std::size_t i = begin; i < end;) {
       const Embedding::Triple t = triples[i];
       const std::size_t len = std::min<std::size_t>(end - i, gamma - t[2]);
       const std::uint64_t* const run_rows = rows + i * w;
       for (std::size_t p = 0; p < m; ++p) {
-        kern.xor_run(shard_acc + p * stride, run_rows, w,
+        kern.xor_run(acc + p * stride, run_rows, w,
                      reinterpret_cast<const std::uint8_t*>(qs[p].data()),
                      t[0], t[1], t[2], len);
       }
@@ -216,34 +211,12 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
     }
   });
 
-  // Fold shards in ascending order (deterministic; all m points fold in
-  // one pass since the layout is contiguous).
+  // Fold the other shards into shard 0 in ascending order (deterministic;
+  // all m points fold in one pass since the layout is contiguous). The
+  // folded planes are the response: nothing is expanded or copied.
   for (std::size_t s = 1; s < num_shards; ++s) {
-    kern.xor_row(acc, acc + s * m * stride, m * stride);
+    kern.xor_row(out.planes.data(), shard_acc(s), m * stride);
   }
-
-  // Unpack the component planes into per-point responses; the
-  // coordinate-major gradient layout mirrors the accumulator, so every
-  // output vector expands from one contiguous pair. Points are disjoint
-  // output slots, so they shard over the pool. resize (not assign) keeps a
-  // warm entry's buffers — unpack_pair overwrites every element, so no
-  // zeroing is needed.
-  out.entries.resize(m);
-  parallel_chunks(m, parallelism_, [&](std::size_t, std::size_t begin,
-                                       std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::uint64_t* const pacc = acc + p * stride;
-      PirSingleResponse& entry = out.entries[p];
-      entry.values.resize(k);
-      entry.gradients.resize(gamma);
-      unpack_pair(kern, pacc, pacc + w, k, entry.values.data());
-      for (std::size_t j = 0; j < gamma; ++j) {
-        const std::uint64_t* const g = pacc + pair * (1 + j);
-        entry.gradients[j].resize(k);
-        unpack_pair(kern, g, g + w, k, entry.gradients[j].data());
-      }
-    }
-  });
 }
 
 }  // namespace ice::pir

@@ -11,7 +11,8 @@
 //                    query in one pass over the database. Rows sharing
 //                    (a, b) are consecutive in the embedding, so the cubic
 //                    is evaluated once per such run: q_a q_b times
-//                    U = sum_c q_c T_abc (DESIGN.md §9).
+//                    U = sum_c q_c T_abc (DESIGN.md §9). Its planes are
+//                    the response.
 //   respond_naive  — term-by-term evaluation multiplying every monomial by
 //                    its 0/1 coefficient; the paper's Fig. 2 "micro
 //                    benchmark without the matrix representation", and the
@@ -44,13 +45,14 @@ class PirServer {
 
   /// Evaluates a whole query batch in ONE pass over the tag database: each
   /// run of rows sharing (a, b) is folded into every point's planes while
-  /// it is in cache (m-way accumulation instead of m full sweeps).
-  /// Bit-identical to looping respond_naive over the points, at every
-  /// parallelism setting and SIMD tier.
+  /// it is in cache (m-way accumulation instead of m full sweeps). The
+  /// folded bit planes are the response (PirResponse's layout). Equal,
+  /// element for element, to looping respond_naive over the points, at
+  /// every parallelism setting and SIMD tier.
   [[nodiscard]] PirResponse respond(const PirQuery& query) const;
 
-  /// In-place respond(): reshapes `out` without discarding its entry and
-  /// plane-vector capacity, so a warm response object (same m, k, gamma as
+  /// In-place respond(): `out.planes` is the first shard's accumulator and
+  /// keeps its capacity, so a warm response object (same m, k, gamma as
   /// the previous call) makes the steady-state batch sweep allocation-free.
   void respond_into(const PirQuery& query, PirResponse& out) const;
 

@@ -121,30 +121,6 @@ TEST(SimdTest, XorRunMatchesTermByTermReferenceAtEveryTier) {
   }
 }
 
-TEST(SimdTest, SpreadPairMatchesScalarReferenceAtEveryTierAndLength) {
-  SplitMix64 rng(0x71);
-  // Full words, sub-word tails and sub-vector lengths; every tier must
-  // produce the scalar bit-gather exactly.
-  for (std::size_t k :
-       {std::size_t{1}, std::size_t{7}, std::size_t{31}, std::size_t{64},
-        std::size_t{65}, std::size_t{100}, std::size_t{1024}}) {
-    const std::size_t words = (k + 63) / 64;
-    const auto lo = random_words(rng, words);
-    const auto hi = random_words(rng, words);
-    std::vector<std::uint8_t> expected(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      expected[i] = static_cast<std::uint8_t>(
-          ((lo[i / 64] >> (i % 64)) & 1u) |
-          (((hi[i / 64] >> (i % 64)) & 1u) << 1));
-    }
-    for (XorTier tier : supported_tiers()) {
-      std::vector<std::uint8_t> out(k, 0xFF);
-      kernels_for(tier).spread_pair(lo.data(), hi.data(), k, out.data());
-      EXPECT_EQ(out, expected) << tier_name(tier) << " k=" << k;
-    }
-  }
-}
-
 TEST(SimdTest, ActiveTierOverrideRoundTrips) {
   const XorTier original = active_kernels().tier;
   for (XorTier tier : supported_tiers()) {

@@ -191,9 +191,11 @@ TEST_F(EpochServiceTest, StoreStageCloseThenQueryDecodesMergedTag) {
   const pir::PirClient client(embedding, keys_.pk.modulus_bits());
   auto enc = client.encode(std::vector<std::size_t>{5, 7, 23}, rng_);
   const pir::PirResponse r0 = clients[0].tag_query(
-      {info.generation, info.epoch, std::move(enc.queries[0])});
+      {info.generation, info.epoch, std::move(enc.queries[0])},
+      client.tag_bits());
   const pir::PirResponse r1 = clients[1].tag_query(
-      {info.generation, info.epoch, std::move(enc.queries[1])});
+      {info.generation, info.epoch, std::move(enc.queries[1])},
+      client.tag_bits());
   EXPECT_EQ(client.decode(enc.secrets, r0, r1),
             (std::vector<bn::BigInt>{fresh, tags[7], tags[23]}));
 }

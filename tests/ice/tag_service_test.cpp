@@ -89,7 +89,7 @@ TEST_F(TagServiceTest, StaleEpochSurfacesAsFailedPrecondition) {
   const TagQuery stale{info.generation, info.epoch + 3,
                        std::move(enc.queries[0])};
   try {
-    (void)tpa.tag_query(stale);
+    (void)tpa.tag_query(stale, client.tag_bits());
     FAIL() << "expected RemoteError";
   } catch (const net::RemoteError& e) {
     EXPECT_EQ(e.status(), net::Status::kFailedPrecondition);

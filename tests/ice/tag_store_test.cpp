@@ -113,7 +113,7 @@ TEST_F(TagStoreTest, StaleQueryEpochIsRejectedTyped) {
 
   EXPECT_FALSE(store.close_epoch().closed);
   EXPECT_NO_THROW(store.respond(0, enc.queries[0], out));
-  EXPECT_EQ(out.entries.size(), 2u);
+  EXPECT_EQ(out.shape.points, 2u);
 
   store.update(3, tags[4]);
   ASSERT_TRUE(store.close_epoch().closed);

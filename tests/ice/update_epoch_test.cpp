@@ -116,7 +116,7 @@ TEST_F(UpdateEpochTest, ConcurrentUpdatesClosesAndAuditsAreRaceFree) {
       tpa.respond(info.epoch, enc.queries[0], resp);
       // EXPECT, not ASSERT: a fatal failure would return from the test
       // body and destroy the running threads while joinable.
-      EXPECT_EQ(resp.entries.size(), wanted.size());
+      EXPECT_EQ(resp.shape.points, wanted.size());
     } catch (const StaleEpochError&) {
       ++stale_rejections;  // a close landed mid-round
     }

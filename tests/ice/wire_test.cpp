@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/pir_planes.h"
 
 namespace ice::proto {
 namespace {
@@ -93,41 +94,10 @@ TEST(WireTest, PirQueryRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireTest, PirResponseRoundTrip) {
-  SplitMix64 rng(23);
-  pir::PirResponse resp;
-  for (int e = 0; e < 3; ++e) {
-    pir::PirSingleResponse entry;
-    entry.values = random_vec(rng, 64);
-    for (int g = 0; g < 64; ++g) {
-      entry.gradients.push_back(random_vec(rng, 9));
-    }
-    resp.entries.push_back(std::move(entry));
-  }
-  net::Writer w;
-  write_pir_response(w, resp);
-  const Bytes buf = w.take();
-  net::Reader r(buf);
-  const pir::PirResponse back = read_pir_response(r);
-  ASSERT_EQ(back.entries.size(), 3u);
-  for (std::size_t e = 0; e < 3; ++e) {
-    EXPECT_EQ(back.entries[e].values, resp.entries[e].values);
-    EXPECT_EQ(back.entries[e].gradients, resp.entries[e].gradients);
-  }
-}
-
-TEST(WireTest, PirResponseBytesMatchFlatScalarEncoding) {
-  // K = 13 is not a multiple of 4, so gradient rows share packed bytes.
-  // The frame must be byte-identical to the encoding that copied the
-  // gradients into one flat vector and packed it an element at a time.
-  SplitMix64 rng(29);
-  pir::PirResponse resp;
-  for (int e = 0; e < 2; ++e) {
-    pir::PirSingleResponse entry;
-    entry.values = random_vec(rng, 13);
-    for (int g = 0; g < 7; ++g) entry.gradients.push_back(random_vec(rng, 13));
-    resp.entries.push_back(std::move(entry));
-  }
+// The 310 reply as the element-at-a-time encoder wrote it: per point the
+// K values as one packed string, the row length K, then the gamma gradient
+// rows laid end to end as another, four 2-bit elements per byte.
+Bytes scalar_frame(const pir::PirResponse& resp) {
   const auto scalar_pack = [](const gf::GF4Vector& v) {
     Bytes out((v.size() + 3) / 4, 0);
     for (std::size_t i = 0; i < v.size(); ++i) {
@@ -135,42 +105,171 @@ TEST(WireTest, PirResponseBytesMatchFlatScalarEncoding) {
     }
     return out;
   };
+  const pir::PirShape& shape = resp.shape;
   net::Writer expected;
-  expected.varint(resp.entries.size());
-  for (const auto& e : resp.entries) {
-    expected.varint(e.values.size());
-    expected.bytes(scalar_pack(e.values));
-    expected.varint(13);
+  expected.varint(shape.points);
+  for (std::size_t p = 0; p < shape.points; ++p) {
+    gf::GF4Vector values(shape.tag_bits);
+    for (std::size_t pi = 0; pi < shape.tag_bits; ++pi) {
+      values[pi] = testing::element(resp, p, 0, pi);
+    }
+    expected.varint(values.size());
+    expected.bytes(scalar_pack(values));
+    expected.varint(shape.gamma == 0 ? 0 : shape.tag_bits);
     gf::GF4Vector flat;
-    for (const auto& g : e.gradients) {
-      flat.insert(flat.end(), g.begin(), g.end());
+    for (std::size_t j = 0; j < shape.gamma; ++j) {
+      for (std::size_t pi = 0; pi < shape.tag_bits; ++pi) {
+        flat.push_back(testing::element(resp, p, 1 + j, pi));
+      }
     }
     expected.varint(flat.size());
     expected.bytes(scalar_pack(flat));
   }
+  return expected.take();
+}
+
+TEST(WireTest, PirResponseRoundTrip) {
+  SplitMix64 rng(23);
+  const pir::PirShape shape{3, 9, 64};
+  const pir::PirResponse resp = testing::random_response(rng, shape);
   net::Writer w;
   write_pir_response(w, resp);
   const Bytes buf = w.take();
-  EXPECT_EQ(buf, expected.take());
   net::Reader r(buf);
-  const pir::PirResponse back = read_pir_response(r);
-  ASSERT_EQ(back.entries.size(), resp.entries.size());
-  for (std::size_t e = 0; e < back.entries.size(); ++e) {
-    EXPECT_EQ(back.entries[e].values, resp.entries[e].values);
-    EXPECT_EQ(back.entries[e].gradients, resp.entries[e].gradients);
-  }
+  const pir::PirResponse back = read_pir_response(r, shape);
   EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.shape, shape);
+  EXPECT_EQ(back.planes, resp.planes);
 }
 
-TEST(WireTest, PirResponseRaggedGradientsRejectedOnWrite) {
-  pir::PirResponse resp;
-  pir::PirSingleResponse entry;
-  entry.values.assign(2, gf::GF4());
-  entry.gradients.push_back(gf::GF4Vector(3));
-  entry.gradients.push_back(gf::GF4Vector(4));  // ragged
-  resp.entries.push_back(std::move(entry));
+// The plane codec writes the bytes of the element-at-a-time encoding at
+// every tag width (rows that start inside a byte when K % 4 != 0, inside a
+// word when K % 32 != 0), gradient count and point count, and reading the
+// frame back writes the same frame again.
+TEST(WireTest, PirResponseBytesMatchFlatScalarEncoding) {
+  SplitMix64 rng(29);
+  for (const std::size_t k : {1u, 63u, 64u, 65u, 520u, 1021u, 1023u, 1024u}) {
+    for (const std::size_t gamma : {4u, 21u, 87u}) {
+      for (const std::size_t m : {1u, 3u, 40u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "K=" << k << " gamma=" << gamma << " m=" << m);
+        const pir::PirShape shape{m, k, gamma};
+        const pir::PirResponse resp = testing::random_response(rng, shape);
+        net::Writer w;
+        write_pir_response(w, resp);
+        const Bytes buf = w.take();
+        ASSERT_EQ(buf, scalar_frame(resp));
+        net::Reader r(buf);
+        const pir::PirResponse back = read_pir_response(r, shape);
+        EXPECT_TRUE(r.done());
+        ASSERT_EQ(back.planes, resp.planes);
+        net::Writer again;
+        write_pir_response(again, back);
+        ASSERT_EQ(again.take(), buf);
+      }
+    }
+  }
+}
+
+TEST(WireTest, PirResponsePlaneSizeMismatchRejectedOnWrite) {
+  SplitMix64 rng(30);
+  pir::PirResponse resp = testing::random_response(rng, {2, 13, 5});
+  resp.planes.pop_back();  // one word short of its shape
   net::Writer w;
   EXPECT_THROW(write_pir_response(w, resp), CodecError);
+}
+
+// A reply that is not an answer to the query is refused with CodecError
+// before any plane is read from it: another entry count, tag width, row
+// length or gradient count, a string of the wrong length, a truncated
+// gradient string, or bits set past the last element of a string.
+TEST(WireTest, HostilePirRepliesRejected) {
+  SplitMix64 rng(34);
+  const pir::PirShape want{2, 13, 5};
+  const pir::PirResponse honest = testing::random_response(rng, want);
+  net::Writer hw;
+  write_pir_response(hw, honest);
+  const Bytes honest_buf = hw.take();
+  {
+    net::Reader r(honest_buf);
+    EXPECT_EQ(read_pir_response(r, want).planes, honest.planes);
+  }
+  const auto refused = [](const Bytes& buf, const pir::PirShape& shape) {
+    net::Reader r(buf);
+    EXPECT_THROW((void)read_pir_response(r, shape), CodecError);
+  };
+  // The honest frame read as the answer to another query.
+  refused(honest_buf, {3, 13, 5});   // a count other than |S|
+  refused(honest_buf, {1, 13, 5});
+  refused(honest_buf, {2, 12, 5});   // a tag width other than the user's
+  refused(honest_buf, {2, 14, 5});
+  refused(honest_buf, {2, 13, 4});   // a gamma other than the embedding's
+  refused(honest_buf, {2, 13, 6});
+
+  // Hand-built entries around one field at a time.
+  const auto entry = [](net::Writer& w, std::uint64_t k, Bytes values,
+                        std::uint64_t inner, std::uint64_t count,
+                        Bytes grads) {
+    w.varint(k);
+    w.bytes(values);
+    w.varint(inner);
+    w.varint(count);
+    w.bytes(grads);
+  };
+  const pir::PirShape one{1, 13, 5};
+  const Bytes values(4, 0);  // 13 elements: the last byte holds one
+  const Bytes grads(17, 0);  // 65 elements: so does this string's
+  {
+    net::Writer w;
+    w.varint(1);
+    entry(w, 13, values, 13, 65, grads);
+    const Bytes ok = w.take();
+    net::Reader r(ok);
+    EXPECT_NO_THROW((void)read_pir_response(r, one));
+  }
+  const auto frame = [&](std::uint64_t k, Bytes v, std::uint64_t inner,
+                         std::uint64_t count, Bytes g) {
+    net::Writer w;
+    w.varint(1);
+    entry(w, k, std::move(v), inner, count, std::move(g));
+    return w.take();
+  };
+  refused(frame(12, values, 13, 65, grads), one);   // value count
+  refused(frame(13, values, 12, 65, grads), one);   // row length
+  refused(frame(13, values, 0, 65, grads), one);
+  refused(frame(13, values, 13, 60, grads), one);   // gradient count
+  refused(frame(13, values, 13, 78, grads), one);
+  refused(frame(13, Bytes(3, 0), 13, 65, grads), one);  // short string
+  refused(frame(13, Bytes(5, 0), 13, 65, grads), one);  // long string
+  refused(frame(13, values, 13, 65, Bytes(16, 0)), one);
+  // Bits past K in the values' last byte (element 13 of 16), and past
+  // gamma * K in the gradients' last byte (element 65 of 68).
+  Bytes dirty_values = values;
+  dirty_values.back() = 0x04;
+  refused(frame(13, dirty_values, 13, 65, grads), one);
+  dirty_values.back() = 0x80;
+  refused(frame(13, dirty_values, 13, 65, grads), one);
+  Bytes dirty_grads = grads;
+  dirty_grads.back() = 0x0C;
+  refused(frame(13, values, 13, 65, dirty_grads), one);
+  // The last element's own bits are data, not padding.
+  Bytes last_values = values;
+  last_values.back() = 0x03;
+  Bytes last_grads = grads;
+  last_grads.back() = 0x03;
+  {
+    const Bytes buf = frame(13, last_values, 13, 65, last_grads);
+    net::Reader r(buf);
+    const pir::PirResponse got = read_pir_response(r, one);
+    EXPECT_EQ(testing::element(got, 0, 0, 12), gf::GF4(3));
+    EXPECT_EQ(testing::element(got, 0, 5, 12), gf::GF4(3));
+  }
+  // A gradient string cut short inside a frame is a truncation.
+  {
+    Bytes cut = frame(13, values, 13, 65, grads);
+    cut.pop_back();
+    refused(cut, one);
+  }
 }
 
 TEST(WireTest, BigintListRoundTrip) {
@@ -237,15 +336,9 @@ TEST(WireTest, TruncatedTagMessagesRejectedAtEveryByte) {
   for (int i = 0; i < 2; ++i) q.query.points.push_back(random_vec(rng, 9));
   net::Writer query;
   write_sharded_query(query, q);
-  pir::PirResponse resp;
-  for (int e = 0; e < 2; ++e) {
-    pir::PirSingleResponse entry;
-    entry.values = random_vec(rng, 13);
-    for (int g = 0; g < 9; ++g) entry.gradients.push_back(random_vec(rng, 13));
-    resp.entries.push_back(std::move(entry));
-  }
+  const pir::PirShape shape{2, 13, 9};
   net::Writer response;
-  write_pir_response(response, resp);
+  write_pir_response(response, testing::random_response(rng, shape));
 
   const Bytes info_buf = info.take();
   const Bytes query_buf = query.take();
@@ -261,7 +354,7 @@ TEST(WireTest, TruncatedTagMessagesRejectedAtEveryByte) {
   }
   for (std::size_t len = 0; len < response_buf.size(); ++len) {
     net::Reader r(BytesView(response_buf).first(len));
-    EXPECT_THROW((void)read_pir_response(r), CodecError)
+    EXPECT_THROW((void)read_pir_response(r, shape), CodecError)
         << "310 reply len=" << len;
   }
 }
@@ -302,7 +395,7 @@ TEST(WireTest, HostileTagQueryPointCountsRejected) {
   w.varint(std::uint64_t{1} << 20);  // 310 reply entry count
   const Bytes buf = w.take();
   net::Reader r(buf);
-  EXPECT_THROW((void)read_pir_response(r), CodecError);
+  EXPECT_THROW((void)read_pir_response(r, {3, 13, 9}), CodecError);
 }
 
 TEST(WireTest, ImplausibleLengthsRejected) {

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "ice/protocol.h"
 #include "ice/tag.h"
+#include "ice/wire.h"
 #include "pir/client.h"
 #include "pir/server.h"
 #include "support.h"
@@ -214,6 +215,44 @@ TEST_P(AllocTest, FusedPirRespondIsAllocationFree) {
   const std::uint64_t allocs = steady_state_allocs(
       [&] { server.respond_into(enc.queries[0], resp); });
   EXPECT_EQ(allocs, 0u);
+}
+
+// The user's side of a retrieval: read both 310 replies of an m = 10
+// answer and decode them. Each reply's planes and the returned tag vector
+// are its only allocations, however many gradient rows (m (1 + gamma) of
+// them) the replies carry.
+TEST_P(AllocTest, UserReadAndDecodeAllocationsAreBounded) {
+  const std::size_t n = 1500;
+  const std::size_t tag_bits = 1024;  // tags fit a BigInt's inline limbs
+  pir::TagDatabase db(tag_bits);
+  for (std::size_t i = 0; i < n; ++i) {
+    db.add(bn::random_bits(rng_, tag_bits));
+  }
+  const pir::Embedding emb(n);
+  const pir::PirServer server(db, emb, GetParam());
+  const pir::PirClient client(emb, tag_bits);
+  std::vector<std::size_t> wanted;
+  for (int i = 0; i < 10; ++i) wanted.push_back(gen_.below(n));
+  const auto enc = client.encode(wanted, rng_);
+  Bytes frames[2];
+  for (std::size_t tau = 0; tau < 2; ++tau) {
+    net::Writer w;
+    proto::write_pir_response(w, server.respond(enc.queries[tau]));
+    frames[tau] = w.take();
+  }
+  const pir::PirShape want{wanted.size(), tag_bits, emb.gamma()};
+
+  constexpr int kIters = 4;
+  const std::uint64_t allocs = steady_state_allocs(
+      [&] {
+        net::Reader r0(frames[0]);
+        net::Reader r1(frames[1]);
+        const pir::PirResponse a = proto::read_pir_response(r0, want);
+        const pir::PirResponse b = proto::read_pir_response(r1, want);
+        (void)client.decode(enc.secrets, a, b);
+      },
+      2, kIters);
+  EXPECT_LE(allocs, 3u * kIters);
 }
 
 TEST_P(AllocTest, LadderMultiExpIsAllocationFree) {

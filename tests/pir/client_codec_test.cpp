@@ -1,5 +1,6 @@
-// PirClient codec tests: the word-parallel decode must agree with a plain
-// scalar reference decoder (gf::dot per gradient fold), and encode must
+// PirClient codec tests: the word-parallel plane decode must agree with a
+// plain scalar reference decoder (gf::dot per gradient fold, the full
+// M^{-1} solve per bit) on honest and on random answers, and encode must
 // draw a deterministic number of RNG words for a given (n, count) — the
 // bit pool persists across coordinates and indices, so the draw count is
 // exactly ceil(2 * gamma * count / 64).
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bignum/random.h"
@@ -16,6 +19,7 @@
 #include "gf/gf4_matrix.h"
 #include "pir/server.h"
 #include "pir/tag_database.h"
+#include "support/pir_planes.h"
 
 namespace ice::pir {
 namespace {
@@ -51,7 +55,7 @@ GF4Matrix decode_matrix_inverse() {
       .inverse();
 }
 
-// Gathers one plane's gradient vector out of the coordinate-major response
+// Gathers one plane's gradient vector out of the coordinate-major element
 // layout (gradients[j][pi] -> plane vector of length gamma).
 GF4Vector plane_gradient(const PirSingleResponse& e, std::size_t pi) {
   GF4Vector g(e.gradients.size());
@@ -61,27 +65,35 @@ GF4Vector plane_gradient(const PirSingleResponse& e, std::size_t pi) {
   return g;
 }
 
+// The interpolation inputs u = (g(1), g'(1), g(x), g'(x)) of bitplane pi
+// at point l, from the two responses' elements.
+GF4Vector interpolation_inputs(const PirSingleResponse& e0,
+                               const PirSingleResponse& e1,
+                               const GF4Vector& z, std::size_t pi) {
+  GF4Vector u(4);
+  u[0] = e0.values[pi];
+  u[1] = gf::dot(plane_gradient(e0, pi), z);
+  u[2] = e1.values[pi];
+  u[3] = gf::dot(plane_gradient(e1, pi), z);
+  return u;
+}
+
 // Element-by-element reference decoder: per plane, both gradient folds via
-// the scalar gf::dot, then the 4x4 interpolation solve.
-std::vector<bn::BigInt> scalar_decode(const QuerySecrets& secrets,
-                                      const PirResponse& r0,
-                                      const PirResponse& r1,
-                                      std::size_t tag_bits) {
+// the scalar gf::dot, then the full 4x4 interpolation solve. Returns
+// nullopt when some decoded c_0 is not a bit.
+std::optional<std::vector<bn::BigInt>> scalar_decode(
+    const QuerySecrets& secrets, const PirResponse& r0, const PirResponse& r1,
+    std::size_t tag_bits) {
   const GF4Matrix m_inv = decode_matrix_inverse();
   std::vector<bn::BigInt> tags;
   for (std::size_t l = 0; l < secrets.indices.size(); ++l) {
-    const PirSingleResponse& e0 = r0.entries[l];
-    const PirSingleResponse& e1 = r1.entries[l];
-    const GF4Vector& z = secrets.z[l];
+    const PirSingleResponse e0 = testing::point_elements(r0, l);
+    const PirSingleResponse e1 = testing::point_elements(r1, l);
     std::vector<std::uint64_t> words((tag_bits + 63) / 64);
     for (std::size_t pi = 0; pi < tag_bits; ++pi) {
-      GF4Vector u(4);
-      u[0] = e0.values[pi];
-      u[1] = gf::dot(plane_gradient(e0, pi), z);
-      u[2] = e1.values[pi];
-      u[3] = gf::dot(plane_gradient(e1, pi), z);
-      const GF4 bit = m_inv.mul(u)[0];
-      EXPECT_LE(bit.value(), 1u);
+      const GF4 bit =
+          m_inv.mul(interpolation_inputs(e0, e1, secrets.z[l], pi))[0];
+      if (bit.value() > 1) return std::nullopt;
       if (bit.value() == 1) {
         words[pi / 64] |= std::uint64_t{1} << (pi % 64);
       }
@@ -89,6 +101,15 @@ std::vector<bn::BigInt> scalar_decode(const QuerySecrets& secrets,
     tags.push_back(bn::BigInt::from_limbs(words));
   }
   return tags;
+}
+
+// Sets value element pi of point l in r.
+void set_value(PirResponse& r, std::size_t l, std::size_t pi, GF4 v) {
+  const std::size_t w = r.shape.words();
+  std::uint64_t* const lo = r.planes.data() + l * r.shape.stride();
+  const std::uint64_t bit = std::uint64_t{1} << (pi % 64);
+  lo[pi / 64] = (lo[pi / 64] & ~bit) | ((v.value() & 1u) ? bit : 0);
+  lo[w + pi / 64] = (lo[w + pi / 64] & ~bit) | ((v.value() & 2u) ? bit : 0);
 }
 
 TEST(ClientCodecTest, WordParallelDecodeMatchesScalarReference) {
@@ -115,11 +136,97 @@ TEST(ClientCodecTest, WordParallelDecodeMatchesScalarReference) {
 
     const auto fast = client.decode(enc.secrets, r0, r1);
     const auto slow = scalar_decode(enc.secrets, r0, r1, tag_bits);
+    ASSERT_TRUE(slow.has_value()) << "n=" << n;
     ASSERT_EQ(fast.size(), wanted.size()) << "n=" << n;
-    ASSERT_EQ(slow.size(), wanted.size()) << "n=" << n;
+    ASSERT_EQ(slow->size(), wanted.size()) << "n=" << n;
     for (std::size_t l = 0; l < wanted.size(); ++l) {
-      EXPECT_EQ(fast[l], slow[l]) << "n=" << n << " point " << l;
+      EXPECT_EQ(fast[l], (*slow)[l]) << "n=" << n << " point " << l;
       EXPECT_EQ(fast[l], stored[wanted[l]]) << "n=" << n << " point " << l;
+    }
+  }
+}
+
+// Random answers, not a server's: where every decoded c_0 is a bit (r1's
+// values chosen per plane to make it one) the plane decode returns the
+// reference's tags, and where some c_0 is not a bit both refuse.
+TEST(ClientCodecTest, PlaneDecodeMatchesPerBitReferenceOnRandomAnswers) {
+  const GF4Matrix m_inv = decode_matrix_inverse();
+  for (std::size_t n : {std::size_t{4}, std::size_t{100}, std::size_t{969}}) {
+    for (std::size_t tag_bits : {std::size_t{1}, std::size_t{63},
+                                 std::size_t{130}, std::size_t{1024}}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << tag_bits);
+      SplitMix64 gen(0x5eed + n * 7 + tag_bits);
+      bn::Rng64Adapter rng(gen);
+      const Embedding emb(n);
+      const PirClient client(emb, tag_bits);
+      const std::vector<std::size_t> wanted = {0, n - 1, n / 2};
+      const auto enc = client.encode(wanted, rng);
+      const PirShape shape{wanted.size(), tag_bits, emb.gamma()};
+      const PirResponse r0 = testing::random_response(gen, shape);
+      PirResponse r1 = testing::random_response(gen, shape);
+
+      // Fully random: some bit is almost surely not boolean at K > 1, and
+      // the plane decode must refuse exactly when the reference does.
+      const bool reference_ok =
+          scalar_decode(enc.secrets, r0, r1, tag_bits).has_value();
+      if (reference_ok) {
+        EXPECT_NO_THROW((void)client.decode(enc.secrets, r0, r1));
+      } else {
+        EXPECT_THROW((void)client.decode(enc.secrets, r0, r1), ProtocolError);
+      }
+
+      // Make every c_0 a random bit by choosing F(x)'s element per plane.
+      for (std::size_t l = 0; l < wanted.size(); ++l) {
+        const PirSingleResponse e0 = testing::point_elements(r0, l);
+        const PirSingleResponse e1 = testing::point_elements(r1, l);
+        for (std::size_t pi = 0; pi < tag_bits; ++pi) {
+          GF4Vector u = interpolation_inputs(e0, e1, enc.secrets.z[l], pi);
+          const auto want = static_cast<std::uint8_t>(gen() & 1u);
+          bool found = false;
+          for (std::uint8_t v = 0; v < 4 && !found; ++v) {
+            u[2] = GF4(v);
+            if (m_inv.mul(u)[0].value() == want) {
+              set_value(r1, l, pi, GF4(v));
+              found = true;
+            }
+          }
+          ASSERT_TRUE(found);
+        }
+      }
+      const auto slow = scalar_decode(enc.secrets, r0, r1, tag_bits);
+      ASSERT_TRUE(slow.has_value());
+      EXPECT_EQ(client.decode(enc.secrets, r0, r1), *slow);
+    }
+  }
+}
+
+// A value bit flipped in a hi plane moves c_0 off {0, 1}, and the plane
+// decode refuses it with the same error the per-bit solve raised.
+TEST(ClientCodecTest, FlippedHiPlaneValueBitIsRefused) {
+  const std::size_t n = 60, tag_bits = 130;
+  SplitMix64 gen(0xf11b);
+  bn::Rng64Adapter rng(gen);
+  TagDatabase db(tag_bits);
+  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
+  const Embedding emb(n);
+  const PirServer server(db, emb);
+  const PirClient client(emb, tag_bits);
+  const std::vector<std::size_t> wanted = {5, 17};
+  const auto enc = client.encode(wanted, rng);
+  const PirResponse r1 = server.respond(enc.queries[1]);
+  const std::size_t w = (tag_bits + 63) / 64;
+  for (std::size_t pi : {std::size_t{0}, std::size_t{64}, tag_bits - 1}) {
+    PirResponse r0 = server.respond(enc.queries[0]);
+    // Point 1's value pair: the hi plane starts w words in.
+    r0.planes[r0.shape.stride() + w + pi / 64] ^= std::uint64_t{1}
+                                                  << (pi % 64);
+    try {
+      (void)client.decode(enc.secrets, r0, r1);
+      ADD_FAILURE() << "pi=" << pi << ": expected ProtocolError";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("non-boolean decoded bit"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

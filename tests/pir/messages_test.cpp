@@ -105,13 +105,56 @@ TEST(PirMessagesTest, QueryWireBits) {
 }
 
 TEST(PirMessagesTest, ResponseWireBits) {
-  PirSingleResponse e;
-  e.values.assign(64, gf::GF4());
-  e.gradients.assign(64, gf::GF4Vector(9));
   PirResponse r;
-  r.entries = {e, e, e};
+  r.shape = {3, 64, 9};
+  r.planes.assign(3 * r.shape.stride(), 0);
   // Per entry: 2*64 value bits + 2*64*9 gradient bits.
   EXPECT_EQ(wire_bits(r), 3u * (2 * 64 + 2 * 64 * 9));
+}
+
+// The plane codec against the scalar 2-bit packing: `rows` random plane
+// pairs (with junk past K, which packing must ignore) pack to the packed
+// string of their elements laid end to end, and unpack back to the same
+// planes with the bits past K cleared.
+TEST(PirMessagesTest, PlanePairsMatchScalarPackingAtEveryShape) {
+  SplitMix64 gen(0x91a);
+  std::vector<std::size_t> widths;
+  for (std::size_t k = 1; k <= 130; ++k) widths.push_back(k);
+  for (std::size_t k : {191u, 192u, 193u, 520u, 1021u, 1023u, 1024u}) {
+    widths.push_back(k);
+  }
+  for (const std::size_t k : widths) {
+    for (const std::size_t rows : {1u, 2u, 3u, 7u}) {
+      const std::size_t w = (k + 63) / 64;
+      std::vector<std::uint64_t> planes(2 * w * rows);
+      for (auto& word : planes) word = gen();
+      gf::GF4Vector elements(rows * k);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint64_t* lo = planes.data() + 2 * w * r;
+        for (std::size_t pi = 0; pi < k; ++pi) {
+          const unsigned l = (lo[pi / 64] >> (pi % 64)) & 1u;
+          const unsigned h = (lo[w + pi / 64] >> (pi % 64)) & 1u;
+          elements[r * k + pi] = gf::GF4(static_cast<std::uint8_t>(l | h << 1));
+        }
+      }
+      const Bytes expected = scalar_pack(elements);
+      // Poisoned output: every byte must be written.
+      Bytes packed(expected.size(), 0xA5);
+      pack_plane_pairs(planes.data(), rows, k, packed.data());
+      ASSERT_EQ(packed, expected) << "k=" << k << " rows=" << rows;
+
+      std::vector<std::uint64_t> back(planes.size(), 0x5A5A5A5A5A5A5A5AULL);
+      unpack_plane_pairs(packed.data(), rows, k, back.data());
+      std::vector<std::uint64_t> masked = planes;
+      if (k % 64 != 0) {
+        const std::uint64_t keep = (std::uint64_t{1} << (k % 64)) - 1;
+        for (std::size_t i = w - 1; i < masked.size(); i += w) {
+          masked[i] &= keep;
+        }
+      }
+      ASSERT_EQ(back, masked) << "k=" << k << " rows=" << rows;
+    }
+  }
 }
 
 TEST(PirMessagesTest, EmptyMessagesZeroBits) {

@@ -20,6 +20,7 @@
 #include "common/simd.h"
 #include "pir/client.h"
 #include "pir/server.h"
+#include "support/pir_planes.h"
 
 namespace ice::pir {
 namespace {
@@ -51,7 +52,7 @@ PirSingleResponse reference_response(const PirServer& server,
   }
   PirQuery one;
   one.points.push_back(q);
-  return server.respond(one).entries.at(0);
+  return testing::point_elements(server.respond(one), 0);
 }
 
 /// Restores the dispatched XOR tier when a test leaves, even on a failed
@@ -109,12 +110,13 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
     }
     for (simd::XorTier tier : supported_tiers()) {
       simd::set_active_tier(tier);
-      const PirResponse fused = server.respond(query);
-      ASSERT_EQ(fused.entries.size(), m) << "tau=" << tau;
+      const std::vector<PirSingleResponse> fused =
+          testing::elements(server.respond(query));
+      ASSERT_EQ(fused.size(), m) << "tau=" << tau;
       for (std::size_t l = 0; l < m; ++l) {
-        EXPECT_EQ(fused.entries[l].values, refs[l].values)
+        EXPECT_EQ(fused[l].values, refs[l].values)
             << simd::tier_name(tier) << " tau=" << tau << " point " << l;
-        EXPECT_EQ(fused.entries[l].gradients, refs[l].gradients)
+        EXPECT_EQ(fused[l].gradients, refs[l].gradients)
             << simd::tier_name(tier) << " tau=" << tau << " point " << l;
       }
     }
@@ -256,13 +258,14 @@ TEST_P(PirWidthDiffTest, FusedRespondMatchesNaiveAtProductionWidth) {
       simd::set_active_tier(tier);
       for (std::size_t parallelism : parallelisms) {
         const PirServer server(db, emb, parallelism);
-        const PirResponse fused = server.respond(query);
-        ASSERT_EQ(fused.entries.size(), m);
+        const std::vector<PirSingleResponse> fused =
+            testing::elements(server.respond(query));
+        ASSERT_EQ(fused.size(), m);
         for (std::size_t l = 0; l < m; ++l) {
-          EXPECT_EQ(fused.entries[l].values, refs[l].values)
+          EXPECT_EQ(fused[l].values, refs[l].values)
               << simd::tier_name(tier) << " p=" << parallelism
               << " tau=" << tau << " point " << l;
-          EXPECT_EQ(fused.entries[l].gradients, refs[l].gradients)
+          EXPECT_EQ(fused[l].gradients, refs[l].gradients)
               << simd::tier_name(tier) << " p=" << parallelism
               << " tau=" << tau << " point " << l;
         }
@@ -314,13 +317,8 @@ TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
     if (!simd::tier_supported(tier)) continue;
     simd::set_active_tier(tier);
     const PirResponse got = server.respond(enc.queries[0]);
-    ASSERT_EQ(got.entries.size(), reference.entries.size());
-    for (std::size_t l = 0; l < got.entries.size(); ++l) {
-      EXPECT_EQ(got.entries[l].values, reference.entries[l].values)
-          << simd::tier_name(tier) << " point " << l;
-      EXPECT_EQ(got.entries[l].gradients, reference.entries[l].gradients)
-          << simd::tier_name(tier) << " point " << l;
-    }
+    EXPECT_EQ(got.shape, reference.shape) << simd::tier_name(tier);
+    EXPECT_EQ(got.planes, reference.planes) << simd::tier_name(tier);
   }
   simd::set_active_tier(original);
 }
@@ -330,7 +328,9 @@ TEST(PirBatchTest, EmptyBatchYieldsEmptyResponse) {
   db.add(bn::BigInt(5));
   const Embedding emb(1);
   const PirServer server(db, emb);
-  EXPECT_TRUE(server.respond(PirQuery{}).entries.empty());
+  const PirResponse empty = server.respond(PirQuery{});
+  EXPECT_EQ(empty.shape.points, 0u);
+  EXPECT_TRUE(empty.planes.empty());
 }
 
 TEST(PirBatchTest, AnyWrongDimensionPointRejected) {

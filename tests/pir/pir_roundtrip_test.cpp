@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "pir/client.h"
 #include "pir/server.h"
+#include "support/pir_planes.h"
 
 namespace ice::pir {
 namespace {
@@ -36,15 +37,15 @@ std::string evaluator_name(Evaluator e) {
 }
 
 PirResponse answer(const PirServer& server, const Bitplanes& planes,
-                   Evaluator e, const PirQuery& query) {
+                   Evaluator e, const PirQuery& query, std::size_t tag_bits,
+                   std::size_t gamma) {
   if (e == Evaluator::kBitsliced) return server.respond(query);
-  PirResponse out;
+  std::vector<PirSingleResponse> points;
   for (const auto& q : query.points) {
-    out.entries.push_back(e == Evaluator::kNaive
-                              ? server.respond_naive(q)
-                              : server.respond_matrix(planes, q));
+    points.push_back(e == Evaluator::kNaive ? server.respond_naive(q)
+                                            : server.respond_matrix(planes, q));
   }
-  return out;
+  return testing::from_elements(points, tag_bits, gamma);
 }
 
 class PirRoundTripTest : public ::testing::TestWithParam<Params> {
@@ -72,8 +73,10 @@ TEST_P(PirRoundTripTest, RecoversRequestedTags) {
   std::vector<std::size_t> wanted;
   for (int i = 0; i < 5; ++i) wanted.push_back(gen_.below(n));
   auto enc = client.encode(wanted, rng_);
-  const PirResponse r0 = answer(s0, planes, evaluator, enc.queries[0]);
-  const PirResponse r1 = answer(s1, planes, evaluator, enc.queries[1]);
+  const PirResponse r0 =
+      answer(s0, planes, evaluator, enc.queries[0], tag_bits, emb.gamma());
+  const PirResponse r1 =
+      answer(s1, planes, evaluator, enc.queries[1], tag_bits, emb.gamma());
   const auto tags = client.decode(enc.secrets, r0, r1);
   ASSERT_EQ(tags.size(), wanted.size());
   for (std::size_t l = 0; l < wanted.size(); ++l) {
@@ -120,7 +123,7 @@ TEST(PirStrategiesTest, AllStrategiesAgreeOnResponses) {
     }
     const auto a = server.respond_naive(query.points[0]);
     const auto b = server.respond_matrix(planes, query.points[0]);
-    const auto c = server.respond(query).entries.at(0);
+    const auto c = testing::point_elements(server.respond(query), 0);
     EXPECT_EQ(a.values, b.values);
     EXPECT_EQ(a.values, c.values);
     EXPECT_EQ(a.gradients, b.gradients);
@@ -154,15 +157,21 @@ TEST(PirClientTest, MalformedResponsesRejected) {
   PirResponse r1 = server.respond(enc.queries[1]);
   // Count mismatch.
   PirResponse bad = r0;
-  bad.entries.clear();
+  bad.shape.points = 0;
+  bad.planes.clear();
   EXPECT_THROW(client.decode(enc.secrets, bad, r1), ProtocolError);
-  // Bitplane mismatch.
+  // Bitplane (tag width) mismatch.
   bad = r0;
-  bad.entries[0].values.pop_back();
+  bad.shape.tag_bits = 31;
   EXPECT_THROW(client.decode(enc.secrets, bad, r1), ProtocolError);
   // Gradient dimension mismatch.
   bad = r0;
-  bad.entries[0].gradients[0].pop_back();
+  bad.shape.gamma -= 1;
+  bad.planes.resize(bad.shape.stride());
+  EXPECT_THROW(client.decode(enc.secrets, r0, bad), ProtocolError);
+  // Planes shorter than the shape claims.
+  bad = r0;
+  bad.planes.pop_back();
   EXPECT_THROW(client.decode(enc.secrets, bad, r1), ProtocolError);
 }
 

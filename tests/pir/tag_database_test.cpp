@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "pir/client.h"
 #include "pir/server.h"
+#include "support/pir_planes.h"
 
 namespace ice::pir {
 namespace {
@@ -164,9 +165,9 @@ TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
   const std::size_t target = 23;
   const auto matrix_response = [&](const Bitplanes& planes,
                                    const PirQuery& query) {
-    PirResponse out;
-    out.entries.push_back(server.respond_matrix(planes, query.points.at(0)));
-    return out;
+    return testing::from_elements(
+        {server.respond_matrix(planes, query.points.at(0))}, tag_bits,
+        emb.gamma());
   };
   const auto retrieve = [&](std::size_t idx) {
     const Bitplanes planes = db.build_planes();

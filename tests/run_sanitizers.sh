@@ -54,7 +54,18 @@
 # (ProductionWidth/PirWidthDiffTest.*: K = 1024 and 520, full and partial
 # last runs, n = 1, row shards cutting runs at parallelism 1-7) and the
 # word-parallel GF(4) codec (PirMessagesTest.*,
-# WireTest.PirResponseBytesMatchFlatScalarEncoding); under TSan the same
+# WireTest.PirResponseBytesMatchFlatScalarEncoding). The 310 reply's plane
+# codec runs there too: the bit interleave and funnel shift against the
+# scalar packing at every tag width and row offset
+# (PirMessagesTest.PlanePairsMatchScalarPackingAtEveryShape, the
+# K/gamma/m grid of WireTest.PirResponseBytesMatchFlatScalarEncoding), the
+# hostile replies it refuses (WireTest.HostilePirRepliesRejected,
+# WireTest.TruncatedTagMessagesRejectedAtEveryByte), the plane decode
+# against the per-bit M^-1 solve on honest and random answers
+# (ClientCodecTest.*, PirRoundTripTest.*) and the user's bounded read and
+# decode (AllocTest.UserReadAndDecodeAllocationsAreBounded):
+# `tests/run_sanitizers.sh asan 'Wire|PirMessages|ClientCodec|PirRoundTrip|AllocTest'`.
+# Under TSan the same
 # sweep races through ParallelDiffTest, TagServiceTest, UpdateEpochTest
 # and EpochServiceTest. The 309/310 codecs' truncation and hostile-count
 # cases (WireTest.*), the 310 point cap and point length cap at the
