@@ -1,24 +1,14 @@
-// Concurrent-session throughput: per-session locking vs the pre-refactor
-// big-lock services.
+// Concurrent-session throughput of the per-session services.
 //
 // K user threads each run independent ICE-basic audits against ONE shared
-// TPA/edge deployment. Two service builds are compared:
-//   serialized — every service wrapped in one service-wide mutex held across
-//                the whole handler, including nested outbound calls. This is
-//                the pre-session-core locking (the old TPA held its lock
-//                across the edge challenge round trip).
-//   per-session — the services as they are now: per-session state in
-//                session tables (one short-held mutex each), config behind
-//                shared_mutexes, and no lock ever held across a channel call.
-// and two channel families:
+// TPA/edge deployment: per-session state in session tables (one
+// short-held mutex each), config behind shared_mutexes, and no lock ever
+// held across a channel call. Two channel families:
 //   in-process — calls traverse a channel wrapper that really sleeps the
-//                modeled one-way WAN latency each direction. Latency
-//                injection is what makes the lock-scope difference visible
-//                on any machine: the serialized build sleeps while holding
-//                the service lock, so K sessions serialize their WAN waits;
-//                the per-session build overlaps them. (CPU work still contends
-//                for real cores, so multi-core hosts additionally overlap
-//                compute — the speedups below are a floor.)
+//                modeled one-way WAN latency each direction, so K sessions
+//                overlap their WAN waits. (CPU work still contends for
+//                real cores, so multi-core hosts additionally overlap
+//                compute.)
 //   tcp        — the real loopback transport (TcpServer's epoll reactor),
 //                no injected latency; reported as measured.
 //
@@ -54,27 +44,6 @@ struct Cfg {
 
 constexpr std::size_t kBlockBytes = 64;
 
-/// Optionally reproduces the pre-refactor service-wide big lock: one mutex
-/// around the entire handler, nested outbound calls included.
-class MaybeSerialized final : public net::RpcHandler {
- public:
-  MaybeSerialized(net::RpcHandler& inner, bool serialize)
-      : inner_(&inner), serialize_(serialize) {}
-
-  Bytes handle(std::uint16_t method, BytesView request) override {
-    if (serialize_) {
-      std::lock_guard lock(mu_);
-      return inner_->handle(method, request);
-    }
-    return inner_->handle(method, request);
-  }
-
- private:
-  std::mutex mu_;
-  net::RpcHandler* inner_;
-  bool serialize_;
-};
-
 /// In-process channel that really sleeps the modeled one-way latency on each
 /// direction of every call (unlike InMemoryChannel, which only accounts it).
 class SleepingChannel final : public net::RpcChannel {
@@ -90,7 +59,7 @@ class SleepingChannel final : public net::RpcChannel {
     std::this_thread::sleep_for(one_way_);
     stats_.calls++;
     stats_.bytes_sent += request.size() + net::kRpcHeaderBytes;
-    stats_.bytes_received += response.size() + net::kRpcHeaderBytes;
+    stats_.bytes_received += response.size() + net::kRpcReplyHeaderBytes;
     return response;
   }
 
@@ -105,28 +74,22 @@ class SleepingChannel final : public net::RpcChannel {
   net::ChannelStats stats_;
 };
 
-/// One deployment (CSP + 2 TPAs + 1 edge + owner), built either serialized
-/// or per-session. All user traffic goes through the MaybeSerialized wrappers so
-/// the two builds differ only in lock scope.
+/// One in-process deployment (CSP + 2 TPAs + 1 edge + owner).
 class Arm {
  public:
-  Arm(bool serialized, const Cfg& cfg)
+  explicit Arm(const Cfg& cfg)
       : cfg_(cfg),
         params_(make_params(cfg)),
         keys_(bench_keypair(cfg.modulus_bits)),
         csp_(mec::BlockStore::synthetic(cfg.n_blocks, kBlockBytes, 7)),
-        csp_wrap_(csp_, serialized),
-        tpa0_wrap_(tpa0_, serialized),
-        tpa1_wrap_(tpa1_, serialized),
-        edge_csp_(csp_wrap_),
-        edge_tpa_(tpa0_wrap_),
+        edge_csp_(csp_),
+        edge_tpa_(tpa0_),
         edge_(0, params_, keys_.pk,
               mec::EdgeCache(cfg.n_blocks, mec::EvictionPolicy::kLru),
               edge_csp_, &edge_tpa_),
-        edge_wrap_(edge_, serialized),
-        tpa_edge_(edge_wrap_, cfg.one_way_latency_s),
-        owner_tpa0_(tpa0_wrap_),
-        owner_tpa1_(tpa1_wrap_),
+        tpa_edge_(edge_, cfg.one_way_latency_s),
+        owner_tpa0_(tpa0_),
+        owner_tpa1_(tpa1_),
         owner_(params_, keys_, owner_tpa0_, owner_tpa1_) {
     tpa0_.register_edge(0, tpa_edge_);
     std::vector<Bytes> blocks;
@@ -155,9 +118,9 @@ class Arm {
     for (std::size_t k = 0; k < sessions; ++k) {
       threads.emplace_back([this, &failures] {
         try {
-          SleepingChannel tpa0(tpa0_wrap_, cfg_.one_way_latency_s);
-          SleepingChannel tpa1(tpa1_wrap_, cfg_.one_way_latency_s);
-          SleepingChannel edge(edge_wrap_, cfg_.one_way_latency_s);
+          SleepingChannel tpa0(tpa0_, cfg_.one_way_latency_s);
+          SleepingChannel tpa1(tpa1_, cfg_.one_way_latency_s);
+          SleepingChannel edge(edge_, cfg_.one_way_latency_s);
           proto::UserClient user(params_, keys_, tpa0, tpa1);
           user.attach_file(cfg_.n_blocks);
           for (int i = 0; i < cfg_.audits_per_session; ++i) {
@@ -185,13 +148,9 @@ class Arm {
   proto::CspService csp_;
   proto::TpaService tpa0_;
   proto::TpaService tpa1_;
-  MaybeSerialized csp_wrap_;
-  MaybeSerialized tpa0_wrap_;
-  MaybeSerialized tpa1_wrap_;
   net::InMemoryChannel edge_csp_;
   net::InMemoryChannel edge_tpa_;
   proto::EdgeService edge_;
-  MaybeSerialized edge_wrap_;
   SleepingChannel tpa_edge_;
   net::InMemoryChannel owner_tpa0_;
   net::InMemoryChannel owner_tpa1_;
@@ -201,24 +160,20 @@ class Arm {
 /// Same deployment over the loopback TCP transport; no injected latency.
 class TcpArm {
  public:
-  TcpArm(bool serialized, const Cfg& cfg)
+  explicit TcpArm(const Cfg& cfg)
       : cfg_(cfg),
         params_(Arm::make_params(cfg)),
         keys_(bench_keypair(cfg.modulus_bits)),
         csp_(mec::BlockStore::synthetic(cfg.n_blocks, kBlockBytes, 7)),
-        csp_wrap_(csp_, serialized),
-        tpa0_wrap_(tpa0_, serialized),
-        tpa1_wrap_(tpa1_, serialized),
-        csp_srv_(csp_wrap_),
-        tpa0_srv_(tpa0_wrap_),
-        tpa1_srv_(tpa1_wrap_),
+        csp_srv_(csp_),
+        tpa0_srv_(tpa0_),
+        tpa1_srv_(tpa1_),
         edge_csp_("127.0.0.1", csp_srv_.port()),
         edge_tpa_("127.0.0.1", tpa0_srv_.port()),
         edge_(0, params_, keys_.pk,
               mec::EdgeCache(cfg.n_blocks, mec::EvictionPolicy::kLru),
               edge_csp_, &edge_tpa_),
-        edge_wrap_(edge_, serialized),
-        edge_srv_(edge_wrap_),
+        edge_srv_(edge_),
         tpa_edge_("127.0.0.1", edge_srv_.port()),
         owner_tpa0_("127.0.0.1", tpa0_srv_.port()),
         owner_tpa1_("127.0.0.1", tpa1_srv_.port()),
@@ -272,16 +227,12 @@ class TcpArm {
   proto::CspService csp_;
   proto::TpaService tpa0_;
   proto::TpaService tpa1_;
-  MaybeSerialized csp_wrap_;
-  MaybeSerialized tpa0_wrap_;
-  MaybeSerialized tpa1_wrap_;
   net::TcpServer csp_srv_;
   net::TcpServer tpa0_srv_;
   net::TcpServer tpa1_srv_;
   net::TcpChannel edge_csp_;
   net::TcpChannel edge_tpa_;
   proto::EdgeService edge_;
-  MaybeSerialized edge_wrap_;
   net::TcpServer edge_srv_;
   net::TcpChannel tpa_edge_;
   net::TcpChannel owner_tpa0_;
@@ -476,19 +427,16 @@ void scale_sweep(const Cfg& cfg, const std::vector<std::size_t>& counts,
 }
 
 template <typename ArmT>
-void sweep(const char* family, const Cfg& cfg, std::vector<double>& ser_thr,
+void sweep(const char* family, const Cfg& cfg,
            std::vector<double>& session_thr) {
   for (const std::size_t k : cfg.session_counts) {
-    // Fresh deployments per point so session tables and caches start equal.
-    ArmT serialized(/*serialized=*/true, cfg);
-    ArmT per_session(/*serialized=*/false, cfg);
-    const double ser = serialized.run(k);
-    const double session = per_session.run(k);
-    ser_thr.push_back(ser);
-    session_thr.push_back(session);
-    std::printf("%-10s K=%-3zu serialized %8.2f audits/s   per-session %8.2f "
-                "audits/s   speedup %5.2fx\n",
-                family, k, ser, session, session / ser);
+    // A fresh deployment per point so session tables and caches start
+    // equal.
+    ArmT arm(cfg);
+    const double thr = arm.run(k);
+    session_thr.push_back(thr);
+    std::printf("%-10s K=%-3zu per-session %8.2f audits/s\n", family, k,
+                thr);
     std::fflush(stdout);
   }
 }
@@ -515,9 +463,7 @@ int main(int argc, char** argv) {
            .one_way_latency_s = 0.001};
   } else {
     // 6 ms one-way is a mid-range WAN figure (same ballpark as the paper's
-    // edge-to-cloud setting); the serialized TPA holds its big lock across
-    // the 12 ms edge challenge round trip, which is the bottleneck this
-    // bench exists to show.
+    // edge-to-cloud setting).
     cfg = {.session_counts = {1, 2, 4, 8},
            .audits_per_session = 3,
            .modulus_bits = 512,
@@ -526,20 +472,16 @@ int main(int argc, char** argv) {
   }
   if (latency_override > 0) cfg.one_way_latency_s = latency_override;
 
-  print_header("concurrent audit sessions: serialized vs per-session services");
+  print_header("concurrent audit sessions: per-session services");
   std::printf("modulus %zu bits, %zu blocks x %zu B, %d audits/session, "
               "modeled one-way latency %.1f ms, %u hardware threads\n",
               cfg.modulus_bits, cfg.n_blocks, kBlockBytes,
               cfg.audits_per_session, cfg.one_way_latency_s * 1e3,
               std::thread::hardware_concurrency());
 
-  std::vector<double> inproc_ser, inproc_session, tcp_ser, tcp_session;
-  sweep<Arm>("inproc", cfg, inproc_ser, inproc_session);
-  sweep<TcpArm>("tcp", cfg, tcp_ser, tcp_session);
-
-  const double last_speedup = inproc_session.back() / inproc_ser.back();
-  std::printf("\nin-process speedup at K=%zu: %.2fx\n",
-              cfg.session_counts.back(), last_speedup);
+  std::vector<double> inproc_session, tcp_session;
+  sweep<Arm>("inproc", cfg, inproc_session);
+  sweep<TcpArm>("tcp", cfg, tcp_session);
 
   // Scale sweep on the epoll reactor. Lighter crypto than the lock-scope
   // sweep — the transport plane, not bignum arithmetic, is what this arm
@@ -572,12 +514,8 @@ int main(int argc, char** argv) {
         << ",\n"
         << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
         << ",\n"
-        << "  \"inproc_serialized_audits_per_s\": " << json_array(inproc_ser)
-        << ",\n"
         << "  \"inproc_per_session_audits_per_s\": "
         << json_array(inproc_session)
-        << ",\n"
-        << "  \"tcp_serialized_audits_per_s\": " << json_array(tcp_ser)
         << ",\n"
         << "  \"tcp_per_session_audits_per_s\": " << json_array(tcp_session)
         << ",\n"

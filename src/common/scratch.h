@@ -64,7 +64,11 @@ class ScratchArena {
   /// Borrows a buffer with the first `words` words zeroed.
   [[nodiscard]] Lease take_zeroed(std::size_t words) {
     Lease lease = take(words);
-    std::memset(lease.data(), 0, words * sizeof(std::uint64_t));
+    // A zero-word lease from an empty free list has no storage: data() is
+    // null, and memset may not be handed a null pointer even for 0 bytes.
+    if (words != 0) {
+      std::memset(lease.data(), 0, words * sizeof(std::uint64_t));
+    }
     return lease;
   }
 

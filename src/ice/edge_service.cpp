@@ -274,6 +274,18 @@ void EdgeClient::batch_challenge(std::uint64_t batch_id, const bn::BigInt& e_j,
   unwrap(raw);
 }
 
+net::PendingReply<void> EdgeClient::start_batch_challenge(
+    std::uint64_t batch_id, const bn::BigInt& e_j, const bn::BigInt& g_s,
+    const bn::Ladder& ladder) const {
+  net::Writer w;
+  w.u64(batch_id);
+  w.bigint(e_j);
+  w.bigint(g_s);
+  write_ladder(w, ladder);
+  return {net::start_pooled(*channel_, kEdgeBatchChallenge, std::move(w)),
+          [](net::Reader&) {}};
+}
+
 Proof EdgeClient::subset_proof(const bn::BigInt& e, const bn::BigInt& g_s,
                                const std::vector<std::size_t>& subset) const {
   net::Writer w;

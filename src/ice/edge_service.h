@@ -94,6 +94,11 @@ class EdgeClient {
   /// the TPA.
   void batch_challenge(std::uint64_t batch_id, const bn::BigInt& e_j,
                        const bn::BigInt& g_s, const bn::Ladder& ladder) const;
+  /// batch_challenge's request on its way; wait() returns once the edge
+  /// has pushed its proof.
+  [[nodiscard]] net::PendingReply<void> start_batch_challenge(
+      std::uint64_t batch_id, const bn::BigInt& e_j, const bn::BigInt& g_s,
+      const bn::Ladder& ladder) const;
   /// Flushes dirty blocks to the CSP; returns how many were written back.
   std::size_t flush() const;
   /// Owner-driven subset challenge (corruption localization): proof over

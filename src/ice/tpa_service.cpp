@@ -401,6 +401,15 @@ void TpaClient::start_audit(std::uint32_t edge_id,
   unwrap(raw);
 }
 
+net::PendingReply<void> TpaClient::start_start_audit(
+    std::uint32_t edge_id, std::uint64_t session_id) const {
+  net::Writer w;
+  w.varint(edge_id);
+  w.u64(session_id);
+  return {net::start_pooled(*channel_, kTpaStartAudit, std::move(w)),
+          [](net::Reader&) {}};
+}
+
 bool TpaClient::submit_repacked(std::uint64_t session_id,
                                 std::uint64_t generation,
                                 const std::vector<bn::BigInt>& tags) const {
@@ -466,6 +475,21 @@ pir::PirResponse TpaClient::tag_query(const TagQuery& query,
   pir::PirResponse resp = read_pir_response(r, want);
   r.expect_done();
   return resp;
+}
+
+net::PendingReply<pir::PirResponse> TpaClient::start_tag_query(
+    const TagQuery& query, std::size_t tag_bits) const {
+  const std::vector<gf::GF4Vector>& points = query.query.points;
+  const pir::PirShape want{points.size(), tag_bits,
+                           points.empty() ? 0 : points.front().size()};
+  net::Writer w;
+  write_sharded_query(w, query);
+  return {net::start_pooled(*channel_, kTpaShardQuery, std::move(w)),
+          [want](net::Reader& r) {
+            pir::PirResponse resp = read_pir_response(r, want);
+            r.expect_done();
+            return resp;
+          }};
 }
 
 bool TpaClient::batch_finish(std::uint64_t batch_id, std::uint64_t generation,

@@ -141,6 +141,10 @@ class TpaClient {
   /// challenges the edge synchronously and parks the proof. A nonce that
   /// collides with a live session is refused (RemoteError kAlreadyExists).
   void start_audit(std::uint32_t edge_id, std::uint64_t session_id) const;
+  /// start_audit's request on its way; wait() returns once the proof is
+  /// parked.
+  [[nodiscard]] net::PendingReply<void> start_start_audit(
+      std::uint32_t edge_id, std::uint64_t session_id) const;
   /// Submits the repacked tags, retrieved under key `generation` (the
   /// tag_info reply's); returns the audit verdict. A generation other than
   /// the session's is refused (RemoteError kFailedPrecondition).
@@ -182,6 +186,9 @@ class TpaClient {
   /// — refresh and re-plan.
   [[nodiscard]] pir::PirResponse tag_query(const TagQuery& query,
                                            std::size_t tag_bits) const;
+  /// tag_query's request on its way; wait() returns the answer.
+  [[nodiscard]] net::PendingReply<pir::PirResponse> start_tag_query(
+      const TagQuery& query, std::size_t tag_bits) const;
 
  private:
   net::RpcChannel* channel_;

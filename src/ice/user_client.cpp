@@ -2,13 +2,35 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "ice/batch.h"
 
 namespace ice::proto {
+
+namespace {
+
+/// Collects every call; where several fail, the first one's error
+/// surfaces once the rest are collected.
+void wait_all(std::vector<net::PendingReply<void>>& calls) {
+  for (std::size_t j = 0; j < calls.size(); ++j) {
+    try {
+      calls[j].wait();
+    } catch (...) {
+      for (++j; j < calls.size(); ++j) {
+        try {
+          calls[j].wait();
+        } catch (...) {
+          // Superseded by the first failure, rethrown below.
+        }
+      }
+      throw;
+    }
+  }
+}
+
+}  // namespace
 
 UserClient::UserClient(const ProtocolParams& params, KeyPair keys,
                        net::RpcChannel& tpa0, net::RpcChannel& tpa1)
@@ -77,52 +99,35 @@ UserClient::Retrieved UserClient::retrieve(
     const std::vector<std::size_t>& indices) {
   if (file_blocks() == 0) throw ProtocolError("retrieve_tags: no file");
   if (indices.empty()) return {};
-  // One retry: a key rotation or a merging close at the TPAs between our
-  // planning and their evaluation is rejected remotely with
-  // kFailedPrecondition; refresh the pair and re-plan once.
-  for (int attempt = 0;; ++attempt) {
-    const TagInfo at = plan();
-    pir::PirClient::EncodedQuery enc = pir_->encode(indices, rng_);
-    const TagQuery q0{at.generation, at.epoch, std::move(enc.queries[0])};
-    const TagQuery q1{at.generation, at.epoch, std::move(enc.queries[1])};
-    // The two PIR servers are independent (that independence is the
-    // privacy guarantee), so their round trips overlap instead of paying
-    // the WAN latency twice per retrieval.
-    pir::PirResponse r1;
-    std::exception_ptr r1_error;
-    std::thread second([&] {
-      try {
-        r1 = TpaClient(*tpa1_).tag_query(q1, pir_->tag_bits());
-      } catch (...) {
-        r1_error = std::current_exception();
-      }
-    });
-    pir::PirResponse r0;
-    std::exception_ptr r0_error;
-    try {
-      r0 = TpaClient(*tpa0_).tag_query(q0, pir_->tag_bits());
-    } catch (...) {
-      r0_error = std::current_exception();
-    }
-    second.join();
-    const std::exception_ptr error =
-        r0_error != nullptr ? r0_error : r1_error;
-    if (error != nullptr) {
-      if (attempt == 0) {
-        try {
-          std::rethrow_exception(error);
-        } catch (const net::RemoteError& e) {
-          if (e.status() == net::Status::kFailedPrecondition) {
-            drop_plan();
-            continue;
-          }
-          throw;
-        }
-      }
-      std::rethrow_exception(error);
-    }
-    return {at.generation, pir_->decode(enc.secrets, r0, r1)};
+  try {
+    return retrieve_once(indices);
+  } catch (const net::RemoteError& e) {
+    // One retry: a key rotation or a merging close at the TPAs between our
+    // planning and their evaluation is rejected remotely with
+    // kFailedPrecondition; refresh the pair and re-plan once.
+    if (e.status() != net::Status::kFailedPrecondition) throw;
   }
+  drop_plan();
+  return retrieve_once(indices);
+}
+
+UserClient::Retrieved UserClient::retrieve_once(
+    const std::vector<std::size_t>& indices) {
+  const TagInfo at = plan();
+  pir::PirClient::EncodedQuery enc = pir_->encode(indices, rng_);
+  const TagQuery q0{at.generation, at.epoch, std::move(enc.queries[0])};
+  const TagQuery q1{at.generation, at.epoch, std::move(enc.queries[1])};
+  // The two PIR servers are independent (that independence is the privacy
+  // guarantee), so tpa1's query is on its way while tpa0's runs as a plain
+  // call, instead of paying the WAN latency twice per retrieval. Where
+  // both fail, tpa0's error wins: the started call is dropped, which
+  // collects it (or, over TCP, discards its reply).
+  net::PendingReply<pir::PirResponse> answer1 =
+      TpaClient(*tpa1_).start_tag_query(q1, pir_->tag_bits());
+  const pir::PirResponse r0 =
+      TpaClient(*tpa0_).tag_query(q0, pir_->tag_bits());
+  const pir::PirResponse r1 = answer1.wait();
+  return {at.generation, pir_->decode(enc.secrets, r0, r1)};
 }
 
 void UserClient::forget_updated_block(std::size_t index) {
@@ -201,27 +206,23 @@ bool UserClient::audit_edge(net::RpcChannel& edge_channel,
   // 3+4. The TPA challenges the edge and parks the proof under the session
   //      id while the user privately retrieves the tags for S_j — the two
   //      round trips touch disjoint state (audit session vs tag store), so
-  //      only submit_repacked needs both to have finished.
-  std::exception_ptr audit_error;
-  std::thread challenge([&] {
-    try {
-      tpa.start_audit(edge_id, session_id);
-    } catch (...) {
-      audit_error = std::current_exception();
-    }
-  });
+  //      the 303 goes out first and the retrieval runs beside it.
+  net::PendingReply<void> audit = tpa.start_start_audit(edge_id, session_id);
   Retrieved tags;
-  std::exception_ptr tags_error;
   try {
     tags = retrieve(s_j);
   } catch (...) {
-    tags_error = std::current_exception();
+    // The challenge is collected before a failure surfaces; where both
+    // fail, its error wins.
+    audit.wait();
+    throw;
   }
-  challenge.join();
-  if (audit_error != nullptr) std::rethrow_exception(audit_error);
-  if (tags_error != nullptr) std::rethrow_exception(tags_error);
+  audit.wait();
 
-  // 5. Repack: T~ = T^s~; updated blocks get fresh g^{m' s~} tags.
+  // 5. Repack: T~ = T^s~; updated blocks get fresh g^{m' s~} tags. Over
+  //    TCP TPA0's answer arrives after the 303's reply anyway, and on an
+  //    in-process channel a repack beside the proof contends with it for
+  //    the shared pool.
   std::vector<bn::BigInt> repacked =
       repack_tags(keys_.pk.pk, tags.tags, s_tilde, params_.parallelism);
   for (const auto& [index, content] : updated_blocks()) {
@@ -286,39 +287,30 @@ bool UserClient::audit_edges_batch(
       draw_challenge_keys(params_, edge_channels.size(), rng_);
 
   // Each edge computes its proof before replying and submits it to the TPA
-  // itself, so the J challenges run concurrently and overlap the union
-  // retrieval. Everything is joined before the first failure surfaces, the
-  // same way audit_edge joins its challenge thread.
-  std::vector<std::exception_ptr> edge_errors(edge_channels.size());
-  std::vector<std::jthread> challenges;
+  // itself, so the J challenges go out first and their proofs run while
+  // the user retrieves the union and repacks it.
+  std::vector<net::PendingReply<void>> challenges;
   challenges.reserve(edge_channels.size());
   for (std::size_t j = 0; j < edge_channels.size(); ++j) {
-    challenges.emplace_back([&, j] {
-      try {
-        EdgeClient(*edge_channels[j])
-            .batch_challenge(batch_id, keys[j], base.g_s, base.ladder);
-      } catch (...) {
-        edge_errors[j] = std::current_exception();
-      }
-    });
+    challenges.push_back(EdgeClient(*edge_channels[j])
+                             .start_batch_challenge(batch_id, keys[j],
+                                                    base.g_s, base.ladder));
   }
   const std::vector<std::size_t> u = union_of_sets(edge_sets);
   Retrieved tags;
-  std::exception_ptr tags_error;
+  std::vector<bn::BigInt> repacked;
   try {
     tags = retrieve(u);
+    // Aggregated repacking over the union.
+    repacked = batch_repack(keys_.pk.pk, params_, u, tags.tags, edge_sets,
+                            keys);
   } catch (...) {
-    tags_error = std::current_exception();
+    // The challenges are collected before a failure surfaces; where both
+    // branches fail, the edges' error wins.
+    wait_all(challenges);
+    throw;
   }
-  for (std::jthread& challenge : challenges) challenge.join();
-  for (const std::exception_ptr& error : edge_errors) {
-    if (error != nullptr) std::rethrow_exception(error);
-  }
-  if (tags_error != nullptr) std::rethrow_exception(tags_error);
-
-  // Aggregated repacking over the union.
-  const std::vector<bn::BigInt> repacked =
-      batch_repack(keys_.pk.pk, params_, u, tags.tags, edge_sets, keys);
+  wait_all(challenges);
   return tpa.batch_finish(batch_id, tags.generation, repacked);
 }
 

@@ -3,13 +3,20 @@
 //
 // This composes the whole ICE information flow (paper Fig. 1):
 //   setup:   KeyGen -> TagGen -> upload tags to both TPAs
-//   audit:   IndexQuery (edge) -> share s~ (edge) -> start audit (TPA
-//            challenges edge, parks proof) -> private tag retrieval (both
-//            TPAs) -> repack -> submit -> verdict
+//   audit:   IndexQuery (edge) -> share s~ (edge) -> start audit (303: the
+//            TPA challenges the edge and parks the proof), then send the
+//            private tag queries (310, both TPAs) -> decode the answers ->
+//            collect the 303 -> repack -> submit (304) -> verdict
 //   batch:   IndexQuery x J -> batch begin (TPA: g_s and its ladder) ->
-//            challenge keys e_j, g_s and the ladder to each edge (fast
-//            local links) -> union retrieval -> aggregated repack -> batch
-//            finish -> verdict
+//            send the challenge keys e_j, g_s and the ladder to each edge
+//            (205, fast local links) -> union retrieval -> aggregated
+//            repack while the proofs run -> collect the J 205s -> batch
+//            finish (307) -> verdict
+// Concurrent calls are started requests (RpcChannel::start) collected
+// later, on the channels the client already holds: over TCP the client
+// starts no thread. On TPA0's connection the 303 goes out before the 310,
+// and replies come back in request order, so over TCP TPA0's tag answer
+// follows the edge's proof.
 // Thread safety: after the single-threaded setup phase (setup_file or
 // attach_file), concurrent audit_edge / audit_edges_batch / retrieve_tags
 // calls on one client are safe — randomness goes through a serialized
@@ -145,6 +152,10 @@ class UserClient {
     std::vector<bn::BigInt> tags;
   };
   [[nodiscard]] Retrieved retrieve(const std::vector<std::size_t>& indices);
+  /// One attempt of retrieve: plans and encodes the query, starts tpa1's
+  /// 310, calls tpa0's, and decodes the two answers.
+  [[nodiscard]] Retrieved retrieve_once(
+      const std::vector<std::size_t>& indices);
   /// The (generation, epoch) pair retrievals are planned against: tpa0's
   /// 309 reply, fetched on first use and dropped by any event that can
   /// move it (setup, attach, a merging close, a remote stale-plan refusal).

@@ -18,7 +18,7 @@ class InMemoryChannel final : public RpcChannel {
     stats_.calls++;
     stats_.bytes_sent += request.size() + kRpcHeaderBytes;
     Bytes response = handler_->handle(method, request);
-    stats_.bytes_received += response.size() + kRpcHeaderBytes;
+    stats_.bytes_received += response.size() + kRpcReplyHeaderBytes;
     return response;
   }
 

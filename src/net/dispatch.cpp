@@ -62,6 +62,14 @@ PooledBytes call_pooled(RpcChannel& channel, std::uint16_t method) {
   return PooledBytes(channel.call(method, {}));
 }
 
+PendingCall start_pooled(RpcChannel& channel, std::uint16_t method,
+                         Writer&& request) {
+  Bytes frame = request.take();
+  PendingCall call = channel.start(method, frame);
+  BufferPool::local().release(std::move(frame));
+  return call;
+}
+
 void Dispatcher::on(std::uint16_t method, std::string_view name,
                     Handler handler) {
   if (!handler) {

@@ -48,6 +48,36 @@ PooledBytes call_pooled(RpcChannel& channel, std::uint16_t method,
                         Writer&& request);
 /// Empty-request variant.
 PooledBytes call_pooled(RpcChannel& channel, std::uint16_t method);
+/// start() counterpart of call_pooled: starts the call and returns the
+/// request buffer's capacity to the thread's BufferPool (a started request
+/// has been sent or copied).
+PendingCall start_pooled(RpcChannel& channel, std::uint16_t method,
+                         Writer&& request);
+
+/// A stub call in flight: wait() collects the reply, opens its envelope
+/// (RemoteError on an error status) and decodes the payload. Move-only.
+/// A stub's blocking form stays a plain call rather than its start form's
+/// wait(): on a channel that takes the base RpcChannel::start, a started
+/// call holds a thread of its own.
+template <typename T>
+class PendingReply {
+ public:
+  using Decode = std::function<T(Reader& reply)>;
+
+  PendingReply(PendingCall call, Decode decode)
+      : call_(std::move(call)), decode_(std::move(decode)) {}
+
+  /// Throws what the call threw, RemoteError, or what `decode` throws.
+  T wait() {
+    const PooledBytes reply(call_.wait());
+    Reader r = unwrap(reply);
+    return decode_(r);
+  }
+
+ private:
+  PendingCall call_;
+  Decode decode_;
+};
 
 /// Method table for one service. Built once at service construction, then
 /// immutable — handle() is const and safe to call from any number of

@@ -60,6 +60,32 @@ class RpcHandler {
   virtual Bytes handle(std::uint16_t method, BytesView request) = 0;
 };
 
+/// A call whose request is on its way; wait() collects the reply.
+/// Move-only; RpcChannel::start makes one. Its channel must outlive it.
+class PendingCall {
+ public:
+  /// How one channel family completes a started call. A state destroyed
+  /// before its wait() ran must leave the channel in step for later calls.
+  class State {
+   public:
+    virtual ~State() = default;
+    virtual Bytes wait() = 0;
+  };
+
+  explicit PendingCall(std::unique_ptr<State> state)
+      : state_(std::move(state)) {}
+  PendingCall(PendingCall&&) noexcept = default;
+  PendingCall& operator=(PendingCall&&) noexcept = default;
+
+  /// Blocks until the reply is in and returns it, or throws exactly what
+  /// RpcChannel::call would have thrown. Once per call: a second wait (or
+  /// a wait on a moved-from call) throws Error.
+  Bytes wait();
+
+ private:
+  std::unique_ptr<State> state_;
+};
+
 /// Client side of a connection to one service.
 class RpcChannel {
  public:
@@ -69,14 +95,26 @@ class RpcChannel {
   /// rethrows nothing from the remote (errors travel as payloads).
   virtual Bytes call(std::uint16_t method, BytesView request) = 0;
 
+  /// Sends `request` and returns without waiting for the reply, so a
+  /// client can have several calls in flight and collect them later. This
+  /// base form copies the request and runs call() on a thread of its own;
+  /// TcpChannel overrides it with its wire tickets and starts no thread.
+  /// A decorator that overrides only call() gets the base form even over a
+  /// TcpChannel: its started calls each hold a thread and reach the wire
+  /// in whatever order those threads do. To keep the TCP pipelining and
+  /// the caller's order, a decorator forwards start() as well.
+  virtual PendingCall start(std::uint16_t method, BytesView request);
+
   [[nodiscard]] virtual const ChannelStats& stats() const = 0;
   virtual void reset_stats() = 0;
 };
 
-/// Per-call framing overhead in bytes (method id + two length prefixes),
-/// counted identically by both channel families so byte accounting is
-/// transport-independent.
-constexpr std::size_t kRpcHeaderBytes = 2 + 4;
+/// Per-call framing overhead in bytes, counted identically by both channel
+/// families so byte accounting is transport-independent: a request frame
+/// opens with a u32 length and a u16 method id, a reply frame with the u32
+/// length alone.
+constexpr std::size_t kRpcHeaderBytes = 4 + 2;
+constexpr std::size_t kRpcReplyHeaderBytes = 4;
 
 /// Status envelope opening every response payload: a u16 status code,
 /// followed by the reply on kOk or a utf-8 reason string otherwise.

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "common/error.h"
 #include "net/buffer_pool.h"
@@ -108,6 +109,23 @@ void encode_u32(std::uint8_t* b, std::uint32_t v) {
   b[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+/// Reads one [u32 frame_len][payload] reply frame.
+Bytes read_reply(int fd, const Deadline& deadline) {
+  std::uint8_t header[4];
+  if (!read_all(fd, header, 4, deadline)) {
+    throw TransportError("TcpChannel: server closed connection");
+  }
+  const std::uint32_t len = decode_u32(header);
+  if (len > kMaxFrame) {
+    throw TransportError("TcpChannel: bad frame length");
+  }
+  Bytes reply(len);
+  if (len > 0 && !read_all(fd, reply.data(), len, deadline)) {
+    throw TransportError("TcpChannel: truncated response");
+  }
+  return reply;
+}
+
 }  // namespace
 
 TcpServer::TcpServer(RpcHandler& handler, std::uint16_t port,
@@ -166,115 +184,154 @@ TcpChannel::~TcpChannel() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+/// One started call: its ticket once the request is on the wire. Dropped
+/// before wait(), it abandons the ticket, so whoever reads that reply
+/// discards it and no destructor blocks.
+class TcpChannel::Pending final : public PendingCall::State {
+ public:
+  Pending(TcpChannel& channel, Deadline deadline)
+      : channel_(&channel), deadline_(deadline) {}
+  ~Pending() override {
+    if (ticket_) channel_->abandon(*ticket_);
+  }
+  Pending(const Pending&) = delete;
+  Pending& operator=(const Pending&) = delete;
+
+  void sent(std::uint64_t ticket) { ticket_ = ticket; }
+
+  Bytes wait() override {
+    const std::uint64_t ticket = *std::exchange(ticket_, std::nullopt);
+    return channel_->collect(ticket, deadline_);
+  }
+
+ private:
+  TcpChannel* channel_;
+  Deadline deadline_;
+  std::optional<std::uint64_t> ticket_;
+};
+
+void TcpChannel::poison_locked(const std::string& reason) {
+  if (broken_) return;
+  broken_ = true;
+  broken_reason_ = reason;
+  // Wakes a waiter blocked reading the socket under a later deadline (or
+  // none): no reply can be delivered in step any more.
+  ::shutdown(fd_, SHUT_RDWR);
+}
+
 void TcpChannel::poison(const std::string& reason) {
   {
     std::lock_guard lock(recv_mu_);
-    if (!broken_) {
-      broken_ = true;
-      broken_reason_ = reason;
-    }
+    poison_locked(reason);
   }
   recv_cv_.notify_all();
 }
 
 Bytes TcpChannel::call(std::uint16_t method, BytesView request) {
+  return start(method, request).wait();
+}
+
+PendingCall TcpChannel::start(std::uint16_t method, BytesView request) {
   const auto ms = deadline_ms_.load(std::memory_order_relaxed);
   Deadline deadline;
   if (ms > 0) deadline = Clock::now() + std::chrono::milliseconds(ms);
+  // Allocated before the send: once a request is on the wire its ticket
+  // must reach a Pending, which waits for it or abandons it.
+  auto pending = std::make_unique<Pending>(*this, deadline);
 
-  // Send phase: sends are serialized and assign the wire-order ticket the
-  // response will arrive under.
-  std::uint64_t ticket = 0;
+  // Sends are serialized and assign the wire-order ticket the reply will
+  // arrive under.
+  std::lock_guard lock(send_mu_);
   {
-    std::lock_guard lock(send_mu_);
-    {
-      std::lock_guard rlock(recv_mu_);
-      if (broken_) {
-        throw TransportError("TcpChannel: channel poisoned: " +
-                             broken_reason_);
-      }
+    std::lock_guard rlock(recv_mu_);
+    if (broken_) {
+      throw TransportError("TcpChannel: channel poisoned: " + broken_reason_);
     }
-    // RAII holder: the frame's capacity goes back to the pool even when
-    // write_all throws, so transient send errors don't degrade pooling.
-    PooledBytes holder(BufferPool::local().acquire());
-    Bytes& frame = holder.mut();
-    frame.resize(4 + 2 + request.size());
-    encode_u32(frame.data(), static_cast<std::uint32_t>(2 + request.size()));
-    frame[4] = static_cast<std::uint8_t>(method);
-    frame[5] = static_cast<std::uint8_t>(method >> 8);
-    std::copy(request.begin(), request.end(), frame.begin() + 6);
-    try {
-      write_all(fd_, frame.data(), frame.size(), deadline);
-    } catch (const std::exception& e) {
-      poison(e.what());
-      throw;
-    }
-    ticket = next_ticket_++;
-    stats_.calls++;
-    stats_.bytes_sent += frame.size();
   }
+  // RAII holder: the frame's capacity goes back to the pool even when
+  // write_all throws, so transient send errors don't degrade pooling.
+  PooledBytes holder(BufferPool::local().acquire());
+  Bytes& frame = holder.mut();
+  frame.resize(kRpcHeaderBytes + request.size());
+  encode_u32(frame.data(), static_cast<std::uint32_t>(2 + request.size()));
+  frame[4] = static_cast<std::uint8_t>(method);
+  frame[5] = static_cast<std::uint8_t>(method >> 8);
+  std::copy(request.begin(), request.end(), frame.begin() + 6);
+  try {
+    write_all(fd_, frame.data(), frame.size(), deadline);
+  } catch (const std::exception& e) {
+    poison(e.what());
+    throw;
+  }
+  pending->sent(next_ticket_++);
+  stats_.calls++;
+  stats_.bytes_sent += frame.size();
+  return PendingCall(std::move(pending));
+}
 
-  // Receive phase: wait for this ticket's turn, then read with recv_mu_
-  // released so pipelined senders aren't blocked behind the head reader.
+Bytes TcpChannel::collect(std::uint64_t ticket, const Deadline& deadline) {
   std::unique_lock lock(recv_mu_);
-  const auto my_turn = [&] {
-    return broken_ || (recv_next_ == ticket && !reading_);
-  };
-  if (deadline) {
-    if (!recv_cv_.wait_until(lock, *deadline, my_turn)) {
-      // Our turn never came: an earlier response is stalled. A late reply
-      // would desynchronise every ticket behind it, so poison.
-      if (!broken_) {
-        broken_ = true;
-        broken_reason_ = "call deadline exceeded";
+  for (;;) {
+    if (const auto it = kept_.find(ticket); it != kept_.end()) {
+      Bytes reply = std::move(it->second);
+      kept_.erase(it);
+      return reply;
+    }
+    if (broken_) {
+      throw TransportError("TcpChannel: channel poisoned: " + broken_reason_);
+    }
+    if (reading_) {
+      // Another waiter is reading; if the reply is ours it keeps it.
+      const auto moved = [&] {
+        return !reading_ || broken_ || kept_.contains(ticket);
+      };
+      if (!deadline) {
+        recv_cv_.wait(lock, moved);
+      } else if (!recv_cv_.wait_until(lock, *deadline, moved)) {
+        // An earlier reply is stalled past our deadline.
+        poison_locked("call deadline exceeded");
+        lock.unlock();
+        recv_cv_.notify_all();
+        throw TransportError("TcpChannel: call deadline exceeded");
       }
+      continue;
+    }
+    // Read the next reply with recv_mu_ free, so senders and the other
+    // waiters are not blocked behind the read.
+    reading_ = true;
+    lock.unlock();
+    Bytes reply;
+    std::optional<std::string> err;
+    try {
+      reply = read_reply(fd_, deadline);
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+    lock.lock();
+    reading_ = false;
+    const std::uint64_t owner = recv_next_++;
+    if (err) {
+      poison_locked(*err);
       lock.unlock();
       recv_cv_.notify_all();
-      throw TransportError("TcpChannel: call deadline exceeded");
+      throw TransportError(*err);
     }
-  } else {
-    recv_cv_.wait(lock, my_turn);
+    stats_.bytes_received += kRpcReplyHeaderBytes + reply.size();
+    if (owner == ticket) {
+      lock.unlock();
+      recv_cv_.notify_all();  // the next reader may go
+      return reply;
+    }
+    if (abandoned_.erase(owner) == 0) kept_.emplace(owner, std::move(reply));
+    recv_cv_.notify_all();
   }
-  if (broken_) {
-    throw TransportError("TcpChannel: channel poisoned: " + broken_reason_);
-  }
-  reading_ = true;
-  lock.unlock();
+}
 
-  Bytes response;
-  std::string err;
-  bool ok = true;
-  try {
-    std::uint8_t header[4];
-    if (!read_all(fd_, header, 4, deadline)) {
-      throw TransportError("TcpChannel: server closed connection");
-    }
-    const std::uint32_t len = decode_u32(header);
-    if (len > kMaxFrame) {
-      throw TransportError("TcpChannel: bad frame length");
-    }
-    response.resize(len);
-    if (len > 0 && !read_all(fd_, response.data(), len, deadline)) {
-      throw TransportError("TcpChannel: truncated response");
-    }
-  } catch (const std::exception& e) {
-    ok = false;
-    err = e.what();
-  }
-
-  lock.lock();
-  reading_ = false;
-  ++recv_next_;
-  if (!ok && !broken_) {
-    broken_ = true;
-    broken_reason_ = err;
-  }
-  lock.unlock();
-  recv_cv_.notify_all();
-  if (!ok) throw TransportError(err);
-
-  stats_.bytes_received += 4 + response.size();
-  return response;
+void TcpChannel::abandon(std::uint64_t ticket) {
+  std::lock_guard lock(recv_mu_);
+  if (broken_) return;
+  // Already read for us: drop it. Otherwise its reader discards it.
+  if (kept_.erase(ticket) == 0) abandoned_.insert(ticket);
 }
 
 }  // namespace ice::net

@@ -75,7 +75,7 @@ Bytes TenantChannel::call(std::uint16_t method, BytesView request) {
   const Bytes response = inner_->call(method, prefixed);
   stats_.calls++;
   stats_.bytes_sent += prefixed.size() + kRpcHeaderBytes;
-  stats_.bytes_received += response.size() + kRpcHeaderBytes;
+  stats_.bytes_received += response.size() + kRpcReplyHeaderBytes;
   return response;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 
 namespace ice {
 namespace {
@@ -76,6 +77,17 @@ TEST(ScratchArenaTest, TakeZeroedZeroesExactlyTheRequestedWords) {
   }
   auto lease = arena.take_zeroed(64);
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(lease.data()[i], 0u);
+}
+
+// A fresh thread's arena has no buffer to hand out: a zero-word zeroed
+// lease must not pass memset the empty buffer's null data().
+TEST(ScratchArenaTest, ZeroWordZeroedLeaseOnAFreshThread) {
+  std::size_t words = 1;
+  std::thread([&words] {
+    auto lease = ScratchArena::local().take_zeroed(0);
+    words = lease.words();
+  }).join();
+  EXPECT_EQ(words, 0u);
 }
 
 TEST(ScratchArenaTest, ResetStatsClearsCounters) {

@@ -1,10 +1,11 @@
 // Concurrent-session stress for the session-core services.
 //
 // N threads drive interleaved ICE-basic and ICE-batch audits against one
-// TPA/edge deployment over shared in-process channels. This is the test the
-// sanitizer presets (asan/tsan, tests/run_sanitizers.sh) lean on: it
-// exercises the session tables (one mutex each), the shared_mutex
-// config/store paths, the atomic channel counters, and the
+// TPA/edge deployment over shared in-process or TCP channels. This is the
+// test the sanitizer presets (asan/tsan, tests/run_sanitizers.sh) lean on:
+// it exercises the session tables (one mutex each), the shared_mutex
+// config/store paths, the atomic channel counters, the TCP channel's
+// pipelined calls, and the
 // no-lock-across-channel-call discipline (a lock-order inversion here
 // deadlocks; TSan flags it even when it doesn't). The collision and cap
 // cases pin the wire status of each session refusal.
@@ -25,13 +26,15 @@ constexpr std::size_t kBlocks = 16;
 constexpr std::size_t kBlockBytes = 64;
 
 /// One CSP, two edges (caching blocks 0-5 and 4-9), verifier TPA +
-/// replica, all in-process at one thread budget, set up by the owner.
+/// replica, in-process (or each behind its own TcpServer) at one thread
+/// budget, set up by the owner.
 class StressWorld : public sim::Deployment {
  public:
-  explicit StressWorld(std::size_t parallelism)
+  explicit StressWorld(std::size_t parallelism,
+                       sim::Transport transport = sim::Transport::kInProcess)
       : sim::Deployment(with_parallelism(parallelism),
                         ice::testing::test_keypair_256(), kBlocks, 2,
-                        kBlocks, 5) {
+                        kBlocks, 5, transport) {
     setup();
     edge(0).pre_download({0, 1, 2, 3, 4, 5});
     edge(1).pre_download({4, 5, 6, 7, 8, 9});
@@ -46,9 +49,12 @@ class StressWorld : public sim::Deployment {
 
 class SessionStressTest : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
-  const std::size_t parallelism = GetParam();
-  StressWorld w(parallelism);
+/// kThreads user threads, each its own session sharing the owner's key
+/// pair and the deployment's channels (channels are thread-safe), run
+/// interleaved ICE-basic and ICE-batch audits; every one must PASS.
+void run_interleaved_audits(std::size_t parallelism,
+                            sim::Transport transport) {
+  StressWorld w(parallelism, transport);
   constexpr std::size_t kThreads = 4;
   constexpr int kRounds = 3;
 
@@ -57,8 +63,6 @@ TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&w, &ok, t] {
-      // Each thread is its own user session sharing the owner's key pair
-      // and the deployment's channels (channels are thread-safe).
       UserClient user(ice::testing::test_params(kBlockBytes), w.keys(),
                       w.user_tpa(0), w.user_tpa(1));
       user.attach_file(kBlocks);
@@ -82,6 +86,17 @@ TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
   }
   // Every audit got a verdict: kThreads * kRounds basic + as many batch.
   EXPECT_EQ(w.tpa(0).audit_log().size(), kThreads * kRounds * 2);
+}
+
+TEST_P(SessionStressTest, InterleavedBasicAndBatchAudits) {
+  run_interleaved_audits(GetParam(), sim::Transport::kInProcess);
+}
+
+// The same over loopback TCP: the four users share the user->TPA0
+// connection, so their 310s, 303s, 304s and 307s are in flight on it
+// together, each collected by its own waiter or kept for it by another.
+TEST_P(SessionStressTest, InterleavedBasicAndBatchAuditsOverTcp) {
+  run_interleaved_audits(GetParam(), sim::Transport::kTcp);
 }
 
 // parallelism 1 = serial protocol math, 4 = fixed pool fan-out, 0 =

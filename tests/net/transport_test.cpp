@@ -1,5 +1,6 @@
-// Tests for the in-memory channel (byte accounting) and the TCP
-// transport (framing, concurrency, failure handling).
+// Tests for the in-memory channel (byte accounting), the base start()
+// path, and the TCP transport (framing, concurrency, pipelined start()
+// and wait(), failure handling).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,12 +10,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "net/channel.h"
@@ -45,9 +49,93 @@ TEST(InMemoryChannelTest, RoundTripAndCounting) {
   EXPECT_EQ(resp, (Bytes{7, 1, 2, 3}));
   EXPECT_EQ(ch.stats().calls, 1u);
   EXPECT_EQ(ch.stats().bytes_sent, req.size() + kRpcHeaderBytes);
-  EXPECT_EQ(ch.stats().bytes_received, resp.size() + kRpcHeaderBytes);
+  EXPECT_EQ(ch.stats().bytes_received, resp.size() + kRpcReplyHeaderBytes);
   ch.reset_stats();
   EXPECT_EQ(ch.stats().calls, 0u);
+}
+
+// Byte accounting is transport-independent: one call sequence through
+// either channel family counts the same bytes each way.
+TEST(ChannelFamiliesTest, SameCallsCountTheSameBytes) {
+  EchoHandler handler;
+  InMemoryChannel in_memory(handler);
+  TcpServer server(handler);
+  TcpChannel tcp("127.0.0.1", server.port());
+  for (RpcChannel* ch : {static_cast<RpcChannel*>(&in_memory),
+                         static_cast<RpcChannel*>(&tcp)}) {
+    (void)ch->call(1, {});
+    (void)ch->call(2, Bytes(10, 0));
+    (void)ch->call(3, Bytes(1000, 7));
+  }
+  EXPECT_EQ(in_memory.stats().calls.load(), tcp.stats().calls.load());
+  EXPECT_EQ(in_memory.stats().bytes_sent.load(),
+            tcp.stats().bytes_sent.load());
+  EXPECT_EQ(in_memory.stats().bytes_received.load(),
+            tcp.stats().bytes_received.load());
+}
+
+/// Forwards to `inner`, but a call returns only once a second call is
+/// inside this channel too (or after ten seconds, with TransportError): two
+/// started calls complete only if start() really overlaps them.
+class RendezvousChannel final : public RpcChannel {
+ public:
+  explicit RendezvousChannel(RpcChannel& inner) : inner_(&inner) {}
+
+  Bytes call(std::uint16_t method, BytesView request) override {
+    {
+      std::unique_lock lock(mu_);
+      ++inside_;
+      cv_.notify_all();
+      if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return inside_ >= 2; })) {
+        throw TransportError("RendezvousChannel: calls did not overlap");
+      }
+    }
+    return inner_->call(method, request);
+  }
+  [[nodiscard]] const ChannelStats& stats() const override {
+    return inner_->stats();
+  }
+  void reset_stats() override { inner_->reset_stats(); }
+
+ private:
+  RpcChannel* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int inside_ = 0;
+};
+
+// The base start() runs each call on a thread of its own, so a decorator
+// that overrides only call() keeps its started calls overlapping. A
+// synchronous default would block the first start() until the rendezvous
+// gives up.
+TEST(RpcChannelTest, BaseStartOverlapsCalls) {
+  EchoHandler handler;
+  InMemoryChannel inner(handler);
+  RendezvousChannel ch(inner);
+  PendingCall first = ch.start(1, Bytes{1});
+  PendingCall second = ch.start(2, Bytes{2});
+  EXPECT_EQ(second.wait(), (Bytes{2, 2}));
+  EXPECT_EQ(first.wait(), (Bytes{1, 1}));
+  EXPECT_EQ(inner.stats().calls.load(), 2u);
+}
+
+// wait() throws what call() threw, and a call is collected once.
+TEST(RpcChannelTest, BaseStartRethrowsAndWaitsOnce) {
+  class DownChannel final : public RpcChannel {
+   public:
+    Bytes call(std::uint16_t, BytesView) override {
+      throw TransportError("link down");
+    }
+    [[nodiscard]] const ChannelStats& stats() const override { return stats_; }
+    void reset_stats() override { stats_.reset(); }
+
+   private:
+    ChannelStats stats_;
+  } down;
+  PendingCall call = down.start(1, {});
+  EXPECT_THROW((void)call.wait(), TransportError);
+  EXPECT_THROW((void)call.wait(), Error);
 }
 
 /// Names the one server transport, the epoll reactor, in the
@@ -490,6 +578,160 @@ TEST(TcpDeadlineTest, GenerousDeadlineDoesNotBreakHealthyCalls) {
   for (std::uint16_t m = 0; m < 10; ++m) {
     EXPECT_EQ(ch.call(m, Bytes{7})[1], 7u);
   }
+}
+
+
+// --- Pipelined calls: start() sends, wait() collects ----------------------
+
+/// The echo reply to `method` with one payload byte `b`.
+Bytes echo(std::uint16_t method, std::uint8_t b) {
+  return Bytes{static_cast<std::uint8_t>(method), b};
+}
+
+TEST(TcpPipelineTest, CallsWaitedInReverseOrderGetTheirOwnReplies) {
+  EchoHandler handler;
+  TcpServer server(handler);
+  TcpChannel ch("127.0.0.1", server.port());
+  std::vector<PendingCall> calls;
+  for (std::uint16_t m = 1; m <= 3; ++m) {
+    calls.push_back(ch.start(m, Bytes{static_cast<std::uint8_t>(10 * m)}));
+  }
+  // The last waiter reads the two replies before its own off the socket
+  // and keeps them for their tickets.
+  EXPECT_EQ(calls[2].wait(), echo(3, 30));
+  EXPECT_EQ(calls[1].wait(), echo(2, 20));
+  EXPECT_EQ(calls[0].wait(), echo(1, 10));
+  EXPECT_EQ(ch.call(4, Bytes{40}), echo(4, 40));
+}
+
+TEST(TcpPipelineTest, DroppedCallLeavesTheNextCallItsOwnReply) {
+  EchoHandler handler;
+  TcpServer server(handler);
+  TcpChannel ch("127.0.0.1", server.port());
+  { PendingCall dropped = ch.start(1, Bytes{1}); }  // never waited for
+  EXPECT_EQ(ch.call(2, Bytes{2}), echo(2, 2));
+  // Dropped after its reply was read and kept for it.
+  PendingCall kept = ch.start(3, Bytes{3});
+  EXPECT_EQ(ch.call(4, Bytes{4}), echo(4, 4));
+  { PendingCall gone = std::move(kept); }
+  EXPECT_EQ(ch.call(5, Bytes{5}), echo(5, 5));
+  // Every call is counted, the dropped ones' replies included.
+  EXPECT_EQ(ch.stats().calls.load(), 5u);
+  EXPECT_EQ(ch.stats().bytes_sent.load(), 5 * (kRpcHeaderBytes + 1));
+  EXPECT_EQ(ch.stats().bytes_received.load(),
+            5 * (kRpcReplyHeaderBytes + 2));
+  EXPECT_EQ(handler.calls.load(), 5);
+}
+
+/// Serves method 1 as an echo and stalls every other method until
+/// released; the release comes before the server stops.
+class StallingHandler final : public RpcHandler {
+ public:
+  Bytes handle(std::uint16_t method, BytesView request) override {
+    if (method != 1) {
+      std::unique_lock lock(mu_);
+      cv_.wait(lock, [&] { return released_; });
+    }
+    Bytes out{static_cast<std::uint8_t>(method)};
+    out.insert(out.end(), request.begin(), request.end());
+    return out;
+  }
+  void release() {
+    {
+      std::lock_guard lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+// A stalled reply poisons the channel: every call pending on it throws
+// TransportError by its deadline, counted from its start(), whichever
+// waiter is reading the socket, and later calls fail fast.
+TEST(TcpPipelineTest, StallPoisonsEveryPendingCallWithinItsDeadline) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kDeadline = std::chrono::milliseconds(200);
+  constexpr auto kSlack = std::chrono::seconds(1);  // scheduling noise
+  StallingHandler handler;
+  TcpServer server(handler);
+  struct Release {
+    StallingHandler* h;
+    ~Release() { h->release(); }
+  } release{&handler};  // destroyed before the server stops
+  TcpChannel ch("127.0.0.1", server.port());
+  ch.set_deadline(kDeadline);
+  EXPECT_EQ(ch.call(1, Bytes{1}), echo(1, 1));
+
+  struct Started {
+    Clock::time_point at;
+    PendingCall call;
+  };
+  std::vector<Started> started;
+  for (std::uint16_t m = 2; m <= 4; ++m) {
+    const Clock::time_point at = Clock::now();
+    started.push_back({at, ch.start(m, Bytes{static_cast<std::uint8_t>(m)})});
+  }
+  std::vector<std::future<Clock::duration>> waits;
+  for (Started& s : started) {
+    waits.push_back(std::async(std::launch::async, [&s] {
+      try {
+        (void)s.call.wait();
+      } catch (const TransportError&) {
+        return Clock::now() - s.at;
+      }
+      return Clock::duration::max();  // a reply: the stall did not hold
+    }));
+  }
+  for (auto& w : waits) {
+    EXPECT_LT(w.get(), kDeadline + kSlack);
+  }
+  EXPECT_THROW((void)ch.start(1, Bytes{1}), TransportError);
+}
+
+// Threads interleave start() and wait() on one channel, collecting their
+// calls in varying orders while other threads read replies for them.
+TEST(TcpPipelineTest, ThreadsInterleaveStartAndWaitOnOneChannel) {
+  EchoHandler handler;
+  TcpServer server(handler);
+  TcpChannel ch("127.0.0.1", server.port());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::vector<std::future<bool>> results;
+  for (int t = 0; t < kThreads; ++t) {
+    results.push_back(std::async(std::launch::async, [&ch, t] {
+      bool ok = true;
+      for (int round = 0; round < kRounds; ++round) {
+        const auto m = static_cast<std::uint16_t>(t * kRounds + round);
+        const auto b = static_cast<std::uint8_t>(round);
+        PendingCall a = ch.start(m, Bytes{b});
+        PendingCall c = ch.start(m, Bytes{static_cast<std::uint8_t>(b + 1)});
+        if (round % 3 == 2) {
+          // Dropped: its reply is discarded by whoever reads it.
+          ok &= a.wait() == echo(m, b);
+          continue;
+        }
+        if (round % 2 == 0) {
+          ok &= a.wait() == echo(m, b);
+          ok &= c.wait() == echo(m, static_cast<std::uint8_t>(b + 1));
+        } else {
+          ok &= c.wait() == echo(m, static_cast<std::uint8_t>(b + 1));
+          ok &= a.wait() == echo(m, b);
+        }
+        ok &= ch.call(m, Bytes{b}) == echo(m, b);
+      }
+      return ok;
+    }));
+  }
+  for (auto& r : results) EXPECT_TRUE(r.get());
+  // This reply follows every earlier one, so every request was served.
+  EXPECT_EQ(ch.call(9, Bytes{9}), echo(9, 9));
+  EXPECT_EQ(ch.stats().calls.load(),
+            static_cast<std::uint64_t>(handler.calls.load()));
 }
 
 }  // namespace

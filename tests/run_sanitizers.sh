@@ -37,6 +37,17 @@
 # KeyRotationTest.RotationBetweenRetrievalAndChallengeIsRefused),
 # and the fleet simulation's scheduler loop over pooled challenges
 # (FleetSimTest.*, smoke_bench_fleet).
+# The client's pipelined calls run under TSan: TcpChannel's tickets, the
+# replies one waiter reads and keeps for another, abandoned tickets and the
+# poisoning of every pending call (TcpPipelineTest.*), four users sharing
+# the user->TPA0 connection with their 310s, 303s, 304s and 307s in flight
+# together (SessionStressTest.*, its InterleavedBasicAndBatchAuditsOverTcp
+# arm), and whole rounds over sockets with the 204 held while the user's
+# 303 and 310 to TPA0 are both out (TcpE2eTest.*):
+# `tests/run_sanitizers.sh tsan 'TcpPipeline|SessionStress|TcpE2e'`.
+# ASan+UBSan covers the scratch arena's leases, including a zero-word
+# zeroed lease on a fresh thread, whose empty buffer has no storage
+# (ScratchArenaTest.*).
 # The thread pool's FIFO of concurrent broadcast jobs is gated by its own
 # targets: posters from several threads sharing the workers
 # (ThreadPoolTest.ConcurrentBroadcastsBothUseWorkers,
